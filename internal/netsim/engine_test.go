@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -161,15 +162,20 @@ func TestVTimeString(t *testing.T) {
 	}
 }
 
+// nopSink swallows typed events.
+type nopSink struct{}
+
+func (nopSink) HandleMsg(uint8, *Message) {}
+
 // TestPendingByRank pins the backlog tap the queue-depth watchdog uses:
-// AtRank events are attributed to their rank, driver work (At, rank -1)
-// is not, and executed events leave the counts.
+// AtRank events — closure or typed — are attributed to their rank, driver
+// work (At, rank -1) is not, and executed events leave the counts.
 func TestPendingByRank(t *testing.T) {
 	e := NewEngine()
 	counts := make([]int, 3)
 	e.AtRank(0, 10, func() {})
-	e.AtRank(1, 10, func() {})
-	e.AtRank(1, 20, func() {})
+	e.AtRankMsg(1, 10, nopSink{}, 0, nil)
+	e.AtRankMsg(1, 20, nopSink{}, 0, nil)
 	e.AtRank(2, 30, func() {})
 	e.At(5, func() {}) // driver event: unattributed
 	e.PendingByRank(counts)
@@ -200,7 +206,11 @@ func TestPendingByRankSharded(t *testing.T) {
 	counts := make([]int, ranks)
 	for r := 0; r < ranks; r++ {
 		for i := 0; i <= r; i++ {
-			drv.AtRank(r, VTime(1000+100*i), func() {})
+			if i%2 == 0 {
+				drv.AtRankMsg(r, VTime(1000+100*i), nopSink{}, 0, nil)
+			} else {
+				drv.AtRank(r, VTime(1000+100*i), func() {})
+			}
 		}
 	}
 	drv.PendingByRank(counts)
@@ -215,5 +225,107 @@ func TestPendingByRankSharded(t *testing.T) {
 		if c != 0 {
 			t.Fatalf("rank %d shows %d pending after drain", r, c)
 		}
+	}
+}
+
+// laneSink is one rank's typed-event sink for the lane-order test: the
+// step's identity rides in the message.
+type laneSink struct{ fire func(id uint64) }
+
+func (s laneSink) HandleMsg(_ uint8, m *Message) { s.fire(m.OpID) }
+
+// laneTrace runs one workload that mixes the typed and the closure lane
+// at equal timestamps, on a classic engine (shards == 0) or a sharded
+// one, and returns each rank's pop sequence. Event id n rides the typed
+// lane when n is even and the closure lane when odd, so every equal-time
+// group alternates lanes.
+func laneTrace(ranks, shards int, serial bool) [][]uint64 {
+	const la = 900 * Nanosecond
+	drv := NewEngine()
+	if shards > 0 {
+		drv = NewParEngine(ranks, shards, la)
+		drv.Par().SetSerial(serial)
+		defer drv.Par().Shutdown()
+	}
+	traces := make([][]uint64, ranks)
+	sinks := make([]laneSink, ranks)
+	var fire func(rank int, id uint64)
+	at := func(e *Engine, rank int, t VTime, id uint64) {
+		if id%2 == 0 {
+			e.AtRankMsg(rank, t, sinks[rank], 0, &Message{OpID: id})
+		} else {
+			e.AtRank(rank, t, func() { fire(rank, id) })
+		}
+	}
+	fire = func(rank int, id uint64) {
+		traces[rank] = append(traces[rank], id)
+		if id >= 1000 {
+			return
+		}
+		e := drv.RankEngine(rank)
+		// Two follow-ups on this rank at one shared instant, one per lane,
+		// and one to the neighbour a wire latency away (through the
+		// cross-shard inbox when the neighbour lives on another shard).
+		at(e, rank, 500, 1000+2*id)
+		at(e, rank, 500, 1000+2*id+1)
+		at(e, (rank+1)%ranks, e.Now()+la+VTime(rank), 3000+id)
+	}
+	for r := range sinks {
+		r := r
+		sinks[r] = laneSink{fire: func(id uint64) { fire(r, id) }}
+	}
+	for r := 0; r < ranks; r++ {
+		for i := 0; i < 6; i++ {
+			at(drv, r, 100, uint64(10*r+i)) // all at t=100, lanes alternating
+		}
+	}
+	drv.Run()
+	return traces
+}
+
+// TestTypedAndClosureLanesShareOneOrder pins that the typed lane is only
+// a cheaper way to carry an event: typed and closure events draw their
+// ties from the same counters, so a workload interleaving both at equal
+// timestamps pops in the same per-rank order on the classic engine, on
+// shards=1, on shards=4 and under the serial merged drain.
+func TestTypedAndClosureLanesShareOneOrder(t *testing.T) {
+	const ranks = 8
+	ref := laneTrace(ranks, 0, false)
+	for r := range ref {
+		if len(ref[r]) != 6+12+6 {
+			t.Fatalf("classic rank %d popped %d events, want 24: %v", r, len(ref[r]), ref[r])
+		}
+	}
+	for _, c := range []struct {
+		shards int
+		serial bool
+	}{{1, false}, {4, false}, {4, true}} {
+		got := laneTrace(ranks, c.shards, c.serial)
+		for r := range ref {
+			if fmt.Sprint(got[r]) != fmt.Sprint(ref[r]) {
+				t.Fatalf("shards=%d serial=%v rank %d popped %v, classic popped %v",
+					c.shards, c.serial, r, got[r], ref[r])
+			}
+		}
+	}
+}
+
+// TestTypedLaneAllocatesNothing pins the point of the typed lane: in
+// steady state scheduling and firing a message event costs no
+// allocation (the slab slot is recycled through the free list).
+func TestTypedLaneAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	m := &Message{}
+	for i := 0; i < 128; i++ { // grow the heap and the slab to their working size
+		e.AtRankMsg(0, e.Now()+VTime(i), nopSink{}, 0, m)
+	}
+	e.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.AtRankMsg(0, e.Now()+1, nopSink{}, 0, m)
+		e.AtRankMsg(1, e.Now()+1, nopSink{}, 1, m)
+		e.Step()
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("typed AtRankMsg+Step allocates %v per run, want 0", n)
 	}
 }

@@ -43,13 +43,8 @@ type Message struct {
 	Kind uint8 // runtime-defined discriminator, opaque here
 	Ctl  uint8 // CtlNone for runtime traffic
 
-	Src int // originating rank
-	Dst int // resolved rank, or ByGVA
-
-	// Target is the global address the message operates on. For
-	// GVA-routed and DMA messages the fabric inspects its block number;
-	// otherwise it is along for the ride.
-	Target gas.GVA
+	// The one-byte flags sit together so the struct packs (the message is
+	// copied whole on clones and zeroed on Release).
 
 	// DMA marks one-sided traffic: on arrival at the owner the NIC
 	// performs the transfer itself (no host receive overhead). Parcels
@@ -61,6 +56,34 @@ type Message struct {
 	// the owner (NIC readRoutes under GVA routing, host replica routes
 	// otherwise); all other traffic strictly follows ownership.
 	Read bool
+
+	// MigCtl marks migration-protocol parcels so retransmissions of them
+	// can be reported separately (a lost commit is the interesting case).
+	MigCtl bool
+
+	// Scatter marks a coalesced batch whose payload is a sequence of
+	// per-parcel GVA sub-headers (see AppendScatterRecord). A GVA-routing
+	// NIC splits such a batch on arrival: it translates every record
+	// against its own tables, hands the resident ones to the host in a
+	// single up-call, and forwards the movers in-network — no host-side
+	// re-route. Only untracked batches scatter (RelSeq == 0): splitting a
+	// reliably-tracked message would multiply its sequence number across
+	// hosts and break the receive dedup.
+	Scatter bool
+
+	// PayloadPooled marks Payload as borrowed from the runtime's wire-
+	// buffer pool; the terminal consumer returns it. On requests it also
+	// grants the responder permission to answer from a pooled buffer
+	// (the requester promises to copy out and release).
+	PayloadPooled bool
+
+	Src int // originating rank
+	Dst int // resolved rank, or ByGVA
+
+	// Target is the global address the message operates on. For
+	// GVA-routed and DMA messages the fabric inspects its block number;
+	// otherwise it is along for the ride.
+	Target gas.GVA
 
 	// Payload is the opaque application bytes. A typed slice (rather than
 	// any) keeps the hot path free of interface-boxing allocations.
@@ -95,10 +118,6 @@ type Message struct {
 	RelSeq  uint64
 	RelCum  uint64
 
-	// MigCtl marks migration-protocol parcels so retransmissions of them
-	// can be reported separately (a lost commit is the interesting case).
-	MigCtl bool
-
 	// Bounces counts hop-budget NACKs this message has already suffered
 	// at its sender; past a small cap the sender abandons it.
 	Bounces int
@@ -110,31 +129,17 @@ type Message struct {
 	// ordinary traffic.
 	Epoch uint64
 
-	// Scatter marks a coalesced batch whose payload is a sequence of
-	// per-parcel GVA sub-headers (see AppendScatterRecord). A GVA-routing
-	// NIC splits such a batch on arrival: it translates every record
-	// against its own tables, hands the resident ones to the host in a
-	// single up-call, and forwards the movers in-network — no host-side
-	// re-route. Only untracked batches scatter (RelSeq == 0): splitting a
-	// reliably-tracked message would multiply its sequence number across
-	// hosts and break the receive dedup.
-	Scatter bool
-
-	// PayloadPooled marks Payload as borrowed from the runtime's wire-
-	// buffer pool; the terminal consumer returns it. On requests it also
-	// grants the responder permission to answer from a pooled buffer
-	// (the requester promises to copy out and release).
-	PayloadPooled bool
+	// rxSer is the receive-link serialization time of the hop in flight,
+	// stamped by the transmitting NIC (which knows the path's bandwidth
+	// taper) and charged by the receiving one on wire arrival.
+	rxSer VTime
 }
 
 // wireHeader approximates the fixed per-message header size the codec and
 // NIC descriptors contribute.
 const wireHeader = 32
 
-// msgPool recycles Message structs on the wall-clock (goroutine) engine's
-// fast path. The DES engine never recycles: its NIC model legitimately
-// retains delivered messages inside deferred table-update events, so
-// pooling there would hand a live message to a new sender.
+// msgPool recycles Message structs.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // NewMessage returns a zeroed Message, reusing a pooled one when
@@ -148,13 +153,16 @@ var msgPool = sync.Pool{New: func() any { return new(Message) }}
 // it. Paths that retain the message (queueIfMoving parks, CtlNack's
 // Nacked back-pointer, stale-delivery re-routes) transfer ownership with
 // the pointer and must NOT Release.
+//
+// The rule is the same on both engines: on the DES engine the message is
+// itself the scheduled event (Engine.AtRankMsg), so no deferred closure
+// outlives the owner's Release.
 func NewMessage() *Message { return msgPool.Get().(*Message) }
 
 // Release zeroes m and returns it to the pool. After Release the caller
 // must not touch m. Zeroing drops the Payload/Nacked pointers but does
 // not disturb their referents, so slices aliased out of a released
-// message's payload stay valid.
-func (m *Message) Release() {
-	*m = Message{}
-	msgPool.Put(m)
-}
+// message's payload stay valid. A message that never came from
+// NewMessage may be released too; dropping one without Release is always
+// safe (the collector takes it).
+func (m *Message) Release() { m.release() }

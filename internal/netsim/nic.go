@@ -249,16 +249,7 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 					hint = h
 				}
 				n.Stats.DeadNacks++
-				nk := &Message{
-					Ctl:    CtlNackLoop,
-					Src:    n.Rank,
-					Dst:    m.Src,
-					Block:  m.Block,
-					Owner:  hint,
-					Wire:   wireHeader,
-					Nacked: m,
-				}
-				n.transmit(nk, n.fab.Model.NICForward)
+				n.nackWith(CtlNackLoop, m, hint)
 				return
 			} else {
 				// Down but not yet declared (or rank-addressed control
@@ -281,7 +272,8 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 		hops = n.fab.Topo.Hops(n.Rank, m.Dst)
 		bw = n.fab.Topo.BWFactor(n.Rank, m.Dst)
 	}
-	ser := model.Gap + VTime(float64(wire)*model.GByte*bw)
+	m.rxSer = VTime(float64(wire) * model.GByte * bw)
+	ser := model.Gap + m.rxSer
 	start := eng.Now() + extra
 	if n.txFree > start {
 		start = n.txFree
@@ -298,48 +290,83 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 		}
 		if act.Duplicate {
 			n.Stats.Duplicated++
-			cp := *m
-			n.scheduleArrival(&cp, wire, bw, arrive+act.DupDelay)
+			// The clone is independently owned: both copies cross receive
+			// paths that mutate, forward and release them.
+			cp := NewMessage()
+			*cp = *m
+			n.scheduleArrival(cp, arrive+act.DupDelay)
 		}
 		if act.Delay > 0 {
 			n.Stats.Delayed++
 			arrive += act.Delay
 		}
 	}
-	n.scheduleArrival(m, wire, bw, arrive)
+	n.scheduleArrival(m, arrive)
 }
 
-// scheduleArrival lands m on the destination NIC at the given time,
-// modeling rx-link occupancy: an isolated arrival delivers immediately
-// (its serialization was already paid at the sender), but the receive
-// link drains at link rate, so concurrent senders to one NIC (incast)
-// queue behind each other.
-func (n *NIC) scheduleArrival(m *Message, wire int, bw float64, arrive VTime) {
-	model := n.fab.Model
-	dst := n.fab.NICs[m.Dst]
-	// The arrival is the destination rank's event: it runs on dst's shard
-	// and touches only dst's state. Under sharding a cross-shard arrival
-	// rides the inbox and cannot land inside the current window — the
-	// wire latency already paid above is exactly the lookahead bound.
-	n.eng.AtRank(m.Dst, arrive, func() {
-		deng := dst.eng
-		ready := deng.Now()
-		if dst.rxFree > ready {
-			ready = dst.rxFree
+// The NIC's typed event steps (Engine.AtRankMsg): the message in flight
+// is the scheduled unit, so the per-message path builds no closures.
+const (
+	opArrive     uint8 = iota // wire arrival: charge rx-link occupancy
+	opRxReady                 // rx link drained: receive
+	opTableApply              // NICUpdate elapsed: apply a table push
+	opDMADone                 // DMA copy elapsed: hand to the DMA handler
+)
+
+// scheduleArrival lands m on the destination NIC at the given time. The
+// arrival is the destination rank's event: it runs on dst's shard and
+// touches only dst's state. Under sharding a cross-shard arrival rides
+// the inbox and cannot land inside the current window — the wire latency
+// already paid by transmit is exactly the lookahead bound.
+func (n *NIC) scheduleArrival(m *Message, arrive VTime) {
+	n.eng.AtRankMsg(m.Dst, arrive, n.fab.NICs[m.Dst], opArrive, m)
+}
+
+// HandleMsg runs one typed event step on this NIC.
+func (n *NIC) HandleMsg(op uint8, m *Message) {
+	switch op {
+	case opArrive:
+		// rx-link occupancy: an isolated arrival delivers immediately (its
+		// serialization was already paid at the sender), but the receive
+		// link drains at link rate, so concurrent senders to one NIC
+		// (incast) queue behind each other.
+		now := n.eng.Now()
+		ready := now
+		if n.rxFree > ready {
+			ready = n.rxFree
 		}
-		dst.rxFree = ready + VTime(float64(wire)*model.GByte*bw)
-		if ready == deng.Now() {
-			dst.receive(m)
+		n.rxFree = ready + m.rxSer
+		if ready == now {
+			n.receive(m)
 			return
 		}
-		deng.At(ready, func() { dst.receive(m) })
-	})
+		n.eng.AtRankMsg(n.Rank, ready, n, opRxReady, m)
+	case opRxReady:
+		n.receive(m)
+	case opTableApply:
+		// A push stamped with an older membership epoch than the table
+		// trusts is dropped: it was in flight across a membership change
+		// and could resurrect a route to a dead or re-homed locality.
+		switch {
+		case m.Epoch < n.Table.Epoch():
+			n.Stats.StaleEpochDrops++
+		case m.Ctl == CtlTableBatch:
+			ForEachTableEntry(m.Payload, n.Table.Update)
+		default:
+			n.Table.Update(m.Block, m.Owner)
+		}
+		m.Release() // consumed by the NIC; never reaches the host
+	case opDMADone:
+		if n.DMADeliver == nil {
+			panic(fmt.Sprintf("netsim: DMA delivery on rank %d without a DMA handler", n.Rank))
+		}
+		n.DMADeliver(m)
+	}
 }
 
 // receive handles wire arrival: control consumption, ownership checks,
 // in-network forwarding or NACKing, and final delivery.
 func (n *NIC) receive(m *Message) {
-	model := n.fab.Model
 	if lv := n.fab.Live; lv != nil && lv.Down(n.Rank) {
 		// In-flight traffic arriving at a crashed locality hits a dead
 		// link and vanishes.
@@ -354,35 +381,13 @@ func (n *NIC) receive(m *Message) {
 	n.Stats.BytesRx += uint64(wire)
 
 	switch m.Ctl {
-	case CtlTableUpdate:
-		// Consumed entirely on the NIC. A push stamped with an older
-		// membership epoch than the table trusts is dropped: it was in
-		// flight across a membership change and could resurrect a route
-		// to a dead or re-homed locality.
+	case CtlTableUpdate, CtlTableBatch:
+		// Consumed entirely on the NIC, epoch-fenced at apply time. A batch
+		// installs a whole migration burst in one deferred event after a
+		// single NICUpdate charge: the table write port is the bottleneck
+		// once, not per block.
 		n.Stats.TableUpdatesRx++
-		ep := m.Epoch
-		n.eng.After(model.NICUpdate, func() {
-			if ep < n.Table.Epoch() {
-				n.Stats.StaleEpochDrops++
-				return
-			}
-			n.Table.Update(m.Block, m.Owner)
-		})
-		return
-	case CtlTableBatch:
-		// One control message installs a whole migration burst. The
-		// entries land in one deferred event after a single NICUpdate
-		// charge: the table write port is the bottleneck once, not per
-		// block. Epoch-fenced like CtlTableUpdate.
-		n.Stats.TableUpdatesRx++
-		ep := m.Epoch
-		n.eng.After(model.NICUpdate, func() {
-			if ep < n.Table.Epoch() {
-				n.Stats.StaleEpochDrops++
-				return
-			}
-			ForEachTableEntry(m.Payload, n.Table.Update)
-		})
+		n.eng.AtRankMsg(n.Rank, n.eng.Now()+n.fab.Model.NICUpdate, n, opTableApply, m)
 		return
 	case CtlNack, CtlNackLoop:
 		// NACKs terminate at the source host.
@@ -454,9 +459,8 @@ func (n *NIC) misroute(m *Message) {
 			if n.OnForward != nil {
 				n.OnForward(m, target)
 			}
-			fwd := *m
-			fwd.Dst = target
-			n.transmit(&fwd, model.NICForward)
+			m.Dst = target
+			n.transmit(m, model.NICForward)
 			return
 		}
 		m.Hops--
@@ -506,16 +510,7 @@ func (n *NIC) misroute(m *Message) {
 		// home as a fresh hint instead of panicking — a lossy fabric can
 		// legitimately produce this.
 		n.Stats.LoopNacks++
-		nk := &Message{
-			Ctl:    CtlNackLoop,
-			Src:    n.Rank,
-			Dst:    m.Src,
-			Block:  m.Block,
-			Owner:  m.Target.Home(),
-			Wire:   wireHeader,
-			Nacked: m,
-		}
-		n.transmit(nk, model.NICForward)
+		n.nackWith(CtlNackLoop, m, m.Target.Home())
 		return
 	}
 	n.Stats.Forwards++
@@ -523,20 +518,20 @@ func (n *NIC) misroute(m *Message) {
 		n.OnForward(m, owner)
 	}
 	if n.Policy.PushUpdates && m.Src != n.Rank {
-		upd := &Message{
-			Ctl:   CtlTableUpdate,
-			Src:   n.Rank,
-			Dst:   m.Src,
-			Block: m.Block,
-			Owner: owner,
-			Wire:  wireHeader,
-			Epoch: n.Table.Epoch(),
-		}
+		upd := NewMessage()
+		upd.Ctl = CtlTableUpdate
+		upd.Src = n.Rank
+		upd.Dst = m.Src
+		upd.Block = m.Block
+		upd.Owner = owner
+		upd.Wire = wireHeader
+		upd.Epoch = n.Table.Epoch()
 		n.transmit(upd, model.NICForward)
 	}
-	fwd := *m
-	fwd.Dst = owner
-	n.transmit(&fwd, model.NICForward)
+	// Forward in place: the arrived message is the forwarded one, and the
+	// fabric stays its sole owner.
+	m.Dst = owner
+	n.transmit(m, model.NICForward)
 }
 
 // scatterBatch splits a GVA-sub-headered batch at the NIC. Records whose
@@ -596,17 +591,16 @@ func (n *NIC) scatterBatch(m *Message) {
 	}
 	for owner, payload := range groups {
 		n.Stats.ScatterForwards++
-		fwd := &Message{
-			Kind:    m.Kind,
-			Src:     m.Src,
-			Dst:     owner,
-			Target:  m.Target,
-			Block:   m.Block,
-			Scatter: true,
-			Payload: payload,
-			Wire:    wireHeader + len(payload),
-			Hops:    m.Hops + 1,
-		}
+		fwd := NewMessage()
+		fwd.Kind = m.Kind
+		fwd.Src = m.Src
+		fwd.Dst = owner
+		fwd.Target = m.Target
+		fwd.Block = m.Block
+		fwd.Scatter = true
+		fwd.Payload = payload
+		fwd.Wire = wireHeader + len(payload)
+		fwd.Hops = m.Hops + 1
 		n.transmit(fwd, n.fab.Model.NICForward)
 	}
 	if len(local) > 0 {
@@ -614,21 +608,29 @@ func (n *NIC) scatterBatch(m *Message) {
 		m.Payload = local
 		m.Wire = wireHeader + len(local)
 		n.deliverHost(m)
+		return
 	}
+	// Every record moved on; the arrived envelope is spent.
+	m.Release()
 }
 
 // nack bounces a message back to the source host with owner advice.
 func (n *NIC) nack(m *Message, owner int) {
 	n.Stats.Nacks++
-	nk := &Message{
-		Ctl:    CtlNack,
-		Src:    n.Rank,
-		Dst:    m.Src,
-		Block:  m.Block,
-		Owner:  owner,
-		Wire:   wireHeader,
-		Nacked: m,
-	}
+	n.nackWith(CtlNack, m, owner)
+}
+
+// nackWith bounces m to its source inside a ctl NACK carrying owner as
+// routing advice. Ownership of m moves to the NACK's Nacked pointer.
+func (n *NIC) nackWith(ctl uint8, m *Message, owner int) {
+	nk := NewMessage()
+	nk.Ctl = ctl
+	nk.Src = n.Rank
+	nk.Dst = m.Src
+	nk.Block = m.Block
+	nk.Owner = owner
+	nk.Wire = wireHeader
+	nk.Nacked = m
 	n.transmit(nk, n.fab.Model.NICForward)
 }
 
@@ -637,13 +639,7 @@ func (n *NIC) nack(m *Message, owner int) {
 func (n *NIC) deliver(m *Message) {
 	if m.DMA {
 		n.Stats.DMADelivered++
-		copyCost := n.fab.Model.CopyTime(m.Wire)
-		n.eng.After(copyCost, func() {
-			if n.DMADeliver == nil {
-				panic(fmt.Sprintf("netsim: DMA delivery on rank %d without a DMA handler", n.Rank))
-			}
-			n.DMADeliver(m)
-		})
+		n.eng.AtRankMsg(n.Rank, n.eng.Now()+n.fab.Model.CopyTime(m.Wire), n, opDMADone, m)
 		return
 	}
 	n.deliverHost(m)

@@ -44,8 +44,10 @@ type ParEngine struct {
 
 	// inbox[src*nshards+dst] carries cross-shard events scheduled during
 	// a window: written only by shard src's worker, merged by the driver
-	// at the barrier.
-	inbox [][]event
+	// at the barrier. Entries keep their work inline: a typed step's slab
+	// slot belongs to the destination shard, whose worker may be popping
+	// it right now, so the slot is only taken at the merge.
+	inbox [][]staged
 	// taskStage[s] carries barrier tasks deferred from shard s's worker.
 	taskStage [][]event
 
@@ -70,6 +72,15 @@ type ParEngine struct {
 	launched []int
 	once     sync.Once
 	closed   bool
+}
+
+// staged is a cross-shard event waiting in an inbox for the barrier.
+type staged struct {
+	at   VTime
+	tie  uint64
+	rank int32
+	fn   func()
+	s    step
 }
 
 type parWorker struct {
@@ -103,7 +114,7 @@ func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
 		nshards:    nshards,
 		lookahead:  lookahead,
 		perRankSeq: make([]uint64, ranks),
-		inbox:      make([][]event, nshards*nshards),
+		inbox:      make([][]staged, nshards*nshards),
 		taskStage:  make([][]event, nshards),
 	}
 	p.driver = &Engine{par: p, shard: -1, curRank: -1}
@@ -159,7 +170,7 @@ func (p *ParEngine) nextTie(e *Engine) uint64 {
 // barrierPush queues fn as a barrier task at absolute time t (driver
 // phase only — worker-phase deferral goes through atBarrier's staging).
 func (p *ParEngine) barrierPush(e *Engine, t VTime, fn func()) {
-	p.driver.q.push(event{at: t, tie: p.nextTie(e), rank: -1, fn: fn})
+	p.driver.q.push(event{at: t, tie: p.nextTie(e), who: evWho(-1, 0), fn: fn})
 }
 
 // atBarrier defers fn to the next barrier from engine e's context.
@@ -168,7 +179,7 @@ func (p *ParEngine) atBarrier(e *Engine, fn func()) {
 		p.barrierPush(e, maxVTime(e.now, p.driver.now), fn)
 		return
 	}
-	ev := event{at: e.now, tie: p.nextTie(e), rank: -1, fn: fn}
+	ev := event{at: e.now, tie: p.nextTie(e), who: evWho(-1, 0), fn: fn}
 	p.taskStage[e.shard] = append(p.taskStage[e.shard], ev)
 }
 
@@ -179,17 +190,18 @@ func maxVTime(a, b VTime) VTime {
 	return b
 }
 
-// atRank schedules fn at (rank, t) from engine e's context.
-func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func()) {
+// atRank schedules fn (or typed step s) at (rank, t) from engine e's
+// context.
+func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func(), s step) {
 	dst := p.shardOf(rank)
-	ev := event{at: t, tie: p.nextTie(e), rank: int32(rank), fn: fn}
+	tie := p.nextTie(e)
 	if !p.running {
 		// Driver phase: all heaps are quiescent, push directly.
 		tq := p.shards[dst]
 		if t < tq.now {
 			panic(fmt.Sprintf("netsim: scheduling at %v before shard clock %v", t, tq.now))
 		}
-		tq.q.push(ev)
+		tq.push(t, tie, int32(rank), fn, s)
 		return
 	}
 	if int32(rank) == e.curRank {
@@ -197,7 +209,7 @@ func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func()) {
 		if t < e.now {
 			panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
 		}
-		e.q.push(ev)
+		e.push(t, tie, int32(rank), fn, s)
 		return
 	}
 	if p.serial {
@@ -207,7 +219,7 @@ func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func()) {
 		if t < e.now {
 			panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
 		}
-		p.shards[dst].q.push(ev)
+		p.shards[dst].push(t, tie, int32(rank), fn, s)
 		return
 	}
 	// Cross-rank during a window: the conservative-lookahead contract
@@ -220,10 +232,11 @@ func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func()) {
 			e.curRank, rank, t, p.windowEnd))
 	}
 	if dst == int(e.shard) {
-		e.q.push(ev)
+		e.push(t, tie, int32(rank), fn, s)
 		return
 	}
-	p.inbox[int(e.shard)*p.nshards+dst] = append(p.inbox[int(e.shard)*p.nshards+dst], ev)
+	box := &p.inbox[int(e.shard)*p.nshards+dst]
+	*box = append(*box, staged{at: t, tie: tie, rank: int32(rank), fn: fn, s: s})
 }
 
 // mergeStaged moves worker-deferred barrier tasks and cross-shard inbox
@@ -240,8 +253,10 @@ func (p *ParEngine) mergeStaged() {
 			continue
 		}
 		dst := p.shards[i%p.nshards]
-		for _, ev := range p.inbox[i] {
-			dst.q.push(ev)
+		for j := range p.inbox[i] {
+			st := &p.inbox[i][j]
+			dst.push(st.at, st.tie, st.rank, st.fn, st.s)
+			*st = staged{} // the backing array is reused; drop the message
 		}
 		p.inbox[i] = p.inbox[i][:0]
 	}
@@ -391,9 +406,13 @@ func (p *ParEngine) drainMerged(we VTime) {
 		}
 		ev := best.q.pop()
 		best.now = ev.at
-		best.curRank = ev.rank
+		best.curRank = ev.rank()
 		best.processed++
-		ev.fn()
+		if h := ev.handle(); h != 0 {
+			best.fireMsg(h)
+		} else {
+			ev.fn()
+		}
 		best.curRank = -1
 	}
 }
@@ -403,9 +422,13 @@ func drainShard(e *Engine, we VTime) {
 	for len(e.q) > 0 && e.q[0].at < we {
 		ev := e.q.pop()
 		e.now = ev.at
-		e.curRank = ev.rank
+		e.curRank = ev.rank()
 		e.processed++
-		ev.fn()
+		if h := ev.handle(); h != 0 {
+			e.fireMsg(h)
+		} else {
+			ev.fn()
+		}
 	}
 	e.curRank = -1
 }
@@ -523,7 +546,9 @@ func (p *ParEngine) pendingByRank(counts []int) {
 		countEvents(s.q, counts)
 	}
 	for i := range p.inbox {
-		countEvents(p.inbox[i], counts)
+		for j := range p.inbox[i] {
+			countRank(p.inbox[i][j].rank, counts)
+		}
 	}
 	for s := range p.taskStage {
 		countEvents(p.taskStage[s], counts)

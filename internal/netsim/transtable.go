@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"container/list"
-
-	"nmvgas/internal/gas"
-)
+import "nmvgas/internal/gas"
 
 // TransTable is a block → owner translation table with optional capacity
 // bounding and LRU replacement. It models the NIC-resident table of the
@@ -14,9 +10,18 @@ import (
 // unbounded but the probe is more expensive — the cost difference is
 // charged by the caller, not here).
 type TransTable struct {
-	cap   int // 0 means unbounded
-	m     map[gas.BlockID]*list.Element
-	order *list.List // front = most recently used
+	cap int // 0 means unbounded
+
+	// Entries live in one slab, linked into a circular LRU list by int32
+	// indices through the sentinel ents[0] (its next is the most recently
+	// used entry, its prev the least); idx maps a block to its slot.
+	// Evicted and dropped slots are chained through next on the free list
+	// (0 ends it) and reused, so a table at capacity installs without
+	// allocating.
+	idx  map[gas.BlockID]int32
+	ents []ttEntry
+	free int32
+	n    int
 
 	// epoch is the membership epoch the table currently trusts. Entries
 	// installed under an older epoch are fenced: Lookup treats them as
@@ -30,75 +35,101 @@ type TransTable struct {
 }
 
 type ttEntry struct {
-	block gas.BlockID
-	owner int
-	epoch uint64 // membership epoch at install time
+	block      gas.BlockID
+	owner      int
+	epoch      uint64 // membership epoch at install time
+	prev, next int32
 }
 
 // NewTransTable returns a table bounded to capacity entries; capacity 0
 // means unbounded.
 func NewTransTable(capacity int) *TransTable {
-	return &TransTable{
-		cap:   capacity,
-		m:     make(map[gas.BlockID]*list.Element),
-		order: list.New(),
-	}
+	t := &TransTable{cap: capacity}
+	t.Reset()
+	return t
+}
+
+// unlink takes slot i out of the LRU list.
+func (t *TransTable) unlink(i int32) {
+	e := &t.ents[i]
+	t.ents[e.prev].next = e.next
+	t.ents[e.next].prev = e.prev
+}
+
+// pushFront links the unlinked slot i in as the most recently used entry.
+func (t *TransTable) pushFront(i int32) {
+	first := t.ents[0].next
+	t.ents[i].prev, t.ents[i].next = 0, first
+	t.ents[first].prev = i
+	t.ents[0].next = i
+}
+
+// remove drops slot i's entry and puts the slot on the free list.
+func (t *TransTable) remove(i int32) {
+	t.unlink(i)
+	delete(t.idx, t.ents[i].block)
+	t.ents[i].next = t.free
+	t.free = i
+	t.n--
 }
 
 // Lookup returns the cached owner of block, recording a hit or miss.
 // Entries from a fenced (older) epoch read as misses and are evicted.
 func (t *TransTable) Lookup(block gas.BlockID) (owner int, ok bool) {
-	el, ok := t.m[block]
+	i, ok := t.idx[block]
 	if !ok {
 		t.misses++
 		return 0, false
 	}
-	e := el.Value.(*ttEntry)
-	if e.epoch < t.epoch {
-		t.order.Remove(el)
-		delete(t.m, block)
+	if t.ents[i].epoch < t.epoch {
+		t.remove(i)
 		t.fenced++
 		t.misses++
 		return 0, false
 	}
 	t.hits++
-	t.order.MoveToFront(el)
-	return e.owner, true
+	t.unlink(i)
+	t.pushFront(i)
+	return t.ents[i].owner, true
 }
 
 // Peek is Lookup without touching the LRU order or the hit/miss counters
 // (used by invariant checks and tests). Fenced entries read as missing
 // but are not evicted.
 func (t *TransTable) Peek(block gas.BlockID) (owner int, ok bool) {
-	el, ok := t.m[block]
-	if !ok {
+	i, ok := t.idx[block]
+	if !ok || t.ents[i].epoch < t.epoch {
 		return 0, false
 	}
-	e := el.Value.(*ttEntry)
-	if e.epoch < t.epoch {
-		return 0, false
-	}
-	return e.owner, true
+	return t.ents[i].owner, true
 }
 
 // Update installs or overwrites the owner of block at the table's current
 // epoch, evicting the least recently used entry if the table is full.
 func (t *TransTable) Update(block gas.BlockID, owner int) {
 	t.updates++
-	if el, ok := t.m[block]; ok {
-		e := el.Value.(*ttEntry)
-		e.owner = owner
-		e.epoch = t.epoch
-		t.order.MoveToFront(el)
+	if i, ok := t.idx[block]; ok {
+		t.ents[i].owner = owner
+		t.ents[i].epoch = t.epoch
+		t.unlink(i)
+		t.pushFront(i)
 		return
 	}
-	if t.cap > 0 && t.order.Len() >= t.cap {
-		back := t.order.Back()
-		t.order.Remove(back)
-		delete(t.m, back.Value.(*ttEntry).block)
+	if t.cap > 0 && t.n >= t.cap {
+		t.remove(t.ents[0].prev)
 		t.evictions++
 	}
-	t.m[block] = t.order.PushFront(&ttEntry{block: block, owner: owner, epoch: t.epoch})
+	i := t.free
+	if i != 0 {
+		t.free = t.ents[i].next
+	} else {
+		t.ents = append(t.ents, ttEntry{})
+		i = int32(len(t.ents) - 1)
+	}
+	t.ents[i] = ttEntry{block: block, owner: owner, epoch: t.epoch}
+	t.pushFront(i)
+	t.idx[block] = i
+	t.n++
 }
 
 // Epoch returns the membership epoch the table currently trusts.
@@ -116,13 +147,11 @@ func (t *TransTable) BumpEpoch(epoch uint64) {
 
 // Invalidate removes block's entry if present, reporting whether it was.
 func (t *TransTable) Invalidate(block gas.BlockID) bool {
-	el, ok := t.m[block]
-	if !ok {
-		return false
+	i, ok := t.idx[block]
+	if ok {
+		t.remove(i)
 	}
-	t.order.Remove(el)
-	delete(t.m, block)
-	return true
+	return ok
 }
 
 // DropIndex removes the i-th entry in LRU order (0 = most recently
@@ -131,16 +160,15 @@ func (t *TransTable) Invalidate(block gas.BlockID) bool {
 // Update's capacity eviction it does not count as an eviction, because
 // the entry did not age out — it was destroyed.
 func (t *TransTable) DropIndex(i int) (gas.BlockID, bool) {
-	if i < 0 || i >= t.order.Len() {
+	if i < 0 || i >= t.n {
 		return 0, false
 	}
-	el := t.order.Front()
+	s := t.ents[0].next
 	for ; i > 0; i-- {
-		el = el.Next()
+		s = t.ents[s].next
 	}
-	b := el.Value.(*ttEntry).block
-	t.order.Remove(el)
-	delete(t.m, b)
+	b := t.ents[s].block
+	t.remove(s)
 	return b, true
 }
 
@@ -149,12 +177,13 @@ func (t *TransTable) DropIndex(i int) (gas.BlockID, bool) {
 // lives in the current membership epoch). Used when a dead locality
 // rejoins: the new incarnation starts with an empty table.
 func (t *TransTable) Reset() {
-	t.m = make(map[gas.BlockID]*list.Element)
-	t.order = list.New()
+	t.idx = make(map[gas.BlockID]int32)
+	t.ents = []ttEntry{{}} // the sentinel, linked to itself
+	t.free, t.n = 0, 0
 }
 
 // Len returns the number of resident entries.
-func (t *TransTable) Len() int { return t.order.Len() }
+func (t *TransTable) Len() int { return t.n }
 
 // Cap returns the configured capacity (0 = unbounded).
 func (t *TransTable) Cap() int { return t.cap }

@@ -198,3 +198,22 @@ func TestEntryLossNeverTouchesAuthoritativeRoutes(t *testing.T) {
 		t.Fatalf("authoritative route lost: %d,%v", o, ok)
 	}
 }
+
+// TestTransTableUpdateAtCapacityAllocatesNothing pins the slab layout: a
+// full table installs a new block into the slot it just evicted.
+func TestTransTableUpdateAtCapacityAllocatesNothing(t *testing.T) {
+	tt := NewTransTable(32)
+	next := gas.BlockID(0)
+	for ; next < 4096; next++ { // fill, then churn until the index map settles
+		tt.Update(next, int(next)%7)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tt.Update(next, 3)
+		next++
+	}); n != 0 {
+		t.Fatalf("Update at capacity allocates %v per install, want 0", n)
+	}
+	if _, _, ev, _ := tt.Stats(); ev == 0 || tt.Len() != 32 {
+		t.Fatalf("table did not evict: len %d evictions %d", tt.Len(), ev)
+	}
+}

@@ -157,13 +157,15 @@ func (m *Mirror) flushHome(home int) {
 			continue
 		}
 		m.batches.Add(1)
-		src.Send(&netsim.Message{
-			Ctl:     netsim.CtlTableBatch,
-			Src:     home,
-			Dst:     r,
-			Payload: entries,
-			Wire:    32 + len(entries),
-		})
+		// One message per destination, all sharing the entry bytes (read-
+		// only from here on); each receiving NIC releases its own.
+		m := netsim.NewMessage()
+		m.Ctl = netsim.CtlTableBatch
+		m.Src = home
+		m.Dst = r
+		m.Payload = entries
+		m.Wire = 32 + len(entries)
+		src.Send(m)
 	}
 }
 

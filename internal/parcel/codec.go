@@ -54,6 +54,19 @@ func Encode(p *Parcel) []byte {
 	return AppendEncode(make([]byte, 0, p.WireSize()), p)
 }
 
+// Peek reads the header fields a receiver needs before it decides where
+// a parcel runs — the action, the originating rank and the op id —
+// without building a Parcel. It checks only that the header is present;
+// magic, version and payload length are Decode's to validate, and every
+// parcel is decoded before it executes.
+func Peek(buf []byte) (action ActionID, src int, opID uint64, err error) {
+	if len(buf) < headerSize {
+		return 0, 0, 0, fmt.Errorf("%w: %d bytes, need at least %d", ErrCodec, len(buf), headerSize)
+	}
+	return ActionID(binary.LittleEndian.Uint16(buf[2:])), int(binary.LittleEndian.Uint32(buf[22:])),
+		binary.LittleEndian.Uint64(buf[34:]), nil
+}
+
 // Decode parses one encoded parcel. The returned parcel's payload aliases
 // buf.
 func Decode(buf []byte) (*Parcel, error) {

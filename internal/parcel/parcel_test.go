@@ -36,6 +36,14 @@ func TestCodecRoundTrip(t *testing.T) {
 			got.OpID != p.OpID || !bytes.Equal(got.Payload, p.Payload) {
 			t.Fatalf("round trip mismatch:\n in %v\nout %v", p, got)
 		}
+		// Peek reads the same header fields without decoding.
+		action, src, opID, err := Peek(enc)
+		if err != nil || action != p.Action || src != p.Src || opID != p.OpID {
+			t.Fatalf("peek %v: action %d src %d op %d err %v", p, action, src, opID, err)
+		}
+	}
+	if _, _, _, err := Peek(make([]byte, headerSize-1)); !errors.Is(err, ErrCodec) {
+		t.Errorf("peek of a short buffer: err = %v", err)
 	}
 }
 

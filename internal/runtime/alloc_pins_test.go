@@ -1,0 +1,90 @@
+//go:build !race && !msgpoison
+
+package runtime
+
+import (
+	"testing"
+
+	"nmvgas/internal/netsim"
+	"nmvgas/internal/parcel"
+)
+
+// Allocation pins for the DES per-message path. The message is the
+// scheduled event and is recycled by its terminal consumer, so what is
+// left per operation is the parcel's own encode/decode/context and the
+// driver's completion plumbing — not a closure per event and a message
+// per send, forward and table push. The race detector and the msgpoison
+// build both defeat sync.Pool reuse on purpose, so the pins only build
+// without them.
+
+func TestDESAllocationPins(t *testing.T) {
+	// PushUpdates off keeps the sender's NIC table cold, so every parcel
+	// to the migrated block below takes exactly one in-network forward.
+	w := testWorld(t, Config{
+		Ranks: 3, Mode: AGASNM, Engine: EngineDES, PolicySet: true,
+		Policy: netsim.Policy{ForwardInNetwork: true},
+	})
+	pongs := 0
+	pong := w.Register("pong", func(c *Ctx) { pongs++ })
+	ping := w.Register("ping", func(c *Ctx) { c.Continue(c.P.Payload) })
+	w.Start()
+	lay, err := w.AllocLocal(1, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, moved := lay.BlockAt(0), lay.BlockAt(1)
+	if st := MigrateStatus(w.MustWait(w.Proc(0).Migrate(moved, 2))); st != MigrateOK {
+		t.Fatalf("migrate status %d", st)
+	}
+
+	p0, l0 := w.Proc(0), w.Locality(0)
+	payload := make([]byte, 16)
+	target := direct
+	issue := func() {
+		l0.SendParcel(&parcel.Parcel{
+			Action: ping, Target: target, Payload: payload,
+			CAction: pong, CTarget: w.LocalityGVA(0),
+		})
+	}
+	roundTrip := func() {
+		p0.Run(issue)
+		w.Drain()
+	}
+	buf := make([]byte, 64)
+	put := func() { p0.PutWait(direct, buf) }
+
+	for i := 0; i < 64; i++ { // fill the pools, the heap and the slab
+		roundTrip()
+		put()
+	}
+	forwards := func() uint64 { return w.Fabric().NIC(1).Stats.Forwards }
+
+	f0 := forwards()
+	rt := testing.AllocsPerRun(200, roundTrip)
+	t.Logf("direct round trip allocs: %v", rt)
+	if rt > 6 {
+		t.Errorf("parcel round trip with continuation: %v allocs, want <= 6", rt)
+	}
+	if forwards() != f0 {
+		t.Fatal("direct round trips were forwarded")
+	}
+	n := testing.AllocsPerRun(200, put)
+	t.Logf("blocking put allocs: %v", n)
+	if n > 4 {
+		t.Errorf("blocking put: %v allocs, want <= 4", n)
+	}
+
+	target = moved
+	for i := 0; i < 16; i++ {
+		roundTrip()
+	}
+	f0, pongs = forwards(), 0
+	fwd := testing.AllocsPerRun(200, roundTrip)
+	t.Logf("forwarded round trip allocs: %v", fwd)
+	if fwd > rt+1 {
+		t.Errorf("forwarded round trip: %v allocs vs %v direct, want at most one more", fwd, rt)
+	}
+	if got := forwards() - f0; got != 201 || pongs != 201 {
+		t.Fatalf("201 forwarded round trips took %d forwards and %d continuations", got, pongs)
+	}
+}

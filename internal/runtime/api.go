@@ -115,7 +115,7 @@ type Proc struct {
 }
 
 // Proc returns the driver handle for rank.
-func (w *World) Proc(rank int) *Proc { return &Proc{l: w.locs[rank]} }
+func (w *World) Proc(rank int) *Proc { return &w.locs[rank].proc }
 
 // Rank returns the handle's rank.
 func (p *Proc) Rank() int { return p.l.rank }
@@ -200,9 +200,10 @@ func (p *Proc) PutWait(dst gas.GVA, data []byte) {
 		<-done
 		return
 	}
+	// The caller is blocked until completion, so data is stable while the
+	// issue event copies it into the wire buffer: no defensive copy.
 	var fired bool
-	buf := append([]byte(nil), data...)
-	p.run(func() { p.l.PutAsync(dst, buf, func() { fired = true }) })
+	p.run(func() { p.l.PutAsync(dst, data, func() { fired = true }) })
 	if !w.eng.RunUntil(func() bool { return fired }) {
 		w.fail("PutWait: event queue drained before completion")
 	}

@@ -278,11 +278,11 @@ func (l *Locality) FlushAll() {
 // test pins it to zero for a plain migrating workload.
 func (l *Locality) onBatch(m *netsim.Message) {
 	for r := netsim.NewScatterReader(m.Payload); ; {
-		_, enc, ok := r.Next()
+		target, enc, ok := r.Next()
 		if !ok {
 			break
 		}
-		p, err := parcel.Decode(enc)
+		_, src, opID, err := parcel.Peek(enc)
 		if err != nil {
 			l.w.fail("rank %d: undecodable batched parcel: %v", l.rank, err)
 		}
@@ -291,20 +291,20 @@ func (l *Locality) onBatch(m *netsim.Message) {
 		// valid.
 		sub := netsim.NewMessage()
 		sub.Kind = kParcel
-		sub.Src = p.Src
-		sub.Target = p.Target
+		sub.Src = src
+		sub.Target = target
 		sub.Payload = enc
 		sub.Wire = len(enc)
-		sub.Block = p.Target.Block()
-		sub.OpID = p.OpID
-		if l.resident(p.Target.Block()) {
+		sub.Block = target.Block()
+		sub.OpID = opID
+		if l.resident(sub.Block) {
 			l.exec.Charge(l.w.cfg.Model.HandlerDispatch)
-			l.execParcel(p, sub)
+			l.execParcel(sub)
 			continue
 		}
 		// Not here (migrated, or mid-move): give it back to the routing
 		// machinery.
-		if l.queueIfMoving(p.Target.Block(), sub) {
+		if l.queueIfMoving(sub.Block, sub) {
 			continue
 		}
 		l.Stats.BatchReroutes.Inc()

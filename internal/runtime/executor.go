@@ -18,10 +18,25 @@ type Executor interface {
 	// Charge extends the host-busy window from inside a running task
 	// (simulated compute time). No-op on the goroutine engine.
 	Charge(extra netsim.VTime)
-	// Offload runs fn on a worker when the engine has a worker pool,
-	// else behaves like Exec(0, fn). Used for user action bodies.
-	Offload(fn func())
+	// ExecMsg is Exec's typed lane for the per-message path: it schedules
+	// step op of message m (see Locality.handleMsg) with no closure. On
+	// the DES engine the message itself becomes the event. The goroutine
+	// engine queues a host delivery on the actor's mailbox and runs the
+	// other steps where they stand: an injection inline (the transport is
+	// thread-safe and there is no host-busy horizon to respect), a user
+	// parcel on the calling actor, or on a worker when there is a pool.
+	ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message)
 }
+
+// msgOp names one step of a message's life on a locality's host.
+type msgOp uint8
+
+const (
+	opNICRecv   msgOp = iota // transport delivery awaiting the NIC receive path (goroutine engine only)
+	opHostMsg                // host receive: onHostMsg
+	opInject                 // hand to the network from host context
+	opRunParcel              // decode and run a user-action parcel
+)
 
 // desExec models one host core on the discrete-event engine. eng is the
 // rank's engine face (its shard engine under the parallel engine), so
@@ -31,17 +46,29 @@ type desExec struct {
 	eng  *netsim.Engine
 	rank int
 	busy netsim.VTime
+	l    *Locality // typed steps run here
 }
 
-func (e *desExec) Exec(cost netsim.VTime, fn func()) {
+// reserve claims the host core for cost and returns the completion time.
+func (e *desExec) reserve(cost netsim.VTime) netsim.VTime {
 	start := e.eng.Now()
 	if e.busy > start {
 		start = e.busy
 	}
-	run := start + cost
-	e.busy = run
-	e.eng.AtRank(e.rank, run, fn)
+	e.busy = start + cost
+	return e.busy
 }
+
+func (e *desExec) Exec(cost netsim.VTime, fn func()) {
+	e.eng.AtRank(e.rank, e.reserve(cost), fn)
+}
+
+func (e *desExec) ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message) {
+	e.eng.AtRankMsg(e.rank, e.reserve(cost), e, uint8(op), m)
+}
+
+// HandleMsg runs a typed event step (netsim.MsgSink).
+func (e *desExec) HandleMsg(op uint8, m *netsim.Message) { e.l.handleMsg(msgOp(op), m) }
 
 func (e *desExec) Charge(extra netsim.VTime) {
 	if extra < 0 {
@@ -54,16 +81,14 @@ func (e *desExec) Charge(extra netsim.VTime) {
 	e.busy += extra
 }
 
-func (e *desExec) Offload(fn func()) { e.Exec(0, fn) }
-
 // task is one mailbox entry on the goroutine engine. The common case is a
 // typed message (m != nil) delivered by the transport or a local send —
 // no capturing closure, no per-message allocation. fn covers everything
 // else (timers, control actions, test hooks).
 type task struct {
-	fn    func()
-	m     *netsim.Message
-	local bool // m came from this locality (bypass the NIC receive path)
+	fn func()
+	m  *netsim.Message
+	op msgOp // which step of m (opNICRecv or opHostMsg)
 }
 
 // execBatch bounds how many tasks the actor loop claims per lock
@@ -87,12 +112,11 @@ type goExec struct {
 	wg      sync.WaitGroup
 	pool    *sched.Pool // nil when Workers == 0
 
-	// onMsg and onLocal are the typed delivery handlers, wired by
-	// newChanNet / NewWorld before the actor starts: onMsg is the NIC
-	// receive path (chanNet.arrive), onLocal the loopback host path
-	// (onHostMsg).
-	onMsg   func(*netsim.Message)
-	onLocal func(*netsim.Message)
+	// onMsg and onStep are the typed delivery handlers, wired by
+	// newChanNet before the actor starts: onMsg is the NIC receive path
+	// (chanNet.arrive), onStep every host-side step (Locality.handleMsg).
+	onMsg  func(*netsim.Message)
+	onStep func(msgOp, *netsim.Message)
 
 	// onDrain, when set, runs after every claimed batch of tasks — before
 	// the loop can block on an empty mailbox — so per-drain accumulations
@@ -160,12 +184,12 @@ func (e *goExec) loop() {
 		for i := 0; i < k; i++ {
 			t := &batch[i]
 			switch {
-			case t.m != nil && t.local:
-				e.onLocal(t.m)
-			case t.m != nil:
+			case t.m == nil:
+				t.fn()
+			case t.op == opNICRecv:
 				e.onMsg(t.m)
 			default:
-				t.fn()
+				e.onStep(t.op, t.m)
 			}
 			*t = task{}
 		}
@@ -184,47 +208,30 @@ func (e *goExec) stop() {
 	e.wg.Wait()
 }
 
-func (e *goExec) Exec(_ netsim.VTime, fn func()) {
+// enqueue appends t to the mailbox; work arriving after stop is dropped.
+func (e *goExec) enqueue(t task) {
 	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return
+	if !e.stopped {
+		e.push(t)
 	}
-	e.push(task{fn: fn})
 	e.mu.Unlock()
 }
+
+func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.enqueue(task{fn: fn}) }
 
 // execMsg enqueues a transport-delivered message for the NIC receive path
-// without allocating a closure. Messages enqueued after stop are dropped,
-// matching Exec's stopped semantics.
-func (e *goExec) execMsg(m *netsim.Message) {
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return
-	}
-	e.push(task{m: m})
-	e.mu.Unlock()
-}
+// without allocating a closure.
+func (e *goExec) execMsg(m *netsim.Message) { e.enqueue(task{m: m}) }
 
-// execLocal enqueues a locally-originated message straight for the host
-// handler, bypassing the NIC receive path.
-func (e *goExec) execLocal(m *netsim.Message) {
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return
+func (e *goExec) ExecMsg(_ netsim.VTime, op msgOp, m *netsim.Message) {
+	switch {
+	case op == opHostMsg:
+		e.enqueue(task{m: m, op: op})
+	case op == opRunParcel && e.pool != nil:
+		e.pool.Submit(func() { e.onStep(op, m) })
+	default:
+		e.onStep(op, m)
 	}
-	e.push(task{m: m, local: true})
-	e.mu.Unlock()
 }
 
 func (e *goExec) Charge(netsim.VTime) {}
-
-func (e *goExec) Offload(fn func()) {
-	if e.pool != nil {
-		e.pool.Submit(fn)
-		return
-	}
-	e.Exec(0, fn)
-}

@@ -86,7 +86,7 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 }
 
 // TestGoExecStopWhileExec races stop() against concurrent producers on
-// every enqueue lane (Exec, execMsg, execLocal). Work enqueued before
+// every enqueue lane (Exec, execMsg, ExecMsg). Work enqueued before
 // stop must drain; work enqueued after must be dropped silently — and
 // nothing may deadlock or race.
 func TestGoExecStopWhileExec(t *testing.T) {
@@ -94,7 +94,7 @@ func TestGoExecStopWhileExec(t *testing.T) {
 		e := newGoExec(nil)
 		var ran atomic.Int64
 		e.onMsg = func(m *netsim.Message) { ran.Add(1) }
-		e.onLocal = func(m *netsim.Message) { ran.Add(1) }
+		e.onStep = func(_ msgOp, m *netsim.Message) { ran.Add(1) }
 		e.start()
 
 		var wg sync.WaitGroup
@@ -111,7 +111,7 @@ func TestGoExecStopWhileExec(t *testing.T) {
 					case 1:
 						e.execMsg(&netsim.Message{Kind: kParcel, Block: gas.BlockID(g)})
 					default:
-						e.execLocal(&netsim.Message{Kind: kParcel, Block: gas.BlockID(g)})
+						e.ExecMsg(0, opHostMsg, &netsim.Message{Kind: kParcel, Block: gas.BlockID(g)})
 					}
 				}
 			}(g)
@@ -124,7 +124,7 @@ func TestGoExecStopWhileExec(t *testing.T) {
 		// stop returned and the loop exited.
 		e.Exec(0, func() { t.Error("Exec after stop ran") })
 		e.execMsg(&netsim.Message{Kind: kParcel})
-		e.execLocal(&netsim.Message{Kind: kParcel})
+		e.ExecMsg(0, opHostMsg, &netsim.Message{Kind: kParcel})
 		if got := ran.Load(); got != after {
 			t.Fatalf("round %d: work ran after stop (%d -> %d)", round, after, got)
 		}

@@ -133,6 +133,12 @@ type Locality struct {
 
 	mu     sync.Mutex
 	moving map[gas.BlockID]*moveState
+	// movingN mirrors len(moving), stored under mu at every mutation. A
+	// migration is in flight at a given locality a tiny fraction of the
+	// time, so the per-message residency checks read it first and skip the
+	// lock when it is zero — the answer a locked probe taken at that
+	// instant would give.
+	movingN atomic.Int32
 	// active counts user actions currently executing against each block;
 	// migration defers until the block is quiescent so a snapshot can
 	// never race an in-flight handler.
@@ -155,6 +161,10 @@ type Locality struct {
 	// rel is the reliable-delivery send state (nil when the world has no
 	// faults configured; see reliable.go).
 	rel *relLoc
+
+	// proc is the driver handle World.Proc hands out (immutable, so one
+	// per locality serves every caller).
+	proc Proc
 
 	parcelSeq atomic.Uint64
 	// opIDSeq feeds newOpID; the rank lives in the id's high bits, so the
@@ -181,6 +191,7 @@ func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 		active: make(map[gas.BlockID]int),
 		ops:    make(map[uint64]opState),
 	}
+	l.proc = Proc{l: l}
 	l.space = bld.newLocal(l)
 	if w.cfg.Coalesce.enabled() {
 		l.coal = newCoalescer(l, w.cfg.Coalesce)
@@ -221,6 +232,9 @@ func (l *Locality) Tombstones() *agas.Tombstones { return l.space.Tombstones() }
 func (l *Locality) Moving(b gas.BlockID) bool { return l.isMoving(b) }
 
 func (l *Locality) isMoving(b gas.BlockID) bool {
+	if l.movingN.Load() == 0 {
+		return false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, ok := l.moving[b]
@@ -230,6 +244,9 @@ func (l *Locality) isMoving(b gas.BlockID) bool {
 // queueIfMoving parks m behind an in-flight migration of b; reports
 // whether it did.
 func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
+	if l.movingN.Load() == 0 {
+		return false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st, ok := l.moving[b]
@@ -279,17 +296,6 @@ func (l *Locality) SendParcel(p *parcel.Parcel) {
 	m.OpID = p.OpID
 	m.MigCtl = p.Action >= aMigrateReq && p.Action <= aMigrateDone
 	l.routeMsg(m)
-}
-
-// recycle returns a consumed message to the pool — goroutine engine
-// only. The DES fabric legitimately retains delivered messages inside
-// deferred table-update events, so recycling there would corrupt live
-// state; on DES consumed messages are left to the garbage collector.
-// Callers must hold sole ownership of m (see netsim.NewMessage).
-func (l *Locality) recycle(m *netsim.Message) {
-	if l.w.eng == nil {
-		m.Release()
-	}
 }
 
 // routeMsg performs source-side translation for m via the address-space
@@ -344,7 +350,7 @@ func (l *Locality) routeMsg(m *netsim.Message) {
 			// The coalescer keeps only the encoded bytes; the envelope is
 			// consumed here.
 			payload := m.Payload
-			l.recycle(m)
+			m.Release()
 			l.coal.add(dst, payload)
 			return
 		}
@@ -361,14 +367,7 @@ func (l *Locality) inject(m *netsim.Message, dst int) {
 	m.Dst = dst
 	l.relTrack(m)
 	l.exec.Charge(l.w.cfg.Model.OSend)
-	if l.w.eng == nil {
-		// The goroutine transport is thread-safe and there is no host-busy
-		// horizon to respect: send inline instead of paying a mailbox round
-		// trip and a capturing closure per message.
-		l.w.net.send(l.rank, m)
-		return
-	}
-	l.exec.Exec(0, func() { l.w.net.send(l.rank, m) })
+	l.exec.ExecMsg(0, opInject, m)
 }
 
 // nicInject sends from NIC context (DMA completions), enrolling the
@@ -379,16 +378,23 @@ func (l *Locality) nicInject(m *netsim.Message) {
 	l.w.net.nicSend(l.rank, m)
 }
 
-// deliverLocal executes m on this locality without touching the network.
-// On the goroutine engine it uses the typed mailbox lane straight to the
-// host handler (no closure); on DES it charges handler dispatch.
+// deliverLocal executes m on this locality without touching the network:
+// straight to the host handler, charged as a handler dispatch.
 func (l *Locality) deliverLocal(m *netsim.Message) {
 	l.Stats.LocalRuns.Inc()
-	if ex, ok := l.exec.(*goExec); ok {
-		ex.execLocal(m)
-		return
+	l.exec.ExecMsg(l.w.cfg.Model.HandlerDispatch, opHostMsg, m)
+}
+
+// handleMsg runs one typed executor step of m (see Executor.ExecMsg).
+func (l *Locality) handleMsg(op msgOp, m *netsim.Message) {
+	switch op {
+	case opHostMsg:
+		l.onHostMsg(m)
+	case opInject:
+		l.w.net.send(l.rank, m)
+	case opRunParcel:
+		l.runUserParcel(m)
 	}
-	l.exec.Exec(l.w.cfg.Model.HandlerDispatch, func() { l.onHostMsg(m) })
 }
 
 // ---------------------------------------------------------------------
@@ -402,16 +408,12 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 		// ownership moves to the resend path (or the GC — a duplicated
 		// NACK's clones share one original, so it is never pooled).
 		l.onNICNack(m)
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	switch m.Kind {
 	case kParcel:
-		p, err := parcel.Decode(m.Payload)
-		if err != nil {
-			l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
-		}
-		l.execParcel(p, m)
+		l.execParcel(m)
 	case kPutReq:
 		l.hostPut(m)
 	case kGetReq:
@@ -424,7 +426,7 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 		if l.relAccept(m) {
 			l.completeOp(m.OpID, nil)
 		}
-		l.recycle(m)
+		m.Release()
 	case kPutAckVec:
 		l.onPutAckVec(m)
 	case kGetRep:
@@ -435,25 +437,25 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 			l.completeOp(m.OpID, m.Payload)
 		}
 		l.releasePayload(m)
-		l.recycle(m)
+		m.Release()
 	case kHostNack:
 		if l.relAccept(m) {
 			l.onHostNack(m)
 		}
-		l.recycle(m)
+		m.Release()
 	case kOwnerUpd:
 		if l.relAccept(m) {
 			l.space.LearnOwner(m.Block, m.Owner)
 		}
-		l.recycle(m)
+		m.Release()
 	case kBatch:
 		if l.relAccept(m) {
 			l.onBatch(m)
 		}
-		l.recycle(m)
+		m.Release()
 	case kRelAck:
 		l.relOnAck(m)
-		l.recycle(m)
+		m.Release()
 	case kReplInval:
 		l.onReplInval(m)
 	case kReplUpdate:
@@ -469,68 +471,80 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 		pong.Dst = m.Src
 		pong.Wire = 32
 		l.w.net.nicSend(l.rank, pong)
-		l.recycle(m)
+		m.Release()
 	case kMemberPong:
 		l.w.mem.pongFrom(m.Src)
-		l.recycle(m)
+		m.Release()
 	default:
 		l.w.fail("rank %d: unknown message kind %d", l.rank, m.Kind)
 	}
 }
 
-// execParcel dispatches a decoded parcel at its (supposed) owner. The
+// execParcel dispatches a parcel message at its (supposed) owner. The
 // moving/residency checks run at *execution* time — the parcel may sit in
 // an executor queue while a migration starts — and user actions hold an
 // active-count on their block so migration snapshots never race handlers.
-func (l *Locality) execParcel(p *parcel.Parcel, m *netsim.Message) {
+func (l *Locality) execParcel(m *netsim.Message) {
+	action, _, _, err := parcel.Peek(m.Payload)
+	if err != nil {
+		l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
+	}
+	if action >= firstUserAction {
+		// The body is its own executor step (a worker's, when the engine
+		// has a pool), and the message is all that step needs: the parcel
+		// is decoded where it runs.
+		l.exec.ExecMsg(0, opRunParcel, m)
+		return
+	}
+	// Control actions never touch user block data; they re-check state
+	// themselves where needed.
+	p, act := l.decodeParcel(m)
+	if l.queueIfMoving(p.Target.Block(), m) {
+		return
+	}
+	if blk, ok := l.store.Get(p.Target.Block()); !ok || blk.Replica {
+		// Not here — or only a read replica is: parcels execute exactly
+		// once, at the master.
+		l.space.OnStaleDelivery(m, p)
+		return
+	}
+	if !l.relAccept(m) {
+		// A duplicated control parcel (LCO set, migration step) must not
+		// run twice: gates would double-count and the migration protocol
+		// would replay.
+		m.Release()
+		return
+	}
+	l.Stats.ParcelsRun.Inc()
+	l.traceOp(TraceExec, p.Target.Block(), uint64(p.Action), p.OpID)
+	l.w.latParcelExec(p.OpID)
+	act(&Ctx{l: l, P: p})
+	m.Release()
+}
+
+// decodeParcel decodes m's parcel and resolves its action.
+func (l *Locality) decodeParcel(m *netsim.Message) (*parcel.Parcel, Action) {
+	p, err := parcel.Decode(m.Payload)
+	if err != nil {
+		l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
+	}
 	act, err := l.w.reg.Lookup(p.Action)
 	if err != nil {
 		l.w.fail("rank %d: %v", l.rank, err)
 	}
-	if p.Action < firstUserAction {
-		// Control actions never touch user block data; they re-check
-		// state themselves where needed.
-		if l.queueIfMoving(p.Target.Block(), m) {
-			return
-		}
-		if blk, ok := l.store.Get(p.Target.Block()); !ok || blk.Replica {
-			// Not here — or only a read replica is: parcels execute
-			// exactly once, at the master.
-			l.space.OnStaleDelivery(m, p)
-			return
-		}
-		if !l.relAccept(m) {
-			// A duplicated control parcel (LCO set, migration step) must
-			// not run twice: gates would double-count and the migration
-			// protocol would replay.
-			l.recycle(m)
-			return
-		}
-		l.Stats.ParcelsRun.Inc()
-		l.traceOp(TraceExec, p.Target.Block(), uint64(p.Action), p.OpID)
-		l.w.latParcelExec(p.OpID)
-		act(&Ctx{l: l, P: p})
-		l.recycle(m)
-		return
-	}
-	if ex, ok := l.exec.(*goExec); ok && ex.pool == nil {
-		// No worker pool: the body runs on this (actor) goroutine anyway,
-		// so skip the Offload closure and the mailbox round trip.
-		l.runUserParcel(act, p, m)
-		return
-	}
-	l.exec.Offload(func() { l.runUserParcel(act, p, m) })
+	return p, act
 }
 
 // runUserParcel is the user-action half of execParcel: dup suppression,
 // migration queueing, the per-block active-count, and dispatch. It runs
 // on a worker when the engine has a pool, else on the locality actor.
-func (l *Locality) runUserParcel(act Action, p *parcel.Parcel, m *netsim.Message) {
+func (l *Locality) runUserParcel(m *netsim.Message) {
+	p, act := l.decodeParcel(m)
 	b := p.Target.Block()
 	if l.relDupPeek(m) {
 		// A copy that already ran here must not even transiently take
 		// an active-count (that could defer a racing migration).
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	l.mu.Lock()
@@ -557,7 +571,7 @@ func (l *Locality) runUserParcel(act Action, p *parcel.Parcel, m *netsim.Message
 		return
 	}
 	if !l.relAccept(m) {
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	l.Stats.ParcelsRun.Inc()
@@ -565,7 +579,7 @@ func (l *Locality) runUserParcel(act Action, p *parcel.Parcel, m *netsim.Message
 	l.traceOp(TraceExec, b, uint64(p.Action), p.OpID)
 	l.w.latParcelExec(p.OpID)
 	act(&Ctx{l: l, P: p})
-	l.recycle(m)
+	m.Release()
 }
 
 // routeToExplicit re-sends m to a known destination, charging injection.
@@ -752,7 +766,7 @@ func (l *Locality) onDMA(m *netsim.Message) {
 	if !l.relAccept(m) {
 		// Duplicate one-sided request: the first copy applied the effect
 		// and its (retransmitted-until-acked) reply completes the op.
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	switch m.Kind {
@@ -804,7 +818,7 @@ func (l *Locality) onDMA(m *netsim.Message) {
 	default:
 		l.w.fail("rank %d: DMA with kind %d", l.rank, m.Kind)
 	}
-	l.recycle(m)
+	m.Release()
 }
 
 // hostPut is the host-side put path: local fast path, migration queueing,
@@ -825,7 +839,7 @@ func (l *Locality) hostPut(m *netsim.Message) {
 			return
 		}
 		if !l.relAccept(m) {
-			l.recycle(m)
+			m.Release()
 			return
 		}
 		l.w.noteAccess(l.rank, m.Src, b, false)
@@ -835,7 +849,7 @@ func (l *Locality) hostPut(m *netsim.Message) {
 		}
 		opID, src := m.OpID, m.Src
 		l.releasePayload(m)
-		l.recycle(m)
+		m.Release()
 		l.replFanOut(b, false)
 		if src == l.rank {
 			l.completeOp(opID, nil)
@@ -873,7 +887,7 @@ func (l *Locality) hostGet(m *netsim.Message) {
 			l.Stats.ReplicaReads.Inc()
 		}
 		if !l.relAccept(m) {
-			l.recycle(m)
+			m.Release()
 			return
 		}
 		l.w.noteAccess(l.rank, m.Src, b, true)
@@ -891,7 +905,7 @@ func (l *Locality) hostGet(m *netsim.Message) {
 		}
 		if m.Src == l.rank {
 			opID := m.OpID
-			l.recycle(m)
+			m.Release()
 			// The completion copies out synchronously when pooled (that is
 			// the pooled-reply contract), so the buffer goes straight back.
 			l.completeOp(opID, data)
@@ -908,7 +922,7 @@ func (l *Locality) hostGet(m *netsim.Message) {
 		rep.Payload = data
 		rep.PayloadPooled = pooled
 		rep.OpID = m.OpID
-		l.recycle(m)
+		m.Release()
 		l.inject(rep, rep.Dst)
 		return
 	}

@@ -182,6 +182,7 @@ func migrateReq(c *Ctx) {
 		return
 	}
 	l.moving[b] = &moveState{dst: mp.to}
+	l.movingN.Store(int32(len(l.moving)))
 	l.mu.Unlock()
 	l.trace(TraceMigrateStart, b, uint64(mp.to))
 	l.w.latMigMark(b, migPin)
@@ -303,6 +304,7 @@ func migrateDone(c *Ctx) {
 	l.mu.Lock()
 	st := l.moving[b]
 	delete(l.moving, b)
+	l.movingN.Store(int32(len(l.moving)))
 	l.mu.Unlock()
 	if st == nil {
 		l.w.fail("rank %d: migrate.done for block %d that was not moving", l.rank, b)

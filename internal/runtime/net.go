@@ -265,7 +265,7 @@ func newChanNet(w *World) *chanNet {
 		l := l
 		ex := l.exec.(*goExec)
 		ex.onMsg = func(m *netsim.Message) { n.arrive(l, m) }
-		ex.onLocal = l.onHostMsg
+		ex.onStep = l.handleMsg
 		if l.coalesceAcks() {
 			ex.onDrain = l.flushAcks
 		}

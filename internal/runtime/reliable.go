@@ -455,7 +455,7 @@ func (l *Locality) relSendAck(m *netsim.Message, cum uint64) {
 	ack.RelCum = cum
 	if m.Src == l.rank {
 		l.w.locs[l.rank].relOnAck(ack)
-		l.recycle(ack)
+		ack.Release()
 		return
 	}
 	l.w.net.nicSend(l.rank, ack)

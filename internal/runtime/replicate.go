@@ -239,21 +239,21 @@ func (l *Locality) replFanOut(b gas.BlockID, fromNIC bool) {
 // replica serving; reads in the stale window chase the master.
 func (l *Locality) onReplInval(m *netsim.Message) {
 	if !l.relAccept(m) {
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	if l.replMarkStale(m.Block) {
 		l.Stats.ReplicaInvals.Inc()
 		l.w.latReplDone(m.OpID, latReplInval)
 	}
-	l.recycle(m)
+	m.Release()
 }
 
 // onReplUpdate installs the master's post-write snapshot in place.
 func (l *Locality) onReplUpdate(m *netsim.Message) {
 	if !l.relAccept(m) {
 		l.releasePayload(m)
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	b := m.Block
@@ -272,7 +272,7 @@ func (l *Locality) onReplUpdate(m *netsim.Message) {
 		}
 	}
 	l.releasePayload(m)
-	l.recycle(m)
+	m.Release()
 }
 
 // onReplFill answers at the master with a snapshot. It mirrors the
@@ -290,7 +290,7 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 		return
 	}
 	if !l.relAccept(m) {
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	snap := make([]byte, blk.BSize)
@@ -306,7 +306,7 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 	rep.Payload = snap
 	rep.Wire = 32 + len(snap)
 	rep.OpID = m.OpID
-	l.recycle(m)
+	m.Release()
 	l.inject(rep, rep.Dst)
 }
 
@@ -314,7 +314,7 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 func (l *Locality) onReplFillRep(m *netsim.Message) {
 	if !l.relAccept(m) {
 		l.releasePayload(m)
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	b := m.Block
@@ -333,7 +333,7 @@ func (l *Locality) onReplFillRep(m *netsim.Message) {
 		}
 	}
 	l.releasePayload(m)
-	l.recycle(m)
+	m.Release()
 }
 
 // ---------------------------------------------------------------------

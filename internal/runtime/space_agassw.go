@@ -103,18 +103,19 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 		l.Stats.HostForwards.Inc()
 		l.traceOp(TraceHostForward, b, uint64(owner), p.OpID)
 		l.exec.Charge(l.w.cfg.Model.OSend)
-		fwd := *m
-		fwd.Dst = owner
-		fwd.Hops = m.Hops + 1
-		l.w.net.send(l.rank, &fwd)
+		// Forward in place: the arrived message moves on, this host keeps
+		// nothing of it.
+		m.Dst = owner
+		m.Hops++
+		l.w.net.send(l.rank, m)
 		if p.Src != l.rank {
-			l.inject(&netsim.Message{
-				Kind:   kOwnerUpd,
-				Src:    l.rank,
-				Target: p.Target,
-				Owner:  owner,
-				Wire:   32,
-			}, p.Src)
+			upd := netsim.NewMessage()
+			upd.Kind = kOwnerUpd
+			upd.Src = l.rank
+			upd.Target = p.Target
+			upd.Owner = owner
+			upd.Wire = 32
+			l.inject(upd, p.Src)
 		}
 		return
 	}
@@ -138,15 +139,15 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 		return
 	}
 	l.Stats.HostNacks.Inc()
-	l.inject(&netsim.Message{
-		Kind:   kHostNack,
-		Src:    l.rank,
-		Target: m.Target,
-		Block:  b,
-		Owner:  owner,
-		Wire:   32,
-		Nacked: m,
-	}, m.Src)
+	nk := netsim.NewMessage()
+	nk.Kind = kHostNack
+	nk.Src = l.rank
+	nk.Target = m.Target
+	nk.Block = b
+	nk.Owner = owner
+	nk.Wire = 32
+	nk.Nacked = m // ownership of m transfers to the NACK
+	l.inject(nk, m.Src)
 }
 
 // forwardTarget finds where to redirect traffic for a non-resident

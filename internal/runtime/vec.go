@@ -180,7 +180,7 @@ func (l *Locality) hostPutVec(m *netsim.Message) {
 		return
 	}
 	if !l.relAccept(m) {
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	l.w.noteAccess(l.rank, m.Src, b, false)
@@ -188,7 +188,7 @@ func (l *Locality) hostPutVec(m *netsim.Message) {
 	l.applyPutVec(b, m)
 	opID, src := m.OpID, m.Src
 	l.releasePayload(m)
-	l.recycle(m)
+	m.Release()
 	l.replFanOut(b, false)
 	if src == l.rank {
 		l.completeOp(opID, nil)
@@ -222,7 +222,7 @@ func (l *Locality) hostGetVec(m *netsim.Message) {
 		l.Stats.ReplicaReads.Inc()
 	}
 	if !l.relAccept(m) {
-		l.recycle(m)
+		m.Release()
 		return
 	}
 	l.w.noteAccess(l.rank, m.Src, b, true)
@@ -230,7 +230,7 @@ func (l *Locality) hostGetVec(m *netsim.Message) {
 	data, pooled := l.buildGetVecReply(b, m)
 	opID, src := m.OpID, m.Src
 	l.releasePayload(m)
-	l.recycle(m)
+	m.Release()
 	if src == l.rank {
 		// The completion copies out synchronously (the pooled-reply
 		// contract), so the buffer can go straight back.
@@ -252,10 +252,11 @@ func (l *Locality) hostGetVec(m *netsim.Message) {
 }
 
 // coalesceAcks reports whether put acks ride the per-drain vector
-// (flushAcks). The gate matches payloadPoolable: the goroutine engine
-// with neither reliability nor fault injection — a dropped or tracked
-// ack-vector would need per-op retransmit state the vector cannot carry.
-func (l *Locality) coalesceAcks() bool { return l.payloadPoolable() }
+// (flushAcks): the goroutine engine (whose mailbox drain is what flushes
+// the vector) with neither reliability nor fault injection — a dropped or
+// tracked ack-vector would need per-op retransmit state the vector cannot
+// carry.
+func (l *Locality) coalesceAcks() bool { return l.w.eng == nil && l.payloadPoolable() }
 
 // putAck delivers a put completion to src. When coalescing, the OpID
 // joins src's pending vector, flushed at mailbox drain; otherwise one
@@ -331,5 +332,5 @@ func (l *Locality) onPutAckVec(m *netsim.Message) {
 		l.completeOp(binary.LittleEndian.Uint64(p[off:]), nil)
 	}
 	l.releasePayload(m)
-	l.recycle(m)
+	m.Release()
 }

@@ -14,17 +14,18 @@ import (
 //
 // Pooling is only legal when nothing else can alias the buffer after the
 // terminal consumer: the reliability layer keeps pristine copies sharing
-// Payload, and the goroutine fault injector clones messages wholesale,
+// Payload, and both engines' fault injectors clone messages wholesale,
 // so worlds with either stay on plain heap buffers (payloadPoolable).
-// The DES engine never recycles messages and its fabric retains
-// payloads inside deferred events, so it is excluded too.
 
 // wireBufCap bounds pooled buffer capacity; larger payloads go to the
 // heap (rare on the fast path, and pooling huge buffers pins memory).
 const wireBufCap = 4096
 
+// The pool holds pointers to the backing arrays, not slice headers: a
+// pointer rides the pool's interface for free, where boxing a header
+// would cost an allocation on every return.
 var wireBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, wireBufCap); return &b },
+	New: func() any { return new([wireBufCap]byte) },
 }
 
 // getWireBuf returns a zero-length pooled buffer with at least n
@@ -33,21 +34,21 @@ func getWireBuf(n int) ([]byte, bool) {
 	if n > wireBufCap {
 		return make([]byte, 0, n), false
 	}
-	return (*wireBufPool.Get().(*[]byte))[:0], true
+	return wireBufPool.Get().(*[wireBufCap]byte)[:0], true
 }
 
 // putWireBuf returns a pooled buffer. Callers pass exactly the buffers
-// getWireBuf marked pooled (tracked via Message.PayloadPooled).
+// getWireBuf marked pooled (tracked via Message.PayloadPooled), still
+// starting at the array's first byte.
 func putWireBuf(b []byte) {
-	b = b[:0]
-	wireBufPool.Put(&b)
+	wireBufPool.Put((*[wireBufCap]byte)(b[:wireBufCap]))
 }
 
 // payloadPoolable reports whether this world may carry pooled payloads:
-// goroutine engine, no reliability layer, no fault injector (see the
-// package comment above).
+// no reliability layer and no fault injector (see the comment above; a
+// DES world with faults configured always runs the reliability layer).
 func (l *Locality) payloadPoolable() bool {
-	return l.w.eng == nil && l.w.relw == nil && l.w.faults == nil
+	return l.w.relw == nil && l.w.faults == nil
 }
 
 // releasePayload reclaims m's payload after its terminal use (the

@@ -154,13 +154,13 @@ func NewWorld(cfg Config) (*World, error) {
 		w.net = &desNet{w: w}
 		for r, l := range w.locs {
 			l.eng = w.eng.RankEngine(r)
-			l.exec = &desExec{eng: l.eng, rank: r}
+			l.exec = &desExec{eng: l.eng, rank: r, l: l}
 			nic := w.fab.NIC(r)
 			loc := l
 			nic.Resident = loc.residentForNIC
 			nic.ResidentRead = loc.residentForRead
 			nic.HostDeliver = func(m *netsim.Message) {
-				loc.exec.Exec(cfg.Model.ORecv+cfg.Model.HandlerDispatch, func() { loc.onHostMsg(m) })
+				loc.exec.ExecMsg(cfg.Model.ORecv+cfg.Model.HandlerDispatch, opHostMsg, m)
 			}
 			nic.DMADeliver = loc.onDMA
 			nic.OnForward = func(m *netsim.Message, owner int) {
@@ -316,6 +316,7 @@ func (w *World) abortStrandedMigrations() {
 		for _, b := range stranded {
 			delete(l.moving, b)
 		}
+		l.movingN.Store(0)
 		l.mu.Unlock()
 		for _, b := range stranded {
 			l.space.AbortMigrate(b)
