@@ -320,12 +320,12 @@ func main() {
 
 	fmt.Println("\n5. Send to the SAME address: stale translation is repaired")
 	fmt.Println("   by the mode's strategy (host forwarding or NIC tables).")
-	if w.Fabric() != nil && sp.Caps.NICTranslation {
-		before := w.Fabric().TotalStats().Forwards
+	if sp.Caps.NICTranslation {
+		before := w.Stats().NetForwards
 		w.MustWait(w.Proc(0).Call(g, echo, []byte("after-move")))
-		mid := w.Fabric().TotalStats().Forwards
+		mid := w.Stats().NetForwards
 		w.MustWait(w.Proc(0).Call(g, echo, []byte("again")))
-		after := w.Fabric().TotalStats().Forwards
+		after := w.Stats().NetForwards
 		fmt.Printf("   in-network forwards: first send %d, second send %d (learned!)\n",
 			mid-before, after-mid)
 	} else {

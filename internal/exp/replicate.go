@@ -44,7 +44,7 @@ func f14Replication(o Options) *stats.Table {
 			return (w.Now() - start).Micros() / float64(reads)
 		}
 		remote := measure()
-		if err := w.Replicate(lay); err != nil {
+		if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 			panic(err)
 		}
 		replicated := measure()

@@ -203,13 +203,12 @@ func a1Forwarding(o Options) *stats.Table {
 		name string
 		p    netsim.Policy
 	}{
-		{"forward+push", netsim.Policy{ForwardInNetwork: true, PushUpdates: true}},
-		{"forward-only", netsim.Policy{ForwardInNetwork: true, PushUpdates: false}},
-		{"nack", netsim.Policy{ForwardInNetwork: false, PushUpdates: false}},
+		{"forward+push", netsim.Policy{}},
+		{"forward-only", netsim.Policy{NoPushUpdates: true}},
+		{"nack", netsim.Policy{NackToHost: true, NoPushUpdates: true}},
 	} {
 		w := newWorld(runtime.SpaceFor(runtime.AGASNM), 4, func(c *runtime.Config) {
 			c.Policy = pol.p
-			c.PolicySet = true
 		})
 		echo := w.Register("echo", func(c *runtime.Ctx) { c.Continue(nil) })
 		w.Start()

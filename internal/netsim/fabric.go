@@ -38,9 +38,6 @@ type Liveness interface {
 	// DeadHint reports whether rank has been declared dead by the
 	// membership layer, and the surrogate/home rank to redirect to.
 	DeadHint(rank int) (hint int, dead bool)
-	// Epoch returns the current membership epoch for stamping control
-	// pushes.
-	Epoch() uint64
 	// Rehome returns the recovered owner of a block whose previous owner
 	// died (a promoted replica master or a re-homed directory entry),
 	// letting in-flight traffic redirect at the NIC instead of bouncing.
@@ -59,17 +56,6 @@ type Fabric struct {
 	Faults *FaultInjector
 	// Live is nil unless the runtime wires in membership.
 	Live Liveness
-}
-
-// SetLiveness installs the runtime's membership view on the fabric.
-func (f *Fabric) SetLiveness(lv Liveness) { f.Live = lv }
-
-// BumpEpoch raises every NIC translation table's trusted membership
-// epoch, fencing all cached entries installed under older epochs.
-func (f *Fabric) BumpEpoch(epoch uint64) {
-	for _, n := range f.NICs {
-		n.Table.BumpEpoch(epoch)
-	}
 }
 
 // NewFabric builds a fabric with cfg.Ranks NICs on the given engine.
@@ -97,12 +83,8 @@ func NewFabric(eng *Engine, cfg FabricConfig) *Fabric {
 			fi = f.Faults.Fork(r)
 		}
 		f.NICs[r] = &NIC{
-			Rank:       r,
-			GVARouting: cfg.GVARouting,
-			Policy:     cfg.Policy,
-			Table:      NewTransTable(cfg.NICTableCap),
-			routes:     make(map[gas.BlockID]int),
-			readRoutes: make(map[gas.BlockID]int),
+			NICCore:    NICCore{Rank: r, GVARouting: cfg.GVARouting, Policy: cfg.Policy},
+			TransState: NewTransState(cfg.NICTableCap),
 			fab:        f,
 			eng:        eng.RankEngine(r),
 			fi:         fi,
@@ -134,29 +116,34 @@ func (f *Fabric) NIC(rank int) *NIC { return f.NICs[rank] }
 // Ranks returns the number of localities on the fabric.
 func (f *Fabric) Ranks() int { return len(f.NICs) }
 
+// The methods below are the transport face the runtime drives both
+// engines through (the goroutine transport implements the same set).
+
+// Send injects m at rank from's NIC.
+func (f *Fabric) Send(from int, m *Message) { f.NICs[from].Send(m) }
+
+// State runs fn on rank's translation state. The block is the key the
+// goroutine transport picks a lock shard by; a simulated NIC has one
+// state and its rank's event context is the exclusion.
+func (f *Fabric) State(rank int, _ gas.BlockID, fn func(*TransState)) {
+	fn(&f.NICs[rank].TransState)
+}
+
+// EachState runs fn on every piece of rank's translation state.
+func (f *Fabric) EachState(rank int, fn func(*TransState)) { fn(&f.NICs[rank].TransState) }
+
+// Stats returns rank's NIC counters.
+func (f *Fabric) Stats(rank int) NICStats { return f.NICs[rank].Stats }
+
+// Defer runs fn as rank's own event at the current simulated instant:
+// after the running event finishes, before time advances.
+func (f *Fabric) Defer(rank int, fn func()) { f.NICs[rank].eng.AfterRank(rank, 0, fn) }
+
 // TotalStats sums per-NIC counters across the fabric.
 func (f *Fabric) TotalStats() NICStats {
 	var t NICStats
 	for _, n := range f.NICs {
-		t.Sent += n.Stats.Sent
-		t.Received += n.Stats.Received
-		t.BytesTx += n.Stats.BytesTx
-		t.BytesRx += n.Stats.BytesRx
-		t.Forwards += n.Stats.Forwards
-		t.Nacks += n.Stats.Nacks
-		t.TableUpdatesRx += n.Stats.TableUpdatesRx
-		t.ScatterSplits += n.Stats.ScatterSplits
-		t.ScatterForwards += n.Stats.ScatterForwards
-		t.DMADelivered += n.Stats.DMADelivered
-		t.HostDelivered += n.Stats.HostDelivered
-		t.Dropped += n.Stats.Dropped
-		t.Duplicated += n.Stats.Duplicated
-		t.Delayed += n.Stats.Delayed
-		t.TableLost += n.Stats.TableLost
-		t.LoopNacks += n.Stats.LoopNacks
-		t.DownDrops += n.Stats.DownDrops
-		t.DeadNacks += n.Stats.DeadNacks
-		t.StaleEpochDrops += n.Stats.StaleEpochDrops
+		t.Add(&n.Stats)
 	}
 	return t
 }

@@ -92,7 +92,7 @@ func TestFabricTxOccupancySerializes(t *testing.T) {
 }
 
 func TestFabricGVARoutedToResidentHome(t *testing.T) {
-	h := newHarness(t, 4, true, DefaultPolicy(), 0)
+	h := newHarness(t, 4, true, Policy{}, 0)
 	target := gas.New(2, 50, 0)
 	h.resident[2][50] = true
 	h.fab.NIC(0).Send(&Message{Dst: ByGVA, Target: target, Wire: 64})
@@ -106,7 +106,7 @@ func TestFabricGVARoutedToResidentHome(t *testing.T) {
 }
 
 func TestFabricInNetworkForwardAfterMigration(t *testing.T) {
-	h := newHarness(t, 4, true, DefaultPolicy(), 0)
+	h := newHarness(t, 4, true, Policy{}, 0)
 	target := gas.New(2, 50, 0)
 	// Block 50 migrated from home 2 to rank 3: home NIC knows, data at 3.
 	h.fab.NIC(2).InstallRoute(50, 3)
@@ -142,7 +142,7 @@ func TestFabricInNetworkForwardAfterMigration(t *testing.T) {
 }
 
 func TestFabricNoPushUpdatesKeepsBouncing(t *testing.T) {
-	pol := Policy{ForwardInNetwork: true, PushUpdates: false}
+	pol := Policy{NoPushUpdates: true}
 	h := newHarness(t, 4, true, pol, 0)
 	target := gas.New(2, 50, 0)
 	h.fab.NIC(2).InstallRoute(50, 3)
@@ -161,7 +161,7 @@ func TestFabricNoPushUpdatesKeepsBouncing(t *testing.T) {
 }
 
 func TestFabricNackPolicy(t *testing.T) {
-	pol := Policy{ForwardInNetwork: false, PushUpdates: false}
+	pol := Policy{NackToHost: true, NoPushUpdates: true}
 	h := newHarness(t, 4, true, pol, 0)
 	target := gas.New(2, 50, 0)
 	h.fab.NIC(2).InstallRoute(50, 3)
@@ -183,7 +183,7 @@ func TestFabricNackPolicy(t *testing.T) {
 }
 
 func TestFabricDMADelivery(t *testing.T) {
-	h := newHarness(t, 2, true, DefaultPolicy(), 0)
+	h := newHarness(t, 2, true, Policy{}, 0)
 	target := gas.New(1, 9, 0)
 	h.resident[1][9] = true
 	h.fab.NIC(0).Send(&Message{Dst: ByGVA, Target: target, DMA: true, Wire: 4096})
@@ -215,7 +215,7 @@ func TestFabricDMAFaultOnDumbNIC(t *testing.T) {
 func TestFabricChainedTombstones(t *testing.T) {
 	// Block migrated twice: home→3, then 3→1. Source knows nothing; home
 	// says 3; 3's tombstone says 1.
-	h := newHarness(t, 4, true, DefaultPolicy(), 0)
+	h := newHarness(t, 4, true, Policy{}, 0)
 	target := gas.New(2, 50, 0)
 	h.fab.NIC(2).InstallRoute(50, 3)
 	h.fab.NIC(3).InstallRoute(50, 1)
@@ -231,7 +231,7 @@ func TestFabricChainedTombstones(t *testing.T) {
 }
 
 func TestFabricUnknownBlockAtHomeGoesToHost(t *testing.T) {
-	h := newHarness(t, 2, true, DefaultPolicy(), 0)
+	h := newHarness(t, 2, true, Policy{}, 0)
 	target := gas.New(1, 99, 0) // never allocated
 	h.fab.NIC(0).Send(&Message{Dst: ByGVA, Target: target, Wire: 64})
 	h.eng.Run()
@@ -241,7 +241,7 @@ func TestFabricUnknownBlockAtHomeGoesToHost(t *testing.T) {
 }
 
 func TestFabricRankAddressedNullTarget(t *testing.T) {
-	h := newHarness(t, 2, true, DefaultPolicy(), 0)
+	h := newHarness(t, 2, true, Policy{}, 0)
 	h.fab.NIC(0).Send(&Message{Dst: 1, Wire: 16})
 	h.eng.Run()
 	if len(h.hostRx[1]) != 1 {
@@ -279,14 +279,14 @@ func TestFabricNMDeliveryNotSlowerThanTwoHops(t *testing.T) {
 	// than a direct one, but less than a software round-trip (request +
 	// response + resend = 3 one-way latencies).
 	direct := func() VTime {
-		h := newHarness(t, 4, true, DefaultPolicy(), 0)
+		h := newHarness(t, 4, true, Policy{}, 0)
 		h.resident[2][50] = true
 		h.fab.NIC(0).Send(&Message{Dst: ByGVA, Target: gas.New(2, 50, 0), Wire: 64})
 		h.eng.Run()
 		return h.eng.Now()
 	}()
 	forwarded := func() VTime {
-		h := newHarness(t, 4, true, DefaultPolicy(), 0)
+		h := newHarness(t, 4, true, Policy{}, 0)
 		h.fab.NIC(2).InstallRoute(50, 3)
 		h.resident[3][50] = true
 		h.fab.NIC(0).Send(&Message{Dst: ByGVA, Target: gas.New(2, 50, 0), Wire: 64})

@@ -139,6 +139,15 @@ type Message struct {
 // NIC descriptors contribute.
 const wireHeader = 32
 
+// WireSize is the accounted size of m: Wire, or a bare header when the
+// sender left it unset.
+func (m *Message) WireSize() int {
+	if m.Wire == 0 {
+		return wireHeader
+	}
+	return m.Wire
+}
+
 // msgPool recycles Message structs.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 

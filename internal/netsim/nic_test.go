@@ -11,7 +11,7 @@ func TestForwardingLoopBoundedNack(t *testing.T) {
 	// block resident nowhere: a broken ownership protocol. Instead of
 	// bouncing forever (or panicking), the hop budget expires and the
 	// sender gets a loop NACK carrying the home as the owner hint.
-	h := newHarness(t, 3, true, Policy{ForwardInNetwork: true}, 0)
+	h := newHarness(t, 3, true, Policy{NoPushUpdates: true}, 0)
 	h.fab.NIC(1).InstallRoute(50, 2)
 	h.fab.NIC(2).InstallRoute(50, 1)
 	h.fab.NIC(0).Send(&Message{Src: 0, Dst: ByGVA, Target: gas.New(1, 50, 0), Wire: 32})
@@ -76,7 +76,7 @@ func TestTransmitToBadRankPanics(t *testing.T) {
 func TestCtlUpdatesRespectTableCapacity(t *testing.T) {
 	// Pushed table updates land in the bounded table and evict LRU-style
 	// like any other entry.
-	h := newHarness(t, 2, true, DefaultPolicy(), 2)
+	h := newHarness(t, 2, true, Policy{}, 2)
 	for b := gas.BlockID(1); b <= 5; b++ {
 		h.fab.NIC(1).Send(&Message{
 			Ctl: CtlTableUpdate, Src: 1, Dst: 0,
@@ -97,15 +97,15 @@ func TestCtlUpdatesRespectTableCapacity(t *testing.T) {
 }
 
 func TestRouteAndDrop(t *testing.T) {
-	h := newHarness(t, 2, true, DefaultPolicy(), 0)
+	h := newHarness(t, 2, true, Policy{}, 0)
 	nic := h.fab.NIC(0)
 	nic.InstallRoute(7, 1)
 	if o, ok := nic.Route(7); !ok || o != 1 {
 		t.Fatalf("Route = %d,%v", o, ok)
 	}
-	nic.DropRoute(7)
+	nic.ClearResident(7)
 	if _, ok := nic.Route(7); ok {
-		t.Fatal("route survived DropRoute")
+		t.Fatal("route survived ClearResident")
 	}
 }
 
@@ -119,10 +119,10 @@ func TestDefaultWireSizeApplied(t *testing.T) {
 	}
 }
 
-func TestZeroPolicyWithRoutingStillDelivers(t *testing.T) {
-	// GVARouting with the zero policy (no forwarding, no pushes): stale
-	// traffic NACKs; direct traffic still flows.
-	h := newHarness(t, 2, true, Policy{}, 0)
+func TestNackPolicyWithRoutingStillDelivers(t *testing.T) {
+	// GVARouting with everything switched off (no forwarding, no pushes):
+	// stale traffic NACKs; direct traffic still flows.
+	h := newHarness(t, 2, true, Policy{NackToHost: true, NoPushUpdates: true}, 0)
 	h.resident[1][9] = true
 	h.fab.NIC(0).Send(&Message{Src: 0, Dst: ByGVA, Target: gas.New(1, 9, 0), Wire: 16})
 	h.eng.Run()

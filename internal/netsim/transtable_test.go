@@ -153,7 +153,7 @@ func TestEntryLossFallsBackToHome(t *testing.T) {
 	// correcting update lost) that is then destroyed by a soft error must
 	// degrade to routing via the authoritative home — never to acting on
 	// the stale entry.
-	h := newHarness(t, 3, true, DefaultPolicy(), 0)
+	h := newHarness(t, 3, true, Policy{}, 0)
 	h.resident[1][50] = true // block 50 lives at its home, rank 1
 	nic := h.fab.NIC(0)
 	nic.Table.Update(50, 2) // stale: points at the old owner
@@ -183,7 +183,7 @@ func TestEntryLossNeverTouchesAuthoritativeRoutes(t *testing.T) {
 	// The soft-error model only scrubs the evictable translation cache;
 	// authoritative route entries (home mirror, tombstones) are host-
 	// installed state and survive any amount of table loss.
-	h := newHarness(t, 2, true, DefaultPolicy(), 4)
+	h := newHarness(t, 2, true, Policy{}, 4)
 	nic := h.fab.NIC(0)
 	nic.InstallRoute(7, 1)
 	nic.Table.Update(7, 1)

@@ -40,8 +40,23 @@ const (
 	UpdateBroadcast
 )
 
+// Transport is what the mirror needs of the network underneath it: the
+// simulated fabric and the goroutine transport both provide it, so the
+// install protocol below is the same code on either engine.
+type Transport interface {
+	Ranks() int
+	// Send injects m at rank from's NIC.
+	Send(from int, m *netsim.Message)
+	// State runs fn on the part of rank's NIC translation state that
+	// covers block, under the engine's exclusion.
+	State(rank int, block gas.BlockID, fn func(*netsim.TransState))
+	// Defer runs fn on rank's own timeline once the caller's step is
+	// done and before time advances (at once where there is no clock).
+	Defer(rank int, fn func())
+}
+
 // Mirror applies directory changes to NIC translation state. One Mirror
-// serves a whole fabric; its methods are called by the runtime at the
+// serves a whole world; its methods are called by the runtime at the
 // protocol points of the migration state machine.
 //
 // Under UpdateBroadcast, commits are not pushed one control message per
@@ -49,45 +64,38 @@ const (
 // per home and flushed as one CtlTableBatch per destination NIC, so a
 // migration burst costs O(ranks) control messages, not O(ranks × blocks).
 type Mirror struct {
-	fab    *netsim.Fabric
+	net    Transport
 	policy UpdatePolicy
 
 	installs   atomic.Uint64
 	broadcasts atomic.Uint64
-	batches    atomic.Uint64
 
 	// homes[r] accumulates broadcast entries committed at home r until
-	// r's armed flush event fires (scheduled at the current instant on
-	// r's own engine, so it runs after the committing event finishes but
-	// before time advances). One slot per home, touched only from that
-	// home's rank context: commits at different homes never share
-	// mutable state, and flush order is fixed by the per-home event
-	// streams rather than map iteration order — which also makes the
-	// eager policy safe under the sharded engine.
+	// r's armed flush runs (deferred on r's own timeline, so it runs
+	// after the committing step finishes but before time advances). One
+	// slot per home, touched only from that home's rank context: commits
+	// at different homes never share mutable state, and flush order is
+	// fixed by the per-home event streams rather than map iteration order
+	// — which also makes the eager policy safe under the sharded engine.
 	homes []mirrorHome
 }
 
 // mirrorHome is one home rank's broadcast accumulation slot.
 type mirrorHome struct {
 	entries []byte
-	n       int
 	armed   bool
 }
 
-// NewMirror returns a mirror over fab with the given update policy.
-func NewMirror(fab *netsim.Fabric, policy UpdatePolicy) *Mirror {
-	return &Mirror{fab: fab, policy: policy, homes: make([]mirrorHome, fab.Ranks())}
+// NewMirror returns a mirror over net with the given update policy.
+func NewMirror(net Transport, policy UpdatePolicy) *Mirror {
+	return &Mirror{net: net, policy: policy, homes: make([]mirrorHome, net.Ranks())}
 }
-
-// Policy returns the configured update policy.
-func (m *Mirror) Policy() UpdatePolicy { return m.policy }
 
 // CommitAtHome installs the authoritative route for block at its home
 // NIC. Called when the home processes a migration commit. The caller is
 // responsible for charging netsim NICUpdate cost on the home's timeline.
 func (m *Mirror) CommitAtHome(home int, block gas.BlockID, owner int) {
-	m.installs.Add(1)
-	m.fab.NIC(home).InstallRoute(block, owner)
+	m.install(home, block, owner)
 	if m.policy == UpdateBroadcast {
 		m.broadcastUpdate(home, block, owner)
 	}
@@ -97,8 +105,12 @@ func (m *Mirror) CommitAtHome(home int, block gas.BlockID, owner int) {
 // locality the block just left, so in-flight and stale traffic bounces
 // onward without host involvement.
 func (m *Mirror) TombstoneAtOldOwner(old int, block gas.BlockID, owner int) {
+	m.install(old, block, owner)
+}
+
+func (m *Mirror) install(rank int, block gas.BlockID, owner int) {
 	m.installs.Add(1)
-	m.fab.NIC(old).InstallRoute(block, owner)
+	m.net.State(rank, block, func(st *netsim.TransState) { st.InstallRoute(block, owner) })
 }
 
 // ClearResident removes stale routes at the *new* owner: once the block
@@ -106,35 +118,30 @@ func (m *Mirror) TombstoneAtOldOwner(old int, block gas.BlockID, owner int) {
 // elsewhere (left over if the block bounced through this locality
 // before).
 func (m *Mirror) ClearResident(owner int, block gas.BlockID) {
-	nic := m.fab.NIC(owner)
-	nic.DropRoute(block)
-	nic.Table.Invalidate(block)
+	m.net.State(owner, block, func(st *netsim.TransState) { st.ClearResident(block) })
 }
 
 // Drop removes all NIC state for block everywhere (used by free). It is a
 // bookkeeping sweep, not a simulated broadcast: free is a setup-phase
 // operation in this reproduction.
 func (m *Mirror) Drop(block gas.BlockID) {
-	for _, nic := range m.fab.NICs {
-		nic.DropRoute(block)
-		nic.Table.Invalidate(block)
+	for r := 0; r < m.net.Ranks(); r++ {
+		m.ClearResident(r, block)
 	}
 }
 
 // broadcastUpdate queues one commit for eager propagation and arms the
-// burst flush. The flush event is scheduled at the current simulated
+// burst flush. The flush is deferred to the end of the current simulated
 // instant, so every commit processed in the same event horizon rides the
-// same CtlTableBatch; deliveries are simulated traffic, so the eager
-// policy's cost stays visible in the results.
+// same CtlTableBatch; deliveries are real traffic, so the eager policy's
+// cost stays visible in the results.
 func (m *Mirror) broadcastUpdate(home int, block gas.BlockID, owner int) {
 	m.broadcasts.Add(1)
 	slot := &m.homes[home]
 	slot.entries = netsim.AppendTableEntry(slot.entries, block, owner)
-	slot.n++
 	if !slot.armed {
 		slot.armed = true
-		eng := m.fab.NIC(home).Engine()
-		eng.AfterRank(home, 0, func() { m.flushHome(home) })
+		m.net.Defer(home, func() { m.flushHome(home) })
 	}
 }
 
@@ -146,36 +153,29 @@ func (m *Mirror) flushHome(home int) {
 	slot := &m.homes[home]
 	entries := slot.entries
 	slot.entries = nil // ownership moves to the in-flight messages
-	slot.n = 0
 	slot.armed = false
 	if len(entries) == 0 {
 		return
 	}
-	src := m.fab.NIC(home)
-	for r := 0; r < m.fab.Ranks(); r++ {
+	for r := 0; r < m.net.Ranks(); r++ {
 		if r == home {
 			continue
 		}
-		m.batches.Add(1)
 		// One message per destination, all sharing the entry bytes (read-
 		// only from here on); each receiving NIC releases its own.
-		m := netsim.NewMessage()
-		m.Ctl = netsim.CtlTableBatch
-		m.Src = home
-		m.Dst = r
-		m.Payload = entries
-		m.Wire = 32 + len(entries)
-		src.Send(m)
+		b := netsim.NewMessage()
+		b.Ctl = netsim.CtlTableBatch
+		b.Src = home
+		b.Dst = r
+		b.Payload = entries
+		b.Wire = 32 + len(entries)
+		m.net.Send(home, b)
 	}
 }
 
 // Stats returns the cumulative install and broadcast counts (broadcasts
 // counts committed blocks queued for eager propagation, not wire
-// messages — see BatchStats for the flushed control messages).
+// messages).
 func (m *Mirror) Stats() (installs, broadcasts uint64) {
 	return m.installs.Load(), m.broadcasts.Load()
 }
-
-// BatchStats returns how many CtlTableBatch control messages the eager
-// policy actually emitted.
-func (m *Mirror) BatchStats() (batches uint64) { return m.batches.Load() }

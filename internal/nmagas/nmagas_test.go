@@ -13,7 +13,7 @@ func newFab(ranks int) (*netsim.Engine, *netsim.Fabric, [][]gas.BlockID) {
 		Ranks:      ranks,
 		Model:      netsim.DefaultModel(),
 		GVARouting: true,
-		Policy:     netsim.DefaultPolicy(),
+		Policy:     netsim.Policy{},
 	})
 	resident := make([][]gas.BlockID, ranks)
 	for r := 0; r < ranks; r++ {

@@ -21,8 +21,8 @@ func TestDESAllocationPins(t *testing.T) {
 	// PushUpdates off keeps the sender's NIC table cold, so every parcel
 	// to the migrated block below takes exactly one in-network forward.
 	w := testWorld(t, Config{
-		Ranks: 3, Mode: AGASNM, Engine: EngineDES, PolicySet: true,
-		Policy: netsim.Policy{ForwardInNetwork: true},
+		Ranks: 3, Mode: AGASNM, Engine: EngineDES,
+		Policy: netsim.Policy{NoPushUpdates: true},
 	})
 	pongs := 0
 	pong := w.Register("pong", func(c *Ctx) { pongs++ })

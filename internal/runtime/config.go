@@ -96,12 +96,9 @@ type Config struct {
 	Engine EngineKind
 	// Model holds the DES cost model; zero value means DefaultModel.
 	Model netsim.Model
-	// Policy configures NIC behaviour in AGASNM mode; zero value means
-	// DefaultPolicy (forward in network, push updates).
+	// Policy configures NIC behaviour in AGASNM mode; the zero value is
+	// the paper's design (forward in network, push updates).
 	Policy netsim.Policy
-	// PolicySet marks Policy as intentionally set (so the zero Policy can
-	// be requested by ablations).
-	PolicySet bool
 	// NICTableCap bounds the NIC translation table in AGASNM mode
 	// (0 = unbounded).
 	NICTableCap int
@@ -189,9 +186,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.Model == (netsim.Model{}) {
 		c.Model = netsim.DefaultModel()
-	}
-	if !c.PolicySet && c.Policy == (netsim.Policy{}) {
-		c.Policy = netsim.DefaultPolicy()
 	}
 	if c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed

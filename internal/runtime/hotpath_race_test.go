@@ -11,8 +11,8 @@ import (
 )
 
 // Race coverage for the hot-path concurrency surface: the sharded
-// goNICState is read by many sender goroutines while migrations rewrite
-// it, and goExec's ring buffer is stopped while producers still push.
+// goNIC translation state is read by many sender goroutines while
+// migrations rewrite it, and goExec's ring buffer is stopped while producers still push.
 // These tests exist to fail under -race (the CI test job runs the whole
 // package with -race); without it they are cheap smoke tests.
 
@@ -46,13 +46,19 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				st := cn.nics[(g+i)%4]
+				r, st := (g+i)%4, cn.nics[(g+i)%4]
 				b := lay.BlockAt(uint32(i % 8)).Block()
-				st.lookup(b)
-				st.route(b)
-				st.peekTable(b)
-				st.lookup(scratch.BlockAt(uint32(i % 8)).Block())
-				st.tableLen()
+				resolve := func(b gas.BlockID) {
+					w.net.State(r, b, func(ts *netsim.TransState) {
+						ts.Resolve(&netsim.Message{Dst: netsim.ByGVA, Block: b, Target: gas.New(1, b, 0)})
+					})
+				}
+				resolve(b)
+				st.Forward(b)
+				st.ReadRoute(b)
+				peekNICTable(w, r, b)
+				resolve(scratch.BlockAt(uint32(i % 8)).Block())
+				w.NICTableLen(r)
 			}
 		}(g)
 	}
@@ -63,10 +69,10 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				b := scratch.BlockAt(uint32(i % 8)).Block()
-				w.net.updateTable((g+i)%4, b, i%4)
-				w.net.installRoute((g+i+1)%4, b, i%4)
+				w.net.State((g+i)%4, b, func(ts *netsim.TransState) { ts.Table.Update(b, i%4) })
+				w.net.State((g+i+1)%4, b, func(ts *netsim.TransState) { ts.InstallRoute(b, i%4) })
 				if i%7 == 0 {
-					w.net.clearResident(i%4, b)
+					w.mirror.ClearResident(i%4, b)
 				}
 			}
 		}(g)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nmvgas/internal/gas"
+	"nmvgas/internal/netsim"
 	"nmvgas/internal/stats"
 )
 
@@ -324,11 +325,7 @@ func (w *World) QueueDepths() []int {
 // NICTableLen returns the NIC-resident translation table size at rank r
 // (0 for address spaces without NIC translation).
 func (w *World) NICTableLen(r int) int {
-	if w.fab != nil {
-		if t := w.fab.NIC(r).Table; t != nil {
-			return t.Len()
-		}
-		return 0
-	}
-	return w.net.tableLen(r)
+	n := 0
+	w.net.EachState(r, func(st *netsim.TransState) { n += st.Table.Len() })
+	return n
 }

@@ -82,10 +82,6 @@ type LocStats struct {
 	// exhaustion, a residency race); the software-managed baseline pays it
 	// for every record behind a migration.
 	BatchReroutes stats.Counter
-	// ScatterSplits / ScatterForwards mirror the NIC counters on the
-	// goroutine engine, where chanNet plays the NIC role.
-	ScatterSplits   stats.Counter
-	ScatterForwards stats.Counter
 
 	// Coherent-replication counters (see replicate.go). ReplicaReads are
 	// reads served from a local replica copy; ReplicaStaleReads found the
@@ -375,7 +371,7 @@ func (l *Locality) inject(m *netsim.Message, dst int) {
 // the owner rather than regenerated by a deduplicated request.
 func (l *Locality) nicInject(m *netsim.Message) {
 	l.relTrack(m)
-	l.w.net.nicSend(l.rank, m)
+	l.w.net.Send(l.rank, m)
 }
 
 // deliverLocal executes m on this locality without touching the network:
@@ -391,7 +387,7 @@ func (l *Locality) handleMsg(op msgOp, m *netsim.Message) {
 	case opHostMsg:
 		l.onHostMsg(m)
 	case opInject:
-		l.w.net.send(l.rank, m)
+		l.w.net.Send(l.rank, m)
 	case opRunParcel:
 		l.runUserParcel(m)
 	}
@@ -470,7 +466,7 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 		pong.Src = l.rank
 		pong.Dst = m.Src
 		pong.Wire = 32
-		l.w.net.nicSend(l.rank, pong)
+		l.w.net.Send(l.rank, pong)
 		m.Release()
 	case kMemberPong:
 		l.w.mem.pongFrom(m.Src)
@@ -613,7 +609,7 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 	l.w.latNackRepair(orig.OpID)
 	if m.Owner >= 0 {
 		l.exec.Charge(l.w.cfg.Model.NICUpdate)
-		l.w.net.updateTable(l.rank, m.Block, m.Owner)
+		l.w.net.State(l.rank, m.Block, func(st *netsim.TransState) { st.Table.Update(m.Block, m.Owner) })
 	}
 	// Resend a copy: a duplicated NACK can deliver twice, and both
 	// resends must not alias one Message crossing the fabric twice. The
@@ -754,7 +750,7 @@ func (l *Locality) onDMA(m *netsim.Message) {
 				l.Stats.ReplicaStaleReads.Inc()
 				m.Hops++
 				m.Dst = l.replicaMaster(b, m.Target.Home())
-				l.w.net.nicSend(l.rank, m)
+				l.w.net.Send(l.rank, m)
 				return
 			}
 			l.Stats.ReplicaReads.Inc()

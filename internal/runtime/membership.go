@@ -96,8 +96,7 @@ type probeState struct {
 }
 
 // membership is the world's membership table. It implements
-// netsim.Liveness, so the DES fabric consults it directly; the
-// goroutine transport (chanNet) reads it inline.
+// netsim.Liveness: both transports hand it to the NIC core's fences.
 type membership struct {
 	w *World
 
@@ -131,10 +130,6 @@ type membership struct {
 	deaths, joins, retires atomic.Uint64
 	suspicions             atomic.Uint64
 	rehomed, lostCount     atomic.Uint64
-
-	// Transport fault counters for the goroutine engine (the DES fabric
-	// counts the same events on its NICs).
-	downDrops, deadNacks, staleEpochDrops atomic.Uint64
 }
 
 func newMembership(w *World) *membership {
@@ -283,7 +278,7 @@ func (mem *membership) sendPings(l *Locality, target int) {
 		m.Src = l.rank
 		m.Dst = target
 		m.Wire = 32
-		l.w.net.nicSend(l.rank, m)
+		l.w.net.Send(l.rank, m)
 	}
 }
 
@@ -794,7 +789,7 @@ func (mem *membership) rebirth(l *Locality) {
 	}
 
 	// NIC rebirth: empty translation state.
-	w.resetNICState(rank)
+	w.net.EachState(rank, (*netsim.TransState).Reset)
 
 	// Catch-up sync, part 1: reclaim directory authority for blocks
 	// homed here that survived on other ranks (the recovery overlay
@@ -849,25 +844,9 @@ func (mem *membership) rebirth(l *Locality) {
 // bumpEpoch fences every NIC translation table at the new membership
 // epoch, on whichever transport the world runs.
 func (w *World) bumpEpoch(epoch uint64) {
-	if w.fab != nil {
-		w.fab.BumpEpoch(epoch)
-		return
-	}
-	if cn, ok := w.net.(*chanNet); ok {
-		for _, st := range cn.nics {
-			st.bumpEpoch(epoch)
-		}
-	}
-}
-
-// resetNICState wipes rank's NIC translation state (Join).
-func (w *World) resetNICState(rank int) {
-	if w.fab != nil {
-		w.fab.NIC(rank).ResetState()
-		return
-	}
-	if cn, ok := w.net.(*chanNet); ok {
-		cn.nics[rank].reset()
+	bump := func(st *netsim.TransState) { st.Table.BumpEpoch(epoch) }
+	for r := range w.locs {
+		w.net.EachState(r, bump)
 	}
 }
 
@@ -928,19 +907,15 @@ type MembershipStats struct {
 	// harvested directory entries are both re-homes; this counts
 	// promotions). Lost counts blocks that died unreplicated.
 	Rehomed, Lost uint64
-	// DownDrops / DeadNacks / StaleEpochDrops count transport-level
-	// fencing on the goroutine engine (the DES fabric reports the same
-	// events in its NIC counters).
+	// DownDrops / DeadNacks / StaleEpochDrops are the NICs' transport-
+	// level fencing counts, summed over ranks.
 	DownDrops, DeadNacks, StaleEpochDrops uint64
 }
 
-// MembershipStats returns the membership layer's counters. The
-// transport fencing counts merge both sources: the chanNet atomics
-// (goroutine engine) and the fabric's per-NIC counters (DES engine), so
-// callers see one number per event class regardless of transport.
+// MembershipStats returns the membership layer's counters.
 func (w *World) MembershipStats() MembershipStats {
-	m := w.mem
-	s := MembershipStats{
+	m, t := w.mem, w.nicTotals()
+	return MembershipStats{
 		Epoch:           m.epoch.Load(),
 		Deaths:          m.deaths.Load(),
 		Joins:           m.joins.Load(),
@@ -948,28 +923,16 @@ func (w *World) MembershipStats() MembershipStats {
 		Suspicions:      m.suspicions.Load(),
 		Rehomed:         m.rehomed.Load(),
 		Lost:            m.lostCount.Load(),
-		DownDrops:       m.downDrops.Load(),
-		DeadNacks:       m.deadNacks.Load(),
-		StaleEpochDrops: m.staleEpochDrops.Load(),
+		DownDrops:       t.DownDrops,
+		DeadNacks:       t.DeadNacks,
+		StaleEpochDrops: t.StaleEpochDrops,
 	}
-	if w.fab != nil {
-		t := w.fab.TotalStats()
-		s.DownDrops += t.DownDrops
-		s.DeadNacks += t.DeadNacks
-		s.StaleEpochDrops += t.StaleEpochDrops
-	}
-	return s
 }
 
 // NICFaultStats returns one rank's transport-fencing counters (messages
 // dropped at a down link, dead-rank NACKs synthesized, and stale-epoch
-// table updates discarded). Per-rank attribution exists only where the
-// NIC model runs — the DES fabric; under the goroutine engine the
-// counts are world-level (see MembershipStats) and this reports zeros.
+// table updates discarded).
 func (w *World) NICFaultStats(rank int) (downDrops, deadNacks, staleEpochDrops uint64) {
-	if w.fab == nil {
-		return 0, 0, 0
-	}
-	st := w.fab.NIC(rank).Stats
+	st := w.net.Stats(rank)
 	return st.DownDrops, st.DeadNacks, st.StaleEpochDrops
 }

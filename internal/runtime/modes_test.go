@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"testing"
+	"time"
 
 	"nmvgas/internal/agas"
 	"nmvgas/internal/netsim"
@@ -43,7 +44,7 @@ func TestNMStaleTrafficForwardsInNetworkThenGoesDirect(t *testing.T) {
 func TestNMNoPushUpdatesKeepsForwarding(t *testing.T) {
 	w := testWorld(t, Config{
 		Ranks: 4, Mode: AGASNM, Engine: EngineDES,
-		Policy: netsim.Policy{ForwardInNetwork: true, PushUpdates: false}, PolicySet: true,
+		Policy: netsim.Policy{NoPushUpdates: true},
 	})
 	echo := w.Register("echo", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
@@ -65,7 +66,7 @@ func TestNMNoPushUpdatesKeepsForwarding(t *testing.T) {
 func TestNMNackAblation(t *testing.T) {
 	w := testWorld(t, Config{
 		Ranks: 4, Mode: AGASNM, Engine: EngineDES,
-		Policy: netsim.Policy{ForwardInNetwork: false, PushUpdates: false}, PolicySet: true,
+		Policy: netsim.Policy{NackToHost: true, NoPushUpdates: true},
 	})
 	echo := w.Register("echo", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
@@ -92,29 +93,44 @@ func TestNMNackAblation(t *testing.T) {
 }
 
 func TestSWStaleParcelHostForwardsAndTeachesSource(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 4, Mode: AGASSW, Engine: EngineDES})
-	echo := w.Register("echo", func(c *Ctx) { c.Continue(nil) })
-	w.Start()
-	lay, err := w.AllocCyclic(0, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := lay.BlockAt(1)
-	w.MustWait(w.Proc(0).Migrate(g, 3))
+	// Both engines: the owner update names its block only through its
+	// Target, and injection caches Block from Target on either transport.
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			w := testWorld(t, Config{Ranks: 4, Mode: AGASSW, Engine: eng})
+			echo := w.Register("echo", func(c *Ctx) { c.Continue(nil) })
+			w.Start()
+			lay, err := w.AllocCyclic(0, 64, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := lay.BlockAt(1)
+			w.MustWait(w.Proc(0).Migrate(g, 3))
 
-	// Rank 2 has no cache entry: the parcel goes to home 1, whose HOST
-	// forwards and pushes an owner update back.
-	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	if w.Locality(1).Stats.HostForwards.Load() == 0 {
-		t.Fatal("home host did not forward")
-	}
-	if o, ok := w.Locality(2).Cache().Lookup(g.Block()); !ok || o != 3 {
-		t.Fatalf("source cache not taught: %d,%v", o, ok)
-	}
-	base := w.Locality(1).Stats.HostForwards.Load()
-	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	if w.Locality(1).Stats.HostForwards.Load() != base {
-		t.Fatal("second send still host-forwarded")
+			// Rank 2 has no cache entry: the parcel goes to home 1, whose HOST
+			// forwards and pushes an owner update back.
+			w.MustWait(w.Proc(2).Call(g, echo, nil))
+			if w.Locality(1).Stats.HostForwards.Load() == 0 {
+				t.Fatal("home host did not forward")
+			}
+			// The update is fire-and-forget: on the goroutine engine it may
+			// land a moment after the call's continuation.
+			taught := func() bool {
+				o, ok := w.Locality(2).Cache().Lookup(g.Block())
+				return ok && o == 3
+			}
+			for deadline := time.Now().Add(5 * time.Second); !taught(); {
+				if eng == EngineDES || time.Now().After(deadline) {
+					t.Fatal("source cache not taught")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			base := w.Locality(1).Stats.HostForwards.Load()
+			w.MustWait(w.Proc(2).Call(g, echo, nil))
+			if w.Locality(1).Stats.HostForwards.Load() != base {
+				t.Fatal("second send still host-forwarded")
+			}
+		})
 	}
 }
 

@@ -361,7 +361,7 @@ func (l *Locality) relTimer(ch int32) {
 		// (possibly ByGVA); both transports re-resolve it, so a
 		// retransmission chases the block's current owner.
 		l.exec.Charge(l.w.cfg.Model.OSend)
-		l.w.net.send(l.rank, m)
+		l.w.net.Send(l.rank, m)
 	}
 	if again {
 		l.relArm(ch, next)
@@ -458,7 +458,7 @@ func (l *Locality) relSendAck(m *netsim.Message, cum uint64) {
 		ack.Release()
 		return
 	}
-	l.w.net.nicSend(l.rank, ack)
+	l.w.net.Send(l.rank, ack)
 }
 
 // relOnAck clears acked messages at the sender: the named sequence plus

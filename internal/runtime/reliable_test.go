@@ -108,8 +108,8 @@ func TestForwardingLoopDegradesToAbandon(t *testing.T) {
 	})
 	nop := w.Register("noop", func(c *Ctx) {})
 	w.Start()
-	w.net.installRoute(1, 999, 2)
-	w.net.installRoute(2, 999, 1)
+	w.net.State(1, 999, func(st *netsim.TransState) { st.InstallRoute(999, 2) })
+	w.net.State(2, 999, func(st *netsim.TransState) { st.InstallRoute(999, 1) })
 	w.Proc(0).Invoke(gas.New(1, 999, 0), nop, nil)
 	w.Drain()
 
@@ -131,8 +131,5 @@ func TestHopCapConfigurable(t *testing.T) {
 	}
 	if got := (netsim.Policy{MaxHops: 4}).HopCap(); got != 4 {
 		t.Fatalf("explicit hop cap %d, want 4", got)
-	}
-	if got := netsim.DefaultPolicy().MaxHops; got != netsim.DefaultMaxHops {
-		t.Fatalf("default policy MaxHops %d", got)
 	}
 }

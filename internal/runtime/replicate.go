@@ -538,16 +538,6 @@ func (w *World) Unreplicate(lay gas.Layout) error {
 	return nil
 }
 
-// Replicate replicates lay on every non-master locality (the maximal
-// replica set). Kept as the one-call form of ReplicateLive.
-func (w *World) Replicate(lay gas.Layout) error {
-	return w.ReplicateLive(lay, w.cfg.Ranks-1)
-}
-
-// Dereplicate is Unreplicate's historical name (the read-only
-// replication API it replaces).
-func (w *World) Dereplicate(lay gas.Layout) error { return w.Unreplicate(lay) }
-
 // ReplicatedBlocks reports how many blocks currently have live replica
 // sets installed (driver-side observability).
 func (w *World) ReplicatedBlocks() int { return int(w.replCount.Load()) }

@@ -41,7 +41,7 @@ func TestReplicateServesLocalReads(t *testing.T) {
 		}
 		data := []byte{1, 2, 3, 4}
 		w.MustWait(w.Proc(0).Put(lay.BlockAt(0), data))
-		if err := w.Replicate(lay); err != nil {
+		if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 			t.Fatal(err)
 		}
 		// Every rank reads the same bytes, from its local copy.
@@ -62,7 +62,7 @@ func TestReplicatedReadsSkipTheNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.MustWait(w.Proc(0).Put(lay.BlockAt(0), []byte{9}))
-	if err := w.Replicate(lay); err != nil {
+	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 		t.Fatal(err)
 	}
 	before := w.Fabric().TotalStats().Sent
@@ -257,7 +257,7 @@ func TestParcelsStillRunOnceAtMaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replicate(lay); err != nil {
+	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 		t.Fatal(err)
 	}
 	w.MustWait(w.Proc(0).Call(lay.BlockAt(0), probe, nil))
@@ -275,7 +275,7 @@ func TestReplicateAfterMigrationUsesCurrentOwner(t *testing.T) {
 	}
 	w.MustWait(w.Proc(0).Put(lay.BlockAt(0), []byte{7}))
 	w.MustWait(w.Proc(0).Migrate(lay.BlockAt(0), 3))
-	if err := w.Replicate(lay); err != nil {
+	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r++ {
@@ -293,7 +293,7 @@ func TestUnreplicateRestoresPlainOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replicate(lay); err != nil {
+	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Unreplicate(lay); err != nil {
@@ -380,7 +380,7 @@ func TestFreeSweepsReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replicate(lay); err != nil {
+	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Free(lay); err != nil {

@@ -118,16 +118,7 @@ func shardImage(t *testing.T, mode Mode, shards int) string {
 	if err := w.DumpState(&img); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&img, "stats: %v\n", func() equivCounters {
-		s := w.Stats()
-		return equivCounters{
-			ParcelsSent: s.ParcelsSent, ParcelsRun: s.ParcelsRun, LocalRuns: s.LocalRuns,
-			HostForwards: s.HostForwards, HostNacks: s.HostNacks, NICNacks: s.NICNacks,
-			Queued: s.Queued, SWLookups: s.SWLookups,
-			PutOps: s.PutOps, GetOps: s.GetOps, PutBytes: s.PutBytes, GetBytes: s.GetBytes,
-			Migrations: s.Migrations,
-		}
-	}())
+	fmt.Fprintf(&img, "stats: %v\n", equivOf(w.Stats()))
 	w.Stop()
 	return img.String()
 }

@@ -20,12 +20,7 @@ func nmBuilder() spaceBuilder {
 	return spaceBuilder{
 		caps: nmCaps,
 		initWorld: func(w *World) {
-			// The DES fabric gets a mirror pushing directory changes
-			// into simulated NIC state; the goroutine engine mirrors
-			// through chanNet's per-rank tables instead.
-			if w.fab != nil {
-				w.mirror = nmagas.NewMirror(w.fab, w.cfg.NMUpdate)
-			}
+			w.mirror = nmagas.NewMirror(w.net, w.cfg.NMUpdate)
 		},
 		newLocal: func(l *Locality) AddressSpace {
 			return &nmSpace{l: l, dir: agas.NewDirectory()}
@@ -80,7 +75,9 @@ func (s *nmSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 // route first, then the home directory.
 func (s *nmSpace) rescueTarget(b gas.BlockID, home int) (int, bool) {
 	l := s.l
-	if owner, ok := l.w.net.route(l.rank, b); ok && owner != l.rank {
+	owner, ok := 0, false
+	l.w.net.State(l.rank, b, func(st *netsim.TransState) { owner, ok = st.Route(b) })
+	if ok && owner != l.rank {
 		return owner, true
 	}
 	if l.rank == home {
@@ -100,26 +97,26 @@ func (s *nmSpace) BeginMigrate(b gas.BlockID) {
 	// block is pinned, so it queues rather than bouncing.
 	l := s.l
 	l.exec.Charge(l.w.cfg.Model.NICUpdate)
-	l.w.net.installRoute(l.rank, b, l.rank)
+	l.w.net.State(l.rank, b, func(st *netsim.TransState) { st.InstallRoute(b, l.rank) })
 }
 
 func (s *nmSpace) InstallMigrated(b gas.BlockID) {
 	l := s.l
 	l.exec.Charge(l.w.cfg.Model.NICUpdate)
-	l.w.net.clearResident(l.rank, b)
+	l.w.mirror.ClearResident(l.rank, b)
 }
 
 func (s *nmSpace) CommitMigrate(b gas.BlockID, newOwner int) {
 	l := s.l
 	s.dir.Set(b, newOwner, l.rank)
 	l.exec.Charge(l.w.cfg.Model.NICUpdate)
-	l.w.net.commitAtHome(l.rank, b, newOwner)
+	l.w.mirror.CommitAtHome(l.rank, b, newOwner)
 }
 
 func (s *nmSpace) FinishMigrate(b gas.BlockID, newOwner int) {
 	l := s.l
 	l.exec.Charge(l.w.cfg.Model.NICUpdate)
-	l.w.net.installRoute(l.rank, b, newOwner)
+	l.w.mirror.TombstoneAtOldOwner(l.rank, b, newOwner)
 }
 
 func (s *nmSpace) AbortMigrate(b gas.BlockID) {
@@ -127,7 +124,7 @@ func (s *nmSpace) AbortMigrate(b gas.BlockID) {
 	// again.
 	l := s.l
 	l.exec.Charge(l.w.cfg.Model.NICUpdate)
-	l.w.net.clearResident(l.rank, b)
+	l.w.mirror.ClearResident(l.rank, b)
 }
 
 func (s *nmSpace) HomeOwner(b gas.BlockID) int {
@@ -156,11 +153,12 @@ func (s *nmSpace) InstallReplicas(b gas.BlockID, master int, holders []int) {
 			return
 		}
 	}
-	l.w.net.installReadRoute(r, b, l.w.readTarget(r, master, holders))
+	target := l.w.readTarget(r, master, holders)
+	l.w.net.State(r, b, func(st *netsim.TransState) { st.InstallReadRoute(b, target) })
 }
 
 func (s *nmSpace) DropReplicas(b gas.BlockID) {
-	s.l.w.net.dropReadRoute(s.l.rank, b)
+	s.l.w.net.State(s.l.rank, b, func(st *netsim.TransState) { st.DropReadRoute(b) })
 }
 
 // ReadRoute is a no-op: read steering happens in the NIC, not in host

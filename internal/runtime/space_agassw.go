@@ -107,7 +107,7 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 		// nothing of it.
 		m.Dst = owner
 		m.Hops++
-		l.w.net.send(l.rank, m)
+		l.w.net.Send(l.rank, m)
 		if p.Src != l.rank {
 			upd := netsim.NewMessage()
 			upd.Kind = kOwnerUpd

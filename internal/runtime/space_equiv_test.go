@@ -15,7 +15,10 @@ import (
 // migration behavior shows up as a counter diff.
 
 // equivCounters is the engine-independent slice of WorldStats the test
-// compares (fabric counters are DES-only and excluded).
+// compares. NetForwards and NetNacks are the NIC core's own counters:
+// both engines drive the one core, and every stale send in the workload
+// is a first touch on a waited op's critical path, so the forward and
+// NACK counts do not depend on when a fire-and-forget table push lands.
 type equivCounters struct {
 	ParcelsSent  int64
 	ParcelsRun   int64
@@ -30,19 +33,44 @@ type equivCounters struct {
 	PutBytes     int64
 	GetBytes     int64
 	Migrations   int64
+	NetForwards  uint64
+	NetNacks     uint64
 }
 
 func (c equivCounters) String() string {
-	return fmt.Sprintf("{ParcelsSent: %d, ParcelsRun: %d, LocalRuns: %d, HostForwards: %d, HostNacks: %d, NICNacks: %d, Queued: %d, SWLookups: %d, PutOps: %d, GetOps: %d, PutBytes: %d, GetBytes: %d, Migrations: %d}",
+	return fmt.Sprintf("{ParcelsSent: %d, ParcelsRun: %d, LocalRuns: %d, HostForwards: %d, HostNacks: %d, NICNacks: %d, Queued: %d, SWLookups: %d, PutOps: %d, GetOps: %d, PutBytes: %d, GetBytes: %d, Migrations: %d, NetForwards: %d, NetNacks: %d}",
 		c.ParcelsSent, c.ParcelsRun, c.LocalRuns, c.HostForwards, c.HostNacks,
 		c.NICNacks, c.Queued, c.SWLookups, c.PutOps, c.GetOps, c.PutBytes,
-		c.GetBytes, c.Migrations)
+		c.GetBytes, c.Migrations, c.NetForwards, c.NetNacks)
+}
+
+// equivOf takes the compared slice out of a stats snapshot.
+func equivOf(s WorldStats) equivCounters {
+	return equivCounters{
+		ParcelsSent:  s.ParcelsSent,
+		ParcelsRun:   s.ParcelsRun,
+		LocalRuns:    s.LocalRuns,
+		HostForwards: s.HostForwards,
+		HostNacks:    s.HostNacks,
+		NICNacks:     s.NICNacks,
+		Queued:       s.Queued,
+		SWLookups:    s.SWLookups,
+		PutOps:       s.PutOps,
+		GetOps:       s.GetOps,
+		PutBytes:     s.PutBytes,
+		GetBytes:     s.GetBytes,
+		Migrations:   s.Migrations,
+		NetForwards:  s.NetForwards,
+		NetNacks:     s.NetNacks,
+	}
 }
 
 // equivGolden holds the expected counters per mode, identical across
 // engines because the workload serializes every operation and every
 // stale-translation repair sits on a waited op's critical path. Captured
-// from the pre-refactor mode-switch implementation at PR 1.
+// from the pre-refactor mode-switch implementation at PR 1; NetForwards
+// and NetNacks from the DES fabric at PR 13 (the goroutine engine
+// reported zeros until it drove the shared NIC core).
 var equivGolden = map[Mode]equivCounters{
 	PGAS: {ParcelsSent: 66, ParcelsRun: 66, LocalRuns: 18,
 		PutOps: 4, GetOps: 4, PutBytes: 64, GetBytes: 32},
@@ -50,7 +78,8 @@ var equivGolden = map[Mode]equivCounters{
 		HostForwards: 8, HostNacks: 2, SWLookups: 100,
 		PutOps: 6, GetOps: 5, PutBytes: 80, GetBytes: 40, Migrations: 5},
 	AGASNM: {ParcelsSent: 121, ParcelsRun: 121, LocalRuns: 33,
-		PutOps: 6, GetOps: 5, PutBytes: 80, GetBytes: 40, Migrations: 5},
+		PutOps: 6, GetOps: 5, PutBytes: 80, GetBytes: 40, Migrations: 5,
+		NetForwards: 9},
 }
 
 // runEquivWorkload drives a deterministic protocol workout: fan-out
@@ -134,22 +163,7 @@ func runEquivWorkload(t *testing.T, mode Mode, eng EngineKind, mutate ...func(*C
 	}
 	w.Stop()
 
-	s := w.Stats()
-	return equivCounters{
-		ParcelsSent:  s.ParcelsSent,
-		ParcelsRun:   s.ParcelsRun,
-		LocalRuns:    s.LocalRuns,
-		HostForwards: s.HostForwards,
-		HostNacks:    s.HostNacks,
-		NICNacks:     s.NICNacks,
-		Queued:       s.Queued,
-		SWLookups:    s.SWLookups,
-		PutOps:       s.PutOps,
-		GetOps:       s.GetOps,
-		PutBytes:     s.PutBytes,
-		GetBytes:     s.GetBytes,
-		Migrations:   s.Migrations,
-	}, w
+	return equivOf(w.Stats()), w
 }
 
 // replEquivCounters extends the golden slice with the replica coherence
@@ -181,7 +195,8 @@ var replGolden = map[Mode]replEquivCounters{
 		PutOps: 10, GetOps: 49, PutBytes: 80, GetBytes: 392, Migrations: 1},
 		ReplicaReads: 33, ReplicaInvals: 10, ReplicaFills: 10},
 	AGASNM: {equivCounters: equivCounters{ParcelsSent: 5, ParcelsRun: 5, LocalRuns: 40,
-		PutOps: 10, GetOps: 49, PutBytes: 80, GetBytes: 392, Migrations: 1},
+		PutOps: 10, GetOps: 49, PutBytes: 80, GetBytes: 392, Migrations: 1,
+		NetForwards: 2},
 		ReplicaReads: 33, ReplicaInvals: 10, ReplicaFills: 10},
 }
 
@@ -278,21 +293,7 @@ func runReplEquivWorkload(t *testing.T, mode Mode, eng EngineKind, mutate ...fun
 
 	s := w.Stats()
 	return replEquivCounters{
-		equivCounters: equivCounters{
-			ParcelsSent:  s.ParcelsSent,
-			ParcelsRun:   s.ParcelsRun,
-			LocalRuns:    s.LocalRuns,
-			HostForwards: s.HostForwards,
-			HostNacks:    s.HostNacks,
-			NICNacks:     s.NICNacks,
-			Queued:       s.Queued,
-			SWLookups:    s.SWLookups,
-			PutOps:       s.PutOps,
-			GetOps:       s.GetOps,
-			PutBytes:     s.PutBytes,
-			GetBytes:     s.GetBytes,
-			Migrations:   s.Migrations,
-		},
+		equivCounters:     equivOf(s),
 		ReplicaReads:      s.ReplicaReads,
 		ReplicaStaleReads: s.ReplicaStaleReads,
 		ReplicaInvals:     s.ReplicaInvals,

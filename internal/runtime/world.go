@@ -25,10 +25,13 @@ type World struct {
 	locs []*Locality
 	net  network
 
-	// DES engine state (nil under EngineGo).
-	eng    *netsim.Engine
-	fab    *netsim.Fabric
+	// mirror pushes directory changes into NIC translation state (nil
+	// unless the address space translates in the NIC).
 	mirror *nmagas.Mirror
+
+	// DES engine state (nil under EngineGo).
+	eng *netsim.Engine
+	fab *netsim.Fabric
 
 	// Goroutine engine state (nil under EngineDES).
 	pool *sched.Pool
@@ -151,7 +154,7 @@ func NewWorld(cfg Config) (*World, error) {
 			Topology:    cfg.Topology,
 			Faults:      cfg.Faults,
 		})
-		w.net = &desNet{w: w}
+		w.net = w.fab
 		for r, l := range w.locs {
 			l.eng = w.eng.RankEngine(r)
 			l.exec = &desExec{eng: l.eng, rank: r, l: l}
@@ -211,7 +214,9 @@ func (w *World) dropTranslation(b gas.BlockID, home int) {
 	for _, loc := range w.locs {
 		loc.space.OnFree(b, home)
 	}
-	w.net.dropAll(b)
+	if w.mirror != nil {
+		w.mirror.Drop(b)
+	}
 }
 
 // Ranks returns the number of localities.
@@ -231,7 +236,7 @@ func (w *World) Start() {
 	w.started = true
 	w.reg.seal()
 	if w.fab != nil {
-		w.fab.SetLiveness(w.mem)
+		w.fab.Live = w.mem
 	}
 	if w.cfg.Engine == EngineGo {
 		if w.pool != nil {
@@ -310,17 +315,23 @@ func (w *World) abortStrandedMigrations() {
 	for _, l := range w.locs {
 		l.mu.Lock()
 		var stranded []gas.BlockID
-		for b := range l.moving {
-			stranded = append(stranded, b)
+		var dsts []int
+		for b, st := range l.moving {
+			stranded, dsts = append(stranded, b), append(dsts, st.dst)
 		}
 		for _, b := range stranded {
 			delete(l.moving, b)
 		}
 		l.movingN.Store(0)
 		l.mu.Unlock()
-		for _, b := range stranded {
+		for i, b := range stranded {
 			l.space.AbortMigrate(b)
 			l.trace(TraceMigrateAbort, b, 0)
+			// The data may have landed at a destination whose commit died
+			// with the actors; the abandoned move leaves no second master.
+			if dl := w.locs[dsts[i]]; dl != l && dl.resident(b) {
+				dl.store.Remove(b)
+			}
 		}
 	}
 }

@@ -50,8 +50,8 @@ func TestConfigValidation(t *testing.T) {
 	if w.Config().Model.Latency == 0 {
 		t.Error("model defaulting did not happen")
 	}
-	if !w.Config().Policy.ForwardInNetwork {
-		t.Error("policy defaulting did not happen")
+	if p := w.Config().Policy; p.NackToHost || p.NoPushUpdates {
+		t.Error("default policy is not forward-in-network with pushed updates")
 	}
 }
 

@@ -1,9 +1,13 @@
 package runtime
 
-import "nmvgas/internal/stats"
+import (
+	"nmvgas/internal/netsim"
+	"nmvgas/internal/stats"
+)
 
 // WorldStats aggregates runtime counters across all localities plus the
-// fabric's NIC counters (DES engine only; zero under EngineGo).
+// NIC counters (the Net*/NIC*/DMA*/Scatter* fields), which both engines
+// count through the one protocol core.
 type WorldStats struct {
 	ParcelsSent   int64
 	ParcelsRun    int64
@@ -49,9 +53,7 @@ type WorldStats struct {
 	// which no longer owned their block and were re-routed in software —
 	// zero under in-NIC batch scatter for a plain migrating workload.
 	BatchReroutes int64
-	// ScatterSplits / ScatterForwards count in-NIC batch splitting (NIC
-	// counters on the DES fabric, locality counters on the goroutine
-	// engine where chanNet plays the NIC).
+	// ScatterSplits / ScatterForwards count in-NIC batch splitting.
 	ScatterSplits   uint64
 	ScatterForwards uint64
 
@@ -84,8 +86,17 @@ type WorldStats struct {
 	Pulses uint64
 }
 
-// Stats sums the per-locality counters and, on the DES engine, the fabric
-// counters.
+// nicTotals sums every rank's NIC counters.
+func (w *World) nicTotals() netsim.NICStats {
+	var t netsim.NICStats
+	for r := range w.locs {
+		s := w.net.Stats(r)
+		t.Add(&s)
+	}
+	return t
+}
+
+// Stats sums the per-locality and per-NIC counters.
 func (w *World) Stats() WorldStats {
 	var s WorldStats
 	for _, l := range w.locs {
@@ -104,8 +115,6 @@ func (w *World) Stats() WorldStats {
 		s.Migrations += l.Stats.Migrations.Load()
 		s.LoopNacks += l.Stats.LoopNacks.Load()
 		s.BatchReroutes += l.Stats.BatchReroutes.Load()
-		s.ScatterSplits += uint64(l.Stats.ScatterSplits.Load())
-		s.ScatterForwards += uint64(l.Stats.ScatterForwards.Load())
 		s.ReplicaReads += l.Stats.ReplicaReads.Load()
 		s.ReplicaStaleReads += l.Stats.ReplicaStaleReads.Load()
 		s.ReplicaInvals += l.Stats.ReplicaInvals.Load()
@@ -127,17 +136,15 @@ func (w *World) Stats() WorldStats {
 	s.HeatSampled = w.HeatSampled()
 	s.Unacked = w.UnackedMessages()
 	s.Pulses = w.PulseCount()
-	if w.fab != nil {
-		n := w.fab.TotalStats()
-		s.NetSent = n.Sent
-		s.NetBytes = n.BytesTx
-		s.NetForwards = n.Forwards
-		s.NetNacks = n.Nacks
-		s.NICTableUpds = n.TableUpdatesRx
-		s.DMADeliveries = n.DMADelivered
-		s.ScatterSplits += n.ScatterSplits
-		s.ScatterForwards += n.ScatterForwards
-	}
+	n := w.nicTotals()
+	s.NetSent = n.Sent
+	s.NetBytes = n.BytesTx
+	s.NetForwards = n.Forwards
+	s.NetNacks = n.Nacks
+	s.NICTableUpds = n.TableUpdatesRx
+	s.DMADeliveries = n.DMADelivered
+	s.ScatterSplits = n.ScatterSplits
+	s.ScatterForwards = n.ScatterForwards
 	return s
 }
 

@@ -48,7 +48,7 @@ func TestFacadeReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.MustWait(w.Proc(0).Put(lay.BlockAt(0), []byte("ro")))
-	if err := w.Replicate(lay); err != nil {
+	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 4; r++ {

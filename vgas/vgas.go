@@ -283,10 +283,6 @@ func MigrateStatus(v []byte) int64 { return runtime.MigrateStatus(v) }
 // DefaultModel returns the calibrated fabric cost model.
 func DefaultModel() Model { return netsim.DefaultModel() }
 
-// DefaultPolicy returns the paper's NIC policy: in-network forwarding
-// with pushed table updates.
-func DefaultPolicy() Policy { return netsim.DefaultPolicy() }
-
 // Reduction combiners over little-endian int64 records.
 var (
 	SumI64 = lco.SumI64

@@ -66,8 +66,8 @@ func TestFacadeDefaults(t *testing.T) {
 	if vgas.DefaultModel().Latency == 0 {
 		t.Fatal("model default empty")
 	}
-	if !vgas.DefaultPolicy().ForwardInNetwork {
-		t.Fatal("policy default wrong")
+	if p := (vgas.Policy{}); p.NackToHost || p.NoPushUpdates || p.HopCap() != 16 {
+		t.Fatal("zero policy is not the paper's design")
 	}
 	if vgas.PGAS.String() != "pgas" || vgas.AGASNM.String() != "agas-nm" {
 		t.Fatal("mode constants miswired")
