@@ -13,6 +13,8 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // VTime is simulated time in nanoseconds since the start of the run.
@@ -45,13 +47,11 @@ func (t VTime) Micros() float64 { return float64(t) / float64(Microsecond) }
 // timers, driver and barrier tasks, tests) or a typed message step parked
 // in the owning engine's slab (see AtRankMsg). tie breaks equal-time
 // events into a strict total order; the rank names the locality whose
-// state the work touches (-1 for driver/barrier work), which the sharded
-// engine uses to route the event to the right shard heap and to stamp
-// events the work schedules in turn. This is the record the heap sifts,
-// so it stays at 32 bytes and four fields (rank and slab handle share
+// state the work touches (-1 for driver/barrier work): the sharded engine
+// routes on it and stamps the events the work schedules in turn. The
+// record stays at 32 bytes and four fields (rank and slab handle share
 // who): the compiler keeps structs of up to four fields in registers
-// through push and pop and copies larger ones through memory — a fifth
-// field cost the closure lane 11 → 31 ns per event.
+// through push and pop — a fifth cost the closure lane 11 → 31 ns per event.
 type event struct {
 	at  VTime
 	tie uint64
@@ -82,7 +82,7 @@ type step struct {
 }
 
 // evLess orders events by (at, tie); tie is unique, so the order is a
-// strict total order and pop sequence is independent of heap shape.
+// strict total order and pop sequence is independent of queue shape.
 func evLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -90,77 +90,228 @@ func evLess(a, b event) bool {
 	return a.tie < b.tie
 }
 
-// minQueueCap is the floor below which eventQueue never shrinks its
-// backing array: bursts smaller than this are steady-state noise, not
-// worth a reallocation to reclaim.
-const minQueueCap = 64
+// evHeap is a binary min-heap of the events of one instant, which tie
+// alone orders; an index-typed slice, so no interface boxing per push.
+type evHeap []event
 
-// eventQueue is an index-typed 4-ary min-heap over a flat event slice.
-// Compared to container/heap it pays no interface-boxing allocation per
-// push and half the tree height per sift; popped slots are zeroed and
-// reused in place on the next push, so the backing array doubles as the
-// event free-list and a steady-state engine allocates nothing per event
-// beyond the scheduled closure itself (and nothing at all on the typed
-// message lane).
-type eventQueue []event
-
-func (q *eventQueue) push(ev event) {
+func (q *evHeap) push(ev event) {
 	h := append(*q, ev)
 	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !evLess(ev, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	for ; i > 0 && ev.tie < h[(i-1)/2].tie; i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
 	}
 	h[i] = ev
 	*q = h
 }
 
-func (q *eventQueue) pop() event {
+func (q *evHeap) pop() event {
 	h := *q
-	root := h[0]
-	n := len(h) - 1
+	root, n := h[0], len(h)-1
 	last := h[n]
-	h[n] = event{} // release the closure: the slot becomes free-list space
-	h = h[:n]
-	if cap(h) > minQueueCap && n < cap(h)/4 {
-		// A drained burst would otherwise pin its high-water backing array
-		// (and its zeroed closure slots) forever. Halving keeps headroom
-		// for the next burst while bounding the waste at 4× live size.
-		s := make(eventQueue, n, cap(h)/2)
-		copy(s, h)
-		h = s
-	}
-	*q = h
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if evLess(h[j], h[m]) {
-					m = j
-				}
-			}
-			if !evLess(h[m], last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].tie < h[c].tie {
+			c++
 		}
-		h[i] = last
+		if last.tie < h[c].tie {
+			break
+		}
+		h[i], i = h[c], c
 	}
+	h[i] = last
+	h[n].fn = nil // release the closure
+	*q = h[:n]
 	return root
+}
+
+// slot is one slab entry of an eventQueue: a pending event and the link
+// that chains it into its bucket's list or, once popped, the free list
+// (index 0 ends a list; slot 0 is never used).
+type slot struct {
+	ev   event
+	next int32
+}
+
+// minQueueCap is the storage, in event slots, below which eventQueue
+// never gives any back: bursts smaller than this are steady-state noise,
+// not worth a reallocation to reclaim.
+const minQueueCap = 256
+
+// eventQueue is a monotone radix queue (DESIGN.md §9). The engine never
+// schedules before the time it last popped, so an event only needs
+// ordering against the others once the clock reaches its neighbourhood.
+// Events of the current instant (at == last) sit in front, ordered by
+// tie. Every later event waits, unordered, in a slab slot chained into
+// bucket k = bits.Len64(at ^ last): k-1 is the highest bit where its time
+// departs from last. When front runs dry, pop takes the lowest non-empty
+// bucket (it holds the earliest events), moves last to that bucket's
+// least time and relinks its events: each now agrees with last on bit
+// k-1 too, so it lands in a strictly lower bucket or, at the new instant
+// itself, in front. Push is O(1), pop amortised O(1) with no sift and no
+// copy, and there is no bucket width or horizon to tune: ns hops and ms
+// timers share one structure. Pops ascend in (at, tie) exactly.
+type eventQueue struct {
+	front evHeap
+	slab  []slot // recycled through free, so a steady queue allocates nothing
+	head  [64]int32
+	free  int32
+	mask  uint64 // bit k set ⇔ bucket k non-empty
+	last  VTime  // the instant front holds; nothing pending is earlier
+	n     int    // pending events, front included
+	// binv[k] is the complement of the least time in bucket k — what
+	// settling it sets last to, and what lets peekAt answer without a scan
+	// — kept as a maximum so that zero means empty and link needs no branch.
+	binv [64]uint64
+}
+
+func (q *eventQueue) push(ev event) {
+	if ev.at < q.last {
+		// At/atRank refuse t < now and now ≥ last: only a bug gets here.
+		panic(fmt.Sprintf("netsim: event at %v pushed behind the queue's clock %v", ev.at, q.last))
+	}
+	q.n++
+	k := bits.Len64(uint64(ev.at^q.last)) & 63
+	if k == 0 {
+		q.front.push(ev)
+		return
+	}
+	i := q.free
+	if i != 0 {
+		q.free = q.slab[i].next
+		q.slab[i].ev = ev
+	} else {
+		if len(q.slab) == 0 {
+			q.slab = append(q.slab, slot{})
+		}
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, slot{ev: ev})
+	}
+	q.link(i, k, ev.at)
+}
+
+// link chains slab slot i, holding an event at time at, into bucket k.
+func (q *eventQueue) link(i int32, k int, at VTime) {
+	q.binv[k] = max(q.binv[k], ^uint64(at))
+	q.slab[i].next = q.head[k]
+	q.head[k] = i
+	q.mask |= 1 << k
+}
+
+// unlink empties bucket k and returns the head of its list.
+func (q *eventQueue) unlink(k int) int32 {
+	i := q.head[k]
+	q.head[k], q.binv[k] = 0, 0
+	q.mask &^= 1 << k
+	return i
+}
+
+// take empties slab slot i onto the free list and returns its event.
+func (q *eventQueue) take(i int32) event {
+	ev := q.slab[i].ev
+	q.slab[i].ev.fn = nil // release the closure
+	q.slab[i].next = q.free
+	q.free = i
+	return ev
+}
+
+// never is the time of the next event of an empty queue.
+const never VTime = math.MaxInt64
+
+// peekAt returns the time of the event pop would return, without moving
+// last: a shard that has drained its window peeks an event beyond the
+// window's end, and the merge barrier may then push earlier cross-shard
+// events.
+func (q *eventQueue) peekAt() VTime {
+	switch {
+	case len(q.front) > 0:
+		return q.last
+	case q.mask == 0:
+		return never
+	}
+	return VTime(^q.binv[bits.TrailingZeros64(q.mask)&63])
+}
+
+// peek returns the event pop would return, at the cost of a scan of the
+// lowest bucket; like peekAt it leaves the queue as it is. q.n > 0.
+func (q *eventQueue) peek() event {
+	if len(q.front) > 0 {
+		return q.front[0]
+	}
+	m := q.head[bits.TrailingZeros64(q.mask)&63]
+	for i := q.slab[m].next; i != 0; i = q.slab[i].next {
+		if evLess(q.slab[i].ev, q.slab[m].ev) {
+			m = i
+		}
+	}
+	return q.slab[m].ev
+}
+
+// pop removes and returns the least event in (at, tie) order. q.n > 0.
+func (q *eventQueue) pop() event {
+	q.n--
+	if len(q.front) == 0 {
+		if i := q.settle(); i != 0 {
+			return q.take(i)
+		}
+	}
+	return q.front.pop()
+}
+
+// settle advances last to the earliest pending time and relinks the
+// lowest bucket against it; bucket 0 collects the new instant's events
+// for the length of the call. One such event is the common case and the
+// answer itself: settle returns its slot and front is never touched (the
+// other shallow-queue fast path). Several go to front and settle
+// returns 0.
+func (q *eventQueue) settle() int32 {
+	if c := cap(q.slab) + cap(q.front); c >= minQueueCap && q.n < c/8 {
+		q.shrink(c / 4)
+	}
+	k := bits.TrailingZeros64(q.mask) & 63
+	last := VTime(^q.binv[k])
+	q.last = last
+	i := q.unlink(k)
+	if q.slab[i].next == 0 {
+		return i
+	}
+	for i != 0 {
+		nx, at := q.slab[i].next, q.slab[i].ev.at
+		q.link(i, bits.Len64(uint64(at^last))&63, at)
+		i = nx
+	}
+	if i = q.unlink(0); q.slab[i].next == 0 {
+		return i
+	}
+	for i != 0 {
+		nx := q.slab[i].next
+		q.front.push(q.take(i))
+		i = nx
+	}
+	return 0
+}
+
+// shrink moves the queue into a slab of c slots and drops front's array,
+// giving back what a drained burst left behind. Retention is a property
+// of the whole queue (slab plus front: at most 8× the live size, above
+// the floor) judged while front is empty, because a front heap that
+// shrank on its own drain would reallocate at every large instant.
+func (q *eventQueue) shrink(c int) {
+	old := *q
+	*q = eventQueue{last: old.last, slab: make([]slot, 1, c)}
+	old.each(q.push)
+	q.n = old.n // pop has already counted the event it is settling for
+}
+
+// each calls fn for every pending event, in no particular order.
+func (q *eventQueue) each(fn func(event)) {
+	for _, ev := range q.front {
+		fn(ev)
+	}
+	for m := q.mask; m != 0; m &= m - 1 {
+		for i := q.head[bits.TrailingZeros64(m)&63]; i != 0; i = q.slab[i].next {
+			fn(q.slab[i].ev)
+		}
+	}
 }
 
 // Engine is a discrete-event simulator. In the classic (default)
@@ -235,7 +386,7 @@ func (e *Engine) Pending() int {
 	if e.par != nil && e.shard < 0 {
 		return e.par.pendingAll()
 	}
-	return len(e.q)
+	return e.q.n
 }
 
 // PendingByRank counts scheduled-but-unexecuted events attributed to
@@ -251,14 +402,7 @@ func (e *Engine) PendingByRank(counts []int) {
 		e.par.pendingByRank(counts)
 		return
 	}
-	countEvents(e.q, counts)
-}
-
-// countEvents attributes a batch of events to their ranks.
-func countEvents(evs []event, counts []int) {
-	for i := range evs {
-		countRank(evs[i].rank(), counts)
-	}
+	e.q.each(func(ev event) { countRank(ev.rank(), counts) })
 }
 
 func countRank(rank int32, counts []int) {
@@ -287,7 +431,7 @@ func (e *Engine) At(t VTime, fn func()) {
 		e.par.barrierPush(e, t, fn)
 		return
 	}
-	e.q.push(event{at: t, tie: e.par.nextTie(e), who: evWho(e.curRank, 0), fn: fn})
+	e.push(t, e.par.nextTie(e), e.curRank, fn, step{})
 }
 
 // After schedules fn to run d after the current simulated time.
@@ -379,15 +523,10 @@ func (e *Engine) AtBarrier(fn func()) {
 	e.par.atBarrier(e, fn)
 }
 
-// Step executes the next event, returning false when the queue is empty.
-// On a sharded driver façade it advances one whole window instead.
-func (e *Engine) Step() bool {
-	if e.par != nil && e.shard < 0 {
-		return e.par.advance()
-	}
-	if len(e.q) == 0 {
-		return false
-	}
+// fire pops e's next event and runs it; the caller resets curRank when
+// its drain ends. Every drain loop shares this body and hoists its own
+// par/shard/emptiness tests out of it.
+func (e *Engine) fire() {
 	ev := e.q.pop()
 	e.now = ev.at
 	e.curRank = ev.rank()
@@ -397,6 +536,18 @@ func (e *Engine) Step() bool {
 	} else {
 		ev.fn()
 	}
+}
+
+// Step executes the next event, returning false when the queue is empty.
+// On a sharded driver façade it advances one whole window instead.
+func (e *Engine) Step() bool {
+	if e.par != nil && e.shard < 0 {
+		return e.par.advance()
+	}
+	if e.q.n == 0 {
+		return false
+	}
+	e.fire()
 	e.curRank = -1
 	return true
 }
@@ -407,8 +558,10 @@ func (e *Engine) Run() {
 		e.par.run()
 		return
 	}
-	for e.Step() {
+	for e.q.n > 0 {
+		e.fire()
 	}
+	e.curRank = -1
 }
 
 // RunUntil executes events until done reports true or the queue drains.
@@ -417,20 +570,7 @@ func (e *Engine) Run() {
 // it is evaluated at merge barriers (the only points where the
 // predicate's view of the world is well-defined), so completion is
 // quantized to the lookahead window.
-func (e *Engine) RunUntil(done func() bool) bool {
-	if e.par != nil && e.shard < 0 {
-		return e.par.runUntil(done)
-	}
-	if done() {
-		return true
-	}
-	for e.Step() {
-		if done() {
-			return true
-		}
-	}
-	return done()
-}
+func (e *Engine) RunUntil(done func() bool) bool { return e.RunUntilStride(done, 1) }
 
 // RunUntilStride is RunUntil checking done only every stride events, for
 // hot drain loops where a closure call per event is measurable (large
@@ -441,22 +581,17 @@ func (e *Engine) RunUntilStride(done func() bool, stride int) bool {
 	if e.par != nil && e.shard < 0 {
 		return e.par.runUntil(done)
 	}
-	if stride < 1 {
-		stride = 1
-	}
-	if done() {
-		return true
-	}
-	for {
-		for i := 0; i < stride; i++ {
-			if !e.Step() {
-				return done()
-			}
+	stride = max(stride, 1)
+	for !done() {
+		for i := 0; i < stride && e.q.n > 0; i++ {
+			e.fire()
 		}
-		if done() {
-			return true
+		e.curRank = -1
+		if e.q.n == 0 {
+			return done()
 		}
 	}
+	return true
 }
 
 // RunFor executes events with timestamps up to and including deadline.
@@ -466,10 +601,9 @@ func (e *Engine) RunFor(d VTime) {
 		e.par.runFor(deadline)
 		return
 	}
-	for len(e.q) > 0 && e.q[0].at <= deadline {
-		e.Step()
+	for e.q.n > 0 && e.q.peekAt() <= deadline {
+		e.fire()
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.curRank = -1
+	e.now = max(e.now, deadline)
 }

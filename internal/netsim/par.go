@@ -71,7 +71,6 @@ type ParEngine struct {
 	workers  []*parWorker
 	launched []int
 	once     sync.Once
-	closed   bool
 }
 
 // staged is a cross-shard event waiting in an inbox for the barrier.
@@ -125,14 +124,8 @@ func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
 	return p.driver
 }
 
-// Driver returns the driver façade.
-func (p *ParEngine) Driver() *Engine { return p.driver }
-
 // Shards returns the shard count.
 func (p *ParEngine) Shards() int { return p.nshards }
-
-// Lookahead returns the conservative window size.
-func (p *ParEngine) Lookahead() VTime { return p.lookahead }
 
 // SetSerial switches window execution to the merged sequential drain
 // (see the serial field). Call it before the first Run/Step; it exists
@@ -140,9 +133,6 @@ func (p *ParEngine) Lookahead() VTime { return p.lookahead }
 // shard partition cannot make race-free — determinism is preserved (the
 // serial order is exactly the shards=1 order), parallel speedup is not.
 func (p *ParEngine) SetSerial(on bool) { p.serial = on }
-
-// Serial reports whether windows run in merged sequential order.
-func (p *ParEngine) Serial() bool { return p.serial }
 
 // shardOf maps a rank to its contiguous shard.
 func (p *ParEngine) shardOf(rank int) int {
@@ -176,18 +166,11 @@ func (p *ParEngine) barrierPush(e *Engine, t VTime, fn func()) {
 // atBarrier defers fn to the next barrier from engine e's context.
 func (p *ParEngine) atBarrier(e *Engine, fn func()) {
 	if !p.running || e.shard < 0 {
-		p.barrierPush(e, maxVTime(e.now, p.driver.now), fn)
+		p.barrierPush(e, max(e.now, p.driver.now), fn)
 		return
 	}
 	ev := event{at: e.now, tie: p.nextTie(e), who: evWho(-1, 0), fn: fn}
 	p.taskStage[e.shard] = append(p.taskStage[e.shard], ev)
-}
-
-func maxVTime(a, b VTime) VTime {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // atRank schedules fn (or typed step s) at (rank, t) from engine e's
@@ -204,16 +187,9 @@ func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func(), s step) {
 		tq.push(t, tie, int32(rank), fn, s)
 		return
 	}
-	if int32(rank) == e.curRank {
-		// Self-scheduling stays inside the current window legally.
-		if t < e.now {
-			panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
-		}
-		e.push(t, tie, int32(rank), fn, s)
-		return
-	}
-	if p.serial {
-		// Merged sequential drain: one goroutine owns every heap, and the
+	if int32(rank) == e.curRank || p.serial {
+		// Self-scheduling stays inside the current window legally. Under the
+		// merged sequential drain one goroutine owns every queue, and the
 		// global (at, tie) pop order makes any push at t ≥ the scheduling
 		// event's time causally safe, window boundary or not.
 		if t < e.now {
@@ -262,20 +238,14 @@ func (p *ParEngine) mergeStaged() {
 	}
 }
 
-// minEventTime returns the earliest pending shard event time.
-func (p *ParEngine) minEventTime() (VTime, bool) {
-	var m VTime
-	ok := false
+// minEventTime returns the earliest pending shard event time (never when
+// every shard is empty).
+func (p *ParEngine) minEventTime() VTime {
+	m := never
 	for _, s := range p.shards {
-		if len(s.q) == 0 {
-			continue
-		}
-		if !ok || s.q[0].at < m {
-			m = s.q[0].at
-			ok = true
-		}
+		m = min(m, s.q.peekAt())
 	}
-	return m, ok
+	return m
 }
 
 // advance runs barrier tasks due before the next event horizon, then
@@ -284,38 +254,28 @@ func (p *ParEngine) minEventTime() (VTime, bool) {
 func (p *ParEngine) advance() bool {
 	p.mergeStaged()
 	for {
-		em, haveEv := p.minEventTime()
-		haveTask := len(p.driver.q) > 0
-		if !haveEv && !haveTask {
+		em, task := p.minEventTime(), p.driver.q.peekAt()
+		if em == never && task == never {
 			return false
 		}
-		if haveTask && (!haveEv || p.driver.q[0].at <= em) {
+		if task <= em {
 			ev := p.driver.q.pop()
-			p.driver.now = maxVTime(p.driver.now, ev.at)
-			p.driver.curRank = -1
+			p.driver.now = max(p.driver.now, ev.at)
 			p.driver.processed++
 			ev.fn()
 			p.mergeStaged()
 			continue
 		}
-		// No barrier work due at or before the horizon: open a window.
-		we := em + p.lookahead
-		if haveTask && p.driver.q[0].at < we {
-			// Never straddle a pending barrier task: it must observe all
-			// events before its time and none after.
-			we = p.driver.q[0].at
-		}
+		// No barrier work due at or before the horizon: open a window, but
+		// never straddle a pending barrier task: it must observe all events
+		// before its time and none after.
+		we := min(em+p.lookahead, task)
 		p.runWindow(we)
 		p.mergeStaged()
 		for _, s := range p.shards {
-			if s.now < we {
-				s.now = we
-			}
-			s.curRank = -1
+			s.now = max(s.now, we)
 		}
-		if p.driver.now < we {
-			p.driver.now = we
-		}
+		p.driver.now = max(p.driver.now, we)
 		return true
 	}
 }
@@ -324,41 +284,32 @@ func (p *ParEngine) advance() bool {
 // more than one shard has work.
 func (p *ParEngine) runWindow(we VTime) {
 	p.windowEnd = we
-	active := 0
-	last := -1
-	for s, e := range p.shards {
-		if len(e.q) > 0 && e.q[0].at < we {
-			active++
-			last = s
-		}
-	}
-	if active == 0 {
-		return
-	}
-	p.running = true
-	if p.serial && p.nshards > 1 {
-		// Always the merged drain, even with one active shard: a serial
-		// window may legally push cross-shard events below we, which only
-		// the all-heaps rescan picks up.
-		p.drainMerged(we)
-		p.running = false
-		return
-	}
-	if active == 1 || p.nshards == 1 {
-		drainShard(p.shards[last], we)
-		p.running = false
-		return
-	}
-	p.startWorkers()
 	p.launched = p.launched[:0]
 	for s, e := range p.shards {
-		if len(e.q) > 0 && e.q[0].at < we {
-			p.workers[s].start <- we
+		if e.due(we) {
 			p.launched = append(p.launched, s)
 		}
 	}
-	for _, s := range p.launched {
-		<-p.workers[s].done
+	if len(p.launched) == 0 {
+		return
+	}
+	p.running = true
+	switch {
+	case p.serial && p.nshards > 1:
+		// Always the merged drain, even with one active shard: a serial
+		// window may legally push cross-shard events below we, which only
+		// the all-queues rescan picks up.
+		p.drainMerged(we)
+	case len(p.launched) == 1:
+		drainShard(p.shards[p.launched[0]], we)
+	default:
+		p.startWorkers()
+		for _, s := range p.launched {
+			p.workers[s].start <- we
+		}
+		for _, s := range p.launched {
+			<-p.workers[s].done
+		}
 	}
 	p.running = false
 }
@@ -393,42 +344,28 @@ func (w *parWorker) loop() {
 func (p *ParEngine) drainMerged(we VTime) {
 	for {
 		var best *Engine
+		bestAt := we
 		for _, s := range p.shards {
-			if len(s.q) == 0 || s.q[0].at >= we {
-				continue
-			}
-			if best == nil || evLess(s.q[0], best.q[0]) {
-				best = s
+			// Only an equal-time pair across shards pays peek's scan for ties.
+			if at := s.q.peekAt(); at < bestAt || best != nil && at == bestAt && s.q.peek().tie < best.q.peek().tie {
+				best, bestAt = s, at
 			}
 		}
 		if best == nil {
 			return
 		}
-		ev := best.q.pop()
-		best.now = ev.at
-		best.curRank = ev.rank()
-		best.processed++
-		if h := ev.handle(); h != 0 {
-			best.fireMsg(h)
-		} else {
-			ev.fn()
-		}
+		best.fire()
 		best.curRank = -1
 	}
 }
 
+// due reports whether e holds an event with a timestamp strictly below we.
+func (e *Engine) due(we VTime) bool { return e.q.peekAt() < we }
+
 // drainShard executes e's events with timestamps strictly below we.
 func drainShard(e *Engine, we VTime) {
-	for len(e.q) > 0 && e.q[0].at < we {
-		ev := e.q.pop()
-		e.now = ev.at
-		e.curRank = ev.rank()
-		e.processed++
-		if h := ev.handle(); h != 0 {
-			e.fireMsg(h)
-		} else {
-			ev.fn()
-		}
+	for e.due(we) {
+		e.fire()
 	}
 	e.curRank = -1
 }
@@ -461,41 +398,14 @@ func (p *ParEngine) runUntil(done func() bool) bool {
 func (p *ParEngine) runFor(deadline VTime) {
 	for {
 		p.mergeStaged()
-		em, haveEv := p.minEventTime()
-		haveTask := len(p.driver.q) > 0
-		next := VTime(0)
-		switch {
-		case haveEv && haveTask:
-			next = minVTime(em, p.driver.q[0].at)
-		case haveEv:
-			next = em
-		case haveTask:
-			next = p.driver.q[0].at
-		default:
-			break
-		}
-		if (!haveEv && !haveTask) || next > deadline {
-			break
-		}
-		if !p.advance() {
+		if min(p.minEventTime(), p.driver.q.peekAt()) > deadline || !p.advance() {
 			break
 		}
 	}
-	if p.driver.now < deadline {
-		p.driver.now = deadline
-	}
+	p.driver.now = max(p.driver.now, deadline)
 	for _, s := range p.shards {
-		if s.now < deadline {
-			s.now = deadline
-		}
+		s.now = max(s.now, deadline)
 	}
-}
-
-func minVTime(a, b VTime) VTime {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // processedAll sums executed events across the driver and every shard.
@@ -509,9 +419,9 @@ func (p *ParEngine) processedAll() uint64 {
 
 // pendingAll sums scheduled-but-unexecuted events everywhere.
 func (p *ParEngine) pendingAll() int {
-	n := len(p.driver.q)
+	n := p.driver.q.n
 	for _, s := range p.shards {
-		n += len(s.q)
+		n += s.q.n
 	}
 	for i := range p.inbox {
 		n += len(p.inbox[i])
@@ -525,32 +435,23 @@ func (p *ParEngine) pendingAll() int {
 // Shutdown stops the worker goroutines. The engine must be quiescent
 // (no window in flight); further parallel windows after Shutdown panic.
 func (p *ParEngine) Shutdown() {
-	if p.closed || p.workers == nil {
-		p.closed = true
-		return
-	}
-	p.closed = true
 	for _, w := range p.workers {
 		close(w.start)
 	}
 	p.workers = nil
 }
 
-// pendingByRank attributes scheduled-but-unexecuted events across the
-// driver heap, shard heaps, inboxes, and staged barrier tasks to their
-// ranks (see Engine.PendingByRank). Only legal between windows (driver
-// phase), where the workers are parked and every queue is stable.
+// pendingByRank attributes scheduled-but-unexecuted events in the shard
+// queues and inboxes to their ranks (see Engine.PendingByRank; barrier
+// tasks, queued or staged, belong to no rank). Only legal between windows
+// (driver phase), where the workers are parked and every queue is stable.
 func (p *ParEngine) pendingByRank(counts []int) {
-	countEvents(p.driver.q, counts)
 	for _, s := range p.shards {
-		countEvents(s.q, counts)
+		s.q.each(func(ev event) { countRank(ev.rank(), counts) })
 	}
 	for i := range p.inbox {
 		for j := range p.inbox[i] {
 			countRank(p.inbox[i][j].rank, counts)
 		}
-	}
-	for s := range p.taskStage {
-		countEvents(p.taskStage[s], counts)
 	}
 }

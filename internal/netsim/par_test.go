@@ -5,51 +5,6 @@ import (
 	"testing"
 )
 
-// TestEventQueueShrinksOnDrain pins the pop-side shrink: a drained burst
-// must not pin its high-water backing array. Push well past minQueueCap,
-// drain below a quarter of capacity, and assert the backing array was
-// reallocated smaller.
-func TestEventQueueShrinksOnDrain(t *testing.T) {
-	var q eventQueue
-	const burst = 1024
-	for i := 0; i < burst; i++ {
-		q.push(event{at: VTime(i), tie: uint64(i)})
-	}
-	peak := cap(q)
-	if peak < burst {
-		t.Fatalf("cap %d after %d pushes", peak, burst)
-	}
-	// Drain until live size is far below the peak. The shrink halves
-	// capacity each time len falls under cap/4, so after the drain the
-	// capacity must be strictly below the high-water mark.
-	for len(q) > burst/16 {
-		q.pop()
-	}
-	if cap(q) >= peak {
-		t.Fatalf("queue did not shrink: cap %d (peak %d, len %d)", cap(q), peak, len(q))
-	}
-	// The floor holds: draining to empty never reallocates below
-	// minQueueCap.
-	for len(q) > 0 {
-		q.pop()
-	}
-	if cap(q) > 0 && cap(q) < minQueueCap/2 {
-		t.Fatalf("shrank below floor: cap %d", cap(q))
-	}
-	// Heap order survived the reallocations: refill and pop in order.
-	for i := burst; i > 0; i-- {
-		q.push(event{at: VTime(i), tie: uint64(i)})
-	}
-	prev := VTime(-1)
-	for len(q) > 0 {
-		ev := q.pop()
-		if ev.at < prev {
-			t.Fatalf("heap order broken after shrink: %d after %d", ev.at, prev)
-		}
-		prev = ev.at
-	}
-}
-
 // TestRunUntilStride checks the stride-checked drain: the predicate is
 // consulted only every stride events, so the engine may overshoot by at
 // most stride-1 events, and never stalls short of the goal.

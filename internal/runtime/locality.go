@@ -98,6 +98,9 @@ type LocStats struct {
 type moveState struct {
 	dst    int
 	queued []*netsim.Message
+	// install is the block coming back: a migrate.data that reached this
+	// rank while it was still the pinned old owner (see migrateData).
+	install *parcel.Parcel
 }
 
 // opState is stored by value in the ops map: a put's completion is the

@@ -239,6 +239,22 @@ func migrateData(c *Ctx) {
 	mp := decodeMig(c.P.Payload)
 	b := mp.g.Block()
 
+	// The block may be coming back before it has left: a migrate.req reached
+	// the new owner (through a stale NIC entry, or issued there) between its
+	// install and this rank's migrate.done, which travels two hops via home
+	// against this parcel's one. The old copy is then still pinned here, and
+	// migrateDone installs the new one once it has dropped it.
+	l.mu.Lock()
+	st := l.moving[b]
+	if st != nil {
+		retry := *c.P
+		st.install = &retry
+	}
+	l.mu.Unlock()
+	if st != nil {
+		return
+	}
+
 	if mp.replicated {
 		// This destination may itself hold a replica; it is becoming the
 		// master, so its copy leaves the holder set before the
@@ -330,5 +346,8 @@ func migrateDone(c *Ctx) {
 			Target:  mp.cTarget,
 			Payload: parcel.PutI64(nil, MigrateOK),
 		})
+	}
+	if st.install != nil {
+		migrateData(&Ctx{l: l, P: st.install})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nmvgas/internal/gas"
+	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
 )
 
@@ -319,4 +320,63 @@ func TestSerializedMigrationsOfSameBlock(t *testing.T) {
 			t.Fatal("data lost across racing migrations")
 		}
 	})
+}
+
+// TestMigrateBackBeforeDone sweeps a move-back request across the window
+// in which the new owner has installed the block but the old owner has
+// not yet seen migrate.done (it travels two hops via the home, the
+// returning migrate.data only one): the old owner must park the install
+// behind its own pin instead of failing on a block that is still resident.
+func TestMigrateBackBeforeDone(t *testing.T) {
+	for _, mode := range agasModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			hits := 0
+			for off := netsim.VTime(0); off <= 6*netsim.Microsecond; off += 50 * netsim.Nanosecond {
+				w := testWorld(t, Config{Ranks: 3, Mode: mode, Engine: EngineDES})
+				w.Start()
+				lay, err := w.AllocCyclic(0, 256, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := lay.BlockAt(2) // homed on rank 2, a third party to both moves
+				b := g.Block()
+				payload := bytes.Repeat([]byte{0xA5}, 64)
+				w.MustWait(w.Proc(2).Put(g.WithOffset(16), payload))
+				if st := w.MustWait(w.Proc(2).Migrate(g, 0)); MigrateStatus(st) != MigrateOK {
+					t.Fatalf("set-up migrate status %d", MigrateStatus(st))
+				}
+
+				out := w.Proc(0).Migrate(g, 1)
+				back := w.NewFuture(1)
+				w.eng.AtRank(1, w.eng.Now()+off, func() {
+					if _, here := w.Locality(1).Store().Get(b); here && w.Locality(0).Moving(b) {
+						hits++
+					}
+					w.Proc(1).Run(func() { w.Locality(1).MigrateAsync(g, 0, ALCOSet, back.G) })
+				})
+				for _, fut := range []*LCORef{out, back} {
+					if st := w.MustWait(fut); MigrateStatus(st) != MigrateOK {
+						t.Fatalf("offset %v: migrate status %d", off, MigrateStatus(st))
+					}
+				}
+				w.eng.Run()
+				for r := 0; r < 3; r++ {
+					if _, here := w.Locality(r).Store().Get(b); here != (r == 0) {
+						t.Fatalf("offset %v: block resident at rank %d: %v", off, r, here)
+					}
+				}
+				if owner := w.Locality(2).Directory().Resolve(b, 2); owner != 0 {
+					t.Fatalf("offset %v: home directory says owner %d", off, owner)
+				}
+				if got := w.MustWait(w.Proc(2).Get(g.WithOffset(16), 64)); !bytes.Equal(got, payload) {
+					t.Fatalf("offset %v: block bytes changed", off)
+				}
+				w.Stop()
+			}
+			if hits == 0 {
+				t.Fatal("no offset issued the move-back inside the install-to-done window")
+			}
+			t.Logf("%d offsets fell inside the window", hits)
+		})
+	}
 }
