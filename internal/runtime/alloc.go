@@ -58,7 +58,6 @@ func (w *World) alloc(origin int, bsize, nblocks uint32, dist gas.Dist) (gas.Lay
 			return gas.Layout{}, err
 		}
 		blk.Home = home
-		w.locs[home].space.InstallInitial(base + gas.BlockID(d))
 	}
 	return l, nil
 }

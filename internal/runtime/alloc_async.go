@@ -33,7 +33,6 @@ func allocBlocks(c *Ctx) {
 			c.l.w.fail("rank %d: alloc: %v", c.l.rank, err)
 		}
 		blk.Home = c.l.rank
-		c.l.space.InstallInitial(id)
 	}
 	c.Continue(nil)
 }

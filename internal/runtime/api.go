@@ -204,8 +204,16 @@ func (p *Proc) PutWait(dst gas.GVA, data []byte) {
 	// issue event copies it into the wire buffer: no defensive copy.
 	var fired bool
 	p.run(func() { p.l.PutAsync(dst, data, func() { fired = true }) })
-	if !w.eng.RunUntil(func() bool { return fired }) {
-		w.fail("PutWait: event queue drained before completion")
+	w.desAwait("PutWait", &fired)
+}
+
+// desAwait is the DES half of every blocking one-sided op: advance the
+// engine until the op's completion sets *fired. Like Wait it is a driver
+// entry point, so it re-arms a parked pulse first (see pulseResume).
+func (w *World) desAwait(op string, fired *bool) {
+	w.pulseResume()
+	if !w.eng.RunUntil(func() bool { return *fired }) {
+		w.fail("%s: event queue drained before completion", op)
 	}
 }
 
@@ -232,9 +240,7 @@ func (p *Proc) GetWaitInto(src gas.GVA, buf []byte) {
 			fired = true
 		})
 	})
-	if !w.eng.RunUntil(func() bool { return fired }) {
-		w.fail("GetWaitInto: event queue drained before completion")
-	}
+	w.desAwait("GetWaitInto", &fired)
 }
 
 // GetWait reads n bytes at src and blocks until the data arrives.
@@ -257,9 +263,7 @@ func (p *Proc) PutVecWait(dst gas.GVA, segs []PutSeg) {
 	}
 	var fired bool
 	p.run(func() { p.l.PutVecAsync(dst, segs, func() { fired = true }) })
-	if !w.eng.RunUntil(func() bool { return fired }) {
-		w.fail("PutVecWait: event queue drained before completion")
-	}
+	w.desAwait("PutVecWait", &fired)
 }
 
 // GetVecWaitInto gathers all segs from the block at src into buf (the
@@ -283,9 +287,7 @@ func (p *Proc) GetVecWaitInto(src gas.GVA, segs []GetSeg, buf []byte) {
 			fired = true
 		})
 	})
-	if !w.eng.RunUntil(func() bool { return fired }) {
-		w.fail("GetVecWaitInto: event queue drained before completion")
-	}
+	w.desAwait("GetVecWaitInto", &fired)
 }
 
 // Migrate moves the block at g to rank to, returning a future that fires

@@ -297,7 +297,7 @@ func (l *Locality) onBatch(m *netsim.Message) {
 		sub.Wire = len(enc)
 		sub.Block = target.Block()
 		sub.OpID = opID
-		if l.resident(sub.Block) {
+		if l.residentForNIC(sub.Block) {
 			l.exec.Charge(l.w.cfg.Model.HandlerDispatch)
 			l.execParcel(sub)
 			continue

@@ -92,8 +92,10 @@ func (s *latencyState) shard(id uint64) *latShard {
 	return &s.shards[(id^id>>48)%latShardCount]
 }
 
-// latNow returns the latency clock: simulated time under EngineDES, wall
-// nanoseconds since World creation under EngineGo.
+// latNow returns the runtime's one clock — latency samples, leases, trace
+// timestamps and pulse ticks all read it: simulated time under EngineDES,
+// monotonic wall nanoseconds since World creation under EngineGo (where
+// Now() is always 0).
 func (w *World) latNow() int64 {
 	if w.eng != nil {
 		return int64(w.eng.Now())

@@ -29,7 +29,7 @@ const (
 	// kRelAck is a reliable-delivery acknowledgement (see reliable.go).
 	kRelAck
 	// kPutVec / kGetVec are vectored one-sided ops: one request carries
-	// many fragments of one block (see vec.go) and costs one ack/reply.
+	// many fragments of one block (see rma.go) and costs one ack/reply.
 	kPutVec
 	kGetVec
 	// kPutAckVec acknowledges many puts at once: its payload is a list of
@@ -249,19 +249,25 @@ func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st, ok := l.moving[b]
-	if !ok {
-		return false
+	if ok {
+		l.park(st, b, m)
 	}
+	return ok
+}
+
+// park is the one park step: m waits in st, the in-flight migration of
+// b, until the flush re-routes it to the new owner. Callers hold l.mu.
+func (l *Locality) park(st *moveState, b gas.BlockID, m *netsim.Message) {
 	st.queued = append(st.queued, m)
 	l.Stats.Queued.Inc()
 	l.traceOp(TraceQueued, b, uint64(m.Kind), m.OpID)
-	return true
 }
 
-// residentForNIC is the NIC's residency oracle: a block is "resident" for
-// routing purposes only when present as the *master* copy and not
-// mid-migration — migrating blocks drain through the host's queueing
-// path, and read-only replicas are invisible to ownership routing.
+// residentForNIC is the residency oracle of the NIC and of the host's
+// fast paths: a block is "resident" for routing purposes only when
+// present as the *master* copy and not mid-migration — migrating blocks
+// drain through the host's queueing path, and read-only replicas are
+// invisible to ownership routing.
 func (l *Locality) residentForNIC(b gas.BlockID) bool {
 	if l.isMoving(b) {
 		return false
@@ -269,9 +275,6 @@ func (l *Locality) residentForNIC(b gas.BlockID) bool {
 	blk, ok := l.store.Get(b)
 	return ok && !blk.Replica
 }
-
-// resident reports master presence-and-not-moving (host-side fast paths).
-func (l *Locality) resident(b gas.BlockID) bool { return l.residentForNIC(b) }
 
 // ---------------------------------------------------------------------
 // Send side
@@ -312,7 +315,7 @@ func (l *Locality) routeMsg(m *netsim.Message) {
 	}
 
 	// Local fast path: the data is here and stable.
-	if l.resident(b) {
+	if l.residentForNIC(b) {
 		l.deliverLocal(m)
 		return
 	}
@@ -413,14 +416,8 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 	switch m.Kind {
 	case kParcel:
 		l.execParcel(m)
-	case kPutReq:
-		l.hostPut(m)
-	case kGetReq:
-		l.hostGet(m)
-	case kPutVec:
-		l.hostPutVec(m)
-	case kGetVec:
-		l.hostGetVec(m)
+	case kPutReq, kGetReq, kPutVec, kGetVec:
+		l.hostRMA(m)
 	case kPutAck:
 		if l.relAccept(m) {
 			l.completeOp(m.OpID, nil)
@@ -548,8 +545,7 @@ func (l *Locality) runUserParcel(m *netsim.Message) {
 	}
 	l.mu.Lock()
 	if st, moving := l.moving[b]; moving {
-		st.queued = append(st.queued, m)
-		l.Stats.Queued.Inc()
+		l.park(st, b, m)
 		l.mu.Unlock()
 		return
 	}
@@ -636,294 +632,4 @@ func (l *Locality) onHostNack(m *netsim.Message) {
 		l.space.LearnOwner(m.Block, m.Owner)
 	}
 	l.routeMsg(m.Nacked)
-}
-
-// ---------------------------------------------------------------------
-// One-sided operations
-
-// PutAsync writes data at dst and runs done on this locality when the
-// write is remotely complete. Must be called from this locality's
-// execution context.
-func (l *Locality) PutAsync(dst gas.GVA, data []byte, done func()) {
-	l.Stats.PutOps.Inc()
-	l.Stats.PutBytes.Add(int64(len(data)))
-	id := l.newPutOp(done)
-	m := netsim.NewMessage()
-	if l.payloadPoolable() {
-		buf, pooled := getWireBuf(len(data))
-		m.Payload = append(buf, data...)
-		m.PayloadPooled = pooled
-	} else {
-		m.Payload = append([]byte(nil), data...)
-	}
-	m.Kind = kPutReq
-	m.Src = l.rank
-	m.Target = dst
-	m.DMA = true
-	m.Wire = 32 + len(data)
-	m.OpID = id
-	l.routeMsg(m)
-}
-
-// GetAsync reads n bytes at src and runs done with the data. Must be
-// called from this locality's execution context. done may retain the
-// data.
-func (l *Locality) GetAsync(src gas.GVA, n uint32, done func(data []byte)) {
-	l.getAsync(src, n, false, done)
-}
-
-// getAsync is GetAsync plus the pooled-reply option: with pooledOK the
-// request is marked PayloadPooled, granting the responder permission to
-// answer from a pooled wire buffer — which requires done to copy the
-// data out before returning (the reply handler releases the buffer).
-func (l *Locality) getAsync(src gas.GVA, n uint32, pooledOK bool, done func(data []byte)) {
-	l.Stats.GetOps.Inc()
-	l.Stats.GetBytes.Add(int64(n))
-	id := l.newGetOp(done)
-	m := netsim.NewMessage()
-	m.Kind = kGetReq
-	m.Src = l.rank
-	m.Target = src
-	m.DMA = true
-	m.Wire = 32
-	m.N = n
-	m.OpID = id
-	m.PayloadPooled = pooledOK && l.payloadPoolable()
-	l.routeMsg(m)
-}
-
-func (l *Locality) newPutOp(pdone func()) uint64 {
-	id := l.newOpID()
-	l.w.latStart(id)
-	l.mu.Lock()
-	l.ops[id] = opState{pdone: pdone}
-	l.mu.Unlock()
-	return id
-}
-
-func (l *Locality) newGetOp(done func([]byte)) uint64 {
-	id := l.newOpID()
-	l.w.latStart(id)
-	l.mu.Lock()
-	l.ops[id] = opState{done: done}
-	l.mu.Unlock()
-	return id
-}
-
-func (l *Locality) completeOp(id uint64, data []byte) {
-	l.mu.Lock()
-	st, ok := l.ops[id]
-	delete(l.ops, id)
-	l.mu.Unlock()
-	if !ok {
-		if l.relLateCompletion() {
-			return
-		}
-		l.w.fail("rank %d: completion for unknown op %d", l.rank, id)
-	}
-	l.w.latOpDone(id, st.pdone != nil)
-	if st.done != nil {
-		st.done(data)
-	}
-	if st.pdone != nil {
-		st.pdone()
-	}
-}
-
-// onDMA services one-sided traffic at the NIC: no host executor
-// involvement. Residency was checked by the caller.
-func (l *Locality) onDMA(m *netsim.Message) {
-	b := m.Target.Block()
-	blk, ok := l.store.Get(b)
-	if !ok {
-		l.w.fail("rank %d: DMA against missing block %d", l.rank, b)
-	}
-	if blk.Kind != gas.KindData {
-		l.w.fail("rank %d: DMA against non-data block %d", l.rank, b)
-	}
-	if blk.Replica {
-		// The NIC steered a read here because a replica lives on this
-		// locality. Re-check freshness at transfer time (an invalidation
-		// can land between the routing decision and the DMA): a stale
-		// copy re-forwards the read to the master from NIC context — no
-		// host detour, the re-route stays in the network.
-		switch m.Kind {
-		case kGetReq, kGetVec:
-			if fresh, _ := l.replicaFresh(b); !fresh {
-				l.Stats.ReplicaStaleReads.Inc()
-				m.Hops++
-				m.Dst = l.replicaMaster(b, m.Target.Home())
-				l.w.net.Send(l.rank, m)
-				return
-			}
-			l.Stats.ReplicaReads.Inc()
-		default:
-			l.w.fail("rank %d: DMA write to replica of block %d", l.rank, b)
-		}
-	}
-	l.w.noteAccess(l.rank, m.Src, b, m.Kind == kGetReq || m.Kind == kGetVec)
-	if !l.relAccept(m) {
-		// Duplicate one-sided request: the first copy applied the effect
-		// and its (retransmitted-until-acked) reply completes the op.
-		m.Release()
-		return
-	}
-	switch m.Kind {
-	case kPutReq:
-		if err := l.store.WriteAt(b, m.Target.Offset(), m.Payload); err != nil {
-			l.w.fail("rank %d: %v", l.rank, err)
-		}
-		l.releasePayload(m)
-		l.replFanOut(b, true)
-		l.putAck(m.Src, m.OpID, true)
-	case kPutVec:
-		l.applyPutVec(b, m)
-		l.releasePayload(m)
-		l.replFanOut(b, true)
-		l.putAck(m.Src, m.OpID, true)
-	case kGetReq:
-		var data []byte
-		pooled := false
-		if m.PayloadPooled {
-			buf, p := getWireBuf(int(m.N))
-			data, pooled = buf[:m.N], p
-		} else {
-			data = make([]byte, m.N)
-		}
-		if err := l.store.ReadAt(b, m.Target.Offset(), data); err != nil {
-			l.w.fail("rank %d: %v", l.rank, err)
-		}
-		rep := netsim.NewMessage()
-		rep.Kind = kGetRep
-		rep.Src = l.rank
-		rep.Dst = m.Src
-		rep.Wire = 32 + len(data)
-		rep.Payload = data
-		rep.PayloadPooled = pooled
-		rep.OpID = m.OpID
-		l.nicInject(rep)
-	case kGetVec:
-		data, pooled := l.buildGetVecReply(b, m)
-		rep := netsim.NewMessage()
-		rep.Kind = kGetRep
-		rep.Src = l.rank
-		rep.Dst = m.Src
-		rep.Wire = 32 + len(data)
-		rep.Payload = data
-		rep.PayloadPooled = pooled
-		rep.OpID = m.OpID
-		l.releasePayload(m)
-		l.nicInject(rep)
-	default:
-		l.w.fail("rank %d: DMA with kind %d", l.rank, m.Kind)
-	}
-	m.Release()
-}
-
-// hostPut is the host-side put path: local fast path, migration queueing,
-// and the software-managed fault repair.
-func (l *Locality) hostPut(m *netsim.Message) {
-	b := m.Target.Block()
-	if l.queueIfMoving(b, m) {
-		return
-	}
-	blk, ok := l.store.Get(b)
-	if ok {
-		if blk.Kind != gas.KindData {
-			l.w.fail("rank %d: put to non-data block %d", l.rank, b)
-		}
-		if blk.Replica {
-			// Writes never land on replicas: chase the master.
-			l.routeToExplicit(m, l.replicaMaster(b, m.Target.Home()))
-			return
-		}
-		if !l.relAccept(m) {
-			m.Release()
-			return
-		}
-		l.w.noteAccess(l.rank, m.Src, b, false)
-		l.exec.Charge(l.w.cfg.Model.CopyTime(len(m.Payload)))
-		if err := l.store.WriteAt(b, m.Target.Offset(), m.Payload); err != nil {
-			l.w.fail("rank %d: %v", l.rank, err)
-		}
-		opID, src := m.OpID, m.Src
-		l.releasePayload(m)
-		m.Release()
-		l.replFanOut(b, false)
-		if src == l.rank {
-			l.completeOp(opID, nil)
-			return
-		}
-		l.putAck(src, opID, false)
-		return
-	}
-	l.space.OnStaleDelivery(m, nil)
-}
-
-// hostGet mirrors hostPut for reads.
-func (l *Locality) hostGet(m *netsim.Message) {
-	b := m.Target.Block()
-	if l.queueIfMoving(b, m) {
-		return
-	}
-	blk, ok := l.store.Get(b)
-	if ok {
-		if blk.Kind != gas.KindData {
-			l.w.fail("rank %d: get from non-data block %d", l.rank, b)
-		}
-		if blk.Replica {
-			if fresh, _ := l.replicaFresh(b); !fresh {
-				// Stale copy: the host re-routes the read to the master —
-				// this correction is exactly the software cost the
-				// NIC-routed design avoids (it re-checks freshness below
-				// the host, see onDMA).
-				l.Stats.ReplicaStaleReads.Inc()
-				l.Stats.HostForwards.Inc()
-				l.traceOp(TraceHostForward, b, uint64(l.replicaMaster(b, m.Target.Home())), m.OpID)
-				l.routeToExplicit(m, l.replicaMaster(b, m.Target.Home()))
-				return
-			}
-			l.Stats.ReplicaReads.Inc()
-		}
-		if !l.relAccept(m) {
-			m.Release()
-			return
-		}
-		l.w.noteAccess(l.rank, m.Src, b, true)
-		var data []byte
-		pooled := false
-		if m.PayloadPooled {
-			buf, p := getWireBuf(int(m.N))
-			data, pooled = buf[:m.N], p
-		} else {
-			data = make([]byte, m.N)
-		}
-		l.exec.Charge(l.w.cfg.Model.CopyTime(len(data)))
-		if err := l.store.ReadAt(b, m.Target.Offset(), data); err != nil {
-			l.w.fail("rank %d: %v", l.rank, err)
-		}
-		if m.Src == l.rank {
-			opID := m.OpID
-			m.Release()
-			// The completion copies out synchronously when pooled (that is
-			// the pooled-reply contract), so the buffer goes straight back.
-			l.completeOp(opID, data)
-			if pooled {
-				putWireBuf(data)
-			}
-			return
-		}
-		rep := netsim.NewMessage()
-		rep.Kind = kGetRep
-		rep.Src = l.rank
-		rep.Dst = m.Src
-		rep.Wire = 32 + len(data)
-		rep.Payload = data
-		rep.PayloadPooled = pooled
-		rep.OpID = m.OpID
-		m.Release()
-		l.inject(rep, rep.Dst)
-		return
-	}
-	l.space.OnStaleDelivery(m, nil)
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"nmvgas/internal/gas"
@@ -379,4 +380,51 @@ func TestMigrateBackBeforeDone(t *testing.T) {
 			t.Logf("%d offsets fell inside the window", hits)
 		})
 	}
+}
+
+// TestQueuedTraceCoversUserParcels: every message parked behind a
+// migration leaves a TraceQueued hop, whichever admission parked it. A
+// user-action parcel takes the active count under the same lock as the
+// moving check, so it parks in runUserParcel rather than queueIfMoving —
+// and used to count in Stats.Queued without tracing.
+func TestQueuedTraceCoversUserParcels(t *testing.T) {
+	agasMatrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
+		w := testWorld(t, Config{Ranks: 3, Mode: mode, Engine: eng})
+		var mu sync.Mutex
+		queued := map[uint8]int{}
+		w.SetTracer(func(ev TraceEvent) {
+			if ev.Kind == TraceQueued {
+				mu.Lock()
+				queued[uint8(ev.Info)]++
+				mu.Unlock()
+			}
+		})
+		touch := w.Register("touch", func(c *Ctx) { c.Continue(nil) })
+		w.Start()
+		lay, err := w.AllocLocal(1, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := lay.BlockAt(0)
+		owner := w.Locality(1)
+
+		release := w.InjectMigrationStall()
+		move := w.Proc(1).Migrate(g, 2)
+		until(t, w, "the block to be pinned", func() bool { return owner.Moving(g.Block()) })
+		call := w.Proc(0).Call(g, touch, nil)
+		put := w.Proc(0).Put(g, []byte{1})
+		until(t, w, "both messages to park", func() bool { return owner.Stats.Queued.Load() == 2 })
+		release()
+		if st := MigrateStatus(w.MustWait(move)); st != MigrateOK {
+			t.Fatalf("migrate status %d", st)
+		}
+		w.MustWait(call)
+		w.MustWait(put)
+
+		mu.Lock()
+		defer mu.Unlock()
+		if queued[kParcel] != 1 || queued[kPutReq] != 1 || len(queued) != 2 {
+			t.Fatalf("TraceQueued events by message kind %v, want one parcel (%d) and one put (%d)", queued, kParcel, kPutReq)
+		}
+	})
 }

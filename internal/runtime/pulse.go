@@ -64,10 +64,10 @@ type pulseClient struct {
 // pulseState drives the metronome. On the DES engine the tick is a
 // driver-scheduled event; to keep Drain/Run terminating, the tick parks
 // itself when it is the only thing left in the queue and is re-armed by
-// the driver entry points (Wait, Drain, AwaitMember, AwaitHealth). At
-// most one trailing tick runs after the last real event, so an idle
-// world costs nothing. On the goroutine engine a ticker goroutine fires
-// until Stop.
+// the driver entry points (Wait, Drain, AwaitMember, AwaitHealth and the
+// blocking one-sided ops, see desAwait). At most one trailing tick runs
+// after the last real event, so an idle world costs nothing. On the
+// goroutine engine a ticker goroutine fires until Stop.
 type pulseState struct {
 	w      *World
 	period netsim.VTime
@@ -176,7 +176,7 @@ func (w *World) pulseResume() {
 // state), then the registered clients in registration order.
 func (ps *pulseState) fire() {
 	seq := ps.seq.Add(1)
-	info := PulseInfo{Seq: seq, Now: ps.w.traceNow()}
+	info := PulseInfo{Seq: seq, Now: netsim.VTime(ps.w.latNow())}
 	if ps.wd != nil {
 		ps.wd.evaluate(ps.w, info)
 	}

@@ -79,6 +79,45 @@ func TestPulseGoldenSafe(t *testing.T) {
 	}
 }
 
+// TestPulseResumesAcrossBlockingOps: the blocking one-sided ops advance
+// the engine, so they are driver entry points like Wait and must re-arm
+// a parked metronome. A driver that only blocks in them after a Drain
+// used to run with the tick parked — watchdogs blind — however much
+// simulated time its ops covered.
+func TestPulseResumesAcrossBlockingOps(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineDES,
+		Pulse: PulseConfig{Enabled: true, Period: 10 * netsim.Microsecond}})
+	w.Start()
+	lay, err := w.AllocLocal(1, 256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, p, buf := lay.BlockAt(0), w.Proc(0), make([]byte, 64)
+	ops := []struct {
+		name string
+		run  func()
+	}{
+		{"PutWait", func() { p.PutWait(g, buf) }},
+		{"GetWaitInto", func() { p.GetWaitInto(g, buf) }},
+		{"PutVecWait", func() { p.PutVecWait(g, []PutSeg{{Off: 0, Data: buf[:8]}, {Off: 128, Data: buf[:8]}}) }},
+		{"GetVecWaitInto", func() { p.GetVecWaitInto(g, []GetSeg{{Off: 0, N: 32}, {Off: 128, N: 32}}, buf) }},
+	}
+	for _, op := range ops {
+		w.Drain() // parks the metronome
+		ticks, start := w.PulseCount(), w.Now()
+		for i := 0; i < 200; i++ {
+			op.run()
+		}
+		periods := uint64((w.Now() - start) / w.PulsePeriod())
+		if periods < 20 {
+			t.Fatalf("%s: 200 ops span only %d pulse periods", op.name, periods)
+		}
+		if got := w.PulseCount() - ticks; got+1 < periods {
+			t.Errorf("%s: %d ticks across %d pulse periods of blocking ops", op.name, got, periods)
+		}
+	}
+}
+
 // TestPulseDeterministic: two identical DES runs fire the identical
 // number of ticks at the identical simulated times.
 func TestPulseDeterministic(t *testing.T) {

@@ -174,11 +174,11 @@ func (l *Locality) sendReplFill(b gas.BlockID, home int) {
 
 // replFanOut runs at the master after a write applied to b: per the
 // coherence policy it pushes invalidations or full-block updates to every
-// holder. fromNIC selects NIC-context injection (the DMA write path —
-// the fan-out stays in the network) versus host injection (the sw path —
-// the host serializes the storm, which is the cost the experiment
-// measures). Under RW leases writers stay silent; replicas self-expire.
-func (l *Locality) replFanOut(b gas.BlockID, fromNIC bool) {
+// holder, from NIC context behind the NIC door and as host injections
+// otherwise (see send; the host-serialized storm is the cost the
+// experiment measures). Under RW leases writers stay silent; replicas
+// self-expire.
+func (l *Locality) replFanOut(b gas.BlockID, nic bool) {
 	if l.w.replCount.Load() == 0 {
 		return
 	}
@@ -222,11 +222,7 @@ func (l *Locality) replFanOut(b gas.BlockID, fromNIC bool) {
 			m.Kind = kReplInval
 			m.Wire = 32
 		}
-		if fromNIC {
-			l.nicInject(m)
-		} else {
-			l.inject(m, h)
-		}
+		l.send(m, nic)
 	}
 }
 

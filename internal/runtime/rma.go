@@ -1,0 +1,428 @@
+package runtime
+
+import (
+	"encoding/binary"
+
+	"nmvgas/internal/gas"
+	"nmvgas/internal/netsim"
+)
+
+// One-sided operations. The four kinds — kPutReq, kGetReq and the
+// vectored kPutVec/kGetVec, where one request carries many fragments of
+// a single block and costs one completion — differ in how their payload
+// is laid out and how its bytes are applied, and in nothing else, so
+// they share one path:
+//
+//	issue    registers the op at the requester and routes the request;
+//	         the four *Async entry points only lay out the payload
+//	hostRMA  the host door: the owner's own ops, traffic parked behind a
+//	         migration, and whatever arrived stale and is repaired in
+//	         software
+//	onDMA    the NIC door: the NIC found the block resident and applies
+//	         the op below the host
+//	serve    the one owner-side sequence behind both doors
+//	apply    the only place that knows a payload's layout
+//
+// Wire formats (offsets are relative to the request's target GVA):
+//
+//	kPutReq payload: the bytes
+//	kGetReq payload: none, N is the length; the kGetRep reply is the bytes
+//	kPutVec payload: [u32 off][u32 len][len bytes] repeated
+//	kGetVec payload: [u32 off][u32 len] repeated; the kGetRep reply is
+//	the fragments concatenated in request order
+//
+// Payloads are assembled straight into a wire buffer (pooled when the
+// world allows it, see wirebuf.go), so bytes are copied exactly once, at
+// encode. PayloadPooled means two things: on a message with a payload,
+// that the payload is a pooled buffer its terminal consumer returns; on
+// a kGetReq, which has none, only the requester's permission to answer
+// from one (its completion copies out before returning).
+
+// PutSeg is one fragment of a vectored put.
+type PutSeg struct {
+	Off  uint32
+	Data []byte
+}
+
+// GetSeg is one fragment of a vectored get.
+type GetSeg struct {
+	Off, N uint32
+}
+
+// segHdr is the size of a fragment's [off][len] header.
+const segHdr = 8
+
+// ---------------------------------------------------------------------
+// Issue side
+
+// PutAsync writes data at dst and runs done on this locality when the
+// write is remotely complete. Must be called from this locality's
+// execution context.
+func (l *Locality) PutAsync(dst gas.GVA, data []byte, done func()) {
+	buf, pooled := wireBuf(l.payloadPoolable(), len(data))
+	l.issue(kPutReq, dst, append(buf, data...), pooled, uint32(len(data)), opState{pdone: done})
+}
+
+// GetAsync reads n bytes at src and runs done with the data. Must be
+// called from this locality's execution context. done may retain the
+// data.
+func (l *Locality) GetAsync(src gas.GVA, n uint32, done func(data []byte)) {
+	l.getAsync(src, n, false, done)
+}
+
+// getAsync is GetAsync plus the pooled-reply option: with pooledOK the
+// request is marked PayloadPooled, granting the responder permission to
+// answer from a pooled wire buffer — which requires done to copy the
+// data out before returning (the reply handler releases the buffer).
+func (l *Locality) getAsync(src gas.GVA, n uint32, pooledOK bool, done func(data []byte)) {
+	l.issue(kGetReq, src, nil, pooledOK && l.payloadPoolable(), n, opState{done: done})
+}
+
+// PutVecAsync writes all segs into the block at dst with one request and
+// one ack; done runs on this locality at remote completion. All offsets
+// must fall inside dst's block.
+func (l *Locality) PutVecAsync(dst gas.GVA, segs []PutSeg, done func()) {
+	total := 0
+	for i := range segs {
+		total += len(segs[i].Data)
+	}
+	buf, pooled := wireBuf(l.payloadPoolable(), len(segs)*segHdr+total)
+	for i := range segs {
+		s := &segs[i]
+		buf = binary.LittleEndian.AppendUint32(buf, s.Off)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Data)))
+		buf = append(buf, s.Data...)
+	}
+	l.issue(kPutVec, dst, buf, pooled, uint32(total), opState{pdone: done})
+}
+
+// GetVecAsync reads all segs from the block at src with one request and
+// one reply; done runs with the fragments concatenated in order. done
+// may retain the data.
+func (l *Locality) GetVecAsync(src gas.GVA, segs []GetSeg, done func(data []byte)) {
+	l.getVecAsync(src, segs, false, done)
+}
+
+// getVecAsync is GetVecAsync plus the pooled-reply option: with pooledOK
+// the request (and so the reply) may ride pooled wire buffers, which
+// requires done to copy the data out before returning.
+func (l *Locality) getVecAsync(src gas.GVA, segs []GetSeg, pooledOK bool, done func(data []byte)) {
+	total := uint32(0)
+	buf, pooled := wireBuf(pooledOK && l.payloadPoolable(), len(segs)*segHdr)
+	for i := range segs {
+		total += segs[i].N
+		buf = binary.LittleEndian.AppendUint32(buf, segs[i].Off)
+		buf = binary.LittleEndian.AppendUint32(buf, segs[i].N)
+	}
+	l.issue(kGetVec, src, buf, pooled, total, opState{done: done})
+}
+
+// issue registers a one-sided op of the given kind and routes its
+// request. n is the op's data size: the bytes written, or for reads the
+// length the reply will carry.
+func (l *Locality) issue(kind uint8, target gas.GVA, payload []byte, pooled bool, n uint32, st opState) {
+	id := l.newOpID()
+	l.w.latStart(id)
+	l.mu.Lock()
+	l.ops[id] = st
+	l.mu.Unlock()
+	m := netsim.NewMessage()
+	if kind == kGetReq || kind == kGetVec {
+		l.Stats.GetOps.Inc()
+		l.Stats.GetBytes.Add(int64(n))
+		m.N = n
+	} else {
+		l.Stats.PutOps.Inc()
+		l.Stats.PutBytes.Add(int64(n))
+	}
+	m.Kind = kind
+	m.Src = l.rank
+	m.Target = target
+	m.DMA = true
+	m.Payload = payload
+	m.PayloadPooled = pooled
+	m.Wire = 32 + len(payload)
+	m.OpID = id
+	l.routeMsg(m)
+}
+
+func (l *Locality) completeOp(id uint64, data []byte) {
+	l.mu.Lock()
+	st, ok := l.ops[id]
+	delete(l.ops, id)
+	l.mu.Unlock()
+	if !ok {
+		if l.relLateCompletion() {
+			return
+		}
+		l.w.fail("rank %d: completion for unknown op %d", l.rank, id)
+	}
+	l.w.latOpDone(id, st.pdone != nil)
+	if st.done != nil {
+		st.done(data)
+	}
+	if st.pdone != nil {
+		st.pdone()
+	}
+}
+
+// ---------------------------------------------------------------------
+// Owner side: two doors, one serve
+
+// hostRMA is the host door. It admits what the NIC does not apply: the
+// owner's own ops (the local fast path) and traffic the NIC handed up
+// because the block is moving or gone — parked behind the migration, or
+// repaired by the address-space strategy.
+func (l *Locality) hostRMA(m *netsim.Message) {
+	b := m.Target.Block()
+	if l.queueIfMoving(b, m) {
+		return
+	}
+	blk, ok := l.store.Get(b)
+	if !ok {
+		l.space.OnStaleDelivery(m, nil)
+		return
+	}
+	l.serve(m, blk, false)
+}
+
+// onDMA is the NIC door: one-sided traffic applied at the NIC, with no
+// host executor involvement. The NIC core checked residency.
+func (l *Locality) onDMA(m *netsim.Message) {
+	blk, ok := l.store.Get(m.Target.Block())
+	if !ok {
+		l.w.fail("rank %d: DMA against missing block %d", l.rank, m.Target.Block())
+	}
+	l.serve(m, blk, true)
+}
+
+// serve applies one-sided op m to blk, which is present here, and
+// answers it. nic says which door m came through, and decides only what
+// the doors differ in: who pays for the copy (the NIC's DMA event already
+// did; the host charges its core), whether the answer and the coherence
+// fan-out leave from NIC context or as host injections (send), whether
+// a read that hit a stale replica is re-routed in the network or by the
+// host (toMaster), and that only the host completes its own op inline.
+func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
+	b := m.Target.Block()
+	if blk.Kind != gas.KindData {
+		l.w.fail("rank %d: one-sided op on non-data block %d", l.rank, b)
+	}
+	read := m.Read
+	if blk.Replica {
+		if !read {
+			// Writes never land on replicas: chase the master.
+			l.toMaster(m, b, nic)
+			return
+		}
+		// Freshness is checked at transfer time (an invalidation can land
+		// between the routing decision and the read), and only for reads:
+		// the check expires leases and starts refills.
+		if fresh, _ := l.replicaFresh(b); !fresh {
+			l.Stats.ReplicaStaleReads.Inc()
+			l.toMaster(m, b, nic)
+			return
+		}
+		l.Stats.ReplicaReads.Inc()
+	}
+	if !l.relAccept(m) {
+		// Duplicate request: the first copy applied the effect and its
+		// (retransmitted-until-acked) answer completes the op. It is not
+		// an access, so it adds no heat.
+		m.Release()
+		return
+	}
+	l.w.noteAccess(l.rank, m.Src, b, read)
+	if !nic {
+		n := len(m.Payload)
+		if read {
+			n = int(m.N)
+		}
+		l.exec.Charge(l.w.cfg.Model.CopyTime(n))
+	}
+	data, pooled := l.apply(m, b)
+	src, opID := m.Src, m.OpID
+	l.releasePayload(m)
+	m.Release()
+	if !read {
+		l.replFanOut(b, nic)
+	}
+	switch {
+	case src == l.rank && !nic:
+		// The host's own op completes inline. A pooled reply goes straight
+		// back: the completion copies out synchronously, by contract.
+		l.completeOp(opID, data)
+		if pooled {
+			putWireBuf(data)
+		}
+	case !read:
+		l.putAck(src, opID, nic)
+	default:
+		rep := netsim.NewMessage()
+		rep.Kind = kGetRep
+		rep.Src = l.rank
+		rep.Dst = src
+		rep.Wire = 32 + len(data)
+		rep.Payload = data
+		rep.PayloadPooled = pooled
+		rep.OpID = opID
+		l.send(rep, nic)
+	}
+}
+
+// apply performs m's effect on block b. Reads return the reply bytes, in
+// a pooled buffer when the request permits one.
+func (l *Locality) apply(m *netsim.Message, b gas.BlockID) (data []byte, pooled bool) {
+	base, p := m.Target.Offset(), m.Payload
+	var err error
+	switch m.Kind {
+	case kPutReq:
+		err = l.store.WriteAt(b, base, p)
+	case kPutVec:
+		for off := 0; off+segHdr <= len(p) && err == nil; {
+			o := binary.LittleEndian.Uint32(p[off:])
+			n := int(binary.LittleEndian.Uint32(p[off+4:]))
+			off += segHdr
+			if n < 0 || off+n > len(p) {
+				l.w.fail("rank %d: truncated put-vec fragment for block %d", l.rank, b)
+			}
+			err = l.store.WriteAt(b, base+o, p[off:off+n])
+			off += n
+		}
+	case kGetReq:
+		data, pooled = wireBuf(m.PayloadPooled, int(m.N))
+		data = data[:m.N]
+		err = l.store.ReadAt(b, base, data)
+	case kGetVec:
+		data, pooled = wireBuf(m.PayloadPooled, int(m.N))
+		for off := 0; off+segHdr <= len(p) && err == nil; off += segHdr {
+			o := binary.LittleEndian.Uint32(p[off:])
+			cur := len(data)
+			data = data[:cur+int(binary.LittleEndian.Uint32(p[off+4:]))]
+			err = l.store.ReadAt(b, base+o, data[cur:])
+		}
+	default:
+		l.w.fail("rank %d: one-sided op with kind %d", l.rank, m.Kind)
+	}
+	if err != nil {
+		l.w.fail("rank %d: %v", l.rank, err)
+	}
+	return data, pooled
+}
+
+// toMaster re-routes m, which landed on a replica of b, to the block's
+// master: in the network from NIC context — no host detour — and as a
+// host forward otherwise. For a read that found the copy stale, that
+// host correction is exactly the software cost the NIC-routed design
+// avoids, and it is counted as one.
+func (l *Locality) toMaster(m *netsim.Message, b gas.BlockID, nic bool) {
+	master := l.replicaMaster(b, m.Target.Home())
+	if nic {
+		if !m.Read {
+			// residentForNIC hides replicas from writes.
+			l.w.fail("rank %d: DMA write to replica of block %d", l.rank, b)
+		}
+		m.Hops++
+		m.Dst = master
+		l.w.net.Send(l.rank, m)
+		return
+	}
+	if m.Read {
+		l.Stats.HostForwards.Inc()
+		l.traceOp(TraceHostForward, b, uint64(master), m.OpID)
+	}
+	l.routeToExplicit(m, master)
+}
+
+// send emits an owner-side answer or coherence message to m.Dst: from
+// NIC context behind the NIC door (it stays in the network), else as a
+// host injection (the host serializes it, which is the cost the
+// software-managed rows measure).
+func (l *Locality) send(m *netsim.Message, nic bool) {
+	if nic {
+		l.nicInject(m)
+		return
+	}
+	l.inject(m, m.Dst)
+}
+
+// ---------------------------------------------------------------------
+// Put acknowledgements
+
+// coalesceAcks reports whether put acks ride the per-drain vector
+// (flushAcks): the goroutine engine (whose mailbox drain is what flushes
+// the vector) with neither reliability nor fault injection — a dropped or
+// tracked ack-vector would need per-op retransmit state the vector cannot
+// carry.
+func (l *Locality) coalesceAcks() bool { return l.w.eng == nil && l.payloadPoolable() }
+
+// newPutAck builds the kPutAck completing opID at src.
+func (l *Locality) newPutAck(src int, opID uint64) *netsim.Message {
+	ack := netsim.NewMessage()
+	ack.Kind = kPutAck
+	ack.Src = l.rank
+	ack.Dst = src
+	ack.Wire = 32
+	ack.OpID = opID
+	return ack
+}
+
+// putAck delivers a put completion to src. When coalescing, the OpID
+// joins src's pending vector, flushed at mailbox drain; otherwise one
+// kPutAck goes out immediately (see send).
+func (l *Locality) putAck(src int, opID uint64, nic bool) {
+	if !l.coalesceAcks() {
+		l.send(l.newPutAck(src, opID), nic)
+		return
+	}
+	ids, ok := l.ackPend[src]
+	if !ok {
+		if l.ackPend == nil {
+			l.ackPend = make(map[int][]uint64)
+		}
+		l.ackSrcs = append(l.ackSrcs, src)
+	}
+	l.ackPend[src] = append(ids, opID)
+}
+
+// flushAcks emits the coalesced put acks accumulated during the current
+// mailbox drain: one message per requester, carrying every completed
+// OpID. Runs on the locality actor (goExec.onDrain), so it touches
+// ackPend without locks and always runs before the actor can block on an
+// empty mailbox — no completion is ever stranded in the pending state.
+func (l *Locality) flushAcks() {
+	if len(l.ackSrcs) == 0 {
+		return
+	}
+	for _, src := range l.ackSrcs {
+		ids := l.ackPend[src]
+		delete(l.ackPend, src)
+		if len(ids) == 1 {
+			l.nicInject(l.newPutAck(src, ids[0]))
+			continue
+		}
+		buf, pooled := getWireBuf(8 * len(ids))
+		for _, id := range ids {
+			buf = binary.LittleEndian.AppendUint64(buf, id)
+		}
+		ack := netsim.NewMessage()
+		ack.Kind = kPutAckVec
+		ack.Src = l.rank
+		ack.Dst = src
+		ack.Payload = buf
+		ack.PayloadPooled = pooled
+		ack.Wire = 32 + len(buf)
+		l.nicInject(ack)
+	}
+	l.ackSrcs = l.ackSrcs[:0]
+}
+
+// onPutAckVec completes every op named in a kPutAckVec payload.
+func (l *Locality) onPutAckVec(m *netsim.Message) {
+	p := m.Payload
+	for off := 0; off+8 <= len(p); off += 8 {
+		l.completeOp(binary.LittleEndian.Uint64(p[off:]), nil)
+	}
+	l.releasePayload(m)
+	m.Release()
+}

@@ -51,13 +51,6 @@ type AddressSpace interface {
 	// locality of a world).
 	Caps() Caps
 
-	// InstallInitial records a block just created at this locality
-	// (its home). The three built-in spaces derive initial ownership
-	// from the address arithmetic and need no state; the hook exists so
-	// a fourth mode (e.g. hash-distributed directories) can seed per-
-	// block state at allocation time. Called from setup-phase code.
-	InstallInitial(b gas.BlockID)
-
 	// Translate resolves the send-side destination for traffic to g:
 	// a rank, or netsim.ByGVA to delegate translation to the NIC.
 	Translate(g gas.GVA) int

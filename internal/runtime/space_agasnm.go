@@ -36,8 +36,6 @@ type nmSpace struct {
 
 func (s *nmSpace) Caps() Caps { return nmCaps }
 
-func (s *nmSpace) InstallInitial(gas.BlockID) {}
-
 // Translate delegates to the NIC; software only injects.
 func (s *nmSpace) Translate(gas.GVA) int { return netsim.ByGVA }
 

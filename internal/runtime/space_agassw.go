@@ -46,8 +46,6 @@ type swSpace struct {
 
 func (s *swSpace) Caps() Caps { return swCaps }
 
-func (s *swSpace) InstallInitial(gas.BlockID) {}
-
 func (s *swSpace) Translate(g gas.GVA) int {
 	// Software translation on the host's dime.
 	l := s.l

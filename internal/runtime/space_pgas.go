@@ -44,8 +44,6 @@ type pgasSpace struct {
 
 func (s *pgasSpace) Caps() Caps { return pgasCaps }
 
-func (s *pgasSpace) InstallInitial(gas.BlockID) {}
-
 func (s *pgasSpace) Translate(g gas.GVA) int {
 	o, err := s.res.Owner(g)
 	if err != nil {

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"time"
-
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 )
@@ -167,16 +165,6 @@ func (w *World) SetTracer(fn func(TraceEvent)) {
 	w.tracer = fn
 }
 
-// traceNow returns the event timestamp: simulated time on the DES
-// engine, monotonic wall nanoseconds since World creation on the
-// goroutine engine (where Now() is always 0).
-func (w *World) traceNow() netsim.VTime {
-	if w.eng == nil {
-		return netsim.VTime(time.Since(w.epoch))
-	}
-	return w.Now()
-}
-
 func (l *Locality) trace(kind TraceKind, block gas.BlockID, info uint64) {
 	l.traceOp(kind, block, info, 0)
 }
@@ -187,7 +175,7 @@ func (w *World) traceMember(rank int, kind TraceKind, info uint64) {
 		return
 	}
 	w.tracer(TraceEvent{
-		Time: w.traceNow(), Rank: rank, Kind: kind, Info: info, Span: SpanInstant,
+		Time: netsim.VTime(w.latNow()), Rank: rank, Kind: kind, Info: info, Span: SpanInstant,
 	})
 }
 
@@ -196,7 +184,7 @@ func (l *Locality) traceOp(kind TraceKind, block gas.BlockID, info, opID uint64)
 		return
 	}
 	l.w.tracer(TraceEvent{
-		Time: l.w.traceNow(), Rank: l.rank, Kind: kind, Block: block,
+		Time: netsim.VTime(l.w.latNow()), Rank: l.rank, Kind: kind, Block: block,
 		Info: info, OpID: opID, Span: spanOf(kind),
 	})
 }

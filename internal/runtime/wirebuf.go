@@ -37,6 +37,15 @@ func getWireBuf(n int) ([]byte, bool) {
 	return wireBufPool.Get().(*[wireBufCap]byte)[:0], true
 }
 
+// wireBuf is the one pooled-or-heap choice: a zero-length buffer of
+// capacity n, from the pool when pool is set (and n fits), else fresh.
+func wireBuf(pool bool, n int) ([]byte, bool) {
+	if pool {
+		return getWireBuf(n)
+	}
+	return make([]byte, 0, n), false
+}
+
 // putWireBuf returns a pooled buffer. Callers pass exactly the buffers
 // getWireBuf marked pooled (tracked via Message.PayloadPooled), still
 // starting at the array's first byte.
@@ -52,9 +61,10 @@ func (l *Locality) payloadPoolable() bool {
 }
 
 // releasePayload reclaims m's payload after its terminal use (the
-// consumer keeps no alias past this call).
+// consumer keeps no alias past this call). A kGetReq carries the flag
+// as a permission and no payload (see rma.go): nothing to reclaim.
 func (l *Locality) releasePayload(m *netsim.Message) {
-	if m.PayloadPooled {
+	if m.PayloadPooled && m.Payload != nil {
 		putWireBuf(m.Payload)
 		m.Payload = nil
 		m.PayloadPooled = false

@@ -329,7 +329,7 @@ func (w *World) abortStrandedMigrations() {
 			l.trace(TraceMigrateAbort, b, 0)
 			// The data may have landed at a destination whose commit died
 			// with the actors; the abandoned move leaves no second master.
-			if dl := w.locs[dsts[i]]; dl != l && dl.resident(b) {
+			if dl := w.locs[dsts[i]]; dl != l && dl.residentForNIC(b) {
 				dl.store.Remove(b)
 			}
 		}
