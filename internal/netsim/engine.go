@@ -81,15 +81,6 @@ type step struct {
 	next int32
 }
 
-// evLess orders events by (at, tie); tie is unique, so the order is a
-// strict total order and pop sequence is independent of queue shape.
-func evLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.tie < b.tie
-}
-
 // evHeap is a binary min-heap of the events of one instant, which tie
 // alone orders; an index-typed slice, so no interface boxing per push.
 type evHeap []event
@@ -229,21 +220,6 @@ func (q *eventQueue) peekAt() VTime {
 		return never
 	}
 	return VTime(^q.binv[bits.TrailingZeros64(q.mask)&63])
-}
-
-// peek returns the event pop would return, at the cost of a scan of the
-// lowest bucket; like peekAt it leaves the queue as it is. q.n > 0.
-func (q *eventQueue) peek() event {
-	if len(q.front) > 0 {
-		return q.front[0]
-	}
-	m := q.head[bits.TrailingZeros64(q.mask)&63]
-	for i := q.slab[m].next; i != 0; i = q.slab[i].next {
-		if evLess(q.slab[i].ev, q.slab[m].ev) {
-			m = i
-		}
-	}
-	return q.slab[m].ev
 }
 
 // pop removes and returns the least event in (at, tie) order. q.n > 0.

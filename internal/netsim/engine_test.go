@@ -239,12 +239,11 @@ func (s laneSink) HandleMsg(_ uint8, m *Message) { s.fire(m.OpID) }
 // one, and returns each rank's pop sequence. Event id n rides the typed
 // lane when n is even and the closure lane when odd, so every equal-time
 // group alternates lanes.
-func laneTrace(ranks, shards int, serial bool) [][]uint64 {
+func laneTrace(ranks, shards int) [][]uint64 {
 	const la = 900 * Nanosecond
 	drv := NewEngine()
 	if shards > 0 {
 		drv = NewParEngine(ranks, shards, la)
-		drv.Par().SetSerial(serial)
 		defer drv.Par().Shutdown()
 	}
 	traces := make([][]uint64, ranks)
@@ -287,24 +286,21 @@ func laneTrace(ranks, shards int, serial bool) [][]uint64 {
 // a cheaper way to carry an event: typed and closure events draw their
 // ties from the same counters, so a workload interleaving both at equal
 // timestamps pops in the same per-rank order on the classic engine, on
-// shards=1, on shards=4 and under the serial merged drain.
+// shards=1 and on shards=4.
 func TestTypedAndClosureLanesShareOneOrder(t *testing.T) {
 	const ranks = 8
-	ref := laneTrace(ranks, 0, false)
+	ref := laneTrace(ranks, 0)
 	for r := range ref {
 		if len(ref[r]) != 6+12+6 {
 			t.Fatalf("classic rank %d popped %d events, want 24: %v", r, len(ref[r]), ref[r])
 		}
 	}
-	for _, c := range []struct {
-		shards int
-		serial bool
-	}{{1, false}, {4, false}, {4, true}} {
-		got := laneTrace(ranks, c.shards, c.serial)
+	for _, shards := range []int{1, 4} {
+		got := laneTrace(ranks, shards)
 		for r := range ref {
 			if fmt.Sprint(got[r]) != fmt.Sprint(ref[r]) {
-				t.Fatalf("shards=%d serial=%v rank %d popped %v, classic popped %v",
-					c.shards, c.serial, r, got[r], ref[r])
+				t.Fatalf("shards=%d rank %d popped %v, classic popped %v",
+					shards, r, got[r], ref[r])
 			}
 		}
 	}

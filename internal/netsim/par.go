@@ -57,17 +57,6 @@ type ParEngine struct {
 	windowEnd VTime
 	running   bool
 
-	// serial disables worker parallelism: windows execute on the driver
-	// goroutine by draining all shard heaps in merged global (at, tie)
-	// order — the exact sequence shards=1 executes, so serial runs are
-	// bit-identical to shards=1 by construction. Layers above request it
-	// (SetSerial) when they hold state the rank partition cannot isolate,
-	// e.g. a reliable-delivery dedup store that several receiving ranks
-	// legitimately touch within one window. Cross-rank scheduling inside
-	// the window is legal in this mode (the merged drain preserves
-	// causality), so the lookahead tripwire is off.
-	serial bool
-
 	workers  []*parWorker
 	launched []int
 	once     sync.Once
@@ -127,13 +116,6 @@ func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
 // Shards returns the shard count.
 func (p *ParEngine) Shards() int { return p.nshards }
 
-// SetSerial switches window execution to the merged sequential drain
-// (see the serial field). Call it before the first Run/Step; it exists
-// for runs whose upper layers share state across ranks in ways the
-// shard partition cannot make race-free — determinism is preserved (the
-// serial order is exactly the shards=1 order), parallel speedup is not.
-func (p *ParEngine) SetSerial(on bool) { p.serial = on }
-
 // shardOf maps a rank to its contiguous shard.
 func (p *ParEngine) shardOf(rank int) int {
 	if rank < 0 || rank >= p.ranks {
@@ -187,11 +169,8 @@ func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func(), s step) {
 		tq.push(t, tie, int32(rank), fn, s)
 		return
 	}
-	if int32(rank) == e.curRank || p.serial {
-		// Self-scheduling stays inside the current window legally. Under the
-		// merged sequential drain one goroutine owns every queue, and the
-		// global (at, tie) pop order makes any push at t ≥ the scheduling
-		// event's time causally safe, window boundary or not.
+	if int32(rank) == e.curRank {
+		// Self-scheduling stays inside the current window legally.
 		if t < e.now {
 			panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
 		}
@@ -294,15 +273,9 @@ func (p *ParEngine) runWindow(we VTime) {
 		return
 	}
 	p.running = true
-	switch {
-	case p.serial && p.nshards > 1:
-		// Always the merged drain, even with one active shard: a serial
-		// window may legally push cross-shard events below we, which only
-		// the all-queues rescan picks up.
-		p.drainMerged(we)
-	case len(p.launched) == 1:
+	if len(p.launched) == 1 {
 		drainShard(p.shards[p.launched[0]], we)
-	default:
+	} else {
 		p.startWorkers()
 		for _, s := range p.launched {
 			p.workers[s].start <- we
@@ -334,28 +307,6 @@ func (w *parWorker) loop() {
 	for we := range w.start {
 		drainShard(w.eng, we)
 		w.done <- struct{}{}
-	}
-}
-
-// drainMerged executes every shard's events below we in global (at, tie)
-// order on the calling goroutine — the shards=1 sequence, replayed over N
-// heaps. Shard count is small, so the linear min scan per pop is cheaper
-// than maintaining a heap-of-heaps.
-func (p *ParEngine) drainMerged(we VTime) {
-	for {
-		var best *Engine
-		bestAt := we
-		for _, s := range p.shards {
-			// Only an equal-time pair across shards pays peek's scan for ties.
-			if at := s.q.peekAt(); at < bestAt || best != nil && at == bestAt && s.q.peek().tie < best.q.peek().tie {
-				best, bestAt = s, at
-			}
-		}
-		if best == nil {
-			return
-		}
-		best.fire()
-		best.curRank = -1
 	}
 }
 

@@ -36,9 +36,8 @@ func TestRunUntilStride(t *testing.T) {
 // its own rank's slice, so the recording itself is race-free under
 // window-parallel workers; equivalence across shard counts is then a
 // per-rank slice comparison.
-func parTrace(ranks, shards int, lookahead VTime, serial bool) [][]string {
+func parTrace(ranks, shards int, lookahead VTime) [][]string {
 	drv := NewParEngine(ranks, shards, lookahead)
-	drv.Par().SetSerial(serial)
 	defer drv.Par().Shutdown()
 	traces := make([][]string, ranks)
 	var barrierLog []string // driver/barrier context only: serial by construction
@@ -91,43 +90,21 @@ func parTrace(ranks, shards int, lookahead VTime, serial bool) [][]string {
 func TestShardedEquivalence(t *testing.T) {
 	const ranks = 12
 	la := 900 * Nanosecond
-	ref := parTrace(ranks, 1, la, false)
-	for _, serial := range []bool{false, true} {
-		for _, shards := range []int{2, 3, 4, 8, ranks} {
-			got := parTrace(ranks, shards, la, serial)
-			for r := range ref {
-				if len(got[r]) != len(ref[r]) {
-					t.Fatalf("shards=%d serial=%v rank %d: %d events vs %d in reference",
-						shards, serial, r, len(got[r]), len(ref[r]))
-				}
-				for i := range ref[r] {
-					if got[r][i] != ref[r][i] {
-						t.Fatalf("shards=%d serial=%v rank %d event %d: %q vs reference %q",
-							shards, serial, r, i, got[r][i], ref[r][i])
-					}
+	ref := parTrace(ranks, 1, la)
+	for _, shards := range []int{2, 3, 4, 8, ranks} {
+		got := parTrace(ranks, shards, la)
+		for r := range ref {
+			if len(got[r]) != len(ref[r]) {
+				t.Fatalf("shards=%d rank %d: %d events vs %d in reference",
+					shards, r, len(got[r]), len(ref[r]))
+			}
+			for i := range ref[r] {
+				if got[r][i] != ref[r][i] {
+					t.Fatalf("shards=%d rank %d event %d: %q vs reference %q",
+						shards, r, i, got[r][i], ref[r][i])
 				}
 			}
 		}
-	}
-}
-
-// TestSerialModeAllowsSubLookaheadSends pins the serial-mode contract:
-// cross-rank scheduling inside the window is legal (the merged drain
-// preserves global order), so a custom layer with shared state can keep
-// scheduling freely after SetSerial.
-func TestSerialModeAllowsSubLookaheadSends(t *testing.T) {
-	drv := NewParEngine(2, 2, 900*Nanosecond)
-	drv.Par().SetSerial(true)
-	defer drv.Par().Shutdown()
-	var got []VTime
-	drv.AtRank(0, 10, func() {
-		// 1ns cross-rank: a lookahead violation in parallel mode, legal
-		// here.
-		drv.RankEngine(0).AfterRank(1, 1, func() { got = append(got, drv.RankEngine(1).Now()) })
-	})
-	drv.Run()
-	if len(got) != 1 || got[0] != 11 {
-		t.Fatalf("serial cross-rank send ran at %v; want [11ns]", got)
 	}
 }
 

@@ -89,6 +89,59 @@ func TestDESAllocationPins(t *testing.T) {
 	}
 }
 
+// TestReliableAllocationPins holds the reliability layer's own allocations
+// on the same two DES paths with the layer forced on over a perfect
+// fabric: inside the 64-sequence window nothing is hashed and nothing is
+// allocated per tracked message once the rings and the message pool are
+// warm (the pristine copy is a pooled envelope, the receive record a bit),
+// so what the layer adds is what pooling may not touch — payloads stay on
+// the heap under it (payloadPoolable), a request's and a reply's. Before
+// the windows these read 12 and 8.
+func TestReliableAllocationPins(t *testing.T) {
+	w := testWorld(t, Config{
+		Ranks: 3, Mode: AGASNM, Engine: EngineDES,
+		Reliability: ReliabilityConfig{Force: true},
+	})
+	pong := w.Register("pong", func(c *Ctx) {})
+	ping := w.Register("ping", func(c *Ctx) { c.Continue(c.P.Payload) })
+	w.Start()
+	lay, err := w.AllocLocal(1, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, p0, l0 := lay.BlockAt(0), w.Proc(0), w.Locality(0)
+	payload, buf := make([]byte, 16), make([]byte, 64)
+	issue := func() {
+		l0.SendParcel(&parcel.Parcel{
+			Action: ping, Target: g, Payload: payload,
+			CAction: pong, CTarget: w.LocalityGVA(0),
+		})
+	}
+	roundTrip := func() {
+		p0.Run(issue)
+		w.Drain()
+	}
+	put := func() { p0.PutWait(g, buf) }
+	for i := 0; i < 64; i++ { // fill the pools, the queue, the rings
+		roundTrip()
+		put()
+	}
+	rt := testing.AllocsPerRun(200, roundTrip)
+	t.Logf("reliable round trip allocs: %v", rt)
+	if rt > 8 {
+		t.Errorf("reliable parcel round trip with continuation: %v allocs, want <= 8", rt)
+	}
+	n := testing.AllocsPerRun(200, put)
+	t.Logf("reliable blocking put allocs: %v", n)
+	if n > 4 {
+		t.Errorf("reliable blocking put: %v allocs, want <= 4", n)
+	}
+	w.Drain() // the last put's ack of its ack is still in flight
+	if d := w.DeliveryStats(); d.Tracked == 0 || d.Retransmits != 0 || w.UnackedMessages() != 0 {
+		t.Fatalf("forced layer over a perfect fabric: %+v, unacked %d", d, w.UnackedMessages())
+	}
+}
+
 // TestGoEngineBlockingOpAllocationPins pins the goroutine engine's
 // blocking one-sided round trips, whose wire buffers are pooled in both
 // directions: what is left per op is the wrapper's completion channel

@@ -118,7 +118,9 @@ type Config struct {
 	// (clamped to Ranks). Same seed and workload produce bit-identical
 	// results for every N >= 1 — shards only change wall-clock time.
 	// Shards=1 is the windowed engine run sequentially, the reference the
-	// equivalence suite pins N > 1 against. EngineGo ignores it.
+	// equivalence suite pins N > 1 against, and what a world running the
+	// reliability layer uses whatever N says (its exactly-once store is
+	// world-scoped; see NewWorld). EngineGo ignores it.
 	Shards int
 	// Coalesce batches small parcels per destination when
 	// Coalesce.MaxParcels > 1 (see CoalesceConfig).

@@ -196,7 +196,7 @@ func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 		l.coal = newCoalescer(l, w.cfg.Coalesce)
 	}
 	if w.relw != nil {
-		l.rel = &relLoc{tx: make(map[int32]*relTxChan)}
+		l.rel = &relLoc{}
 	}
 	return l
 }

@@ -232,7 +232,7 @@ func (mem *membership) declaredDead(rank int) bool {
 // Failure suspicion: backoff ceiling → probe → declare
 
 // probeTimeout is the per-round pong deadline.
-func (mem *membership) probeTimeout() netsim.VTime { return 2 * mem.w.relCfg.MaxRTO }
+func (mem *membership) probeTimeout() netsim.VTime { return 2 * mem.w.cfg.Reliability.MaxRTO }
 
 // suspectSweep fires when one of l's reliability channels hits its
 // retransmission backoff ceiling: something is silently eating traffic,
@@ -769,24 +769,7 @@ func (mem *membership) rebirth(l *Locality) {
 	l.replicas = nil
 	l.mu.Unlock()
 
-	// Reliability rebirth: the new incarnation restarts every send
-	// stream at sequence 1, so the old incarnation's send state and the
-	// world's receive records for it must go — otherwise the reborn
-	// sender's first messages are suppressed as duplicate history.
-	if l.rel != nil {
-		l.rel.mu.Lock()
-		l.rel.tx = make(map[int32]*relTxChan)
-		l.rel.mu.Unlock()
-	}
-	if rw := w.relw; rw != nil {
-		rw.mu.Lock()
-		for k := range rw.rx {
-			if k.src == rank {
-				delete(rw.rx, k)
-			}
-		}
-		rw.mu.Unlock()
-	}
+	l.relRebirth()
 
 	// NIC rebirth: empty translation state.
 	w.net.EachState(rank, (*netsim.TransState).Reset)

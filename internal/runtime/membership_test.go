@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -308,6 +309,9 @@ func TestBackoffCeilingBoundary(t *testing.T) {
 	sample := func() bool {
 		l.rel.mu.Lock()
 		for _, tc := range l.rel.tx {
+			if tc == nil {
+				continue // no message on this channel yet
+			}
 			if tc.rto > maxSeen {
 				maxSeen = tc.rto
 			}
@@ -333,30 +337,33 @@ func TestBackoffCeilingBoundary(t *testing.T) {
 }
 
 // TestRelRxWindowEviction pins the receive-dedup window's fold
-// boundary: out-of-order sequence numbers are held in the above-window
-// set only until the gap below them fills, at which point they are
-// evicted into the cumulative horizon in one sweep — the set must not
-// retain folded entries, and dedup must keep recognising them through
-// the horizon afterwards.
+// boundary: out-of-order sequence numbers are held above the horizon —
+// as window bits, or in the far set from 64 ahead on — only until the gap
+// below them fills, at which point they are evicted into the cumulative
+// horizon in one sweep: neither may retain folded entries, and dedup must
+// keep recognising them through the horizon afterwards.
 func TestRelRxWindowEviction(t *testing.T) {
-	rx := &relRxState{above: make(map[uint64]struct{})}
-	// Sequences 2..10 arrive ahead of 1: all parked above the horizon.
-	for seq := uint64(2); seq <= 10; seq++ {
+	var rx relRxState
+	above := func() int { return bits.OnesCount64(rx.win) + len(rx.far) }
+	// Sequences 2..10 arrive ahead of 1, and 70..72 beyond the window's
+	// reach: all parked above the horizon.
+	for _, seq := range []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10, 70, 71, 72} {
 		rx.record(seq)
 	}
-	if rx.cum != 0 || len(rx.above) != 9 {
-		t.Fatalf("pre-fold: cum=%d above=%d, want 0/9", rx.cum, len(rx.above))
+	if rx.cum != 0 || above() != 12 || len(rx.far) != 3 {
+		t.Fatalf("pre-fold: cum=%d above=%d far=%d, want 0/12/3", rx.cum, above(), len(rx.far))
 	}
-	if !rx.seen(5) || rx.seen(1) || rx.seen(11) {
+	if !rx.seen(5) || !rx.seen(71) || rx.seen(1) || rx.seen(11) || rx.seen(73) {
 		t.Fatal("window membership wrong before fold")
 	}
-	// The gap fills: the whole run folds into cum and evicts from above.
+	// The gap fills: the whole run folds into cum and leaves the window;
+	// the far arrivals are now within reach of the horizon and move into it.
 	rx.record(1)
 	if rx.cum != 10 {
 		t.Fatalf("post-fold horizon = %d, want 10", rx.cum)
 	}
-	if len(rx.above) != 0 {
-		t.Fatalf("fold left %d entries in the out-of-order set", len(rx.above))
+	if above() != 3 || len(rx.far) != 0 {
+		t.Fatalf("fold left above=%d far=%d, want the three far arrivals as window bits", above(), len(rx.far))
 	}
 	// Dedup still recognises folded history through the horizon alone.
 	for seq := uint64(1); seq <= 10; seq++ {
@@ -366,8 +373,17 @@ func TestRelRxWindowEviction(t *testing.T) {
 	}
 	// A fresh out-of-order arrival parks again; the horizon is unmoved.
 	rx.record(12)
-	if rx.cum != 10 || len(rx.above) != 1 || rx.seen(11) {
-		t.Fatalf("post-park: cum=%d above=%d", rx.cum, len(rx.above))
+	if rx.cum != 10 || above() != 4 || rx.seen(11) || !rx.seen(72) {
+		t.Fatalf("post-park: cum=%d above=%d", rx.cum, above())
+	}
+	// The rest of the gap fills: everything folds, nothing is retained.
+	for seq := uint64(11); seq <= 69; seq++ {
+		if seq != 12 {
+			rx.record(seq)
+		}
+	}
+	if rx.cum != 72 || above() != 0 {
+		t.Fatalf("final fold: cum=%d above=%d, want 72/0", rx.cum, above())
 	}
 }
 
@@ -401,13 +417,11 @@ func TestRebirthResetsDedupStreams(t *testing.T) {
 		t.Fatal("rank 1 never rejoined")
 	}
 	w.relw.mu.Lock()
-	for k := range w.relw.rx {
-		if k.src == 1 {
-			w.relw.mu.Unlock()
-			t.Fatalf("stale dedup stream for the dead incarnation survived rebirth: %+v", k)
-		}
-	}
+	row := w.relw.rx[1]
 	w.relw.mu.Unlock()
+	if row != nil {
+		t.Fatalf("stale dedup streams for the dead incarnation survived rebirth: %+v", row)
+	}
 	// The reborn sender's stream restarts at seq 1 and is not
 	// suppressed as duplicate history.
 	w.MustWait(w.Proc(1).Put(g, []byte{4}))

@@ -1,8 +1,9 @@
 package runtime
 
 import (
-	"sort"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nmvgas/internal/netsim"
@@ -28,12 +29,20 @@ import (
 // Reliability.Force is set): a fault-free world pays zero overhead and
 // performs zero retransmissions.
 //
+// Sequence numbers are dense per stream and streams dense per rank pair,
+// so nothing here is hashed: a channel's unacked messages sit in a ring
+// indexed by sequence number (relTxChan), a stream's applied set is a
+// horizon plus a 64-bit window (relRxState), both found by slice index
+// and made with the stream's first message.
+//
 // Receiver state is held at world scope rather than per locality. A
 // production system would migrate per-block delivery records along with
 // the block; modeling the dedup store as logically shared gives the same
 // exactly-once guarantee without simulating that transfer, and keeps a
 // late duplicate that trails a completed migration from re-executing at
-// the new owner (see DESIGN.md §8).
+// the new owner (see DESIGN.md §8). Counters are kept where the lock a
+// path already holds covers them — a sender's in its relLoc, a receiver's
+// beside the store — and DeliveryStats sums.
 
 // relAckWire approximates an ack descriptor on the wire.
 const relAckWire = 24
@@ -108,88 +117,182 @@ type DeliveryStats struct {
 	Faults netsim.FaultStats
 }
 
-// relKey identifies one sender stream: originating rank + channel.
-type relKey struct {
-	src int
-	ch  int32
-}
-
 // relRxState is the receive-side dedup record for one stream: every
-// sequence number <= cum has been applied, plus the out-of-order set
-// above it.
+// sequence number <= cum has been applied, and bit d of win records
+// cum+1+d, so an arrival inside the 64-sequence window is a bit test and
+// folding a filled gap into the horizon is a shift. far holds arrivals at
+// least 64 ahead of the horizon — made on the first one, so any
+// reordering distance stays correct — and drains into win as the horizon
+// reaches them. The zero value is a stream nothing has arrived on.
 type relRxState struct {
-	cum   uint64
-	above map[uint64]struct{}
+	cum, win uint64
+	far      map[uint64]struct{}
 }
 
 func (rx *relRxState) seen(seq uint64) bool {
 	if seq <= rx.cum {
 		return true
 	}
-	_, ok := rx.above[seq]
+	if d := seq - rx.cum - 1; d < 64 {
+		return rx.win>>d&1 != 0
+	}
+	_, ok := rx.far[seq]
 	return ok
 }
 
+// record marks seq, not yet seen, applied.
 func (rx *relRxState) record(seq uint64) {
-	rx.above[seq] = struct{}{}
-	for {
-		if _, ok := rx.above[rx.cum+1]; !ok {
-			return
+	d := seq - rx.cum - 1
+	if d >= 64 {
+		if rx.far == nil {
+			rx.far = make(map[uint64]struct{})
 		}
-		delete(rx.above, rx.cum+1)
-		rx.cum++
+		rx.far[seq] = struct{}{}
+		return
+	}
+	rx.win |= 1 << d
+	// Fold the run that now starts at the horizon. A step moves cum by at
+	// most 64 and far entries sit at least 64 ahead, so none is stepped
+	// over: each enters win as soon as it is in reach, and may extend the
+	// run.
+	for n := bits.TrailingZeros64(^rx.win); n > 0; n = bits.TrailingZeros64(^rx.win) {
+		rx.cum += uint64(n)
+		rx.win >>= n
+		for s := range rx.far {
+			if d := s - rx.cum - 1; d < 64 {
+				rx.win |= 1 << d
+				delete(rx.far, s)
+			}
+		}
 	}
 }
 
 // relWorld is the world-scoped half of the layer: the receive-side dedup
-// store and the counters.
+// store, rx[src][ch], and the receiver-side counters (stats, under mu;
+// the two counted where no lock is held are atomics). A source's row is
+// made when its first tracked message is applied and dropped at its
+// rebirth.
 type relWorld struct {
 	mu    sync.Mutex
-	rx    map[relKey]*relRxState
+	rx    [][]relRxState
 	stats DeliveryStats
+
+	staleDrops, lateCompletions atomic.Uint64
 }
 
-func newRelWorld() *relWorld {
-	return &relWorld{rx: make(map[relKey]*relRxState)}
-}
-
-func (rw *relWorld) stream(k relKey) *relRxState {
-	rx := rw.rx[k]
-	if rx == nil {
-		rx = &relRxState{above: make(map[uint64]struct{})}
-		rw.rx[k] = rx
+// stream returns the receive record of m's stream. Callers hold rw.mu.
+func (rw *relWorld) stream(m *netsim.Message) *relRxState {
+	row := rw.rx[m.Src]
+	if row == nil {
+		row = make([]relRxState, len(rw.rx))
+		rw.rx[m.Src] = row
 	}
-	return rx
+	return &row[m.RelChan]
 }
 
-// relPending is one unacked message held for retransmission. m is a
-// pristine copy taken before the transport mutated routing fields;
+// relSlot is one unacked message held for retransmission; m == nil marks
+// a free slot. m is a pristine copy taken before the transport mutated
+// routing fields — a pooled envelope, released when the slot clears;
 // deadline is the clock reading after which the message is considered
 // lost (a channel timer firing earlier leaves it alone — without the
 // deadline, a message injected just before the timer fires would be
 // spuriously retransmitted).
-type relPending struct {
+type relSlot struct {
 	m        *netsim.Message
 	attempts int
 	deadline netsim.VTime
 }
 
-// relTxChan is the send side of one channel.
+// relTxChan is the send side of one channel. Its n unacked messages all
+// lie in the window [base, nextSeq], each in ring slot seq&mask; the ring
+// is a power of two no shorter than the window, and while n > 0 base is
+// itself unacked, so walking up from base meets every live message in
+// sequence order and an ack horizon is cleared in O(acked).
 type relTxChan struct {
-	nextSeq uint64
-	unacked map[uint64]*relPending
-	rto     netsim.VTime
-	armed   bool
+	nextSeq, base uint64
+	n             int
+	ring          []relSlot
+	rto           netsim.VTime
+	armed         bool
 }
 
-// relLoc is the per-locality send state.
+func (tc *relTxChan) slot(seq uint64) *relSlot {
+	return &tc.ring[seq&uint64(len(tc.ring)-1)]
+}
+
+// track gives m the channel's next sequence number and holds a pristine
+// copy of it in that number's slot until deadline, growing the ring when
+// the window no longer fits it.
+func (tc *relTxChan) track(m *netsim.Message, deadline netsim.VTime) {
+	tc.nextSeq++
+	seq := tc.nextSeq
+	if tc.n == 0 {
+		// Only an empty window may jump: base must stay at or below every
+		// live sequence number.
+		tc.base = seq
+	}
+	if span := seq - tc.base + 1; span > uint64(len(tc.ring)) {
+		old := tc.ring
+		size := max(len(old), 8) // most streams never have more outstanding
+		for uint64(size) < span {
+			size *= 2
+		}
+		tc.ring = make([]relSlot, size)
+		for _, s := range old {
+			if s.m != nil {
+				*tc.slot(s.m.RelSeq) = s // a new mask puts a live slot elsewhere
+			}
+		}
+	}
+	tc.n++
+	m.RelSeq = seq
+	cp := netsim.NewMessage()
+	*cp = *m
+	*tc.slot(seq) = relSlot{m: cp, attempts: 1, deadline: deadline}
+}
+
+// clear frees seq's slot and reports whether seq was still pending (an
+// ack, a NACK or a timer can each name a sequence number another one
+// already cleared, or one this incarnation never sent).
+func (tc *relTxChan) clear(seq uint64) bool {
+	if tc.n == 0 || seq < tc.base || seq > tc.nextSeq || tc.slot(seq).m == nil {
+		return false
+	}
+	s := tc.slot(seq)
+	s.m.Release()
+	*s = relSlot{}
+	tc.n--
+	for tc.n > 0 && tc.slot(tc.base).m == nil {
+		tc.base++
+	}
+	return true
+}
+
+// ack clears seq and everything at or below the cumulative horizon cum.
+func (tc *relTxChan) ack(seq, cum uint64) {
+	tc.clear(seq)
+	for tc.n > 0 && tc.base <= cum {
+		tc.clear(tc.base)
+	}
+}
+
+// relLoc is the per-locality send state: tx[ch] is channel ch's window
+// (the slice is made with the locality's first tracked message, an entry
+// with the channel's), stats the sender-side counters. All under mu.
 type relLoc struct {
-	mu sync.Mutex
-	tx map[int32]*relTxChan
+	mu    sync.Mutex
+	tx    []*relTxChan
+	stats DeliveryStats
 }
 
-// rel returns the locality's send state, nil when the layer is off.
-func (l *Locality) relOn() bool { return l.rel != nil }
+// chanOf returns ch's send state, nil when this incarnation has sent
+// nothing on ch (a timer or an ack of the previous one can still ask).
+func (rl *relLoc) chanOf(ch int32) *relTxChan {
+	if int(ch) >= len(rl.tx) {
+		return nil
+	}
+	return rl.tx[ch]
+}
 
 // relChanOf picks the channel key for m: the resolved destination rank,
 // or the target's home when the NIC resolves the destination (ByGVA) —
@@ -204,31 +307,28 @@ func relChanOf(m *netsim.Message) int32 {
 // relTrack enrolls m in reliable delivery at injection time. Control
 // messages, acks, and already-tracked messages (resends) pass through.
 func (l *Locality) relTrack(m *netsim.Message) {
-	if l.rel == nil || m.RelSeq != 0 || m.Ctl != netsim.CtlNone || m.Kind == kRelAck ||
+	rl := l.rel
+	if rl == nil || m.RelSeq != 0 || m.Ctl != netsim.CtlNone || m.Kind == kRelAck ||
 		m.Kind == kMemberPing || m.Kind == kMemberPong {
 		return
 	}
 	ch := relChanOf(m)
-	l.rel.mu.Lock()
-	tc := l.rel.tx[ch]
-	if tc == nil {
-		tc = &relTxChan{unacked: make(map[uint64]*relPending), rto: l.w.relCfg.RTO}
-		l.rel.tx[ch] = tc
+	rl.mu.Lock()
+	if rl.tx == nil {
+		rl.tx = make([]*relTxChan, l.w.cfg.Ranks)
 	}
-	tc.nextSeq++
+	tc := rl.tx[ch]
+	if tc == nil {
+		tc = &relTxChan{rto: l.w.cfg.Reliability.RTO}
+		rl.tx[ch] = tc
+	}
 	m.RelChan = ch
-	m.RelSeq = tc.nextSeq
-	cp := *m
-	tc.unacked[m.RelSeq] = &relPending{m: &cp, attempts: 1, deadline: l.relNow() + tc.rto}
+	tc.track(m, l.relNow()+tc.rto)
+	rl.stats.Tracked++
 	arm := !tc.armed
 	tc.armed = true
 	rto := tc.rto
-	l.rel.mu.Unlock()
-
-	rw := l.w.relw
-	rw.mu.Lock()
-	rw.stats.Tracked++
-	rw.mu.Unlock()
+	rl.mu.Unlock()
 	if arm {
 		l.relArm(ch, rto)
 	}
@@ -260,37 +360,35 @@ func (l *Locality) relArm(ch int32, d netsim.VTime) {
 	})
 }
 
-// relTimer fires for channel ch: retransmit everything unacked (oldest
-// first, in sequence order for determinism), back off, re-arm while work
-// remains.
+// relTimer fires for channel ch: retransmit everything unacked and past
+// its deadline (oldest first — the window is walked in sequence order,
+// which is what makes the resends deterministic), back off, re-arm while
+// work remains.
 func (l *Locality) relTimer(ch int32) {
-	if l.rel == nil {
+	rl := l.rel
+	if rl == nil {
 		return
 	}
-	l.rel.mu.Lock()
-	tc := l.rel.tx[ch]
+	cfg := &l.w.cfg.Reliability
+	rl.mu.Lock()
+	tc := rl.chanOf(ch)
 	if tc == nil {
-		l.rel.mu.Unlock()
+		rl.mu.Unlock()
 		return
 	}
-	if len(tc.unacked) == 0 {
-		tc.armed = false
-		tc.rto = l.w.relCfg.RTO
-		l.rel.mu.Unlock()
+	if tc.n == 0 {
+		tc.armed, tc.rto = false, cfg.RTO
+		rl.mu.Unlock()
 		return
 	}
-	seqs := make([]uint64, 0, len(tc.unacked))
-	for s := range tc.unacked {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	now := l.relNow()
 	var resend []*netsim.Message
-	var resent []*relPending
-	var mig, abandoned uint64
 	var nextDue netsim.VTime
-	for _, s := range seqs {
-		p := tc.unacked[s]
+	for s, end := tc.base, tc.nextSeq; s <= end; s++ {
+		p := tc.slot(s)
+		if p.m == nil {
+			continue
+		}
 		if p.deadline > now {
 			// Still within its grace period; the channel timer just fired
 			// early for this message.
@@ -299,13 +397,18 @@ func (l *Locality) relTimer(ch int32) {
 			}
 			continue
 		}
-		if p.attempts >= l.w.relCfg.MaxAttempts {
-			delete(tc.unacked, s)
-			abandoned++
+		if p.attempts >= cfg.MaxAttempts {
+			tc.clear(s)
+			rl.stats.Abandoned++
 			continue
 		}
+		if len(resend) == 0 {
+			// Back off only on evidence of loss, once per firing, before the
+			// first resent message takes its new deadline.
+			tc.rto = min(2*tc.rto, cfg.MaxRTO)
+		}
 		p.attempts++
-		resent = append(resent, p)
+		p.deadline = now + tc.rto
 		// The clone travels and is recycled by whoever consumes it; the
 		// pristine copy p.m stays here for the next retransmission.
 		cp := netsim.NewMessage()
@@ -313,42 +416,26 @@ func (l *Locality) relTimer(ch int32) {
 		cp.Hops = 0
 		resend = append(resend, cp)
 		if cp.MigCtl {
-			mig++
+			rl.stats.MigRetransmits++
 		}
 	}
-	if len(resend) > 0 {
-		// Back off only on evidence of loss.
-		tc.rto *= 2
-		if tc.rto > l.w.relCfg.MaxRTO {
-			tc.rto = l.w.relCfg.MaxRTO
-		}
-		for _, p := range resent {
-			p.deadline = now + tc.rto
-		}
-	}
+	rl.stats.Retransmits += uint64(len(resend))
 	// A channel pinned at its backoff ceiling with work still unacked
 	// means something is silently eating traffic — the whole-node
 	// failure signature. Raise membership suspicion (outside the lock,
 	// below); the sweep is armed-gated and single-flight, so healthy
 	// worlds and already-probing ones pay nothing.
-	ceiling := len(resend) > 0 && tc.rto >= l.w.relCfg.MaxRTO
+	ceiling := len(resend) > 0 && tc.rto >= cfg.MaxRTO
 	next := tc.rto
 	if len(resend) == 0 && nextDue > now {
 		next = nextDue - now
 	}
-	again := len(tc.unacked) > 0
+	again := tc.n > 0
 	tc.armed = again
 	if !again {
-		tc.rto = l.w.relCfg.RTO
+		tc.rto = cfg.RTO
 	}
-	l.rel.mu.Unlock()
-
-	rw := l.w.relw
-	rw.mu.Lock()
-	rw.stats.Retransmits += uint64(len(resend))
-	rw.stats.MigRetransmits += mig
-	rw.stats.Abandoned += abandoned
-	rw.mu.Unlock()
+	rl.mu.Unlock()
 
 	if ceiling {
 		// The sweep inspects and arms world-level membership state, which
@@ -373,51 +460,39 @@ func (l *Locality) relTimer(ch int32) {
 // the layer is off or m is untracked) and acknowledges the delivery
 // either way, so a duplicate re-acks in case the first ack was lost.
 func (l *Locality) relAccept(m *netsim.Message) bool {
-	if l.rel == nil || m.RelSeq == 0 {
-		return true
-	}
-	rw := l.w.relw
-	rw.mu.Lock()
-	rx := rw.stream(relKey{src: m.Src, ch: m.RelChan})
-	dup := rx.seen(m.RelSeq)
-	if dup {
-		rw.stats.DupsSuppressed++
-	} else {
-		rx.record(m.RelSeq)
-		if m.Hops > rw.stats.MaxHops {
-			rw.stats.MaxHops = m.Hops
-		}
-	}
-	cum := rx.cum
-	rw.stats.AcksSent++
-	rw.mu.Unlock()
-	l.relSendAck(m, cum)
-	if dup {
-		l.trace(TraceDupSuppressed, m.Block, m.RelSeq)
-	}
-	return !dup
+	return l.rel == nil || m.RelSeq == 0 || !l.relGate(m, true)
 }
 
 // relDupPeek reports whether m is already applied, without recording
 // anything — used before taking an active-count so a late duplicate
 // cannot even transiently pin its block. It re-acks known duplicates.
 func (l *Locality) relDupPeek(m *netsim.Message) bool {
-	if l.rel == nil || m.RelSeq == 0 {
-		return false
-	}
+	return l.rel != nil && m.RelSeq != 0 && l.relGate(m, false)
+}
+
+// relGate reports whether tracked m is a duplicate of something already
+// applied; a first arrival is recorded when apply is set. Whatever is now
+// on record — the duplicate, the newly applied — is acknowledged.
+func (l *Locality) relGate(m *netsim.Message, apply bool) (dup bool) {
 	rw := l.w.relw
 	rw.mu.Lock()
-	rx := rw.rx[relKey{src: m.Src, ch: m.RelChan}]
-	dup := rx != nil && rx.seen(m.RelSeq)
-	var cum uint64
-	if dup {
+	rx := rw.stream(m)
+	dup = rx.seen(m.RelSeq)
+	switch {
+	case dup:
 		rw.stats.DupsSuppressed++
-		rw.stats.AcksSent++
-		cum = rx.cum
+	case apply:
+		rx.record(m.RelSeq)
+		rw.stats.MaxHops = max(rw.stats.MaxHops, m.Hops)
+	default:
+		rw.mu.Unlock()
+		return false
 	}
+	cum := rx.cum
+	rw.stats.AcksSent++
 	rw.mu.Unlock()
+	l.relSendAck(m, cum)
 	if dup {
-		l.relSendAck(m, cum)
 		l.trace(TraceDupSuppressed, m.Block, m.RelSeq)
 	}
 	return dup
@@ -433,8 +508,7 @@ func (l *Locality) relFlushOK(m *netsim.Message) bool {
 	}
 	rw := l.w.relw
 	rw.mu.Lock()
-	rx := rw.rx[relKey{src: m.Src, ch: m.RelChan}]
-	seen := rx != nil && rx.seen(m.RelSeq)
+	seen := rw.stream(m).seen(m.RelSeq)
 	if seen {
 		rw.stats.FlushSuppressed++
 	}
@@ -446,15 +520,10 @@ func (l *Locality) relFlushOK(m *netsim.Message) bool {
 // short-circuit.
 func (l *Locality) relSendAck(m *netsim.Message, cum uint64) {
 	ack := netsim.NewMessage()
-	ack.Kind = kRelAck
-	ack.Src = l.rank
-	ack.Dst = m.Src
-	ack.Wire = relAckWire
-	ack.RelChan = m.RelChan
-	ack.RelSeq = m.RelSeq
-	ack.RelCum = cum
+	*ack = netsim.Message{Kind: kRelAck, Src: l.rank, Dst: m.Src, Wire: relAckWire,
+		RelChan: m.RelChan, RelSeq: m.RelSeq, RelCum: cum}
 	if m.Src == l.rank {
-		l.w.locs[l.rank].relOnAck(ack)
+		l.relOnAck(ack)
 		ack.Release()
 		return
 	}
@@ -464,42 +533,58 @@ func (l *Locality) relSendAck(m *netsim.Message, cum uint64) {
 // relOnAck clears acked messages at the sender: the named sequence plus
 // everything at or below the cumulative horizon.
 func (l *Locality) relOnAck(m *netsim.Message) {
-	if l.rel == nil {
+	rl := l.rel
+	if rl == nil {
 		return
 	}
-	l.rel.mu.Lock()
-	if tc := l.rel.tx[m.RelChan]; tc != nil {
-		delete(tc.unacked, m.RelSeq)
-		for s := range tc.unacked {
-			if s <= m.RelCum {
-				delete(tc.unacked, s)
-			}
-		}
-		if len(tc.unacked) == 0 {
-			tc.rto = l.w.relCfg.RTO
+	rl.mu.Lock()
+	if tc := rl.chanOf(m.RelChan); tc != nil {
+		tc.ack(m.RelSeq, m.RelCum)
+		if tc.n == 0 {
+			tc.rto = l.w.cfg.Reliability.RTO
 		}
 	}
-	l.rel.mu.Unlock()
-	rw := l.w.relw
-	rw.mu.Lock()
-	rw.stats.AcksReceived++
-	rw.mu.Unlock()
+	rl.stats.AcksReceived++
+	rl.mu.Unlock()
 }
 
-// relAbandon gives up on a message after repeated hop-budget NACKs.
+// relAbandon gives up on a message after repeated hop-budget NACKs. One
+// message is one abandon: a duplicated NACK's clones all name the same
+// original, and only the first finds its sequence number still pending.
 func (l *Locality) relAbandon(m *netsim.Message) {
-	if l.rel != nil && m.RelSeq != 0 {
-		l.rel.mu.Lock()
-		if tc := l.rel.tx[m.RelChan]; tc != nil {
-			delete(tc.unacked, m.RelSeq)
+	rl := l.rel
+	if rl == nil || m.RelSeq == 0 {
+		return
+	}
+	rl.mu.Lock()
+	if tc := rl.chanOf(m.RelChan); tc != nil && tc.clear(m.RelSeq) {
+		rl.stats.Abandoned++
+	}
+	rl.mu.Unlock()
+}
+
+// relRebirth wipes the layer's record of this rank's previous
+// incarnation: the new one restarts every send stream at sequence 1, so
+// the old send windows and the world's receive row for this source must
+// go — otherwise the reborn sender's first messages are suppressed as
+// duplicate history.
+func (l *Locality) relRebirth() {
+	rl := l.rel
+	if rl == nil {
+		return
+	}
+	rl.mu.Lock()
+	for _, tc := range rl.tx {
+		if tc != nil {
+			tc.ack(0, tc.nextSeq) // the pristine copies go back to the pool
 		}
-		l.rel.mu.Unlock()
 	}
-	if rw := l.w.relw; rw != nil {
-		rw.mu.Lock()
-		rw.stats.Abandoned++
-		rw.mu.Unlock()
-	}
+	rl.tx = nil
+	rl.mu.Unlock()
+	rw := l.w.relw
+	rw.mu.Lock()
+	rw.rx[l.rank] = nil
+	rw.mu.Unlock()
 }
 
 // relStaleDrop is the graceful-degradation path for deliveries whose
@@ -514,10 +599,7 @@ func (l *Locality) relStaleDrop(m *netsim.Message) bool {
 		return false
 	}
 	l.relAccept(m)
-	rw := l.w.relw
-	rw.mu.Lock()
-	rw.stats.StaleDrops++
-	rw.mu.Unlock()
+	l.w.relw.staleDrops.Add(1)
 	return true
 }
 
@@ -528,10 +610,7 @@ func (l *Locality) relLateCompletion() bool {
 	if l.rel == nil {
 		return false
 	}
-	rw := l.w.relw
-	rw.mu.Lock()
-	rw.stats.LateCompletions++
-	rw.mu.Unlock()
+	l.w.relw.lateCompletions.Add(1)
 	return true
 }
 
@@ -548,7 +627,9 @@ func (w *World) UnackedMessages() int {
 		}
 		l.rel.mu.Lock()
 		for _, tc := range l.rel.tx {
-			n += len(tc.unacked)
+			if tc != nil {
+				n += tc.n
+			}
 		}
 		l.rel.mu.Unlock()
 	}
@@ -565,13 +646,23 @@ func (c Config) reliable() bool {
 // unconditionally).
 func (w *World) DeliveryStats() DeliveryStats {
 	var d DeliveryStats
-	if w.relw != nil {
-		w.relw.mu.Lock()
-		d = w.relw.stats
-		w.relw.mu.Unlock()
+	if rw := w.relw; rw != nil {
+		rw.mu.Lock()
+		d = rw.stats
+		rw.mu.Unlock()
+		d.StaleDrops, d.LateCompletions = rw.staleDrops.Load(), rw.lateCompletions.Load()
 	}
 	for _, l := range w.locs {
 		d.HopCapNacks += uint64(l.Stats.LoopNacks.Load())
+		if rl := l.rel; rl != nil {
+			rl.mu.Lock()
+			d.Tracked += rl.stats.Tracked
+			d.Retransmits += rl.stats.Retransmits
+			d.MigRetransmits += rl.stats.MigRetransmits
+			d.Abandoned += rl.stats.Abandoned
+			d.AcksReceived += rl.stats.AcksReceived
+			rl.mu.Unlock()
+		}
 	}
 	if w.fab != nil {
 		d.Faults = w.fab.FaultSnapshot()

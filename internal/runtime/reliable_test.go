@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"nmvgas/internal/gas"
@@ -65,6 +68,39 @@ func TestSameSeedIdenticalDeliveryStats(t *testing.T) {
 	}
 }
 
+// TestReliableLedgerMatchesParent holds the layer to numbers recorded at
+// the commit before its state became sliding windows (67468be), not to
+// itself: the equivalence workload on DES under drop=0.05,dup=0.02,reorder,
+// seed 7, must reproduce testdata/reliable_ledger line for line — the
+// whole delivery report, what is still unacked, the event count, the end
+// clock and the golden counters of each mode. A protocol change (what is
+// tracked, when a timer fires, what an ack clears) moves at least one of
+// them; a change of representation moves none.
+func TestReliableLedgerMatchesParent(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "reliable_ledger"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, ln := range strings.Split(string(raw), "\n") {
+		if ln != "" && !strings.HasPrefix(ln, "#") {
+			want = append(want, ln)
+		}
+	}
+	if len(want) != len(allModes) {
+		t.Fatalf("testdata/reliable_ledger: %d rows, want one per mode (%d)", len(want), len(allModes))
+	}
+	plan := netsim.FaultPlan{Drop: 0.05, Duplicate: 0.02, Reorder: true}
+	for i, mode := range allModes {
+		counters, w := runEquivWorkload(t, mode, EngineDES, withFaults(plan))
+		got := fmt.Sprintf("%v delivery=%+v unacked=%d events=%d clock=%d counters=%v",
+			mode, w.DeliveryStats(), w.UnackedMessages(), w.Engine().Processed(), w.Now(), counters)
+		if got != want[i] {
+			t.Errorf("ledger row %d moved\n got: %s\nwant: %s", i, got, want[i])
+		}
+	}
+}
+
 func TestForceWithoutFaultsZeroRetransmits(t *testing.T) {
 	// Acceptance: on a perfect fabric the reliability layer is pure
 	// bookkeeping — everything tracked, nothing retransmitted, nothing
@@ -122,6 +158,46 @@ func TestForwardingLoopDegradesToAbandon(t *testing.T) {
 	}
 	if w.Stats().LoopNacks != int64(d.HopCapNacks) {
 		t.Fatalf("LoopNacks %d != HopCapNacks %d", w.Stats().LoopNacks, d.HopCapNacks)
+	}
+}
+
+// TestDuplicatedLoopNackAbandonsOnce pins what Abandoned counts: messages
+// given up on, not NACKs processed. The fabric can duplicate the loop NACK
+// that takes a message past its bounce cap, and the clones share one
+// original; only the first finds its sequence number still pending. A
+// NACK for a message that was never tracked abandons nothing.
+func TestDuplicatedLoopNackAbandonsOnce(t *testing.T) {
+	w := testWorld(t, Config{
+		Ranks: 3, Mode: AGASNM, Engine: EngineDES,
+		Reliability: ReliabilityConfig{Force: true},
+	})
+	w.Start()
+	l := w.Locality(0)
+	loopNack := func(orig *netsim.Message) *netsim.Message {
+		m := netsim.NewMessage()
+		m.Ctl, m.Nacked, m.Owner, m.Block = netsim.CtlNackLoop, orig, -1, orig.Block
+		return m
+	}
+	orig := &netsim.Message{Kind: kParcel, Src: 0, Dst: 1, Target: gas.New(1, 999, 0), Block: 999}
+	l.relTrack(orig)
+	if orig.RelSeq != 1 || w.UnackedMessages() != 1 {
+		t.Fatalf("message not enrolled: seq %d, unacked %d", orig.RelSeq, w.UnackedMessages())
+	}
+	orig.Bounces = relBounceCap // the next bounce is one too many
+	l.onNICNack(loopNack(orig))
+	l.onNICNack(loopNack(orig)) // the duplicate
+	l.onNICNack(loopNack(&netsim.Message{Kind: kParcel, Block: 999, Bounces: relBounceCap}))
+	w.Drain()
+
+	d := w.DeliveryStats()
+	if d.HopCapNacks != 3 {
+		t.Fatalf("HopCapNacks %d, want 3", d.HopCapNacks)
+	}
+	if d.Abandoned != 1 {
+		t.Fatalf("Abandoned %d after one tracked message was given up on (NACK duplicated, plus an untracked one), want 1", d.Abandoned)
+	}
+	if n := w.UnackedMessages(); n != 0 {
+		t.Fatalf("%d messages still held after the abandon", n)
 	}
 }
 

@@ -487,15 +487,13 @@ func (wd *watchdogState) evalMigrationStall(w *World, pulse uint64) WatchdogStat
 	return s
 }
 
-// retransmitCount returns the cumulative timer-driven resend count
-// (cheaper than DeliveryStats: no fabric snapshot).
+// retransmitCount returns the cumulative timer-driven resend count (a
+// world without the layer pays nothing for the question).
 func (w *World) retransmitCount() uint64 {
 	if w.relw == nil {
 		return 0
 	}
-	w.relw.mu.Lock()
-	defer w.relw.mu.Unlock()
-	return w.relw.stats.Retransmits
+	return w.DeliveryStats().Retransmits
 }
 
 // Health returns the watchdogs' state as of the last pulse. With the

@@ -40,8 +40,7 @@ type World struct {
 	faults *netsim.FaultInjector
 
 	// Reliable-delivery state (nil unless cfg.reliable()).
-	relw   *relWorld
-	relCfg ReliabilityConfig
+	relw *relWorld
 
 	// mem is the elastic-membership table (always present; unarmed until
 	// the world kills, retires, or joins a locality).
@@ -112,9 +111,8 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Pulse.Enabled {
 		w.pulse = newPulseState(w, cfg.Pulse)
 	}
-	w.relCfg = cfg.Reliability
 	if cfg.reliable() {
-		w.relw = newRelWorld()
+		w.relw = &relWorld{rx: make([][]relRxState, cfg.Ranks)}
 	}
 	w.mem = newMembership(w)
 
@@ -129,19 +127,20 @@ func NewWorld(cfg Config) (*World, error) {
 			// than the cheapest wire path, one minimum-hop traversal at the
 			// model's link latency. See netsim.ParEngine.
 			la := cfg.Model.Latency * netsim.VTime(netsim.MinHops(cfg.Topology))
-			w.eng = netsim.NewParEngine(cfg.Ranks, cfg.Shards, la)
+			shards := cfg.Shards
 			if cfg.reliable() {
 				// The reliable layer's exactly-once store is keyed per
 				// (source, channel) stream, and one stream is legitimately
 				// touched by different receiving ranks inside one window
 				// (host forwards, post-migration re-resolution, cumulative
-				// acks) — state the rank partition cannot isolate. Windows
-				// then run serially in merged global event order, which is
-				// bit-identical to shards=1; fault-free runs, where the
-				// layer is off and nothing crosses the partition, keep the
-				// parallel drain.
-				w.eng.Par().SetSerial(true)
+				// acks) — state the rank partition cannot isolate. Such a
+				// world runs the windowed engine on one shard, bit-identical
+				// to every shard count by construction; fault-free runs,
+				// where the layer is off and nothing crosses the partition,
+				// keep their parallel windows.
+				shards = 1
 			}
+			w.eng = netsim.NewParEngine(cfg.Ranks, shards, la)
 		} else {
 			w.eng = netsim.NewEngine()
 		}
