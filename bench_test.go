@@ -13,7 +13,6 @@ package bench
 import (
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"nmvgas/internal/exp"
@@ -22,7 +21,6 @@ import (
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
 	"nmvgas/internal/runtime"
-	"nmvgas/internal/sched"
 	"nmvgas/internal/workloads"
 	"nmvgas/vgas"
 )
@@ -156,23 +154,6 @@ func BenchmarkTransTableUpdateWithEviction(b *testing.B) {
 }
 
 func BenchmarkDESEngineEventThroughput(b *testing.B) { microbench.DESEngineEvents(b) }
-
-func BenchmarkSchedPoolSubmit(b *testing.B) {
-	p := sched.NewPool(4, 1)
-	p.Start()
-	defer p.Stop()
-	done := make(chan struct{})
-	var n atomic.Int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Submit(func() {
-			if n.Add(1) == int64(b.N) {
-				close(done)
-			}
-		})
-	}
-	<-done
-}
 
 // The wall-clock fast-path microbenchmarks live in internal/microbench,
 // shared with vgasbench's -bench-json emitter so `go test -bench` and

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -239,6 +240,44 @@ func TestSamplerDES(t *testing.T) {
 	if !strings.Contains(buf.String(), "nmvgas_sampled_throughput_per_s") {
 		t.Fatal("sampler gauges not published")
 	}
+}
+
+// TestQueueDepthIsOneBacklog: the per-rank queue-depth gauge and the
+// sampler read the same backlog World.QueueDepths reports — on DES the
+// rank's pending events, which a driver-queued burst makes nonzero.
+func TestQueueDepthIsOneBacklog(t *testing.T) {
+	w, err := runtime.NewWorld(runtime.Config{Ranks: 3, Mode: runtime.AGASNM, Engine: runtime.EngineDES})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Stop)
+	echo := w.Register("echo", func(c *runtime.Ctx) {})
+	w.Start()
+	lay, err := w.AllocCyclic(0, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		w.Proc(1).Invoke(lay.BlockAt(2), echo, nil)
+	}
+	depths := w.QueueDepths()
+	if depths[1] == 0 {
+		t.Fatalf("driver-queued backlog not visible: %v", depths)
+	}
+	reg := NewRegistry()
+	PublishWorld(reg, w).Refresh()
+	total := 0
+	for r, d := range depths {
+		total += d
+		lbl := []Label{L("mode", "agas-nm"), L("engine", "des"), L("rank", strconv.Itoa(r))}
+		if got := reg.Gauge("nmvgas_rank_queue_depth", "", lbl...).Value(); got != float64(d) {
+			t.Errorf("rank %d: nmvgas_rank_queue_depth %v, QueueDepths %d", r, got, d)
+		}
+	}
+	if got := NewSampler(w).Sample().QueueDepth; got != int64(total) {
+		t.Errorf("sampler queue depth %d, QueueDepths sum %d", got, total)
+	}
+	w.Drain()
 }
 
 func TestHTTPHandler(t *testing.T) {

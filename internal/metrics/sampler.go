@@ -19,7 +19,8 @@ type Sample struct {
 	// Throughput is parcels executed per second of trace-clock time
 	// since the previous sample (0 for the first).
 	Throughput float64
-	// QueueDepth is the summed per-rank host-executor backlog.
+	// QueueDepth is the summed per-rank backlog (World.QueueDepths:
+	// mailbox length on the goroutine engine, pending events on DES).
 	QueueDepth int64
 	// NICTableEntries is the summed NIC-resident translation table size.
 	NICTableEntries int64
@@ -52,9 +53,9 @@ func (s *Sampler) now() int64 {
 // Sample records one point now.
 func (s *Sampler) Sample() Sample {
 	var run, depth, table int64
-	for r := 0; r < s.w.Ranks(); r++ {
+	for r, d := range s.w.QueueDepths() {
 		run += s.w.Locality(r).Stats.ParcelsRun.Load()
-		depth += int64(s.w.QueueDepth(r))
+		depth += int64(d)
 		table += int64(s.w.NICTableLen(r))
 	}
 	p := Sample{T: s.now(), ParcelsRun: run, QueueDepth: depth, NICTableEntries: table}
@@ -136,6 +137,6 @@ func (s *Sampler) Publish(reg *Registry) {
 	}
 	last := ss[len(ss)-1]
 	reg.Gauge("nmvgas_sampled_throughput_per_s", "Parcels/s between the last two samples", base...).Set(last.Throughput)
-	reg.Gauge("nmvgas_sampled_queue_depth", "Summed mailbox backlog at the last sample", base...).Set(float64(last.QueueDepth))
+	reg.Gauge("nmvgas_sampled_queue_depth", "Summed per-rank backlog at the last sample", base...).Set(float64(last.QueueDepth))
 	reg.Gauge("nmvgas_sampled_nic_table_entries", "Summed NIC table size at the last sample", base...).Set(float64(last.NICTableEntries))
 }

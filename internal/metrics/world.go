@@ -63,8 +63,8 @@ func PublishWorld(reg *Registry, w *runtime.World) *WorldPublisher {
 	counter("nmvgas_get_ops_total", "One-sided get operations issued")
 	counter("nmvgas_migrations_total", "Completed block migrations")
 	counter("nmvgas_retransmits_total", "Reliable-delivery retransmissions")
-	counter("nmvgas_net_messages_total", "Fabric messages sent (DES engine)")
-	counter("nmvgas_net_forwards_total", "In-network forwards (DES engine)")
+	counter("nmvgas_net_messages_total", "Fabric messages sent")
+	counter("nmvgas_net_forwards_total", "In-network forwards")
 	counter("nmvgas_scatter_splits_total", "Coalesced batches split in-NIC")
 	counter("nmvgas_batch_reroutes_total", "Batched parcels re-routed in host software")
 	counter("nmvgas_replica_reads_total", "Reads served from replica holders")
@@ -101,10 +101,10 @@ func PublishWorld(reg *Registry, w *runtime.World) *WorldPublisher {
 		lbl := append(append([]Label(nil), base...), L("rank", strconv.Itoa(r)))
 		p.rankSent = append(p.rankSent, reg.Gauge("nmvgas_rank_parcels_sent", "Parcels sent by one locality", lbl...))
 		p.rankRun = append(p.rankRun, reg.Gauge("nmvgas_rank_parcels_run", "Parcel handlers executed by one locality", lbl...))
-		p.rankQueue = append(p.rankQueue, reg.Gauge("nmvgas_rank_queue_depth", "Pending host-executor backlog (goroutine engine mailbox length)", lbl...))
+		p.rankQueue = append(p.rankQueue, reg.Gauge("nmvgas_rank_queue_depth", "Pending host-executor backlog", lbl...))
 		p.rankTable = append(p.rankTable, reg.Gauge("nmvgas_rank_nic_table_entries", "NIC-resident translation table size", lbl...))
-		p.rankDownDrops = append(p.rankDownDrops, reg.Gauge("nmvgas_fault_rank_down_drops", "Messages this NIC swallowed at a down link (DES fabric only)", lbl...))
-		p.rankDeadNacks = append(p.rankDeadNacks, reg.Gauge("nmvgas_fault_rank_dead_nacks", "Dead-rank NACKs this NIC synthesized (DES fabric only)", lbl...))
+		p.rankDownDrops = append(p.rankDownDrops, reg.Gauge("nmvgas_fault_rank_down_drops", "Messages this NIC swallowed at a down link", lbl...))
+		p.rankDeadNacks = append(p.rankDeadNacks, reg.Gauge("nmvgas_fault_rank_dead_nacks", "Dead-rank NACKs this NIC synthesized", lbl...))
 		p.rankHeat = append(p.rankHeat, reg.Gauge("nmvgas_rank_heat_load", "Sampled accesses served by this locality in the current heat epoch", lbl...))
 	}
 
@@ -164,11 +164,11 @@ func (p *WorldPublisher) Refresh() {
 	sg("nmvgas_member_rehomed_blocks", float64(ms.Rehomed))
 	sg("nmvgas_member_lost_blocks", float64(ms.Lost))
 
-	for r := 0; r < p.w.Ranks(); r++ {
+	for r, depth := range p.w.QueueDepths() {
 		ls := &p.w.Locality(r).Stats
 		p.rankSent[r].Set(float64(ls.ParcelsSent.Load()))
 		p.rankRun[r].Set(float64(ls.ParcelsRun.Load()))
-		p.rankQueue[r].Set(float64(p.w.QueueDepth(r)))
+		p.rankQueue[r].Set(float64(depth))
 		p.rankTable[r].Set(float64(p.w.NICTableLen(r)))
 		dd, dn, _ := p.w.NICFaultStats(r)
 		p.rankDownDrops[r].Set(float64(dd))

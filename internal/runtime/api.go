@@ -24,8 +24,14 @@ func (c *Ctx) Ranks() int { return c.l.w.cfg.Ranks }
 // World returns the owning world.
 func (c *Ctx) World() *World { return c.l.w }
 
-// Now returns the simulated time (0 on the goroutine engine).
-func (c *Ctx) Now() netsim.VTime { return c.l.w.Now() }
+// Now returns the simulated time of the running event on this rank's
+// engine (0 on the goroutine engine).
+func (c *Ctx) Now() netsim.VTime {
+	if c.l.eng == nil {
+		return 0
+	}
+	return c.l.eng.Now()
+}
 
 // Charge accounts d of simulated compute time to this locality's host
 // CPU. No-op on the goroutine engine, where compute costs are real.

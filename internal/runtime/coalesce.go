@@ -64,9 +64,7 @@ type coalescer struct {
 	// scatter marks batches for in-NIC splitting (network-managed
 	// space); other spaces unbundle host-side.
 	scatter bool
-	// epoch anchors the goroutine engine's gap clock.
-	epoch time.Time
-	bufs  []coalBuf // one per destination rank, independently locked
+	bufs    []coalBuf // one per destination rank, independently locked
 }
 
 // coalBuf is one destination's buffer. The payload is assembled
@@ -102,18 +100,8 @@ func newCoalescer(l *Locality, cfg CoalesceConfig) *coalescer {
 		maxBytes: cfg.maxBytes(),
 		maxDelay: cfg.maxDelay(),
 		scatter:  l.w.caps.NICTranslation,
-		epoch:    time.Now(),
 		bufs:     make([]coalBuf, l.w.cfg.Ranks),
 	}
-}
-
-// now returns the coalescer's gap clock: simulated time on DES, wall
-// clock scaled back to simulated nanoseconds on the goroutine engine.
-func (c *coalescer) now() netsim.VTime {
-	if c.l.eng != nil {
-		return c.l.eng.Now()
-	}
-	return netsim.VTime(time.Since(c.epoch).Nanoseconds() / int64(c.l.w.cfg.GoTimeScale))
 }
 
 // gapClamp bounds a single observed gap's contribution to the EWMA, so
@@ -125,7 +113,7 @@ func (c *coalescer) gapClamp() netsim.VTime { return 2 * c.maxDelay }
 // collapsed adaptive delay, or via the armed delay timer.
 func (c *coalescer) add(dst int, enc []byte) {
 	b := &c.bufs[dst]
-	now := c.now()
+	now := c.l.simNow()
 	b.mu.Lock()
 	// The flush-now decision uses the estimate as of *previous* adds: a
 	// single long gap must not bypass the delay by itself (the lone
@@ -152,7 +140,7 @@ func (c *coalescer) add(dst int, enc []byte) {
 	b.recs = netsim.AppendScatterRecord(b.recs, enc)
 	b.count++
 	if b.count == 1 && c.l.w.lat != nil {
-		b.firstAdd = c.l.w.latNow()
+		b.firstAdd = c.l.latNow()
 	}
 	full := b.count >= c.cfg.MaxParcels || len(b.recs) >= c.maxBytes
 	if full || collapse {
@@ -176,7 +164,7 @@ func (c *coalescer) add(dst int, enc []byte) {
 // Caller holds b.mu.
 func (b *coalBuf) take(c *coalescer) []byte {
 	if w := c.l.w; w.lat != nil {
-		w.lat.coalesceFlush.Record(w.latNow() - b.firstAdd)
+		w.lat.coalesceFlush.Record(c.l.latNow() - b.firstAdd)
 	}
 	payload := b.recs
 	b.recs = nil

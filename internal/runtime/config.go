@@ -48,8 +48,8 @@ const (
 	// loop with simulated time; the experiment harness uses it because
 	// Go's garbage collector cannot perturb simulated latencies.
 	EngineDES EngineKind = iota
-	// EngineGo runs one actor goroutine per locality (plus optional
-	// worker pools) with real concurrency and no simulated costs.
+	// EngineGo runs one actor goroutine per locality with real
+	// concurrency and no simulated costs.
 	EngineGo
 )
 
@@ -125,9 +125,6 @@ type Config struct {
 	// Coalesce batches small parcels per destination when
 	// Coalesce.MaxParcels > 1 (see CoalesceConfig).
 	Coalesce CoalesceConfig
-	// Workers adds per-locality worker goroutines in EngineGo mode; 0
-	// runs actions inline on the locality actor.
-	Workers int
 	// GoTimeScale is the EngineGo clock ratio: wall-clock nanoseconds per
 	// simulated nanosecond (0 = default 10). The goroutine engine has no
 	// simulated clock, but fault-injected delays and reliability
@@ -135,8 +132,7 @@ type Config struct {
 	// knob converts them to real durations instead of a silent 1:1 cast.
 	// EngineDES ignores it.
 	GoTimeScale int
-	// Seed feeds deterministic components (scheduler victim selection,
-	// fault injection).
+	// Seed feeds deterministic components (fault injection).
 	Seed int64
 	// Faults injects seeded delivery faults into the transport (both
 	// engines); the zero plan is a perfect network. A zero Faults.Seed

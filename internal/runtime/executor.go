@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"nmvgas/internal/netsim"
-	"nmvgas/internal/sched"
 )
 
 // Executor serializes work attributed to one locality's host CPU.
@@ -24,7 +23,7 @@ type Executor interface {
 	// engine queues a host delivery on the actor's mailbox and runs the
 	// other steps where they stand: an injection inline (the transport is
 	// thread-safe and there is no host-busy horizon to respect), a user
-	// parcel on the calling actor, or on a worker when there is a pool.
+	// parcel on the calling actor.
 	ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message)
 }
 
@@ -97,7 +96,7 @@ type task struct {
 const execBatch = 128
 
 // goExec is one locality actor: an unbounded mailbox drained by a single
-// goroutine, optionally paired with a worker pool for user action bodies.
+// goroutine, which runs every action of its locality one at a time.
 // The mailbox is a growable power-of-two ring buffer; the drain loop
 // claims up to execBatch tasks under one lock acquisition, so enqueue and
 // dequeue are both O(1) and a deep backlog no longer costs a slice shift
@@ -110,7 +109,6 @@ type goExec struct {
 	n       int    // number of queued tasks
 	stopped bool
 	wg      sync.WaitGroup
-	pool    *sched.Pool // nil when Workers == 0
 
 	// onMsg and onStep are the typed delivery handlers, wired by
 	// newChanNet before the actor starts: onMsg is the NIC receive path
@@ -124,8 +122,8 @@ type goExec struct {
 	onDrain func()
 }
 
-func newGoExec(pool *sched.Pool) *goExec {
-	e := &goExec{pool: pool, ring: make([]task, 64)}
+func newGoExec() *goExec {
+	e := &goExec{ring: make([]task, 64)}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
@@ -224,14 +222,11 @@ func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.enqueue(task{fn: fn}) }
 func (e *goExec) execMsg(m *netsim.Message) { e.enqueue(task{m: m}) }
 
 func (e *goExec) ExecMsg(_ netsim.VTime, op msgOp, m *netsim.Message) {
-	switch {
-	case op == opHostMsg:
+	if op == opHostMsg {
 		e.enqueue(task{m: m, op: op})
-	case op == opRunParcel && e.pool != nil:
-		e.pool.Submit(func() { e.onStep(op, m) })
-	default:
-		e.onStep(op, m)
+		return
 	}
+	e.onStep(op, m)
 }
 
 func (e *goExec) Charge(netsim.VTime) {}

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	goruntime "runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nmvgas/internal/netsim"
@@ -50,7 +53,7 @@ func TestDESExecIdleHostRunsAtNow(t *testing.T) {
 }
 
 func TestGoExecFIFOAndStop(t *testing.T) {
-	ex := newGoExec(nil)
+	ex := newGoExec()
 	ex.start()
 	var order []int
 	done := make(chan struct{})
@@ -75,7 +78,7 @@ func TestGoExecFIFOAndStop(t *testing.T) {
 }
 
 func TestGoExecStopDrains(t *testing.T) {
-	ex := newGoExec(nil)
+	ex := newGoExec()
 	ex.start()
 	n := 0
 	for i := 0; i < 100; i++ {
@@ -120,4 +123,108 @@ func TestWorldStatsAggregation(t *testing.T) {
 	if tb.NumRows() < 15 {
 		t.Fatalf("stats table has %d rows", tb.NumRows())
 	}
+}
+
+// TestLocalityRunsOneActionAtATime pins the invariant migration relies on
+// instead of a per-block quiescence count: a locality runs one action at
+// a time on both engines — one event stream per rank on DES, the locality
+// actor on the goroutine engine. Every action holds its locality's
+// in-flight flag while it yields; eight drivers (goroutines, on the
+// goroutine engine) hammer the blocks of one locality while migrations
+// spread them over the others.
+func TestLocalityRunsOneActionAtATime(t *testing.T) {
+	matrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
+		const ranks, nblocks, drivers, calls = 4, 8, 8, 40
+		w := testWorld(t, Config{Ranks: ranks, Mode: mode, Engine: eng})
+		var busy [ranks]atomic.Bool
+		var ran, overlaps atomic.Int64
+		probe := w.Register("probe", func(c *Ctx) {
+			if f := &busy[c.Rank()]; f.CompareAndSwap(false, true) {
+				for i := 0; i < 4; i++ {
+					goruntime.Gosched() // a second runner would get in here
+				}
+				f.Store(false)
+			} else {
+				overlaps.Add(1)
+			}
+			ran.Add(1)
+			c.Continue(nil)
+		})
+		w.Start()
+		lay, err := w.AllocLocal(1, 64, nblocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		call := func(i int) *LCORef { return w.Proc(i%ranks).Call(lay.BlockAt(uint32(i%nblocks)), probe, nil) }
+		migrate := func(i int) *LCORef { return w.Proc(i%ranks).Migrate(lay.BlockAt(uint32(i%nblocks)), (i+2)%ranks) }
+		if eng == EngineDES {
+			var futs []*LCORef
+			for i := 0; i < drivers*calls; i++ {
+				futs = append(futs, call(i))
+				if i%8 == 0 {
+					futs = append(futs, migrate(i))
+				}
+			}
+			for _, f := range futs {
+				w.MustWait(f)
+			}
+		} else {
+			var wg sync.WaitGroup
+			for g := 0; g < drivers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						w.MustWait(call(g + i*drivers))
+					}
+				}(g)
+			}
+			for i := 0; i < 2*nblocks; i++ {
+				w.MustWait(migrate(i))
+			}
+			wg.Wait()
+		}
+		if n := overlaps.Load(); n != 0 {
+			t.Fatalf("%d actions started while another ran on the same locality", n)
+		}
+		if n := ran.Load(); n != drivers*calls {
+			t.Fatalf("ran %d actions, want %d", n, drivers*calls)
+		}
+	})
+}
+
+// TestMigrateOwnBlockFromActionSeesItsWrites: an action that migrates its
+// own block and keeps writing it is not raced by the migration — the
+// snapshot is taken by migrate.req, which runs after the action returns,
+// so the block arrives carrying the action's last write.
+func TestMigrateOwnBlockFromActionSeesItsWrites(t *testing.T) {
+	agasMatrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
+		w := testWorld(t, Config{Ranks: 3, Mode: mode, Engine: eng})
+		var moved *LCORef
+		writeMove := w.Register("write-move", func(c *Ctx) {
+			d := c.Local(c.P.Target)
+			d[0] = 1
+			c.Migrate(c.P.Target, 2, moved.G)
+			d[0] = 2
+			c.Continue(nil)
+		})
+		w.Start()
+		moved = w.NewFuture(0)
+		lay, err := w.AllocLocal(1, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := lay.BlockAt(0)
+		w.MustWait(w.Proc(0).Call(g, writeMove, nil))
+		if st := MigrateStatus(w.MustWait(moved)); st != MigrateOK {
+			t.Fatalf("migrate status %d", st)
+		}
+		blk, ok := w.Locality(2).Store().Get(g.Block())
+		if !ok {
+			t.Fatal("block did not reach rank 2")
+		}
+		if blk.Data[0] != 2 {
+			t.Fatalf("migrated block carries %d, want the action's last write 2", blk.Data[0])
+		}
+	})
 }

@@ -17,11 +17,10 @@ import (
 // package with -race); without it they are cheap smoke tests.
 
 // TestGoNICStateConcurrentChurn hammers translation lookups and route
-// reads from many goroutines while migration churn rewrites routes and
-// tables underneath them, with a worker pool so user actions also run
-// off-actor.
+// reads from many goroutines while migration churn and user actions on
+// the locality actors rewrite routes and tables underneath them.
 func TestGoNICStateConcurrentChurn(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, Workers: 2})
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo})
 	bump := w.Register("bump", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
 	lay, err := w.AllocLocal(1, 64, 8)
@@ -97,7 +96,7 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 // nothing may deadlock or race.
 func TestGoExecStopWhileExec(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		e := newGoExec(nil)
+		e := newGoExec()
 		var ran atomic.Int64
 		e.onMsg = func(m *netsim.Message) { ran.Add(1) }
 		e.onStep = func(_ msgOp, m *netsim.Message) { ran.Add(1) }
@@ -276,7 +275,7 @@ func TestPipelinedPutsRaceActor(t *testing.T) {
 // TestGoExecRingGrowth forces the ring through several doublings with a
 // wrapped head and checks strict FIFO order survives.
 func TestGoExecRingGrowth(t *testing.T) {
-	e := newGoExec(nil)
+	e := newGoExec()
 	var mu sync.Mutex
 	var got []int
 	// Fill without a consumer so the ring must grow (initial capacity 64),

@@ -10,12 +10,12 @@ import (
 )
 
 // Runtime latency histograms (Config.Metrics). Every hook below is a
-// method on *World guarded by a single `w.lat == nil` check, so the
-// disabled path costs one predictable branch and zero allocations — the
-// claim the LatencyOverhead benchmarks pin down.
+// method on the *Locality it runs in, guarded by a single `l.w.lat == nil`
+// check, so the disabled path costs one predictable branch and zero
+// allocations — the claim the LatencyOverhead benchmarks pin down.
 //
-// Units follow the engine's trace clock: simulated nanoseconds under
-// EngineDES, monotonic wall nanoseconds under EngineGo (see
+// Units follow the rank's latency clock (latNow): simulated nanoseconds
+// under EngineDES, monotonic wall nanoseconds under EngineGo (see
 // TraceEvent.Time). In-flight operation starts are keyed by OpID in a
 // sharded map so the goroutine engine's concurrent send/complete paths
 // do not serialize on one lock.
@@ -92,24 +92,47 @@ func (s *latencyState) shard(id uint64) *latShard {
 	return &s.shards[(id^id>>48)%latShardCount]
 }
 
-// latNow returns the runtime's one clock — latency samples, leases, trace
-// timestamps and pulse ticks all read it: simulated time under EngineDES,
-// monotonic wall nanoseconds since World creation under EngineGo (where
-// Now() is always 0).
-func (w *World) latNow() int64 {
-	if w.eng != nil {
-		return int64(w.eng.Now())
+// The runtime's clocks, one definition per unit. Code running inside a
+// rank reads its rank's engine face, l.eng: under Shards >= 1 that is the
+// shard engine, whose Now is the running event's time, while w.eng is the
+// driver façade, whose Now is the last barrier's. Driver and barrier code
+// (the pulse tick, installReplicaSet, membership steps) reads the façade.
+// EngineGo has no simulated clock: both read wall time since World
+// creation.
+
+// clockOn reads the latency clock — latency samples, trace stamps, lease
+// stamps — on engine face e (nil under EngineGo), in nanoseconds.
+func (w *World) clockOn(e *netsim.Engine) int64 {
+	if e != nil {
+		return int64(e.Now())
 	}
 	return int64(time.Since(w.epoch))
 }
 
+// latNow is the latency clock from driver or barrier context.
+func (w *World) latNow() int64 { return w.clockOn(w.eng) }
+
+// latNow is the latency clock from inside this rank.
+func (l *Locality) latNow() int64 { return l.w.clockOn(l.eng) }
+
+// simNow is the clock that intervals given in simulated time run on
+// (retransmission deadlines, coalescer gaps): simulated time under
+// EngineDES, wall time scaled back through Config.GoTimeScale under
+// EngineGo, so real scheduling jitter does not masquerade as loss.
+func (l *Locality) simNow() netsim.VTime {
+	if l.eng != nil {
+		return l.eng.Now()
+	}
+	return netsim.VTime(l.w.clockOn(nil) / int64(l.w.cfg.GoTimeScale))
+}
+
 // latStart marks an operation (parcel or one-sided op) as in flight.
-func (w *World) latStart(id uint64) {
-	if w.lat == nil {
+func (l *Locality) latStart(id uint64) {
+	if l.w.lat == nil {
 		return
 	}
-	now := w.latNow()
-	sh := w.lat.shard(id)
+	now := l.latNow()
+	sh := l.w.lat.shard(id)
 	sh.mu.Lock()
 	sh.start[id] = now
 	sh.mu.Unlock()
@@ -126,26 +149,26 @@ func (s *latencyState) take(id uint64, now int64) (int64, bool) {
 }
 
 // latParcelExec closes a parcel's span: final execution at the owner.
-func (w *World) latParcelExec(id uint64) {
-	if w.lat == nil || id == 0 {
+func (l *Locality) latParcelExec(id uint64) {
+	if l.w.lat == nil || id == 0 {
 		return
 	}
-	if d, ok := w.lat.take(id, w.latNow()); ok {
-		w.lat.parcelExec.Record(d)
+	if d, ok := l.w.lat.take(id, l.latNow()); ok {
+		l.w.lat.parcelExec.Record(d)
 	}
 }
 
 // latOpDone closes a one-sided operation's span at its completion
 // callback.
-func (w *World) latOpDone(id uint64, put bool) {
-	if w.lat == nil {
+func (l *Locality) latOpDone(id uint64, put bool) {
+	if l.w.lat == nil {
 		return
 	}
-	if d, ok := w.lat.take(id, w.latNow()); ok {
+	if d, ok := l.w.lat.take(id, l.latNow()); ok {
 		if put {
-			w.lat.putDone.Record(d)
+			l.w.lat.putDone.Record(d)
 		} else {
-			w.lat.getDone.Record(d)
+			l.w.lat.getDone.Record(d)
 		}
 	}
 }
@@ -154,34 +177,34 @@ func (w *World) latOpDone(id uint64, put bool) {
 // time from the original send to the NACK being processed back at the
 // sender. The start mark stays in place — the operation is still in
 // flight and its eventual exec/completion closes the span.
-func (w *World) latNackRepair(id uint64) {
-	if w.lat == nil || id == 0 {
+func (l *Locality) latNackRepair(id uint64) {
+	if l.w.lat == nil || id == 0 {
 		return
 	}
-	now := w.latNow()
-	sh := w.lat.shard(id)
+	now := l.latNow()
+	sh := l.w.lat.shard(id)
 	sh.mu.Lock()
 	t0, ok := sh.start[id]
 	sh.mu.Unlock()
 	if ok {
-		w.lat.nackRepair.Record(now - t0)
+		l.w.lat.nackRepair.Record(now - t0)
 	}
 }
 
 // latReplDone closes a replica coherence span (opened with latStart at
 // the fan-out or fill send) into the histogram selected by which.
-func (w *World) latReplDone(id uint64, which int) {
-	if w.lat == nil || id == 0 {
+func (l *Locality) latReplDone(id uint64, which int) {
+	if l.w.lat == nil || id == 0 {
 		return
 	}
-	if d, ok := w.lat.take(id, w.latNow()); ok {
+	if d, ok := l.w.lat.take(id, l.latNow()); ok {
 		switch which {
 		case latReplInval:
-			w.lat.replInval.Record(d)
+			l.w.lat.replInval.Record(d)
 		case latReplUpdate:
-			w.lat.replUpdate.Record(d)
+			l.w.lat.replUpdate.Record(d)
 		case latReplFill:
-			w.lat.replFill.Record(d)
+			l.w.lat.replFill.Record(d)
 		}
 	}
 }
@@ -190,12 +213,12 @@ func (w *World) latReplDone(id uint64, which int) {
 // chain crosses ranks (owner → destination → home → old owner), so the
 // marks live world-level; a block migrates at most once at a time (the
 // pin guarantees it), so a plain map keyed by block suffices.
-func (w *World) latMigMark(b gas.BlockID, phase int) {
-	if w.lat == nil {
+func (l *Locality) latMigMark(b gas.BlockID, phase int) {
+	if l.w.lat == nil {
 		return
 	}
-	now := w.latNow()
-	s := w.lat
+	now := l.latNow()
+	s := l.w.lat
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	switch phase {
@@ -291,17 +314,6 @@ func (w *World) Latencies() WorldLatencies {
 	}
 }
 
-// QueueDepth returns rank r's pending host-executor backlog (mailbox
-// length on the goroutine engine; 0 under DES, whose global event queue
-// has no per-rank decomposition — use QueueDepths for the DES view).
-// The metrics sampler polls it.
-func (w *World) QueueDepth(r int) int {
-	if ex, ok := w.locs[r].exec.(*goExec); ok {
-		return ex.depth()
-	}
-	return 0
-}
-
 // queueDepthsInto fills counts (one slot per rank) with each rank's
 // pending backlog: mailbox depth on the goroutine engine, rank-
 // attributed pending events on DES. The queue-depth watchdog calls it
@@ -311,13 +323,13 @@ func (w *World) queueDepthsInto(counts []int) {
 		w.eng.PendingByRank(counts)
 		return
 	}
-	for r := range counts {
-		counts[r] = w.QueueDepth(r)
+	for r, l := range w.locs {
+		counts[r] = l.exec.(*goExec).depth()
 	}
 }
 
 // QueueDepths returns every rank's pending backlog (see queueDepthsInto)
-// as a fresh slice.
+// as a fresh slice; the metrics publisher and sampler poll it.
 func (w *World) QueueDepths() []int {
 	counts := make([]int, w.Ranks())
 	w.queueDepthsInto(counts)

@@ -16,13 +16,14 @@ func TestDisabledLatencyHooksAllocateNothing(t *testing.T) {
 	if w.lat != nil {
 		t.Fatal("latency state allocated without Config.Metrics")
 	}
+	l := w.Locality(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		w.latStart(7)
-		w.latParcelExec(7)
-		w.latOpDone(7, true)
-		w.latNackRepair(7)
-		w.latMigMark(3, migPin)
-		w.latMigMark(3, migDone)
+		l.latStart(7)
+		l.latParcelExec(7)
+		l.latOpDone(7, true)
+		l.latNackRepair(7)
+		l.latMigMark(3, migPin)
+		l.latMigMark(3, migDone)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled latency hooks allocate %v per run, want 0", allocs)

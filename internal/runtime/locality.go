@@ -138,11 +138,7 @@ type Locality struct {
 	// lock when it is zero — the answer a locked probe taken at that
 	// instant would give.
 	movingN atomic.Int32
-	// active counts user actions currently executing against each block;
-	// migration defers until the block is quiescent so a snapshot can
-	// never race an in-flight handler.
-	active map[gas.BlockID]int
-	ops    map[uint64]opState
+	ops     map[uint64]opState
 	// replicas is this locality's holder-side coherence state, one entry
 	// per replica block resident here (nil until the first install; see
 	// replicate.go).
@@ -187,7 +183,6 @@ func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 		rank:   rank,
 		store:  gas.NewStore(),
 		moving: make(map[gas.BlockID]*moveState),
-		active: make(map[gas.BlockID]int),
 		ops:    make(map[uint64]opState),
 	}
 	l.proc = Proc{l: l}
@@ -240,8 +235,9 @@ func (l *Locality) isMoving(b gas.BlockID) bool {
 	return ok
 }
 
-// queueIfMoving parks m behind an in-flight migration of b; reports
-// whether it did.
+// queueIfMoving is the one park step: m waits behind an in-flight
+// migration of b until the flush re-routes it to the new owner. Reports
+// whether it parked.
 func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
 	if l.movingN.Load() == 0 {
 		return false
@@ -250,17 +246,11 @@ func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
 	defer l.mu.Unlock()
 	st, ok := l.moving[b]
 	if ok {
-		l.park(st, b, m)
+		st.queued = append(st.queued, m)
+		l.Stats.Queued.Inc()
+		l.traceOp(TraceQueued, b, uint64(m.Kind), m.OpID)
 	}
 	return ok
-}
-
-// park is the one park step: m waits in st, the in-flight migration of
-// b, until the flush re-routes it to the new owner. Callers hold l.mu.
-func (l *Locality) park(st *moveState, b gas.BlockID, m *netsim.Message) {
-	st.queued = append(st.queued, m)
-	l.Stats.Queued.Inc()
-	l.traceOp(TraceQueued, b, uint64(m.Kind), m.OpID)
 }
 
 // residentForNIC is the residency oracle of the NIC and of the host's
@@ -287,7 +277,7 @@ func (l *Locality) SendParcel(p *parcel.Parcel) {
 	p.OpID = l.newOpID()
 	l.Stats.ParcelsSent.Inc()
 	l.traceOp(TraceSend, p.Target.Block(), uint64(p.Action), p.OpID)
-	l.w.latStart(p.OpID)
+	l.latStart(p.OpID)
 	enc := parcel.Encode(p)
 	m := netsim.NewMessage()
 	m.Kind = kParcel
@@ -395,7 +385,7 @@ func (l *Locality) handleMsg(op msgOp, m *netsim.Message) {
 	case opInject:
 		l.w.net.Send(l.rank, m)
 	case opRunParcel:
-		l.runUserParcel(m)
+		l.runParcel(m, true)
 	}
 }
 
@@ -476,46 +466,20 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 	}
 }
 
-// execParcel dispatches a parcel message at its (supposed) owner. The
-// moving/residency checks run at *execution* time — the parcel may sit in
-// an executor queue while a migration starts — and user actions hold an
-// active-count on their block so migration snapshots never race handlers.
+// execParcel dispatches a parcel message at its (supposed) owner. A
+// user action's body is its own executor step, and the message is all
+// that step needs: the parcel is decoded where it runs. Control actions
+// run here.
 func (l *Locality) execParcel(m *netsim.Message) {
 	action, _, _, err := parcel.Peek(m.Payload)
 	if err != nil {
 		l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
 	}
 	if action >= firstUserAction {
-		// The body is its own executor step (a worker's, when the engine
-		// has a pool), and the message is all that step needs: the parcel
-		// is decoded where it runs.
 		l.exec.ExecMsg(0, opRunParcel, m)
 		return
 	}
-	// Control actions never touch user block data; they re-check state
-	// themselves where needed.
-	p, act := l.decodeParcel(m)
-	if l.queueIfMoving(p.Target.Block(), m) {
-		return
-	}
-	if blk, ok := l.store.Get(p.Target.Block()); !ok || blk.Replica {
-		// Not here — or only a read replica is: parcels execute exactly
-		// once, at the master.
-		l.space.OnStaleDelivery(m, p)
-		return
-	}
-	if !l.relAccept(m) {
-		// A duplicated control parcel (LCO set, migration step) must not
-		// run twice: gates would double-count and the migration protocol
-		// would replay.
-		m.Release()
-		return
-	}
-	l.Stats.ParcelsRun.Inc()
-	l.traceOp(TraceExec, p.Target.Block(), uint64(p.Action), p.OpID)
-	l.w.latParcelExec(p.OpID)
-	act(&Ctx{l: l, P: p})
-	m.Release()
+	l.runParcel(m, false)
 }
 
 // decodeParcel decodes m's parcel and resolves its action.
@@ -531,48 +495,44 @@ func (l *Locality) decodeParcel(m *netsim.Message) (*parcel.Parcel, Action) {
 	return p, act
 }
 
-// runUserParcel is the user-action half of execParcel: dup suppression,
-// migration queueing, the per-block active-count, and dispatch. It runs
-// on a worker when the engine has a pool, else on the locality actor.
-func (l *Locality) runUserParcel(m *netsim.Message) {
+// runParcel is the one parcel admission: park behind a migration, hand a
+// stale delivery to the address space, apply the exactly-once gate, run.
+// The checks run at *execution* time — a parcel may sit in an executor
+// queue while a migration starts. A locality runs one action at a time
+// on both engines (one event stream per rank on DES, the locality actor
+// on the goroutine engine), so a migration snapshot never races a running
+// handler and admission takes no lock unless a block is moving. user
+// marks a user action: a duplicate is dropped before it can park or be
+// re-routed, and the run feeds the heat sample. Control actions never
+// touch user block data; they re-check state themselves where needed.
+func (l *Locality) runParcel(m *netsim.Message, user bool) {
 	p, act := l.decodeParcel(m)
 	b := p.Target.Block()
-	if l.relDupPeek(m) {
-		// A copy that already ran here must not even transiently take
-		// an active-count (that could defer a racing migration).
+	if user && l.relDupPeek(m) {
 		m.Release()
 		return
 	}
-	l.mu.Lock()
-	if st, moving := l.moving[b]; moving {
-		l.park(st, b, m)
-		l.mu.Unlock()
+	if l.queueIfMoving(b, m) {
 		return
 	}
-	l.active[b]++
-	l.mu.Unlock()
-
-	defer func() {
-		l.mu.Lock()
-		if l.active[b]--; l.active[b] == 0 {
-			delete(l.active, b)
-		}
-		l.mu.Unlock()
-	}()
 	if blk, ok := l.store.Get(b); !ok || blk.Replica {
-		// Only the master copy runs user actions; a replica here means
-		// the sender's routing was stale.
+		// Not here — or only a read replica is: parcels execute exactly
+		// once, at the master.
 		l.space.OnStaleDelivery(m, p)
 		return
 	}
 	if !l.relAccept(m) {
+		// A duplicated parcel must not run twice: LCO gates would
+		// double-count and the migration protocol would replay.
 		m.Release()
 		return
 	}
 	l.Stats.ParcelsRun.Inc()
-	l.w.noteAccess(l.rank, m.Src, b, false)
+	if user {
+		l.w.noteAccess(l.rank, m.Src, b, false)
+	}
 	l.traceOp(TraceExec, b, uint64(p.Action), p.OpID)
-	l.w.latParcelExec(p.OpID)
+	l.latParcelExec(p.OpID)
 	act(&Ctx{l: l, P: p})
 	m.Release()
 }
@@ -605,7 +565,7 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 		l.Stats.NICNacks.Inc()
 		l.traceOp(TraceNICNack, m.Block, uint64(int64(m.Owner)), orig.OpID)
 	}
-	l.w.latNackRepair(orig.OpID)
+	l.latNackRepair(orig.OpID)
 	if m.Owner >= 0 {
 		l.exec.Charge(l.w.cfg.Model.NICUpdate)
 		l.w.net.State(l.rank, m.Block, func(st *netsim.TransState) { st.Table.Update(m.Block, m.Owner) })
@@ -627,7 +587,7 @@ func (l *Locality) onHostNack(m *netsim.Message) {
 		l.w.fail("rank %d: host NACK without original message", l.rank)
 	}
 	l.traceOp(TraceHostNack, m.Block, uint64(int64(m.Owner)), m.Nacked.OpID)
-	l.w.latNackRepair(m.Nacked.OpID)
+	l.latNackRepair(m.Nacked.OpID)
 	if m.Owner >= 0 {
 		l.space.LearnOwner(m.Block, m.Owner)
 	}

@@ -764,7 +764,6 @@ func (mem *membership) rebirth(l *Locality) {
 	l.mu.Lock()
 	l.moving = make(map[gas.BlockID]*moveState)
 	l.movingN.Store(0)
-	l.active = make(map[gas.BlockID]int)
 	l.ops = make(map[uint64]opState)
 	l.replicas = nil
 	l.mu.Unlock()

@@ -149,7 +149,7 @@ func migrateReq(c *Ctx) {
 	}
 	blk, ok := l.store.Get(b)
 	if !ok {
-		// execParcel guarantees residency; reaching here is a protocol
+		// runParcel guarantees residency; reaching here is a protocol
 		// bug.
 		l.w.fail("rank %d: migrate.req for non-resident block %d", l.rank, b)
 	}
@@ -169,23 +169,15 @@ func migrateReq(c *Ctx) {
 
 	// Pin: from here until migrateDone, arrivals for b queue at this
 	// host (the NIC residency oracle reports false, and under AGASNM the
-	// route-to-self entry steers misrouted traffic to this host). If a
-	// user action is mid-execution against the block, defer — the
-	// snapshot must observe a quiescent block.
+	// route-to-self entry steers misrouted traffic to this host). The
+	// block is quiescent: this locality runs one action at a time, and
+	// this one is it.
 	l.mu.Lock()
-	if l.active[b] > 0 {
-		l.mu.Unlock()
-		retry := *c.P
-		l.exec.Exec(l.w.cfg.Model.HandlerDispatch, func() {
-			migrateReq(&Ctx{l: l, P: &retry})
-		})
-		return
-	}
 	l.moving[b] = &moveState{dst: mp.to}
 	l.movingN.Store(int32(len(l.moving)))
 	l.mu.Unlock()
 	l.trace(TraceMigrateStart, b, uint64(mp.to))
-	l.w.latMigMark(b, migPin)
+	l.latMigMark(b, migPin)
 	l.space.BeginMigrate(b)
 
 	// A replicated block's coherence ownership travels with it: take the
@@ -279,7 +271,7 @@ func migrateData(c *Ctx) {
 		l.w.fail("rank %d: migrate install: %v", l.rank, err)
 	}
 	l.space.InstallMigrated(b)
-	l.w.latMigMark(b, migInstall)
+	l.latMigMark(b, migInstall)
 	mp.data = nil
 	if mp.replicated {
 		l.w.rehomeReplicas(b, l.rank, mp.holders)
@@ -298,7 +290,7 @@ func migrateCommit(c *Ctx) {
 	b := mp.g.Block()
 
 	l.space.CommitMigrate(b, mp.to)
-	l.w.latMigMark(b, migCommit)
+	l.latMigMark(b, migCommit)
 	l.SendParcel(&parcel.Parcel{
 		Action:  aMigrateDone,
 		Target:  l.w.LocalityGVA(mp.oldOwner),
@@ -327,7 +319,7 @@ func migrateDone(c *Ctx) {
 	}
 	l.Stats.Migrations.Inc()
 	l.trace(TraceMigrateDone, b, uint64(mp.to))
-	l.w.latMigMark(b, migDone)
+	l.latMigMark(b, migDone)
 	for _, qm := range st.queued {
 		// A duplicate that was queued while its original executed here
 		// must not chase the block to the new owner.

@@ -383,10 +383,10 @@ func TestMigrateBackBeforeDone(t *testing.T) {
 }
 
 // TestQueuedTraceCoversUserParcels: every message parked behind a
-// migration leaves a TraceQueued hop, whichever admission parked it. A
-// user-action parcel takes the active count under the same lock as the
-// moving check, so it parks in runUserParcel rather than queueIfMoving —
-// and used to count in Stats.Queued without tracing.
+// migration leaves a TraceQueued hop, whichever admission parked it — a
+// user-action parcel (runParcel) as well as a one-sided op (hostRMA).
+// Until PR 19 user parcels parked through an inline copy of the park
+// step that counted in Stats.Queued without tracing.
 func TestQueuedTraceCoversUserParcels(t *testing.T) {
 	agasMatrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
 		w := testWorld(t, Config{Ranks: 3, Mode: mode, Engine: eng})

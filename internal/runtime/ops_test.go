@@ -166,7 +166,7 @@ func TestReduceLCOAcrossRanks(t *testing.T) {
 
 func TestManyConcurrentOps(t *testing.T) {
 	matrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
-		w := testWorld(t, Config{Ranks: 4, Mode: mode, Engine: eng, Workers: 2})
+		w := testWorld(t, Config{Ranks: 4, Mode: mode, Engine: eng})
 		bump := w.Register("bump", func(c *Ctx) {
 			c.Continue(nil)
 		})

@@ -323,7 +323,7 @@ func (l *Locality) relTrack(m *netsim.Message) {
 		rl.tx[ch] = tc
 	}
 	m.RelChan = ch
-	tc.track(m, l.relNow()+tc.rto)
+	tc.track(m, l.simNow()+tc.rto)
 	rl.stats.Tracked++
 	arm := !tc.armed
 	tc.armed = true
@@ -332,18 +332,6 @@ func (l *Locality) relTrack(m *netsim.Message) {
 	if arm {
 		l.relArm(ch, rto)
 	}
-}
-
-// relNow reads the clock retransmission deadlines live on: simulated
-// time under DES, wall time divided by Config.GoTimeScale under the
-// goroutine engine (so timeouts specified in simulated ns run scaled-up
-// on the wall clock and real scheduling jitter does not masquerade as
-// loss).
-func (l *Locality) relNow() netsim.VTime {
-	if l.eng != nil {
-		return l.eng.Now()
-	}
-	return netsim.VTime(time.Now().UnixNano() / int64(l.w.cfg.GoTimeScale))
 }
 
 // relArm schedules the retransmission timer for channel ch.
@@ -381,7 +369,7 @@ func (l *Locality) relTimer(ch int32) {
 		rl.mu.Unlock()
 		return
 	}
-	now := l.relNow()
+	now := l.simNow()
 	var resend []*netsim.Message
 	var nextDue netsim.VTime
 	for s, end := tc.base, tc.nextSeq; s <= end; s++ {
@@ -464,8 +452,9 @@ func (l *Locality) relAccept(m *netsim.Message) bool {
 }
 
 // relDupPeek reports whether m is already applied, without recording
-// anything — used before taking an active-count so a late duplicate
-// cannot even transiently pin its block. It re-acks known duplicates.
+// anything — runParcel asks it first, so a late duplicate user parcel is
+// dropped before it can park behind a migration or be re-routed by a
+// stale delivery. It re-acks known duplicates.
 func (l *Locality) relDupPeek(m *netsim.Message) bool {
 	return l.rel != nil && m.RelSeq != 0 && l.relGate(m, false)
 }

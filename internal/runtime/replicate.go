@@ -97,7 +97,7 @@ func (l *Locality) replicaFresh(b gas.BlockID) (bool, bool) {
 		l.mu.Unlock()
 		return false, false
 	}
-	if !st.stale && l.w.cfg.Coherence == agas.RWLease && l.w.latNow() > st.expiry {
+	if !st.stale && l.w.cfg.Coherence == agas.RWLease && l.latNow() > st.expiry {
 		st.stale = true
 	}
 	stale := st.stale
@@ -168,7 +168,7 @@ func (l *Locality) sendReplFill(b gas.BlockID, home int) {
 	m.Target = gas.New(home, b, 0)
 	m.Wire = 32
 	m.OpID = l.newOpID()
-	l.w.latStart(m.OpID)
+	l.latStart(m.OpID)
 	l.routeMsg(m)
 }
 
@@ -211,7 +211,7 @@ func (l *Locality) replFanOut(b gas.BlockID, nic bool) {
 		m.Dst = h
 		m.Block = b
 		m.OpID = l.newOpID()
-		l.w.latStart(m.OpID)
+		l.latStart(m.OpID)
 		if pol == agas.WriteUpdate {
 			m.Kind = kReplUpdate
 			// Each message owns its payload: holders release theirs
@@ -240,7 +240,7 @@ func (l *Locality) onReplInval(m *netsim.Message) {
 	}
 	if l.replMarkStale(m.Block) {
 		l.Stats.ReplicaInvals.Inc()
-		l.w.latReplDone(m.OpID, latReplInval)
+		l.latReplDone(m.OpID, latReplInval)
 	}
 	m.Release()
 }
@@ -264,7 +264,7 @@ func (l *Locality) onReplUpdate(m *netsim.Message) {
 			st.stale = false
 			l.mu.Unlock()
 			l.Stats.ReplicaUpdates.Inc()
-			l.w.latReplDone(m.OpID, latReplUpdate)
+			l.latReplDone(m.OpID, latReplUpdate)
 		}
 	}
 	l.releasePayload(m)
@@ -322,10 +322,10 @@ func (l *Locality) onReplFillRep(m *netsim.Message) {
 			l.mu.Lock()
 			st.stale = false
 			st.filling = false
-			st.expiry = l.w.latNow() + l.w.cfg.LeaseNs
+			st.expiry = l.latNow() + l.w.cfg.LeaseNs
 			l.mu.Unlock()
 			l.Stats.ReplicaFills.Inc()
-			l.w.latReplDone(m.OpID, latReplFill)
+			l.latReplDone(m.OpID, latReplFill)
 		}
 	}
 	l.releasePayload(m)

@@ -122,7 +122,7 @@ func (l *Locality) getVecAsync(src gas.GVA, segs []GetSeg, pooledOK bool, done f
 // length the reply will carry.
 func (l *Locality) issue(kind uint8, target gas.GVA, payload []byte, pooled bool, n uint32, st opState) {
 	id := l.newOpID()
-	l.w.latStart(id)
+	l.latStart(id)
 	l.mu.Lock()
 	l.ops[id] = st
 	l.mu.Unlock()
@@ -157,7 +157,7 @@ func (l *Locality) completeOp(id uint64, data []byte) {
 		}
 		l.w.fail("rank %d: completion for unknown op %d", l.rank, id)
 	}
-	l.w.latOpDone(id, st.pdone != nil)
+	l.latOpDone(id, st.pdone != nil)
 	if st.done != nil {
 		st.done(data)
 	}

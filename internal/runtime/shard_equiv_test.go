@@ -3,6 +3,9 @@ package runtime
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -195,6 +198,55 @@ func TestShardedKillRestartEquivalence(t *testing.T) {
 	for _, n := range shardCounts {
 		if got := shardKillRun(t, n); got != ref {
 			t.Errorf("shards=%d kill/restart run diverged from shards=1\n got:\n%s\nwant:\n%s", n, got, ref)
+		}
+	}
+}
+
+// TestShardedRankClockIsEventTime: code running inside a rank reads its
+// rank's engine face, so under sharding the trace stamps, the latency
+// samples and an action's c.Now() are the running event's time — what the
+// classic engine reads — and not the driver façade's, whose clock is the
+// last barrier. The two operations touch disjoint ranks, so the classic
+// engine and every shard count run the same events at the same times.
+func TestShardedRankClockIsEventTime(t *testing.T) {
+	run := func(shards int) string {
+		w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineDES, Shards: shards, Metrics: true})
+		var mu sync.Mutex
+		var log []string
+		note := func(format string, args ...any) {
+			mu.Lock()
+			log = append(log, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+		w.SetTracer(func(ev TraceEvent) {
+			note("trace %d r%d %v b%d i%d op%x", ev.Time, ev.Rank, ev.Kind, ev.Block, ev.Info, ev.OpID)
+		})
+		stamp := w.Register("stamp", func(c *Ctx) {
+			note("now %d r%d", c.Now(), c.Rank())
+			c.Continue(nil)
+		})
+		w.Start()
+		lay, err := w.AllocCyclic(0, 64, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		call := w.Proc(0).Call(lay.BlockAt(1), stamp, nil)
+		put := w.Proc(2).Put(lay.BlockAt(3), []byte{1})
+		w.Drain()
+		if !call.Ready() || !put.Ready() {
+			t.Fatalf("shards=%d: operations did not complete", shards)
+		}
+		lat := w.Latencies()
+		sort.Strings(log)
+		return fmt.Sprintf("%s\nparcel_exec %+v\nput %+v", strings.Join(log, "\n"), lat.ParcelExec, lat.PutDone)
+	}
+	ref := run(0)
+	if !strings.Contains(ref, "now 1819 r1") {
+		t.Fatalf("classic world: the action did not read its event time (one-way parcel 1 819 ns):\n%s", ref)
+	}
+	for _, n := range []int{1, 4} {
+		if got := run(n); got != ref {
+			t.Errorf("shards=%d: in-rank clock reads diverged from the classic engine\n got:\n%s\nwant:\n%s", n, got, ref)
 		}
 	}
 }

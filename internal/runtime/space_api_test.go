@@ -186,8 +186,8 @@ func TestGoEngineMigrationChurnRace(t *testing.T) {
 				calls   = 150
 				migs    = 40
 			)
-			// Workers stays 0 so action bodies run inline on the locality
-			// actor: block data access is serialized per locality.
+			// Action bodies run on the locality actor, one at a time: block
+			// data access is serialized per locality.
 			w, err := NewWorldFor(sp, Config{Ranks: ranks, Engine: EngineGo})
 			if err != nil {
 				t.Fatal(err)

@@ -93,9 +93,10 @@ func TestLargeWorldSmoke(t *testing.T) {
 }
 
 func TestGoEngineManyWorkersHeavyTraffic(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, Workers: 4})
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo})
 	spin := w.Register("spin", func(c *Ctx) {
-		// A tiny bit of real work so the pool actually interleaves.
+		// A tiny bit of real work per action, so the actors' mailboxes
+		// back up while drivers keep sending from every rank.
 		s := 0
 		for i := 0; i < 100; i++ {
 			s += i

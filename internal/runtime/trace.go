@@ -184,7 +184,7 @@ func (l *Locality) traceOp(kind TraceKind, block gas.BlockID, info, opID uint64)
 		return
 	}
 	l.w.tracer(TraceEvent{
-		Time: netsim.VTime(l.w.latNow()), Rank: l.rank, Kind: kind, Block: block,
+		Time: netsim.VTime(l.latNow()), Rank: l.rank, Kind: kind, Block: block,
 		Info: info, OpID: opID, Span: spanOf(kind),
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/nmagas"
 	"nmvgas/internal/parcel"
-	"nmvgas/internal/sched"
 )
 
 // World is one running system: cfg.Ranks localities, their address-space
@@ -33,10 +32,8 @@ type World struct {
 	eng *netsim.Engine
 	fab *netsim.Fabric
 
-	// Goroutine engine state (nil under EngineDES).
-	pool *sched.Pool
 	// faults is the goroutine transport's injector (the DES fabric owns
-	// its own); nil without faults.
+	// its own); nil without faults and under EngineDES.
 	faults *netsim.FaultInjector
 
 	// Reliable-delivery state (nil unless cfg.reliable()).
@@ -54,8 +51,8 @@ type World struct {
 	// trace.go).
 	tracer func(TraceEvent)
 
-	// epoch anchors wall-clock trace timestamps and latency samples under
-	// EngineGo, where there is no simulated clock.
+	// epoch anchors every clock of EngineGo, which has no simulated one
+	// (see clockOn).
 	epoch time.Time
 
 	// lat holds the latency histograms; nil unless cfg.Metrics (the
@@ -171,11 +168,8 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 	case EngineGo:
 		w.faults = netsim.NewFaultInjector(cfg.Faults)
-		if cfg.Workers > 0 {
-			w.pool = sched.NewPool(cfg.Ranks*cfg.Workers, cfg.Seed)
-		}
 		for _, l := range w.locs {
-			l.exec = newGoExec(w.pool)
+			l.exec = newGoExec()
 		}
 		w.net = newChanNet(w)
 	default:
@@ -227,7 +221,7 @@ func (w *World) Register(name string, a Action) parcel.ActionID {
 }
 
 // Start seals the action registry and, under EngineGo, launches the
-// locality actors and worker pool.
+// locality actors.
 func (w *World) Start() {
 	if w.started {
 		panic("runtime: double Start")
@@ -238,9 +232,6 @@ func (w *World) Start() {
 		w.fab.Live = w.mem
 	}
 	if w.cfg.Engine == EngineGo {
-		if w.pool != nil {
-			w.pool.Start()
-		}
 		for _, l := range w.locs {
 			l.exec.(*goExec).start()
 		}
@@ -258,7 +249,7 @@ var StopDrainTimeout = 2 * time.Second
 // Stop shuts the world down. Under EngineGo it first waits (briefly,
 // bounded by StopDrainTimeout) for in-flight migrations to complete —
 // tearing the actors down around a half-moved block would strand its
-// queued traffic — then drains and stops the actors and pool, and
+// queued traffic — then drains and stops the actors, and
 // deterministically aborts anything still mid-move so the final state
 // is consistent for post-mortem inspection. Under EngineDES it is a
 // no-op beyond marking the world stopped.
@@ -279,9 +270,6 @@ func (w *World) Stop() {
 		w.awaitMigrationDrain(StopDrainTimeout)
 		for _, l := range w.locs {
 			l.exec.(*goExec).stop()
-		}
-		if w.pool != nil {
-			w.pool.Stop()
 		}
 		w.abortStrandedMigrations()
 	}
