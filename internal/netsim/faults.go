@@ -227,13 +227,14 @@ func (fi *FaultInjector) Decide(m *Message) FaultAction {
 
 // MaybeLoseEntry randomly evicts one translation-table entry (the
 // soft-error model), reporting whether it did. The caller owns any lock
-// protecting t.
+// protecting t. A plan without TableLoss (never written after
+// construction) draws nothing, so it returns before the lock.
 func (fi *FaultInjector) MaybeLoseEntry(t *TransTable) bool {
-	if t == nil {
+	if t == nil || fi.plan.TableLoss == 0 {
 		return false
 	}
 	fi.mu.Lock()
-	hit := fi.plan.TableLoss > 0 && fi.rng.Float64() < fi.plan.TableLoss
+	hit := fi.rng.Float64() < fi.plan.TableLoss
 	var idx int
 	if hit {
 		if n := t.Len(); n > 0 {

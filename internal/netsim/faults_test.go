@@ -170,3 +170,27 @@ func TestMaybeLoseEntry(t *testing.T) {
 		t.Fatal("loss reported on a nil table")
 	}
 }
+
+// TestMaybeLoseEntryWithoutTableLossDrawsNothing: a plan without TableLoss
+// makes the per-arrival soft-error hook a no-op that neither locks nor
+// draws, so interleaving it with Decide leaves the fault schedule — and so
+// every seeded DES result — exactly what it is without the calls.
+func TestMaybeLoseEntryWithoutTableLossDrawsNothing(t *testing.T) {
+	plan := FaultPlan{Seed: 9, Drop: 0.1, Duplicate: 0.1, DelayProb: 0.3}
+	bare, mixed := NewFaultInjector(plan), NewFaultInjector(plan)
+	tt := NewTransTable(8)
+	tt.Update(1, 0)
+	tt.Update(2, 1)
+	m := &Message{}
+	for i := 0; i < 2000; i++ {
+		if mixed.MaybeLoseEntry(tt) {
+			t.Fatal("entry lost under a plan without TableLoss")
+		}
+		if got, want := mixed.Decide(m), bare.Decide(m); got != want {
+			t.Fatalf("decision %d: %+v with the hook interleaved, %+v without", i, got, want)
+		}
+	}
+	if tt.Len() != 2 || mixed.Snapshot() != bare.Snapshot() {
+		t.Fatalf("table len %d, stats %+v vs %+v", tt.Len(), mixed.Snapshot(), bare.Snapshot())
+	}
+}

@@ -77,6 +77,11 @@ type Message struct {
 	// (the requester promises to copy out and release).
 	PayloadPooled bool
 
+	// Waited marks the request of a one-sided op whose issuer blocks on
+	// it, and that op's completion. Carried opaquely; the goroutine
+	// transport lets whoever delivers one drain an idle destination.
+	Waited bool
+
 	Src int // originating rank
 	Dst int // resolved rank, or ByGVA
 

@@ -84,11 +84,11 @@ func (p *Proc) AllocAsync(bsize, nblocks uint32, dist gas.Dist) *LCORef {
 	gate := w.NewAndGate(p.l.rank, len(perHome))
 	encoded := EncodeLayout(lay)
 	gate.OnFire(func([]byte) {
-		p.run(func() {
+		p.Run(func() {
 			p.l.SendParcel(&parcel.Parcel{Action: ALCOSet, Target: fut.G, Payload: encoded})
 		})
 	})
-	p.run(func() {
+	p.Run(func() {
 		for home, ids := range perHome {
 			p.l.SendParcel(&parcel.Parcel{
 				Action:  aAllocBlocks,
@@ -108,7 +108,7 @@ func (p *Proc) AllocAsync(bsize, nblocks uint32, dist gas.Dist) *LCORef {
 func (p *Proc) FreeAsync(lay gas.Layout) *LCORef {
 	w := p.l.w
 	gate := w.NewAndGate(p.l.rank, int(lay.NBlocks))
-	p.run(func() {
+	p.Run(func() {
 		for d := uint32(0); d < lay.NBlocks; d++ {
 			p.l.SendParcel(&parcel.Parcel{
 				Action:  aFreeBlock,

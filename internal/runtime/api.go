@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"sync"
+
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
@@ -42,7 +44,7 @@ func (c *Ctx) Charge(d netsim.VTime) { c.l.exec.Charge(d) }
 // aliases block storage: actions mutate it to update the block.
 func (c *Ctx) Local(g gas.GVA) []byte {
 	b := g.Block()
-	if c.l.isMoving(b) {
+	if c.l.Moving(b) {
 		return nil
 	}
 	blk, ok := c.l.store.Get(b)
@@ -114,8 +116,9 @@ func (c *Ctx) CallWhen(dep *LCORef, target gas.GVA, action parcel.ActionID, payl
 }
 
 // Proc is the driver-side handle for issuing operations "from" a
-// locality. Each method schedules its work onto the locality's executor,
-// so driver code composes correctly with both engines.
+// locality, from any goroutine, with the same semantics on both engines:
+// methods schedule their work onto the locality's executor, except where
+// the goroutine engine issues thread-safe one-sided ops inline.
 type Proc struct {
 	l *Locality
 }
@@ -126,18 +129,15 @@ func (w *World) Proc(rank int) *Proc { return &w.locs[rank].proc }
 // Rank returns the handle's rank.
 func (p *Proc) Rank() int { return p.l.rank }
 
-// run schedules fn on the locality executor.
-func (p *Proc) run(fn func()) { p.l.exec.Exec(0, fn) }
-
 // Run schedules fn to execute in this locality's context. Drivers use it
 // to issue batches of operations with correct engine semantics.
-func (p *Proc) Run(fn func()) { p.run(fn) }
+func (p *Proc) Run(fn func()) { p.l.exec.Exec(0, fn) }
 
 // Call invokes action at target and returns a future that fires with the
 // action's continuation value.
 func (p *Proc) Call(target gas.GVA, action parcel.ActionID, payload []byte) *LCORef {
 	fut := p.l.w.NewFuture(p.l.rank)
-	p.run(func() {
+	p.Run(func() {
 		p.l.SendParcel(&parcel.Parcel{
 			Action: action, Target: target, Payload: payload,
 			CAction: ALCOSet, CTarget: fut.G,
@@ -148,7 +148,7 @@ func (p *Proc) Call(target gas.GVA, action parcel.ActionID, payload []byte) *LCO
 
 // Invoke sends an action with no result.
 func (p *Proc) Invoke(target gas.GVA, action parcel.ActionID, payload []byte) {
-	p.run(func() {
+	p.Run(func() {
 		p.l.SendParcel(&parcel.Parcel{Action: action, Target: target, Payload: payload})
 	})
 }
@@ -158,7 +158,7 @@ func (p *Proc) Invoke(target gas.GVA, action parcel.ActionID, payload []byte) {
 func (p *Proc) Put(dst gas.GVA, data []byte) *LCORef {
 	fut := p.l.w.NewFuture(p.l.rank)
 	buf := append([]byte(nil), data...)
-	p.run(func() {
+	p.Run(func() {
 		p.l.PutAsync(dst, buf, func() {
 			if err := fut.obj.Set(nil); err != nil {
 				p.l.w.fail("put completion: %v", err)
@@ -171,7 +171,7 @@ func (p *Proc) Put(dst gas.GVA, data []byte) *LCORef {
 // Get reads n bytes at src, returning a future that fires with the data.
 func (p *Proc) Get(src gas.GVA, n uint32) *LCORef {
 	fut := p.l.w.NewFuture(p.l.rank)
-	p.run(func() {
+	p.Run(func() {
 		p.l.GetAsync(src, n, func(data []byte) {
 			if err := fut.obj.Set(data); err != nil {
 				p.l.w.fail("get completion: %v", err)
@@ -193,60 +193,19 @@ func (p *Proc) PutAsync(dst gas.GVA, data []byte, done func()) {
 		return
 	}
 	buf := append([]byte(nil), data...)
-	p.run(func() { p.l.PutAsync(dst, buf, done) })
+	p.Run(func() { p.l.PutAsync(dst, buf, done) })
 }
 
 // PutWait writes data at dst and blocks the driver until the remote
 // completion (advancing simulated time under the DES engine).
 func (p *Proc) PutWait(dst gas.GVA, data []byte) {
-	w := p.l.w
-	if w.eng == nil {
-		done := make(chan struct{})
-		p.l.PutAsync(dst, data, func() { close(done) })
-		<-done
-		return
-	}
-	// The caller is blocked until completion, so data is stable while the
-	// issue event copies it into the wire buffer: no defensive copy.
-	var fired bool
-	p.run(func() { p.l.PutAsync(dst, data, func() { fired = true }) })
-	w.desAwait("PutWait", &fired)
-}
-
-// desAwait is the DES half of every blocking one-sided op: advance the
-// engine until the op's completion sets *fired. Like Wait it is a driver
-// entry point, so it re-arms a parked pulse first (see pulseResume).
-func (w *World) desAwait(op string, fired *bool) {
-	w.pulseResume()
-	if !w.eng.RunUntil(func() bool { return *fired }) {
-		w.fail("%s: event queue drained before completion", op)
-	}
+	p.await("PutWait", p.l.putReq(dst, data), nil)
 }
 
 // GetWaitInto reads len(buf) bytes at src into buf, blocking until the
-// reply. On the goroutine engine the reply rides a pooled wire buffer:
-// the copy-out below is the only allocation-free consumer the pool
-// contract needs.
+// reply.
 func (p *Proc) GetWaitInto(src gas.GVA, buf []byte) {
-	w := p.l.w
-	n := uint32(len(buf))
-	if w.eng == nil {
-		done := make(chan struct{})
-		p.l.getAsync(src, n, true, func(data []byte) {
-			copy(buf, data)
-			close(done)
-		})
-		<-done
-		return
-	}
-	var fired bool
-	p.run(func() {
-		p.l.GetAsync(src, n, func(data []byte) {
-			copy(buf, data)
-			fired = true
-		})
-	})
-	w.desAwait("GetWaitInto", &fired)
+	p.await("GetWaitInto", p.l.getReq(src, uint32(len(buf)), true), buf)
 }
 
 // GetWait reads n bytes at src and blocks until the data arrives.
@@ -257,50 +216,63 @@ func (p *Proc) GetWait(src gas.GVA, n uint32) []byte {
 }
 
 // PutVecWait writes all segs into the block at dst as one request with
-// one ack and blocks until the completion. segs must not be mutated
-// until it returns.
+// one ack and blocks until the completion.
 func (p *Proc) PutVecWait(dst gas.GVA, segs []PutSeg) {
-	w := p.l.w
-	if w.eng == nil {
-		done := make(chan struct{})
-		p.l.PutVecAsync(dst, segs, func() { close(done) })
-		<-done
-		return
-	}
-	var fired bool
-	p.run(func() { p.l.PutVecAsync(dst, segs, func() { fired = true }) })
-	w.desAwait("PutVecWait", &fired)
+	p.await("PutVecWait", p.l.putVecReq(dst, segs), nil)
 }
 
 // GetVecWaitInto gathers all segs from the block at src into buf (the
 // fragments concatenated in order; len(buf) must equal the sum of seg
 // lengths) and blocks until the reply.
 func (p *Proc) GetVecWaitInto(src gas.GVA, segs []GetSeg, buf []byte) {
-	w := p.l.w
-	if w.eng == nil {
-		done := make(chan struct{})
-		p.l.getVecAsync(src, segs, true, func(data []byte) {
-			copy(buf, data)
-			close(done)
-		})
-		<-done
-		return
+	p.await("GetVecWaitInto", p.l.getVecReq(src, segs, true), buf)
+}
+
+// waiter is a blocked caller's completion slot (Proc.await), pooled: its
+// channel has room for the one signal an op sends, so it is never closed.
+type waiter struct {
+	ch    chan struct{} // the completion's signal
+	fired bool          // DES: set with the signal, polled by RunUntil
+	into  []byte        // reads: where the completion copies the data
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
+
+// await issues r and blocks until its completion has copied a read's data
+// into into; it is the one place an op is marked waited. On the goroutine
+// engine the caller issues the op and drains each idle locality it
+// reaches (goExec.post), so against idle owners the op runs from issue
+// through serve to completion with no hand-off. On DES the issue is
+// scheduled like every other driver operation and desAwait runs the engine.
+func (p *Proc) await(op string, r rmaReq, into []byte) {
+	wt := waiterPool.Get().(*waiter)
+	wt.into, wt.fired = into, false
+	if w := p.l.w; w.eng == nil {
+		p.l.issue(r, opState{wait: wt})
+	} else {
+		p.Run(func() { p.l.issue(r, opState{wait: wt}) })
+		w.desAwait(op, &wt.fired)
 	}
-	var fired bool
-	p.run(func() {
-		p.l.GetVecAsync(src, segs, func(data []byte) {
-			copy(buf, data)
-			fired = true
-		})
-	})
-	w.desAwait("GetVecWaitInto", &fired)
+	<-wt.ch
+	wt.into = nil
+	waiterPool.Put(wt)
+}
+
+// desAwait is the DES half of await: advance the engine until the op's
+// completion sets *fired. Like Wait it is a driver entry point, so it
+// re-arms a parked pulse first (see pulseResume).
+func (w *World) desAwait(op string, fired *bool) {
+	w.pulseResume()
+	if !w.eng.RunUntil(func() bool { return *fired }) {
+		w.fail("%s: event queue drained before completion", op)
+	}
 }
 
 // Migrate moves the block at g to rank to, returning a future that fires
 // with the status record.
 func (p *Proc) Migrate(g gas.GVA, to int) *LCORef {
 	fut := p.l.w.NewFuture(p.l.rank)
-	p.run(func() {
+	p.Run(func() {
 		p.l.MigrateAsync(g, to, ALCOSet, fut.G)
 	})
 	return fut
@@ -326,13 +298,13 @@ func (p *Proc) MigrateMany(blocks []gas.GVA, to []int) (*LCORef, []*LCORef) {
 	for i := range blocks {
 		futs[i] = p.l.w.NewFuture(p.l.rank)
 		futs[i].OnFire(func([]byte) {
-			p.run(func() {
+			p.Run(func() {
 				p.l.SendParcel(&parcel.Parcel{Action: ALCOSet, Target: gate.G})
 			})
 		})
 		g, dst := blocks[i], to[i]
 		fut := futs[i]
-		p.run(func() {
+		p.Run(func() {
 			p.l.MigrateAsync(g, dst, ALCOSet, fut.G)
 		})
 	}
@@ -344,7 +316,7 @@ func (p *Proc) MigrateMany(blocks []gas.GVA, to []int) (*LCORef, []*LCORef) {
 func (p *Proc) CallWhen(dep *LCORef, target gas.GVA, action parcel.ActionID, payload []byte) *LCORef {
 	fut := p.l.w.NewFuture(p.l.rank)
 	dep.OnFire(func([]byte) {
-		p.run(func() {
+		p.Run(func() {
 			p.l.SendParcel(&parcel.Parcel{
 				Action: action, Target: target, Payload: payload,
 				CAction: ALCOSet, CTarget: fut.G,

@@ -11,8 +11,8 @@ type Executor interface {
 	// Exec schedules fn after charging cost to the host timeline. On the
 	// DES engine the host is modelled as a single core: tasks start when
 	// the core is free and the core stays busy for cost. On the
-	// goroutine engine cost is ignored and fn runs on the locality
-	// actor.
+	// goroutine engine cost is ignored and fn runs on the mailbox's
+	// token holder (see goExec).
 	Exec(cost netsim.VTime, fn func())
 	// Charge extends the host-busy window from inside a running task
 	// (simulated compute time). No-op on the goroutine engine.
@@ -20,10 +20,10 @@ type Executor interface {
 	// ExecMsg is Exec's typed lane for the per-message path: it schedules
 	// step op of message m (see Locality.handleMsg) with no closure. On
 	// the DES engine the message itself becomes the event. The goroutine
-	// engine queues a host delivery on the actor's mailbox and runs the
-	// other steps where they stand: an injection inline (the transport is
-	// thread-safe and there is no host-busy horizon to respect), a user
-	// parcel on the calling actor.
+	// engine posts a host delivery to the mailbox and runs the other steps
+	// where they stand: an injection inline (the transport is thread-safe
+	// and there is no host-busy horizon to respect), a user parcel on the
+	// calling token holder.
 	ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message)
 }
 
@@ -90,25 +90,32 @@ type task struct {
 	op msgOp // which step of m (opNICRecv or opHostMsg)
 }
 
-// execBatch bounds how many tasks the actor loop claims per lock
-// acquisition: large enough to amortize the lock, small enough to keep
-// stop() latency and memory bounded.
+// execBatch bounds how many tasks a drain claims per lock acquisition:
+// large enough to amortize the lock, small enough to keep stop() latency,
+// memory and an inline drain's detour bounded.
 const execBatch = 128
 
-// goExec is one locality actor: an unbounded mailbox drained by a single
-// goroutine, which runs every action of its locality one at a time.
-// The mailbox is a growable power-of-two ring buffer; the drain loop
-// claims up to execBatch tasks under one lock acquisition, so enqueue and
-// dequeue are both O(1) and a deep backlog no longer costs a slice shift
-// per message.
+// goExec is one locality's mailbox, a growable power-of-two ring buffer
+// drained up to execBatch tasks per lock acquisition, and its execution
+// token. Exactly one goroutine at a time holds the token (running) and
+// drains: the locality's actor, or a goroutine that has just delivered a
+// waited message while the actor was idle (see post). So the locality
+// runs one action at a time, on whichever goroutine holds the token.
 type goExec struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	ring    []task // len(ring) is a power of two
-	head    int    // index of the oldest queued task
-	n       int    // number of queued tasks
+	cond    *sync.Cond // the actor waits here for work and for the token
+	ring    []task     // len(ring) is a power of two
+	head    int        // index of the oldest queued task
+	n       int        // number of queued tasks
+	running bool       // the token is held
 	stopped bool
 	wg      sync.WaitGroup
+
+	// inline lets waited messages drain an idle mailbox on the delivering
+	// goroutine (set where ack coalescing applies); inlined counts those
+	// drains, for tests (read under mu).
+	inline  bool
+	inlined int
 
 	// onMsg and onStep are the typed delivery handlers, wired by
 	// newChanNet before the actor starts: onMsg is the NIC receive path
@@ -140,7 +147,8 @@ func (e *goExec) depth() int {
 	return e.n
 }
 
-// push appends t to the ring, growing it when full. Caller holds e.mu.
+// push appends t to the ring, growing it when full, and wakes the actor
+// unless a token holder will see t anyway. Caller holds e.mu.
 func (e *goExec) push(t task) {
 	if e.n == len(e.ring) {
 		bigger := make([]task, len(e.ring)*2)
@@ -151,53 +159,64 @@ func (e *goExec) push(t task) {
 	}
 	e.ring[(e.head+e.n)&(len(e.ring)-1)] = t
 	e.n++
-	e.cond.Signal()
-}
-
-func (e *goExec) loop() {
-	defer e.wg.Done()
-	var batch [execBatch]task
-	for {
-		e.mu.Lock()
-		for e.n == 0 && !e.stopped {
-			e.cond.Wait()
-		}
-		if e.n == 0 && e.stopped {
-			e.mu.Unlock()
-			return
-		}
-		k := e.n
-		if k > execBatch {
-			k = execBatch
-		}
-		mask := len(e.ring) - 1
-		for i := 0; i < k; i++ {
-			j := (e.head + i) & mask
-			batch[i] = e.ring[j]
-			e.ring[j] = task{}
-		}
-		e.head = (e.head + k) & mask
-		e.n -= k
-		e.mu.Unlock()
-		for i := 0; i < k; i++ {
-			t := &batch[i]
-			switch {
-			case t.m == nil:
-				t.fn()
-			case t.op == opNICRecv:
-				e.onMsg(t.m)
-			default:
-				e.onStep(t.op, t.m)
-			}
-			*t = task{}
-		}
-		if e.onDrain != nil {
-			e.onDrain()
-		}
+	if !e.running {
+		e.cond.Signal()
 	}
 }
 
-// stop drains queued work and stops the actor.
+// turn runs one batch for the token holder, claimed under e.mu (held on
+// entry and return) and run outside it, then onDrain; it frees the token.
+func (e *goExec) turn(batch *[execBatch]task) {
+	k := min(e.n, execBatch)
+	mask := len(e.ring) - 1
+	for i := 0; i < k; i++ {
+		j := (e.head + i) & mask
+		batch[i] = e.ring[j]
+		e.ring[j] = task{}
+	}
+	e.head = (e.head + k) & mask
+	e.n -= k
+	e.mu.Unlock()
+	for i := range batch[:k] {
+		t := &batch[i]
+		switch {
+		case t.m == nil:
+			t.fn()
+		case t.op == opNICRecv:
+			e.onMsg(t.m)
+		default:
+			e.onStep(t.op, t.m)
+		}
+		*t = task{}
+	}
+	if e.onDrain != nil {
+		e.onDrain()
+	}
+	e.mu.Lock()
+	e.running = false
+}
+
+// loop is the actor: it takes the token whenever work is queued and no
+// inliner holds it, and exits once stopped with the mailbox empty.
+func (e *goExec) loop() {
+	defer e.wg.Done()
+	var batch [execBatch]task
+	e.mu.Lock()
+	for {
+		for e.running || (e.n == 0 && !e.stopped) {
+			e.cond.Wait()
+		}
+		if e.n == 0 {
+			e.mu.Unlock()
+			return
+		}
+		e.running = true
+		e.turn(&batch)
+	}
+}
+
+// stop drains queued work and stops the actor, which waits on the cond
+// for an inliner to hand the token back. A stopped mailbox drops work.
 func (e *goExec) stop() {
 	e.mu.Lock()
 	e.stopped = true
@@ -206,24 +225,39 @@ func (e *goExec) stop() {
 	e.wg.Wait()
 }
 
-// enqueue appends t to the mailbox; work arriving after stop is dropped.
-func (e *goExec) enqueue(t task) {
+// post queues t; work arriving after stop is dropped. A waited t — the
+// request of a blocking one-sided op, or its completion — finding the
+// token free takes it instead: the posting goroutine runs one turn itself
+// (t included, behind whatever was queued), then wakes the actor only if
+// work remains. It never waits for the token: a held one means t queues.
+func (e *goExec) post(t task, waited bool) {
 	e.mu.Lock()
-	if !e.stopped {
+	switch {
+	case e.stopped:
+	case waited && e.inline && !e.running:
+		e.inlined++
+		e.running = true // taken before push, which then wakes no one
+		e.push(t)
+		var batch [execBatch]task
+		e.turn(&batch)
+		if e.n > 0 || e.stopped {
+			e.cond.Signal()
+		}
+	default:
 		e.push(t)
 	}
 	e.mu.Unlock()
 }
 
-func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.enqueue(task{fn: fn}) }
+func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.post(task{fn: fn}, false) }
 
-// execMsg enqueues a transport-delivered message for the NIC receive path
+// execMsg posts a transport-delivered message for the NIC receive path
 // without allocating a closure.
-func (e *goExec) execMsg(m *netsim.Message) { e.enqueue(task{m: m}) }
+func (e *goExec) execMsg(m *netsim.Message) { e.post(task{m: m}, m.Waited) }
 
 func (e *goExec) ExecMsg(_ netsim.VTime, op msgOp, m *netsim.Message) {
 	if op == opHostMsg {
-		e.enqueue(task{m: m, op: op})
+		e.post(task{m: m, op: op}, m.Waited)
 		return
 	}
 	e.onStep(op, m)

@@ -1,11 +1,14 @@
 package runtime
 
 import (
+	"bytes"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 )
 
@@ -127,11 +130,14 @@ func TestWorldStatsAggregation(t *testing.T) {
 
 // TestLocalityRunsOneActionAtATime pins the invariant migration relies on
 // instead of a per-block quiescence count: a locality runs one action at
-// a time on both engines — one event stream per rank on DES, the locality
-// actor on the goroutine engine. Every action holds its locality's
+// a time on both engines — one event stream per rank on DES, one token
+// holder on the goroutine engine. Every action holds its locality's
 // in-flight flag while it yields; eight drivers (goroutines, on the
 // goroutine engine) hammer the blocks of one locality while migrations
-// spread them over the others.
+// spread them over the others. On the goroutine engine eight more drivers
+// issue blocking one-sided ops against the same blocks, whose requests
+// and completions drain idle localities inline — so inline drains race
+// the actors' drains, and an inliner runs actions too.
 func TestLocalityRunsOneActionAtATime(t *testing.T) {
 	matrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
 		const ranks, nblocks, drivers, calls = 4, 8, 8, 40
@@ -171,11 +177,22 @@ func TestLocalityRunsOneActionAtATime(t *testing.T) {
 		} else {
 			var wg sync.WaitGroup
 			for g := 0; g < drivers; g++ {
-				wg.Add(1)
+				wg.Add(2)
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < calls; i++ {
 						w.MustWait(call(g + i*drivers))
+					}
+				}(g)
+				go func(g int) {
+					defer wg.Done()
+					p, put, got := w.Proc(g%ranks), []byte{byte(g), 1, 2, 3, 4, 5, 6, 7}, make([]byte, 8)
+					for i := 0; i < calls; i++ {
+						at := lay.BlockAt(uint32(i % nblocks)).WithOffset(uint32(8 * g))
+						p.PutWait(at, put)
+						if p.GetWaitInto(at, got); !bytes.Equal(got, put) {
+							t.Errorf("driver %d read %v back, wrote %v", g, got, put)
+						}
 					}
 				}(g)
 			}
@@ -183,6 +200,9 @@ func TestLocalityRunsOneActionAtATime(t *testing.T) {
 				w.MustWait(migrate(i))
 			}
 			wg.Wait()
+			if inlineDrains(w) == 0 {
+				t.Fatal("no waited message drained a locality inline")
+			}
 		}
 		if n := overlaps.Load(); n != 0 {
 			t.Fatalf("%d actions started while another ran on the same locality", n)
@@ -227,4 +247,158 @@ func TestMigrateOwnBlockFromActionSeesItsWrites(t *testing.T) {
 			t.Fatalf("migrated block carries %d, want the action's last write 2", blk.Data[0])
 		}
 	})
+}
+
+// inlined reads how many drains of rank r's mailbox a waited message ran
+// on its delivering goroutine; inlineDrains sums it over the world.
+func inlined(w *World, r int) int {
+	e := w.locs[r].exec.(*goExec)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.inlined
+}
+
+func inlineDrains(w *World) (n int) {
+	for r := range w.locs {
+		n += inlined(w, r)
+	}
+	return n
+}
+
+// TestWaitedOpDrainsIdleActorInline: against idle localities a blocking
+// one-sided op runs on its caller's goroutine — a remote op drains the
+// owner for the request and the requester for the completion, a local one
+// drains its own locality through the host door — and when a long action
+// holds the owner's token the op is queued and completes through the
+// actor instead.
+func TestWaitedOpDrainsIdleActorInline(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
+	started, release := make(chan struct{}), make(chan struct{})
+	hold := w.Register("hold", func(c *Ctx) {
+		close(started)
+		<-release
+	})
+	w.Start()
+	remote, err := w.AllocLocal(1, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := w.AllocLocal(0, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, put, got := w.Proc(0), []byte("inline!!"), make([]byte, 8)
+	for _, c := range []struct {
+		name   string
+		g      gas.GVA
+		drains [2]int // inline drains at rank 0, rank 1
+	}{
+		{"remote", remote.BlockAt(0), [2]int{1, 1}},
+		{"local", local.BlockAt(0), [2]int{1, 0}},
+	} {
+		for _, op := range []string{"put", "get"} {
+			before := [2]int{inlined(w, 0), inlined(w, 1)}
+			if op == "put" {
+				p.PutWait(c.g, put)
+			} else if p.GetWaitInto(c.g, got); !bytes.Equal(got, put) {
+				t.Fatalf("%s get read %q", c.name, got)
+			}
+			if d := [2]int{inlined(w, 0) - before[0], inlined(w, 1) - before[1]}; d != c.drains {
+				t.Errorf("%s %s: inline drains at ranks 0, 1: %v, want %v", c.name, op, d, c.drains)
+			}
+		}
+	}
+
+	// The owner's token is held by a running action: the request queues,
+	// and the actor serves it once the action returns.
+	w.Proc(0).Invoke(remote.BlockAt(0), hold, nil)
+	<-started
+	before, done := inlined(w, 1), make(chan struct{})
+	go func() {
+		p.PutWait(remote.BlockAt(0), []byte("by actor"))
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("put completed while the owner's token was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-done
+	if n := inlined(w, 1); n != before {
+		t.Fatalf("owner drained inline %d times while its actor held the token", n-before)
+	}
+	if p.GetWaitInto(remote.BlockAt(0), got); string(got) != "by actor" {
+		t.Fatalf("read %q after the queued put", got)
+	}
+}
+
+// TestStopDuringInlineDrain stops a world while four goroutines loop
+// blocking puts and gets, so Stop races inline drains: it must return,
+// and no task — on an actor or an inliner — may run once it has.
+func TestStopDuringInlineDrain(t *testing.T) {
+	const ranks = 4
+	for round := 0; round < 10; round++ {
+		w := testWorld(t, Config{Ranks: ranks, Mode: AGASNM, Engine: EngineGo})
+		var stopped atomic.Bool
+		var late atomic.Int64
+		for _, l := range w.locs {
+			e := l.exec.(*goExec)
+			onMsg, onStep := e.onMsg, e.onStep
+			e.onMsg = func(m *netsim.Message) {
+				if stopped.Load() {
+					late.Add(1)
+				}
+				onMsg(m)
+			}
+			e.onStep = func(op msgOp, m *netsim.Message) {
+				if op == opHostMsg && stopped.Load() { // the mailbox step; the others run in place
+					late.Add(1)
+				}
+				onStep(op, m)
+			}
+		}
+		w.Start()
+		lay, err := w.AllocCyclic(0, 64, 2*ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops atomic.Int64
+		for g := 0; g < 4; g++ {
+			// Never joined: a client whose op Stop dropped stays blocked.
+			go func(g int) {
+				p, buf := w.Proc(g), make([]byte, 8)
+				for i := 0; !stopped.Load(); i++ {
+					at := lay.BlockAt(uint32(i % (2 * ranks))).WithOffset(uint32(8 * g))
+					if i%2 == 0 {
+						p.PutWait(at, buf)
+					} else {
+						p.GetWaitInto(at, buf)
+					}
+					ops.Add(1)
+				}
+			}(g)
+		}
+		for ops.Load() < 200 {
+			goruntime.Gosched()
+		}
+		returned := make(chan struct{})
+		go func() {
+			w.Stop()
+			stopped.Store(true)
+			close(returned)
+		}()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Stop did not return", round)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if n := late.Load(); n != 0 {
+			t.Fatalf("round %d: %d tasks ran after Stop returned", round, n)
+		}
+		if inlineDrains(w) == 0 {
+			t.Fatalf("round %d: no inline drain before Stop", round)
+		}
+	}
 }

@@ -109,6 +109,7 @@ type moveState struct {
 type opState struct {
 	done  func(data []byte) // get completion (may retain data)
 	pdone func()            // put completion
+	wait  *waiter           // a blocked caller's completion (Proc.await)
 }
 
 // Locality is one simulated compute node: a block store, the mode's
@@ -146,8 +147,8 @@ type Locality struct {
 
 	// ackPend accumulates put-ack OpIDs per requester rank between mailbox
 	// drains (goroutine engine, unreliable worlds; see flushAcks). Only
-	// touched from the locality actor goroutine, so it needs no lock.
-	ackPend map[int][]uint64
+	// touched by the locality's token holder, so it needs no lock.
+	ackPend map[int]*pendAcks
 	ackSrcs []int // ranks with pending acks, in arrival order
 
 	// coal batches outgoing parcels when coalescing is configured.
@@ -179,11 +180,12 @@ func (l *Locality) newOpID() uint64 {
 
 func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 	l := &Locality{
-		w:      w,
-		rank:   rank,
-		store:  gas.NewStore(),
-		moving: make(map[gas.BlockID]*moveState),
-		ops:    make(map[uint64]opState),
+		w:       w,
+		rank:    rank,
+		store:   gas.NewStore(),
+		moving:  make(map[gas.BlockID]*moveState),
+		ops:     make(map[uint64]opState),
+		ackPend: make(map[int]*pendAcks),
 	}
 	l.proc = Proc{l: l}
 	l.space = bld.newLocal(l)
@@ -223,9 +225,7 @@ func (l *Locality) Tombstones() *agas.Tombstones { return l.space.Tombstones() }
 
 // Moving reports whether block b is pinned by an in-flight migration at
 // this locality (drivers use it to time mid-migration experiments).
-func (l *Locality) Moving(b gas.BlockID) bool { return l.isMoving(b) }
-
-func (l *Locality) isMoving(b gas.BlockID) bool {
+func (l *Locality) Moving(b gas.BlockID) bool {
 	if l.movingN.Load() == 0 {
 		return false
 	}
@@ -259,7 +259,7 @@ func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
 // drain through the host's queueing path, and read-only replicas are
 // invisible to ownership routing.
 func (l *Locality) residentForNIC(b gas.BlockID) bool {
-	if l.isMoving(b) {
+	if l.Moving(b) {
 		return false
 	}
 	blk, ok := l.store.Get(b)
@@ -499,8 +499,8 @@ func (l *Locality) decodeParcel(m *netsim.Message) (*parcel.Parcel, Action) {
 // stale delivery to the address space, apply the exactly-once gate, run.
 // The checks run at *execution* time — a parcel may sit in an executor
 // queue while a migration starts. A locality runs one action at a time
-// on both engines (one event stream per rank on DES, the locality actor
-// on the goroutine engine), so a migration snapshot never races a running
+// on both engines (one event stream per rank on DES, one token holder on
+// the goroutine engine), so a migration snapshot never races a running
 // handler and admission takes no lock unless a block is moving. user
 // marks a user action: a duplicate is dropped before it can park or be
 // re-routed, and the run feeds the heat sample. Control actions never

@@ -168,7 +168,7 @@ func TestTrafficDuringMigrationIsQueuedNotLost(t *testing.T) {
 		// flight; none may be lost or run against stale data.
 		for i := 0; i < n; i++ {
 			r := i % 3
-			w.Proc(r).run(func() {
+			w.Proc(r).Run(func() {
 				w.locs[r].SendParcel(&parcel.Parcel{
 					Action: incr, Target: g,
 					CAction: ALCOSet, CTarget: gate.G,
@@ -234,7 +234,7 @@ func TestMigrationFromInsideAction(t *testing.T) {
 		w.Proc(1).Invoke(w.LocalityGVA(1), mover, nil)
 		// The mover's continuation is empty; chain through explicit
 		// future instead.
-		w.Proc(1).run(func() {
+		w.Proc(1).Run(func() {
 			w.locs[1].MigrateAsync(g, 2, ALCOSet, fut.G)
 		})
 		if st := w.MustWait(fut); MigrateStatus(st) != MigrateOK {

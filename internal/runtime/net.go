@@ -126,6 +126,7 @@ func newChanNet(w *World) *chanNet {
 		ex.onStep = l.handleMsg
 		if l.coalesceAcks() {
 			ex.onDrain = l.flushAcks
+			ex.inline = true
 		}
 		c.execs = append(c.execs, ex)
 	}
@@ -216,8 +217,9 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 	c.deliver(m, delay)
 }
 
-// deliver hands m to the destination actor's typed mailbox — no
-// capturing closure on the zero-delay fast path. Fault-injected delays
+// deliver hands m to the destination's typed mailbox — no capturing
+// closure on the zero-delay fast path, where a waited m may drain an
+// idle destination on this goroutine (goExec.post). Fault-injected delays
 // are simulated nanoseconds; goWall converts them to wall clock through
 // the Config.GoTimeScale knob (the goroutine transport has no simulated
 // clock; a scaled wall-clock hold is enough to reorder the message past
@@ -231,18 +233,18 @@ func (c *chanNet) deliver(m *netsim.Message, delay netsim.VTime) {
 	ex.execMsg(m)
 }
 
-// arrive runs on the destination actor: it asks the core what to do
-// with m and does it.
+// arrive runs on the destination's token holder: it asks the core what
+// to do with m and does it.
 func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 	n := c.nics[l.rank]
 	lv := c.live()
 	v := n.Classify(lv, m)
 	if v.Act != netsim.ActDrop {
-		if fi := c.w.faults; m.Ctl == netsim.CtlNone && fi != nil && n.GVARouting {
+		if m.Ctl == netsim.CtlNone && c.w.cfg.Faults.TableLoss > 0 && n.GVARouting {
 			// Soft-error model: arrivals may scribble over one evictable
 			// entry of the shard the block hashes to.
 			n.state(m.Block, func(s *netsim.TransState) {
-				if fi.MaybeLoseEntry(s.Table) {
+				if c.w.faults.MaybeLoseEntry(s.Table) {
 					n.count(netsim.CntTableLost)
 				}
 			})

@@ -147,7 +147,7 @@ func TestReduceLCOAcrossRanks(t *testing.T) {
 		}
 		for r := 0; r < ranks; r++ {
 			r := r
-			w.Proc(r).run(func() {
+			w.Proc(r).Run(func() {
 				w.locs[r].SendParcel(&parcel.Parcel{
 					Action: contrib, Target: w.LocalityGVA(r),
 					CAction: ALCOSet, CTarget: red.G,
@@ -178,7 +178,7 @@ func TestManyConcurrentOps(t *testing.T) {
 		const n = 200
 		gate := w.NewAndGate(0, n)
 		p := w.Proc(0)
-		p.run(func() {
+		p.Run(func() {
 			for i := 0; i < n; i++ {
 				w.locs[0].SendParcel(&parcel.Parcel{
 					Action: bump, Target: lay.BlockAt(uint32(i % 16)),

@@ -372,7 +372,7 @@ func (w *World) ReplicateLive(lay gas.Layout, replicas int) error {
 		if blk.Replica {
 			return fmt.Errorf("runtime: block %d's owner %d holds only a replica", b, owner)
 		}
-		if w.locs[owner].isMoving(b) {
+		if w.locs[owner].Moving(b) {
 			return fmt.Errorf("runtime: replicate of block %d mid-migration", b)
 		}
 		if dir := w.locs[owner].space.Directory(); dir != nil {

@@ -13,8 +13,9 @@ import (
 // is laid out and how its bytes are applied, and in nothing else, so
 // they share one path:
 //
-//	issue    registers the op at the requester and routes the request;
-//	         the four *Async entry points only lay out the payload
+//	issue    registers the op at the requester and routes the request,
+//	         laid out by one of four *Req builders for the *Async entry
+//	         points and the blocking Proc ops (Proc.await)
 //	hostRMA  the host door: the owner's own ops, traffic parked behind a
 //	         migration, and whatever arrived stale and is repaired in
 //	         software
@@ -56,32 +57,56 @@ const segHdr = 8
 // Issue side
 
 // PutAsync writes data at dst and runs done on this locality when the
-// write is remotely complete. Must be called from this locality's
-// execution context.
+// write is remotely complete. Call it from this locality's execution
+// context (an action body or a Proc task); on the goroutine engine any
+// goroutine may call it, since everything the issue touches is
+// thread-safe there (Proc.PutAsync does).
 func (l *Locality) PutAsync(dst gas.GVA, data []byte, done func()) {
-	buf, pooled := wireBuf(l.payloadPoolable(), len(data))
-	l.issue(kPutReq, dst, append(buf, data...), pooled, uint32(len(data)), opState{pdone: done})
+	l.issue(l.putReq(dst, data), opState{pdone: done})
 }
 
-// GetAsync reads n bytes at src and runs done with the data. Must be
-// called from this locality's execution context. done may retain the
-// data.
+// GetAsync reads n bytes at src and runs done with the data; PutAsync's
+// calling rule applies. done may retain the data.
 func (l *Locality) GetAsync(src gas.GVA, n uint32, done func(data []byte)) {
-	l.getAsync(src, n, false, done)
-}
-
-// getAsync is GetAsync plus the pooled-reply option: with pooledOK the
-// request is marked PayloadPooled, granting the responder permission to
-// answer from a pooled wire buffer — which requires done to copy the
-// data out before returning (the reply handler releases the buffer).
-func (l *Locality) getAsync(src gas.GVA, n uint32, pooledOK bool, done func(data []byte)) {
-	l.issue(kGetReq, src, nil, pooledOK && l.payloadPoolable(), n, opState{done: done})
+	l.issue(l.getReq(src, n, false), opState{done: done})
 }
 
 // PutVecAsync writes all segs into the block at dst with one request and
 // one ack; done runs on this locality at remote completion. All offsets
 // must fall inside dst's block.
 func (l *Locality) PutVecAsync(dst gas.GVA, segs []PutSeg, done func()) {
+	l.issue(l.putVecReq(dst, segs), opState{pdone: done})
+}
+
+// GetVecAsync reads all segs from the block at src with one request and
+// one reply; done runs with the fragments concatenated in order. done
+// may retain the data.
+func (l *Locality) GetVecAsync(src gas.GVA, segs []GetSeg, done func(data []byte)) {
+	l.issue(l.getVecReq(src, segs, false), opState{done: done})
+}
+
+// rmaReq is a laid-out one-sided request; n is the bytes written, or for
+// reads the length the reply will carry.
+type rmaReq struct {
+	kind    uint8
+	pooled  bool
+	n       uint32
+	target  gas.GVA
+	payload []byte
+}
+
+func (l *Locality) putReq(dst gas.GVA, data []byte) rmaReq {
+	buf, pooled := wireBuf(l.payloadPoolable(), len(data))
+	return rmaReq{kPutReq, pooled, uint32(len(data)), dst, append(buf, data...)}
+}
+
+// getReq lays out a read; pooledOK grants the reply a pooled buffer, for
+// a completion that copies the data out before returning.
+func (l *Locality) getReq(src gas.GVA, n uint32, pooledOK bool) rmaReq {
+	return rmaReq{kGetReq, pooledOK && l.payloadPoolable(), n, src, nil}
+}
+
+func (l *Locality) putVecReq(dst gas.GVA, segs []PutSeg) rmaReq {
 	total := 0
 	for i := range segs {
 		total += len(segs[i].Data)
@@ -93,20 +118,12 @@ func (l *Locality) PutVecAsync(dst gas.GVA, segs []PutSeg, done func()) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Data)))
 		buf = append(buf, s.Data...)
 	}
-	l.issue(kPutVec, dst, buf, pooled, uint32(total), opState{pdone: done})
+	return rmaReq{kPutVec, pooled, uint32(total), dst, buf}
 }
 
-// GetVecAsync reads all segs from the block at src with one request and
-// one reply; done runs with the fragments concatenated in order. done
-// may retain the data.
-func (l *Locality) GetVecAsync(src gas.GVA, segs []GetSeg, done func(data []byte)) {
-	l.getVecAsync(src, segs, false, done)
-}
-
-// getVecAsync is GetVecAsync plus the pooled-reply option: with pooledOK
-// the request (and so the reply) may ride pooled wire buffers, which
-// requires done to copy the data out before returning.
-func (l *Locality) getVecAsync(src gas.GVA, segs []GetSeg, pooledOK bool, done func(data []byte)) {
+// getVecReq lays out a gather; pooledOK as for getReq, and the request's
+// own segment list rides the same choice.
+func (l *Locality) getVecReq(src gas.GVA, segs []GetSeg, pooledOK bool) rmaReq {
 	total := uint32(0)
 	buf, pooled := wireBuf(pooledOK && l.payloadPoolable(), len(segs)*segHdr)
 	for i := range segs {
@@ -114,34 +131,34 @@ func (l *Locality) getVecAsync(src gas.GVA, segs []GetSeg, pooledOK bool, done f
 		buf = binary.LittleEndian.AppendUint32(buf, segs[i].Off)
 		buf = binary.LittleEndian.AppendUint32(buf, segs[i].N)
 	}
-	l.issue(kGetVec, src, buf, pooled, total, opState{done: done})
+	return rmaReq{kGetVec, pooled, total, src, buf}
 }
 
-// issue registers a one-sided op of the given kind and routes its
-// request. n is the op's data size: the bytes written, or for reads the
-// length the reply will carry.
-func (l *Locality) issue(kind uint8, target gas.GVA, payload []byte, pooled bool, n uint32, st opState) {
+// issue registers a one-sided op and routes its request, marked Waited
+// when a blocked caller waits on it (st.wait, see Proc.await).
+func (l *Locality) issue(r rmaReq, st opState) {
 	id := l.newOpID()
 	l.latStart(id)
 	l.mu.Lock()
 	l.ops[id] = st
 	l.mu.Unlock()
 	m := netsim.NewMessage()
-	if kind == kGetReq || kind == kGetVec {
+	if r.kind == kGetReq || r.kind == kGetVec {
 		l.Stats.GetOps.Inc()
-		l.Stats.GetBytes.Add(int64(n))
-		m.N = n
+		l.Stats.GetBytes.Add(int64(r.n))
+		m.N = r.n
 	} else {
 		l.Stats.PutOps.Inc()
-		l.Stats.PutBytes.Add(int64(n))
+		l.Stats.PutBytes.Add(int64(r.n))
 	}
-	m.Kind = kind
+	m.Kind = r.kind
 	m.Src = l.rank
-	m.Target = target
+	m.Target = r.target
 	m.DMA = true
-	m.Payload = payload
-	m.PayloadPooled = pooled
-	m.Wire = 32 + len(payload)
+	m.Payload = r.payload
+	m.PayloadPooled = r.pooled
+	m.Waited = st.wait != nil
+	m.Wire = 32 + len(r.payload)
 	m.OpID = id
 	l.routeMsg(m)
 }
@@ -157,12 +174,17 @@ func (l *Locality) completeOp(id uint64, data []byte) {
 		}
 		l.w.fail("rank %d: completion for unknown op %d", l.rank, id)
 	}
-	l.latOpDone(id, st.pdone != nil)
+	l.latOpDone(id, data == nil) // only reads complete with data
 	if st.done != nil {
 		st.done(data)
 	}
 	if st.pdone != nil {
 		st.pdone()
+	}
+	if wt := st.wait; wt != nil {
+		copy(wt.into, data)
+		wt.fired = true
+		wt.ch <- struct{}{} // the op's one signal: it completes once
 	}
 }
 
@@ -241,7 +263,7 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 		l.exec.Charge(l.w.cfg.Model.CopyTime(n))
 	}
 	data, pooled := l.apply(m, b)
-	src, opID := m.Src, m.OpID
+	src, opID, waited := m.Src, m.OpID, m.Waited
 	l.releasePayload(m)
 	m.Release()
 	if !read {
@@ -256,7 +278,7 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 			putWireBuf(data)
 		}
 	case !read:
-		l.putAck(src, opID, nic)
+		l.putAck(src, opID, waited, nic)
 	default:
 		rep := netsim.NewMessage()
 		rep.Kind = kGetRep
@@ -265,6 +287,7 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 		rep.Wire = 32 + len(data)
 		rep.Payload = data
 		rep.PayloadPooled = pooled
+		rep.Waited = waited
 		rep.OpID = opID
 		l.send(rep, nic)
 	}
@@ -357,61 +380,64 @@ func (l *Locality) send(m *netsim.Message, nic bool) {
 func (l *Locality) coalesceAcks() bool { return l.w.eng == nil && l.payloadPoolable() }
 
 // newPutAck builds the kPutAck completing opID at src.
-func (l *Locality) newPutAck(src int, opID uint64) *netsim.Message {
+func (l *Locality) newPutAck(src int, opID uint64, waited bool) *netsim.Message {
 	ack := netsim.NewMessage()
 	ack.Kind = kPutAck
 	ack.Src = l.rank
 	ack.Dst = src
 	ack.Wire = 32
 	ack.OpID = opID
+	ack.Waited = waited
 	return ack
 }
 
-// putAck delivers a put completion to src. When coalescing, the OpID
-// joins src's pending vector, flushed at mailbox drain; otherwise one
-// kPutAck goes out immediately (see send).
-func (l *Locality) putAck(src int, opID uint64, nic bool) {
-	if !l.coalesceAcks() {
-		l.send(l.newPutAck(src, opID), nic)
-		return
-	}
-	ids, ok := l.ackPend[src]
-	if !ok {
-		if l.ackPend == nil {
-			l.ackPend = make(map[int][]uint64)
-		}
-		l.ackSrcs = append(l.ackSrcs, src)
-	}
-	l.ackPend[src] = append(ids, opID)
+// pendAcks is one requester's put completions gathered during a drain.
+// It outlives the flush, so steady state allocates nothing.
+type pendAcks struct {
+	ids    []uint64
+	waited bool
 }
 
-// flushAcks emits the coalesced put acks accumulated during the current
-// mailbox drain: one message per requester, carrying every completed
-// OpID. Runs on the locality actor (goExec.onDrain), so it touches
-// ackPend without locks and always runs before the actor can block on an
-// empty mailbox — no completion is ever stranded in the pending state.
-func (l *Locality) flushAcks() {
-	if len(l.ackSrcs) == 0 {
+// putAck delivers a put completion to src. When coalescing, the OpID
+// joins src's pending vector, flushed at the end of the drain; otherwise
+// one kPutAck goes out immediately (see send).
+func (l *Locality) putAck(src int, opID uint64, waited, nic bool) {
+	if !l.coalesceAcks() {
+		l.send(l.newPutAck(src, opID, waited), nic)
 		return
 	}
+	p := l.ackPend[src]
+	if p == nil {
+		p = &pendAcks{}
+		l.ackPend[src] = p
+	}
+	if len(p.ids) == 0 {
+		l.ackSrcs = append(l.ackSrcs, src)
+	}
+	p.ids = append(p.ids, opID)
+	p.waited = p.waited || waited
+}
+
+// flushAcks emits the put acks coalesced during the current drain: one
+// message per requester, carrying every completed OpID, Waited if any of
+// them is. As goExec.onDrain it runs on the token holder (ackPend needs
+// no lock) before the token is handed back, so no ack is stranded.
+func (l *Locality) flushAcks() {
 	for _, src := range l.ackSrcs {
-		ids := l.ackPend[src]
-		delete(l.ackPend, src)
-		if len(ids) == 1 {
-			l.nicInject(l.newPutAck(src, ids[0]))
-			continue
+		p := l.ackPend[src]
+		ack := l.newPutAck(src, p.ids[0], p.waited)
+		if len(p.ids) > 1 {
+			buf, pooled := getWireBuf(8 * len(p.ids))
+			for _, id := range p.ids {
+				buf = binary.LittleEndian.AppendUint64(buf, id)
+			}
+			ack.Kind = kPutAckVec
+			ack.OpID = 0
+			ack.Payload = buf
+			ack.PayloadPooled = pooled
+			ack.Wire = 32 + len(buf)
 		}
-		buf, pooled := getWireBuf(8 * len(ids))
-		for _, id := range ids {
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-		}
-		ack := netsim.NewMessage()
-		ack.Kind = kPutAckVec
-		ack.Src = l.rank
-		ack.Dst = src
-		ack.Payload = buf
-		ack.PayloadPooled = pooled
-		ack.Wire = 32 + len(buf)
+		p.ids, p.waited = p.ids[:0], false
 		l.nicInject(ack)
 	}
 	l.ackSrcs = l.ackSrcs[:0]
