@@ -156,8 +156,8 @@ func BenchmarkTransTableUpdateWithEviction(b *testing.B) {
 func BenchmarkDESEngineEventThroughput(b *testing.B) { microbench.DESEngineEvents(b) }
 
 // The wall-clock fast-path microbenchmarks live in internal/microbench,
-// shared with vgasbench's -bench-json emitter so `go test -bench` and
-// BENCH_PR3.json report the exact same workloads.
+// shared with the repository benchmark's per-layer probes so `go test
+// -bench` and benchmark/ report the exact same workloads.
 
 // BenchmarkGoEnginePutThroughput measures real concurrent one-sided
 // throughput on the goroutine engine (wall clock, not simulated): puts

@@ -15,9 +15,6 @@
 //	vgasbench -topology dragonfly:group=32 F17   # fabric override for the sweep
 //	vgasbench -tenants 16 -shift 2 F19           # rebalancing sweep overrides
 //	vgasbench -rebalance 8 F19                   # cap the policy's per-epoch move budget
-//	vgasbench -scale-json BENCH.json             # F17 scaling rows as JSON (CI artifact)
-//	vgasbench -rebalance-json BENCH.json         # F19 rebalancing rows as JSON (CI artifact)
-//	vgasbench -bench-json BENCH.json             # fast-path microbenchmarks as JSON
 //	vgasbench -cpuprofile cpu.out -quick F5      # pprof the run
 //	vgasbench -metrics-out m.prom -trace-out t.json  # instrumented run: metrics + Chrome trace
 package main
@@ -35,7 +32,6 @@ import (
 	"nmvgas/internal/agas"
 	"nmvgas/internal/exp"
 	"nmvgas/internal/metrics"
-	"nmvgas/internal/microbench"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/runtime"
 	"nmvgas/internal/trace"
@@ -75,15 +71,8 @@ func main() {
 		"policy (0 = default 16)")
 	flightOut := flag.String("flight-out", "", "write the F20 health experiment's flight-recorder "+
 		"trip bundle (indented JSON) to this file")
-	scaleJSON := flag.String("scale-json", "", "run the F17 scaling sweep and write the rows as "+
-		"JSON to this file ('-' = stdout), then exit; defaults to 64/256/1024 localities × "+
-		"shards {0,1,4} unless -localities/-shards override")
-	rebalanceJSON := flag.String("rebalance-json", "", "run the F19 rebalancing sweep and write "+
-		"the rows as JSON to this file ('-' = stdout), then exit; honors -tenants/-shift/"+
-		"-rebalance/-quick")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchJSON := flag.String("bench-json", "", "run the fast-path microbenchmarks and write results as JSON to this file ('-' = stdout), then exit")
 	metricsOut := flag.String("metrics-out", "", "run an instrumented migration workload and write a metrics snapshot to this file (.json = JSON snapshot, otherwise Prometheus text), then exit")
 	traceOut := flag.String("trace-out", "", "with or without -metrics-out: write the instrumented run's Chrome trace-event JSON to this file, then exit")
 	flag.Parse()
@@ -119,23 +108,6 @@ func main() {
 		}()
 	}
 
-	if *benchJSON != "" {
-		results := microbench.RunAll()
-		enc, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fatalf("vgasbench: %v", err)
-		}
-		enc = append(enc, '\n')
-		if *benchJSON == "-" {
-			os.Stdout.Write(enc)
-			return
-		}
-		if err := os.WriteFile(*benchJSON, enc, 0o644); err != nil {
-			fatalf("vgasbench: %v", err)
-		}
-		return
-	}
-
 	if *metricsOut != "" || *traceOut != "" {
 		if err := observedRun(*seed, *metricsOut, *traceOut); err != nil {
 			fatalf("vgasbench: %v", err)
@@ -150,18 +122,6 @@ func main() {
 		TenantBlocks: *tenants, Shifts: *shift, MoveBudget: *rebalance,
 		FlightOut: *flightOut}
 
-	if *scaleJSON != "" {
-		if err := scaleRun(o, *scaleJSON); err != nil {
-			fatalf("vgasbench: %v", err)
-		}
-		return
-	}
-	if *rebalanceJSON != "" {
-		if err := rebalanceRun(o, *rebalanceJSON); err != nil {
-			fatalf("vgasbench: %v", err)
-		}
-		return
-	}
 	if *coherence != "" {
 		c, err := agas.ParseCoherence(*coherence)
 		if err != nil {
@@ -192,6 +152,10 @@ func main() {
 	}
 	if o.Faults.Enabled() && o.Faults.Seed == 0 {
 		o.Faults.Seed = *seed
+	}
+	if err := o.Faults.Validate(0); err != nil {
+		fmt.Fprintf(os.Stderr, "vgasbench: %v\n", err)
+		os.Exit(2)
 	}
 	if *modes != "" {
 		for _, name := range strings.Split(*modes, ",") {
@@ -241,68 +205,6 @@ func parseIntList(name, spec string) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// scaleRun emits the F17 scaling sweep as JSON (the CI scaling-smoke
-// job's BENCH_PR8.json artifact). Without -localities/-shards overrides
-// it measures 64/256/1024 localities at shards {0, 1, 4}.
-func scaleRun(o exp.Options, path string) error {
-	if len(o.Localities) == 0 {
-		o.Localities = []int{64, 256, 1024}
-	}
-	if len(o.ShardSweep) == 0 {
-		o.ShardSweep = []int{0, 1, 4}
-	}
-	out := struct {
-		Description string           `json:"description"`
-		Rows        []exp.ScalePoint `json:"rows"`
-	}{
-		Description: "F17 parallel-DES scaling rows: hot-potato parcel storm on a balanced " +
-			"fat-tree, AGAS-NM space. golden_parcels is the determinism gate — it must be " +
-			"identical across shard counts at each world size. events_per_sec and " +
-			"ns_per_event are wall-clock and scale with the host's core count. " +
-			"Regenerate with `go run ./cmd/vgasbench -scale-json -`.",
-		Rows: exp.ScaleBench(o),
-	}
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if path == "-" {
-		os.Stdout.Write(enc)
-		return nil
-	}
-	return os.WriteFile(path, enc, 0o644)
-}
-
-// rebalanceRun emits the F19 rebalancing sweep as JSON (the CI
-// rebalance-smoke job's BENCH_PR9.json artifact): the multi-tenant
-// Zipfian serving workload on every migrating space, policy off vs on,
-// across a mid-run hotspot shift.
-func rebalanceRun(o exp.Options, path string) error {
-	out := struct {
-		Description string               `json:"description"`
-		Rows        []exp.RebalancePoint `json:"rows"`
-	}{
-		Description: "F19 rebalancing rows: multi-tenant Zipfian serving with colocated " +
-			"hotspots, policy off vs on, across a mid-run hotspot shift. All columns are " +
-			"deterministic DES measurements (simulated time): pre/post_shift_ops_per_ms are " +
-			"the converged steady states of each regime, imbalance is max/mean per-rank " +
-			"sampled serving load at the end. Regenerate with " +
-			"`go run ./cmd/vgasbench -rebalance-json -`.",
-		Rows: exp.RebalanceBench(o),
-	}
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if path == "-" {
-		os.Stdout.Write(enc)
-		return nil
-	}
-	return os.WriteFile(path, enc, 0o644)
 }
 
 // parseSchedule turns a "rank:vtime,rank:vtime" flag value into a fault

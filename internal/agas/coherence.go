@@ -21,7 +21,8 @@ const (
 	// the update lands.
 	WriteUpdate
 	// RWLease skips per-write coherence traffic entirely: holders serve
-	// reads until a bounded lease (Config.LeaseNs) expires, then refetch.
+	// reads until a bounded lease (100 µs of latency clock) expires, then
+	// refetch.
 	// Readers observe bounded staleness instead of write-triggered
 	// corrections.
 	RWLease

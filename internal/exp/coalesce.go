@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"nmvgas/internal/netsim"
 	"nmvgas/internal/runtime"
 	"nmvgas/internal/stats"
 	"nmvgas/internal/workloads"
@@ -27,7 +26,7 @@ func f13Coalesce(o Options) *stats.Table {
 	for _, window := range []int{1, 4, 16, 64} {
 		w := newWorld(runtime.SpaceFor(runtime.AGASNM), ranks, func(c *runtime.Config) {
 			if window > 1 {
-				c.Coalesce = runtime.CoalesceConfig{MaxParcels: window, MaxDelay: 2 * netsim.Microsecond}
+				c.Coalesce = runtime.CoalesceConfig{MaxParcels: window}
 			}
 		})
 		g := workloads.NewGUPS(w, "gups")
@@ -46,7 +45,7 @@ func f13Coalesce(o Options) *stats.Table {
 		msgs := w.Fabric().TotalStats().Sent
 
 		// A lone request-reply with nothing to batch against: pays the
-		// full MaxDelay twice when coalescing is on.
+		// full coalescer delay (2 µs) twice when coalescing is on.
 		lay, err := w.AllocLocal(1, 256, 1)
 		if err != nil {
 			panic(err)

@@ -66,17 +66,15 @@ func f17Workload(w *runtime.World, ttl int) (events uint64, parcels int64, wall 
 	return events, parcels, wall
 }
 
-// ScalePoint is one measured row of the F17 scaling sweep in
-// machine-readable form (vgasbench -scale-json emits these as
-// BENCH_PR8-style records).
+// ScalePoint is one measured row of the F17 scaling sweep.
 type ScalePoint struct {
-	Localities    int     `json:"localities"`
-	Shards        int     `json:"shards"`
-	Events        uint64  `json:"events"`
-	GoldenParcels int64   `json:"golden_parcels"`
-	WallNS        int64   `json:"wall_ns"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	NSPerEvent    float64 `json:"ns_per_event"`
+	Localities    int
+	Shards        int
+	Events        uint64
+	GoldenParcels int64
+	WallNS        int64
+	EventsPerSec  float64
+	NSPerEvent    float64
 }
 
 // ScaleBench runs the hot-potato storm across the configured world-size

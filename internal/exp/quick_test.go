@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -103,7 +104,12 @@ func TestQuickGolden(t *testing.T) {
 // TestPaperClaim states the paper's claim as predicates over the same
 // tables: network-managed AGAS costs about what static PGAS does and less
 // than software AGAS, in-network forwarding beats a NACK round trip, and
-// the bounded NIC table is the one place the design pays.
+// the bounded NIC table is the one place the design pays. Around it:
+// software AGAS degrades with churn and network-managed AGAS does not
+// fall below it (F9); the saving over software AGAS is the same at every
+// fabric distance (F18); replica reads never detour (F16); the heat
+// policy pays under agas-nm (F19); and faults or a crash never reach
+// what the application sees (C1/C2).
 func TestPaperClaim(t *testing.T) {
 	byID := map[string]*stats.Table{}
 	for i, tb := range quickTables() {
@@ -145,6 +151,66 @@ func TestPaperClaim(t *testing.T) {
 		}
 		if sw != 1 {
 			t.Errorf("F3 %v blocks: SW hit rate %v, want 1.00 (unbounded cache)", blocks, sw)
+		}
+	}
+	f9 := byID["F9"]
+	swUp, nmUp := col("F9", "sw_update_Kops"), col("F9", "nm_Kops")
+	for r := 0; r < f9.NumRows(); r++ {
+		if sw, nm := cell(t, f9, r, swUp), cell(t, f9, r, nmUp); nm <= sw {
+			t.Errorf("F9 row %d: agas-nm %v Kops must beat agas-sw update %v", r, nm, sw)
+		}
+		if r > 0 && cell(t, f9, r, swUp) >= cell(t, f9, r-1, swUp) {
+			t.Errorf("F9 row %d: agas-sw update throughput must fall with churn", r)
+		}
+	}
+	f18 := byID["F18"]
+	pgPut, swSt, nmSt := col("F18", "pgas_put_us"), col("F18", "sw_stale_us"), col("F18", "nm_stale_us")
+	if f18.NumRows() != 3 {
+		t.Fatalf("F18 has %d rows, want hops 1/3/5", f18.NumRows())
+	}
+	var saving float64
+	for r := 0; r < f18.NumRows(); r++ {
+		p, n, s := cell(t, f18, r, pgPut), cell(t, f18, r, nmSt), cell(t, f18, r, swSt)
+		if !(p < n && n < s) {
+			t.Errorf("F18 row %d: want pgas %v < agas-nm %v < agas-sw %v", r, p, n, s)
+		}
+		// The cells carry two decimals; compare the saving in cents.
+		if d := math.Round((s - n) * 100); r == 0 {
+			saving = d
+		} else if d != saving {
+			t.Errorf("F18 row %d: nm saves %v µs over sw, row 0 saves %v µs; want a constant saving", r, d/100, saving/100)
+		}
+	}
+	f16 := byID["F16"]
+	detours := col("F16", "read_detours")
+	for r := 0; r < f16.NumRows(); r++ {
+		if d := cell(t, f16, r, detours); d != 0 {
+			t.Errorf("F16 row %d: %v read detours in the write-free phase, want 0", r, d)
+		}
+	}
+	f19 := byID["F19"]
+	pre, post := col("F19", "pre_ops_ms"), col("F19", "post_ops_ms")
+	rows19 := map[string]int{}
+	for r, row := range f19.Rows() {
+		rows19[row[0]+"/"+row[1]] = r
+	}
+	off, okOff := rows19["agas-nm/off"]
+	on, okOn := rows19["agas-nm/on"]
+	if !okOff || !okOn {
+		t.Fatalf("F19 lacks agas-nm policy off/on rows: %v", f19.Rows())
+	}
+	for _, c := range []int{pre, post} {
+		if cell(t, f19, on, c) <= cell(t, f19, off, c) {
+			t.Errorf("F19 %s: agas-nm with the policy on (%v) must beat it off (%v)",
+				f19.Columns[c], cell(t, f19, on, c), cell(t, f19, off, c))
+		}
+	}
+	for _, id := range []string{"C1", "C2"} {
+		golden := col(id, "golden")
+		for r, row := range byID[id].Rows() {
+			if row[golden] != "yes" {
+				t.Errorf("%s row %d %v: golden %q, want yes", id, r, row, row[golden])
+			}
 		}
 	}
 }

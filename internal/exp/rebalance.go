@@ -13,24 +13,23 @@ func init() {
 }
 
 // RebalancePoint is one measured (mode, policy) cell of the F19
-// rebalancing experiment in machine-readable form (vgasbench
-// -rebalance-json emits these as BENCH_PR9-style records).
+// rebalancing experiment.
 type RebalancePoint struct {
-	Mode         string  `json:"mode"`
-	Policy       bool    `json:"policy"`
-	PreOpsPerMs  float64 `json:"pre_shift_ops_per_ms"`
-	PostOpsPerMs float64 `json:"post_shift_ops_per_ms"`
-	Imbalance    float64 `json:"imbalance"`
-	Moves        int64   `json:"moves"`
-	MoveFailures int64   `json:"move_failures"`
-	Replications int64   `json:"replications"`
-	Teardowns    int64   `json:"teardowns"`
-	Detours      int64   `json:"host_detours"`
+	Mode         string
+	Policy       bool
+	PreOpsPerMs  float64
+	PostOpsPerMs float64
+	Imbalance    float64
+	Moves        int64
+	MoveFailures int64
+	Replications int64
+	Teardowns    int64
+	Detours      int64
 	// Pulse marks a run whose policy epochs were driven by the in-runtime
 	// pulse (Policy.AttachPulse) instead of the driver loop; PulseTicks is
 	// how many ticks fired (0 for driver-stepped runs).
-	Pulse      bool   `json:"pulse,omitempty"`
-	PulseTicks uint64 `json:"pulse_ticks,omitempty"`
+	Pulse      bool
+	PulseTicks uint64
 }
 
 // RebalanceBench drives the multi-tenant serving workload with and
@@ -111,7 +110,7 @@ func rebalanceCell(o Options, sp runtime.SpaceSpec, perRank, preEpochs, postEpoc
 				Enabled: true,
 				Period:  200 * netsim.Microsecond,
 				Watchdogs: runtime.WatchdogConfig{
-					HeatWarn: 2, HeatCritical: 3, HeatMinSamples: 64,
+					HeatWarn: 2, HeatCritical: 3,
 				},
 			}
 		}

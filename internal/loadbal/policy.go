@@ -28,27 +28,29 @@ type PolicyConfig struct {
 	// HotShare is the fraction of the epoch's sampled accesses a block
 	// must attract to be considered hot (default 0.02).
 	HotShare float64
-	// Dominance is the hysteresis ratio for migration (default 2.0): a
-	// remote rank must drive at least Dominance× the traffic the
-	// current owner drives locally before the block moves to it. At 1.0
-	// any remote majority wins; higher values demand a clearer signal.
-	Dominance float64
-	// Cooldown is the number of epochs a freshly moved block is immune
-	// from further moves (default 2) — the second anti-thrash guard.
-	Cooldown int
 	// Replicas enables adaptive replication when > 0: read-dominated
-	// hot blocks with at least MinReaders distinct readers get a live
+	// hot blocks with at least minReaders distinct readers get a live
 	// replica set of this size (World.ReplicateLive), torn down again
 	// when the block cools or turns write-heavy.
 	Replicas int
-	// ReadShare is the read fraction above which a hot block counts as
-	// read-dominated (default 0.9).
-	ReadShare float64
-	// MinReaders is the distinct-reader floor for replication (default
-	// 3): replicating for a single consumer is strictly worse than
-	// migrating to it.
-	MinReaders int
 }
+
+const (
+	// dominance is the hysteresis ratio for migration: a remote rank
+	// must drive at least dominance× the traffic the current owner
+	// drives locally before the block moves to it.
+	dominance = 2.0
+	// cooldown is the number of epochs a freshly moved block is immune
+	// from further moves — the second anti-thrash guard.
+	cooldown = 2
+	// readShare is the read fraction above which a hot block counts as
+	// read-dominated.
+	readShare = 0.9
+	// minReaders is the distinct-reader floor for replication:
+	// replicating for a single consumer is strictly worse than migrating
+	// to it.
+	minReaders = 3
+)
 
 func (c PolicyConfig) withDefaults() PolicyConfig {
 	if c.MoveBudget <= 0 {
@@ -59,18 +61,6 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 	}
 	if c.HotShare <= 0 {
 		c.HotShare = 0.02
-	}
-	if c.Dominance <= 0 {
-		c.Dominance = 2.0
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2
-	}
-	if c.ReadShare <= 0 {
-		c.ReadShare = 0.9
-	}
-	if c.MinReaders <= 0 {
-		c.MinReaders = 3
 	}
 	return c
 }
@@ -257,7 +247,7 @@ func (p *Policy) plan() (Report, []Move, []error) {
 	p.st.Samples += rep.Samples
 
 	// Cooldowns tick at the END of each epoch (tickCooldowns), after the
-	// action checks, so Cooldown=N really grants N full epochs of
+	// action checks, so cooldown=N really grants N full epochs of
 	// immunity to a freshly moved block.
 	if rep.Samples < p.cfg.MinSamples {
 		p.st.IdleEpochs++
@@ -318,13 +308,13 @@ func (p *Policy) plan() (Report, []Move, []error) {
 			// Already replicated by us: tear the set down if the block
 			// turned write-heavy (coherence fan-out now outweighs local
 			// reads). Cold blocks are handled after the loop.
-			if readFrac < p.cfg.ReadShare {
+			if readFrac < readShare {
 				p.teardown(lay, d, &rep, &errs)
 			}
 			continue
 		}
 
-		if p.cfg.Replicas > 0 && readFrac >= p.cfg.ReadShare && len(a.readSrcs) >= p.cfg.MinReaders {
+		if p.cfg.Replicas > 0 && readFrac >= readShare && len(a.readSrcs) >= minReaders {
 			// Read-dominated with a spread audience: replication serves
 			// every reader locally, where migration could satisfy one.
 			if err := p.w.ReplicateLive(blockLayout(lay, d), p.cfg.Replicas); err != nil {
@@ -348,7 +338,7 @@ func (p *Policy) plan() (Report, []Move, []error) {
 		if dom == owner {
 			continue
 		}
-		if float64(domN) < p.cfg.Dominance*float64(a.bySrc[owner]) {
+		if float64(domN) < dominance*float64(a.bySrc[owner]) {
 			continue
 		}
 		if p.cool[a.b] > 0 {
@@ -376,7 +366,7 @@ func (p *Policy) plan() (Report, []Move, []error) {
 	// thrash the cooldown exists to prevent.
 	p.tickCooldowns()
 	for _, mv := range moves {
-		p.cool[mv.Block.Block()] = p.cfg.Cooldown
+		p.cool[mv.Block.Block()] = cooldown
 	}
 	return rep, moves, errs
 }

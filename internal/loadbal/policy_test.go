@@ -48,7 +48,7 @@ func TestPolicyHysteresisKeepsOwnerLocalBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPolicy(w, PolicyConfig{Layout: lay, MinSamples: 8, Dominance: 2})
+	p, err := NewPolicy(w, PolicyConfig{Layout: lay, MinSamples: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPolicyBudgetAndCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPolicy(w, PolicyConfig{Layout: lay, MinSamples: 8, MoveBudget: 2, Cooldown: 2})
+	p, err := NewPolicy(w, PolicyConfig{Layout: lay, MinSamples: 8, MoveBudget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPolicyBudgetAndCooldown(t *testing.T) {
 		t.Fatal("over-budget hot blocks not recorded as deferred")
 	}
 	// The two moved blocks are on cooldown: hammering them from a new
-	// rank must not bounce them for Cooldown epochs.
+	// rank must not bounce them for cooldown epochs.
 	moved := make(map[uint32]bool)
 	for d := uint32(0); d < 8; d++ {
 		if _, ok := w.Locality(lay.HomeOf(d)).Store().Get(lay.BlockAt(d).Block()); !ok {

@@ -1,8 +1,8 @@
 // Package microbench holds the wall-clock microbenchmark bodies for the
 // runtime's own fast paths, shared between the `go test -bench` harness
-// (bench_test.go) and the vgasbench -bench-json emitter so both report
-// the exact same workloads. Each body follows testing.B conventions and
-// can be driven by testing.Benchmark from a plain binary.
+// (bench_test.go) and the repository benchmark's per-layer probes so both
+// report the exact same workloads. Each body follows testing.B
+// conventions and can be driven by testing.Benchmark from a plain binary.
 package microbench
 
 import (
@@ -16,27 +16,8 @@ import (
 	"nmvgas/vgas"
 )
 
-// Result is one benchmark outcome in machine-readable form.
-type Result struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	// MsgsPerSec is the send→deliver rate where the benchmark measures
-	// one (0 elsewhere).
-	MsgsPerSec float64 `json:"msgs_per_sec,omitempty"`
-	// P50Ns/P95Ns/P99Ns are the runtime's own latency-histogram
-	// percentiles for benchmarks that run with Config.Metrics on
-	// (0 elsewhere).
-	P50Ns float64 `json:"p50_ns,omitempty"`
-	P95Ns float64 `json:"p95_ns,omitempty"`
-	P99Ns float64 `json:"p99_ns,omitempty"`
-	N     int     `json:"n"`
-}
-
 // reportLatency surfaces one latency summary as custom benchmark metrics
-// so testing.Benchmark callers (RunAll, the CI smoke job) see the
-// percentiles next to ns/op.
+// so testing.Benchmark callers see the percentiles next to ns/op.
 func reportLatency(b *testing.B, l runtime.LatencySummary) {
 	if l.Count == 0 {
 		return
@@ -336,47 +317,4 @@ func DESEngineEvents(b *testing.B) {
 	if n < b.N {
 		b.Fatal("engine starved")
 	}
-}
-
-// headline is the benchmark set RunAll executes — the metrics
-// BENCH_PR3.json tracks.
-var headline = []struct {
-	name string
-	fn   func(*testing.B)
-}{
-	{"GoEnginePumpThroughput", GoEnginePump},
-	{"GoEnginePutThroughput", GoEnginePut},
-	{"GoEngineGetThroughput", GoEngineGet},
-	{"GoEnginePutVecThroughput", GoEnginePutVec},
-	{"GoEngineGetVecThroughput", GoEngineGetVec},
-	{"GoEngineCoalesceThroughput", GoEngineCoalesce},
-	{"F16ReplicatedReadsThroughput", F16ReplicatedReads},
-	{"DESEnginePutThroughput", DESEnginePut},
-	{"DESEngineEventThroughput", DESEngineEvents},
-	{"GoEnginePumpMetricsThroughput", GoEnginePumpMetrics},
-	{"DESEnginePutMetricsThroughput", DESEnginePutMetrics},
-}
-
-// RunAll executes the headline microbenchmarks via testing.Benchmark and
-// returns their results.
-func RunAll() []Result {
-	out := make([]Result, 0, len(headline))
-	for _, h := range headline {
-		r := testing.Benchmark(h.fn)
-		res := Result{
-			Name:        h.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			N:           r.N,
-		}
-		if v, ok := r.Extra["msgs/sec"]; ok {
-			res.MsgsPerSec = v
-		}
-		res.P50Ns = r.Extra["p50_ns"]
-		res.P95Ns = r.Extra["p95_ns"]
-		res.P99Ns = r.Extra["p99_ns"]
-		out = append(out, res)
-	}
-	return out
 }

@@ -136,7 +136,42 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 			return p, fmt.Errorf("netsim: fault plan term %q: %v", kv, err)
 		}
 	}
-	return p, nil
+	return p, p.Validate(0)
+}
+
+// Validate range-checks the plan: probabilities in [0,1] (Drop in [0,1))
+// and not NaN, MaxDelay and kill/restart times non-negative, kill/restart
+// ranks non-negative and, when ranks > 0, below ranks (a parsed spec does
+// not know the world's size; Config validation does).
+func (p FaultPlan) Validate(ranks int) error {
+	if !(p.Drop >= 0 && p.Drop < 1) {
+		return fmt.Errorf("netsim: fault drop probability %v outside [0,1)", p.Drop)
+	}
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{"dup", p.Duplicate}, {"delay", p.DelayProb}, {"tableloss", p.TableLoss}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("netsim: fault %s probability %v outside [0,1]", f.key, f.v)
+		}
+	}
+	if p.MaxDelay < 0 {
+		return fmt.Errorf("netsim: negative fault maxdelay %d", p.MaxDelay)
+	}
+	for _, s := range [...]struct {
+		key string
+		at  map[int]VTime
+	}{{"kill", p.KillAt}, {"restart", p.RestartAt}} {
+		for _, r := range sortedRanks(s.at) {
+			if r < 0 || ranks > 0 && r >= ranks {
+				return fmt.Errorf("netsim: %s=%d:%d: rank %d is not in the world", s.key, r, s.at[r], r)
+			}
+			if s.at[r] < 0 {
+				return fmt.Errorf("netsim: %s=%d:%d: negative time", s.key, r, s.at[r])
+			}
+		}
+	}
+	return nil
 }
 
 // FaultStats counts injected faults.

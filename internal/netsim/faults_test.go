@@ -194,3 +194,30 @@ func TestMaybeLoseEntryWithoutTableLossDrawsNothing(t *testing.T) {
 		t.Fatalf("table len %d, stats %+v vs %+v", tt.Len(), mixed.Snapshot(), bare.Snapshot())
 	}
 }
+
+// FuzzParseFaultPlan feeds the parser arbitrary specs. A spec either
+// errors or yields a plan that passes Validate, and neither parsing nor
+// injecting under the plan may panic. The seeds under
+// testdata/fuzz/FuzzParseFaultPlan are out-of-range specs: NaN and
+// out-of-[0,1] probabilities, negative delays, times and ranks, and
+// kill=9:100, which the parser accepts because only Config validation
+// knows the world's size.
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Add("")
+	f.Add("drop=0.05,dup=0.02,reorder=1,seed=7,delay=0.1,maxdelay=2000,tableloss=0.01,dropctl=1:3,kill=2:500000,restart=2:2000000")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFaultPlan(spec)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(0); err != nil {
+			t.Fatalf("ParseFaultPlan(%q) returned a plan Validate rejects: %v", spec, err)
+		}
+		_ = p.String()
+		if fi := NewFaultInjector(p); fi != nil {
+			for c := uint8(0); c < 4; c++ {
+				fi.Decide(&Message{Ctl: c})
+			}
+		}
+	})
+}

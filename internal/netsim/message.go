@@ -25,7 +25,7 @@ const (
 	// knew it, else -1.
 	CtlNack
 	// CtlNackLoop is a CtlNack raised because a message exhausted its
-	// forward-hop budget (Policy.MaxHops). Owner carries the home rank as
+	// forward-hop budget (DefaultMaxHops). Owner carries the home rank as
 	// a fresh routing hint; the source counts bounces and eventually
 	// abandons the message instead of chasing a broken route forever.
 	CtlNackLoop

@@ -12,7 +12,9 @@ import "nmvgas/internal/gas"
 // nic.go, the goroutine transport in package runtime) supplies time,
 // exclusion and delivery, and bumps the counter the verdict names.
 
-// DefaultMaxHops is the forward-hop budget when Policy.MaxHops is zero.
+// DefaultMaxHops bounds in-network forwarding chains. A message exceeding
+// the budget is NACKed back to its sender with the home as owner hint
+// instead of chasing a broken route forever.
 const DefaultMaxHops = 16
 
 // Policy selects how a GVA-routing NIC reacts to traffic for blocks it
@@ -27,18 +29,6 @@ type Policy struct {
 	// NoPushUpdates stops a forwarding NIC from pushing the correct owner
 	// to the source NIC's table, so later traffic keeps taking the detour.
 	NoPushUpdates bool
-	// MaxHops bounds in-network forwarding chains (0 = DefaultMaxHops).
-	// A message exceeding the budget is NACKed back to its sender with
-	// the home as owner hint instead of chasing a broken route forever.
-	MaxHops int
-}
-
-// HopCap returns the effective forward-hop budget.
-func (p Policy) HopCap() int {
-	if p.MaxHops > 0 {
-		return p.MaxHops
-	}
-	return DefaultMaxHops
 }
 
 // NICStats are cumulative per-NIC counters, the same set on both engines.
@@ -457,8 +447,7 @@ func (c *NICCore) Classify(lv Liveness, m *Message) Verdict {
 // Misroute decides a GVA-routed arrival for a block that is not here. It
 // charges the hop it takes to m.Hops.
 func (c *NICCore) Misroute(rt Routes, lv Liveness, m *Message) Verdict {
-	hopCap := c.Policy.HopCap()
-	if m.Read && m.Hops < hopCap {
+	if m.Read && m.Hops < DefaultMaxHops {
 		if target, ok := rt.ReadRoute(m.Block); ok && target != c.Rank {
 			// We cannot serve this read but know a replica holder:
 			// forward the read there in-network instead of chasing the
@@ -500,7 +489,7 @@ func (c *NICCore) Misroute(rt Routes, lv Liveness, m *Message) Verdict {
 		return Verdict{Act: ActNack, Count: CntNacks, Ctl: CtlNack, To: owner}
 	}
 	m.Hops++
-	if m.Hops > hopCap {
+	if m.Hops > DefaultMaxHops {
 		// Hop budget exhausted: the routing state is inconsistent (stale
 		// tombstone chains, lost updates). Bounce to the sender with the
 		// home as a fresh hint instead of panicking — a lossy fabric can
@@ -554,7 +543,7 @@ func (c *NICCore) SplitScatter(rt Routes, m *Message) (fwd []*Message, host, spl
 			break
 		}
 	}
-	hopsLeft := m.Hops < c.Policy.HopCap()
+	hopsLeft := m.Hops < DefaultMaxHops
 	var local []byte
 	for r := NewScatterReader(m.Payload); ; {
 		g, enc, ok := r.Next()

@@ -157,7 +157,7 @@ func TestNICCoreVerdicts(t *testing.T) {
 		Verdict{Act: ActNack, Count: CntNacks, Ctl: CtlNack, To: 3}, 0, -1)
 	add("misroute/hop budget spent: loop NACK with home hint", with(msgFor(1, blk), func(m *Message) { m.Hops = DefaultMaxHops }), mis(c, routed, nil),
 		Verdict{Act: ActNack, Count: CntLoopNacks, Ctl: CtlNackLoop, To: 1}, DefaultMaxHops+1, -1)
-	add("misroute/last hop in budget", with(msgFor(1, blk), func(m *Message) { m.Hops = 3 }), mis(coreAt(2, true, Policy{MaxHops: 4}), routed, nil), fwd(3, true), 4, -1)
+	add("misroute/last hop in budget", with(msgFor(1, blk), func(m *Message) { m.Hops = DefaultMaxHops - 1 }), mis(c, routed, nil), fwd(3, true), DefaultMaxHops, -1)
 	add("misroute/owner down, rehomed: forward to survivor", msgFor(1, blk), mis(c, routed, rehomed), fwd(5, true), 1, -1)
 	add("misroute/owner dead, rehomed here: host arbitrates", msgFor(1, blk), mis(c, routed, rehomedHere), host, 0, -1)
 	add("misroute/owner dead: host's stale-delivery path", msgFor(1, blk), mis(c, routed, deadDst), host, 0, -1)
@@ -304,7 +304,7 @@ func checkScatterSplit(t testing.TB, c *NICCore, st *TransState, m *Message) {
 		if f.Hops != hops+1 || !f.Scatter || f.Src != m.Src || f.Wire != wireHeader+len(f.Payload) {
 			t.Fatalf("sub-batch built wrong: %+v", f)
 		}
-		if hops >= c.Policy.HopCap() {
+		if hops >= DefaultMaxHops {
 			t.Fatalf("forwarded with the hop budget spent")
 		}
 		recs := scatterRecords(f.Payload)
@@ -387,12 +387,12 @@ func TestSplitScatter(t *testing.T) {
 
 // randomCore draws a rank, policy, residency, translation state and
 // membership view over a small universe (8 ranks, 16 blocks) so that
-// collisions — routes to self, dead owners, read routes at the hop cap —
+// collisions — routes to self, dead owners, read routes to replicas —
 // are common.
 func randomCore(r *rand.Rand) (*NICCore, *TransState, Liveness) {
 	const ranks, blocks = 8, 16
 	c := &NICCore{Rank: r.Intn(ranks), GVARouting: r.Intn(4) > 0,
-		Policy: Policy{NackToHost: r.Intn(4) == 0, NoPushUpdates: r.Intn(3) == 0, MaxHops: r.Intn(4)}}
+		Policy: Policy{NackToHost: r.Intn(4) == 0, NoPushUpdates: r.Intn(3) == 0}}
 	here, replicas := r.Uint32(), r.Uint32()
 	c.Resident = func(b gas.BlockID) bool { return here>>(b%blocks)&1 == 1 }
 	if r.Intn(2) == 0 {
@@ -427,8 +427,10 @@ func randomCore(r *rand.Rand) (*NICCore, *TransState, Liveness) {
 	return c, &st, lv
 }
 
+// randomMessage draws an arrival; half of them come in between three
+// hops below the hop cap and one above it.
 func randomMessage(r *rand.Rand) *Message {
-	m := &Message{Src: r.Intn(8), Hops: r.Intn(6), DMA: r.Intn(2) == 0, Read: r.Intn(2) == 0, Wire: 32 + r.Intn(64)}
+	m := &Message{Src: r.Intn(8), Hops: r.Intn(2)*(DefaultMaxHops-3) + r.Intn(5), DMA: r.Intn(2) == 0, Read: r.Intn(2) == 0, Wire: 32 + r.Intn(64)}
 	if r.Intn(8) > 0 {
 		m.Target = gas.New(r.Intn(8), gas.BlockID(r.Intn(16)), 0)
 		m.Block = m.Target.Block()
@@ -481,8 +483,8 @@ func checkReceive(t testing.TB, c *NICCore, st *TransState, lv Liveness, m *Mess
 		if v.To == c.Rank {
 			t.Fatalf("forward to self: %+v", v)
 		}
-		if m.Hops != hopsIn+1 || m.Hops > c.Policy.HopCap() {
-			t.Fatalf("forward took Hops %d → %d with cap %d", hopsIn, m.Hops, c.Policy.HopCap())
+		if m.Hops != hopsIn+1 || m.Hops > DefaultMaxHops {
+			t.Fatalf("forward took Hops %d → %d with cap %d", hopsIn, m.Hops, DefaultMaxHops)
 		}
 		if v.Count != CntForwards || c.Policy.NackToHost && !m.Read {
 			t.Fatalf("forward verdict %+v under policy %+v", v, c.Policy)
@@ -593,7 +595,7 @@ func FuzzNICCoreReceive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzReader(data)
 		c := &NICCore{Rank: in.n(8), GVARouting: in.n(2) == 1,
-			Policy: Policy{NackToHost: in.n(2) == 1, NoPushUpdates: in.n(2) == 1, MaxHops: in.n(5)}}
+			Policy: Policy{NackToHost: in.n(2) == 1, NoPushUpdates: in.n(2) == 1}}
 		here, replicas := in.n(256)|in.n(256)<<8, in.n(256)
 		c.Resident = func(b gas.BlockID) bool { return here>>(b%16)&1 == 1 }
 		c.ResidentRead = func(b gas.BlockID) bool { return replicas>>(b%8)&1 == 1 }
@@ -620,7 +622,7 @@ func FuzzNICCoreReceive(f *testing.F) {
 			}
 			lv = fl
 		}
-		m := &Message{Src: in.n(8), Hops: in.n(8), DMA: in.n(2) == 1, Read: in.n(2) == 1,
+		m := &Message{Src: in.n(8), Hops: in.n(2)*(DefaultMaxHops-3) + in.n(5), DMA: in.n(2) == 1, Read: in.n(2) == 1,
 			Ctl: uint8(in.n(5)), Scatter: in.n(2) == 1, RelSeq: uint64(in.n(2)), Epoch: uint64(in.n(3))}
 		if in.n(4) > 0 {
 			m.Target = gas.New(in.n(8), gas.BlockID(in.n(16)), 0)

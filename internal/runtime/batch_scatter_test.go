@@ -153,15 +153,13 @@ func TestBatchScatterAllResident(t *testing.T) {
 
 // TestCoalesceGenerationGuard regresses the stale-timer bug: a delayed
 // flush armed by one buffer generation must not drain a later
-// generation's lone parcel early. Timeline (DES, MaxDelay 20µs):
-// parcel A at ~0 arms a gen-0 timer for ~20µs; a burst at 5µs flushes
-// the buffer by threshold (gen 1); lone parcel D at 6µs arms a gen-1
-// timer for ~26µs. The stale gen-0 timer firing at 20µs must be a no-op,
-// so D completes no earlier than 26µs.
+// generation's lone parcel early. Timeline (DES, coalMaxDelay 2µs):
+// parcel A at ~0 arms a gen-0 timer for ~2µs; a burst at 0.5µs flushes
+// the buffer by threshold (gen 1); lone parcel D at 1µs arms a gen-1
+// timer for ~3µs. The stale gen-0 timer firing at ~2µs must be a no-op,
+// so D is still buffered at 2.5µs and completes no earlier than 3µs.
 func TestCoalesceGenerationGuard(t *testing.T) {
-	cfg := coalCfg(3)
-	cfg.Coalesce.MaxDelay = 20 * netsim.Microsecond
-	w := testWorld(t, cfg)
+	w := testWorld(t, coalCfg(3))
 	echo := w.Register("echo", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
 	lay, err := w.AllocLocal(1, 64, 1)
@@ -177,16 +175,26 @@ func TestCoalesceGenerationGuard(t *testing.T) {
 	burst := w.NewAndGate(0, 3)
 	lone := w.NewFuture(0)
 	w.Proc(0).Run(func() { send(burst) }) // A: arms gen-0 timer
-	w.Engine().After(5*netsim.Microsecond, func() {
+	w.Engine().After(500, func() {
 		send(burst) // B
 		send(burst) // C: count hits MaxParcels, threshold flush, gen 0 -> 1
 	})
-	w.Engine().After(6*netsim.Microsecond, func() {
-		send(lone) // D: lone in gen 1, arms its own timer for ~26µs
+	w.Engine().After(netsim.Microsecond, func() {
+		send(lone) // D: lone in gen 1, arms its own timer for ~3µs
+	})
+	buffered := -1
+	w.Engine().After(2500, func() {
+		b := &w.Locality(0).coal.bufs[1]
+		b.mu.Lock()
+		buffered = b.count
+		b.mu.Unlock()
 	})
 	w.MustWait(burst)
 	w.MustWait(lone)
-	if now := w.Now(); now < 26*netsim.Microsecond {
+	if buffered != 1 {
+		t.Fatalf("%d parcels buffered at 2.5µs, want lone D: the stale gen-0 timer flushed it early", buffered)
+	}
+	if now := w.Now(); now < 3*netsim.Microsecond {
 		t.Fatalf("lone parcel completed at %v: the stale gen-0 timer flushed it early", now)
 	}
 }

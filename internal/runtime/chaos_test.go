@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"os"
 	"testing"
 
@@ -166,5 +167,53 @@ func TestChaosTableLoss(t *testing.T) {
 	}
 	if d := w.DeliveryStats(); d.Faults.TableEntriesLost == 0 {
 		t.Error("20% table loss lost nothing")
+	}
+}
+
+// TestFaultPlanOutOfRangeRejected feeds out-of-range fault plans through
+// both routes into a world — a spec (NMVGAS_FAULTS, vgasbench -kill/-join)
+// and plan fields set directly (vgasbench -loss/-dup) — and requires an
+// error before anything runs. Accepted, kill=9:100 on four ranks panics
+// at simulated time indexing the membership table, and a negative time
+// panics in Engine.At; a NaN drop passes a bare [0,1) comparison.
+func TestFaultPlanOutOfRangeRejected(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		spec string
+		plan netsim.FaultPlan
+	}{
+		{spec: "kill=9:100"},
+		{spec: "kill=-1:100"},
+		{spec: "kill=1:-100"},
+		{spec: "restart=4:100"},
+		{spec: "restart=1:-1"},
+		{spec: "dup=1.5"},
+		{spec: "delay=-1"},
+		{spec: "tableloss=NaN"},
+		{spec: "drop=NaN"},
+		{spec: "drop=1"},
+		{spec: "maxdelay=-1"},
+		{plan: netsim.FaultPlan{Drop: nan}},
+		{plan: netsim.FaultPlan{Drop: -0.1}},
+		{plan: netsim.FaultPlan{Duplicate: 1.5}},
+		{plan: netsim.FaultPlan{DelayProb: nan}},
+	}
+	for _, tc := range cases {
+		plan, err := netsim.ParseFaultPlan(tc.spec)
+		if tc.spec == "" {
+			plan = tc.plan
+		}
+		if err == nil {
+			_, err = NewWorld(Config{Ranks: 4, Mode: AGASNM, Engine: EngineDES, Faults: plan})
+		}
+		if err == nil {
+			t.Errorf("spec %q / plan %+v: accepted, want an error", tc.spec, tc.plan)
+		}
+	}
+	// The boundaries themselves are fine.
+	ok := netsim.FaultPlan{Drop: 0.99, Duplicate: 1, DelayProb: 0, TableLoss: 1,
+		KillAt: map[int]netsim.VTime{3: 0}, RestartAt: map[int]netsim.VTime{0: 5}}
+	if _, err := NewWorld(Config{Ranks: 4, Mode: AGASNM, Engine: EngineDES, Faults: ok}); err != nil {
+		t.Fatalf("in-range plan rejected: %v", err)
 	}
 }

@@ -27,40 +27,29 @@ import (
 type CoalesceConfig struct {
 	// MaxParcels flushes a destination's buffer at this many parcels.
 	MaxParcels int
-	// MaxBytes flushes earlier if the accumulated payload exceeds this
-	// (0 = 64 KiB default).
-	MaxBytes int
-	// MaxDelay bounds how long a lone parcel may wait for companions
-	// (simulated time; under the goroutine engine it is scaled to wall
-	// clock through Config.GoTimeScale; 0 = 2 µs default). It is also
-	// the adaptive cutoff: once the EWMA inter-add gap for a destination
-	// reaches MaxDelay, buffered parcels flush immediately instead of
-	// waiting for companions that statistics say are not coming.
-	MaxDelay netsim.VTime
 }
 
 func (c CoalesceConfig) enabled() bool { return c.MaxParcels > 1 }
 
-func (c CoalesceConfig) maxBytes() int {
-	if c.MaxBytes > 0 {
-		return c.MaxBytes
-	}
-	return 64 << 10
-}
-
-func (c CoalesceConfig) maxDelay() netsim.VTime {
-	if c.MaxDelay > 0 {
-		return c.MaxDelay
-	}
-	return 2 * netsim.Microsecond
-}
+const (
+	// coalMaxBytes flushes a buffer early once its payload reaches it.
+	coalMaxBytes = 64 << 10
+	// coalMaxDelay bounds how long a lone parcel may wait for companions
+	// (simulated time; scaled to wall clock under the goroutine engine).
+	// It is also the adaptive cutoff: once the EWMA inter-add gap for a
+	// destination reaches it, buffered parcels flush immediately instead
+	// of waiting for companions that statistics say are not coming.
+	coalMaxDelay = 2 * netsim.Microsecond
+	// coalGapClamp bounds a single observed gap's contribution to the
+	// EWMA, so one long idle period does not instantly flip a hot
+	// destination into the no-wait regime.
+	coalGapClamp = 2 * coalMaxDelay
+)
 
 // coalescer buffers encoded parcels per destination rank.
 type coalescer struct {
-	l        *Locality
-	cfg      CoalesceConfig
-	maxBytes int
-	maxDelay netsim.VTime
+	l          *Locality
+	maxParcels int
 	// scatter marks batches for in-NIC splitting (network-managed
 	// space); other spaces unbundle host-side.
 	scatter bool
@@ -95,19 +84,12 @@ type coalBuf struct {
 
 func newCoalescer(l *Locality, cfg CoalesceConfig) *coalescer {
 	return &coalescer{
-		l:        l,
-		cfg:      cfg,
-		maxBytes: cfg.maxBytes(),
-		maxDelay: cfg.maxDelay(),
-		scatter:  l.w.caps.NICTranslation,
-		bufs:     make([]coalBuf, l.w.cfg.Ranks),
+		l:          l,
+		maxParcels: cfg.MaxParcels,
+		scatter:    l.w.caps.NICTranslation,
+		bufs:       make([]coalBuf, l.w.cfg.Ranks),
 	}
 }
-
-// gapClamp bounds a single observed gap's contribution to the EWMA, so
-// one long idle period does not instantly flip a hot destination into
-// the no-wait regime.
-func (c *coalescer) gapClamp() netsim.VTime { return 2 * c.maxDelay }
 
 // add buffers one encoded parcel for dst, flushing on thresholds, on a
 // collapsed adaptive delay, or via the armed delay timer.
@@ -119,16 +101,14 @@ func (c *coalescer) add(dst int, enc []byte) {
 	// single long gap must not bypass the delay by itself (the lone
 	// parcel after a burst still waits, preserving the latency trade the
 	// experiments measure), but sustained sparse traffic converges the
-	// EWMA past MaxDelay and stops paying the pointless wait.
-	collapse := b.haveGap && b.ewmaGap >= c.maxDelay
+	// EWMA past coalMaxDelay and stops paying the pointless wait.
+	collapse := b.haveGap && b.ewmaGap >= coalMaxDelay
 	if b.count > 0 || b.haveGap || b.lastAdd != 0 {
 		gap := now - b.lastAdd
 		if gap < 0 {
 			gap = 0
 		}
-		if max := c.gapClamp(); gap > max {
-			gap = max
-		}
+		gap = min(gap, coalGapClamp)
 		if !b.haveGap {
 			b.ewmaGap = gap
 			b.haveGap = true
@@ -142,7 +122,7 @@ func (c *coalescer) add(dst int, enc []byte) {
 	if b.count == 1 && c.l.w.lat != nil {
 		b.firstAdd = c.l.latNow()
 	}
-	full := b.count >= c.cfg.MaxParcels || len(b.recs) >= c.maxBytes
+	full := b.count >= c.maxParcels || len(b.recs) >= coalMaxBytes
 	if full || collapse {
 		payload := b.take(c)
 		b.mu.Unlock()
@@ -179,10 +159,10 @@ func (c *coalescer) armFlush(dst int, gen uint64) {
 	if l := c.l; l.eng != nil {
 		// The flush drains this locality's own buffer and injects from its
 		// NIC: rank-local work, armed on the rank's own timeline.
-		l.eng.AfterRank(l.rank, c.maxDelay, func() { c.flushGen(dst, gen) })
+		l.eng.AfterRank(l.rank, coalMaxDelay, func() { c.flushGen(dst, gen) })
 		return
 	}
-	time.AfterFunc(c.l.w.goWall(c.maxDelay), func() { c.flushGen(dst, gen) })
+	time.AfterFunc(c.l.w.goWall(coalMaxDelay), func() { c.flushGen(dst, gen) })
 }
 
 // flushGen is the delayed flush: it fires only if the buffer still holds

@@ -126,9 +126,7 @@ func TestCoalescedBatchReroutesAfterMigration(t *testing.T) {
 }
 
 func TestCoalesceDelayFlushesLoneParcel(t *testing.T) {
-	cfg := coalCfg(1000) // threshold unreachable; only the delay flushes
-	cfg.Coalesce.MaxDelay = 3 * netsim.Microsecond
-	w := testWorld(t, cfg)
+	w := testWorld(t, coalCfg(1000)) // threshold unreachable; only the delay flushes
 	echo := w.Register("echo", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
 	lay, err := w.AllocLocal(1, 64, 1)
@@ -141,37 +139,47 @@ func TestCoalesceDelayFlushesLoneParcel(t *testing.T) {
 		t.Fatalf("lone parcel never flushed: %v", err)
 	}
 	_ = v
-	if now := w.Now(); now < 3*netsim.Microsecond {
+	// Request and reply each wait out the delay.
+	if now := w.Now(); now < 2*coalMaxDelay {
 		t.Fatalf("flush happened before the delay: %v", now)
 	}
 }
 
 func TestCoalesceFlushAll(t *testing.T) {
-	cfg := coalCfg(1000)
-	cfg.Coalesce.MaxDelay = netsim.Second // effectively never
-	w := testWorld(t, cfg)
+	w := testWorld(t, coalCfg(1000))
 	echo := w.Register("echo", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
 	lay, err := w.AllocLocal(1, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// flushed reports whether rank r's buffer for dst has been taken; the
+	// delay timer would take it only coalMaxDelay after the add.
+	flushed := func(r, dst int) func() bool {
+		return func() bool {
+			b := &w.Locality(r).coal.bufs[dst]
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			return b.gen > 0
+		}
+	}
 	fut := w.Proc(0).Call(lay.BlockAt(0), echo, nil)
 	// Flush the request out of rank 0...
 	w.Proc(0).Run(func() { w.Locality(0).FlushAll() })
-	ok := w.Engine().RunUntil(func() bool {
-		return w.Locality(1).Stats.ParcelsRun.Load() > 0
-	})
-	if !ok || w.Now() >= netsim.Second {
+	if !w.Engine().RunUntil(flushed(0, 1)) || w.Now() >= coalMaxDelay {
 		t.Fatalf("FlushAll did not release the request (now %v)", w.Now())
 	}
+	if !w.Engine().RunUntil(func() bool { return w.Locality(1).Stats.ParcelsRun.Load() > 0 }) {
+		t.Fatal("request never ran")
+	}
 	// ...then the buffered reply out of rank 1.
+	ran := w.Now()
 	w.Proc(1).Run(func() { w.Locality(1).FlushAll() })
+	if !w.Engine().RunUntil(flushed(1, 0)) || w.Now() >= ran+coalMaxDelay {
+		t.Fatalf("FlushAll did not release the reply (now %v, request ran at %v)", w.Now(), ran)
+	}
 	if _, err := w.Wait(fut); err != nil {
 		t.Fatalf("reply never arrived: %v", err)
-	}
-	if w.Now() >= netsim.Second {
-		t.Fatal("waited for the delay despite FlushAll")
 	}
 }
 

@@ -100,11 +100,8 @@ type Config struct {
 	// the paper's design (forward in network, push updates).
 	Policy netsim.Policy
 	// NICTableCap bounds the NIC translation table in AGASNM mode
-	// (0 = unbounded).
+	// (0 = unbounded). The software cache of AGASSW is always unbounded.
 	NICTableCap int
-	// SWCacheCap bounds the software translation cache in AGASSW mode
-	// (0 = unbounded).
-	SWCacheCap int
 	// SWCorrection selects the software cache's staleness policy.
 	SWCorrection agas.CorrectionPolicy
 	// NMUpdate selects how migrations propagate to NIC tables.
@@ -125,13 +122,6 @@ type Config struct {
 	// Coalesce batches small parcels per destination when
 	// Coalesce.MaxParcels > 1 (see CoalesceConfig).
 	Coalesce CoalesceConfig
-	// GoTimeScale is the EngineGo clock ratio: wall-clock nanoseconds per
-	// simulated nanosecond (0 = default 10). The goroutine engine has no
-	// simulated clock, but fault-injected delays and reliability
-	// retransmit timers are specified in simulated netsim.VTime; this one
-	// knob converts them to real durations instead of a silent 1:1 cast.
-	// EngineDES ignores it.
-	GoTimeScale int
 	// Seed feeds deterministic components (fault injection).
 	Seed int64
 	// Faults injects seeded delivery faults into the transport (both
@@ -162,14 +152,21 @@ type Config struct {
 	Pulse PulseConfig
 	// Coherence selects how writes to a replicated block keep its replica
 	// set coherent (see World.ReplicateLive): write-invalidate (default),
-	// write-update, or RW leases.
+	// write-update, or RW leases (of length leaseNs).
 	Coherence agas.Coherence
-	// LeaseNs is the replica lease length on the latency clock under the
-	// RWLease coherence policy (0 = default 100µs). Other policies renew
-	// leases on every fill, so the value only bounds staleness under
-	// RWLease.
-	LeaseNs int64
 }
+
+// goTimeScale is the EngineGo clock ratio: wall-clock nanoseconds per
+// simulated nanosecond. The goroutine engine has no simulated clock, but
+// fault-injected delays, reliability retransmit timers, coalescer flushes
+// and pulse periods are specified in simulated netsim.VTime; this ratio
+// converts them to real durations instead of a silent 1:1 cast.
+const goTimeScale = 10
+
+// leaseNs is the replica lease length on the latency clock under the
+// RWLease coherence policy. Other policies renew leases on every fill, so
+// it only bounds staleness under RWLease.
+const leaseNs = 100_000
 
 // normalized fills defaults and validates.
 func (c Config) normalized() (Config, error) {
@@ -188,17 +185,14 @@ func (c Config) normalized() (Config, error) {
 	if c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed
 	}
-	if c.GoTimeScale <= 0 {
-		c.GoTimeScale = 10
-	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("runtime: negative shard count %d", c.Shards)
 	}
 	if c.Shards > c.Ranks {
 		c.Shards = c.Ranks
 	}
-	if c.Faults.Drop < 0 || c.Faults.Drop >= 1 {
-		return c, fmt.Errorf("runtime: fault drop probability %v outside [0,1)", c.Faults.Drop)
+	if err := c.Faults.Validate(c.Ranks); err != nil {
+		return c, err
 	}
 	c.Reliability = c.Reliability.withDefaults()
 	c.Heat = c.Heat.withDefaults()
@@ -208,9 +202,6 @@ func (c Config) normalized() (Config, error) {
 	c.Pulse = c.Pulse.withDefaults()
 	if c.Coherence > agas.RWLease {
 		return c, fmt.Errorf("runtime: unknown coherence policy %d", c.Coherence)
-	}
-	if c.LeaseNs <= 0 {
-		c.LeaseNs = 100_000
 	}
 	return c, nil
 }

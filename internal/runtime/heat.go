@@ -34,18 +34,16 @@ type HeatConfig struct {
 	// multiply by 1<<SampleShift for an absolute estimate; the policy
 	// engine only needs relative heat.
 	SampleShift int
-	// TopK is the per-rank sketch capacity (default 128). Memory is
-	// fixed at Ranks × TopK entries regardless of block population.
-	TopK int
 }
+
+// heatTopK is the per-rank sketch capacity. Memory is fixed at
+// Ranks × heatTopK entries regardless of block population.
+const heatTopK = 128
 
 // withDefaults fills defaults; a disabled config normalizes to zero.
 func (c HeatConfig) withDefaults() HeatConfig {
 	if !c.Enabled {
 		return HeatConfig{}
-	}
-	if c.TopK <= 0 {
-		c.TopK = 128
 	}
 	if c.SampleShift < 0 {
 		c.SampleShift = 0
@@ -98,9 +96,7 @@ type heatRank struct {
 
 // heatState is the world's heat tracker; nil unless Config.Heat.Enabled.
 type heatState struct {
-	mask  uint64 // 2^SampleShift - 1; 0 samples everything
-	shift int
-	kcap  int           // per-rank sketch capacity
+	mask  uint64        // 2^SampleShift - 1; 0 samples everything
 	total atomic.Uint64 // cumulative sampled accesses across epochs
 	ranks []heatRank
 }
@@ -108,12 +104,10 @@ type heatState struct {
 func newHeatState(cfg HeatConfig, ranks int) *heatState {
 	h := &heatState{
 		mask:  uint64(1)<<cfg.SampleShift - 1,
-		shift: cfg.SampleShift,
-		kcap:  cfg.TopK,
 		ranks: make([]heatRank, ranks),
 	}
 	for i := range h.ranks {
-		h.ranks[i].topk = stats.NewTopK(cfg.TopK)
+		h.ranks[i].topk = stats.NewTopK(heatTopK)
 	}
 	return h
 }
@@ -220,7 +214,7 @@ func (w *World) HeatTop(k int) []HeatSample {
 	// Merging into a sketch wide enough for every rank's entries keeps
 	// the merge lossless (no evictions), so per-entry error bounds carry
 	// through intact.
-	merged := stats.NewTopK(len(w.heat.ranks) * w.heat.kcap)
+	merged := stats.NewTopK(len(w.heat.ranks) * heatTopK)
 	for i := range w.heat.ranks {
 		r := &w.heat.ranks[i]
 		r.mu.Lock()

@@ -36,19 +36,19 @@ func TestDisabledHeatHooksAllocateNothing(t *testing.T) {
 // alloc-free (atomic adds plus a bounded-map sketch update).
 func TestEnabledHeatHookAllocatesNothingSteadyState(t *testing.T) {
 	w, err := NewWorld(Config{Ranks: 2, Mode: AGASNM, Engine: EngineDES,
-		Heat: HeatConfig{Enabled: true, TopK: 8}})
+		Heat: HeatConfig{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
 	// Warm the sketch to capacity so map growth is behind us.
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 8*heatTopK; i++ {
 		w.noteAccess(0, 1, gas.BlockID(i), false)
 	}
 	i := uint32(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
-		w.noteAccess(0, 1, gas.BlockID(i%16), false)
+		w.noteAccess(0, 1, gas.BlockID(i%(2*heatTopK)), false)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled heat hook allocates %v per run at steady state, want 0", allocs)
@@ -64,14 +64,14 @@ func TestEnabledHeatHookAllocatesNothingSteadyState(t *testing.T) {
 func TestHeatSamplingAccuracy(t *testing.T) {
 	const shift = 3 // sample 1 in 8
 	w, err := NewWorld(Config{Ranks: 2, Mode: AGASNM, Engine: EngineDES,
-		Heat: HeatConfig{Enabled: true, SampleShift: shift, TopK: 64}})
+		Heat: HeatConfig{Enabled: true, SampleShift: shift}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
 
 	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.3, 1, 63)
+	zipf := rand.NewZipf(rng, 1.3, 1, 2*heatTopK-1) // overflows the sketch
 	const n = 200000
 	truth := map[gas.BlockID]uint64{}
 	for i := 0; i < n; i++ {
@@ -102,7 +102,7 @@ func TestHeatSamplingAccuracy(t *testing.T) {
 			t.Fatalf("hot block %d never truly accessed", s.Block)
 		}
 		scaled := s.Count << shift
-		// The head of a 1.3-Zipf over 64 keys holds thousands of hits;
+		// The head of a 1.3-Zipf over 256 keys holds thousands of hits;
 		// 1-in-8 sampling keeps relative error small there.
 		if scaled < tr*70/100 || scaled > tr*130/100 {
 			t.Fatalf("block %d: scaled estimate %d vs true %d (>30%% off)", s.Block, scaled, tr)

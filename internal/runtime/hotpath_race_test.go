@@ -143,7 +143,6 @@ func TestGoExecStopWhileExec(t *testing.T) {
 func TestCoalescerConcurrentFlush(t *testing.T) {
 	cfg := coalCfg(4)
 	cfg.Engine = EngineGo
-	cfg.Coalesce.MaxDelay = netsim.Microsecond
 	w := testWorld(t, cfg)
 	incr := w.Register("incr", func(c *Ctx) {
 		d := c.Local(c.P.Target)

@@ -117,13 +117,13 @@ func (l *Locality) latNow() int64 { return l.w.clockOn(l.eng) }
 
 // simNow is the clock that intervals given in simulated time run on
 // (retransmission deadlines, coalescer gaps): simulated time under
-// EngineDES, wall time scaled back through Config.GoTimeScale under
-// EngineGo, so real scheduling jitter does not masquerade as loss.
+// EngineDES, wall time scaled back through goTimeScale under EngineGo,
+// so real scheduling jitter does not masquerade as loss.
 func (l *Locality) simNow() netsim.VTime {
 	if l.eng != nil {
 		return l.eng.Now()
 	}
-	return netsim.VTime(l.w.clockOn(nil) / int64(l.w.cfg.GoTimeScale))
+	return netsim.VTime(l.w.clockOn(nil) / goTimeScale)
 }
 
 // latStart marks an operation (parcel or one-sided op) as in flight.

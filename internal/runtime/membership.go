@@ -232,7 +232,7 @@ func (mem *membership) declaredDead(rank int) bool {
 // Failure suspicion: backoff ceiling → probe → declare
 
 // probeTimeout is the per-round pong deadline.
-func (mem *membership) probeTimeout() netsim.VTime { return 2 * mem.w.cfg.Reliability.MaxRTO }
+const probeTimeout = 2 * relMaxRTO
 
 // suspectSweep fires when one of l's reliability channels hits its
 // retransmission backoff ceiling: something is silently eating traffic,
@@ -283,12 +283,11 @@ func (mem *membership) sendPings(l *Locality, target int) {
 }
 
 func (mem *membership) armProbeCheck(l *Locality, target int) {
-	d := mem.probeTimeout()
 	if mem.w.eng != nil {
-		mem.w.eng.After(d, func() { mem.probeCheck(l, target) })
+		mem.w.eng.After(probeTimeout, func() { mem.probeCheck(l, target) })
 		return
 	}
-	time.AfterFunc(mem.w.goWall(d), func() { mem.probeCheck(l, target) })
+	time.AfterFunc(mem.w.goWall(probeTimeout), func() { mem.probeCheck(l, target) })
 }
 
 // probeCheck runs at the pong deadline: a pong clears the suspicion, an
@@ -592,30 +591,9 @@ func (w *World) MembershipEpoch() uint64 { return w.mem.epoch.Load() }
 func (w *World) RecoveryQuiet() bool { return w.mem.pending.Load() == 0 }
 
 // AwaitMember blocks until rank reaches the wanted state with recovery
-// quiescent. Under EngineDES it advances simulated time; under EngineGo
-// it polls up to timeout. Reports whether the condition held.
+// quiescent; see World.await.
 func (w *World) AwaitMember(rank int, want MemberState, timeout time.Duration) bool {
-	cond := func() bool { return w.MemberState(rank) == want && w.RecoveryQuiet() }
-	if w.eng != nil {
-		if cond() {
-			return true
-		}
-		// Stride-checked drain: the predicate takes the membership lock,
-		// and state transitions are thousands of events apart, so probing
-		// it per event is pure overhead. The ≤63-event overshoot is
-		// harmless — nothing here measures the stopping time.
-		w.pulseResume()
-		w.eng.RunUntilStride(cond, 64)
-		return cond()
-	}
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return cond()
+	return w.await(func() bool { return w.MemberState(rank) == want && w.RecoveryQuiet() }, timeout)
 }
 
 // Retire removes rank from the world gracefully: its replica holdings
@@ -678,7 +656,7 @@ func (w *World) Retire(rank int) error {
 		if err != nil {
 			return fmt.Errorf("runtime: Retire(%d): draining block %d: %w", rank, drain[i].id, err)
 		}
-		if st := migStatus(v); st != MigrateOK {
+		if st := MigrateStatus(v); st != MigrateOK {
 			return fmt.Errorf("runtime: Retire(%d): draining block %d: migration status %d", rank, drain[i].id, st)
 		}
 	}
@@ -864,18 +842,6 @@ func sortedRankKeys(m map[int]netsim.VTime) []int {
 	}
 	sort.Ints(ranks)
 	return ranks
-}
-
-// migStatus decodes a migration continuation record.
-func migStatus(v []byte) int64 {
-	if len(v) < 8 {
-		return -1
-	}
-	var s int64
-	for i := 7; i >= 0; i-- {
-		s = s<<8 | int64(v[i])
-	}
-	return s
 }
 
 // MembershipStats is the membership layer's report.

@@ -229,7 +229,7 @@ func TestRestartBeforeDeathResumesTransparently(t *testing.T) {
 	ref := w.Proc(0).Put(g, []byte{9})
 	// Bring the link back after two retransmission deadlines — well
 	// before the two-round probe sequence can complete.
-	w.Engine().After(3*w.Config().Reliability.RTO, func() { w.Restart(1) })
+	w.Engine().After(3*relRTO, func() { w.Restart(1) })
 	w.MustWait(ref)
 	w.Drain()
 	if got := w.MustWait(w.Proc(0).Get(g, 1)); !bytes.Equal(got, []byte{9}) {
@@ -289,7 +289,7 @@ func TestFaultPlanSchedulesKillAndRestart(t *testing.T) {
 }
 
 // TestBackoffCeilingBoundary pins the satellite-3 boundary: under
-// sustained silence the channel RTO doubles to exactly MaxRTO and never
+// sustained silence the channel RTO doubles to exactly relMaxRTO and never
 // beyond, and membership suspicion is raised only once the ceiling is
 // reached — not on the first loss.
 func TestBackoffCeilingBoundary(t *testing.T) {
@@ -302,7 +302,6 @@ func TestBackoffCeilingBoundary(t *testing.T) {
 	w.Kill(1)
 	w.Proc(0).PutAsync(lay.BlockAt(0), []byte{1}, nil)
 
-	maxRTO := w.Config().Reliability.MaxRTO
 	l := w.Locality(0)
 	var maxSeen netsim.VTime
 	var rtoAtFirstSuspicion netsim.VTime = -1
@@ -325,11 +324,11 @@ func TestBackoffCeilingBoundary(t *testing.T) {
 	w.Engine().RunUntil(sample)
 	w.Drain()
 
-	if maxSeen != maxRTO {
-		t.Fatalf("backoff peaked at %d, want exactly MaxRTO %d", maxSeen, maxRTO)
+	if maxSeen != relMaxRTO {
+		t.Fatalf("backoff peaked at %d, want exactly relMaxRTO %d", maxSeen, relMaxRTO)
 	}
-	if rtoAtFirstSuspicion != maxRTO {
-		t.Fatalf("suspicion raised at rto %d, want only at the ceiling %d", rtoAtFirstSuspicion, maxRTO)
+	if rtoAtFirstSuspicion != relMaxRTO {
+		t.Fatalf("suspicion raised at rto %d, want only at the ceiling %d", rtoAtFirstSuspicion, relMaxRTO)
 	}
 	if w.MemberState(1) != MemberDead {
 		t.Fatal("sustained ceiling never confirmed death")

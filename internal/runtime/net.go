@@ -221,7 +221,7 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 // closure on the zero-delay fast path, where a waited m may drain an
 // idle destination on this goroutine (goExec.post). Fault-injected delays
 // are simulated nanoseconds; goWall converts them to wall clock through
-// the Config.GoTimeScale knob (the goroutine transport has no simulated
+// goTimeScale (the goroutine transport has no simulated
 // clock; a scaled wall-clock hold is enough to reorder the message past
 // later traffic).
 func (c *chanNet) deliver(m *netsim.Message, delay netsim.VTime) {

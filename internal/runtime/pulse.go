@@ -16,7 +16,7 @@ import (
 // Under EngineDES the pulse is an engine-scheduled metronome event at
 // simulated times k·Period, so pulse-driven behaviour is exactly as
 // deterministic as the rest of the simulation. Under EngineGo it is a
-// ticker goroutine at Period scaled through Config.GoTimeScale.
+// ticker goroutine at Period scaled through goTimeScale.
 //
 // The disabled path is a nil pointer on World: no events are scheduled,
 // no goroutine starts, and every hook is a single nil check — a world
@@ -27,10 +27,10 @@ type PulseConfig struct {
 	// watchdog path out of the runtime entirely.
 	Enabled bool
 	// Period is the tick interval on the simulated clock (EngineDES) or,
-	// scaled by GoTimeScale, the wall clock (EngineGo). 0 = 100µs.
+	// scaled by goTimeScale, the wall clock (EngineGo). 0 = 100µs.
 	Period netsim.VTime
-	// Watchdogs configures the invariant monitors evaluated on each tick
-	// (see WatchdogConfig). They run by default when the pulse is on.
+	// Watchdogs tunes the invariant monitors evaluated on each tick (see
+	// WatchdogConfig). They always run when the pulse is on.
 	Watchdogs WatchdogConfig
 }
 
@@ -64,8 +64,8 @@ type pulseClient struct {
 // pulseState drives the metronome. On the DES engine the tick is a
 // driver-scheduled event; to keep Drain/Run terminating, the tick parks
 // itself when it is the only thing left in the queue and is re-armed by
-// the driver entry points (Wait, Drain, AwaitMember, AwaitHealth and the
-// blocking one-sided ops, see desAwait). At most one trailing tick runs
+// the driver entry points (Wait, Drain, World.await and the blocking
+// one-sided ops, see desAwait). At most one trailing tick runs
 // after the last real event, so an idle world costs nothing. On the
 // goroutine engine a ticker goroutine fires until Stop.
 type pulseState struct {
@@ -87,11 +87,7 @@ type pulseState struct {
 }
 
 func newPulseState(w *World, cfg PulseConfig) *pulseState {
-	ps := &pulseState{w: w, period: cfg.Period}
-	if !cfg.Watchdogs.Disable {
-		ps.wd = newWatchdogState(cfg.Watchdogs)
-	}
-	return ps
+	return &pulseState{w: w, period: cfg.Period, wd: newWatchdogState(cfg.Watchdogs)}
 }
 
 // start arms the metronome; called from World.Start.
@@ -177,9 +173,7 @@ func (w *World) pulseResume() {
 func (ps *pulseState) fire() {
 	seq := ps.seq.Add(1)
 	info := PulseInfo{Seq: seq, Now: netsim.VTime(ps.w.latNow())}
-	if ps.wd != nil {
-		ps.wd.evaluate(ps.w, info)
-	}
+	ps.wd.evaluate(ps.w, info)
 	ps.mu.Lock()
 	var clients []pulseClient
 	if len(ps.clients) > 0 {

@@ -206,7 +206,7 @@ func TestPulseClients(t *testing.T) {
 // and stops with the world.
 func TestPulseGoEngine(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo,
-		// 10µs sim period × GoTimeScale 10 = 100µs wall ticks.
+		// 10µs sim period × goTimeScale 10 = 100µs wall ticks.
 		Pulse: PulseConfig{Enabled: true, Period: 10 * netsim.Microsecond}})
 	w.Start()
 	deadline := time.Now().Add(5 * time.Second)

@@ -52,28 +52,24 @@ const relAckWire = 24
 // retrying forever would livelock).
 const relBounceCap = 3
 
+// relRTO is the initial per-channel retransmission timeout, far above any
+// simulated round trip; exponential backoff doubles it up to relMaxRTO.
+const (
+	relRTO    = 200 * netsim.Microsecond
+	relMaxRTO = 16 * relRTO
+)
+
 // ReliabilityConfig tunes the reliable-delivery layer.
 type ReliabilityConfig struct {
 	// Force enables the layer even with a zero FaultPlan (tests use this
 	// to measure the no-fault overhead).
 	Force bool
-	// RTO is the initial per-channel retransmission timeout
-	// (0 = 200µs, far above any simulated round trip).
-	RTO netsim.VTime
-	// MaxRTO caps the exponential backoff (0 = 16×RTO).
-	MaxRTO netsim.VTime
 	// MaxAttempts bounds total transmissions of one message before the
 	// sender abandons it (0 = 12).
 	MaxAttempts int
 }
 
 func (r ReliabilityConfig) withDefaults() ReliabilityConfig {
-	if r.RTO <= 0 {
-		r.RTO = 200_000 // 200µs
-	}
-	if r.MaxRTO <= 0 {
-		r.MaxRTO = 16 * r.RTO
-	}
 	if r.MaxAttempts <= 0 {
 		r.MaxAttempts = 12
 	}
@@ -319,7 +315,7 @@ func (l *Locality) relTrack(m *netsim.Message) {
 	}
 	tc := rl.tx[ch]
 	if tc == nil {
-		tc = &relTxChan{rto: l.w.cfg.Reliability.RTO}
+		tc = &relTxChan{rto: relRTO}
 		rl.tx[ch] = tc
 	}
 	m.RelChan = ch
@@ -357,7 +353,6 @@ func (l *Locality) relTimer(ch int32) {
 	if rl == nil {
 		return
 	}
-	cfg := &l.w.cfg.Reliability
 	rl.mu.Lock()
 	tc := rl.chanOf(ch)
 	if tc == nil {
@@ -365,7 +360,7 @@ func (l *Locality) relTimer(ch int32) {
 		return
 	}
 	if tc.n == 0 {
-		tc.armed, tc.rto = false, cfg.RTO
+		tc.armed, tc.rto = false, relRTO
 		rl.mu.Unlock()
 		return
 	}
@@ -385,7 +380,7 @@ func (l *Locality) relTimer(ch int32) {
 			}
 			continue
 		}
-		if p.attempts >= cfg.MaxAttempts {
+		if p.attempts >= l.w.cfg.Reliability.MaxAttempts {
 			tc.clear(s)
 			rl.stats.Abandoned++
 			continue
@@ -393,7 +388,7 @@ func (l *Locality) relTimer(ch int32) {
 		if len(resend) == 0 {
 			// Back off only on evidence of loss, once per firing, before the
 			// first resent message takes its new deadline.
-			tc.rto = min(2*tc.rto, cfg.MaxRTO)
+			tc.rto = min(2*tc.rto, relMaxRTO)
 		}
 		p.attempts++
 		p.deadline = now + tc.rto
@@ -413,7 +408,7 @@ func (l *Locality) relTimer(ch int32) {
 	// failure signature. Raise membership suspicion (outside the lock,
 	// below); the sweep is armed-gated and single-flight, so healthy
 	// worlds and already-probing ones pay nothing.
-	ceiling := len(resend) > 0 && tc.rto >= cfg.MaxRTO
+	ceiling := len(resend) > 0 && tc.rto >= relMaxRTO
 	next := tc.rto
 	if len(resend) == 0 && nextDue > now {
 		next = nextDue - now
@@ -421,7 +416,7 @@ func (l *Locality) relTimer(ch int32) {
 	again := tc.n > 0
 	tc.armed = again
 	if !again {
-		tc.rto = cfg.RTO
+		tc.rto = relRTO
 	}
 	rl.mu.Unlock()
 
@@ -530,7 +525,7 @@ func (l *Locality) relOnAck(m *netsim.Message) {
 	if tc := rl.chanOf(m.RelChan); tc != nil {
 		tc.ack(m.RelSeq, m.RelCum)
 		if tc.n == 0 {
-			tc.rto = l.w.cfg.Reliability.RTO
+			tc.rto = relRTO
 		}
 	}
 	rl.stats.AcksReceived++

@@ -200,12 +200,3 @@ func TestDuplicatedLoopNackAbandonsOnce(t *testing.T) {
 		t.Fatalf("%d messages still held after the abandon", n)
 	}
 }
-
-func TestHopCapConfigurable(t *testing.T) {
-	if got := (netsim.Policy{}).HopCap(); got != netsim.DefaultMaxHops {
-		t.Fatalf("zero policy hop cap %d, want %d", got, netsim.DefaultMaxHops)
-	}
-	if got := (netsim.Policy{MaxHops: 4}).HopCap(); got != 4 {
-		t.Fatalf("explicit hop cap %d, want 4", got)
-	}
-}

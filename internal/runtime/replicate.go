@@ -322,7 +322,7 @@ func (l *Locality) onReplFillRep(m *netsim.Message) {
 			l.mu.Lock()
 			st.stale = false
 			st.filling = false
-			st.expiry = l.latNow() + l.w.cfg.LeaseNs
+			st.expiry = l.latNow() + leaseNs
 			l.mu.Unlock()
 			l.Stats.ReplicaFills.Inc()
 			l.latReplDone(m.OpID, latReplFill)
@@ -433,7 +433,7 @@ func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, hol
 		hl.replicas[b] = &replHolder{
 			master: master,
 			home:   lay.HomeOf(uint32(b - lay.Base.Block())),
-			expiry: now + w.cfg.LeaseNs,
+			expiry: now + leaseNs,
 		}
 		hl.mu.Unlock()
 	}

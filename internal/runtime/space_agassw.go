@@ -23,7 +23,7 @@ func swBuilder() spaceBuilder {
 			return &swSpace{
 				l:      l,
 				dir:    agas.NewDirectory(),
-				cache:  agas.NewSWCache(l.w.cfg.SWCacheCap, l.w.cfg.SWCorrection),
+				cache:  agas.NewSWCache(0, l.w.cfg.SWCorrection),
 				tombs:  agas.NewTombstones(),
 				routes: agas.NewReplicaRoutes(),
 			}

@@ -53,45 +53,20 @@ func (l *WatchLevel) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// WatchdogConfig tunes the invariant monitors evaluated on each pulse.
-// Every threshold has a default chosen so a healthy world under the
-// in-repo workloads never trips; experiments that inject anomalies
-// lower them to measure trip latency.
+// WatchdogConfig tunes the invariant monitors evaluated on each pulse:
+// the thresholds that experiments injecting anomalies lower to measure
+// trip latency. Every default is chosen so a healthy world under the
+// in-repo workloads never trips; the thresholds no caller varies are the
+// wd* constants below.
 type WatchdogConfig struct {
-	// Disable turns the monitors off while keeping the pulse (for
-	// pulse-only control loops). They run by default.
-	Disable bool
-
-	// QueueWarn / QueueCritical are per-rank backlog watermarks: pending
-	// events attributed to a rank (DES) or mailbox depth (EngineGo).
-	// Defaults 1024 / 8192.
-	QueueWarn, QueueCritical int
-
 	// RetransWarn / RetransCritical are retransmission-storm rates:
 	// timer-driven resends per pulse across the world. Defaults 64 / 512.
 	RetransWarn, RetransCritical uint64
 
-	// UnackedWarn / UnackedCritical are black-hole watermarks on
-	// World.UnackedMessages, and UnackedPulses is how many consecutive
-	// pulses the count must stay above a watermark before the level is
-	// reported — transient in-flight bursts are normal; a *sustained*
-	// backlog means acks stopped flowing. Defaults 256 / 2048 over 3
-	// pulses.
-	UnackedWarn, UnackedCritical int
-	UnackedPulses                int
-
-	// SuspectPulses is the suspicion dwell: a rank continuously Suspect
-	// for this many pulses reports warn (suspicion should resolve to
-	// alive or dead quickly). A Dead rank reports critical until it
-	// rejoins. Default 4.
-	SuspectPulses int
-
 	// HeatWarn / HeatCritical are load-imbalance ratios (max over mean
-	// per-rank heat), evaluated only once HeatMinSamples accesses were
-	// sampled this epoch and only when Config.Heat is on. Defaults 4 / 8
-	// over 64 samples.
+	// per-rank heat), evaluated only once wdHeatMinSamples accesses were
+	// sampled and only when Config.Heat is on. Defaults 4 / 8.
 	HeatWarn, HeatCritical float64
-	HeatMinSamples         uint64
 
 	// StallWarnPulses / StallCriticalPulses bound how long a block may
 	// stay pinned mid-migration: a pin older than N pulses means the
@@ -100,42 +75,40 @@ type WatchdogConfig struct {
 	StallWarnPulses, StallCriticalPulses int
 }
 
+// The fixed thresholds.
+const (
+	// wdQueueWarn / wdQueueCritical are per-rank backlog watermarks:
+	// pending events attributed to a rank (DES) or mailbox depth
+	// (EngineGo).
+	wdQueueWarn, wdQueueCritical = 1024, 8192
+	// wdUnackedWarn / wdUnackedCritical are black-hole watermarks on
+	// World.UnackedMessages, and wdUnackedPulses is how many consecutive
+	// pulses the count must stay above a watermark before the level is
+	// reported — transient in-flight bursts are normal; a *sustained*
+	// backlog means acks stopped flowing.
+	wdUnackedWarn, wdUnackedCritical, wdUnackedPulses = 256, 2048, 3
+	// wdSuspectPulses is the suspicion dwell: a rank continuously Suspect
+	// for this many pulses reports warn (suspicion should resolve to
+	// alive or dead quickly). A Dead rank reports critical until it
+	// rejoins.
+	wdSuspectPulses = 4
+	// wdHeatMinSamples is the sampled-access floor below which the
+	// heat-imbalance monitor reports ok.
+	wdHeatMinSamples = 64
+)
+
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Disable {
-		return WatchdogConfig{Disable: true}
-	}
-	if c.QueueWarn <= 0 {
-		c.QueueWarn = 1024
-	}
-	if c.QueueCritical <= 0 {
-		c.QueueCritical = 8192
-	}
 	if c.RetransWarn == 0 {
 		c.RetransWarn = 64
 	}
 	if c.RetransCritical == 0 {
 		c.RetransCritical = 512
 	}
-	if c.UnackedWarn <= 0 {
-		c.UnackedWarn = 256
-	}
-	if c.UnackedCritical <= 0 {
-		c.UnackedCritical = 2048
-	}
-	if c.UnackedPulses <= 0 {
-		c.UnackedPulses = 3
-	}
-	if c.SuspectPulses <= 0 {
-		c.SuspectPulses = 4
-	}
 	if c.HeatWarn <= 0 {
 		c.HeatWarn = 4
 	}
 	if c.HeatCritical <= 0 {
 		c.HeatCritical = 8
-	}
-	if c.HeatMinSamples == 0 {
-		c.HeatMinSamples = 64
 	}
 	if c.StallWarnPulses <= 0 {
 		c.StallWarnPulses = 3
@@ -226,8 +199,8 @@ type watchdogState struct {
 	trips  []func(WatchdogEvent)
 
 	lastRetrans  uint64 // cumulative count at the previous pulse
-	unackedRun   int    // consecutive pulses above UnackedWarn
-	unackedCrit  int    // consecutive pulses above UnackedCritical
+	unackedRun   int    // consecutive pulses above wdUnackedWarn
+	unackedCrit  int    // consecutive pulses above wdUnackedCritical
 	suspectSince map[int]uint64
 	stallSince   map[stallKey]uint64
 	depths       []int // scratch, sized to ranks on first use
@@ -318,9 +291,8 @@ func (wd *watchdogState) evalQueueDepth(w *World) WatchdogStatus {
 		}
 	}
 	s := WatchdogStatus{
-		Value: float64(maxd), Warn: float64(wd.cfg.QueueWarn),
-		Critical: float64(wd.cfg.QueueCritical), Rank: rank,
-		Level: level(float64(maxd), float64(wd.cfg.QueueWarn), float64(wd.cfg.QueueCritical)),
+		Value: float64(maxd), Warn: wdQueueWarn, Critical: wdQueueCritical, Rank: rank,
+		Level: level(float64(maxd), wdQueueWarn, wdQueueCritical),
 	}
 	if s.Level > WatchOK {
 		s.Detail = fmt.Sprintf("rank %d backlog %d events", rank, maxd)
@@ -345,38 +317,34 @@ func (wd *watchdogState) evalRetransStorm(w *World) WatchdogStatus {
 
 func (wd *watchdogState) evalUnacked(w *World) WatchdogStatus {
 	n := w.UnackedMessages()
-	if n >= wd.cfg.UnackedWarn {
+	if n >= wdUnackedWarn {
 		wd.unackedRun++
 	} else {
 		wd.unackedRun = 0
 	}
-	if n >= wd.cfg.UnackedCritical {
+	if n >= wdUnackedCritical {
 		wd.unackedCrit++
 	} else {
 		wd.unackedCrit = 0
 	}
 	lvl := WatchOK
 	switch {
-	case wd.unackedCrit >= wd.cfg.UnackedPulses:
+	case wd.unackedCrit >= wdUnackedPulses:
 		lvl = WatchCritical
-	case wd.unackedRun >= wd.cfg.UnackedPulses:
+	case wd.unackedRun >= wdUnackedPulses:
 		lvl = WatchWarn
 	}
 	s := WatchdogStatus{
-		Value: float64(n), Warn: float64(wd.cfg.UnackedWarn),
-		Critical: float64(wd.cfg.UnackedCritical), Rank: -1, Level: lvl,
+		Value: float64(n), Warn: wdUnackedWarn, Critical: wdUnackedCritical, Rank: -1, Level: lvl,
 	}
 	if lvl > WatchOK {
-		s.Detail = fmt.Sprintf("%d unacked messages for %d+ pulses", n, wd.cfg.UnackedPulses)
+		s.Detail = fmt.Sprintf("%d unacked messages for %d+ pulses", n, wdUnackedPulses)
 	}
 	return s
 }
 
 func (wd *watchdogState) evalMemberDwell(w *World, pulse uint64) WatchdogStatus {
-	s := WatchdogStatus{
-		Warn: float64(wd.cfg.SuspectPulses), Critical: float64(wd.cfg.SuspectPulses),
-		Rank: -1,
-	}
+	s := WatchdogStatus{Warn: wdSuspectPulses, Critical: wdSuspectPulses, Rank: -1}
 	deadRank, dwell, dwellRank := -1, uint64(0), -1
 	for r := 0; r < w.Ranks(); r++ {
 		switch w.MemberState(r) {
@@ -407,7 +375,7 @@ func (wd *watchdogState) evalMemberDwell(w *World, pulse uint64) WatchdogStatus 
 	case dwellRank >= 0:
 		s.Value = float64(dwell)
 		s.Rank = dwellRank
-		if dwell >= uint64(wd.cfg.SuspectPulses) {
+		if dwell >= wdSuspectPulses {
 			s.Level = WatchWarn
 			s.Detail = fmt.Sprintf("rank %d suspect for %d pulses", dwellRank, dwell)
 		}
@@ -417,7 +385,7 @@ func (wd *watchdogState) evalMemberDwell(w *World, pulse uint64) WatchdogStatus 
 
 func (wd *watchdogState) evalHeatImbalance(w *World) WatchdogStatus {
 	s := WatchdogStatus{Warn: wd.cfg.HeatWarn, Critical: wd.cfg.HeatCritical, Rank: -1, Value: 1}
-	if !w.HeatEnabled() || w.HeatSampled() < wd.cfg.HeatMinSamples {
+	if !w.HeatEnabled() || w.HeatSampled() < wdHeatMinSamples {
 		return s
 	}
 	loads := w.HeatLoads()
@@ -497,9 +465,9 @@ func (w *World) retransmitCount() uint64 {
 }
 
 // Health returns the watchdogs' state as of the last pulse. With the
-// pulse or watchdogs off it returns Enabled=false.
+// pulse off it returns Enabled=false.
 func (w *World) Health() HealthReport {
-	if w.pulse == nil || w.pulse.wd == nil {
+	if w.pulse == nil {
 		return HealthReport{}
 	}
 	wd := w.pulse.wd
@@ -516,10 +484,10 @@ func (w *World) Health() HealthReport {
 
 // OnWatchdogTrip registers fn to run whenever a watchdog escalates.
 // Callbacks run in tick context (see OnPulse) after the evaluation
-// lock is released, so they may call Health. With watchdogs off the
+// lock is released, so they may call Health. With the pulse off the
 // registration is a no-op: nothing will ever trip.
 func (w *World) OnWatchdogTrip(fn func(WatchdogEvent)) {
-	if w.pulse == nil || w.pulse.wd == nil {
+	if w.pulse == nil {
 		return
 	}
 	wd := w.pulse.wd
@@ -529,33 +497,12 @@ func (w *World) OnWatchdogTrip(fn func(WatchdogEvent)) {
 }
 
 // AwaitHealth advances the world until the worst watchdog level reaches
-// want (or, for WatchOK, returns to it). Under EngineDES it drives the
-// engine (and keeps the pulse armed); under EngineGo it polls until
-// timeout. It returns whether the condition held when it stopped.
+// want (or, for WatchOK, returns to it); see World.await.
 func (w *World) AwaitHealth(want WatchLevel, timeout time.Duration) bool {
-	cond := func() bool {
-		h := w.Health()
-		if want == WatchOK {
-			return h.Level == WatchOK
-		}
-		return h.Level >= want
-	}
-	if w.eng != nil {
-		if cond() {
-			return true
-		}
-		w.pulseResume()
-		w.eng.RunUntilStride(cond, 64)
-		return cond()
-	}
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return cond()
+	return w.await(func() bool {
+		lvl := w.Health().Level
+		return lvl == want || want != WatchOK && lvl > want
+	}, timeout)
 }
 
 // InjectMigrationStall arms an anomaly hook for tests, experiments, and

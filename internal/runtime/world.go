@@ -242,12 +242,12 @@ func (w *World) Start() {
 	}
 }
 
-// StopDrainTimeout bounds how long Stop waits for in-flight migrations
+// stopDrainTimeout bounds how long Stop waits for in-flight migrations
 // to finish on the goroutine engine before abandoning them.
-var StopDrainTimeout = 2 * time.Second
+const stopDrainTimeout = 2 * time.Second
 
 // Stop shuts the world down. Under EngineGo it first waits (briefly,
-// bounded by StopDrainTimeout) for in-flight migrations to complete —
+// bounded by stopDrainTimeout) for in-flight migrations to complete —
 // tearing the actors down around a half-moved block would strand its
 // queued traffic — then drains and stops the actors, and
 // deterministically aborts anything still mid-move so the final state
@@ -267,7 +267,7 @@ func (w *World) Stop() {
 		}
 	}
 	if w.cfg.Engine == EngineGo {
-		w.awaitMigrationDrain(StopDrainTimeout)
+		w.awaitMigrationDrain(stopDrainTimeout)
 		for _, l := range w.locs {
 			l.exec.(*goExec).stop()
 		}
@@ -340,9 +340,9 @@ func (w *World) Now() netsim.VTime {
 }
 
 // goWall converts a simulated duration to a wall-clock duration under
-// EngineGo, through the Config.GoTimeScale knob.
+// EngineGo, through goTimeScale.
 func (w *World) goWall(d netsim.VTime) time.Duration {
-	return time.Duration(int64(d) * int64(w.cfg.GoTimeScale))
+	return time.Duration(int64(d) * goTimeScale)
 }
 
 // Engine exposes the DES engine for harness-level scheduling (workload
@@ -408,8 +408,8 @@ func (w *World) fail(format string, args ...any) {
 // timeout expires (goroutine engine) before the LCO fires.
 var ErrDeadlock = errors.New("runtime: wait would never complete")
 
-// WaitTimeout bounds Wait on the goroutine engine.
-var WaitTimeout = 30 * time.Second
+// waitTimeout bounds Wait on the goroutine engine.
+const waitTimeout = 30 * time.Second
 
 // Wait blocks the driver until ref fires and returns its value. Under
 // EngineDES it advances simulated time; under EngineGo it blocks the
@@ -427,9 +427,33 @@ func (w *World) Wait(ref *LCORef) ([]byte, error) {
 	select {
 	case <-done:
 		return ref.obj.Value(), nil
-	case <-time.After(WaitTimeout):
-		return nil, fmt.Errorf("%w: timeout after %v waiting on %v", ErrDeadlock, WaitTimeout, ref.G)
+	case <-time.After(waitTimeout):
+		return nil, fmt.Errorf("%w: timeout after %v waiting on %v", ErrDeadlock, waitTimeout, ref.G)
 	}
+}
+
+// await advances the world until cond holds and reports whether it does.
+// Under EngineDES it drives the engine (keeping the pulse armed) until
+// cond holds or the queue drains; under EngineGo it polls until timeout.
+// The DES drain checks cond every 64 events: conditions that take a lock
+// and flip thousands of events apart make a per-event probe pure
+// overhead, and nothing here measures the stopping time.
+func (w *World) await(cond func() bool, timeout time.Duration) bool {
+	if w.eng != nil {
+		if cond() {
+			return true
+		}
+		w.pulseResume()
+		w.eng.RunUntilStride(cond, 64)
+		return cond()
+	}
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); {
+		if cond() {
+			return true
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return cond()
 }
 
 // MustWait is Wait for drivers that treat failure as fatal.

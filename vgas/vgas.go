@@ -171,7 +171,7 @@ const (
 	// WriteUpdate pushes the written block's new contents to every holder.
 	WriteUpdate = agas.WriteUpdate
 	// RWLease skips per-write coherence traffic; holders re-validate when
-	// their time-bounded lease (Config.LeaseNs) expires.
+	// their time-bounded lease (100 µs) expires.
 	RWLease = agas.RWLease
 )
 

@@ -66,7 +66,7 @@ func TestFacadeDefaults(t *testing.T) {
 	if vgas.DefaultModel().Latency == 0 {
 		t.Fatal("model default empty")
 	}
-	if p := (vgas.Policy{}); p.NackToHost || p.NoPushUpdates || p.HopCap() != 16 {
+	if p := (vgas.Policy{}); p.NackToHost || p.NoPushUpdates {
 		t.Fatal("zero policy is not the paper's design")
 	}
 	if vgas.PGAS.String() != "pgas" || vgas.AGASNM.String() != "agas-nm" {
