@@ -3,6 +3,7 @@ package gas
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // BlockKind distinguishes plain data blocks from LCO control blocks. LCOs
@@ -40,39 +41,150 @@ type Block struct {
 	Ctl any
 }
 
-// Store is a locality's table of resident blocks. It is safe for
-// concurrent use: the goroutine engine reaches into stores from multiple
-// locality actors, and the DES engine is single-threaded but shares the
-// same code path.
+// NewDataBlock returns a zeroed data block homed on home, not yet
+// resident anywhere.
+func NewDataBlock(id BlockID, bsize uint32, home int) (*Block, error) {
+	if bsize == 0 || bsize > MaxBlockSize {
+		return nil, fmt.Errorf("gas: block size %d out of range: %w", bsize, ErrBadAddress)
+	}
+	return &Block{ID: id, Kind: KindData, BSize: bsize, Data: make([]byte, bsize), Home: home}, nil
+}
+
+// ReadAt copies len(dst) bytes from the block at the given offset, or
+// reports a range beyond the block.
+func (b *Block) ReadAt(off uint32, dst []byte) error {
+	if uint64(off)+uint64(len(dst)) > uint64(len(b.Data)) {
+		return fmt.Errorf("gas: read [%d,%d) beyond block %d size %d: %w",
+			off, uint64(off)+uint64(len(dst)), b.ID, len(b.Data), ErrBadAddress)
+	}
+	copy(dst, b.Data[off:])
+	return nil
+}
+
+// WriteAt copies src into the block at the given offset, with the same
+// error contract as ReadAt.
+func (b *Block) WriteAt(off uint32, src []byte) error {
+	if uint64(off)+uint64(len(src)) > uint64(len(b.Data)) {
+		return fmt.Errorf("gas: write [%d,%d) beyond block %d size %d: %w",
+			off, uint64(off)+uint64(len(src)), b.ID, len(b.Data), ErrBadAddress)
+	}
+	copy(b.Data[off:], src)
+	return nil
+}
+
+// Store is a locality's table of resident blocks.
+//
+// Get is the residency check behind every NIC arrival, route and parcel
+// admission, and it may run on any goroutine: it reads a lock-free index
+// with atomic loads only — no lock, no read-modify-write, no write to
+// shared memory, no allocation. Insert and Remove are serialized on the
+// store's mutex and keep the map, which stays the authority for them and
+// for Range, Len, ReadAt and WriteAt. A block must be complete before it
+// is inserted: a Get elsewhere may return it the moment Insert publishes
+// it. A block's bytes are not the store's to guard; they belong to the
+// owning locality's one execution context.
 type Store struct {
 	mu     sync.RWMutex
 	blocks map[BlockID]*Block
+	idx    atomic.Pointer[index]
+}
+
+// index is a Store's read side: open addressing over BlockID with linear
+// probing, where key 0 marks an empty slot (block number 0 is never
+// issued). Within one index a slot's key is written once and never given
+// to another id, since block numbers are never reused: Remove clears the
+// value and leaves the key, and a re-insert of the same id (a migrate-back,
+// a replica swapped for its master) refills its own slot. When live and
+// cleared keys would fill half the slots, the writer builds a new index
+// from the map, publishes it, and never writes to the old one again, so
+// a reader still holding the old one sees a state that existed during
+// its call.
+type index struct {
+	shift uint8  // 32 - log2(len(slots)): Fibonacci hashing keeps the top bits
+	mask  uint32 // len(slots) - 1
+	keys  int    // slots holding a key, live or cleared; writers only
+	slots []slot
+}
+
+type slot struct {
+	key atomic.Uint32
+	blk atomic.Pointer[Block]
+}
+
+// noBlocks is the index of an empty store. It has no room for a key, so
+// the first Insert replaces it and nothing ever writes to it.
+var noBlocks = &index{shift: 32, slots: make([]slot, 1)}
+
+// find returns id's slot in ix, or the empty slot that ends its probe.
+func (ix *index) find(id BlockID) (i uint32, found bool) {
+	for i = uint32(id) * 0x9E3779B9 >> ix.shift; ; i = (i + 1) & ix.mask {
+		switch ix.slots[i].key.Load() {
+		case uint32(id):
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// buildIndex returns an index holding every block of m, with at least
+// four slots per block so the next rebuild is as many inserts away as
+// there are blocks.
+func buildIndex(m map[BlockID]*Block) *index {
+	bits := uint8(4)
+	for 1<<bits < 4*len(m) {
+		bits++
+	}
+	ix := &index{shift: 32 - bits, mask: 1<<bits - 1, keys: len(m), slots: make([]slot, 1<<bits)}
+	for id, b := range m {
+		i, _ := ix.find(id)
+		ix.slots[i].blk.Store(b)
+		ix.slots[i].key.Store(uint32(id))
+	}
+	return ix
 }
 
 // NewStore returns an empty block store.
 func NewStore() *Store {
-	return &Store{blocks: make(map[BlockID]*Block)}
+	s := &Store{blocks: make(map[BlockID]*Block)}
+	s.idx.Store(noBlocks)
+	return s
 }
 
 // Insert makes a block resident. It returns an error if the block is
 // already resident: double-insertion indicates a broken migration or
 // allocation protocol and must surface loudly in tests.
 func (s *Store) Insert(b *Block) error {
+	if b.ID == 0 {
+		return fmt.Errorf("gas: block number 0 is never issued: %w", ErrBadAddress)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.blocks[b.ID]; ok {
 		return fmt.Errorf("gas: block %d already resident", b.ID)
 	}
 	s.blocks[b.ID] = b
+	ix := s.idx.Load()
+	i, found := ix.find(b.ID)
+	switch {
+	case found:
+		ix.slots[i].blk.Store(b)
+	case 2*(ix.keys+1) > len(ix.slots):
+		s.idx.Store(buildIndex(s.blocks))
+	default:
+		ix.keys++
+		ix.slots[i].blk.Store(b)
+		ix.slots[i].key.Store(uint32(b.ID))
+	}
 	return nil
 }
 
 // Create allocates and inserts a zeroed data block.
 func (s *Store) Create(id BlockID, bsize uint32) (*Block, error) {
-	if bsize == 0 || bsize > MaxBlockSize {
-		return nil, fmt.Errorf("gas: block size %d out of range: %w", bsize, ErrBadAddress)
+	b, err := NewDataBlock(id, bsize, 0)
+	if err != nil {
+		return nil, err
 	}
-	b := &Block{ID: id, Kind: KindData, BSize: bsize, Data: make([]byte, bsize)}
 	if err := s.Insert(b); err != nil {
 		return nil, err
 	}
@@ -82,10 +194,13 @@ func (s *Store) Create(id BlockID, bsize uint32) (*Block, error) {
 // Get returns the resident block with the given id, or false if the block
 // is not resident here (it may live on another locality).
 func (s *Store) Get(id BlockID) (*Block, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.blocks[id]
-	return b, ok
+	ix := s.idx.Load()
+	i, found := ix.find(id)
+	if !found {
+		return nil, false
+	}
+	b := ix.slots[i].blk.Load()
+	return b, b != nil
 }
 
 // Remove evicts a block, returning it so a migration can ship its bytes.
@@ -95,6 +210,9 @@ func (s *Store) Remove(id BlockID) (*Block, bool) {
 	b, ok := s.blocks[id]
 	if ok {
 		delete(s.blocks, id)
+		ix := s.idx.Load()
+		i, _ := ix.find(id)
+		ix.slots[i].blk.Store(nil)
 	}
 	return b, ok
 }
@@ -129,12 +247,7 @@ func (s *Store) ReadAt(id BlockID, off uint32, dst []byte) error {
 	if !ok {
 		return fmt.Errorf("gas: read of non-resident block %d", id)
 	}
-	if uint64(off)+uint64(len(dst)) > uint64(len(b.Data)) {
-		return fmt.Errorf("gas: read [%d,%d) beyond block %d size %d: %w",
-			off, uint64(off)+uint64(len(dst)), id, len(b.Data), ErrBadAddress)
-	}
-	copy(dst, b.Data[off:])
-	return nil
+	return b.ReadAt(off, dst)
 }
 
 // WriteAt copies src into the block at the given offset, with the same
@@ -146,10 +259,5 @@ func (s *Store) WriteAt(id BlockID, off uint32, src []byte) error {
 	if !ok {
 		return fmt.Errorf("gas: write to non-resident block %d", id)
 	}
-	if uint64(off)+uint64(len(src)) > uint64(len(b.Data)) {
-		return fmt.Errorf("gas: write [%d,%d) beyond block %d size %d: %w",
-			off, uint64(off)+uint64(len(src)), id, len(b.Data), ErrBadAddress)
-	}
-	copy(b.Data[off:], src)
-	return nil
+	return b.WriteAt(off, src)
 }

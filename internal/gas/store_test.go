@@ -2,7 +2,9 @@ package gas
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -166,5 +168,300 @@ func TestStoreWriteReadRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// storeModel runs a program of store operations against a plain map and
+// checks every answer. After each step it also checks the read index's
+// own rules: every resident block is reachable, a key once written to an
+// index never changes, and an index once replaced is never written again.
+type storeModel struct {
+	t        testing.TB
+	s        *Store
+	model    map[BlockID]*Block
+	ids      []BlockID // every id ever inserted, for picking operands
+	next     BlockID   // the last fresh id issued
+	ix       *index    // the index after the previous step
+	keys     []uint32  // its keys then
+	retired  []retiredIndex
+	rebuilds int
+}
+
+type retiredIndex struct {
+	ix   *index
+	keys []uint32
+	blks []*Block
+}
+
+func newStoreModel(t testing.TB) *storeModel {
+	m := &storeModel{t: t, s: NewStore(), model: map[BlockID]*Block{}}
+	m.ix = m.s.idx.Load()
+	m.keys = keysOf(m.ix, nil)
+	return m
+}
+
+func keysOf(ix *index, dst []uint32) []uint32 {
+	for i := range ix.slots {
+		dst = append(dst, ix.slots[i].key.Load())
+	}
+	return dst
+}
+
+// pick maps an operand byte to an id: mostly one already used, sometimes
+// block 0 or one never issued.
+func (m *storeModel) pick(arg byte) BlockID {
+	switch {
+	case arg == 255:
+		return 0
+	case arg >= 240 || len(m.ids) == 0:
+		return m.next + 1 + BlockID(arg&7)
+	}
+	return m.ids[int(arg)%len(m.ids)]
+}
+
+func (m *storeModel) fresh(arg byte) *Block {
+	m.next += 1 + BlockID(arg&3)
+	m.ids = append(m.ids, m.next)
+	return &Block{ID: m.next}
+}
+
+func (m *storeModel) insert(b *Block) {
+	err := m.s.Insert(b)
+	if _, resident := m.model[b.ID]; resident || b.ID == 0 {
+		if err == nil {
+			m.t.Fatalf("Insert(%d) accepted a resident or null block", b.ID)
+		}
+		return
+	}
+	if err != nil {
+		m.t.Fatalf("Insert(%d): %v", b.ID, err)
+	}
+	m.model[b.ID] = b
+}
+
+func (m *storeModel) remove(id BlockID) {
+	got, ok := m.s.Remove(id)
+	want, wok := m.model[id]
+	if got != want || ok != wok {
+		m.t.Fatalf("Remove(%d) = %p, %v; want %p, %v", id, got, ok, want, wok)
+	}
+	delete(m.model, id)
+}
+
+// step runs one operation: op and arg are a program's next two bytes.
+func (m *storeModel) step(op, arg byte) {
+	s := m.s
+	switch op % 8 {
+	case 0, 1: // allocate
+		m.insert(m.fresh(arg))
+	case 2: // free or migrate away
+		m.remove(m.pick(arg))
+	case 3: // re-insert: a migrate-back, a replica swapped for its master
+		m.insert(&Block{ID: m.pick(arg), Replica: arg&1 == 1})
+	case 4:
+		id := m.pick(arg)
+		got, ok := s.Get(id)
+		if want, wok := m.model[id]; got != want || ok != wok {
+			m.t.Fatalf("Get(%d) = %p, %v; want %p, %v", id, got, ok, want, wok)
+		}
+	case 5:
+		if s.Len() != len(m.model) {
+			m.t.Fatalf("Len = %d; want %d", s.Len(), len(m.model))
+		}
+	case 6:
+		n := 0
+		s.Range(func(b *Block) bool {
+			if m.model[b.ID] != b {
+				m.t.Fatalf("Range visited %d = %p; model has %p", b.ID, b, m.model[b.ID])
+			}
+			n++
+			return true
+		})
+		if n != len(m.model) {
+			m.t.Fatalf("Range visited %d blocks; want %d", n, len(m.model))
+		}
+	case 7: // an LCO's whole life: created, fired, freed
+		b := m.fresh(arg)
+		m.insert(b)
+		m.remove(b.ID)
+	}
+	m.check()
+}
+
+func (m *storeModel) check() {
+	for _, id := range append(m.ids, 0, m.next+1) {
+		got, ok := m.s.Get(id)
+		if want, wok := m.model[id]; got != want || ok != wok {
+			m.t.Fatalf("Get(%d) = %p, %v; want %p, %v", id, got, ok, want, wok)
+		}
+	}
+	cur := m.s.idx.Load()
+	if cur != m.ix {
+		r := retiredIndex{ix: m.ix, keys: m.keys}
+		for i := range m.ix.slots {
+			r.blks = append(r.blks, m.ix.slots[i].blk.Load())
+		}
+		m.retired = append(m.retired, r)
+		m.rebuilds++
+		m.ix, m.keys = cur, nil
+	}
+	for i, k := range m.keys {
+		if k != 0 && cur.slots[i].key.Load() != k {
+			m.t.Fatalf("slot %d of the live index changed key %d -> %d", i, k, cur.slots[i].key.Load())
+		}
+	}
+	m.keys = keysOf(cur, m.keys[:0])
+	for _, r := range m.retired {
+		for i := range r.ix.slots {
+			if r.ix.slots[i].key.Load() != r.keys[i] || r.ix.slots[i].blk.Load() != r.blks[i] {
+				m.t.Fatalf("slot %d of a replaced index was written", i)
+			}
+		}
+	}
+}
+
+func (m *storeModel) run(prog []byte) {
+	for i := 0; i+1 < len(prog); i += 2 {
+		m.step(prog[i], prog[i+1])
+	}
+}
+
+// TestStoreMatchesModel runs seeded random programs of Create, Insert,
+// Remove, re-insert, Get, Len and Range against a plain map; each program
+// grows the store past several index rebuilds and clears many slots.
+func TestStoreMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := make([]byte, 2400)
+		rng.Read(prog)
+		m := newStoreModel(t)
+		m.run(prog)
+		if m.rebuilds < 4 {
+			t.Fatalf("seed %d: %d index rebuilds; the program must cross several", seed, m.rebuilds)
+		}
+		// Free everything still resident, then start over on a store
+		// whose index is full of cleared keys.
+		for id := range m.model {
+			m.remove(id)
+			m.check()
+		}
+		m.run(prog[:600])
+	}
+}
+
+// FuzzStoreOps runs arbitrary programs through the same model.
+func FuzzStoreOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 4, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0})
+	f.Add(bytes.Repeat([]byte{7, 0}, 64))
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 4096 {
+			prog = prog[:4096]
+		}
+		newStoreModel(t).run(prog)
+	})
+}
+
+// TestStoreGetDuringChurn: readers Get while one writer creates and frees
+// LCO-style blocks, which forces index rebuilds and cleared slots. A
+// stable block always reads back as the same *Block, a hit is always the
+// block asked for, and a Get started after Remove returned never sees the
+// removed block.
+func TestStoreGetDuringChurn(t *testing.T) {
+	s := NewStore()
+	const stable = 64
+	want := make([]*Block, stable+1)
+	for id := BlockID(1); id <= stable; id++ {
+		b, err := s.Create(id, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = b
+	}
+	var done atomic.Bool
+	var freed atomic.Uint32 // the last id the writer removed for good
+	var wg, started sync.WaitGroup
+	defer func() { done.Store(true); wg.Wait() }()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			for !done.Load() {
+				for id := BlockID(1); id <= stable; id++ {
+					if b, ok := s.Get(id); !ok || b != want[id] {
+						t.Errorf("Get(%d) = %p, %v during churn; want %p", id, b, ok, want[id])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	started.Add(1)
+	go func() {
+		defer wg.Done()
+		started.Done()
+		for !done.Load() {
+			id := BlockID(freed.Load())
+			if id == 0 {
+				continue
+			}
+			if b, ok := s.Get(id); ok {
+				t.Errorf("Get(%d) after its Remove returned = %p (block %d)", id, b, b.ID)
+				return
+			}
+			for probe := id + 1; probe < id+8; probe++ {
+				if b, ok := s.Get(probe); ok && b.ID != probe {
+					t.Errorf("Get(%d) returned block %d", probe, b.ID)
+					return
+				}
+			}
+		}
+	}()
+	started.Wait()
+	// The writer keeps live LCOs outstanding, so every rebuild copies a
+	// few hundred blocks while the readers run.
+	const live = 256
+	next := BlockID(1000)
+	for i := 0; i < 20000; i++ {
+		next++
+		if err := s.Insert(&Block{ID: next, Kind: KindLCO, Pinned: true}); err != nil {
+			t.Fatal(err)
+		}
+		old := next - live
+		if old <= 1000 {
+			continue
+		}
+		if i%16 == 0 {
+			// A migrate-back: the block leaves and returns to its own slot.
+			mb, _ := s.Remove(old)
+			if err := s.Insert(mb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok := s.Remove(old); !ok {
+			t.Fatalf("Remove(%d) missed", old)
+		}
+		freed.Store(uint32(old))
+	}
+	if s.Len() != stable+live {
+		t.Fatalf("Len = %d; want %d", s.Len(), stable+live)
+	}
+}
+
+// TestStoreGetAllocatesNothing pins the residency check at zero
+// allocations, hit and miss.
+func TestStoreGetAllocatesNothing(t *testing.T) {
+	s := NewStore()
+	for id := BlockID(1); id <= 100; id++ {
+		if _, err := s.Create(id, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []BlockID{42, 4242} {
+		if n := testing.AllocsPerRun(1000, func() { s.Get(id) }); n != 0 {
+			t.Fatalf("Get(%d) allocates %v per call", id, n)
+		}
 	}
 }

@@ -47,7 +47,7 @@ func NewTwoTier(podSize int, oversub float64) TwoTier {
 	if podSize < 1 {
 		panic(fmt.Sprintf("netsim: pod size %d", podSize))
 	}
-	if oversub < 1 {
+	if !(oversub >= 1) {
 		panic(fmt.Sprintf("netsim: oversubscription %v < 1", oversub))
 	}
 	return TwoTier{PodSize: podSize, Oversub: oversub}
@@ -100,7 +100,7 @@ func NewFatTree(leafSize, podLeaves int, edgeOversub, coreOversub float64) FatTr
 	if leafSize < 1 || podLeaves < 1 {
 		panic(fmt.Sprintf("netsim: fat tree leaf=%d podLeaves=%d", leafSize, podLeaves))
 	}
-	if edgeOversub < 1 || coreOversub < 1 {
+	if !(edgeOversub >= 1 && coreOversub >= 1) {
 		panic(fmt.Sprintf("netsim: fat tree oversubscription %v/%v < 1", edgeOversub, coreOversub))
 	}
 	return FatTree{LeafSize: leafSize, PodLeaves: podLeaves, EdgeOversub: edgeOversub, CoreOversub: coreOversub}
@@ -154,7 +154,7 @@ func NewDragonfly(groupSize int, globalOversub float64) Dragonfly {
 	if groupSize < 1 {
 		panic(fmt.Sprintf("netsim: dragonfly group size %d", groupSize))
 	}
-	if globalOversub < 1 {
+	if !(globalOversub >= 1) {
 		panic(fmt.Sprintf("netsim: dragonfly oversubscription %v < 1", globalOversub))
 	}
 	return Dragonfly{GroupSize: groupSize, GlobalOversub: globalOversub}
@@ -209,8 +209,11 @@ func MinHops(t Topology) int {
 //
 // Omitted parameters default to a balanced shape for the given rank
 // count (√ranks-sized leaves/groups, 4× oversubscription). An empty
-// spec is the crossbar.
+// spec is the crossbar. Sizes lie in [1, 2^20], so leaf × pod cannot
+// overflow, and factors in [1, 1024], so a tapered wire time stays a
+// finite delay the engine can schedule.
 func ParseTopology(spec string, ranks int) (Topology, error) {
+	const maxSize, maxFactor = 1 << 20, 1024
 	name, params, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	kv := map[string]string{}
 	if params != "" {
@@ -228,8 +231,8 @@ func ParseTopology(spec string, ranks int) (Topology, error) {
 			return def, nil
 		}
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return 0, fmt.Errorf("netsim: topology parameter %s=%q: want a positive integer", k, v)
+		if err != nil || n < 1 || n > maxSize {
+			return 0, fmt.Errorf("netsim: topology parameter %s=%q: want an integer in [1, %d]", k, v, maxSize)
 		}
 		return n, nil
 	}
@@ -239,8 +242,8 @@ func ParseTopology(spec string, ranks int) (Topology, error) {
 			return def, nil
 		}
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 1 {
-			return 0, fmt.Errorf("netsim: topology parameter %s=%q: want a factor >= 1", k, v)
+		if err != nil || !(f >= 1 && f <= maxFactor) { // NaN fails both
+			return 0, fmt.Errorf("netsim: topology parameter %s=%q: want a factor in [1, %d]", k, v, maxFactor)
 		}
 		return f, nil
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -174,6 +175,15 @@ func TestParseTopology(t *testing.T) {
 		"two-tier:oversub=0.5",  // factor < 1
 		"fat-tree:leaf=x",       // not an integer
 		"dragonfly:oversub=abc", // not a float
+		// Factors that parse as floats but are no taper: each one used to
+		// reach the engine and panic the first switch-crossing send.
+		"two-tier:oversub=NaN",
+		"two-tier:oversub=Inf",
+		"two-tier:oversub=1e308",
+		"fat-tree:edge=NaN",
+		"fat-tree:core=NaN",
+		"dragonfly:oversub=NaN",
+		"fat-tree:leaf=4294967296,pod=4294967296", // leaf × pod overflows
 	} {
 		if _, err := ParseTopology(bad, 64); err == nil {
 			t.Fatalf("ParseTopology(%q) accepted a bad spec", bad)
@@ -189,4 +199,36 @@ func TestParseTopology(t *testing.T) {
 	if df.GroupSize != 16 {
 		t.Fatalf("default dragonfly group for 256 ranks = %d; want 16", df.GroupSize)
 	}
+}
+
+// FuzzParseTopology: any spec either errors or yields a topology on which
+// every distinct pair of a small world is at least one hop apart with a
+// finite taper of at least 1, and nothing panics. The committed seeds
+// under testdata/fuzz/FuzzParseTopology are the non-finite and
+// out-of-range factors the parser once accepted.
+func FuzzParseTopology(f *testing.F) {
+	for _, spec := range []string{"", "two-tier:pod=8,oversub=2", "fat-tree:leaf=4,pod=4,edge=2,core=3", "dragonfly:group=32,oversub=8"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		const ranks = 24
+		top, err := ParseTopology(spec, ranks)
+		if err != nil {
+			return
+		}
+		_ = top.Name()
+		for a := 0; a < ranks; a++ {
+			for b := 0; b < ranks; b++ {
+				if a == b {
+					continue
+				}
+				if h := top.Hops(a, b); h < 1 {
+					t.Fatalf("%q: Hops(%d,%d) = %d < 1", spec, a, b, h)
+				}
+				if bw := top.BWFactor(a, b); !(bw >= 1) || math.IsInf(bw, 1) {
+					t.Fatalf("%q: BWFactor(%d,%d) = %v; want finite and >= 1", spec, a, b, bw)
+				}
+			}
+		}
+	})
 }

@@ -109,6 +109,32 @@ func TestDecodeNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
+// FuzzParcelDecode: on arbitrary bytes Decode either errors or returns a
+// parcel that encodes back to exactly those bytes, and then Peek reads
+// the same action, source and op id without decoding. Neither panics.
+// The committed seeds under testdata/fuzz/FuzzParcelDecode are a valid
+// parcel, a truncated header, a bad magic byte and a payload length that
+// disagrees with the buffer.
+func FuzzParcelDecode(f *testing.F) {
+	for _, p := range samples() {
+		f.Add(Encode(p))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		action, src, opID, perr := Peek(buf)
+		p, err := Decode(buf)
+		if err != nil {
+			return
+		}
+		if enc := Encode(p); !bytes.Equal(enc, buf) {
+			t.Fatalf("Encode(Decode(b)) != b:\n   b %x\nenc %x", buf, enc)
+		}
+		if perr != nil || action != p.Action || src != p.Src || opID != p.OpID {
+			t.Fatalf("Peek = (%d, %d, %d, %v); Decode read action %d src %d op %d",
+				action, src, opID, perr, p.Action, p.Src, p.OpID)
+		}
+	})
+}
+
 func TestAppendEncodeReusesBuffer(t *testing.T) {
 	p := &Parcel{Action: 1, Payload: []byte{9}}
 	buf := make([]byte, 0, 256)

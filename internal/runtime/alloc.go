@@ -11,8 +11,9 @@ import (
 // this is a documented setup-phase shortcut (see gas.Sequence) — the
 // paper's evaluation concerns the data path (translation, forwarding,
 // migration), not allocation throughput. Allocation is safe to call
-// before Start and concurrently with running traffic (stores lock), but
-// the returned layout must be communicated to actions by the caller.
+// before Start and concurrently with running traffic (each block is built
+// complete, then inserted), but the returned layout must be communicated
+// to actions by the caller.
 
 // AllocCyclic distributes nblocks blocks of bsize bytes round-robin over
 // all localities, starting at origin.
@@ -53,11 +54,13 @@ func (w *World) alloc(origin int, bsize, nblocks uint32, dist gas.Dist) (gas.Lay
 	}
 	for d := uint32(0); d < nblocks; d++ {
 		home := l.HomeOf(d)
-		blk, err := w.locs[home].store.Create(base+gas.BlockID(d), bsize)
+		blk, err := gas.NewDataBlock(base+gas.BlockID(d), bsize, home)
+		if err == nil {
+			err = w.locs[home].store.Insert(blk)
+		}
 		if err != nil {
 			return gas.Layout{}, err
 		}
-		blk.Home = home
 	}
 	return l, nil
 }
@@ -81,10 +84,7 @@ func (w *World) Free(l gas.Layout) error {
 		}
 		// Sweep any replicas and their holder-side coherence state.
 		for _, loc := range w.locs {
-			if blk, ok := loc.store.Get(b); ok && blk.Replica {
-				loc.store.Remove(b)
-			}
-			loc.dropReplicaState(b)
+			loc.dropReplica(b)
 		}
 		w.dropTranslation(b, home)
 	}

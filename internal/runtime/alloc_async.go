@@ -28,11 +28,13 @@ func allocBlocks(c *Ctx) {
 	n := int(parcel.U32(p, 4))
 	for i := 0; i < n; i++ {
 		id := gas.BlockID(parcel.U32(p, 8+4*i))
-		blk, err := c.l.store.Create(id, bsize)
+		blk, err := gas.NewDataBlock(id, bsize, c.l.rank)
+		if err == nil {
+			err = c.l.store.Insert(blk)
+		}
 		if err != nil {
 			c.l.w.fail("rank %d: alloc: %v", c.l.rank, err)
 		}
-		blk.Home = c.l.rank
 	}
 	c.Continue(nil)
 }

@@ -16,6 +16,39 @@ import (
 // These tests exist to fail under -race (the CI test job runs the whole
 // package with -race); without it they are cheap smoke tests.
 
+// TestAllocPublishesCompleteBlocks: allocation may run while traffic does,
+// and a store's Get answers on any goroutine without a lock, so a block
+// must be complete before its store makes it visible. One goroutine
+// allocates while another Gets the newest ids on every rank and reads
+// their Home; under -race a Home set after the insert is reported.
+func TestAllocPublishesCompleteBlocks(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM})
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			top := gas.BlockID(w.seq.Issued())
+			for id := top; id > 0 && id+64 > top; id-- {
+				for r, l := range w.locs {
+					if blk, ok := l.store.Get(id); ok && blk.Home != r {
+						t.Errorf("block %d resident on its home %d reads Home %d", id, r, blk.Home)
+						return
+					}
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := w.AllocCyclic(i%4, 64, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+}
+
 // TestGoNICStateConcurrentChurn hammers translation lookups and route
 // reads from many goroutines while migration churn and user actions on
 // the locality actors rewrite routes and tables underneath them.

@@ -473,10 +473,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 	mem.pending.Add(1)
 	w.onActor(hl, func() {
 		defer mem.donePending()
-		if old, ok := hl.store.Get(b); ok && old.Replica {
-			hl.store.Remove(b)
-		}
-		hl.dropReplicaState(b)
+		hl.dropReplica(b)
 		nb := &gas.Block{ID: b, Kind: gas.KindData, BSize: bsize, Data: data, Home: home}
 		if err := hl.store.Insert(nb); err != nil {
 			w.fail("rank %d: promote replica of block %d: %v", hl.rank, b, err)

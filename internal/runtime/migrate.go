@@ -254,10 +254,7 @@ func migrateData(c *Ctx) {
 		kept := mp.holders[:0]
 		for _, h := range mp.holders {
 			if h == l.rank {
-				if blk, ok := l.store.Get(b); ok && blk.Replica {
-					l.store.Remove(b)
-				}
-				l.dropReplicaState(b)
+				l.dropReplica(b)
 				continue
 			}
 			kept = append(kept, h)

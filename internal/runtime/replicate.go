@@ -421,8 +421,7 @@ func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, hol
 		}
 		if err := hl.store.Insert(replica); err != nil {
 			for _, u := range holders[:i] {
-				w.locs[u].store.Remove(b)
-				w.locs[u].dropReplicaState(b)
+				w.locs[u].dropReplica(b)
 			}
 			return fmt.Errorf("runtime: replicate: %w", err)
 		}
@@ -451,11 +450,7 @@ func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, hol
 // unreplicate share it).
 func (w *World) removeReplicaSet(b gas.BlockID, master int, holders []int) {
 	for _, h := range holders {
-		hl := w.locs[h]
-		if blk, ok := hl.store.Get(b); ok && blk.Replica {
-			hl.store.Remove(b)
-		}
-		hl.dropReplicaState(b)
+		w.locs[h].dropReplica(b)
 	}
 	if dir := w.locs[master].space.Directory(); dir != nil {
 		dir.DropReplicas(b)
@@ -496,8 +491,12 @@ func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int) {
 	}
 }
 
-// dropReplicaState forgets the holder-side coherence record for b.
-func (l *Locality) dropReplicaState(b gas.BlockID) {
+// dropReplica removes l's read copy of b, if it holds one, and forgets
+// the holder-side coherence record for b.
+func (l *Locality) dropReplica(b gas.BlockID) {
+	if blk, ok := l.store.Get(b); ok && blk.Replica {
+		l.store.Remove(b)
+	}
 	l.mu.Lock()
 	delete(l.replicas, b)
 	l.mu.Unlock()
@@ -520,11 +519,7 @@ func (w *World) Unreplicate(lay gas.Layout) error {
 			continue
 		}
 		for _, h := range rs.Holders {
-			hl := w.locs[h]
-			if blk, ok := hl.store.Get(b); ok && blk.Replica {
-				hl.store.Remove(b)
-			}
-			hl.dropReplicaState(b)
+			w.locs[h].dropReplica(b)
 		}
 		for _, loc := range w.locs {
 			loc.space.DropReplicas(b)

@@ -262,7 +262,7 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 		}
 		l.exec.Charge(l.w.cfg.Model.CopyTime(n))
 	}
-	data, pooled := l.apply(m, b)
+	data, pooled := l.apply(m, blk)
 	src, opID, waited := m.Src, m.OpID, m.Waited
 	l.releasePayload(m)
 	m.Release()
@@ -293,36 +293,38 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 	}
 }
 
-// apply performs m's effect on block b. Reads return the reply bytes, in
-// a pooled buffer when the request permits one.
-func (l *Locality) apply(m *netsim.Message, b gas.BlockID) (data []byte, pooled bool) {
+// apply performs m's effect on blk, the block serve resolved: its bytes
+// belong to this locality's execution context, which runs serve, so the
+// copies take no store lock. Reads return the reply bytes, in a pooled
+// buffer when the request permits one.
+func (l *Locality) apply(m *netsim.Message, blk *gas.Block) (data []byte, pooled bool) {
 	base, p := m.Target.Offset(), m.Payload
 	var err error
 	switch m.Kind {
 	case kPutReq:
-		err = l.store.WriteAt(b, base, p)
+		err = blk.WriteAt(base, p)
 	case kPutVec:
 		for off := 0; off+segHdr <= len(p) && err == nil; {
 			o := binary.LittleEndian.Uint32(p[off:])
 			n := int(binary.LittleEndian.Uint32(p[off+4:]))
 			off += segHdr
 			if n < 0 || off+n > len(p) {
-				l.w.fail("rank %d: truncated put-vec fragment for block %d", l.rank, b)
+				l.w.fail("rank %d: truncated put-vec fragment for block %d", l.rank, blk.ID)
 			}
-			err = l.store.WriteAt(b, base+o, p[off:off+n])
+			err = blk.WriteAt(base+o, p[off:off+n])
 			off += n
 		}
 	case kGetReq:
 		data, pooled = wireBuf(m.PayloadPooled, int(m.N))
 		data = data[:m.N]
-		err = l.store.ReadAt(b, base, data)
+		err = blk.ReadAt(base, data)
 	case kGetVec:
 		data, pooled = wireBuf(m.PayloadPooled, int(m.N))
 		for off := 0; off+segHdr <= len(p) && err == nil; off += segHdr {
 			o := binary.LittleEndian.Uint32(p[off:])
 			cur := len(data)
 			data = data[:cur+int(binary.LittleEndian.Uint32(p[off+4:]))]
-			err = l.store.ReadAt(b, base+o, data[cur:])
+			err = blk.ReadAt(base+o, data[cur:])
 		}
 	default:
 		l.w.fail("rank %d: one-sided op with kind %d", l.rank, m.Kind)
