@@ -70,16 +70,31 @@ func Peek(buf []byte) (action ActionID, src int, opID uint64, err error) {
 // Decode parses one encoded parcel. The returned parcel's payload aliases
 // buf.
 func Decode(buf []byte) (*Parcel, error) {
+	p := new(Parcel)
+	if err := DecodeInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto parses one encoded parcel into p, overwriting every field, so
+// a receiver can decode into storage it reuses. p's payload aliases buf
+// (nil when the parcel has none). On error p is unspecified.
+func DecodeInto(p *Parcel, buf []byte) error {
 	if len(buf) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrCodec, len(buf), headerSize)
+		return fmt.Errorf("%w: %d bytes, need at least %d", ErrCodec, len(buf), headerSize)
 	}
 	if buf[0] != codecMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCodec, buf[0])
+		return fmt.Errorf("%w: bad magic %#x", ErrCodec, buf[0])
 	}
 	if buf[1] != codecVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCodec, buf[1])
+		return fmt.Errorf("%w: unsupported version %d", ErrCodec, buf[1])
 	}
-	p := &Parcel{
+	n := binary.LittleEndian.Uint32(buf[42:])
+	if uint64(headerSize)+uint64(n) != uint64(len(buf)) {
+		return fmt.Errorf("%w: payload length %d does not match buffer %d", ErrCodec, n, len(buf))
+	}
+	*p = Parcel{
 		Action:  ActionID(binary.LittleEndian.Uint16(buf[2:])),
 		Target:  gas.GVA(binary.LittleEndian.Uint64(buf[4:])),
 		CAction: ActionID(binary.LittleEndian.Uint16(buf[12:])),
@@ -88,12 +103,8 @@ func Decode(buf []byte) (*Parcel, error) {
 		Seq:     binary.LittleEndian.Uint64(buf[26:]),
 		OpID:    binary.LittleEndian.Uint64(buf[34:]),
 	}
-	n := binary.LittleEndian.Uint32(buf[42:])
-	if uint64(headerSize)+uint64(n) != uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: payload length %d does not match buffer %d", ErrCodec, n, len(buf))
-	}
 	if n > 0 {
 		p.Payload = buf[headerSize : headerSize+n]
 	}
-	return p, nil
+	return nil
 }

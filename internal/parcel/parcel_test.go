@@ -3,6 +3,7 @@ package parcel
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,25 +113,41 @@ func TestDecodeNeverPanicsOnGarbage(t *testing.T) {
 // FuzzParcelDecode: on arbitrary bytes Decode either errors or returns a
 // parcel that encodes back to exactly those bytes, and then Peek reads
 // the same action, source and op id without decoding. Neither panics.
-// The committed seeds under testdata/fuzz/FuzzParcelDecode are a valid
-// parcel, a truncated header, a bad magic byte and a payload length that
-// disagrees with the buffer.
+// Both inputs are also decoded in turn into one reused Parcel, as a
+// receiver does: DecodeInto fails exactly where Decode does, and after
+// each success the reused parcel equals the fresh one field for field —
+// nothing of the first input survives into the second. The committed
+// seeds under testdata/fuzz/FuzzParcelDecode pair a valid parcel, a
+// truncated header, a bad magic byte and a payload length that disagrees
+// with the buffer with a valid parcel, and a parcel with a payload with
+// one without.
 func FuzzParcelDecode(f *testing.F) {
-	for _, p := range samples() {
-		f.Add(Encode(p))
+	ps := samples()
+	for i, p := range ps {
+		f.Add(Encode(p), Encode(ps[(i+1)%len(ps)]))
 	}
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		action, src, opID, perr := Peek(buf)
-		p, err := Decode(buf)
-		if err != nil {
-			return
-		}
-		if enc := Encode(p); !bytes.Equal(enc, buf) {
-			t.Fatalf("Encode(Decode(b)) != b:\n   b %x\nenc %x", buf, enc)
-		}
-		if perr != nil || action != p.Action || src != p.Src || opID != p.OpID {
-			t.Fatalf("Peek = (%d, %d, %d, %v); Decode read action %d src %d op %d",
-				action, src, opID, perr, p.Action, p.Src, p.OpID)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var reused Parcel
+		for _, buf := range [][]byte{a, b} {
+			action, src, opID, perr := Peek(buf)
+			p, err := Decode(buf)
+			if ierr := DecodeInto(&reused, buf); (ierr == nil) != (err == nil) {
+				t.Fatalf("Decode err %v, DecodeInto err %v", err, ierr)
+			}
+			if err != nil {
+				continue
+			}
+			if enc := Encode(p); !bytes.Equal(enc, buf) {
+				t.Fatalf("Encode(Decode(b)) != b:\n   b %x\nenc %x", buf, enc)
+			}
+			if perr != nil || action != p.Action || src != p.Src || opID != p.OpID {
+				t.Fatalf("Peek = (%d, %d, %d, %v); Decode read action %d src %d op %d",
+					action, src, opID, perr, p.Action, p.Src, p.OpID)
+			}
+			if !reflect.DeepEqual(reused, *p) {
+				t.Fatalf("DecodeInto into reused storage = %v (payload %x), fresh Decode = %v (payload %x)",
+					&reused, reused.Payload, p, p.Payload)
+			}
 		}
 	})
 }

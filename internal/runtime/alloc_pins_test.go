@@ -10,12 +10,13 @@ import (
 )
 
 // Allocation pins for the DES per-message path. The message is the
-// scheduled event and is recycled by its terminal consumer, so what is
-// left per operation is the parcel's own encode/decode/context and the
-// driver's completion plumbing — not a closure per event and a message
-// per send, forward and table push. The race detector and the msgpoison
-// build both defeat sync.Pool reuse on purpose, so the pins only build
-// without them.
+// scheduled event and is recycled by its terminal consumer, a user
+// parcel's encoding rides a pooled wire buffer, and each locality decodes
+// into its own parcel and runs the action on its own Ctx, so a parcel op
+// allocates nothing (6 per round trip before the pooled parcel path) —
+// not a closure per event and a message per send, forward and table push.
+// The race detector and the msgpoison build both defeat sync.Pool reuse
+// on purpose, so the pins only build without them.
 
 func TestDESAllocationPins(t *testing.T) {
 	// PushUpdates off keeps the sender's NIC table cold, so every parcel
@@ -62,8 +63,8 @@ func TestDESAllocationPins(t *testing.T) {
 	f0 := forwards()
 	rt := testing.AllocsPerRun(200, roundTrip)
 	t.Logf("direct round trip allocs: %v", rt)
-	if rt > 6 {
-		t.Errorf("parcel round trip with continuation: %v allocs, want <= 6", rt)
+	if rt > 0 {
+		t.Errorf("parcel round trip with continuation: %v allocs, want 0", rt)
 	}
 	if forwards() != f0 {
 		t.Fatal("direct round trips were forwarded")
@@ -81,8 +82,8 @@ func TestDESAllocationPins(t *testing.T) {
 	f0, pongs = forwards(), 0
 	fwd := testing.AllocsPerRun(200, roundTrip)
 	t.Logf("forwarded round trip allocs: %v", fwd)
-	if fwd > rt+1 {
-		t.Errorf("forwarded round trip: %v allocs vs %v direct, want at most one more", fwd, rt)
+	if fwd > rt {
+		t.Errorf("forwarded round trip: %v allocs vs %v direct, want no more", fwd, rt)
 	}
 	if got := forwards() - f0; got != 201 || pongs != 201 {
 		t.Fatalf("201 forwarded round trips took %d forwards and %d continuations", got, pongs)
@@ -95,8 +96,10 @@ func TestDESAllocationPins(t *testing.T) {
 // allocated per tracked message once the rings and the message pool are
 // warm (the pristine copy is a pooled envelope, the receive record a bit),
 // so what the layer adds is what pooling may not touch — payloads stay on
-// the heap under it (payloadPoolable), a request's and a reply's. Before
-// the windows these read 12 and 8.
+// the heap under it (payloadPoolable), a request's and a reply's: the
+// round trip's two parcel encodings, and a put's. Before the windows
+// these read 12 and 8; before the pooled parcel path the round trip read
+// 8 (its two decoded parcels and two Ctxs).
 func TestReliableAllocationPins(t *testing.T) {
 	w := testWorld(t, Config{
 		Ranks: 3, Mode: AGASNM, Engine: EngineDES,
@@ -128,8 +131,8 @@ func TestReliableAllocationPins(t *testing.T) {
 	}
 	rt := testing.AllocsPerRun(200, roundTrip)
 	t.Logf("reliable round trip allocs: %v", rt)
-	if rt > 8 {
-		t.Errorf("reliable parcel round trip with continuation: %v allocs, want <= 8", rt)
+	if rt > 4 {
+		t.Errorf("reliable parcel round trip with continuation: %v allocs, want <= 4", rt)
 	}
 	n := testing.AllocsPerRun(200, put)
 	t.Logf("reliable blocking put allocs: %v", n)
@@ -181,5 +184,41 @@ func TestGoEngineBlockingOpAllocationPins(t *testing.T) {
 		if n > pin.max {
 			t.Errorf("%s: %v allocs, want <= %v", pin.name, n, pin.max)
 		}
+	}
+}
+
+// TestGoEngineParcelAllocationPins pins the goroutine engine's parcel
+// round trip with continuation at zero, as on DES: both encodings ride
+// pooled wire buffers, each locality decodes into its own parcel and
+// runs the action on its own Ctx, and the driver's task is a mailbox
+// slot, not a closure.
+func TestGoEngineParcelAllocationPins(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
+	done := make(chan struct{}, 1)
+	pong := w.Register("pong", func(c *Ctx) { done <- struct{}{} })
+	ping := w.Register("ping", func(c *Ctx) { c.Continue(c.P.Payload) })
+	w.Start()
+	lay, err := w.AllocLocal(1, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, p0, l0, payload := lay.BlockAt(0), w.Proc(0), w.Locality(0), make([]byte, 16)
+	issue := func() {
+		l0.SendParcel(&parcel.Parcel{
+			Action: ping, Target: g, Payload: payload,
+			CAction: pong, CTarget: w.LocalityGVA(0),
+		})
+	}
+	roundTrip := func() {
+		p0.Run(issue)
+		<-done
+	}
+	for i := 0; i < 64; i++ { // fill the message and wire-buffer pools
+		roundTrip()
+	}
+	n := testing.AllocsPerRun(500, roundTrip)
+	t.Logf("parcel round trip allocs: %v", n)
+	if n > 0 {
+		t.Errorf("parcel round trip with continuation: %v allocs, want 0", n)
 	}
 }

@@ -12,6 +12,11 @@ import (
 // parcel being executed and provides the non-blocking operations an
 // action may perform: sending parcels, one-sided memory ops, touching
 // resident block data, migration, and continuation delivery.
+//
+// A locality runs every action on its one Ctx. Its locality half outlives
+// the action: a callback the action leaves behind may keep c and use any
+// method but Continue. P ends with the action (nil after it), and
+// P.Payload may be a pooled wire buffer recycled as it returns: copy it.
 type Ctx struct {
 	l *Locality
 	P *parcel.Parcel
@@ -73,7 +78,8 @@ func (c *Ctx) CallCC(target gas.GVA, action parcel.ActionID, payload []byte, con
 
 // Continue delivers data to the executing parcel's continuation, if any.
 // A parcel without a continuation *address* has nowhere to deliver to —
-// the result is dropped — even if a continuation action is set.
+// the result is dropped — even if a continuation action is set. Only the
+// action itself may continue: afterwards P is nil (see Ctx).
 func (c *Ctx) Continue(data []byte) {
 	if c.P.CTarget.IsNull() {
 		return
@@ -100,19 +106,6 @@ func (c *Ctx) Get(src gas.GVA, n uint32, done func(data []byte)) { c.l.GetAsync(
 // Migrate moves a block; status is delivered to cont (an LCO address).
 func (c *Ctx) Migrate(g gas.GVA, to int, cont gas.GVA) {
 	c.l.MigrateAsync(g, to, ALCOSet, cont)
-}
-
-// CallWhen sends the action invocation once dep fires; the dep's value is
-// ignored and payload is sent as given. The subscription lives on this
-// locality, so the send happens in this locality's context regardless of
-// where the LCO fires from.
-func (c *Ctx) CallWhen(dep *LCORef, target gas.GVA, action parcel.ActionID, payload []byte) {
-	l := c.l
-	dep.OnFire(func([]byte) {
-		l.exec.Exec(0, func() {
-			l.SendParcel(&parcel.Parcel{Action: action, Target: target, Payload: payload})
-		})
-	})
 }
 
 // Proc is the driver-side handle for issuing operations "from" a

@@ -1,11 +1,12 @@
 package runtime
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
-	"nmvgas/internal/parcel"
 )
 
 func TestCallWhenFiresAfterDependency(t *testing.T) {
@@ -31,30 +32,52 @@ func TestCallWhenFiresAfterDependency(t *testing.T) {
 	})
 }
 
-func TestCtxCallWhenChains(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 3, Mode: AGASNM, Engine: EngineDES})
-	final := w.NewFuture(0)
-	var lay gas.Layout
-	var step2 parcel.ActionID
-	step1 := w.Register("step1", func(c *Ctx) {
-		dep := c.World().NewFuture(c.Rank())
-		// Chain: when dep fires, run step2 at block 1.
-		c.CallWhen(dep, lay.BlockAt(1), step2, []byte{1})
-		c.ContinueTo(dep.G, nil) // fire the dependency ourselves
-	})
-	step2 = w.Register("step2", func(c *Ctx) {
-		c.ContinueTo(final.G, []byte{99})
-	})
-	w.Start()
-	var err error
-	lay, err = w.AllocCyclic(0, 64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Proc(0).Invoke(lay.BlockAt(0), step1, nil)
-	v := w.MustWait(final)
-	if len(v) != 1 || v[0] != 99 {
-		t.Fatalf("chain result %v", v)
+// TestActionViewsEndWithTheAction: an action that keeps its Ctx and its
+// payload past its return finds the parcel half gone — P is nil — and the
+// locality half working: a later Get completion reads Rank and sends with
+// ContinueTo. In poolable worlds the payload sat in a pooled wire buffer,
+// and a msgpoison build shows the kept alias reading poison.
+func TestActionViewsEndWithTheAction(t *testing.T) {
+	for _, eng := range allEngines {
+		for _, force := range []bool{false, true} {
+			eng, force := eng, force
+			t.Run(fmt.Sprintf("%v/force=%v", eng, force), func(t *testing.T) {
+				w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: eng,
+					Reliability: ReliabilityConfig{Force: force}})
+				sent := bytes.Repeat([]byte{0x5A}, 32)
+				done := w.NewFuture(0)
+				var lay gas.Layout
+				var kept []byte
+				var okDuring, pNil, poisoned bool
+				var rank int
+				stash := w.Register("stash", func(c *Ctx) {
+					okDuring = bytes.Equal(c.P.Payload, sent)
+					kept = c.P.Payload // deliberately not copied
+					c.Get(lay.BlockAt(0), 8, func([]byte) {
+						pNil, rank = c.P == nil, c.Rank()
+						poisoned = bytes.Equal(kept, bytes.Repeat([]byte{0xEE}, len(sent)))
+						c.ContinueTo(done.G, []byte{7})
+					})
+				})
+				w.Start()
+				var err error
+				if lay, err = w.AllocCyclic(0, 64, 2); err != nil {
+					t.Fatal(err)
+				}
+				w.Proc(0).Invoke(lay.BlockAt(1), stash, sent)
+				if v := w.MustWait(done); len(v) != 1 || v[0] != 7 {
+					t.Fatalf("ContinueTo from the callback delivered %v", v)
+				}
+				if !okDuring || !pNil || rank != 1 {
+					t.Fatalf("payload intact during the action %v, P nil after %v, Rank after %d (want 1)",
+						okDuring, pNil, rank)
+				}
+				if want := msgPoison && !force; poisoned != want {
+					t.Fatalf("kept payload reads poison: %v, want %v (msgpoison %v, force %v)",
+						poisoned, want, msgPoison, force)
+				}
+			})
+		}
 	}
 }
 

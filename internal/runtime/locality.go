@@ -162,6 +162,11 @@ type Locality struct {
 	// per locality serves every caller).
 	proc Proc
 
+	// ctx is the one Ctx of every action here and dec the parcel runParcel
+	// decodes into (ctx.P is &dec while an action runs, else nil).
+	ctx Ctx
+	dec parcel.Parcel
+
 	parcelSeq atomic.Uint64
 	// opIDSeq feeds newOpID; the rank lives in the id's high bits, so the
 	// per-locality counter yields world-unique ids without coordination.
@@ -188,6 +193,7 @@ func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 		ackPend: make(map[int]*pendAcks),
 	}
 	l.proc = Proc{l: l}
+	l.ctx.l = l
 	l.space = bld.newLocal(l)
 	if w.cfg.Coalesce.enabled() {
 		l.coal = newCoalescer(l, w.cfg.Coalesce)
@@ -207,9 +213,6 @@ func (l *Locality) World() *World { return l.w }
 // Store exposes the block store (driver-side verification and workload
 // setup).
 func (l *Locality) Store() *gas.Store { return l.store }
-
-// Space exposes the locality's address-space strategy.
-func (l *Locality) Space() AddressSpace { return l.space }
 
 // Cache exposes the software translation cache (nil where the strategy
 // has none).
@@ -270,7 +273,8 @@ func (l *Locality) residentForNIC(b gas.BlockID) bool {
 // Send side
 
 // SendParcel routes p from this locality. It must be called from this
-// locality's execution context (an action body or a Proc task).
+// locality's execution context (an action body or a Proc task). Only user
+// parcels ride pooled wire buffers (see wirebuf.go).
 func (l *Locality) SendParcel(p *parcel.Parcel) {
 	p.Src = l.rank
 	p.Seq = l.parcelSeq.Add(1)
@@ -278,12 +282,14 @@ func (l *Locality) SendParcel(p *parcel.Parcel) {
 	l.Stats.ParcelsSent.Inc()
 	l.traceOp(TraceSend, p.Target.Block(), uint64(p.Action), p.OpID)
 	l.latStart(p.OpID)
-	enc := parcel.Encode(p)
+	buf, pooled := wireBuf(p.Action >= firstUserAction && l.payloadPoolable(), p.WireSize())
+	enc := parcel.AppendEncode(buf, p)
 	m := netsim.NewMessage()
 	m.Kind = kParcel
 	m.Src = l.rank
 	m.Target = p.Target
 	m.Payload = enc
+	m.PayloadPooled = pooled
 	m.Wire = len(enc)
 	m.OpID = p.OpID
 	m.MigCtl = p.Action >= aMigrateReq && p.Action <= aMigrateDone
@@ -339,11 +345,11 @@ func (l *Locality) routeMsg(m *netsim.Message) {
 		// The strategy's zero-cost owner guess picks the batching
 		// destination; wrong guesses are re-routed at the batch target.
 		if dst := l.space.OwnerHint(b, m.Target.Home()); dst != l.rank {
-			// The coalescer keeps only the encoded bytes; the envelope is
-			// consumed here.
-			payload := m.Payload
+			// The coalescer copies the encoded bytes into the batch; the
+			// envelope and a pooled buffer end here.
+			l.coal.add(dst, m.Payload)
+			l.releasePayload(m)
 			m.Release()
-			l.coal.add(dst, payload)
 			return
 		}
 	}
@@ -482,31 +488,30 @@ func (l *Locality) execParcel(m *netsim.Message) {
 	l.runParcel(m, false)
 }
 
-// decodeParcel decodes m's parcel and resolves its action.
-func (l *Locality) decodeParcel(m *netsim.Message) (*parcel.Parcel, Action) {
-	p, err := parcel.Decode(m.Payload)
-	if err != nil {
-		l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
-	}
-	act, err := l.w.reg.Lookup(p.Action)
-	if err != nil {
-		l.w.fail("rank %d: %v", l.rank, err)
-	}
-	return p, act
-}
-
 // runParcel is the one parcel admission: park behind a migration, hand a
 // stale delivery to the address space, apply the exactly-once gate, run.
 // The checks run at *execution* time — a parcel may sit in an executor
 // queue while a migration starts. A locality runs one action at a time
 // on both engines (one event stream per rank on DES, one token holder on
 // the goroutine engine), so a migration snapshot never races a running
-// handler and admission takes no lock unless a block is moving. user
-// marks a user action: a duplicate is dropped before it can park or be
-// re-routed, and the run feeds the heat sample. Control actions never
+// handler and admission takes no lock unless a block is moving. The same
+// invariant lets every action run on the locality's one Ctx and decoded
+// parcel (l.ctx, l.dec); entering here while an action runs is a bug.
+// user marks a user action: a duplicate is dropped before it can park or
+// be re-routed, and the run feeds the heat sample. Control actions never
 // touch user block data; they re-check state themselves where needed.
 func (l *Locality) runParcel(m *netsim.Message, user bool) {
-	p, act := l.decodeParcel(m)
+	c, p := &l.ctx, &l.dec
+	if c.P != nil {
+		l.w.fail("rank %d: parcel admitted inside running action %v", l.rank, c.P)
+	}
+	if err := parcel.DecodeInto(p, m.Payload); err != nil {
+		l.w.fail("rank %d: undecodable parcel: %v", l.rank, err)
+	}
+	act, err := l.w.reg.Lookup(p.Action)
+	if err != nil {
+		l.w.fail("rank %d: %v", l.rank, err)
+	}
 	b := p.Target.Block()
 	if user && l.relDupPeek(m) {
 		m.Release()
@@ -533,7 +538,10 @@ func (l *Locality) runParcel(m *netsim.Message, user bool) {
 	}
 	l.traceOp(TraceExec, b, uint64(p.Action), p.OpID)
 	l.latParcelExec(p.OpID)
-	act(&Ctx{l: l, P: p})
+	c.P = p
+	act(c)
+	c.P = nil // the parcel and its payload end with the action (see Ctx)
+	l.releasePayload(m)
 	m.Release()
 }
 

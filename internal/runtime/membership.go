@@ -124,7 +124,7 @@ type membership struct {
 	lost map[gas.BlockID]struct{}
 
 	// pending counts outstanding recovery steps scheduled on locality
-	// actors; RecoveryQuiet reports it drained.
+	// actors; AwaitMember waits for it to drain.
 	pending atomic.Int64
 
 	deaths, joins, retires atomic.Uint64
@@ -584,13 +584,10 @@ func (w *World) MemberState(rank int) MemberState {
 // MembershipEpoch returns the current membership epoch.
 func (w *World) MembershipEpoch() uint64 { return w.mem.epoch.Load() }
 
-// RecoveryQuiet reports whether no crash-recovery work is in flight.
-func (w *World) RecoveryQuiet() bool { return w.mem.pending.Load() == 0 }
-
 // AwaitMember blocks until rank reaches the wanted state with recovery
 // quiescent; see World.await.
 func (w *World) AwaitMember(rank int, want MemberState, timeout time.Duration) bool {
-	return w.await(func() bool { return w.MemberState(rank) == want && w.RecoveryQuiet() }, timeout)
+	return w.await(func() bool { return w.MemberState(rank) == want && w.mem.pending.Load() == 0 }, timeout)
 }
 
 // Retire removes rank from the world gracefully: its replica holdings

@@ -219,8 +219,9 @@ func migrateData(c *Ctx) {
 		// install and retry later. The block stays pinned at its old
 		// owner with arrivals queuing behind the pin — the real stall
 		// pathology, produced through the real protocol path.
+		// The retry runs on this locality's Ctx with its own parcel copy.
 		retry := *c.P
-		fn := func() { migrateData(&Ctx{l: l, P: &retry}) }
+		fn := func() { c.P = &retry; migrateData(c); c.P = nil }
 		if l.w.eng != nil {
 			l.exec.Exec(stallRetryDelay, fn)
 		} else {
@@ -337,6 +338,8 @@ func migrateDone(c *Ctx) {
 		})
 	}
 	if st.install != nil {
-		migrateData(&Ctx{l: l, P: st.install})
+		// The parked install runs as the rest of this action.
+		c.P = st.install
+		migrateData(c)
 	}
 }

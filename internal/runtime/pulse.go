@@ -185,9 +185,6 @@ func (ps *pulseState) fire() {
 	}
 }
 
-// PulseEnabled reports whether the runtime pulse is configured on.
-func (w *World) PulseEnabled() bool { return w.pulse != nil }
-
 // PulseCount returns the number of pulse ticks fired so far (0 when the
 // pulse is off).
 func (w *World) PulseCount() uint64 {
@@ -195,14 +192,6 @@ func (w *World) PulseCount() uint64 {
 		return 0
 	}
 	return w.pulse.seq.Load()
-}
-
-// PulsePeriod returns the configured tick interval (0 when off).
-func (w *World) PulsePeriod() netsim.VTime {
-	if w.pulse == nil {
-		return 0
-	}
-	return w.pulse.period
 }
 
 // OnPulse registers fn as a pulse client invoked on every tick, after

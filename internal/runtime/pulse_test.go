@@ -45,7 +45,7 @@ func TestDisabledPulseHooksAllocateNothing(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		w.pulseResume()
-		if w.PulseCount() != 0 || w.PulseEnabled() || w.PulsePeriod() != 0 {
+		if w.PulseCount() != 0 || w.pulse != nil {
 			t.Fatal("disabled pulse reports activity")
 		}
 		if h := w.Health(); h.Enabled {
@@ -108,7 +108,7 @@ func TestPulseResumesAcrossBlockingOps(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			op.run()
 		}
-		periods := uint64((w.Now() - start) / w.PulsePeriod())
+		periods := uint64((w.Now() - start) / w.pulse.period)
 		if periods < 20 {
 			t.Fatalf("%s: 200 ops span only %d pulse periods", op.name, periods)
 		}

@@ -71,20 +71,6 @@ func (l *Locality) GetAsync(src gas.GVA, n uint32, done func(data []byte)) {
 	l.issue(l.getReq(src, n, false), opState{done: done})
 }
 
-// PutVecAsync writes all segs into the block at dst with one request and
-// one ack; done runs on this locality at remote completion. All offsets
-// must fall inside dst's block.
-func (l *Locality) PutVecAsync(dst gas.GVA, segs []PutSeg, done func()) {
-	l.issue(l.putVecReq(dst, segs), opState{pdone: done})
-}
-
-// GetVecAsync reads all segs from the block at src with one request and
-// one reply; done runs with the fragments concatenated in order. done
-// may retain the data.
-func (l *Locality) GetVecAsync(src gas.GVA, segs []GetSeg, done func(data []byte)) {
-	l.issue(l.getVecReq(src, segs, false), opState{done: done})
-}
-
 // rmaReq is a laid-out one-sided request; n is the bytes written, or for
 // reads the length the reply will carry.
 type rmaReq struct {
@@ -429,7 +415,7 @@ func (l *Locality) flushAcks() {
 		p := l.ackPend[src]
 		ack := l.newPutAck(src, p.ids[0], p.waited)
 		if len(p.ids) > 1 {
-			buf, pooled := getWireBuf(8 * len(p.ids))
+			buf, pooled := wireBuf(true, 8*len(p.ids))
 			for _, id := range p.ids {
 				buf = binary.LittleEndian.AppendUint64(buf, id)
 			}

@@ -63,12 +63,12 @@ var rmaKinds = []rmaKind{
 		}},
 	{name: "putvec", want: rmaWritten(map[int]string{4: "head", 204: "tail"}),
 		issue: func(l *Locality, g gas.GVA, done func([]byte)) {
-			l.PutVecAsync(g.WithOffset(4), []PutSeg{{Off: 0, Data: []byte("head")}, {Off: 200, Data: []byte("tail")}},
-				func() { done(nil) })
+			l.issue(l.putVecReq(g.WithOffset(4), []PutSeg{{Off: 0, Data: []byte("head")}, {Off: 200, Data: []byte("tail")}}),
+				opState{pdone: func() { done(nil) }})
 		}},
 	{name: "getvec", read: true, want: append(append([]byte(nil), rmaSeed[4:10]...), rmaSeed[104:114]...),
 		issue: func(l *Locality, g gas.GVA, done func([]byte)) {
-			l.GetVecAsync(g.WithOffset(4), []GetSeg{{Off: 0, N: 6}, {Off: 100, N: 10}}, done)
+			l.issue(l.getVecReq(g.WithOffset(4), []GetSeg{{Off: 0, N: 6}, {Off: 100, N: 10}}, false), opState{done: done})
 		}},
 }
 

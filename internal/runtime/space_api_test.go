@@ -150,7 +150,7 @@ func TestAbortMigrateClearsRoute(t *testing.T) {
 	}
 	b := lay.BlockAt(0).Block()
 
-	sp := w.Locality(0).Space()
+	sp := w.Locality(0).space
 	sp.BeginMigrate(b)
 	if o, ok := w.Fabric().NIC(0).Route(b); !ok || o != 0 {
 		t.Fatalf("BeginMigrate did not install route-to-self: (%d, %v)", o, ok)

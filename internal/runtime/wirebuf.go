@@ -6,51 +6,48 @@ import (
 	"nmvgas/internal/netsim"
 )
 
-// Pooled wire buffers for one-sided payloads. A put's payload and a
-// small get's reply live exactly from encode to the terminal consumer
-// (the owner's store write, the requester's copy-out), so they can be
-// recycled instead of allocated per op — that is most of the difference
-// between the put path's old alloc profile and the parcel pump's.
+// Pooled wire buffers for one-sided payloads and user parcels. A put's
+// payload, a small get's reply and a user action's parcel live exactly
+// from encode to the terminal consumer (the owner's store write, the
+// requester's copy-out, runParcel as the action returns, or the
+// coalescer's copy into a batch; a parked or re-routed parcel carries its
+// buffer along), so they are recycled instead of allocated per op.
+// Control parcels stay on the heap: their actions keep the payload (a
+// migration retry's parcel copy, an LCO future's value).
 //
 // Pooling is only legal when nothing else can alias the buffer after the
 // terminal consumer: the reliability layer keeps pristine copies sharing
 // Payload, and both engines' fault injectors clone messages wholesale,
 // so worlds with either stay on plain heap buffers (payloadPoolable).
 
-// wireBufCap bounds pooled buffer capacity; larger payloads go to the
-// heap (rare on the fast path, and pooling huge buffers pins memory).
-const wireBufCap = 4096
+// Two size classes; larger payloads go to the heap (rare on the fast
+// path, and pooling huge buffers pins memory). Parcels take the small
+// class: in a 4 KiB buffer each one in flight would pin a page, and under
+// a backlog every pool miss would clear one.
+const (
+	wireBufSmall = 256
+	wireBufCap   = 4096
+)
 
-// The pool holds pointers to the backing arrays, not slice headers: a
+// The pools hold pointers to the backing arrays, not slice headers: a
 // pointer rides the pool's interface for free, where boxing a header
 // would cost an allocation on every return.
-var wireBufPool = sync.Pool{
-	New: func() any { return new([wireBufCap]byte) },
-}
-
-// getWireBuf returns a zero-length pooled buffer with at least n
-// capacity, or a fresh heap buffer when n exceeds the pooled size.
-func getWireBuf(n int) ([]byte, bool) {
-	if n > wireBufCap {
-		return make([]byte, 0, n), false
-	}
-	return wireBufPool.Get().(*[wireBufCap]byte)[:0], true
-}
+var (
+	smallWireBufPool = sync.Pool{New: func() any { return new([wireBufSmall]byte) }}
+	wireBufPool      = sync.Pool{New: func() any { return new([wireBufCap]byte) }}
+)
 
 // wireBuf is the one pooled-or-heap choice: a zero-length buffer of
-// capacity n, from the pool when pool is set (and n fits), else fresh.
+// capacity at least n, pooled when pool is set and n fits a class (the
+// bool reports which), else fresh.
 func wireBuf(pool bool, n int) ([]byte, bool) {
-	if pool {
-		return getWireBuf(n)
+	switch {
+	case pool && n <= wireBufSmall:
+		return smallWireBufPool.Get().(*[wireBufSmall]byte)[:0], true
+	case pool && n <= wireBufCap:
+		return wireBufPool.Get().(*[wireBufCap]byte)[:0], true
 	}
 	return make([]byte, 0, n), false
-}
-
-// putWireBuf returns a pooled buffer. Callers pass exactly the buffers
-// getWireBuf marked pooled (tracked via Message.PayloadPooled), still
-// starting at the array's first byte.
-func putWireBuf(b []byte) {
-	wireBufPool.Put((*[wireBufCap]byte)(b[:wireBufCap]))
 }
 
 // payloadPoolable reports whether this world may carry pooled payloads:

@@ -44,6 +44,17 @@
 //	reply := w.MustWait(fut)
 //
 // See the examples/ directory for complete programs.
+//
+// # What an action may keep
+//
+// A locality runs its actions one at a time, every one on the same Ctx.
+// The half of a Ctx that names the locality outlives the action: a
+// callback the action leaves behind (a Get completion, an LCO trigger)
+// may keep c and call Rank, World, Local, Call, CallCC, ContinueTo, Put,
+// Get, Migrate, Now or Charge later. The half that belongs to the parcel
+// ends with the action: c.P is nil afterwards, so Continue works only
+// inside it, and c.P.Payload may live in a pooled wire buffer that is
+// reused as soon as the action returns — copy it to keep it.
 package vgas
 
 import (
