@@ -113,7 +113,7 @@ func enginePut(b *testing.B, eng vgas.EngineKind, metrics bool) {
 // GoEnginePut is the wall-clock one-sided put throughput on the
 // goroutine engine: the driver pipelines b.N 64 B puts through a bounded
 // in-flight window (so wire buffers stay pooled) and waits for the last
-// coalesced ack. msgs/sec is the headline; allocs/op covers the whole
+// ack. msgs/sec is the headline; allocs/op covers the whole
 // issue→DMA→ack path.
 func GoEnginePut(b *testing.B) {
 	w, g := putWorld(b, vgas.EngineGo, false)

@@ -569,17 +569,3 @@ func (e *Engine) RunUntilStride(done func() bool, stride int) bool {
 	}
 	return true
 }
-
-// RunFor executes events with timestamps up to and including deadline.
-func (e *Engine) RunFor(d VTime) {
-	deadline := e.now + d
-	if e.par != nil && e.shard < 0 {
-		e.par.runFor(deadline)
-		return
-	}
-	for e.q.n > 0 && e.q.peekAt() <= deadline {
-		e.fire()
-	}
-	e.curRank = -1
-	e.now = max(e.now, deadline)
-}

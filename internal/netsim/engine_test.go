@@ -93,26 +93,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineRunFor(t *testing.T) {
-	e := NewEngine()
-	var fired []VTime
-	for _, at := range []VTime{5, 10, 15, 20} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunFor(12)
-	if len(fired) != 2 {
-		t.Fatalf("RunFor(12) fired %v", fired)
-	}
-	if e.Now() != 12 {
-		t.Fatalf("Now = %v after RunFor, want 12", e.Now())
-	}
-	e.RunFor(8)
-	if len(fired) != 4 {
-		t.Fatalf("second RunFor fired %v", fired)
-	}
-}
-
 func TestEngineDeterministicUnderRandomInsertion(t *testing.T) {
 	run := func(seed int64) []int {
 		e := NewEngine()
@@ -182,10 +162,12 @@ func TestPendingByRank(t *testing.T) {
 	if counts[0] != 1 || counts[1] != 2 || counts[2] != 1 {
 		t.Fatalf("initial backlog %v, want [1 2 1]", counts)
 	}
-	e.RunFor(15)
+	for i := 0; i < 3; i++ { // t=5 (driver), then rank 0 and rank 1 at t=10
+		e.Step()
+	}
 	e.PendingByRank(counts)
 	if counts[0] != 0 || counts[1] != 1 || counts[2] != 1 {
-		t.Fatalf("backlog after t=15 %v, want [0 1 1]", counts)
+		t.Fatalf("backlog after three steps %v, want [0 1 1]", counts)
 	}
 	e.Run()
 	e.PendingByRank(counts)

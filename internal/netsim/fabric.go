@@ -122,15 +122,9 @@ func (f *Fabric) Ranks() int { return len(f.NICs) }
 // Send injects m at rank from's NIC.
 func (f *Fabric) Send(from int, m *Message) { f.NICs[from].Send(m) }
 
-// State runs fn on rank's translation state. The block is the key the
-// goroutine transport picks a lock shard by; a simulated NIC has one
-// state and its rank's event context is the exclusion.
-func (f *Fabric) State(rank int, _ gas.BlockID, fn func(*TransState)) {
-	fn(&f.NICs[rank].TransState)
-}
-
-// EachState runs fn on every piece of rank's translation state.
-func (f *Fabric) EachState(rank int, fn func(*TransState)) { fn(&f.NICs[rank].TransState) }
+// State runs fn on rank's translation state. A simulated NIC has one
+// state, and its rank's event context is the exclusion.
+func (f *Fabric) State(rank int, fn func(*TransState)) { fn(&f.NICs[rank].TransState) }
 
 // Stats returns rank's NIC counters.
 func (f *Fabric) Stats(rank int) NICStats { return f.NICs[rank].Stats }

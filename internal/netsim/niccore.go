@@ -168,7 +168,7 @@ func (s *NICStats) Add(o *NICStats) {
 
 // TransState is one NIC's translation state. The caller provides the
 // exclusion: the DES NIC touches it only from its rank's event context,
-// the goroutine transport keeps one per lock shard.
+// the goroutine transport holds its NIC's mutex.
 type TransState struct {
 	// Table is the bounded NIC-resident translation cache consulted at
 	// injection time. Entries installed by forwarding/commit control

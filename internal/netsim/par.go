@@ -344,21 +344,6 @@ func (p *ParEngine) runUntil(done func() bool) bool {
 	return done()
 }
 
-// runFor advances windows while work remains at or before deadline, then
-// clamps the driver clock forward.
-func (p *ParEngine) runFor(deadline VTime) {
-	for {
-		p.mergeStaged()
-		if min(p.minEventTime(), p.driver.q.peekAt()) > deadline || !p.advance() {
-			break
-		}
-	}
-	p.driver.now = max(p.driver.now, deadline)
-	for _, s := range p.shards {
-		s.now = max(s.now, deadline)
-	}
-}
-
 // processedAll sums executed events across the driver and every shard.
 func (p *ParEngine) processedAll() uint64 {
 	n := p.driver.processed

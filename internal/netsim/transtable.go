@@ -31,7 +31,7 @@ type TransTable struct {
 	// instead of routing traffic to a corpse.
 	epoch uint64
 
-	hits, misses, evictions, updates, fenced uint64
+	hits, misses, evictions, updates uint64
 }
 
 type ttEntry struct {
@@ -83,7 +83,6 @@ func (t *TransTable) Lookup(block gas.BlockID) (owner int, ok bool) {
 	}
 	if t.ents[i].epoch < t.epoch {
 		t.remove(i)
-		t.fenced++
 		t.misses++
 		return 0, false
 	}
@@ -185,17 +184,10 @@ func (t *TransTable) Reset() {
 // Len returns the number of resident entries.
 func (t *TransTable) Len() int { return t.n }
 
-// Cap returns the configured capacity (0 = unbounded).
-func (t *TransTable) Cap() int { return t.cap }
-
 // Stats returns cumulative hit/miss/eviction/update counters.
 func (t *TransTable) Stats() (hits, misses, evictions, updates uint64) {
 	return t.hits, t.misses, t.evictions, t.updates
 }
-
-// Fenced returns how many entries were lazily evicted because their
-// install epoch predated the table's trusted epoch.
-func (t *TransTable) Fenced() uint64 { return t.fenced }
 
 // HitRate returns hits/(hits+misses), or 0 if no lookups happened.
 func (t *TransTable) HitRate() float64 {

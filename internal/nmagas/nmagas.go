@@ -47,9 +47,10 @@ type Transport interface {
 	Ranks() int
 	// Send injects m at rank from's NIC.
 	Send(from int, m *netsim.Message)
-	// State runs fn on the part of rank's NIC translation state that
-	// covers block, under the engine's exclusion.
-	State(rank int, block gas.BlockID, fn func(*netsim.TransState))
+	// State runs fn on rank's NIC translation state, under the engine's
+	// exclusion: the rank's event context on the simulated fabric, the
+	// NIC's mutex on the goroutine transport.
+	State(rank int, fn func(*netsim.TransState))
 	// Defer runs fn on rank's own timeline once the caller's step is
 	// done and before time advances (at once where there is no clock).
 	Defer(rank int, fn func())
@@ -110,7 +111,7 @@ func (m *Mirror) TombstoneAtOldOwner(old int, block gas.BlockID, owner int) {
 
 func (m *Mirror) install(rank int, block gas.BlockID, owner int) {
 	m.installs.Add(1)
-	m.net.State(rank, block, func(st *netsim.TransState) { st.InstallRoute(block, owner) })
+	m.net.State(rank, func(st *netsim.TransState) { st.InstallRoute(block, owner) })
 }
 
 // ClearResident removes stale routes at the *new* owner: once the block
@@ -118,7 +119,7 @@ func (m *Mirror) install(rank int, block gas.BlockID, owner int) {
 // elsewhere (left over if the block bounced through this locality
 // before).
 func (m *Mirror) ClearResident(owner int, block gas.BlockID) {
-	m.net.State(owner, block, func(st *netsim.TransState) { st.ClearResident(block) })
+	m.net.State(owner, func(st *netsim.TransState) { st.ClearResident(block) })
 }
 
 // Drop removes all NIC state for block everywhere (used by free). It is a

@@ -148,9 +148,11 @@ func TestReliableAllocationPins(t *testing.T) {
 // TestGoEngineBlockingOpAllocationPins pins the goroutine engine's
 // blocking one-sided round trips at zero: wire buffers are pooled in both
 // directions, the waiter (completion channel included) is pooled, the
-// request is laid out before issue with no closure, and the owner's
-// pending-ack entry outlives its flush. At a ~1 µs round trip one more
-// allocation per op is a measurable tax no functional test would see.
+// request is laid out before issue with no closure, and each put's ack
+// is a pooled message. The pipelined row issues a window of
+// Proc.PutAsync calls with one shared callback, then waits for the
+// window's acks. At a ~1 µs round trip one more allocation per op is a
+// measurable tax no functional test would see.
 func TestGoEngineBlockingOpAllocationPins(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
 	w.Start()
@@ -165,6 +167,17 @@ func TestGoEngineBlockingOpAllocationPins(t *testing.T) {
 		psegs[i] = PutSeg{Off: uint32(i * 512), Data: frag}
 		gsegs[i] = GetSeg{Off: uint32(i * 512), N: 64}
 	}
+	const window = 16
+	acks := make(chan struct{}, window)
+	ack := func() { acks <- struct{}{} }
+	pipelined := func() {
+		for i := 0; i < window; i++ {
+			p.PutAsync(g, frag, ack)
+		}
+		for i := 0; i < window; i++ {
+			<-acks
+		}
+	}
 	pins := []struct {
 		name string
 		max  float64
@@ -174,6 +187,7 @@ func TestGoEngineBlockingOpAllocationPins(t *testing.T) {
 		{"GetWaitInto", 0, func() { p.GetWaitInto(g, frag) }},
 		{"PutVecWait", 0, func() { p.PutVecWait(g, psegs) }},
 		{"GetVecWaitInto", 0, func() { p.GetVecWaitInto(g, gsegs, buf) }},
+		{"PutAsync pipelined", 0, pipelined},
 	}
 	for _, pin := range pins {
 		for i := 0; i < 64; i++ { // fill the message and wire-buffer pools

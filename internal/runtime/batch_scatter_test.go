@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"nmvgas/internal/gas"
@@ -268,28 +269,41 @@ func TestVecOpsFollowMigration(t *testing.T) {
 	}
 }
 
-// TestPipelinedPutAckCoalescing floods one owner with pipelined puts
-// from the driver on the goroutine engine: completions ride coalesced
-// ack vectors and every single one must fire.
-func TestPipelinedPutAckCoalescing(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
-	w.Start()
-	lay, err := w.AllocLocal(1, 4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := lay.BlockAt(0)
-	p := w.Proc(0)
-	const n = 500
-	done := make(chan struct{}, n)
-	buf := []byte("payload!")
-	for i := 0; i < n; i++ {
-		p.PutAsync(g, buf, func() { done <- struct{}{} })
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	if got := p.GetWait(g, 8); string(got) != "payload!" {
-		t.Fatalf("data after %d pipelined puts: %q", n, got)
+// TestPipelinedPutsCompleteOnce floods one owner with pipelined puts
+// from the driver and counts completions, one kPutAck each: every put
+// has completed by the time a blocking get queued behind them returns,
+// and none completes again once the world is quiet.
+func TestPipelinedPutsCompleteOnce(t *testing.T) {
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: eng})
+			w.Start()
+			lay, err := w.AllocLocal(1, 4096, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, p := lay.BlockAt(0), w.Proc(0)
+			const n = 500
+			var acked atomic.Int64
+			for i := 0; i < n; i++ {
+				p.PutAsync(g, []byte("payload!"), func() { acked.Add(1) })
+			}
+			got := make([]byte, 8)
+			p.GetWaitInto(g, got)
+			if string(got) != "payload!" {
+				t.Fatalf("data after %d pipelined puts: %q", n, got)
+			}
+			if c := acked.Load(); c != n {
+				t.Fatalf("%d of %d puts completed before the get behind them", c, n)
+			}
+			if eng == EngineDES {
+				w.Drain()
+			} else {
+				w.Stop()
+			}
+			if c := acked.Load(); c != n {
+				t.Fatalf("%d completions for %d puts", c, n)
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // peekNICTable reads rank's evictable NIC table without touching recency.
 func peekNICTable(w *World, rank int, b gas.BlockID) (owner int, ok bool) {
-	w.net.State(rank, b, func(st *netsim.TransState) { owner, ok = st.Table.Peek(b) })
+	w.net.State(rank, func(st *netsim.TransState) { owner, ok = st.Table.Peek(b) })
 	return owner, ok
 }
 
@@ -145,7 +145,7 @@ func TestChanNetForwardsInPlaceAndPushesARealUpdate(t *testing.T) {
 	var traced []TraceEvent
 	w.SetTracer(func(e TraceEvent) { traced = append(traced, e) })
 	const b = gas.BlockID(999)
-	w.net.State(1, b, func(st *netsim.TransState) { st.InstallRoute(b, 3) })
+	w.net.State(1, func(st *netsim.TransState) { st.InstallRoute(b, 3) })
 	w.mem.epoch.Store(4)
 	w.bumpEpoch(4)
 
@@ -196,7 +196,7 @@ func TestChanNetReadRouteForwardIsTracedAndInPlace(t *testing.T) {
 	var traced []TraceEvent
 	w.SetTracer(func(e TraceEvent) { traced = append(traced, e) })
 	const b = gas.BlockID(999)
-	w.net.State(1, b, func(st *netsim.TransState) {
+	w.net.State(1, func(st *netsim.TransState) {
 		st.InstallRoute(b, 0)
 		st.InstallReadRoute(b, 3)
 	})

@@ -112,8 +112,9 @@ type goExec struct {
 	wg      sync.WaitGroup
 
 	// inline lets waited messages drain an idle mailbox on the delivering
-	// goroutine (set where ack coalescing applies); inlined counts those
-	// drains, for tests (read under mu).
+	// goroutine (set where payloads ride pooled wire buffers: no
+	// reliability layer, no fault injector); inlined counts those drains,
+	// for tests (read under mu).
 	inline  bool
 	inlined int
 
@@ -122,11 +123,6 @@ type goExec struct {
 	// (chanNet.arrive), onStep every host-side step (Locality.handleMsg).
 	onMsg  func(*netsim.Message)
 	onStep func(msgOp, *netsim.Message)
-
-	// onDrain, when set, runs after every claimed batch of tasks — before
-	// the loop can block on an empty mailbox — so per-drain accumulations
-	// (coalesced put acks) always flush promptly.
-	onDrain func()
 }
 
 func newGoExec() *goExec {
@@ -165,7 +161,7 @@ func (e *goExec) push(t task) {
 }
 
 // turn runs one batch for the token holder, claimed under e.mu (held on
-// entry and return) and run outside it, then onDrain; it frees the token.
+// entry and return) and run outside it; it frees the token.
 func (e *goExec) turn(batch *[execBatch]task) {
 	k := min(e.n, execBatch)
 	mask := len(e.ring) - 1
@@ -188,9 +184,6 @@ func (e *goExec) turn(batch *[execBatch]task) {
 			e.onStep(t.op, t.m)
 		}
 		*t = task{}
-	}
-	if e.onDrain != nil {
-		e.onDrain()
 	}
 	e.mu.Lock()
 	e.running = false

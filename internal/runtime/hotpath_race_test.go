@@ -1,17 +1,19 @@
 package runtime
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
 )
 
-// Race coverage for the hot-path concurrency surface: the sharded
-// goNIC translation state is read by many sender goroutines while
+// Race coverage for the hot-path concurrency surface: each goNIC's
+// translation state is read by many sender goroutines while
 // migrations rewrite it, and goExec's ring buffer is stopped while producers still push.
 // These tests exist to fail under -race (the CI test job runs the whole
 // package with -race); without it they are cheap smoke tests.
@@ -51,9 +53,19 @@ func TestAllocPublishesCompleteBlocks(t *testing.T) {
 
 // TestGoNICStateConcurrentChurn hammers translation lookups and route
 // reads from many goroutines while migration churn and user actions on
-// the locality actors rewrite routes and tables underneath them.
+// the locality actors rewrite routes and tables underneath them. The
+// bounded row keeps the table at capacity, so LRU eviction under the
+// NIC's one lock races the route readers too.
 func TestGoNICStateConcurrentChurn(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo})
+	for _, tableCap := range []int{0, 4} {
+		t.Run(fmt.Sprintf("cap=%d", tableCap), func(t *testing.T) {
+			goNICStateChurn(t, tableCap)
+		})
+	}
+}
+
+func goNICStateChurn(t *testing.T, tableCap int) {
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, NICTableCap: tableCap})
 	bump := w.Register("bump", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
 	lay, err := w.AllocLocal(1, 64, 8)
@@ -81,7 +93,7 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 				r, st := (g+i)%4, cn.nics[(g+i)%4]
 				b := lay.BlockAt(uint32(i % 8)).Block()
 				resolve := func(b gas.BlockID) {
-					w.net.State(r, b, func(ts *netsim.TransState) {
+					w.net.State(r, func(ts *netsim.TransState) {
 						ts.Resolve(&netsim.Message{Dst: netsim.ByGVA, Block: b, Target: gas.New(1, b, 0)})
 					})
 				}
@@ -101,8 +113,8 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				b := scratch.BlockAt(uint32(i % 8)).Block()
-				w.net.State((g+i)%4, b, func(ts *netsim.TransState) { ts.Table.Update(b, i%4) })
-				w.net.State((g+i+1)%4, b, func(ts *netsim.TransState) { ts.InstallRoute(b, i%4) })
+				w.net.State((g+i)%4, func(ts *netsim.TransState) { ts.Table.Update(b, i%4) })
+				w.net.State((g+i+1)%4, func(ts *netsim.TransState) { ts.InstallRoute(b, i%4) })
 				if i%7 == 0 {
 					w.mirror.ClearResident(i%4, b)
 				}
@@ -121,6 +133,16 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestGoNICFillsWholeCacheLines holds goNIC's pad to its purpose: a
+// field added or removed must resize the pad, or neighbouring NICs share
+// a cache line again.
+func TestGoNICFillsWholeCacheLines(t *testing.T) {
+	var n goNIC
+	if s := unsafe.Sizeof(n); unsafe.Sizeof(uintptr(0)) == 8 && s%64 != 0 {
+		t.Fatalf("goNIC is %d B, not a whole number of 64 B lines: resize its pad", s)
+	}
 }
 
 // TestGoExecStopWhileExec races stop() against concurrent producers on
@@ -268,8 +290,7 @@ func TestBatchScatterRacesMigration(t *testing.T) {
 
 // TestPipelinedPutsRaceActor pipelines puts from several driver
 // goroutines at once — the inline PutAsync issue path races itself and
-// the destination actor's DMA/ack machinery, including coalesced ack
-// vectors.
+// the destination actor's DMA/ack machinery.
 func TestPipelinedPutsRaceActor(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
 	w.Start()

@@ -340,6 +340,6 @@ func (w *World) QueueDepths() []int {
 // (0 for address spaces without NIC translation).
 func (w *World) NICTableLen(r int) int {
 	n := 0
-	w.net.EachState(r, func(st *netsim.TransState) { n += st.Table.Len() })
+	w.net.State(r, func(st *netsim.TransState) { n += st.Table.Len() })
 	return n
 }

@@ -32,10 +32,6 @@ const (
 	// many fragments of one block (see rma.go) and costs one ack/reply.
 	kPutVec
 	kGetVec
-	// kPutAckVec acknowledges many puts at once: its payload is a list of
-	// completed OpIDs, accumulated per source and flushed when the owner's
-	// mailbox drains (goroutine engine, unreliable worlds only).
-	kPutAckVec
 	// Coherence protocol for live read replicas (see replicate.go). All
 	// four are rank-addressed (null Target, Block set) except kReplFill,
 	// which chases the master through ordinary ownership routing.
@@ -145,12 +141,6 @@ type Locality struct {
 	// replicate.go).
 	replicas map[gas.BlockID]*replHolder
 
-	// ackPend accumulates put-ack OpIDs per requester rank between mailbox
-	// drains (goroutine engine, unreliable worlds; see flushAcks). Only
-	// touched by the locality's token holder, so it needs no lock.
-	ackPend map[int]*pendAcks
-	ackSrcs []int // ranks with pending acks, in arrival order
-
 	// coal batches outgoing parcels when coalescing is configured.
 	coal *coalescer
 
@@ -185,12 +175,11 @@ func (l *Locality) newOpID() uint64 {
 
 func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 	l := &Locality{
-		w:       w,
-		rank:    rank,
-		store:   gas.NewStore(),
-		moving:  make(map[gas.BlockID]*moveState),
-		ops:     make(map[uint64]opState),
-		ackPend: make(map[int]*pendAcks),
+		w:      w,
+		rank:   rank,
+		store:  gas.NewStore(),
+		moving: make(map[gas.BlockID]*moveState),
+		ops:    make(map[uint64]opState),
 	}
 	l.proc = Proc{l: l}
 	l.ctx.l = l
@@ -419,8 +408,6 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 			l.completeOp(m.OpID, nil)
 		}
 		m.Release()
-	case kPutAckVec:
-		l.onPutAckVec(m)
 	case kGetRep:
 		if l.relAccept(m) {
 			// completeOp may retain the payload slice (unless it is pooled,
@@ -576,7 +563,7 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 	l.latNackRepair(orig.OpID)
 	if m.Owner >= 0 {
 		l.exec.Charge(l.w.cfg.Model.NICUpdate)
-		l.w.net.State(l.rank, m.Block, func(st *netsim.TransState) { st.Table.Update(m.Block, m.Owner) })
+		l.w.net.State(l.rank, func(st *netsim.TransState) { st.Table.Update(m.Block, m.Owner) })
 	}
 	// Resend a copy: a duplicated NACK can deliver twice, and both
 	// resends must not alias one Message crossing the fabric twice. The

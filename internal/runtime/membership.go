@@ -743,7 +743,7 @@ func (mem *membership) rebirth(l *Locality) {
 	l.relRebirth()
 
 	// NIC rebirth: empty translation state.
-	w.net.EachState(rank, (*netsim.TransState).Reset)
+	w.net.State(rank, (*netsim.TransState).Reset)
 
 	// Catch-up sync, part 1: reclaim directory authority for blocks
 	// homed here that survived on other ranks (the recovery overlay
@@ -800,7 +800,7 @@ func (mem *membership) rebirth(l *Locality) {
 func (w *World) bumpEpoch(epoch uint64) {
 	bump := func(st *netsim.TransState) { st.Table.BumpEpoch(epoch) }
 	for r := range w.locs {
-		w.net.EachState(r, bump)
+		w.net.State(r, bump)
 	}
 }
 

@@ -18,19 +18,17 @@ import (
 type network interface {
 	// Transport is the part the directory→NIC mirror uses too: Send
 	// (inject m at rank from's NIC; host injection overheads are already
-	// charged), State (run fn on the piece of rank's translation state
-	// that covers a block), Ranks and Defer.
+	// charged), State (run fn on rank's translation state), Ranks and
+	// Defer.
 	nmagas.Transport
-	// EachState runs fn on every piece of rank's translation state.
-	EachState(rank int, fn func(*netsim.TransState))
 	// Stats snapshots rank's NIC counters.
 	Stats(rank int) netsim.NICStats
 }
 
 // chanNet is the goroutine engine's driver of the NIC protocol core:
 // messages hop between locality actors directly, and it owns only what
-// is this engine's — lock shards around the shared translation-state
-// type, atomically bumped counters, wall-clock fault delays and mailbox
+// is this engine's — one lock around each NIC's translation state,
+// atomically bumped counters, wall-clock fault delays and mailbox
 // hand-off. Of the per-message counters it keeps the ones something
 // reads — Sent and BytesTx (WorldStats.NetSent/NetBytes), DMADelivered,
 // the fault counts — and leaves Received, BytesRx and HostDelivered to
@@ -42,55 +40,46 @@ type chanNet struct {
 	execs []*goExec // per-rank actors, for typed (closure-free) delivery
 }
 
-// nicShards is the shard count for an unbounded translation table. A
-// bounded table (NICTableCap > 0) collapses to one shard so the LRU
-// capacity stays a single global budget, exactly as on the DES NIC.
-const nicShards = 8
-
-// goNIC is one rank's NIC: the core's configuration plus translation
-// state sharded by block, so concurrent senders resolving different
-// blocks stop serializing on one mutex.
+// goNIC is one rank's NIC: the core's configuration plus one translation
+// state, as on the DES NIC, behind one mutex. A locality runs one
+// handler at a time, so the lock is contended only by the rank's token
+// holder, a driver issuing inline (Proc.PutAsync, Proc.await) and rare
+// cross-rank writers (mirror installs, bumpEpoch, rebirth). The state is
+// a named field, not embedded, so no TransState method is reachable
+// without mu.
 type goNIC struct {
 	netsim.NICCore
-	shards []nicShard
-	mask   uint64
+	mu    sync.Mutex
+	trans netsim.TransState
 	// stats is only ever touched atomically (count, Send, Stats): sender
 	// goroutines, the rank's actor and stats readers all meet here.
 	stats netsim.NICStats
-}
-
-// nicShard is one lock's worth of translation state. Source translation
-// — the hot path — writes (hit counters, LRU order), so a plain mutex
-// costs it no more than a read lock would and the rare pure readers
-// (misroute, scatter, rescue) share it.
-type nicShard struct {
-	mu sync.Mutex
-	netsim.TransState
-}
-
-// state runs fn on the shard covering b, under its lock.
-func (n *goNIC) state(b gas.BlockID, fn func(*netsim.TransState)) {
-	s := &n.shards[uint64(b)&n.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(&s.TransState)
+	// The pad rounds goNIC up to 256 B, whole cache lines, so every NIC
+	// gets lines of its own: its mutex and counters are written on every
+	// message, and sharing a line with a neighbouring object cost
+	// go_parcels about 5 % of its ops/s (EXPERIMENTS.md W6).
+	_ [40]byte
 }
 
 // ReadRoute and Forward make a goNIC the core's view of its translation
 // state (netsim.Routes), one short lock per lookup — never held across
 // the core's calls into residency or membership.
-func (n *goNIC) ReadRoute(b gas.BlockID) (t int, ok bool) {
-	n.state(b, func(s *netsim.TransState) { t, ok = s.ReadRoute(b) })
-	return t, ok
+func (n *goNIC) ReadRoute(b gas.BlockID) (int, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.trans.ReadRoute(b)
 }
 
-func (n *goNIC) Forward(b gas.BlockID) (o int, ok bool) {
-	n.state(b, func(s *netsim.TransState) { o, ok = s.Forward(b) })
-	return o, ok
+func (n *goNIC) Forward(b gas.BlockID) (int, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.trans.Forward(b)
 }
 
 func (n *goNIC) updateTable(b gas.BlockID, owner int) {
-	n.state(b, func(s *netsim.TransState) { s.Table.Update(b, owner) })
+	n.mu.Lock()
+	n.trans.Table.Update(b, owner)
+	n.mu.Unlock()
 }
 
 // count bumps the counter a verdict names (host deliveries excepted, see
@@ -103,10 +92,6 @@ func (n *goNIC) count(c netsim.Counter) {
 
 func newChanNet(w *World) *chanNet {
 	c := &chanNet{w: w}
-	shards := nicShards
-	if w.cfg.NICTableCap > 0 {
-		shards = 1
-	}
 	for _, l := range w.locs {
 		l := l
 		n := &goNIC{
@@ -114,20 +99,13 @@ func newChanNet(w *World) *chanNet {
 				Rank: l.rank, GVARouting: w.caps.NICTranslation, Policy: w.cfg.Policy,
 				Resident: l.residentForNIC, ResidentRead: l.residentForRead,
 			},
-			shards: make([]nicShard, shards),
-			mask:   uint64(shards - 1),
-		}
-		for i := range n.shards {
-			n.shards[i].TransState = netsim.NewTransState(w.cfg.NICTableCap)
+			trans: netsim.NewTransState(w.cfg.NICTableCap),
 		}
 		c.nics = append(c.nics, n)
 		ex := l.exec.(*goExec)
 		ex.onMsg = func(m *netsim.Message) { c.arrive(l, m) }
 		ex.onStep = l.handleMsg
-		if l.coalesceAcks() {
-			ex.onDrain = l.flushAcks
-			ex.inline = true
-		}
+		ex.inline = l.payloadPoolable()
 		c.execs = append(c.execs, ex)
 	}
 	return c
@@ -135,18 +113,11 @@ func newChanNet(w *World) *chanNet {
 
 func (c *chanNet) Ranks() int { return len(c.nics) }
 
-func (c *chanNet) State(rank int, b gas.BlockID, fn func(*netsim.TransState)) {
-	c.nics[rank].state(b, fn)
-}
-
-func (c *chanNet) EachState(rank int, fn func(*netsim.TransState)) {
+func (c *chanNet) State(rank int, fn func(*netsim.TransState)) {
 	n := c.nics[rank]
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.mu.Lock()
-		fn(&s.TransState)
-		s.mu.Unlock()
-	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	fn(&n.trans)
 }
 
 func (c *chanNet) Stats(rank int) (s netsim.NICStats) {
@@ -180,7 +151,9 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 		if !n.GVARouting {
 			c.w.fail("chanNet: ByGVA send under address space %q", c.w.caps.Name)
 		}
-		n.state(m.Block, func(s *netsim.TransState) { s.Resolve(m) })
+		n.mu.Lock()
+		n.trans.Resolve(m)
+		n.mu.Unlock()
 	}
 	if m.Dst < 0 || m.Dst >= len(c.nics) {
 		c.w.fail("chanNet: send to bad rank %d", m.Dst)
@@ -242,12 +215,13 @@ func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 	if v.Act != netsim.ActDrop {
 		if m.Ctl == netsim.CtlNone && c.w.cfg.Faults.TableLoss > 0 && n.GVARouting {
 			// Soft-error model: arrivals may scribble over one evictable
-			// entry of the shard the block hashes to.
-			n.state(m.Block, func(s *netsim.TransState) {
-				if c.w.faults.MaybeLoseEntry(s.Table) {
-					n.count(netsim.CntTableLost)
-				}
-			})
+			// table entry.
+			n.mu.Lock()
+			lost := c.w.faults.MaybeLoseEntry(n.trans.Table)
+			n.mu.Unlock()
+			if lost {
+				n.count(netsim.CntTableLost)
+			}
 		}
 		if v.Act == netsim.ActMisroute {
 			v = n.Misroute(n, lv, m)
@@ -256,7 +230,7 @@ func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 	n.count(v.Count)
 	switch v.Act {
 	case netsim.ActApplyTable:
-		// Every shard's table trusts the membership epoch (World.bumpEpoch).
+		// The table trusts the membership epoch (World.bumpEpoch).
 		if netsim.ApplyTable(m, c.w.mem.Epoch(), n.updateTable) {
 			n.count(netsim.CntStaleEpochDrops)
 		}

@@ -144,8 +144,8 @@ func TestForwardingLoopDegradesToAbandon(t *testing.T) {
 	})
 	nop := w.Register("noop", func(c *Ctx) {})
 	w.Start()
-	w.net.State(1, 999, func(st *netsim.TransState) { st.InstallRoute(999, 2) })
-	w.net.State(2, 999, func(st *netsim.TransState) { st.InstallRoute(999, 1) })
+	w.net.State(1, func(st *netsim.TransState) { st.InstallRoute(999, 2) })
+	w.net.State(2, func(st *netsim.TransState) { st.InstallRoute(999, 1) })
 	w.Proc(0).Invoke(gas.New(1, 999, 0), nop, nil)
 	w.Drain()
 

@@ -264,7 +264,7 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 			putWireBuf(data)
 		}
 	case !read:
-		l.putAck(src, opID, waited, nic)
+		l.send(l.newPutAck(src, opID, waited), nic)
 	default:
 		rep := netsim.NewMessage()
 		rep.Kind = kGetRep
@@ -357,16 +357,6 @@ func (l *Locality) send(m *netsim.Message, nic bool) {
 	l.inject(m, m.Dst)
 }
 
-// ---------------------------------------------------------------------
-// Put acknowledgements
-
-// coalesceAcks reports whether put acks ride the per-drain vector
-// (flushAcks): the goroutine engine (whose mailbox drain is what flushes
-// the vector) with neither reliability nor fault injection — a dropped or
-// tracked ack-vector would need per-op retransmit state the vector cannot
-// carry.
-func (l *Locality) coalesceAcks() bool { return l.w.eng == nil && l.payloadPoolable() }
-
 // newPutAck builds the kPutAck completing opID at src.
 func (l *Locality) newPutAck(src int, opID uint64, waited bool) *netsim.Message {
 	ack := netsim.NewMessage()
@@ -377,66 +367,4 @@ func (l *Locality) newPutAck(src int, opID uint64, waited bool) *netsim.Message 
 	ack.OpID = opID
 	ack.Waited = waited
 	return ack
-}
-
-// pendAcks is one requester's put completions gathered during a drain.
-// It outlives the flush, so steady state allocates nothing.
-type pendAcks struct {
-	ids    []uint64
-	waited bool
-}
-
-// putAck delivers a put completion to src. When coalescing, the OpID
-// joins src's pending vector, flushed at the end of the drain; otherwise
-// one kPutAck goes out immediately (see send).
-func (l *Locality) putAck(src int, opID uint64, waited, nic bool) {
-	if !l.coalesceAcks() {
-		l.send(l.newPutAck(src, opID, waited), nic)
-		return
-	}
-	p := l.ackPend[src]
-	if p == nil {
-		p = &pendAcks{}
-		l.ackPend[src] = p
-	}
-	if len(p.ids) == 0 {
-		l.ackSrcs = append(l.ackSrcs, src)
-	}
-	p.ids = append(p.ids, opID)
-	p.waited = p.waited || waited
-}
-
-// flushAcks emits the put acks coalesced during the current drain: one
-// message per requester, carrying every completed OpID, Waited if any of
-// them is. As goExec.onDrain it runs on the token holder (ackPend needs
-// no lock) before the token is handed back, so no ack is stranded.
-func (l *Locality) flushAcks() {
-	for _, src := range l.ackSrcs {
-		p := l.ackPend[src]
-		ack := l.newPutAck(src, p.ids[0], p.waited)
-		if len(p.ids) > 1 {
-			buf, pooled := wireBuf(true, 8*len(p.ids))
-			for _, id := range p.ids {
-				buf = binary.LittleEndian.AppendUint64(buf, id)
-			}
-			ack.Kind = kPutAckVec
-			ack.OpID = 0
-			ack.Payload = buf
-			ack.PayloadPooled = pooled
-			ack.Wire = 32 + len(buf)
-		}
-		p.ids, p.waited = p.ids[:0], false
-		l.nicInject(ack)
-	}
-	l.ackSrcs = l.ackSrcs[:0]
-}
-
-// onPutAckVec completes every op named in a kPutAckVec payload.
-func (l *Locality) onPutAckVec(m *netsim.Message) {
-	p := m.Payload
-	for off := 0; off+8 <= len(p); off += 8 {
-		l.completeOp(binary.LittleEndian.Uint64(p[off:]), nil)
-	}
-	l.releasePayload(m)
-	m.Release()
 }

@@ -74,7 +74,7 @@ func (s *nmSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 func (s *nmSpace) rescueTarget(b gas.BlockID, home int) (int, bool) {
 	l := s.l
 	owner, ok := 0, false
-	l.w.net.State(l.rank, b, func(st *netsim.TransState) { owner, ok = st.Route(b) })
+	l.w.net.State(l.rank, func(st *netsim.TransState) { owner, ok = st.Route(b) })
 	if ok && owner != l.rank {
 		return owner, true
 	}
@@ -95,7 +95,7 @@ func (s *nmSpace) BeginMigrate(b gas.BlockID) {
 	// block is pinned, so it queues rather than bouncing.
 	l := s.l
 	l.exec.Charge(l.w.cfg.Model.NICUpdate)
-	l.w.net.State(l.rank, b, func(st *netsim.TransState) { st.InstallRoute(b, l.rank) })
+	l.w.net.State(l.rank, func(st *netsim.TransState) { st.InstallRoute(b, l.rank) })
 }
 
 func (s *nmSpace) InstallMigrated(b gas.BlockID) {
@@ -152,11 +152,11 @@ func (s *nmSpace) InstallReplicas(b gas.BlockID, master int, holders []int) {
 		}
 	}
 	target := l.w.readTarget(r, master, holders)
-	l.w.net.State(r, b, func(st *netsim.TransState) { st.InstallReadRoute(b, target) })
+	l.w.net.State(r, func(st *netsim.TransState) { st.InstallReadRoute(b, target) })
 }
 
 func (s *nmSpace) DropReplicas(b gas.BlockID) {
-	s.l.w.net.State(s.l.rank, b, func(st *netsim.TransState) { st.DropReadRoute(b) })
+	s.l.w.net.State(s.l.rank, func(st *netsim.TransState) { st.DropReadRoute(b) })
 }
 
 // ReadRoute is a no-op: read steering happens in the NIC, not in host

@@ -5,9 +5,41 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 
+	"nmvgas/internal/gas"
 	"nmvgas/internal/parcel"
 )
+
+// TestPGASTranslateIsTheHome: under pgas an address's owner is its
+// encoded home, whatever the block and offset.
+func TestPGASTranslateIsTheHome(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 4, Mode: PGAS, Engine: EngineDES})
+	s := w.Locality(1).space
+	f := func(homeRaw uint8, block, off uint32) bool {
+		home := int(homeRaw % 4)
+		return s.Translate(gas.New(home, gas.BlockID(block), off&(gas.MaxBlockSize-1))) == home
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPGASTranslateRejectsOutOfWorld: an address whose home lies outside
+// the world fails the world; the last in-world rank still translates.
+func TestPGASTranslateRejectsOutOfWorld(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 4, Mode: PGAS, Engine: EngineDES})
+	s := w.Locality(1).space
+	if got := s.Translate(gas.New(3, 1, 0)); got != 3 {
+		t.Fatalf("in-world address translated to %d, want 3", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("translating an address homed outside the world did not fail")
+		}
+	}()
+	s.Translate(gas.New(4, 1, 0))
+}
 
 func TestParseModeRoundTrip(t *testing.T) {
 	tests := []struct {

@@ -5,13 +5,15 @@ import (
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
-	"nmvgas/internal/pgas"
 )
 
-// pgasSpace is the static-translation baseline: ownership is a pure
-// function of the address (wrapping pgas.Resolver), so there is no
-// translation state to maintain, nothing can be stale, and blocks never
-// move.
+// pgasSpace is the static-translation baseline: the classical
+// partitioned global address space in which an address's owner is a
+// pure function of the address — its encoded home. Translation is
+// arithmetic (no table, no directory, no network state), which makes it
+// the latency floor every AGAS design is measured against. The price is
+// rigidity: blocks can never move, so data locality can only be chosen
+// once, at allocation, and nothing can be stale.
 
 var pgasCaps = Caps{Name: "pgas", Replication: true}
 
@@ -22,7 +24,6 @@ func pgasBuilder() spaceBuilder {
 		newLocal: func(l *Locality) AddressSpace {
 			return &pgasSpace{
 				l:      l,
-				res:    pgas.NewResolver(l.w.cfg.Ranks),
 				dir:    agas.NewDirectory(),
 				routes: agas.NewReplicaRoutes(),
 			}
@@ -31,8 +32,7 @@ func pgasBuilder() spaceBuilder {
 }
 
 type pgasSpace struct {
-	l   *Locality
-	res *pgas.Resolver
+	l *Locality
 	// dir holds no ownership entries (ownership is static) — it exists
 	// purely as the owner-side replica directory.
 	dir *agas.Directory
@@ -45,15 +45,15 @@ type pgasSpace struct {
 func (s *pgasSpace) Caps() Caps { return pgasCaps }
 
 func (s *pgasSpace) Translate(g gas.GVA) int {
-	o, err := s.res.Owner(g)
-	if err != nil {
-		s.l.w.fail("rank %d (pgas): translate %v: %v", s.l.rank, g, err)
+	h := g.Home()
+	if h >= s.l.w.cfg.Ranks {
+		s.l.w.fail("rank %d (pgas): translate %v: %v", s.l.rank, g, gas.ErrBadAddress)
 	}
 	// Static translation has no directory to re-resolve through, so the
 	// membership overlay is the only escape from a dead owner: promoted
 	// replicas of blocks whose home died are reached through it (armed
 	// worlds only; one atomic load otherwise).
-	return s.l.w.mem.redirect(g.Block(), o, g.Home())
+	return s.l.w.mem.redirect(g.Block(), h, h)
 }
 
 func (s *pgasSpace) OwnerHint(b gas.BlockID, home int) int { return home }
@@ -76,7 +76,7 @@ func (s *pgasSpace) LearnOwner(gas.BlockID, int) {}
 
 // The migration hooks are unreachable: migrateReq refuses before
 // pinning because Caps().Migration is false. Reaching one is a protocol
-// bug, reported with the package's canonical error.
+// bug.
 func (s *pgasSpace) BeginMigrate(b gas.BlockID)         { s.noMigration(b) }
 func (s *pgasSpace) InstallMigrated(b gas.BlockID)      { s.noMigration(b) }
 func (s *pgasSpace) CommitMigrate(b gas.BlockID, _ int) { s.noMigration(b) }
@@ -84,7 +84,7 @@ func (s *pgasSpace) FinishMigrate(b gas.BlockID, _ int) { s.noMigration(b) }
 func (s *pgasSpace) AbortMigrate(b gas.BlockID)         { s.noMigration(b) }
 
 func (s *pgasSpace) noMigration(b gas.BlockID) {
-	s.l.w.fail("rank %d: migration hook for block %d: %v", s.l.rank, b, pgas.ErrNoMigration)
+	s.l.w.fail("rank %d: migration hook for block %d: pgas: static addressing cannot migrate blocks", s.l.rank, b)
 }
 
 func (s *pgasSpace) HomeOwner(gas.BlockID) int { return s.l.rank }
