@@ -29,9 +29,10 @@ func f15Latency(o Options) *stats.Table {
 	}
 	for _, sp := range o.sweep() {
 		lat := latencyChurnRun(o, sp, ops, nmig)
-		tb.AddRow(sp.Caps.Name, lat.ParcelExec.Count,
-			lat.ParcelExec.P50Ns, lat.ParcelExec.P95Ns, lat.ParcelExec.P99Ns,
-			lat.PutDone.P99Ns, lat.GetDone.P99Ns, lat.MigTotal.P50Ns)
+		pe := lat.Path[runtime.LatParcelExec]
+		tb.AddRow(sp.Caps.Name, pe.Count, pe.P50Ns, pe.P95Ns, pe.P99Ns,
+			lat.Path[runtime.LatPutDone].P99Ns, lat.Path[runtime.LatGetDone].P99Ns,
+			lat.Path[runtime.LatMigTotal].P50Ns)
 	}
 	return tb
 }

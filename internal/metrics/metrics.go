@@ -1,5 +1,5 @@
 // Package metrics is the runtime's export layer: a small dependency-free
-// registry of counters, gauges, histograms, and percentile summaries
+// registry of counters, gauges and percentile summaries
 // with labels (mode/engine/rank), encoders for the Prometheus text
 // exposition format and a JSON snapshot, a periodic sampler producing
 // throughput/queue-depth/NIC-table time series, and an optional net/http
@@ -25,10 +25,9 @@ import (
 type Kind string
 
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
-	KindSummary   Kind = "summary"
+	KindCounter Kind = "counter"
+	KindGauge   Kind = "gauge"
+	KindSummary Kind = "summary"
 )
 
 // Label is one name=value dimension on a series.
@@ -65,29 +64,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket distribution (Prometheus histogram
-// semantics: cumulative buckets, +Inf implied).
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // one per bound, plus +Inf at the end
-	count  atomic.Int64
-	sumMu  sync.Mutex
-	sum    float64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumMu.Lock()
-	h.sum += v
-	h.sumMu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Summary publishes externally computed quantiles (the runtime's
 // stats.Histogram already knows its percentiles; a Summary mirrors them
 // into the export layer without re-binning).
@@ -110,14 +86,12 @@ type series struct {
 	labels []Label
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 	s      *Summary
 }
 
 type family struct {
 	name, help string
 	kind       Kind
-	bounds     []float64 // histogram families only
 	mu         sync.Mutex
 	series     []*series
 	byKey      map[string]*series
@@ -136,7 +110,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-func (r *Registry) family(name, help string, kind Kind, bounds []float64) *family {
+func (r *Registry) family(name, help string, kind Kind) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
@@ -145,7 +119,7 @@ func (r *Registry) family(name, help string, kind Kind, bounds []float64) *famil
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind, bounds: bounds, byKey: make(map[string]*series)}
+	f := &family{name: name, help: help, kind: kind, byKey: make(map[string]*series)}
 	r.families = append(r.families, f)
 	r.byName[name] = f
 	return f
@@ -175,8 +149,6 @@ func (f *family) get(labels []Label) *series {
 		s.c = &Counter{}
 	case KindGauge:
 		s.g = &Gauge{}
-	case KindHistogram:
-		s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
 	case KindSummary:
 		s.s = &Summary{}
 	}
@@ -187,27 +159,18 @@ func (f *family) get(labels []Label) *series {
 
 // Counter returns (creating on first use) the counter series name{labels}.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.family(name, help, KindCounter, nil).get(labels).c
+	return r.family(name, help, KindCounter).get(labels).c
 }
 
 // Gauge returns (creating on first use) the gauge series name{labels}.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.family(name, help, KindGauge, nil).get(labels).g
-}
-
-// Histogram returns (creating on first use) the histogram series
-// name{labels} with the given bucket upper bounds (ascending; +Inf is
-// implicit). Bounds are fixed by the first registration of the family.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return r.family(name, help, KindHistogram, bs).get(labels).h
+	return r.family(name, help, KindGauge).get(labels).g
 }
 
 // Summary returns (creating on first use) the summary series
 // name{labels}; quantile values are pushed via Summary.Set.
 func (r *Registry) Summary(name, help string, labels ...Label) *Summary {
-	return r.family(name, help, KindSummary, nil).get(labels).s
+	return r.family(name, help, KindSummary).get(labels).s
 }
 
 // ---------------------------------------------------------------------
@@ -271,27 +234,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				b.WriteString(f.name)
 				writeLabels(&b, s.labels)
 				fmt.Fprintf(&b, " %s\n", fmtFloat(s.g.Value()))
-			case KindHistogram:
-				cum := int64(0)
-				for i, bound := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					b.WriteString(f.name + "_bucket")
-					writeLabels(&b, s.labels, L("le", fmtFloat(bound)))
-					fmt.Fprintf(&b, " %d\n", cum)
-				}
-				cum += s.h.counts[len(s.h.bounds)].Load()
-				b.WriteString(f.name + "_bucket")
-				writeLabels(&b, s.labels, L("le", "+Inf"))
-				fmt.Fprintf(&b, " %d\n", cum)
-				s.h.sumMu.Lock()
-				sum := s.h.sum
-				s.h.sumMu.Unlock()
-				fmt.Fprintf(&b, "%s_sum", f.name)
-				writeLabels(&b, s.labels)
-				fmt.Fprintf(&b, " %s\n", fmtFloat(sum))
-				fmt.Fprintf(&b, "%s_count", f.name)
-				writeLabels(&b, s.labels)
-				fmt.Fprintf(&b, " %d\n", s.h.Count())
 			case KindSummary:
 				s.s.mu.Lock()
 				count, sum := s.s.count, s.s.sum
@@ -328,7 +270,6 @@ type SeriesSnapshot struct {
 	Value     *float64           `json:"value,omitempty"`
 	Count     *int64             `json:"count,omitempty"`
 	Sum       *float64           `json:"sum,omitempty"`
-	Buckets   map[string]int64   `json:"buckets,omitempty"`
 	Quantiles map[string]float64 `json:"quantiles,omitempty"`
 }
 
@@ -368,20 +309,6 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			case KindGauge:
 				v := s.g.Value()
 				snap.Value = &v
-			case KindHistogram:
-				n := s.h.Count()
-				s.h.sumMu.Lock()
-				sum := s.h.sum
-				s.h.sumMu.Unlock()
-				snap.Count, snap.Sum = &n, &sum
-				snap.Buckets = make(map[string]int64, len(s.h.bounds)+1)
-				cum := int64(0)
-				for i, bound := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					snap.Buckets[fmtFloat(bound)] = cum
-				}
-				cum += s.h.counts[len(s.h.bounds)].Load()
-				snap.Buckets["+Inf"] = cum
 			case KindSummary:
 				s.s.mu.Lock()
 				n, sum := s.s.count, s.s.sum

@@ -34,17 +34,11 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Fatalf("gauge = %v", g.Value())
 	}
 
-	h := r.Histogram("lat", "latency", []float64{10, 100, 1000})
-	for _, v := range []float64{5, 50, 500, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("histogram count = %d", h.Count())
-	}
-
 	s := r.Summary("pct", "percentiles")
 	s.Set(3, 60, map[float64]float64{0.5: 10, 0.99: 40})
-	_ = s
+	if again := r.Summary("pct", "percentiles"); again != s {
+		t.Fatal("same summary name returned a different series")
+	}
 }
 
 func TestKindMismatchPanics(t *testing.T) {
@@ -62,7 +56,7 @@ func TestPrometheusExportValidates(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "a counter", L("mode", "pgas"), L("engine", "des")).Set(12)
 	r.Gauge("b", "a gauge").Set(math.Inf(1))
-	r.Histogram("c_ns", "a histogram", []float64{1, 10}, L("rank", "0")).Observe(3)
+	r.Summary("c_ns", "a rank summary", L("rank", "0")).Set(1, 3, map[float64]float64{0.99: 3})
 	r.Summary("d_ns", "a summary", L("path", "put")).Set(2, 8, map[float64]float64{0.5: 4})
 
 	var buf bytes.Buffer
@@ -74,7 +68,7 @@ func TestPrometheusExportValidates(t *testing.T) {
 		`a_total{mode="pgas",engine="des"} 12`,
 		"# TYPE a_total counter",
 		"b +Inf",
-		`c_ns_bucket{rank="0",le="+Inf"} 1`,
+		`c_ns{rank="0",quantile="0.99"} 3`,
 		`c_ns_count{rank="0"} 1`,
 		`d_ns{path="put",quantile="0.5"} 4`,
 		`d_ns_count{path="put"} 2`,
@@ -110,7 +104,7 @@ func TestValidatePrometheusRejectsGarbage(t *testing.T) {
 func TestJSONSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", "hits").Set(3)
-	r.Histogram("h", "", []float64{1}).Observe(0.5)
+	r.Summary("h", "").Set(1, 0.5, map[float64]float64{0.5: 0.5})
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -131,8 +125,8 @@ func TestJSONSnapshot(t *testing.T) {
 	if v := byName["hits_total"].Series[0].Value; v == nil || *v != 3 {
 		t.Fatalf("counter snapshot = %v", v)
 	}
-	if b := byName["h"].Series[0].Buckets; b["1"] != 1 || b["+Inf"] != 1 {
-		t.Fatalf("histogram buckets = %v", b)
+	if h := byName["h"].Series[0]; h.Count == nil || *h.Count != 1 || h.Quantiles["0.5"] != 0.5 {
+		t.Fatalf("summary snapshot = %+v", h)
 	}
 }
 
@@ -194,11 +188,11 @@ func TestPublishWorld(t *testing.T) {
 	if s.Migrations != 1 {
 		t.Fatalf("world ran %d migrations, want 1", s.Migrations)
 	}
-	if !s.Latencies.Enabled || s.Latencies.ParcelExec.Count == 0 {
+	if !s.Latencies.Enabled || s.Latencies.Path[runtime.LatParcelExec].Count == 0 {
 		t.Fatalf("latency histograms empty with Metrics on: %+v", s.Latencies)
 	}
-	if s.Latencies.MigTotal.Count != 1 {
-		t.Fatalf("mig_total count = %d, want 1", s.Latencies.MigTotal.Count)
+	if n := s.Latencies.Path[runtime.LatMigTotal].Count; n != 1 {
+		t.Fatalf("mig_total count = %d, want 1", n)
 	}
 }
 

@@ -26,14 +26,7 @@ type WorldPublisher struct {
 	rankDeadNacks []*Gauge
 	rankHeat      []*Gauge
 
-	lat map[string]*Summary
-}
-
-// latPaths orders the latency summary labels stably.
-var latPaths = []string{
-	"parcel_exec", "put", "get", "nack_repair", "coalesce_flush",
-	"mig_transfer", "mig_update", "mig_drain", "mig_total",
-	"repl_inval", "repl_update", "repl_fill",
+	lat []*Summary // one per runtime.LatPath when cfg.Metrics
 }
 
 // PublishWorld registers w's metric series (labelled with mode and
@@ -47,7 +40,6 @@ func PublishWorld(reg *Registry, w *runtime.World) *WorldPublisher {
 		w:        w,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		lat:      make(map[string]*Summary),
 	}
 	counter := func(name, help string) {
 		p.counters[name] = reg.Counter(name, help, base...)
@@ -109,10 +101,10 @@ func PublishWorld(reg *Registry, w *runtime.World) *WorldPublisher {
 	}
 
 	if cfg.Metrics {
-		for _, path := range latPaths {
-			lbl := append(append([]Label(nil), base...), L("path", path))
-			p.lat[path] = reg.Summary("nmvgas_latency_ns",
-				"Runtime latency distributions (ns on the engine's trace clock)", lbl...)
+		for path := range runtime.NumLatPaths {
+			lbl := append(append([]Label(nil), base...), L("path", path.String()))
+			p.lat = append(p.lat, reg.Summary("nmvgas_latency_ns",
+				"Runtime latency distributions (ns on the engine's trace clock)", lbl...))
 		}
 	}
 	return p
@@ -181,26 +173,13 @@ func (p *WorldPublisher) Refresh() {
 	}
 
 	if len(p.lat) > 0 && s.Latencies.Enabled {
-		lat := s.Latencies
-		push := func(path string, l runtime.LatencySummary) {
+		for path, l := range s.Latencies.Path {
 			p.lat[path].Set(l.Count, l.MeanNs*float64(l.Count), map[float64]float64{
 				0.5:  float64(l.P50Ns),
 				0.95: float64(l.P95Ns),
 				0.99: float64(l.P99Ns),
 			})
 		}
-		push("parcel_exec", lat.ParcelExec)
-		push("put", lat.PutDone)
-		push("get", lat.GetDone)
-		push("nack_repair", lat.NackRepair)
-		push("coalesce_flush", lat.CoalesceFlush)
-		push("mig_transfer", lat.MigTransfer)
-		push("mig_update", lat.MigUpdate)
-		push("mig_drain", lat.MigDrain)
-		push("mig_total", lat.MigTotal)
-		push("repl_inval", lat.ReplInval)
-		push("repl_update", lat.ReplUpdate)
-		push("repl_fill", lat.ReplFill)
 	}
 }
 

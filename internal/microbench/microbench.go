@@ -73,7 +73,7 @@ func goEnginePump(b *testing.B, metrics bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "msgs/sec")
 	if metrics {
-		reportLatency(b, w.Stats().Latencies.ParcelExec)
+		reportLatency(b, w.Stats().Latencies.Path[runtime.LatParcelExec])
 	}
 }
 
@@ -106,7 +106,7 @@ func enginePut(b *testing.B, eng vgas.EngineKind, metrics bool) {
 	}
 	b.StopTimer()
 	if metrics {
-		reportLatency(b, w.Stats().Latencies.PutDone)
+		reportLatency(b, w.Stats().Latencies.Path[runtime.LatPutDone])
 	}
 }
 
@@ -285,7 +285,7 @@ func F16ReplicatedReads(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "msgs/sec")
-	reportLatency(b, w.Stats().Latencies.GetDone)
+	reportLatency(b, w.Stats().Latencies.Path[runtime.LatGetDone])
 }
 
 // DESEnginePut is the wall-clock cost of one simulated put round trip on

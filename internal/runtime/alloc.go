@@ -74,19 +74,29 @@ func (w *World) Free(l gas.Layout) error {
 		b := l.Base.Block() + gas.BlockID(d)
 		home := l.HomeOf(d)
 		owner := w.locs[home].space.HomeOwner(b)
-		if dir := w.locs[owner].space.Directory(); dir != nil {
-			if _, ok := dir.TakeReplicas(b); ok {
-				w.replCount.Add(-1)
-			}
-		}
-		if _, ok := w.locs[owner].store.Remove(b); !ok {
+		if !w.freeStep(owner, b, home) {
 			return fmt.Errorf("runtime: free of non-resident block %d (owner %d)", b, owner)
 		}
-		// Sweep any replicas and their holder-side coherence state.
-		for _, loc := range w.locs {
-			loc.dropReplica(b)
-		}
-		w.dropTranslation(b, home)
 	}
 	return nil
+}
+
+// freeStep frees block b at its owner, World.Free's and FreeAsync's one
+// per-block step: it takes the replica set, removes the owner's copy,
+// drops every holder copy and sweeps translation. It reports false when
+// the owner does not hold b.
+func (w *World) freeStep(owner int, b gas.BlockID, home int) bool {
+	if dir := w.locs[owner].space.Directory(); dir != nil {
+		if _, ok := dir.TakeReplicas(b); ok {
+			w.replCount.Add(-1)
+		}
+	}
+	if _, ok := w.locs[owner].store.Remove(b); !ok {
+		return false
+	}
+	for _, loc := range w.locs {
+		loc.dropReplica(b)
+	}
+	w.dropTranslation(b, home)
+	return true
 }

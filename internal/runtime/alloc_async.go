@@ -123,9 +123,8 @@ func (p *Proc) FreeAsync(lay gas.Layout) *LCORef {
 	return gate
 }
 
-// freeBlock executes at a block's current owner: it removes the block and
-// sweeps all translation state for it (per-locality strategy state plus
-// network-held routes and tombstones).
+// freeBlock executes at a block's current owner and runs the free step
+// there (see World.freeStep).
 func freeBlock(c *Ctx) {
 	l := c.l
 	b := c.P.Target.Block()
@@ -136,7 +135,6 @@ func freeBlock(c *Ctx) {
 	if blk.Pinned || blk.Kind != gas.KindData {
 		l.w.fail("rank %d: free of pinned/non-data block %d", l.rank, b)
 	}
-	l.store.Remove(b)
-	l.w.dropTranslation(b, c.P.Target.Home())
+	l.w.freeStep(l.rank, b, c.P.Target.Home())
 	c.Continue(nil)
 }

@@ -201,13 +201,6 @@ func (p *Proc) GetWaitInto(src gas.GVA, buf []byte) {
 	p.await("GetWaitInto", p.l.getReq(src, uint32(len(buf)), true), buf)
 }
 
-// GetWait reads n bytes at src and blocks until the data arrives.
-func (p *Proc) GetWait(src gas.GVA, n uint32) []byte {
-	out := make([]byte, n)
-	p.GetWaitInto(src, out)
-	return out
-}
-
 // PutVecWait writes all segs into the block at dst as one request with
 // one ack and blocks until the completion.
 func (p *Proc) PutVecWait(dst gas.GVA, segs []PutSeg) {
@@ -277,44 +270,4 @@ func MigrateStatus(v []byte) int64 {
 		return -1
 	}
 	return parcel.I64(v, 0)
-}
-
-// MigrateMany issues one migration per (block, destination) pair and
-// returns a gate that fires when all have committed. Failures surface as
-// non-OK statuses in the per-move futures, which are also returned.
-func (p *Proc) MigrateMany(blocks []gas.GVA, to []int) (*LCORef, []*LCORef) {
-	if len(blocks) != len(to) {
-		p.l.w.fail("MigrateMany: %d blocks vs %d destinations", len(blocks), len(to))
-	}
-	gate := p.l.w.NewAndGate(p.l.rank, len(blocks))
-	futs := make([]*LCORef, len(blocks))
-	for i := range blocks {
-		futs[i] = p.l.w.NewFuture(p.l.rank)
-		futs[i].OnFire(func([]byte) {
-			p.Run(func() {
-				p.l.SendParcel(&parcel.Parcel{Action: ALCOSet, Target: gate.G})
-			})
-		})
-		g, dst := blocks[i], to[i]
-		fut := futs[i]
-		p.Run(func() {
-			p.l.MigrateAsync(g, dst, ALCOSet, fut.G)
-		})
-	}
-	return gate, futs
-}
-
-// CallWhen is the driver-side dependent call: it sends the invocation
-// from this locality once dep fires and returns a future for the result.
-func (p *Proc) CallWhen(dep *LCORef, target gas.GVA, action parcel.ActionID, payload []byte) *LCORef {
-	fut := p.l.w.NewFuture(p.l.rank)
-	dep.OnFire(func([]byte) {
-		p.Run(func() {
-			p.l.SendParcel(&parcel.Parcel{
-				Action: action, Target: target, Payload: payload,
-				CAction: ALCOSet, CTarget: fut.G,
-			})
-		})
-	})
-	return fut
 }

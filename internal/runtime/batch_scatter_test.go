@@ -226,7 +226,8 @@ func TestPutGetVecSemantics(t *testing.T) {
 			t.Fatalf("gather read %q, want %q", got, "middletail")
 		}
 		// Whole-block read: fragments landed at their offsets, gaps zero.
-		full := w.Proc(1).GetWait(g, 1024)
+		full := make([]byte, 1024)
+		w.Proc(1).GetWaitInto(g, full)
 		if string(full[:4]) != "head" || string(full[512:518]) != "middle" || string(full[1020:]) != "tail" {
 			t.Fatal("vectored put fragments misplaced")
 		}

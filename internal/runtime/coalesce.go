@@ -69,9 +69,9 @@ type coalBuf struct {
 	// draining its successor's lone parcels early.
 	gen     uint64
 	pending bool // a delayed flush is armed for the current generation
-	// firstAdd is the latency clock at the generation's first add
-	// (Config.Metrics only): the flush-delay histogram records how long
-	// the oldest buffered parcel waited.
+	// firstAdd is the latency clock at the generation's first add: the
+	// flush-delay histogram records how long the oldest buffered parcel
+	// waited.
 	firstAdd int64
 
 	// Adaptive-delay state: an EWMA of the gap between consecutive adds
@@ -119,7 +119,7 @@ func (c *coalescer) add(dst int, enc []byte) {
 	b.lastAdd = now
 	b.recs = netsim.AppendScatterRecord(b.recs, enc)
 	b.count++
-	if b.count == 1 && c.l.w.lat != nil {
+	if b.count == 1 {
 		b.firstAdd = c.l.latNow()
 	}
 	full := b.count >= c.maxParcels || len(b.recs) >= coalMaxBytes
@@ -140,12 +140,10 @@ func (c *coalescer) add(dst int, enc []byte) {
 }
 
 // take detaches the assembled payload and advances the generation,
-// recording the oldest parcel's wait into the flush-delay histogram.
+// noting the flush (the oldest parcel's wait).
 // Caller holds b.mu.
 func (b *coalBuf) take(c *coalescer) []byte {
-	if w := c.l.w; w.lat != nil {
-		w.lat.coalesceFlush.Record(c.l.latNow() - b.firstAdd)
-	}
+	c.l.note(noteCoalesceFlush, 0, uint64(b.firstAdd), 0)
 	payload := b.recs
 	b.recs = nil
 	b.count = 0

@@ -136,12 +136,12 @@ type Config struct {
 	RequireMigration bool
 	// Metrics enables runtime latency histograms (parcel send→exec,
 	// one-sided completion, NACK repair, migration phases, coalescer
-	// flush delay), surfaced by World.Latencies. Off by default; the
-	// disabled path costs a single nil check and zero allocations.
+	// flush delay), surfaced by World.Latencies. Off by default; with no
+	// observer on, a protocol step costs one branch and zero allocations.
 	Metrics bool
 	// Heat enables sampled per-block access-heat tracking for the load
 	// balancer (see internal/loadbal). Like Metrics, the disabled path
-	// costs a single nil check and zero allocations; the enabled path is
+	// costs one branch and zero allocations; the enabled path is
 	// power-of-two sampled into per-rank fixed-size sketches, never an
 	// unbounded map.
 	Heat HeatConfig

@@ -2,14 +2,14 @@ package runtime
 
 // Sampled access-heat tracking for the load balancer. This replaces the
 // old SetAccessHook callback (a global-mutex map update on every
-// data-path access) with the same shape as Config.Metrics: a nil pointer
-// when off — the hot path pays exactly one nil check and zero
-// allocations — and, when on, power-of-two sampling into per-rank state
-// so the common case is one atomic increment. Sampled accesses land in a
-// fixed-size space-saving sketch per rank (stats.TopK), never an
-// unbounded map: block population can be millions, but the policy engine
-// only ever needs the heavy hitters, and the sketch guarantees every
-// block hotter than N/K is tracked.
+// data-path access) with the same shape as Config.Metrics: an observer
+// behind the one observation point (trace.go) — off, the hot path pays
+// one branch and zero allocations — and, when on, power-of-two sampling
+// into per-rank state so the common case is one atomic increment.
+// Sampled accesses land in a fixed-size space-saving sketch per rank
+// (stats.TopK), never an unbounded map: block population can be
+// millions, but the policy engine only ever needs the heavy hitters, and
+// the sketch guarantees every block hotter than N/K is tracked.
 //
 // Keys carry (block, source rank, read/write) packed in one uint64, so
 // the sketch answers not just "which blocks are hot" but "who is heating
@@ -26,8 +26,8 @@ import (
 
 // HeatConfig configures sampled access-heat tracking (Config.Heat).
 type HeatConfig struct {
-	// Enabled turns the tracker on. Off, the data path pays one nil
-	// check and allocates nothing.
+	// Enabled turns the tracker on. Off, the data path pays one branch
+	// and allocates nothing.
 	Enabled bool
 	// SampleShift samples 1 of every 2^SampleShift accesses per serving
 	// rank (0 = count every access). Sampled counts are not rescaled:
@@ -126,13 +126,18 @@ func (h *heatState) note(rank, src int, b gas.BlockID, read bool) {
 	r.mu.Unlock()
 }
 
-// noteAccess is the data-path hook: parcel execution, one-sided put/get
-// (host and DMA paths), and replica-hit reads all land here. rank is the
-// serving locality, src the issuing locality, read distinguishes
-// get-shaped from put/exec-shaped traffic.
-func (w *World) noteAccess(rank, src int, b gas.BlockID, read bool) {
-	if w.heat != nil {
-		w.heat.note(rank, src, b, read)
+// observe is the sampler's view of one protocol step: the exec of a user
+// action (put-shaped; the issuing rank is the one in the parcel's OpID,
+// see newOpID) and a one-sided serve (Info = issuing rank << 1 | read),
+// both counted at the serving rank.
+func (h *heatState) observe(rank int, kind TraceKind, b gas.BlockID, info, opID uint64) {
+	switch kind {
+	case TraceExec:
+		if info >= uint64(firstUserAction) {
+			h.note(rank, int(opID>>48)-1, b, false)
+		}
+	case noteServe:
+		h.note(rank, int(info>>1), b, info&1 != 0)
 	}
 }
 

@@ -8,20 +8,24 @@ import (
 )
 
 // TestDisabledHeatHooksAllocateNothing pins the Config.Heat zero-overhead
-// contract, mirroring the latency-hook pin: with heat off, the data-path
-// hook is a single nil check and allocates nothing.
+// contract: with heat off, the data-path notes heat consumes (a parcel
+// exec and a served put/get, local and remote) are one branch on
+// World.observed and allocate nothing.
 func TestDisabledHeatHooksAllocateNothing(t *testing.T) {
 	w, err := NewWorld(Config{Ranks: 2, Mode: AGASNM, Engine: EngineDES})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
-	if w.heat != nil {
-		t.Fatal("heat state allocated without Config.Heat.Enabled")
+	if w.observed || w.heat != nil {
+		t.Fatal("heat state set without Config.Heat.Enabled")
 	}
+	l0, l1 := w.Locality(0), w.Locality(1)
+	op := l1.newOpID()
 	allocs := testing.AllocsPerRun(1000, func() {
-		w.noteAccess(0, 1, 7, true)
-		w.noteAccess(1, 0, 9, false)
+		l0.note(TraceExec, 7, uint64(firstUserAction), op)
+		l1.note(noteServe, 9, 0<<1|1, 0)
+		l0.note(noteServe, 7, 1<<1, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled heat hooks allocate %v per run, want 0", allocs)
@@ -41,14 +45,16 @@ func TestEnabledHeatHookAllocatesNothingSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
-	// Warm the sketch to capacity so map growth is behind us.
+	// Warm the sketch to capacity so map growth is behind us. A served
+	// put from rank 1 is the sampled step (Info = issuer << 1 | read).
+	l := w.Locality(0)
 	for i := 0; i < 8*heatTopK; i++ {
-		w.noteAccess(0, 1, gas.BlockID(i), false)
+		l.note(noteServe, gas.BlockID(i), 1<<1, 0)
 	}
 	i := uint32(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
-		w.noteAccess(0, 1, gas.BlockID(i%(2*heatTopK)), false)
+		l.note(noteServe, gas.BlockID(i%(2*heatTopK)), 1<<1, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled heat hook allocates %v per run at steady state, want 0", allocs)
@@ -77,7 +83,7 @@ func TestHeatSamplingAccuracy(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b := gas.BlockID(zipf.Uint64())
 		truth[b]++
-		w.noteAccess(0, 1, b, true)
+		w.heat.note(0, 1, b, true)
 	}
 
 	loads := w.HeatLoads()

@@ -9,10 +9,9 @@ import (
 	"nmvgas/internal/stats"
 )
 
-// Runtime latency histograms (Config.Metrics). Every hook below is a
-// method on the *Locality it runs in, guarded by a single `l.w.lat == nil`
-// check, so the disabled path costs one predictable branch and zero
-// allocations — the claim the LatencyOverhead benchmarks pin down.
+// Runtime latency histograms (Config.Metrics). They observe protocol
+// steps through the one observation point (trace.go): observe maps a
+// step's kind to the path it opens, closes or samples.
 //
 // Units follow the rank's latency clock (latNow): simulated nanoseconds
 // under EngineDES, monotonic wall nanoseconds under EngineGo (see
@@ -20,20 +19,47 @@ import (
 // sharded map so the goroutine engine's concurrent send/complete paths
 // do not serialize on one lock.
 
+// LatPath names one latency histogram.
+type LatPath uint8
+
+const (
+	LatParcelExec    LatPath = iota // parcel send → final exec
+	LatPutDone                      // put issue → completion callback
+	LatGetDone                      // get issue → data callback
+	LatNackRepair                   // send → NACK processed back at the sender
+	LatCoalesceFlush                // coalescer buffer first add → flush
+	// Migration phases: transfer = pin→install, update = install→commit
+	// (the directory/NIC table flip), drain = commit→done (unpin + queue
+	// flush), total = pin→done.
+	LatMigTransfer
+	LatMigUpdate
+	LatMigDrain
+	LatMigTotal
+	// Replica coherence: write → invalidation applied at a holder, write
+	// → update snapshot installed at a holder, and stale mark → refill
+	// installed (the window in which a holder's reads chase the master).
+	LatReplInval
+	LatReplUpdate
+	LatReplFill
+	// NumLatPaths is the number of latency paths.
+	NumLatPaths
+)
+
+var latPathNames = [NumLatPaths]string{
+	"parcel_exec", "put", "get", "nack_repair", "coalesce_flush",
+	"mig_transfer", "mig_update", "mig_drain", "mig_total",
+	"repl_inval", "repl_update", "repl_fill",
+}
+
+// String is the path's report name (stats-table rows, metric labels).
+func (p LatPath) String() string { return latPathNames[p] }
+
 const latShardCount = 16
 
 type latShard struct {
 	mu    sync.Mutex
 	start map[uint64]int64
 }
-
-// migration phase marks, in protocol order.
-const (
-	migPin     = iota // block pinned at the old owner (migrate.req)
-	migInstall        // block installed at the destination (migrate.data)
-	migCommit         // directory flipped at the home (migrate.commit)
-	migDone           // old owner unpinned and drained (migrate.done)
-)
 
 // migMarks holds the latency clock at each completed phase of one
 // in-flight migration.
@@ -43,40 +69,15 @@ type migMarks struct {
 
 type latencyState struct {
 	shards [latShardCount]latShard
+	path   [NumLatPaths]stats.Histogram
 
-	parcelExec    stats.Histogram // send → final exec
-	putDone       stats.Histogram // put issue → remote-completion callback
-	getDone       stats.Histogram // get issue → data callback
-	nackRepair    stats.Histogram // send → NACK processed back at the sender
-	coalesceFlush stats.Histogram // buffer first-add → flush
-
-	// Migration phase durations, keyed off the protocol chain's marks:
-	// transfer = pin→install, update = install→commit (the directory/NIC
-	// table flip), drain = commit→done (unpin + queue flush), total =
-	// pin→done.
-	migTransfer stats.Histogram
-	migUpdate   stats.Histogram
-	migDrain    stats.Histogram
-	migTotal    stats.Histogram
-
-	// Replica coherence paths: write → invalidation applied at a holder,
-	// write → update snapshot installed at a holder, and stale mark →
-	// refill installed (the window in which a holder's reads chase the
-	// master).
-	replInval  stats.Histogram
-	replUpdate stats.Histogram
-	replFill   stats.Histogram
-
+	// The migration chain crosses ranks (owner → destination → home →
+	// old owner), so its marks live world-level; a block migrates at most
+	// once at a time (the pin guarantees it), so a plain map keyed by
+	// block suffices.
 	migMu sync.Mutex
 	mig   map[gas.BlockID]*migMarks
 }
-
-// replica coherence span kinds for latReplDone.
-const (
-	latReplInval = iota
-	latReplUpdate
-	latReplFill
-)
 
 func newLatencyState() *latencyState {
 	s := &latencyState{mig: make(map[gas.BlockID]*migMarks)}
@@ -90,6 +91,80 @@ func (s *latencyState) shard(id uint64) *latShard {
 	// The sequence lives in the low bits; the rank in the high bits.
 	// Mixing both spreads concurrent ranks across shards.
 	return &s.shards[(id^id>>48)%latShardCount]
+}
+
+// observe is the histograms' view of one protocol step at time now.
+func (s *latencyState) observe(kind TraceKind, b gas.BlockID, info, opID uint64, now int64) {
+	switch kind {
+	case TraceSend, noteOpStart:
+		sh := s.shard(opID)
+		sh.mu.Lock()
+		sh.start[opID] = now
+		sh.mu.Unlock()
+	case TraceExec:
+		s.done(opID, now, LatParcelExec)
+	case noteOpDone:
+		s.done(opID, now, LatPath(info))
+	case noteReplInval:
+		s.done(opID, now, LatReplInval)
+	case noteReplUpdate:
+		s.done(opID, now, LatReplUpdate)
+	case noteReplFill:
+		s.done(opID, now, LatReplFill)
+	case TraceNICNack, TraceHostNack, TraceLoopNack:
+		// The wasted round trip of a NACKed op. Its start mark stays:
+		// the op is still in flight, and its exec or completion closes
+		// the span.
+		sh := s.shard(opID)
+		sh.mu.Lock()
+		t0, ok := sh.start[opID]
+		sh.mu.Unlock()
+		if ok {
+			s.path[LatNackRepair].Record(now - t0)
+		}
+	case noteCoalesceFlush:
+		s.path[LatCoalesceFlush].Record(now - int64(info))
+	case TraceMigrateStart, noteMigInstall, noteMigCommit, TraceMigrateDone:
+		s.migMark(kind, b, now)
+	}
+}
+
+// done closes op id's span into path p.
+func (s *latencyState) done(id uint64, now int64, p LatPath) {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	t0, ok := sh.start[id]
+	delete(sh.start, id)
+	sh.mu.Unlock()
+	if ok {
+		s.path[p].Record(now - t0)
+	}
+}
+
+// migMark records one phase of a migration's protocol chain.
+func (s *latencyState) migMark(kind TraceKind, b gas.BlockID, now int64) {
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
+	if kind == TraceMigrateStart {
+		s.mig[b] = &migMarks{pin: now}
+		return
+	}
+	m := s.mig[b]
+	if m == nil {
+		return
+	}
+	switch kind {
+	case noteMigInstall:
+		m.install = now
+		s.path[LatMigTransfer].Record(now - m.pin)
+	case noteMigCommit:
+		m.commit = now
+		s.path[LatMigUpdate].Record(now - m.install)
+	case TraceMigrateDone:
+		delete(s.mig, b)
+		s.path[LatMigDrain].Record(now - m.commit)
+		s.path[LatMigTotal].Record(now - m.pin)
+	}
 }
 
 // The runtime's clocks, one definition per unit. Code running inside a
@@ -126,123 +201,6 @@ func (l *Locality) simNow() netsim.VTime {
 	return netsim.VTime(l.w.clockOn(nil) / goTimeScale)
 }
 
-// latStart marks an operation (parcel or one-sided op) as in flight.
-func (l *Locality) latStart(id uint64) {
-	if l.w.lat == nil {
-		return
-	}
-	now := l.latNow()
-	sh := l.w.lat.shard(id)
-	sh.mu.Lock()
-	sh.start[id] = now
-	sh.mu.Unlock()
-}
-
-// latTake removes and returns an operation's start mark.
-func (s *latencyState) take(id uint64, now int64) (int64, bool) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	t0, ok := sh.start[id]
-	delete(sh.start, id)
-	sh.mu.Unlock()
-	return now - t0, ok
-}
-
-// latParcelExec closes a parcel's span: final execution at the owner.
-func (l *Locality) latParcelExec(id uint64) {
-	if l.w.lat == nil || id == 0 {
-		return
-	}
-	if d, ok := l.w.lat.take(id, l.latNow()); ok {
-		l.w.lat.parcelExec.Record(d)
-	}
-}
-
-// latOpDone closes a one-sided operation's span at its completion
-// callback.
-func (l *Locality) latOpDone(id uint64, put bool) {
-	if l.w.lat == nil {
-		return
-	}
-	if d, ok := l.w.lat.take(id, l.latNow()); ok {
-		if put {
-			l.w.lat.putDone.Record(d)
-		} else {
-			l.w.lat.getDone.Record(d)
-		}
-	}
-}
-
-// latNackRepair samples the wasted round trip of a NACKed operation:
-// time from the original send to the NACK being processed back at the
-// sender. The start mark stays in place — the operation is still in
-// flight and its eventual exec/completion closes the span.
-func (l *Locality) latNackRepair(id uint64) {
-	if l.w.lat == nil || id == 0 {
-		return
-	}
-	now := l.latNow()
-	sh := l.w.lat.shard(id)
-	sh.mu.Lock()
-	t0, ok := sh.start[id]
-	sh.mu.Unlock()
-	if ok {
-		l.w.lat.nackRepair.Record(now - t0)
-	}
-}
-
-// latReplDone closes a replica coherence span (opened with latStart at
-// the fan-out or fill send) into the histogram selected by which.
-func (l *Locality) latReplDone(id uint64, which int) {
-	if l.w.lat == nil || id == 0 {
-		return
-	}
-	if d, ok := l.w.lat.take(id, l.latNow()); ok {
-		switch which {
-		case latReplInval:
-			l.w.lat.replInval.Record(d)
-		case latReplUpdate:
-			l.w.lat.replUpdate.Record(d)
-		case latReplFill:
-			l.w.lat.replFill.Record(d)
-		}
-	}
-}
-
-// latMigMark records one phase of a migration's protocol chain. The
-// chain crosses ranks (owner → destination → home → old owner), so the
-// marks live world-level; a block migrates at most once at a time (the
-// pin guarantees it), so a plain map keyed by block suffices.
-func (l *Locality) latMigMark(b gas.BlockID, phase int) {
-	if l.w.lat == nil {
-		return
-	}
-	now := l.latNow()
-	s := l.w.lat
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	switch phase {
-	case migPin:
-		s.mig[b] = &migMarks{pin: now}
-	case migInstall:
-		if m := s.mig[b]; m != nil {
-			m.install = now
-			s.migTransfer.Record(now - m.pin)
-		}
-	case migCommit:
-		if m := s.mig[b]; m != nil {
-			m.commit = now
-			s.migUpdate.Record(now - m.install)
-		}
-	case migDone:
-		if m := s.mig[b]; m != nil {
-			delete(s.mig, b)
-			s.migDrain.Record(now - m.commit)
-			s.migTotal.Record(now - m.pin)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Reporting
 
@@ -267,27 +225,13 @@ func summarize(h *stats.Histogram) LatencySummary {
 	}
 }
 
-// WorldLatencies is the latency report surfaced through WorldStats.
-// All values are nanoseconds on the engine's latency clock (simulated
-// under EngineDES, wall under EngineGo); everything is zero unless
-// Config.Metrics was set.
+// WorldLatencies is the latency report surfaced through WorldStats: one
+// summary per LatPath. All values are nanoseconds on the engine's latency
+// clock (simulated under EngineDES, wall under EngineGo); everything is
+// zero unless Config.Metrics was set.
 type WorldLatencies struct {
 	Enabled bool
-
-	ParcelExec    LatencySummary // parcel send → final exec
-	PutDone       LatencySummary // put issue → completion callback
-	GetDone       LatencySummary // get issue → data callback
-	NackRepair    LatencySummary // send → NACK back at the sender
-	CoalesceFlush LatencySummary // coalescer buffer wait
-
-	MigTransfer LatencySummary // pin → install at destination
-	MigUpdate   LatencySummary // install → directory/table flip
-	MigDrain    LatencySummary // flip → old owner drained
-	MigTotal    LatencySummary // pin → done
-
-	ReplInval  LatencySummary // write → invalidation applied at holder
-	ReplUpdate LatencySummary // write → update snapshot installed
-	ReplFill   LatencySummary // stale mark → refill installed
+	Path    [NumLatPaths]LatencySummary
 }
 
 // Latencies returns the world's latency report (zero unless
@@ -296,22 +240,11 @@ func (w *World) Latencies() WorldLatencies {
 	if w.lat == nil {
 		return WorldLatencies{}
 	}
-	s := w.lat
-	return WorldLatencies{
-		Enabled:       true,
-		ParcelExec:    summarize(&s.parcelExec),
-		PutDone:       summarize(&s.putDone),
-		GetDone:       summarize(&s.getDone),
-		NackRepair:    summarize(&s.nackRepair),
-		CoalesceFlush: summarize(&s.coalesceFlush),
-		MigTransfer:   summarize(&s.migTransfer),
-		MigUpdate:     summarize(&s.migUpdate),
-		MigDrain:      summarize(&s.migDrain),
-		MigTotal:      summarize(&s.migTotal),
-		ReplInval:     summarize(&s.replInval),
-		ReplUpdate:    summarize(&s.replUpdate),
-		ReplFill:      summarize(&s.replFill),
+	out := WorldLatencies{Enabled: true}
+	for p := range out.Path {
+		out.Path[p] = summarize(&w.lat.path[p])
 	}
+	return out
 }
 
 // queueDepthsInto fills counts (one slot per rank) with each rank's

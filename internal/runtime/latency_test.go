@@ -5,28 +5,30 @@ import (
 )
 
 // TestDisabledLatencyHooksAllocateNothing pins the Config.Metrics=false
-// contract: every latency hook is a single nil check, adding zero
-// allocations to the hot paths it instruments.
+// contract: every protocol step's note — each public and note kind, and
+// a membership step — is one branch on World.observed and allocates
+// nothing.
 func TestDisabledLatencyHooksAllocateNothing(t *testing.T) {
 	w, err := NewWorld(Config{Ranks: 2, Mode: AGASNM, Engine: EngineDES})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
-	if w.lat != nil {
-		t.Fatal("latency state allocated without Config.Metrics")
+	if w.observed || w.lat != nil {
+		t.Fatal("latency state set without Config.Metrics or a tracer")
 	}
 	l := w.Locality(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.latStart(7)
-		l.latParcelExec(7)
-		l.latOpDone(7, true)
-		l.latNackRepair(7)
-		l.latMigMark(3, migPin)
-		l.latMigMark(3, migDone)
+		for k := TraceSend; k <= noteAbandon; k++ {
+			l.note(k, 3, 7, 7)
+		}
+		w.noteMember(1, TraceMemberDead, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled latency hooks allocate %v per run, want 0", allocs)
+	}
+	if w.Latencies().Enabled {
+		t.Fatal("disabled latency state leaked observations")
 	}
 }
 
@@ -56,34 +58,24 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 	if !lat.Enabled {
 		t.Fatal("latencies not enabled")
 	}
-	checks := []struct {
-		name string
-		l    LatencySummary
-	}{
-		{"parcel_exec", lat.ParcelExec},
-		{"put", lat.PutDone},
-		{"get", lat.GetDone},
-		{"mig_transfer", lat.MigTransfer},
-		{"mig_update", lat.MigUpdate},
-		{"mig_drain", lat.MigDrain},
-		{"mig_total", lat.MigTotal},
-	}
-	for _, c := range checks {
-		if c.l.Count == 0 {
-			t.Errorf("%s histogram empty", c.name)
+	for _, p := range []LatPath{LatParcelExec, LatPutDone, LatGetDone,
+		LatMigTransfer, LatMigUpdate, LatMigDrain, LatMigTotal} {
+		l := lat.Path[p]
+		if l.Count == 0 {
+			t.Errorf("%v histogram empty", p)
 		}
-		if c.l.Count > 0 && (c.l.P50Ns > c.l.P99Ns || c.l.P99Ns > c.l.MaxNs) {
-			t.Errorf("%s percentiles inconsistent: %+v", c.name, c.l)
+		if l.Count > 0 && (l.P50Ns > l.P99Ns || l.P99Ns > l.MaxNs) {
+			t.Errorf("%v percentiles inconsistent: %+v", p, l)
 		}
 	}
 	// Simulated durations must be positive: the DES clock advanced
 	// between send and exec.
-	if lat.ParcelExec.P50Ns <= 0 {
-		t.Fatalf("parcel exec p50 = %d, want > 0", lat.ParcelExec.P50Ns)
+	if p50 := lat.Path[LatParcelExec].P50Ns; p50 <= 0 {
+		t.Fatalf("parcel exec p50 = %d, want > 0", p50)
 	}
 	// The migration phases nest inside the total.
-	if lat.MigTotal.MaxNs < lat.MigTransfer.MaxNs {
-		t.Fatalf("mig total (%d) < transfer (%d)", lat.MigTotal.MaxNs, lat.MigTransfer.MaxNs)
+	if tot, tr := lat.Path[LatMigTotal].MaxNs, lat.Path[LatMigTransfer].MaxNs; tot < tr {
+		t.Fatalf("mig total (%d) < transfer (%d)", tot, tr)
 	}
 
 	// StatsTable surfaces the percentile rows.

@@ -2,6 +2,10 @@ package runtime
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,4 +90,74 @@ func TestOptionBudget(t *testing.T) {
 		t.Fatalf("Config holds %d settable values, budget %d", n, budget)
 	}
 	t.Logf("%d settable values, budget %d", n, budget)
+}
+
+// TestExportBudget is TestOptionBudget for the API surface: it holds the
+// exported names of internal/runtime and vgas — top-level constants,
+// variables, types and functions, plus exported methods on exported
+// types, in non-test files — to the committed budget in
+// testdata/export_budget. A name only tests call is unexported or
+// deleted; a change that exports more raises the number in the same
+// commit and names the caller outside the package that needs it.
+func TestExportBudget(t *testing.T) {
+	budget := readBudget(t, "export_budget")
+	n := 0
+	for _, dir := range []string{".", filepath.Join("..", "..", "vgas")} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				n += countExports(f)
+			}
+		}
+	}
+	if n > budget {
+		t.Fatalf("internal/runtime + vgas export %d names, budget %d", n, budget)
+	}
+	t.Logf("%d exported names, budget %d", n, budget)
+}
+
+// countExports counts f's exported top-level names and its exported
+// methods on exported receiver types.
+func countExports(f *ast.File) int {
+	n := 0
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				n++
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+				n++
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						n++
+					}
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						if name.IsExported() {
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	return n
 }

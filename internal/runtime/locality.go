@@ -240,7 +240,7 @@ func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
 	if ok {
 		st.queued = append(st.queued, m)
 		l.Stats.Queued.Inc()
-		l.traceOp(TraceQueued, b, uint64(m.Kind), m.OpID)
+		l.note(TraceQueued, b, uint64(m.Kind), m.OpID)
 	}
 	return ok
 }
@@ -269,8 +269,7 @@ func (l *Locality) SendParcel(p *parcel.Parcel) {
 	p.Seq = l.parcelSeq.Add(1)
 	p.OpID = l.newOpID()
 	l.Stats.ParcelsSent.Inc()
-	l.traceOp(TraceSend, p.Target.Block(), uint64(p.Action), p.OpID)
-	l.latStart(p.OpID)
+	l.note(TraceSend, p.Target.Block(), uint64(p.Action), p.OpID)
 	buf, pooled := wireBuf(p.Action >= firstUserAction && l.payloadPoolable(), p.WireSize())
 	enc := parcel.AppendEncode(buf, p)
 	m := netsim.NewMessage()
@@ -520,11 +519,7 @@ func (l *Locality) runParcel(m *netsim.Message, user bool) {
 		return
 	}
 	l.Stats.ParcelsRun.Inc()
-	if user {
-		l.w.noteAccess(l.rank, m.Src, b, false)
-	}
-	l.traceOp(TraceExec, b, uint64(p.Action), p.OpID)
-	l.latParcelExec(p.OpID)
+	l.note(TraceExec, b, uint64(p.Action), p.OpID)
 	c.P = p
 	act(c)
 	c.P = nil // the parcel and its payload end with the action (see Ctx)
@@ -548,19 +543,20 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 	if orig == nil {
 		l.w.fail("rank %d: NACK without original message", l.rank)
 	}
+	owner := uint64(int64(m.Owner))
 	if m.Ctl == netsim.CtlNackLoop {
 		l.Stats.LoopNacks.Inc()
-		l.traceOp(TraceLoopNack, m.Block, uint64(int64(m.Owner)), orig.OpID)
 		orig.Bounces++
 		if orig.Bounces > relBounceCap {
+			l.note(noteAbandon, m.Block, owner, orig.OpID)
 			l.relAbandon(orig)
 			return
 		}
+		l.note(TraceLoopNack, m.Block, owner, orig.OpID)
 	} else {
 		l.Stats.NICNacks.Inc()
-		l.traceOp(TraceNICNack, m.Block, uint64(int64(m.Owner)), orig.OpID)
+		l.note(TraceNICNack, m.Block, owner, orig.OpID)
 	}
-	l.latNackRepair(orig.OpID)
 	if m.Owner >= 0 {
 		l.exec.Charge(l.w.cfg.Model.NICUpdate)
 		l.w.net.State(l.rank, func(st *netsim.TransState) { st.Table.Update(m.Block, m.Owner) })
@@ -581,8 +577,7 @@ func (l *Locality) onHostNack(m *netsim.Message) {
 	if m.Nacked == nil {
 		l.w.fail("rank %d: host NACK without original message", l.rank)
 	}
-	l.traceOp(TraceHostNack, m.Block, uint64(int64(m.Owner)), m.Nacked.OpID)
-	l.latNackRepair(m.Nacked.OpID)
+	l.note(TraceHostNack, m.Block, uint64(int64(m.Owner)), m.Nacked.OpID)
 	if m.Owner >= 0 {
 		l.space.LearnOwner(m.Block, m.Owner)
 	}

@@ -263,7 +263,7 @@ func (mem *membership) beginProbe(l *Locality, target int) {
 	mem.state[target] = MemberSuspect
 	mem.mu.Unlock()
 	mem.suspicions.Add(1)
-	mem.w.traceMember(l.rank, TraceMemberSuspect, uint64(target))
+	mem.w.noteMember(l.rank, TraceMemberSuspect, uint64(target))
 	mem.sendPings(l, target)
 	mem.armProbeCheck(l, target)
 }
@@ -307,7 +307,7 @@ func (mem *membership) probeCheck(l *Locality, target int) {
 			mem.state[target] = MemberAlive
 		}
 		mem.mu.Unlock()
-		mem.w.traceMember(l.rank, TraceMemberAlive, uint64(target))
+		mem.w.noteMember(l.rank, TraceMemberAlive, uint64(target))
 		return
 	}
 	pr.rounds++
@@ -363,7 +363,7 @@ func (mem *membership) declareDead(d int) {
 	mem.down[d].Store(true)
 	mem.deaths.Add(1)
 	mem.w.bumpEpoch(mem.epoch.Add(1))
-	mem.w.traceMember(d, TraceMemberDead, uint64(d))
+	mem.w.noteMember(d, TraceMemberDead, uint64(d))
 	mem.recoverDead(d)
 }
 
@@ -485,7 +485,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 		}
 		w.rehomeReplicas(b, nm, kept)
 		mem.rehomed.Add(1)
-		w.traceMember(nm, TraceRehome, uint64(b))
+		w.noteMember(nm, TraceRehome, uint64(b))
 		if home != d && !mem.down[home].Load() && w.caps.Migration {
 			// The home is alive: flip its directory authoritatively,
 			// exactly as a migration commit would.
@@ -581,9 +581,6 @@ func (w *World) MemberState(rank int) MemberState {
 	return w.mem.state[rank]
 }
 
-// MembershipEpoch returns the current membership epoch.
-func (w *World) MembershipEpoch() uint64 { return w.mem.epoch.Load() }
-
 // AwaitMember blocks until rank reaches the wanted state with recovery
 // quiescent; see World.await.
 func (w *World) AwaitMember(rank int, want MemberState, timeout time.Duration) bool {
@@ -619,7 +616,7 @@ func (w *World) Retire(rank int) error {
 	mem.state[rank] = MemberDraining
 	mem.mu.Unlock()
 	mem.armed.Store(true)
-	w.traceMember(rank, TraceMemberRetire, uint64(rank))
+	w.noteMember(rank, TraceMemberRetire, uint64(rank))
 
 	// Holder copies on the retiring rank dissolve from their sets (the
 	// masters keep serving); sets mastered here travel with the
@@ -671,7 +668,7 @@ func (w *World) Retire(rank int) error {
 	mem.down[rank].Store(true)
 	mem.retires.Add(1)
 	w.bumpEpoch(mem.epoch.Add(1))
-	w.traceMember(rank, TraceMemberDead, uint64(rank))
+	w.noteMember(rank, TraceMemberDead, uint64(rank))
 	return nil
 }
 
@@ -789,7 +786,7 @@ func (mem *membership) rebirth(l *Locality) {
 	mem.state[rank] = MemberAlive
 	mem.mu.Unlock()
 	mem.joins.Add(1)
-	w.traceMember(rank, TraceMemberJoin, uint64(rank))
+	w.noteMember(rank, TraceMemberJoin, uint64(rank))
 }
 
 // ---------------------------------------------------------------------

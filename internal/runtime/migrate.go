@@ -176,8 +176,7 @@ func migrateReq(c *Ctx) {
 	l.moving[b] = &moveState{dst: mp.to}
 	l.movingN.Store(int32(len(l.moving)))
 	l.mu.Unlock()
-	l.trace(TraceMigrateStart, b, uint64(mp.to))
-	l.latMigMark(b, migPin)
+	l.note(TraceMigrateStart, b, uint64(mp.to), 0)
 	l.space.BeginMigrate(b)
 
 	// A replicated block's coherence ownership travels with it: take the
@@ -269,7 +268,7 @@ func migrateData(c *Ctx) {
 		l.w.fail("rank %d: migrate install: %v", l.rank, err)
 	}
 	l.space.InstallMigrated(b)
-	l.latMigMark(b, migInstall)
+	l.note(noteMigInstall, b, 0, 0)
 	mp.data = nil
 	if mp.replicated {
 		l.w.rehomeReplicas(b, l.rank, mp.holders)
@@ -288,7 +287,7 @@ func migrateCommit(c *Ctx) {
 	b := mp.g.Block()
 
 	l.space.CommitMigrate(b, mp.to)
-	l.latMigMark(b, migCommit)
+	l.note(noteMigCommit, b, 0, 0)
 	l.SendParcel(&parcel.Parcel{
 		Action:  aMigrateDone,
 		Target:  l.w.LocalityGVA(mp.oldOwner),
@@ -316,8 +315,7 @@ func migrateDone(c *Ctx) {
 		l.w.fail("rank %d: migrate.done for block %d that was not moving", l.rank, b)
 	}
 	l.Stats.Migrations.Inc()
-	l.trace(TraceMigrateDone, b, uint64(mp.to))
-	l.latMigMark(b, migDone)
+	l.note(TraceMigrateDone, b, uint64(mp.to), 0)
 	for _, qm := range st.queued {
 		// A duplicate that was queued while its original executed here
 		// must not chase the block to the new owner.

@@ -242,7 +242,7 @@ func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 	case netsim.ActNack:
 		c.Send(l.rank, n.Control(v.Ctl, m, v.To, 0))
 	case netsim.ActForward:
-		l.traceOp(TraceNICForward, m.Block, uint64(int64(v.To)), m.OpID)
+		l.note(TraceNICForward, m.Block, uint64(int64(v.To)), m.OpID)
 		if v.Push {
 			c.Send(l.rank, n.Control(netsim.CtlTableUpdate, m, v.To, c.w.mem.Epoch()))
 		}

@@ -345,7 +345,8 @@ func TestInjectMigrationStall(t *testing.T) {
 		t.Fatalf("pin pulse %d, trip pulse %d: dwell latency > 2 pulses past threshold", pin, trip)
 	}
 	// Data survived the stalled migration.
-	if got := w.Proc(2).GetWait(g, 7); string(got) != "payload" {
+	got := make([]byte, 7)
+	if w.Proc(2).GetWaitInto(g, got); string(got) != "payload" {
 		t.Fatalf("data lost across stalled migration: %q", got)
 	}
 }

@@ -426,7 +426,7 @@ func (l *Locality) relTimer(ch int32) {
 		l.w.deferGlobal(l, func() { l.w.mem.suspectSweep(l) })
 	}
 	for _, m := range resend {
-		l.trace(TraceRetransmit, m.Block, m.RelSeq)
+		l.note(TraceRetransmit, m.Block, m.RelSeq, 0)
 		// The pristine copy still carries its original destination
 		// (possibly ByGVA); both transports re-resolve it, so a
 		// retransmission chases the block's current owner.
@@ -477,7 +477,7 @@ func (l *Locality) relGate(m *netsim.Message, apply bool) (dup bool) {
 	rw.mu.Unlock()
 	l.relSendAck(m, cum)
 	if dup {
-		l.trace(TraceDupSuppressed, m.Block, m.RelSeq)
+		l.note(TraceDupSuppressed, m.Block, m.RelSeq, 0)
 	}
 	return dup
 }

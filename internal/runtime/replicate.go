@@ -168,7 +168,7 @@ func (l *Locality) sendReplFill(b gas.BlockID, home int) {
 	m.Target = gas.New(home, b, 0)
 	m.Wire = 32
 	m.OpID = l.newOpID()
-	l.latStart(m.OpID)
+	l.note(noteOpStart, b, 0, m.OpID)
 	l.routeMsg(m)
 }
 
@@ -211,7 +211,7 @@ func (l *Locality) replFanOut(b gas.BlockID, nic bool) {
 		m.Dst = h
 		m.Block = b
 		m.OpID = l.newOpID()
-		l.latStart(m.OpID)
+		l.note(noteOpStart, b, 0, m.OpID)
 		if pol == agas.WriteUpdate {
 			m.Kind = kReplUpdate
 			// Each message owns its payload: holders release theirs
@@ -240,7 +240,7 @@ func (l *Locality) onReplInval(m *netsim.Message) {
 	}
 	if l.replMarkStale(m.Block) {
 		l.Stats.ReplicaInvals.Inc()
-		l.latReplDone(m.OpID, latReplInval)
+		l.note(noteReplInval, m.Block, 0, m.OpID)
 	}
 	m.Release()
 }
@@ -264,7 +264,7 @@ func (l *Locality) onReplUpdate(m *netsim.Message) {
 			st.stale = false
 			l.mu.Unlock()
 			l.Stats.ReplicaUpdates.Inc()
-			l.latReplDone(m.OpID, latReplUpdate)
+			l.note(noteReplUpdate, b, 0, m.OpID)
 		}
 	}
 	l.releasePayload(m)
@@ -325,7 +325,7 @@ func (l *Locality) onReplFillRep(m *netsim.Message) {
 			st.expiry = l.latNow() + leaseNs
 			l.mu.Unlock()
 			l.Stats.ReplicaFills.Inc()
-			l.latReplDone(m.OpID, latReplFill)
+			l.note(noteReplFill, b, 0, m.OpID)
 		}
 	}
 	l.releasePayload(m)
@@ -514,17 +514,9 @@ func (w *World) Unreplicate(lay gas.Layout) error {
 		if dir == nil {
 			continue
 		}
-		rs, ok := dir.TakeReplicas(b)
-		if !ok {
-			continue
+		if rs, ok := dir.Replicas(b); ok {
+			w.removeReplicaSet(b, owner, rs.Holders)
 		}
-		for _, h := range rs.Holders {
-			w.locs[h].dropReplica(b)
-		}
-		for _, loc := range w.locs {
-			loc.space.DropReplicas(b)
-		}
-		w.replCount.Add(-1)
 	}
 	return nil
 }

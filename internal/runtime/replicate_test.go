@@ -376,27 +376,44 @@ func TestReplicateLiveAllOrNothing(t *testing.T) {
 }
 
 func TestFreeSweepsReplicas(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 3, Mode: AGASNM, Engine: EngineDES})
-	w.Start()
-	lay, err := w.AllocLocal(0, 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Free(lay); err != nil {
-		t.Fatal(err)
-	}
-	if n := w.ReplicatedBlocks(); n != 0 {
-		t.Fatalf("%d blocks still counted replicated after free", n)
-	}
-	for r := 0; r < 3; r++ {
-		for d := uint32(0); d < 2; d++ {
-			if _, ok := w.Locality(r).Store().Get(lay.Base.Block() + gas.BlockID(d)); ok {
-				t.Fatalf("block copy survived free at rank %d (d=%d)", r, d)
-			}
-		}
+	// World.Free and Proc.FreeAsync run one per-block free step: the
+	// replica set goes with the block, and so does every holder copy.
+	for _, how := range []struct {
+		name string
+		free func(w *World, lay gas.Layout) error
+	}{
+		{"Free", func(w *World, lay gas.Layout) error { return w.Free(lay) }},
+		{"FreeAsync", func(w *World, lay gas.Layout) error {
+			w.MustWait(w.Proc(1).FreeAsync(lay))
+			return nil
+		}},
+	} {
+		t.Run(how.name, func(t *testing.T) {
+			agasMatrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
+				w := testWorld(t, Config{Ranks: 3, Mode: mode, Engine: eng})
+				w.Start()
+				lay, err := w.AllocLocal(0, 64, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
+					t.Fatal(err)
+				}
+				if err := how.free(w, lay); err != nil {
+					t.Fatal(err)
+				}
+				if n := w.ReplicatedBlocks(); n != 0 {
+					t.Fatalf("%d blocks still counted replicated after free", n)
+				}
+				for r := 0; r < 3; r++ {
+					for d := uint32(0); d < 2; d++ {
+						if _, ok := w.Locality(r).Store().Get(lay.Base.Block() + gas.BlockID(d)); ok {
+							t.Fatalf("block copy survived free at rank %d (d=%d)", r, d)
+						}
+					}
+				}
+			})
+		})
 	}
 }
 

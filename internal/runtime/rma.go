@@ -124,7 +124,7 @@ func (l *Locality) getVecReq(src gas.GVA, segs []GetSeg, pooledOK bool) rmaReq {
 // when a blocked caller waits on it (st.wait, see Proc.await).
 func (l *Locality) issue(r rmaReq, st opState) {
 	id := l.newOpID()
-	l.latStart(id)
+	l.note(noteOpStart, r.target.Block(), 0, id)
 	l.mu.Lock()
 	l.ops[id] = st
 	l.mu.Unlock()
@@ -160,7 +160,11 @@ func (l *Locality) completeOp(id uint64, data []byte) {
 		}
 		l.w.fail("rank %d: completion for unknown op %d", l.rank, id)
 	}
-	l.latOpDone(id, data == nil) // only reads complete with data
+	path := LatGetDone
+	if data == nil { // only reads complete with data
+		path = LatPutDone
+	}
+	l.note(noteOpDone, 0, uint64(path), id)
 	if st.done != nil {
 		st.done(data)
 	}
@@ -240,7 +244,11 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 		m.Release()
 		return
 	}
-	l.w.noteAccess(l.rank, m.Src, b, read)
+	issuer := uint64(m.Src) << 1
+	if read {
+		issuer |= 1
+	}
+	l.note(noteServe, b, issuer, m.OpID)
 	if !nic {
 		n := len(m.Payload)
 		if read {
@@ -340,7 +348,7 @@ func (l *Locality) toMaster(m *netsim.Message, b gas.BlockID, nic bool) {
 	}
 	if m.Read {
 		l.Stats.HostForwards.Inc()
-		l.traceOp(TraceHostForward, b, uint64(master), m.OpID)
+		l.note(TraceHostForward, b, uint64(master), m.OpID)
 	}
 	l.routeToExplicit(m, master)
 }

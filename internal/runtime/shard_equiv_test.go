@@ -238,7 +238,7 @@ func TestShardedRankClockIsEventTime(t *testing.T) {
 		}
 		lat := w.Latencies()
 		sort.Strings(log)
-		return fmt.Sprintf("%s\nparcel_exec %+v\nput %+v", strings.Join(log, "\n"), lat.ParcelExec, lat.PutDone)
+		return fmt.Sprintf("%s\nparcel_exec %+v\nput %+v", strings.Join(log, "\n"), lat.Path[LatParcelExec], lat.Path[LatPutDone])
 	}
 	ref := run(0)
 	if !strings.Contains(ref, "now 1819 r1") {

@@ -99,7 +99,7 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 			l.w.fail("rank %d: parcel %v for unallocated block %d", l.rank, p, b)
 		}
 		l.Stats.HostForwards.Inc()
-		l.traceOp(TraceHostForward, b, uint64(owner), p.OpID)
+		l.note(TraceHostForward, b, uint64(owner), p.OpID)
 		l.exec.Charge(l.w.cfg.Model.OSend)
 		// Forward in place: the arrived message moves on, this host keeps
 		// nothing of it.

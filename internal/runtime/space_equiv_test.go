@@ -89,13 +89,21 @@ var equivGolden = map[Mode]equivCounters{
 // waited, so the counter totals are exact, not racy.
 func runEquivWorkload(t *testing.T, mode Mode, eng EngineKind, mutate ...func(*Config)) (equivCounters, *World) {
 	t.Helper()
-	const ranks = 4
-	const nblocks = 8
-	cfg := Config{Ranks: ranks, Mode: mode, Engine: eng}
+	cfg := Config{Ranks: 4, Mode: mode, Engine: eng}
 	for _, fn := range mutate {
 		fn(&cfg)
 	}
 	w := testWorld(t, cfg)
+	return equivProgram(t, w), w
+}
+
+// equivProgram is runEquivWorkload's program on a 4-rank world that has
+// not started yet, so a caller can install a tracer first.
+func equivProgram(t *testing.T, w *World) equivCounters {
+	t.Helper()
+	const ranks = 4
+	const nblocks = 8
+	mode := w.Config().Mode
 	incr := w.Register("incr", func(c *Ctx) {
 		data := c.Local(c.P.Target)
 		v := parcel.U64(data, 0)
@@ -163,7 +171,7 @@ func runEquivWorkload(t *testing.T, mode Mode, eng EngineKind, mutate ...func(*C
 	}
 	w.Stop()
 
-	return equivOf(w.Stats()), w
+	return equivOf(w.Stats())
 }
 
 // replEquivCounters extends the golden slice with the replica coherence
@@ -214,13 +222,21 @@ func settleRepl(t *testing.T, w *World, pred func(WorldStats) bool) {
 // pin both the counters and the data the application observed.
 func runReplEquivWorkload(t *testing.T, mode Mode, eng EngineKind, mutate ...func(*Config)) (replEquivCounters, *World) {
 	t.Helper()
-	const ranks = 4
-	const nblocks = 4
-	cfg := Config{Ranks: ranks, Mode: mode, Engine: eng}
+	cfg := Config{Ranks: 4, Mode: mode, Engine: eng}
 	for _, fn := range mutate {
 		fn(&cfg)
 	}
 	w := testWorld(t, cfg)
+	return replEquivProgram(t, w), w
+}
+
+// replEquivProgram is runReplEquivWorkload's program on a 4-rank world
+// that has not started yet.
+func replEquivProgram(t *testing.T, w *World) replEquivCounters {
+	t.Helper()
+	const ranks = 4
+	const nblocks = 4
+	mode := w.Config().Mode
 	w.Start()
 	lay, err := w.AllocCyclic(0, 64, nblocks)
 	if err != nil {
@@ -298,7 +314,7 @@ func runReplEquivWorkload(t *testing.T, mode Mode, eng EngineKind, mutate ...fun
 		ReplicaStaleReads: s.ReplicaStaleReads,
 		ReplicaInvals:     s.ReplicaInvals,
 		ReplicaFills:      s.ReplicaFills,
-	}, w
+	}
 }
 
 // TestReplicatedEquivalence is TestAddressSpaceEquivalence's replicated

@@ -163,28 +163,78 @@ func (w *World) SetTracer(fn func(TraceEvent)) {
 		panic("runtime: SetTracer after Start")
 	}
 	w.tracer = fn
+	w.observed = fn != nil || w.lat != nil || w.heat != nil
 }
 
-func (l *Locality) trace(kind TraceKind, block gas.BlockID, info uint64) {
-	l.traceOp(kind, block, info, 0)
-}
+// Note kinds are protocol steps that only the latency histograms or the
+// heat sampler observe. They follow the public kinds, and a tracer never
+// sees them, except noteAbandon, which it receives as TraceLoopNack.
+const (
+	// noteOpStart opens an op's latency span: a one-sided issue, a
+	// replica fan-out message, a replica fill request.
+	noteOpStart = TraceRehome + 1 + iota
+	// noteOpDone closes a one-sided op at its completion (Info = its
+	// LatPath, LatPutDone or LatGetDone).
+	noteOpDone
+	// noteServe is a one-sided op applied at its owner (Info = issuing
+	// rank << 1 | read).
+	noteServe
+	// noteMigInstall is a migrating block installed at its destination.
+	noteMigInstall
+	// noteMigCommit is a migration's directory flip at the home.
+	noteMigCommit
+	// noteReplInval, noteReplUpdate and noteReplFill are an
+	// invalidation, an update snapshot and a refill applied at a holder.
+	noteReplInval
+	noteReplUpdate
+	noteReplFill
+	// noteCoalesceFlush is a coalescer buffer flushed (Info = the latency
+	// clock at its first add).
+	noteCoalesceFlush
+	// noteAbandon is a hop-capped message abandoned at its sender
+	// (Info = advised owner).
+	noteAbandon
+)
 
-// traceMember emits a membership protocol step attributed to rank.
-func (w *World) traceMember(rank int, kind TraceKind, info uint64) {
-	if w.tracer == nil {
-		return
+// note is the one observation point of a protocol step inside this rank.
+// With no observer on it costs one branch.
+func (l *Locality) note(kind TraceKind, block gas.BlockID, info, opID uint64) {
+	if l.w.observed {
+		l.w.observe(l.rank, l.eng, kind, block, info, opID)
 	}
-	w.tracer(TraceEvent{
-		Time: netsim.VTime(w.latNow()), Rank: rank, Kind: kind, Info: info, Span: SpanInstant,
-	})
 }
 
-func (l *Locality) traceOp(kind TraceKind, block gas.BlockID, info, opID uint64) {
-	if l.w.tracer == nil {
-		return
+// noteMember is note for a membership step attributed to rank; those run
+// in driver or barrier context, so the step reads the façade clock.
+func (w *World) noteMember(rank int, kind TraceKind, info uint64) {
+	if w.observed {
+		w.observe(rank, w.eng, kind, 0, info, 0)
 	}
-	l.w.tracer(TraceEvent{
-		Time: netsim.VTime(l.latNow()), Rank: l.rank, Kind: kind, Block: block,
-		Info: info, OpID: opID, Span: spanOf(kind),
-	})
+}
+
+// observe hands one step, stamped with the latency clock of engine face
+// e, to every observer that is on.
+func (w *World) observe(rank int, e *netsim.Engine, kind TraceKind, block gas.BlockID, info, opID uint64) {
+	var now int64
+	if w.tracer != nil || w.lat != nil {
+		now = w.clockOn(e)
+	}
+	if w.tracer != nil {
+		tk := kind
+		if kind == noteAbandon {
+			tk = TraceLoopNack
+		}
+		if tk <= TraceRehome {
+			w.tracer(TraceEvent{
+				Time: netsim.VTime(now), Rank: rank, Kind: tk, Block: block,
+				Info: info, OpID: opID, Span: spanOf(tk),
+			})
+		}
+	}
+	if w.lat != nil {
+		w.lat.observe(kind, block, info, opID, now)
+	}
+	if w.heat != nil {
+		w.heat.observe(rank, kind, block, info, opID)
+	}
 }

@@ -371,7 +371,7 @@ func (wd *watchdogState) evalMemberDwell(w *World, pulse uint64) WatchdogStatus 
 		s.Level = WatchCritical
 		s.Rank = deadRank
 		s.Value = float64(deadRank)
-		s.Detail = fmt.Sprintf("rank %d dead (epoch %d)", deadRank, w.MembershipEpoch())
+		s.Detail = fmt.Sprintf("rank %d dead (epoch %d)", deadRank, w.mem.Epoch())
 	case dwellRank >= 0:
 		s.Value = float64(dwell)
 		s.Rank = dwellRank

@@ -51,17 +51,19 @@ type World struct {
 	// trace.go).
 	tracer func(TraceEvent)
 
+	// observed is set when any observer is on (tracer, lat or heat):
+	// every protocol step's note branches on it and nothing else.
+	observed bool
+
 	// epoch anchors every clock of EngineGo, which has no simulated one
 	// (see clockOn).
 	epoch time.Time
 
-	// lat holds the latency histograms; nil unless cfg.Metrics (the
-	// disabled hot path pays one nil check, nothing else).
+	// lat holds the latency histograms; nil unless cfg.Metrics.
 	lat *latencyState
 
 	// heat holds the sampled access-heat tracker feeding the load
-	// balancer; nil unless cfg.Heat.Enabled (the disabled hot path pays
-	// one nil check, nothing else — see heat.go).
+	// balancer; nil unless cfg.Heat.Enabled (see heat.go).
 	heat *heatState
 
 	// replCount is the number of blocks with live replica sets. Every
@@ -105,6 +107,7 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Heat.Enabled {
 		w.heat = newHeatState(cfg.Heat, cfg.Ranks)
 	}
+	w.observed = w.lat != nil || w.heat != nil
 	if cfg.Pulse.Enabled {
 		w.pulse = newPulseState(w, cfg.Pulse)
 	}
@@ -163,7 +166,7 @@ func NewWorld(cfg Config) (*World, error) {
 			}
 			nic.DMADeliver = loc.onDMA
 			nic.OnForward = func(m *netsim.Message, owner int) {
-				loc.traceOp(TraceNICForward, m.Block, uint64(int64(owner)), m.OpID)
+				loc.note(TraceNICForward, m.Block, uint64(int64(owner)), m.OpID)
 			}
 		}
 	case EngineGo:
@@ -313,7 +316,7 @@ func (w *World) abortStrandedMigrations() {
 		l.mu.Unlock()
 		for i, b := range stranded {
 			l.space.AbortMigrate(b)
-			l.trace(TraceMigrateAbort, b, 0)
+			l.note(TraceMigrateAbort, b, 0, 0)
 			// The data may have landed at a destination whose commit died
 			// with the actors; the abandoned move leaves no second master.
 			if dl := w.locs[dsts[i]]; dl != l && dl.residentForNIC(b) {

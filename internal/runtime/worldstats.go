@@ -226,26 +226,15 @@ func (w *World) StatsTable() *stats.Table {
 		add("pulse.ticks", s.Pulses)
 	}
 	if lat := s.Latencies; lat.Enabled {
-		lrow := func(name string, l LatencySummary) {
+		for p, l := range lat.Path {
 			if l.Count == 0 {
-				return
+				continue
 			}
+			name := "lat." + LatPath(p).String()
 			tb.AddRow(name+".p50_ns", l.P50Ns)
 			tb.AddRow(name+".p95_ns", l.P95Ns)
 			tb.AddRow(name+".p99_ns", l.P99Ns)
 		}
-		lrow("lat.parcel_exec", lat.ParcelExec)
-		lrow("lat.put", lat.PutDone)
-		lrow("lat.get", lat.GetDone)
-		lrow("lat.nack_repair", lat.NackRepair)
-		lrow("lat.coalesce_flush", lat.CoalesceFlush)
-		lrow("lat.mig_transfer", lat.MigTransfer)
-		lrow("lat.mig_update", lat.MigUpdate)
-		lrow("lat.mig_drain", lat.MigDrain)
-		lrow("lat.mig_total", lat.MigTotal)
-		lrow("lat.repl_inval", lat.ReplInval)
-		lrow("lat.repl_update", lat.ReplUpdate)
-		lrow("lat.repl_fill", lat.ReplFill)
 	}
 	return tb
 }

@@ -122,33 +122,3 @@ func TestFacadeTopologyAndDump(t *testing.T) {
 		t.Fatal("stats empty after remote put")
 	}
 }
-
-func TestFacadeMigrateManyAndCallWhen(t *testing.T) {
-	w, err := vgas.NewWorld(vgas.Config{Ranks: 3, Mode: vgas.AGASSW})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	echo := w.Register("echo", func(c *vgas.Ctx) { c.Continue([]byte{77}) })
-	w.Start()
-	lay, err := w.AllocLocal(0, 64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate, futs := w.Proc(0).MigrateMany(
-		[]vgas.GVA{lay.BlockAt(0), lay.BlockAt(1), lay.BlockAt(2)},
-		[]int{1, 2, 1},
-	)
-	w.MustWait(gate)
-	for _, f := range futs {
-		if vgas.MigrateStatus(f.Value()) != vgas.MigrateOK {
-			t.Fatal("bulk migration failed")
-		}
-	}
-	dep := w.NewFuture(0)
-	res := w.Proc(0).CallWhen(dep, lay.BlockAt(1), echo, nil)
-	w.Proc(2).Invoke(dep.G, vgas.LCOSet, nil)
-	if v := w.MustWait(res); v[0] != 77 {
-		t.Fatal("dependent call result wrong")
-	}
-}

@@ -137,6 +137,8 @@ type (
 	TraceEvent = runtime.TraceEvent
 	// TraceKind classifies trace events.
 	TraceKind = runtime.TraceKind
+	// LatPath names one latency histogram (WorldStats.Latencies.Path).
+	LatPath = runtime.LatPath
 	// WorldStats aggregates runtime counters.
 	WorldStats = runtime.WorldStats
 	// Coherence selects the replica coherence policy (Config.Coherence).
@@ -224,6 +226,24 @@ const (
 	TraceMigrateStart = runtime.TraceMigrateStart
 	TraceMigrateDone  = runtime.TraceMigrateDone
 	TraceQueued       = runtime.TraceQueued
+)
+
+// Latency paths (see Config.Metrics): one summary each in
+// WorldStats.Latencies.Path.
+const (
+	LatParcelExec    = runtime.LatParcelExec
+	LatPutDone       = runtime.LatPutDone
+	LatGetDone       = runtime.LatGetDone
+	LatNackRepair    = runtime.LatNackRepair
+	LatCoalesceFlush = runtime.LatCoalesceFlush
+	LatMigTransfer   = runtime.LatMigTransfer
+	LatMigUpdate     = runtime.LatMigUpdate
+	LatMigDrain      = runtime.LatMigDrain
+	LatMigTotal      = runtime.LatMigTotal
+	LatReplInval     = runtime.LatReplInval
+	LatReplUpdate    = runtime.LatReplUpdate
+	LatReplFill      = runtime.LatReplFill
+	NumLatPaths      = runtime.NumLatPaths
 )
 
 // Migration status codes (decode a Migrate future with MigrateStatus).
