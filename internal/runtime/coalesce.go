@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"time"
 
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
@@ -153,14 +152,10 @@ func (b *coalBuf) take(c *coalescer) []byte {
 }
 
 // armFlush schedules the delayed flush for the given buffer generation.
+// The flush drains this locality's own buffer and injects from its NIC:
+// rank-local work.
 func (c *coalescer) armFlush(dst int, gen uint64) {
-	if l := c.l; l.eng != nil {
-		// The flush drains this locality's own buffer and injects from its
-		// NIC: rank-local work, armed on the rank's own timeline.
-		l.eng.AfterRank(l.rank, coalMaxDelay, func() { c.flushGen(dst, gen) })
-		return
-	}
-	time.AfterFunc(c.l.w.goWall(coalMaxDelay), func() { c.flushGen(dst, gen) })
+	c.l.exec.After(coalMaxDelay, func() { c.flushGen(dst, gen) })
 }
 
 // flushGen is the delayed flush: it fires only if the buffer still holds

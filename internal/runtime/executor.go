@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"time"
 
 	"nmvgas/internal/netsim"
 )
@@ -25,6 +26,11 @@ type Executor interface {
 	// and there is no host-busy horizon to respect), a user parcel on the
 	// calling token holder.
 	ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message)
+	// After runs fn as this locality's work d from now: an event on the
+	// rank's own timeline under DES, a wall timer (d × goTimeScale) that
+	// posts fn to the mailbox on the goroutine engine. A stopped mailbox
+	// drops it, so no fn runs after World.Stop returns.
+	After(d netsim.VTime, fn func())
 }
 
 // msgOp names one step of a message's life on a locality's host.
@@ -65,6 +71,8 @@ func (e *desExec) Exec(cost netsim.VTime, fn func()) {
 func (e *desExec) ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message) {
 	e.eng.AtRankMsg(e.rank, e.reserve(cost), e, uint8(op), m)
 }
+
+func (e *desExec) After(d netsim.VTime, fn func()) { e.eng.AfterRank(e.rank, d, fn) }
 
 // HandleMsg runs a typed event step (netsim.MsgSink).
 func (e *desExec) HandleMsg(op uint8, m *netsim.Message) { e.l.handleMsg(msgOp(op), m) }
@@ -254,6 +262,10 @@ func (e *goExec) ExecMsg(_ netsim.VTime, op msgOp, m *netsim.Message) {
 		return
 	}
 	e.onStep(op, m)
+}
+
+func (e *goExec) After(d netsim.VTime, fn func()) {
+	time.AfterFunc(goWall(d), func() { e.Exec(0, fn) })
 }
 
 func (e *goExec) Charge(netsim.VTime) {}

@@ -283,11 +283,7 @@ func (mem *membership) sendPings(l *Locality, target int) {
 }
 
 func (mem *membership) armProbeCheck(l *Locality, target int) {
-	if mem.w.eng != nil {
-		mem.w.eng.After(probeTimeout, func() { mem.probeCheck(l, target) })
-		return
-	}
-	time.AfterFunc(mem.w.goWall(probeTimeout), func() { mem.probeCheck(l, target) })
+	mem.w.after(probeTimeout, func() { mem.probeCheck(l, target) })
 }
 
 // probeCheck runs at the pong deadline: a pong clears the suspicion, an
@@ -802,27 +798,22 @@ func (w *World) bumpEpoch(epoch uint64) {
 }
 
 // scheduleFaultMembership arms the membership machinery and schedules
-// the fault plan's whole-node kills and restarts on the engine clock.
+// the fault plan's whole-node kills and restarts as world timers. Plan
+// times are absolute (simulated under DES, scaled wall time from Start
+// under EngineGo, where Now is 0).
 func (w *World) scheduleFaultMembership() {
 	kills, restarts := w.cfg.Faults.KillAt, w.cfg.Faults.RestartAt
 	if len(kills) == 0 && len(restarts) == 0 {
 		return
 	}
 	w.mem.armed.Store(true)
-	at := func(t netsim.VTime, fn func()) {
-		if w.eng != nil {
-			w.eng.At(t, fn)
-			return
-		}
-		time.AfterFunc(w.goWall(t), fn)
-	}
 	for _, r := range sortedRankKeys(kills) {
 		r := r
-		at(kills[r], func() { w.Kill(r) })
+		w.after(kills[r]-w.Now(), func() { w.Kill(r) })
 	}
 	for _, r := range sortedRankKeys(restarts) {
 		r := r
-		at(restarts[r], func() { w.Restart(r) })
+		w.after(restarts[r]-w.Now(), func() { w.Restart(r) })
 	}
 }
 

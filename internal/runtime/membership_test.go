@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"testing"
 	"time"
@@ -26,48 +27,60 @@ var relStress = ReliabilityConfig{Force: true, MaxAttempts: 64}
 func TestKillPromotesReplicaAndServes(t *testing.T) {
 	matrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
 		w := testWorld(t, Config{Ranks: 4, Mode: mode, Engine: eng, Reliability: relStress})
-		w.Start()
-		lay, err := w.AllocLocal(1, 64, 1)
-		if err != nil {
+		if err := killPromotesReplicaAndServes(w); err != nil {
 			t.Fatal(err)
-		}
-		g := lay.BlockAt(0)
-		w.MustWait(w.Proc(0).Put(g, []byte{1, 1}))
-		if err := w.ReplicateLive(lay, 2); err != nil {
-			t.Fatal(err)
-		}
-
-		// Rank 1 (the master and home) crashes; the write below finds
-		// only silence until the survivors declare it dead and promote
-		// a replica.
-		w.Kill(1)
-		ref := w.Proc(0).Put(g, []byte{2, 2})
-		got := w.MustWait(ref)
-		_ = got
-		if !w.AwaitMember(1, MemberDead, 20*time.Second) {
-			t.Fatalf("rank 1 never declared dead: state=%v stats=%+v", w.MemberState(1), w.MembershipStats())
-		}
-
-		for _, r := range []int{0, 2, 3} {
-			got := w.MustWait(w.Proc(r).Get(g, 2))
-			if !bytes.Equal(got, []byte{2, 2}) {
-				t.Fatalf("rank %d read %v from promoted master", r, got)
-			}
-		}
-		ms := w.MembershipStats()
-		if ms.Deaths != 1 {
-			t.Fatalf("deaths = %d, want 1 (stats %+v)", ms.Deaths, ms)
-		}
-		if ms.Suspicions == 0 {
-			t.Fatal("death declared without suspicion")
-		}
-		if ms.Rehomed == 0 {
-			t.Fatal("no block was re-homed despite a live replica")
-		}
-		if ms.Epoch == 0 {
-			t.Fatal("membership epoch never bumped")
 		}
 	})
+}
+
+// killPromotesReplicaAndServes is TestKillPromotesReplicaAndServes on a
+// new world; the virtual-time trials (bubble_test.go) run it too.
+func killPromotesReplicaAndServes(w *World) error {
+	w.Start()
+	lay, err := w.AllocLocal(1, 64, 1)
+	if err != nil {
+		return err
+	}
+	g := lay.BlockAt(0)
+	if _, err := w.Wait(w.Proc(0).Put(g, []byte{1, 1})); err != nil {
+		return err
+	}
+	if err := w.ReplicateLive(lay, 2); err != nil {
+		return err
+	}
+
+	// Rank 1 (the master and home) crashes; the write below finds
+	// only silence until the survivors declare it dead and promote
+	// a replica.
+	w.Kill(1)
+	if _, err := w.Wait(w.Proc(0).Put(g, []byte{2, 2})); err != nil {
+		return err
+	}
+	if !w.AwaitMember(1, MemberDead, 20*time.Second) {
+		return fmt.Errorf("rank 1 never declared dead: state=%v stats=%+v", w.MemberState(1), w.MembershipStats())
+	}
+
+	for _, r := range []int{0, 2, 3} {
+		got, err := w.Wait(w.Proc(r).Get(g, 2))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, []byte{2, 2}) {
+			return fmt.Errorf("rank %d read %v from promoted master", r, got)
+		}
+	}
+	ms := w.MembershipStats()
+	switch {
+	case ms.Deaths != 1:
+		return fmt.Errorf("deaths = %d, want 1 (stats %+v)", ms.Deaths, ms)
+	case ms.Suspicions == 0:
+		return fmt.Errorf("death declared without suspicion")
+	case ms.Rehomed == 0:
+		return fmt.Errorf("no block was re-homed despite a live replica")
+	case ms.Epoch == 0:
+		return fmt.Errorf("membership epoch never bumped")
+	}
+	return nil
 }
 
 // TestUnreplicatedBlockIsLostCleanly kills the owner of a block with no
@@ -172,44 +185,59 @@ func TestRetireDrainsAndServes(t *testing.T) {
 func TestJoinReadmitsAndServes(t *testing.T) {
 	matrix(t, func(t *testing.T, mode Mode, eng EngineKind) {
 		w := testWorld(t, Config{Ranks: 4, Mode: mode, Engine: eng, Reliability: relStress})
-		w.Start()
-		lay, err := w.AllocLocal(1, 64, 1)
-		if err != nil {
+		if err := joinReadmitsAndServes(w); err != nil {
 			t.Fatal(err)
-		}
-		g := lay.BlockAt(0)
-		w.MustWait(w.Proc(0).Put(g, []byte{5, 5}))
-		if err := w.ReplicateLive(lay, 2); err != nil {
-			t.Fatal(err)
-		}
-
-		w.Kill(1)
-		w.MustWait(w.Proc(0).Put(g, []byte{6, 6}))
-		if !w.AwaitMember(1, MemberDead, 20*time.Second) {
-			t.Fatalf("rank 1 never declared dead: %+v", w.MembershipStats())
-		}
-
-		// Join while the world keeps running; the rank must come back
-		// alive and serve reads of the value written after its death.
-		if err := w.Join(1); err != nil {
-			t.Fatal(err)
-		}
-		if !w.AwaitMember(1, MemberAlive, 20*time.Second) {
-			t.Fatalf("rank 1 never rejoined: state=%v", w.MemberState(1))
-		}
-		got := w.MustWait(w.Proc(1).Get(g, 2))
-		if !bytes.Equal(got, []byte{6, 6}) {
-			t.Fatalf("reborn rank read %v", got)
-		}
-		ms := w.MembershipStats()
-		if ms.Joins != 1 || ms.Deaths != 1 {
-			t.Fatalf("joins=%d deaths=%d", ms.Joins, ms.Deaths)
-		}
-		// Joining a live rank must refuse.
-		if err := w.Join(1); err == nil {
-			t.Fatal("Join of a live rank accepted")
 		}
 	})
+}
+
+// joinReadmitsAndServes is TestJoinReadmitsAndServes on a new world; the
+// virtual-time trials (bubble_test.go) run it too.
+func joinReadmitsAndServes(w *World) error {
+	w.Start()
+	lay, err := w.AllocLocal(1, 64, 1)
+	if err != nil {
+		return err
+	}
+	g := lay.BlockAt(0)
+	if _, err := w.Wait(w.Proc(0).Put(g, []byte{5, 5})); err != nil {
+		return err
+	}
+	if err := w.ReplicateLive(lay, 2); err != nil {
+		return err
+	}
+
+	w.Kill(1)
+	if _, err := w.Wait(w.Proc(0).Put(g, []byte{6, 6})); err != nil {
+		return err
+	}
+	if !w.AwaitMember(1, MemberDead, 20*time.Second) {
+		return fmt.Errorf("rank 1 never declared dead: %+v", w.MembershipStats())
+	}
+
+	// Join while the world keeps running; the rank must come back
+	// alive and serve reads of the value written after its death.
+	if err := w.Join(1); err != nil {
+		return err
+	}
+	if !w.AwaitMember(1, MemberAlive, 20*time.Second) {
+		return fmt.Errorf("rank 1 never rejoined: state=%v", w.MemberState(1))
+	}
+	got, err := w.Wait(w.Proc(1).Get(g, 2))
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, []byte{6, 6}) {
+		return fmt.Errorf("reborn rank read %v", got)
+	}
+	if ms := w.MembershipStats(); ms.Joins != 1 || ms.Deaths != 1 {
+		return fmt.Errorf("joins=%d deaths=%d", ms.Joins, ms.Deaths)
+	}
+	// Joining a live rank must refuse.
+	if err := w.Join(1); err == nil {
+		return fmt.Errorf("Join of a live rank accepted")
+	}
+	return nil
 }
 
 // TestRestartBeforeDeathResumesTransparently kills and restarts a rank

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"time"
-
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
@@ -220,12 +218,7 @@ func migrateData(c *Ctx) {
 		// pathology, produced through the real protocol path.
 		// The retry runs on this locality's Ctx with its own parcel copy.
 		retry := *c.P
-		fn := func() { c.P = &retry; migrateData(c); c.P = nil }
-		if l.w.eng != nil {
-			l.exec.Exec(stallRetryDelay, fn)
-		} else {
-			time.AfterFunc(l.w.goWall(stallRetryDelay), func() { l.exec.Exec(0, fn) })
-		}
+		l.exec.After(stallRetryDelay, func() { c.P = &retry; migrateData(c); c.P = nil })
 		return
 	}
 	mp := decodeMig(c.P.Payload)

@@ -200,7 +200,7 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 func (c *chanNet) deliver(m *netsim.Message, delay netsim.VTime) {
 	ex := c.execs[m.Dst]
 	if delay > 0 {
-		time.AfterFunc(c.w.goWall(delay), func() { ex.execMsg(m) })
+		time.AfterFunc(goWall(delay), func() { ex.execMsg(m) })
 		return
 	}
 	ex.execMsg(m)

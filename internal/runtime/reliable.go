@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nmvgas/internal/netsim"
 )
@@ -330,18 +329,10 @@ func (l *Locality) relTrack(m *netsim.Message) {
 	}
 }
 
-// relArm schedules the retransmission timer for channel ch.
+// relArm schedules the retransmission timer for channel ch. It is
+// rank-local work: it reads and mutates only this locality's send state.
 func (l *Locality) relArm(ch int32, d netsim.VTime) {
-	if l.eng != nil {
-		// The retransmission timer is rank-local work: it reads and
-		// mutates only this locality's send state, so it runs on the
-		// rank's own timeline (its shard under the parallel engine).
-		l.eng.AfterRank(l.rank, d, func() { l.relTimer(ch) })
-		return
-	}
-	time.AfterFunc(l.w.goWall(d), func() {
-		l.exec.Exec(0, func() { l.relTimer(ch) })
-	})
+	l.exec.After(d, func() { l.relTimer(ch) })
 }
 
 // relTimer fires for channel ch: retransmit everything unacked and past

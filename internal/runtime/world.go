@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,6 +83,9 @@ type World struct {
 	migStall atomic.Bool
 
 	started bool
+	// stopped is set by Stop under timerMu, which each World.after
+	// callback holds for reading while it runs.
+	timerMu sync.RWMutex
 	stopped bool
 }
 
@@ -241,7 +245,7 @@ func (w *World) Start() {
 	}
 	w.scheduleFaultMembership()
 	if w.pulse != nil {
-		w.pulse.start()
+		w.pulse.arm()
 	}
 }
 
@@ -249,20 +253,21 @@ func (w *World) Start() {
 // to finish on the goroutine engine before abandoning them.
 const stopDrainTimeout = 2 * time.Second
 
-// Stop shuts the world down. Under EngineGo it first waits (briefly,
-// bounded by stopDrainTimeout) for in-flight migrations to complete —
-// tearing the actors down around a half-moved block would strand its
-// queued traffic — then drains and stops the actors, and
-// deterministically aborts anything still mid-move so the final state
-// is consistent for post-mortem inspection. Under EngineDES it is a
-// no-op beyond marking the world stopped.
+// Stop shuts the world down. Under EngineGo it first retires the world
+// timers (no World.after callback starts once Stop begins; a running one
+// finishes first), then waits (briefly, bounded by stopDrainTimeout) for
+// in-flight migrations to complete — tearing the actors down around a
+// half-moved block would strand its queued traffic — then drains and
+// stops the actors, and deterministically aborts anything still
+// mid-move so the final state is consistent for post-mortem inspection.
+// Under EngineDES it is a no-op beyond marking the world stopped.
 func (w *World) Stop() {
-	if w.stopped {
-		return
-	}
+	w.timerMu.Lock()
+	stopped := w.stopped
 	w.stopped = true
-	if w.pulse != nil {
-		w.pulse.stopGo()
+	w.timerMu.Unlock()
+	if stopped {
+		return
 	}
 	if w.eng != nil {
 		if par := w.eng.Par(); par != nil {
@@ -344,8 +349,26 @@ func (w *World) Now() netsim.VTime {
 
 // goWall converts a simulated duration to a wall-clock duration under
 // EngineGo, through goTimeScale.
-func (w *World) goWall(d netsim.VTime) time.Duration {
+func goWall(d netsim.VTime) time.Duration {
 	return time.Duration(int64(d) * goTimeScale)
+}
+
+// after runs fn d from now in world context (driver or barrier: it may
+// touch any rank). Under EngineDES it is an engine event; under EngineGo
+// a wall timer that never starts fn once Stop has begun, and Stop waits
+// for one already running. fn must not call Stop.
+func (w *World) after(d netsim.VTime, fn func()) {
+	if w.eng != nil {
+		w.eng.After(d, fn)
+		return
+	}
+	time.AfterFunc(goWall(d), func() {
+		w.timerMu.RLock()
+		defer w.timerMu.RUnlock()
+		if !w.stopped {
+			fn()
+		}
+	})
 }
 
 // Engine exposes the DES engine for harness-level scheduling (workload
