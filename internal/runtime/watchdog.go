@@ -483,9 +483,9 @@ func (w *World) Health() HealthReport {
 }
 
 // OnWatchdogTrip registers fn to run whenever a watchdog escalates.
-// Callbacks run in tick context (see OnPulse) after the evaluation
-// lock is released, so they may call Health. With the pulse off the
-// registration is a no-op: nothing will ever trip.
+// Callbacks run in tick context (see OnPulse; under EngineGo they must not
+// call World.Stop) after the evaluation lock is released, so they may call
+// Health. With the pulse off the registration is a no-op: nothing trips.
 func (w *World) OnWatchdogTrip(fn func(WatchdogEvent)) {
 	if w.pulse == nil {
 		return

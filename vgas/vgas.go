@@ -152,7 +152,9 @@ type (
 	// PulseConfig enables the runtime pulse (Config.Pulse): a periodic
 	// in-runtime control tick driving watchdogs and OnPulse clients.
 	PulseConfig = runtime.PulseConfig
-	// PulseInfo is handed to OnPulse clients on each tick.
+	// PulseInfo is handed to OnPulse clients on each tick. Under
+	// EngineGo a client must not call World.Stop, which waits for the
+	// running tick.
 	PulseInfo = runtime.PulseInfo
 	// WatchdogConfig tunes the invariant monitors evaluated each pulse
 	// (PulseConfig.Watchdogs).
@@ -162,7 +164,8 @@ type (
 	// WatchdogStatus is one monitor's state as of the last pulse.
 	WatchdogStatus = runtime.WatchdogStatus
 	// WatchdogEvent is delivered to OnWatchdogTrip callbacks when a
-	// monitor escalates.
+	// monitor escalates. Under EngineGo a callback must not call
+	// World.Stop, which waits for the running tick.
 	WatchdogEvent = runtime.WatchdogEvent
 	// HealthReport is the aggregated watchdog state (World.Health, and
 	// the /healthz endpoint's JSON body).
