@@ -2,9 +2,9 @@
 // space: the home-based ownership directory, the per-locality software
 // translation cache, and host-level forwarding tombstones. The
 // software-managed baseline uses all three from the host CPU; the
-// network-managed mode (package nmagas) keeps the same directory as the
-// source of truth but mirrors it into NIC translation state so the data
-// path never touches these structures.
+// network-managed mode (runtime's space_agasnm.go) keeps the same
+// directory as the source of truth but mirrors it into NIC translation
+// state so the data path never touches these structures.
 package agas
 
 import (

@@ -5,7 +5,6 @@ import (
 
 	"nmvgas/internal/agas"
 	"nmvgas/internal/netsim"
-	"nmvgas/internal/nmagas"
 	"nmvgas/internal/runtime"
 	"nmvgas/internal/stats"
 	"nmvgas/internal/workloads"
@@ -233,13 +232,13 @@ func a2UpdatePolicy(o Options) *stats.Table {
 	tb := stats.NewTable("Ablation 2: NIC table update propagation",
 		"policy", "first_access_us", "ctrl_msgs")
 	for _, pol := range []struct {
-		name string
-		u    nmagas.UpdatePolicy
+		name      string
+		broadcast bool
 	}{
-		{"on-forward", nmagas.UpdateOnForward},
-		{"broadcast", nmagas.UpdateBroadcast},
+		{"on-forward", false},
+		{"broadcast", true},
 	} {
-		w := newWorld(runtime.SpaceFor(runtime.AGASNM), 8, func(c *runtime.Config) { c.NMUpdate = pol.u })
+		w := newWorld(runtime.SpaceFor(runtime.AGASNM), 8, func(c *runtime.Config) { c.Policy.BroadcastUpdates = pol.broadcast })
 		echo := w.Register("echo", func(c *runtime.Ctx) { c.Continue(nil) })
 		w.Start()
 		lay, err := w.AllocLocal(1, 256, 1)

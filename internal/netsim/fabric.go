@@ -113,9 +113,6 @@ func (f *Fabric) FaultSnapshot() FaultStats {
 // NIC returns the interface of the given rank.
 func (f *Fabric) NIC(rank int) *NIC { return f.NICs[rank] }
 
-// Ranks returns the number of localities on the fabric.
-func (f *Fabric) Ranks() int { return len(f.NICs) }
-
 // The methods below are the transport face the runtime drives both
 // engines through (the goroutine transport implements the same set).
 

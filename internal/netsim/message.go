@@ -31,9 +31,9 @@ const (
 	CtlNackLoop
 	// CtlTableBatch is a batched CtlTableUpdate: its payload carries many
 	// block→owner entries (see AppendTableEntry), installed by the
-	// receiving NIC in one deferred event. The eager-broadcast mirror
-	// emits one of these per NIC per migration burst instead of one
-	// CtlTableUpdate per block.
+	// receiving NIC in one deferred event. A home under
+	// Policy.BroadcastUpdates sends one of these per NIC per migration
+	// burst instead of one CtlTableUpdate per block.
 	CtlTableBatch
 )
 

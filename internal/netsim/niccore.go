@@ -29,6 +29,10 @@ type Policy struct {
 	// NoPushUpdates stops a forwarding NIC from pushing the correct owner
 	// to the source NIC's table, so later traffic keeps taking the detour.
 	NoPushUpdates bool
+	// BroadcastUpdates has the home push every migration commit to every
+	// NIC's table: the first send after a move goes direct, for O(ranks)
+	// control messages per burst. The runtime's agas-nm space reads it.
+	BroadcastUpdates bool
 }
 
 // NICStats are cumulative per-NIC counters, the same set on both engines.

@@ -44,16 +44,17 @@ func (c *Ctx) Now() netsim.VTime {
 // CPU. No-op on the goroutine engine, where compute costs are real.
 func (c *Ctx) Charge(d netsim.VTime) { c.l.exec.Charge(d) }
 
-// Local returns the data of a block resident on this locality, or nil if
-// the block is absent, mid-migration, or not a data block. The slice
-// aliases block storage: actions mutate it to update the block.
+// Local returns the data of a block resident on this locality from g's
+// offset on, or nil if the block is absent, mid-migration, not a data
+// block, or shorter than the offset. The slice aliases block storage:
+// actions mutate it to update the block.
 func (c *Ctx) Local(g gas.GVA) []byte {
 	b := g.Block()
 	if c.l.Moving(b) {
 		return nil
 	}
 	blk, ok := c.l.store.Get(b)
-	if !ok || blk.Kind != gas.KindData {
+	if !ok || blk.Kind != gas.KindData || int(g.Offset()) > len(blk.Data) {
 		return nil
 	}
 	return blk.Data[g.Offset():]

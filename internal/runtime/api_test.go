@@ -168,6 +168,38 @@ func TestCtxAccessors(t *testing.T) {
 	w.MustWait(w.Proc(0).Call(lay.BlockAt(0), probe, nil))
 }
 
+// TestLocalPastBlockEnd: on the owner, Ctx.Local of an offset inside a
+// 64 B block is the rest of the block, at its end an empty slice, and
+// past its end nil, as for an absent block, not a slice-bounds panic.
+func TestLocalPastBlockEnd(t *testing.T) {
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: eng})
+			probe := w.Register("probe", func(c *Ctx) {
+				reply := []byte{0xff}
+				if d := c.Local(c.P.Target); d != nil {
+					reply[0] = byte(len(d))
+				}
+				c.Continue(reply)
+			})
+			w.Start()
+			lay, err := w.AllocLocal(1, 64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				off  uint32
+				want byte
+			}{{0, 64}, {60, 4}, {64, 0}, {65, 0xff}, {200, 0xff}} {
+				v := w.MustWait(w.Proc(0).Call(lay.BlockAt(0).WithOffset(tc.off), probe, nil))
+				if len(v) != 1 || v[0] != tc.want {
+					t.Errorf("offset %d: Local gave %v, want %d bytes (0xff: nil)", tc.off, v, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestContinueWithoutContinuationIsNoop(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 2, Mode: PGAS, Engine: EngineDES})
 	fire := w.Register("fire", func(c *Ctx) {

@@ -6,6 +6,7 @@ package runtime
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -97,4 +98,56 @@ func TestBubbleMembershipTrials(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestBubbleForceWithoutFaultsZeroRetransmits runs the goroutine-engine
+// row of TestForceWithoutFaultsZeroRetransmits -trials times. On the
+// wall clock an ack can lose a race with the retransmission timeout when
+// the host is loaded; in virtual time the clock advances only once every
+// goroutine is blocked, so no trial may fail.
+func TestBubbleForceWithoutFaultsZeroRetransmits(t *testing.T) {
+	fails := 0
+	for i := 0; i < *trials; i++ {
+		var err error
+		inBubble(t, func() { err = forceWithoutFaults() })
+		if err != nil {
+			if fails++; fails == 1 {
+				t.Logf("trial %d: %v", i, err)
+			}
+		}
+	}
+	t.Logf("%d failures in %d trials", fails, *trials)
+	if fails > 0 {
+		t.Errorf("%d failures in %d trials", fails, *trials)
+	}
+}
+
+// forceWithoutFaults is one goroutine-engine trial of
+// TestForceWithoutFaultsZeroRetransmits, with its assertions.
+func forceWithoutFaults() (err error) {
+	w, err := NewWorld(Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, Reliability: ReliabilityConfig{Force: true}})
+	if err != nil {
+		return err
+	}
+	defer w.Stop()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	got, err := equivRun(w)
+	if err != nil {
+		return err
+	}
+	if got != equivGolden[AGASNM] {
+		return fmt.Errorf("forced reliability perturbed golden counters\n got: %v\nwant: %v", got, equivGolden[AGASNM])
+	}
+	d := w.DeliveryStats()
+	if d.Tracked == 0 {
+		return fmt.Errorf("reliability forced on but nothing tracked")
+	}
+	if d.Retransmits != 0 || d.DupsSuppressed != 0 || d.Abandoned != 0 || d.StaleDrops != 0 {
+		return fmt.Errorf("fault-free run shows degradation: %+v", d)
+	}
+	return nil
 }

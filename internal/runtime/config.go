@@ -11,7 +11,6 @@ import (
 
 	"nmvgas/internal/agas"
 	"nmvgas/internal/netsim"
-	"nmvgas/internal/nmagas"
 )
 
 // Mode selects how global addresses are translated to owners.
@@ -104,8 +103,6 @@ type Config struct {
 	NICTableCap int
 	// SWCorrection selects the software cache's staleness policy.
 	SWCorrection agas.CorrectionPolicy
-	// NMUpdate selects how migrations propagate to NIC tables.
-	NMUpdate nmagas.UpdatePolicy
 	// Topology selects the simulated fabric topology (nil = crossbar).
 	// Only meaningful under EngineDES.
 	Topology netsim.Topology

@@ -116,7 +116,7 @@ func goNICStateChurn(t *testing.T, tableCap int) {
 				w.net.State((g+i)%4, func(ts *netsim.TransState) { ts.Table.Update(b, i%4) })
 				w.net.State((g+i+1)%4, func(ts *netsim.TransState) { ts.InstallRoute(b, i%4) })
 				if i%7 == 0 {
-					w.mirror.ClearResident(i%4, b)
+					w.net.State(i%4, func(ts *netsim.TransState) { ts.ClearResident(b) })
 				}
 			}
 		}(g)

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -410,7 +412,7 @@ func (mem *membership) recoverDead(d int) {
 
 		// Blocks homed here but owned by survivors: their data is safe;
 		// record the overlay route so home-directed traffic redirects.
-		for _, b := range sortedBlockIDs(owners) {
+		for _, b := range sortedKeys(owners) {
 			mem.addRehome(b, owners[b], d)
 		}
 
@@ -429,15 +431,15 @@ func (mem *membership) recoverDead(d int) {
 	})
 }
 
-// sortedBlockIDs returns m's keys in ascending order, for deterministic
+// sortedKeys returns m's keys in ascending order, for deterministic
 // recovery under the DES engine.
-func sortedBlockIDs[V any](m map[gas.BlockID]V) []gas.BlockID {
-	ids := make([]gas.BlockID, 0, len(m))
-	for b := range m {
-		ids = append(ids, b)
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(keys)
+	return keys
 }
 
 // promote turns one of blk's surviving replica holders into its new
@@ -522,7 +524,7 @@ func (mem *membership) shedHolder(d int) {
 			continue
 		}
 		repls := dir.ReplicaEntries()
-		for _, b := range sortedBlockIDs(repls) {
+		for _, b := range sortedKeys(repls) {
 			rs := repls[b]
 			kept := rs.Holders[:0]
 			shed := false
@@ -653,7 +655,7 @@ func (w *World) Retire(rank int) error {
 	// and the epoch fences every cached route through it.
 	if dir := w.locs[rank].space.Directory(); dir != nil {
 		owners := dir.Entries()
-		for _, b := range sortedBlockIDs(owners) {
+		for _, b := range sortedKeys(owners) {
 			mem.addRehome(b, owners[b], rank)
 		}
 	}
@@ -753,7 +755,7 @@ func (mem *membership) rebirth(l *Locality) {
 			}
 		}
 		mem.mu.Unlock()
-		for _, b := range sortedBlockIDs(reclaimed) {
+		for _, b := range sortedKeys(reclaimed) {
 			l.space.CommitMigrate(b, reclaimed[b])
 		}
 	}
@@ -769,7 +771,7 @@ func (mem *membership) rebirth(l *Locality) {
 			continue
 		}
 		repls := dir.ReplicaEntries()
-		for _, b := range sortedBlockIDs(repls) {
+		for _, b := range sortedKeys(repls) {
 			rs := repls[b]
 			l.space.InstallReplicas(b, rs.Master, rs.Holders)
 		}
@@ -807,23 +809,14 @@ func (w *World) scheduleFaultMembership() {
 		return
 	}
 	w.mem.armed.Store(true)
-	for _, r := range sortedRankKeys(kills) {
+	for _, r := range sortedKeys(kills) {
 		r := r
 		w.after(kills[r]-w.Now(), func() { w.Kill(r) })
 	}
-	for _, r := range sortedRankKeys(restarts) {
+	for _, r := range sortedKeys(restarts) {
 		r := r
 		w.after(restarts[r]-w.Now(), func() { w.Restart(r) })
 	}
-}
-
-func sortedRankKeys(m map[int]netsim.VTime) []int {
-	ranks := make([]int, 0, len(m))
-	for r := range m {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 // MembershipStats is the membership layer's report.

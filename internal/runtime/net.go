@@ -7,7 +7,6 @@ import (
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
-	"nmvgas/internal/nmagas"
 )
 
 // network is how a locality's messages reach other localities and how
@@ -16,11 +15,16 @@ import (
 // identical on the two engines; below it both drive the one NIC protocol
 // core in package netsim.
 type network interface {
-	// Transport is the part the directory→NIC mirror uses too: Send
-	// (inject m at rank from's NIC; host injection overheads are already
-	// charged), State (run fn on rank's translation state), Ranks and
-	// Defer.
-	nmagas.Transport
+	// Send injects m at rank from's NIC (host injection overheads are
+	// already charged).
+	Send(from int, m *netsim.Message)
+	// State runs fn on rank's NIC translation state under the engine's
+	// exclusion: the rank's event context on the simulated fabric, the
+	// NIC's mutex on the goroutine transport.
+	State(rank int, fn func(*netsim.TransState))
+	// Defer runs fn on rank's own timeline once the caller's step is
+	// done and before time advances (at once where there is no clock).
+	Defer(rank int, fn func())
 	// Stats snapshots rank's NIC counters.
 	Stats(rank int) netsim.NICStats
 }
@@ -44,7 +48,7 @@ type chanNet struct {
 // state, as on the DES NIC, behind one mutex. A locality runs one
 // handler at a time, so the lock is contended only by the rank's token
 // holder, a driver issuing inline (Proc.PutAsync, Proc.await) and rare
-// cross-rank writers (mirror installs, bumpEpoch, rebirth). The state is
+// cross-rank writers (Free's sweep, bumpEpoch, rebirth). The state is
 // a named field, not embedded, so no TransState method is reachable
 // without mu.
 type goNIC struct {
@@ -110,8 +114,6 @@ func newChanNet(w *World) *chanNet {
 	}
 	return c
 }
-
-func (c *chanNet) Ranks() int { return len(c.nics) }
 
 func (c *chanNet) State(rank int, fn func(*netsim.TransState)) {
 	n := c.nics[rank]

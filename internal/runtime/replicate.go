@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"nmvgas/internal/agas"
 	"nmvgas/internal/gas"
@@ -54,8 +55,12 @@ type replHolder struct {
 // readTarget picks which member of a replica set should serve rank r's
 // reads: the nearest by fabric distance, with ties spread across ranks so
 // uniform-distance topologies (crossbar) still scale read throughput with
-// replica count instead of electing one hot holder.
-func (w *World) readTarget(r, master int, holders []int) int {
+// replica count instead of electing one hot holder. ok is false when r is
+// the master or a holder, which reads its own copy.
+func (w *World) readTarget(r, master int, holders []int) (target int, ok bool) {
+	if r == master || slices.Contains(holders, r) {
+		return 0, false
+	}
 	cands := make([]int, 0, len(holders)+1)
 	cands = append(cands, holders...)
 	cands = append(cands, master)
@@ -83,7 +88,7 @@ func (w *World) readTarget(r, master int, holders []int) int {
 			ties = append(ties, c)
 		}
 	}
-	return ties[r%len(ties)]
+	return ties[r%len(ties)], true
 }
 
 // replicaFresh reports whether this locality holds a fresh replica of b

@@ -94,8 +94,8 @@ type AddressSpace interface {
 	// Must be called on the home locality's space (setup-phase paths:
 	// Free, Replicate).
 	HomeOwner(b gas.BlockID) int
-	// OnFree forgets all translation state for b held at this locality
-	// (home is b's home rank). Network-held state is swept separately.
+	// OnFree forgets all translation state for b held at this locality,
+	// its NIC's included (home is b's home rank).
 	OnFree(b gas.BlockID, home int)
 
 	// InstallReplicas tells this locality that block b now has a
@@ -124,13 +124,11 @@ type AddressSpace interface {
 	Tombstones() *agas.Tombstones
 }
 
-// spaceBuilder bundles what a World needs to instantiate one address
-// space: its capability descriptor, a world-level hook (run once, after
-// the engine substrate exists), and the per-locality factory.
+// spaceBuilder is what a World needs to instantiate one address space:
+// its capability descriptor and the per-locality factory.
 type spaceBuilder struct {
-	caps      Caps
-	initWorld func(*World)
-	newLocal  func(*Locality) AddressSpace
+	caps     Caps
+	newLocal func(*Locality) AddressSpace
 }
 
 // spaceBuilderFor is the single Mode-dispatch point in the runtime. All

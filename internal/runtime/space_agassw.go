@@ -17,8 +17,7 @@ var swCaps = Caps{Name: "agas-sw", Migration: true, HostTranslation: true, Repli
 
 func swBuilder() spaceBuilder {
 	return spaceBuilder{
-		caps:      swCaps,
-		initWorld: func(*World) {},
+		caps: swCaps,
 		newLocal: func(l *Locality) AddressSpace {
 			return &swSpace{
 				l:      l,
@@ -198,16 +197,9 @@ func (s *swSpace) OnFree(b gas.BlockID, home int) {
 }
 
 func (s *swSpace) InstallReplicas(b gas.BlockID, master int, holders []int) {
-	r := s.l.rank
-	if r == master {
-		return
+	if t, ok := s.l.w.readTarget(s.l.rank, master, holders); ok {
+		s.routes.Set(b, t)
 	}
-	for _, h := range holders {
-		if h == r {
-			return
-		}
-	}
-	s.routes.Set(b, s.l.w.readTarget(r, master, holders))
 }
 
 func (s *swSpace) DropReplicas(b gas.BlockID) { s.routes.Drop(b) }

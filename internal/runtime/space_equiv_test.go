@@ -101,6 +101,16 @@ func runEquivWorkload(t *testing.T, mode Mode, eng EngineKind, mutate ...func(*C
 // not started yet, so a caller can install a tracer first.
 func equivProgram(t *testing.T, w *World) equivCounters {
 	t.Helper()
+	got, err := equivRun(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// equivRun is equivProgram returning its first failure instead of
+// failing a test, for the virtual-time trials (bubble_test.go).
+func equivRun(w *World) (equivCounters, error) {
 	const ranks = 4
 	const nblocks = 8
 	mode := w.Config().Mode
@@ -113,7 +123,7 @@ func equivProgram(t *testing.T, w *World) equivCounters {
 	w.Start()
 	lay, err := w.AllocCyclic(0, 128, nblocks)
 	if err != nil {
-		t.Fatal(err)
+		return equivCounters{}, err
 	}
 
 	// Phase 1: every rank touches every block with an action.
@@ -127,7 +137,7 @@ func equivProgram(t *testing.T, w *World) equivCounters {
 		w.MustWait(w.Proc(r).Put(lay.BlockAt(uint32(r+1)%nblocks), make([]byte, 16)))
 		v := w.MustWait(w.Proc(r).Get(lay.BlockAt(uint32(r+3)%nblocks), 8))
 		if len(v) != 8 {
-			t.Fatalf("get returned %d bytes", len(v))
+			return equivCounters{}, fmt.Errorf("get returned %d bytes", len(v))
 		}
 	}
 	// Phase 3 (migrating modes): move the first four blocks one rank to
@@ -141,7 +151,7 @@ func equivProgram(t *testing.T, w *World) equivCounters {
 		for d := uint32(0); d < 4; d++ {
 			st := w.MustWait(w.Proc(0).Migrate(lay.BlockAt(d), (int(d)+1)%ranks))
 			if MigrateStatus(st) != MigrateOK {
-				t.Fatalf("migrate block %d: status %d", d, MigrateStatus(st))
+				return equivCounters{}, fmt.Errorf("migrate block %d: status %d", d, MigrateStatus(st))
 			}
 		}
 		for r := 0; r < ranks; r++ {
@@ -151,7 +161,7 @@ func equivProgram(t *testing.T, w *World) equivCounters {
 		}
 		st := w.MustWait(w.Proc(1).Migrate(lay.BlockAt(5), 3))
 		if MigrateStatus(st) != MigrateOK {
-			t.Fatalf("migrate block 5: status %d", MigrateStatus(st))
+			return equivCounters{}, fmt.Errorf("migrate block 5: status %d", MigrateStatus(st))
 		}
 		// Stale put: repaired by host NACK (sw) or in-network forward
 		// (nm); the repair completes before the future fires, so the
@@ -163,15 +173,15 @@ func equivProgram(t *testing.T, w *World) equivCounters {
 		// Static addressing refuses migration with a status, not a hang.
 		st := w.MustWait(w.Proc(0).Migrate(lay.BlockAt(0), 1))
 		if MigrateStatus(st) != MigratePinned {
-			t.Fatalf("pgas migrate: status %d, want MigratePinned", MigrateStatus(st))
+			return equivCounters{}, fmt.Errorf("pgas migrate: status %d, want MigratePinned", MigrateStatus(st))
 		}
 	}
 	if err := w.Free(lay); err != nil {
-		t.Fatal(err)
+		return equivCounters{}, err
 	}
 	w.Stop()
 
-	return equivOf(w.Stats())
+	return equivOf(w.Stats()), nil
 }
 
 // replEquivCounters extends the golden slice with the replica coherence

@@ -19,8 +19,7 @@ var pgasCaps = Caps{Name: "pgas", Replication: true}
 
 func pgasBuilder() spaceBuilder {
 	return spaceBuilder{
-		caps:      pgasCaps,
-		initWorld: func(*World) {},
+		caps: pgasCaps,
 		newLocal: func(l *Locality) AddressSpace {
 			return &pgasSpace{
 				l:      l,
@@ -95,16 +94,9 @@ func (s *pgasSpace) OnFree(b gas.BlockID, _ int) {
 }
 
 func (s *pgasSpace) InstallReplicas(b gas.BlockID, master int, holders []int) {
-	r := s.l.rank
-	if r == master {
-		return
+	if t, ok := s.l.w.readTarget(s.l.rank, master, holders); ok {
+		s.routes.Set(b, t)
 	}
-	for _, h := range holders {
-		if h == r {
-			return
-		}
-	}
-	s.routes.Set(b, s.l.w.readTarget(r, master, holders))
 }
 
 func (s *pgasSpace) DropReplicas(b gas.BlockID) { s.routes.Drop(b) }

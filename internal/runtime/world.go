@@ -10,7 +10,6 @@ import (
 	"nmvgas/internal/gas"
 	"nmvgas/internal/lco"
 	"nmvgas/internal/netsim"
-	"nmvgas/internal/nmagas"
 	"nmvgas/internal/parcel"
 )
 
@@ -24,10 +23,6 @@ type World struct {
 
 	locs []*Locality
 	net  network
-
-	// mirror pushes directory changes into NIC translation state (nil
-	// unless the address space translates in the NIC).
-	mirror *nmagas.Mirror
 
 	// DES engine state (nil under EngineGo).
 	eng *netsim.Engine
@@ -182,10 +177,6 @@ func NewWorld(cfg Config) (*World, error) {
 	default:
 		return nil, fmt.Errorf("runtime: unknown engine %d", cfg.Engine)
 	}
-	// World-level strategy wiring (e.g. the NM directory→NIC mirror) runs
-	// once the engine substrate exists.
-	bld.initWorld(w)
-
 	// Per-locality infrastructure blocks: parcels that address "the
 	// locality" (collectives wiring, migration control) target these.
 	base, err := w.seq.Reserve(uint32(cfg.Ranks))
@@ -208,14 +199,11 @@ func (w *World) Config() Config { return w.cfg }
 // Caps returns the capability descriptor of the world's address space.
 func (w *World) Caps() Caps { return w.caps }
 
-// dropTranslation forgets every locality's and the network's translation
-// state for a freed block.
+// dropTranslation forgets every locality's translation state, host and
+// NIC, for a freed block.
 func (w *World) dropTranslation(b gas.BlockID, home int) {
 	for _, loc := range w.locs {
 		loc.space.OnFree(b, home)
-	}
-	if w.mirror != nil {
-		w.mirror.Drop(b)
 	}
 }
 
