@@ -273,8 +273,8 @@ func (s *TransState) Resolve(m *Message) {
 }
 
 // Routes is the read-only view of translation state the receive-side
-// decisions consult: *TransState itself on the DES NIC, a view that takes
-// the covering shard's lock per call on the goroutine transport.
+// decisions consult: *TransState itself on the DES NIC, the NIC itself on
+// the goroutine transport, which takes its one per-NIC lock per call.
 type Routes interface {
 	ReadRoute(gas.BlockID) (int, bool)
 	Forward(gas.BlockID) (int, bool)

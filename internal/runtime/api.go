@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
@@ -215,13 +216,19 @@ func (p *Proc) GetVecWaitInto(src gas.GVA, segs []GetSeg, buf []byte) {
 	p.await("GetVecWaitInto", p.l.getVecReq(src, segs, true), buf)
 }
 
-// waiter is a blocked caller's completion slot (Proc.await), pooled: its
-// channel has room for the one signal an op sends, so it is never closed.
+// waiter is a blocked caller's completion slot (Proc.await), pooled. Its
+// state is a handshake: whichever of completeOp and the caller moves it
+// off waitPending first sets the order. A completion that wins (it ran
+// inline on the caller's goroutine, or on DES) leaves ch alone; a caller
+// that wins parks on ch, and completeOp wakes it with the one signal ch
+// has room for, so ch is never closed.
 type waiter struct {
-	ch    chan struct{} // the completion's signal
-	fired bool          // DES: set with the signal, polled by RunUntil
+	state atomic.Uint32 // waitPending, waitCompleted or waitParked
+	ch    chan struct{} // wakes a parked caller
 	into  []byte        // reads: where the completion copies the data
 }
+
+const waitPending, waitCompleted, waitParked = 0, 1, 2
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
@@ -229,30 +236,28 @@ var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct
 // into into; it is the one place an op is marked waited. On the goroutine
 // engine the caller issues the op and drains each idle locality it
 // reaches (goExec.post), so against idle owners the op runs from issue
-// through serve to completion with no hand-off. On DES the issue is
-// scheduled like every other driver operation and desAwait runs the engine.
+// through serve to completion with no hand-off and the caller never
+// parks. On DES the issue is scheduled like every other driver operation
+// and the caller runs the engine until the completion; like Wait it is a
+// driver entry point, so it re-arms a parked pulse first (pulseResume).
 func (p *Proc) await(op string, r rmaReq, into []byte) {
 	wt := waiterPool.Get().(*waiter)
-	wt.into, wt.fired = into, false
+	wt.into = into
+	wt.state.Store(waitPending)
 	if w := p.l.w; w.eng == nil {
 		p.l.issue(r, opState{wait: wt})
 	} else {
 		p.Run(func() { p.l.issue(r, opState{wait: wt}) })
-		w.desAwait(op, &wt.fired)
+		w.pulseResume()
+		if !w.eng.RunUntil(func() bool { return wt.state.Load() == waitCompleted }) {
+			w.fail("%s: event queue drained before completion", op)
+		}
 	}
-	<-wt.ch
+	if wt.state.CompareAndSwap(waitPending, waitParked) {
+		<-wt.ch
+	}
 	wt.into = nil
 	waiterPool.Put(wt)
-}
-
-// desAwait is the DES half of await: advance the engine until the op's
-// completion sets *fired. Like Wait it is a driver entry point, so it
-// re-arms a parked pulse first (see pulseResume).
-func (w *World) desAwait(op string, fired *bool) {
-	w.pulseResume()
-	if !w.eng.RunUntil(func() bool { return *fired }) {
-		w.fail("%s: event queue drained before completion", op)
-	}
 }
 
 // Migrate moves the block at g to rank to, returning a future that fires

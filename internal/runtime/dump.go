@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // DumpState writes a human-readable snapshot of the world's protocol
@@ -11,48 +12,37 @@ import (
 // queue depths, and outstanding one-sided operations. It is the first
 // thing to reach for when a Wait deadlocks.
 func (w *World) DumpState(out io.Writer) error {
+	var sb strings.Builder // formatted whole, so out sees one write
 	for _, l := range w.locs {
-		l.mu.Lock()
-		movingCount := len(l.moving)
 		type mv struct {
-			b      uint32
-			dst    int
-			queued int
+			b           uint32
+			dst, queued int
 		}
 		var moves []mv
+		l.mu.Lock()
 		for b, st := range l.moving {
 			moves = append(moves, mv{uint32(b), st.dst, len(st.queued)})
 		}
-		opsOutstanding := len(l.ops)
+		opsOutstanding := l.ops.n
 		l.mu.Unlock()
 		sort.Slice(moves, func(i, j int) bool { return moves[i].b < moves[j].b })
 
-		if _, err := fmt.Fprintf(out, "locality %d: blocks=%d moving=%d ops_outstanding=%d\n",
-			l.rank, l.store.Len(), movingCount, opsOutstanding); err != nil {
-			return err
-		}
+		fmt.Fprintf(&sb, "locality %d: blocks=%d moving=%d ops_outstanding=%d\n",
+			l.rank, l.store.Len(), len(moves), opsOutstanding)
 		for _, m := range moves {
-			if _, err := fmt.Fprintf(out, "  moving block %d -> rank %d (%d queued)\n",
-				m.b, m.dst, m.queued); err != nil {
-				return err
-			}
+			fmt.Fprintf(&sb, "  moving block %d -> rank %d (%d queued)\n", m.b, m.dst, m.queued)
 		}
 		if dir := l.space.Directory(); dir != nil && dir.Len() > 0 {
-			if _, err := fmt.Fprintf(out, "  directory: %d away-from-home entries\n", dir.Len()); err != nil {
-				return err
-			}
+			fmt.Fprintf(&sb, "  directory: %d away-from-home entries\n", dir.Len())
 		}
 		if tombs := l.space.Tombstones(); tombs != nil && tombs.Len() > 0 {
-			if _, err := fmt.Fprintf(out, "  tombstones: %d\n", tombs.Len()); err != nil {
-				return err
-			}
+			fmt.Fprintf(&sb, "  tombstones: %d\n", tombs.Len())
 		}
 	}
 	if w.eng != nil {
-		if _, err := fmt.Fprintf(out, "engine: now=%v pending_events=%d processed=%d\n",
-			w.eng.Now(), w.eng.Pending(), w.eng.Processed()); err != nil {
-			return err
-		}
+		fmt.Fprintf(&sb, "engine: now=%v pending_events=%d processed=%d\n",
+			w.eng.Now(), w.eng.Pending(), w.eng.Processed())
 	}
-	return nil
+	_, err := io.WriteString(out, sb.String())
+	return err
 }

@@ -131,6 +131,10 @@ type goExec struct {
 	// (chanNet.arrive), onStep every host-side step (Locality.handleMsg).
 	onMsg  func(*netsim.Message)
 	onStep func(msgOp, *netsim.Message)
+
+	// batch is turn's claim, touched only by the token holder and
+	// cleared entry by entry as it runs, so no drain zeroes a buffer.
+	batch [execBatch]task
 }
 
 func newGoExec() *goExec {
@@ -168,21 +172,21 @@ func (e *goExec) push(t task) {
 	}
 }
 
-// turn runs one batch for the token holder, claimed under e.mu (held on
-// entry and return) and run outside it; it frees the token.
-func (e *goExec) turn(batch *[execBatch]task) {
+// turn runs one batch for the token holder, claimed into e.batch under
+// e.mu (held on entry and return) and run outside it; it frees the token.
+func (e *goExec) turn() {
 	k := min(e.n, execBatch)
 	mask := len(e.ring) - 1
 	for i := 0; i < k; i++ {
 		j := (e.head + i) & mask
-		batch[i] = e.ring[j]
+		e.batch[i] = e.ring[j]
 		e.ring[j] = task{}
 	}
 	e.head = (e.head + k) & mask
 	e.n -= k
 	e.mu.Unlock()
-	for i := range batch[:k] {
-		t := &batch[i]
+	for i := range e.batch[:k] {
+		t := &e.batch[i]
 		switch {
 		case t.m == nil:
 			t.fn()
@@ -201,7 +205,6 @@ func (e *goExec) turn(batch *[execBatch]task) {
 // inliner holds it, and exits once stopped with the mailbox empty.
 func (e *goExec) loop() {
 	defer e.wg.Done()
-	var batch [execBatch]task
 	e.mu.Lock()
 	for {
 		for e.running || (e.n == 0 && !e.stopped) {
@@ -212,7 +215,7 @@ func (e *goExec) loop() {
 			return
 		}
 		e.running = true
-		e.turn(&batch)
+		e.turn()
 	}
 }
 
@@ -239,8 +242,7 @@ func (e *goExec) post(t task, waited bool) {
 		e.inlined++
 		e.running = true // taken before push, which then wakes no one
 		e.push(t)
-		var batch [execBatch]task
-		e.turn(&batch)
+		e.turn()
 		if e.n > 0 || e.stopped {
 			e.cond.Signal()
 		}

@@ -266,6 +266,66 @@ func inlineDrains(w *World) (n int) {
 	return n
 }
 
+// TestWaitedOpParksWhenOwnerBusy is the other order of the waiter's
+// handshake: a task holds the owner's token, so the request queues and
+// the caller parks before its completion. The completion then runs on
+// the owner's actor once the task returns, and must wake the parked
+// caller with the bytes in place.
+func TestWaitedOpParksWhenOwnerBusy(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
+	w.Start()
+	blk, err := w.AllocLocal(1, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, want := w.Proc(0), []byte("parked!!")
+	p.PutWait(blk.BlockAt(0), want)
+	started, release := make(chan struct{}), make(chan struct{})
+	w.Proc(1).Run(func() {
+		close(started)
+		<-release
+	})
+	<-started
+	before, got, done := inlined(w, 1), make([]byte, len(want)), make(chan struct{})
+	go func() {
+		p.GetWaitInto(blk.BlockAt(0), got)
+		close(done)
+	}()
+	parked := func() bool {
+		l := w.locs[0]
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for _, s := range l.ops.slots {
+			if s.st.wait != nil && s.st.wait.state.Load() == waitParked {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * time.Second); !parked(); time.Sleep(time.Millisecond) {
+		select {
+		case <-done:
+			t.Fatal("get completed while the owner's token was held")
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the caller never parked")
+		}
+	}
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked caller was never woken")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("parked get read %q, want %q", got, want)
+	}
+	if n := inlined(w, 1); n != before {
+		t.Fatalf("owner drained inline %d times while a task held its token", n-before)
+	}
+}
+
 // TestWaitedOpDrainsIdleActorInline: against idle localities a blocking
 // one-sided op runs on its caller's goroutine — a remote op drains the
 // owner for the request and the requester for the completion, a local one

@@ -99,7 +99,7 @@ type moveState struct {
 	install *parcel.Parcel
 }
 
-// opState is stored by value in the ops map: a put's completion is the
+// opState is stored by value in the op table: a put's completion is the
 // overwhelmingly common case, and keeping the state inline avoids one
 // heap allocation per one-sided op.
 type opState struct {
@@ -135,7 +135,7 @@ type Locality struct {
 	// lock when it is zero — the answer a locked probe taken at that
 	// instant would give.
 	movingN atomic.Int32
-	ops     map[uint64]opState
+	ops     opTable
 	// replicas is this locality's holder-side coherence state, one entry
 	// per replica block resident here (nil until the first install; see
 	// replicate.go).
@@ -179,7 +179,6 @@ func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 		rank:   rank,
 		store:  gas.NewStore(),
 		moving: make(map[gas.BlockID]*moveState),
-		ops:    make(map[uint64]opState),
 	}
 	l.proc = Proc{l: l}
 	l.ctx.l = l

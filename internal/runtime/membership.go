@@ -731,7 +731,7 @@ func (mem *membership) rebirth(l *Locality) {
 	l.mu.Lock()
 	l.moving = make(map[gas.BlockID]*moveState)
 	l.movingN.Store(0)
-	l.ops = make(map[uint64]opState)
+	l.ops = opTable{}
 	l.replicas = nil
 	l.mu.Unlock()
 
@@ -810,11 +810,9 @@ func (w *World) scheduleFaultMembership() {
 	}
 	w.mem.armed.Store(true)
 	for _, r := range sortedKeys(kills) {
-		r := r
 		w.after(kills[r]-w.Now(), func() { w.Kill(r) })
 	}
 	for _, r := range sortedKeys(restarts) {
-		r := r
 		w.after(restarts[r]-w.Now(), func() { w.Restart(r) })
 	}
 }

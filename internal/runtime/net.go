@@ -97,7 +97,6 @@ func (n *goNIC) count(c netsim.Counter) {
 func newChanNet(w *World) *chanNet {
 	c := &chanNet{w: w}
 	for _, l := range w.locs {
-		l := l
 		n := &goNIC{
 			NICCore: netsim.NICCore{
 				Rank: l.rank, GVARouting: w.caps.NICTranslation, Policy: w.cfg.Policy,

@@ -64,7 +64,7 @@ type pulseClient struct {
 // pulseState drives the metronome. On the DES engine, to keep Drain/Run
 // terminating, the tick parks itself when it is the only thing left in
 // the queue and is re-armed by the driver entry points (Wait, Drain,
-// World.await and the blocking one-sided ops, see desAwait). At most one
+// World.await and the blocking one-sided ops, see Proc.await). At most one
 // trailing tick runs after the last real event, so an idle world costs
 // nothing. On the goroutine engine each tick arms the next until Stop.
 type pulseState struct {

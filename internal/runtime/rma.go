@@ -126,7 +126,7 @@ func (l *Locality) issue(r rmaReq, st opState) {
 	id := l.newOpID()
 	l.note(noteOpStart, r.target.Block(), 0, id)
 	l.mu.Lock()
-	l.ops[id] = st
+	l.ops.put(id, st)
 	l.mu.Unlock()
 	m := netsim.NewMessage()
 	if r.kind == kGetReq || r.kind == kGetVec {
@@ -151,8 +151,7 @@ func (l *Locality) issue(r rmaReq, st opState) {
 
 func (l *Locality) completeOp(id uint64, data []byte) {
 	l.mu.Lock()
-	st, ok := l.ops[id]
-	delete(l.ops, id)
+	st, ok := l.ops.take(id)
 	l.mu.Unlock()
 	if !ok {
 		if l.relLateCompletion() {
@@ -173,8 +172,9 @@ func (l *Locality) completeOp(id uint64, data []byte) {
 	}
 	if wt := st.wait; wt != nil {
 		copy(wt.into, data)
-		wt.fired = true
-		wt.ch <- struct{}{} // the op's one signal: it completes once
+		if !wt.state.CompareAndSwap(waitPending, waitCompleted) {
+			wt.ch <- struct{}{} // the caller parked first; this is the last touch of wt
+		}
 	}
 }
 
