@@ -53,9 +53,9 @@ func run(mode vgas.Mode) {
 	got := w.MustWait(w.Proc(2).Get(g, 8))
 	fmt.Printf("%-8s counter=%d/%d", mode, parcel.U64(got, 0), updates)
 	if mode == vgas.AGASNM {
-		st := w.Fabric().TotalStats()
+		st := w.Stats()
 		fmt.Printf("  in-network forwards=%d nic-table-updates=%d host-forwards=%d",
-			st.Forwards, st.TableUpdatesRx, hostForwards(w, ranks))
+			st.NetForwards, st.NICTableUpds, hostForwards(w, ranks))
 	} else {
 		fmt.Printf("  host-forwards=%d host-nacks=%d",
 			hostForwards(w, ranks), hostNacks(w, ranks))

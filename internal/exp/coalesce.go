@@ -42,7 +42,7 @@ func f13Coalesce(o Options) *stats.Table {
 		}
 		elapsed := w.Now() - start
 		kups := float64(n) / (float64(elapsed) / 1e9) / 1e3
-		msgs := w.Fabric().TotalStats().Sent
+		msgs := w.Stats().NetSent
 
 		// A lone request-reply with nothing to batch against: pays the
 		// full coalescer delay (2 µs) twice when coalescing is on.

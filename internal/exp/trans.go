@@ -246,11 +246,11 @@ func a2UpdatePolicy(o Options) *stats.Table {
 			panic(err)
 		}
 		g := lay.BlockAt(0)
-		before := w.Fabric().TotalStats().TableUpdatesRx
+		before := w.Stats().NICTableUpds
 		w.MustWait(w.Proc(1).Migrate(g, 2))
 		w.Drain() // let eager broadcasts land before measuring
 		first := timeOp(w, func() *runtime.LCORef { return w.Proc(5).Call(g, echo, nil) })
-		ctrl := w.Fabric().TotalStats().TableUpdatesRx - before
+		ctrl := w.Stats().NICTableUpds - before
 		tb.AddRow(pol.name, first.Micros(), ctrl)
 		w.Stop()
 	}

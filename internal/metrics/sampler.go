@@ -11,8 +11,8 @@ import (
 
 // Sample is one point in the interval sampler's time series.
 type Sample struct {
-	// T is the engine's trace clock at the sample (simulated ns under
-	// DES, wall ns since World creation under the goroutine engine).
+	// T is when the sample was taken: simulated ns under DES, wall ns
+	// since NewSampler under the goroutine engine.
 	T int64
 	// ParcelsRun is the cumulative handler-execution count.
 	ParcelsRun int64

@@ -120,8 +120,8 @@ func TestFabricInNetworkForwardAfterMigration(t *testing.T) {
 	if h.hostRx[3][0].Hops != 1 {
 		t.Fatalf("Hops = %d, want 1", h.hostRx[3][0].Hops)
 	}
-	if h.fab.NIC(2).Stats.Forwards != 1 {
-		t.Fatalf("home NIC forwards = %d", h.fab.NIC(2).Stats.Forwards)
+	if h.fab.NIC(2).Stats[CntForwards] != 1 {
+		t.Fatalf("home NIC forwards = %d", h.fab.NIC(2).Stats[CntForwards])
 	}
 	if len(h.hostRx[2]) != 0 {
 		t.Fatal("home host must not be involved in an in-network forward")
@@ -133,7 +133,7 @@ func TestFabricInNetworkForwardAfterMigration(t *testing.T) {
 	// A second send now goes direct (no forward).
 	h.fab.NIC(0).Send(&Message{Dst: ByGVA, Target: target, Wire: 64})
 	h.eng.Run()
-	if h.fab.NIC(2).Stats.Forwards != 1 {
+	if h.fab.NIC(2).Stats[CntForwards] != 1 {
 		t.Fatal("second send still bounced through home")
 	}
 	if len(h.hostRx[3]) != 2 {
@@ -152,8 +152,8 @@ func TestFabricNoPushUpdatesKeepsBouncing(t *testing.T) {
 		h.fab.NIC(0).Send(&Message{Dst: ByGVA, Target: target, Wire: 64})
 	}
 	h.eng.Run()
-	if h.fab.NIC(2).Stats.Forwards != 3 {
-		t.Fatalf("forwards = %d, want 3 (no pushed updates)", h.fab.NIC(2).Stats.Forwards)
+	if h.fab.NIC(2).Stats[CntForwards] != 3 {
+		t.Fatalf("forwards = %d, want 3 (no pushed updates)", h.fab.NIC(2).Stats[CntForwards])
 	}
 	if _, ok := h.fab.NIC(0).Table.Peek(50); ok {
 		t.Fatal("source table updated despite PushUpdates=false")
@@ -177,8 +177,8 @@ func TestFabricNackPolicy(t *testing.T) {
 	if nk.Ctl != CtlNack || nk.Owner != 3 || nk.Nacked == nil || nk.Nacked.Kind != 7 {
 		t.Fatalf("bad NACK %+v", nk)
 	}
-	if h.fab.NIC(2).Stats.Nacks != 1 {
-		t.Fatalf("nacks = %d", h.fab.NIC(2).Stats.Nacks)
+	if h.fab.NIC(2).Stats[CntNacks] != 1 {
+		t.Fatalf("nacks = %d", h.fab.NIC(2).Stats[CntNacks])
 	}
 }
 
@@ -266,10 +266,10 @@ func TestFabricTotalStats(t *testing.T) {
 	h.fab.NIC(1).Send(&Message{Dst: 0, Wire: 100})
 	h.eng.Run()
 	st := h.fab.TotalStats()
-	if st.Sent != 2 || st.Received != 2 {
+	if st[CntSent] != 2 || st[CntReceived] != 2 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.BytesTx != 200 || st.BytesRx != 200 {
+	if st[CntBytesTx] != 200 || st[CntBytesRx] != 200 {
 		t.Fatalf("byte stats %+v", st)
 	}
 }

@@ -100,15 +100,15 @@ func TestDisabledPlanHasNilInjector(t *testing.T) {
 
 func TestFabricDropAndDuplicate(t *testing.T) {
 	// Certain drop loses everything; certain duplication doubles
-	// deliveries. Both show up in the per-NIC counters.
+	// deliveries. The injector that decided each counts it.
 	h := newFaultHarness(t, FaultPlan{Seed: 1, Drop: 1})
 	h.fab.NIC(0).Send(&Message{Src: 0, Dst: 1, Wire: 64})
 	h.eng.Run()
 	if got := len(h.hostRx[1]); got != 0 {
 		t.Fatalf("certain drop delivered %d messages", got)
 	}
-	if h.fab.NIC(0).Stats.Dropped != 1 {
-		t.Fatalf("Dropped = %d", h.fab.NIC(0).Stats.Dropped)
+	if got := h.fab.FaultSnapshot().Dropped; got != 1 {
+		t.Fatalf("Dropped = %d", got)
 	}
 
 	h = newFaultHarness(t, FaultPlan{Seed: 1, Duplicate: 1})
@@ -117,8 +117,8 @@ func TestFabricDropAndDuplicate(t *testing.T) {
 	if got := len(h.hostRx[1]); got != 2 {
 		t.Fatalf("certain duplication delivered %d messages, want 2", got)
 	}
-	if h.fab.NIC(0).Stats.Duplicated != 1 {
-		t.Fatalf("Duplicated = %d", h.fab.NIC(0).Stats.Duplicated)
+	if got := h.fab.FaultSnapshot().Duplicated; got != 1 {
+		t.Fatalf("Duplicated = %d", got)
 	}
 }
 

@@ -43,7 +43,7 @@ type NIC struct {
 // count bumps the counter a verdict names.
 func (n *NIC) count(c Counter) {
 	if c != CntNone {
-		*n.Stats.Slot(c)++
+		n.Stats[c]++
 	}
 }
 
@@ -97,27 +97,22 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 		start = n.txFree
 	}
 	n.txFree = start + ser
-	n.Stats.Sent++
-	n.Stats.BytesTx += uint64(wire)
+	n.Stats[CntSent]++
+	n.Stats[CntBytesTx] += uint64(wire)
 	arrive := n.txFree + model.Latency*VTime(hops)
 	if fi := n.fi; fi != nil {
 		act := fi.Decide(m)
 		if act.Drop {
-			n.Stats.Dropped++
 			return
 		}
 		if act.Duplicate {
-			n.Stats.Duplicated++
 			// The clone is independently owned: both copies cross receive
 			// paths that mutate, forward and release them.
 			cp := NewMessage()
 			*cp = *m
 			n.scheduleArrival(cp, arrive+act.DupDelay)
 		}
-		if act.Delay > 0 {
-			n.Stats.Delayed++
-			arrive += act.Delay
-		}
+		arrive += act.Delay
 	}
 	n.scheduleArrival(m, arrive)
 }
@@ -163,7 +158,7 @@ func (n *NIC) HandleMsg(op uint8, m *Message) {
 		n.receive(m)
 	case opTableApply:
 		if ApplyTable(m, n.Table.Epoch(), n.Table.Update) {
-			n.Stats.StaleEpochDrops++
+			n.Stats[CntStaleEpochDrops]++
 		}
 		m.Release() // consumed by the NIC; never reaches the host
 	case opDMADone:
@@ -180,13 +175,13 @@ func (n *NIC) receive(m *Message) {
 	lv, model := n.fab.Live, &n.fab.Model
 	v := n.Classify(lv, m)
 	if v.Act != ActDrop {
-		n.Stats.Received++
-		n.Stats.BytesRx += uint64(m.WireSize())
-		if m.Ctl == CtlNone && n.fi != nil && n.GVARouting && n.fi.MaybeLoseEntry(n.Table) {
+		n.Stats[CntReceived]++
+		n.Stats[CntBytesRx] += uint64(m.WireSize())
+		if m.Ctl == CtlNone && n.fi != nil && n.GVARouting {
 			// Soft-error model: receiving traffic may scribble over one
 			// translation-table entry. Only the LRU cache is vulnerable;
 			// authoritative routes are assumed protected (ECC directory).
-			n.Stats.TableLost++
+			n.fi.MaybeLoseEntry(n.Table)
 		}
 		if v.Act == ActMisroute {
 			v = n.Misroute(&n.TransState, lv, m)
@@ -219,14 +214,14 @@ func (n *NIC) receive(m *Message) {
 	case ActScatter:
 		fwd, host, split := n.SplitScatter(&n.TransState, m)
 		if split {
-			n.Stats.ScatterSplits++
+			n.Stats[CntScatterSplits]++
 		}
 		for _, f := range fwd {
-			n.Stats.ScatterForwards++
+			n.Stats[CntScatterForwards]++
 			n.transmit(f, model.NICForward)
 		}
 		if host {
-			n.Stats.HostDelivered++
+			n.Stats[CntHostDelivered]++
 			n.deliverHost(m)
 		} else {
 			m.Release() // every record moved on; the envelope is spent

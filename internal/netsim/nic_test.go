@@ -29,7 +29,7 @@ func TestForwardingLoopBoundedNack(t *testing.T) {
 	if nk.Nacked == nil || nk.Nacked.Block != 50 {
 		t.Fatalf("NACK does not carry the original message: %+v", nk.Nacked)
 	}
-	loops := h.fab.NIC(1).Stats.LoopNacks + h.fab.NIC(2).Stats.LoopNacks
+	loops := h.fab.NIC(1).Stats[CntLoopNacks] + h.fab.NIC(2).Stats[CntLoopNacks]
 	if loops != 1 {
 		t.Fatalf("LoopNacks = %d, want 1", loops)
 	}
@@ -91,8 +91,8 @@ func TestCtlUpdatesRespectTableCapacity(t *testing.T) {
 	if _, ok := nic.Table.Peek(5); !ok {
 		t.Fatal("newest pushed entry missing")
 	}
-	if nic.Stats.TableUpdatesRx != 5 {
-		t.Fatalf("update counter %d", nic.Stats.TableUpdatesRx)
+	if nic.Stats[CntTableUpdatesRx] != 5 {
+		t.Fatalf("update counter %d", nic.Stats[CntTableUpdatesRx])
 	}
 }
 
@@ -114,8 +114,8 @@ func TestDefaultWireSizeApplied(t *testing.T) {
 	h.fab.NIC(0).Send(&Message{Src: 0, Dst: 1}) // Wire unset
 	h.eng.Run()
 	st := h.fab.NIC(0).Stats
-	if st.BytesTx != wireHeader {
-		t.Fatalf("default wire accounting %d, want %d", st.BytesTx, wireHeader)
+	if st[CntBytesTx] != wireHeader {
+		t.Fatalf("default wire accounting %d, want %d", st[CntBytesTx], wireHeader)
 	}
 }
 

@@ -35,139 +35,62 @@ type Policy struct {
 	BroadcastUpdates bool
 }
 
-// NICStats are cumulative per-NIC counters, the same set on both engines.
-type NICStats struct {
-	Sent, Received   uint64
-	BytesTx, BytesRx uint64
-	Forwards         uint64
-	Nacks            uint64
-	TableUpdatesRx   uint64
-	DMADelivered     uint64
-	HostDelivered    uint64
-
-	// ScatterSplits counts batches this NIC split on arrival because at
-	// least one record's block was not resident; ScatterForwards counts
-	// the per-owner sub-batches it forwarded in-network as a result.
-	ScatterSplits   uint64
-	ScatterForwards uint64
-
-	// Fault-injection counters (all zero on a healthy fabric). Dropped,
-	// Duplicated and Delayed are charged to the transmitting NIC;
-	// TableLost and LoopNacks to the receiving one.
-	Dropped    uint64
-	Duplicated uint64
-	Delayed    uint64
-	TableLost  uint64
-	LoopNacks  uint64
-
-	// Whole-node failure counters. DownDrops counts messages silently
-	// swallowed because a link was down (crashed locality, not yet
-	// declared dead — the silence is what drives suspicion). DeadNacks
-	// counts sends to a membership-declared-dead rank bounced back with
-	// a home hint instead of delivered to the corpse. StaleEpochDrops
-	// counts control pushes ignored because they carried an older
-	// membership epoch than the receiving table trusts.
-	DownDrops       uint64
-	DeadNacks       uint64
-	StaleEpochDrops uint64
-}
-
-// Counter names one NICStats field. A Verdict carries the one it bumps,
-// and the driver does the bumping through Slot — a plain increment on
-// the single-threaded DES NIC, an atomic add on the goroutine transport —
-// so the simulator never pays for the other engine's concurrency.
+// Counter names one per-NIC counter. A Verdict carries the one it bumps,
+// and the driver bumps it — a plain increment on the single-threaded DES
+// NIC, an atomic add on the goroutine transport — so the simulator never
+// pays for the other engine's concurrency. Injected faults are not NIC
+// counters: the FaultInjector that decides one counts it (FaultStats).
 type Counter uint8
 
 const (
 	CntNone Counter = iota
+	// CntSent, CntReceived: messages put on and taken off the link;
+	// CntBytesTx, CntBytesRx: their wire bytes. The goroutine transport
+	// has no receive link and counts neither receive-side one.
 	CntSent
 	CntReceived
 	CntBytesTx
 	CntBytesRx
+	// CntForwards: in-network forwards of misdelivered traffic.
 	CntForwards
+	// CntNacks: misdelivered traffic bounced to the source host
+	// (Policy.NackToHost).
 	CntNacks
+	// CntTableUpdatesRx: table pushes (single or batch) absorbed.
 	CntTableUpdatesRx
+	// CntDMADelivered, CntHostDelivered: arrivals served by one-sided
+	// DMA and arrivals handed to the host (the latter DES only).
 	CntDMADelivered
 	CntHostDelivered
+	// CntScatterSplits: batches split on arrival because at least one
+	// record's block was not resident; CntScatterForwards: the per-owner
+	// sub-batches forwarded in-network as a result.
 	CntScatterSplits
 	CntScatterForwards
-	CntDropped
-	CntDuplicated
-	CntDelayed
-	CntTableLost
+	// CntLoopNacks: arrivals that exhausted the hop budget, NACKed back.
 	CntLoopNacks
+	// CntDownDrops: messages silently swallowed because a link was down
+	// (crashed locality, not yet declared dead — the silence is what
+	// drives suspicion).
 	CntDownDrops
+	// CntDeadNacks: sends to a membership-declared-dead rank bounced back
+	// with a home hint instead of delivered to the corpse.
 	CntDeadNacks
+	// CntStaleEpochDrops: control pushes ignored because they carried an
+	// older membership epoch than the receiving table trusts.
 	CntStaleEpochDrops
 	NumCounters
 )
 
-// Slot returns the field c names (nil for CntNone).
-func (s *NICStats) Slot(c Counter) *uint64 {
-	switch c {
-	case CntSent:
-		return &s.Sent
-	case CntReceived:
-		return &s.Received
-	case CntBytesTx:
-		return &s.BytesTx
-	case CntBytesRx:
-		return &s.BytesRx
-	case CntForwards:
-		return &s.Forwards
-	case CntNacks:
-		return &s.Nacks
-	case CntTableUpdatesRx:
-		return &s.TableUpdatesRx
-	case CntDMADelivered:
-		return &s.DMADelivered
-	case CntHostDelivered:
-		return &s.HostDelivered
-	case CntScatterSplits:
-		return &s.ScatterSplits
-	case CntScatterForwards:
-		return &s.ScatterForwards
-	case CntDropped:
-		return &s.Dropped
-	case CntDuplicated:
-		return &s.Duplicated
-	case CntDelayed:
-		return &s.Delayed
-	case CntTableLost:
-		return &s.TableLost
-	case CntLoopNacks:
-		return &s.LoopNacks
-	case CntDownDrops:
-		return &s.DownDrops
-	case CntDeadNacks:
-		return &s.DeadNacks
-	case CntStaleEpochDrops:
-		return &s.StaleEpochDrops
-	}
-	return nil
-}
+// NICStats are cumulative per-NIC counters, the same set on both engines,
+// indexed by Counter (the CntNone slot stays zero).
+type NICStats [NumCounters]uint64
 
-// Add sums o into s (spelled out: world snapshots sum thousands of NICs).
+// Add sums o into s.
 func (s *NICStats) Add(o *NICStats) {
-	s.Sent += o.Sent
-	s.Received += o.Received
-	s.BytesTx += o.BytesTx
-	s.BytesRx += o.BytesRx
-	s.Forwards += o.Forwards
-	s.Nacks += o.Nacks
-	s.TableUpdatesRx += o.TableUpdatesRx
-	s.DMADelivered += o.DMADelivered
-	s.HostDelivered += o.HostDelivered
-	s.ScatterSplits += o.ScatterSplits
-	s.ScatterForwards += o.ScatterForwards
-	s.Dropped += o.Dropped
-	s.Duplicated += o.Duplicated
-	s.Delayed += o.Delayed
-	s.TableLost += o.TableLost
-	s.LoopNacks += o.LoopNacks
-	s.DownDrops += o.DownDrops
-	s.DeadNacks += o.DeadNacks
-	s.StaleEpochDrops += o.StaleEpochDrops
+	for c := range s {
+		s[c] += o[c]
+	}
 }
 
 // TransState is one NIC's translation state. The caller provides the

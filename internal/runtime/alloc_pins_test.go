@@ -58,7 +58,7 @@ func TestDESAllocationPins(t *testing.T) {
 		roundTrip()
 		put()
 	}
-	forwards := func() uint64 { return w.Fabric().NIC(1).Stats.Forwards }
+	forwards := func() uint64 { return w.Fabric().NIC(1).Stats[netsim.CntForwards] }
 
 	f0 := forwards()
 	rt := testing.AllocsPerRun(200, roundTrip)

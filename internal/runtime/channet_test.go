@@ -183,8 +183,8 @@ func TestChanNetForwardsInPlaceAndPushesARealUpdate(t *testing.T) {
 	if o, ok := peekNICTable(w, 2, b); ok && o == 0 {
 		t.Fatal("stale-epoch push was applied")
 	}
-	if st := w.net.Stats(2); st.TableUpdatesRx != 2 || st.StaleEpochDrops != 1 {
-		t.Fatalf("rank 2 counted %d table updates, %d stale drops; want 2 and 1", st.TableUpdatesRx, st.StaleEpochDrops)
+	if st := w.net.Stats(2); st[netsim.CntTableUpdatesRx] != 2 || st[netsim.CntStaleEpochDrops] != 1 {
+		t.Fatalf("rank 2 counted %d table updates, %d stale drops; want 2 and 1", st[netsim.CntTableUpdatesRx], st[netsim.CntStaleEpochDrops])
 	}
 	if s := w.Stats(); s.NetForwards != 1 || s.NICTableUpds != 2 || s.NetSent != 2 {
 		t.Fatalf("world NIC counters under EngineGo: forwards=%d table_upds=%d sent=%d, want 1, 2, 2", s.NetForwards, s.NICTableUpds, s.NetSent)
@@ -234,11 +234,12 @@ func TestChanNetDeadRankNackCrossesTheFaultPlan(t *testing.T) {
 	if len(cn.mailbox(2)) != 0 {
 		t.Fatal("the NACK the plan dropped was delivered anyway")
 	}
-	if st := w.net.Stats(2); st.DeadNacks != 1 || st.Sent != 1 {
-		t.Fatalf("rank 2 counted %d dead NACKs, %d sent; want 1 and 1", st.DeadNacks, st.Sent)
+	if st := w.net.Stats(2); st[netsim.CntDeadNacks] != 1 || st[netsim.CntSent] != 1 {
+		t.Fatalf("rank 2 counted %d dead NACKs, %d sent; want 1 and 1", st[netsim.CntDeadNacks], st[netsim.CntSent])
 	}
-	if dd, dn, _ := w.NICFaultStats(2); dd != 0 || dn != 1 {
-		t.Fatalf("NICFaultStats(2) = %d down drops, %d dead NACKs under EngineGo; want 0 and 1", dd, dn)
+	if st := w.NICStats(2); st[netsim.CntDownDrops] != 0 || st[netsim.CntDeadNacks] != 1 {
+		t.Fatalf("NICStats(2) = %d down drops, %d dead NACKs under EngineGo; want 0 and 1",
+			st[netsim.CntDownDrops], st[netsim.CntDeadNacks])
 	}
 	// The second one gets through, to the sender, owning the original.
 	w.net.Send(2, m)

@@ -37,7 +37,7 @@ func TestCoalescingReducesMessagesAndTime(t *testing.T) {
 		})
 		w.MustWait(gate)
 		st := w.Fabric().TotalStats()
-		return st.Sent, st.BytesTx, w.Now() - start
+		return st[netsim.CntSent], st[netsim.CntBytesTx], w.Now() - start
 	}
 	plainMsgs, plainBytes, plainTime := run(1)
 	coalMsgs, coalBytes, coalTime := run(16)

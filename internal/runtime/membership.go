@@ -844,16 +844,11 @@ func (w *World) MembershipStats() MembershipStats {
 		Suspicions:      m.suspicions.Load(),
 		Rehomed:         m.rehomed.Load(),
 		Lost:            m.lostCount.Load(),
-		DownDrops:       t.DownDrops,
-		DeadNacks:       t.DeadNacks,
-		StaleEpochDrops: t.StaleEpochDrops,
+		DownDrops:       t[netsim.CntDownDrops],
+		DeadNacks:       t[netsim.CntDeadNacks],
+		StaleEpochDrops: t[netsim.CntStaleEpochDrops],
 	}
 }
 
-// NICFaultStats returns one rank's transport-fencing counters (messages
-// dropped at a down link, dead-rank NACKs synthesized, and stale-epoch
-// table updates discarded).
-func (w *World) NICFaultStats(rank int) (downDrops, deadNacks, staleEpochDrops uint64) {
-	st := w.net.Stats(rank)
-	return st.DownDrops, st.DeadNacks, st.StaleEpochDrops
-}
+// NICStats returns one rank's NIC counters, indexed by netsim.Counter.
+func (w *World) NICStats(rank int) netsim.NICStats { return w.net.Stats(rank) }

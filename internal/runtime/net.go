@@ -34,10 +34,10 @@ type network interface {
 // is this engine's — one lock around each NIC's translation state,
 // atomically bumped counters, wall-clock fault delays and mailbox
 // hand-off. Of the per-message counters it keeps the ones something
-// reads — Sent and BytesTx (WorldStats.NetSent/NetBytes), DMADelivered,
-// the fault counts — and leaves Received, BytesRx and HostDelivered to
-// the simulator: it has no receive link or host boundary to model, and
-// each would be one more atomic add on every message.
+// reads — Sent and BytesTx (WorldStats.NetSent/NetBytes), DMADelivered —
+// and leaves Received, BytesRx and HostDelivered to the simulator: it
+// has no receive link or host boundary to model, and each would be one
+// more atomic add on every message.
 type chanNet struct {
 	w     *World
 	nics  []*goNIC
@@ -62,7 +62,7 @@ type goNIC struct {
 	// gets lines of its own: its mutex and counters are written on every
 	// message, and sharing a line with a neighbouring object cost
 	// go_parcels about 5 % of its ops/s (EXPERIMENTS.md W6).
-	_ [40]byte
+	_ [64]byte
 }
 
 // ReadRoute and Forward make a goNIC the core's view of its translation
@@ -90,7 +90,7 @@ func (n *goNIC) updateTable(b gas.BlockID, owner int) {
 // chanNet).
 func (n *goNIC) count(c netsim.Counter) {
 	if c != netsim.CntNone && c != netsim.CntHostDelivered {
-		atomic.AddUint64(n.stats.Slot(c), 1)
+		atomic.AddUint64(&n.stats[c], 1)
 	}
 }
 
@@ -123,8 +123,8 @@ func (c *chanNet) State(rank int, fn func(*netsim.TransState)) {
 
 func (c *chanNet) Stats(rank int) (s netsim.NICStats) {
 	live := &c.nics[rank].stats
-	for k := netsim.CntNone + 1; k < netsim.NumCounters; k++ {
-		*s.Slot(k) = atomic.LoadUint64(live.Slot(k))
+	for k := range s {
+		s[k] = atomic.LoadUint64(&live[k])
 	}
 	return s
 }
@@ -166,17 +166,15 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 		}
 		return
 	}
-	atomic.AddUint64(&n.stats.Sent, 1)
-	atomic.AddUint64(&n.stats.BytesTx, uint64(m.WireSize()))
+	atomic.AddUint64(&n.stats[netsim.CntSent], 1)
+	atomic.AddUint64(&n.stats[netsim.CntBytesTx], uint64(m.WireSize()))
 	delay := netsim.VTime(0)
 	if fi := c.w.faults; fi != nil {
 		act := fi.Decide(m)
 		if act.Drop {
-			n.count(netsim.CntDropped)
 			return
 		}
 		if act.Duplicate {
-			n.count(netsim.CntDuplicated)
 			// Clone: both copies cross independent receive paths that
 			// mutate hop counts and tables. Each copy is independently
 			// owned and independently recycled.
@@ -184,9 +182,7 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 			*cp = *m
 			c.deliver(cp, act.DupDelay)
 		}
-		if delay = act.Delay; delay > 0 {
-			n.count(netsim.CntDelayed)
-		}
+		delay = act.Delay
 	}
 	c.deliver(m, delay)
 }
@@ -218,11 +214,8 @@ func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 			// Soft-error model: arrivals may scribble over one evictable
 			// table entry.
 			n.mu.Lock()
-			lost := c.w.faults.MaybeLoseEntry(n.trans.Table)
+			c.w.faults.MaybeLoseEntry(n.trans.Table)
 			n.mu.Unlock()
-			if lost {
-				n.count(netsim.CntTableLost)
-			}
 		}
 		if v.Act == netsim.ActMisroute {
 			v = n.Misroute(n, lv, m)

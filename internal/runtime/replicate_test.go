@@ -65,11 +65,11 @@ func TestReplicatedReadsSkipTheNetwork(t *testing.T) {
 	if err := w.ReplicateLive(lay, w.Ranks()-1); err != nil {
 		t.Fatal(err)
 	}
-	before := w.Fabric().TotalStats().Sent
+	before := w.Stats().NetSent
 	for r := 0; r < 4; r++ {
 		w.MustWait(w.Proc(r).Get(lay.BlockAt(0), 1))
 	}
-	if got := w.Fabric().TotalStats().Sent; got != before {
+	if got := w.Stats().NetSent; got != before {
 		t.Fatalf("replicated gets used the network: %d messages", got-before)
 	}
 	// Replicated reads are also much faster than remote reads.

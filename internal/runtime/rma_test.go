@@ -223,7 +223,7 @@ func (r *rmaRun) count(name string, got, want int64) {
 
 func (r *rmaRun) stats(rank int) *LocStats { return &r.w.Locality(rank).Stats }
 
-func (r *rmaRun) dma(rank int) int64 { return int64(r.w.net.Stats(rank).DMADelivered) }
+func (r *rmaRun) dma(rank int) int64 { return int64(r.w.net.Stats(rank)[netsim.CntDMADelivered]) }
 
 // move migrates every block from rank `from`, which issues the request
 // (so no other rank learns where they went), to rank `to`.
@@ -342,7 +342,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				s := r.w.Stats()
 				if mode == AGASNM {
 					// Repaired below the host: the old owner's NIC forwards.
-					r.count("in-network forwards at the old owner", int64(r.w.net.Stats(1).Forwards), 4)
+					r.count("in-network forwards at the old owner", int64(r.w.net.Stats(1)[netsim.CntForwards]), 4)
 					r.count("HostNacks", s.HostNacks, 0)
 				} else {
 					// Repaired in software: the old owner's host bounces the op
@@ -404,7 +404,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				if mode == AGASNM {
 					// The holder's NIC sees the copy stale and routes the read
 					// on by ownership: it never reaches serve there.
-					r.count("in-network forwards at the holder", int64(r.w.net.Stats(2).Forwards), 2)
+					r.count("in-network forwards at the holder", int64(r.w.net.Stats(2)[netsim.CntForwards]), 2)
 					r.count("ReplicaStaleReads at the holder", hs.ReplicaStaleReads.Load(), 0)
 					r.count("HostForwards", r.w.Stats().HostForwards, 0)
 				} else {

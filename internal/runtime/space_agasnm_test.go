@@ -103,7 +103,7 @@ func TestNMBroadcastUpdatesFillEveryTable(t *testing.T) {
 				b := lay.BlockAt(0).Block()
 				var before [4]uint64
 				for r := range before {
-					before[r] = w.net.Stats(r).TableUpdatesRx
+					before[r] = w.net.Stats(r)[netsim.CntTableUpdatesRx]
 				}
 				w.MustWait(w.Proc(0).Migrate(lay.BlockAt(0), 3))
 				want := uint64(0)
@@ -112,14 +112,14 @@ func TestNMBroadcastUpdatesFillEveryTable(t *testing.T) {
 				}
 				settleCoherence(t, w, func(WorldStats) bool {
 					for r := range before {
-						if r != 1 && w.net.Stats(r).TableUpdatesRx-before[r] < want {
+						if r != 1 && w.net.Stats(r)[netsim.CntTableUpdatesRx]-before[r] < want {
 							return false
 						}
 					}
 					return true
 				})
 				for r := range before {
-					got := w.net.Stats(r).TableUpdatesRx - before[r]
+					got := w.net.Stats(r)[netsim.CntTableUpdatesRx] - before[r]
 					o, ok := peekNICTable(w, r, b)
 					switch {
 					case r == 1 && got != 0:

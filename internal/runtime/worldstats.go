@@ -137,93 +137,123 @@ func (w *World) Stats() WorldStats {
 	s.Unacked = w.UnackedMessages()
 	s.Pulses = w.PulseCount()
 	n := w.nicTotals()
-	s.NetSent = n.Sent
-	s.NetBytes = n.BytesTx
-	s.NetForwards = n.Forwards
-	s.NetNacks = n.Nacks
-	s.NICTableUpds = n.TableUpdatesRx
-	s.DMADeliveries = n.DMADelivered
-	s.ScatterSplits = n.ScatterSplits
-	s.ScatterForwards = n.ScatterForwards
+	s.NetSent = n[netsim.CntSent]
+	s.NetBytes = n[netsim.CntBytesTx]
+	s.NetForwards = n[netsim.CntForwards]
+	s.NetNacks = n[netsim.CntNacks]
+	s.NICTableUpds = n[netsim.CntTableUpdatesRx]
+	s.DMADeliveries = n[netsim.CntDMADelivered]
+	s.ScatterSplits = n[netsim.CntScatterSplits]
+	s.ScatterForwards = n[netsim.CntScatterForwards]
 	return s
 }
 
+// WorldCounter is one scalar world counter: a StatsTable row and, when
+// Series is set, one Prometheus series, which package metrics publishes
+// under the world's mode and engine labels.
+type WorldCounter struct {
+	Name   string // StatsTable row
+	Series string // Prometheus series ("" = table only)
+	Help   string // the series' help text
+	Gauge  bool   // a gauge series, not a cumulative counter
+	Value  func(*WorldStats) int64
+	when   rowWhen
+}
+
+// rowWhen is when StatsTable prints a row: always, or only inside the
+// membership or heat section.
+type rowWhen uint8
+
+const (
+	always rowWhen = iota
+	whenMember
+	whenHeat
+)
+
+// WorldCounters lists every scalar world counter once, in StatsTable
+// order. Adding one takes a WorldStats field, its line in Stats and a row
+// here.
+var WorldCounters = []WorldCounter{
+	{"parcels.sent", "nmvgas_parcels_sent_total", "Parcels sent by all localities", false, func(s *WorldStats) int64 { return s.ParcelsSent }, always},
+	{"parcels.run", "nmvgas_parcels_run_total", "Parcel handlers executed", false, func(s *WorldStats) int64 { return s.ParcelsRun }, always},
+	{"parcels.local_fastpath", "", "", false, func(s *WorldStats) int64 { return s.LocalRuns }, always},
+	{"host.forwards", "nmvgas_host_forwards_total", "Software host forwards (stale deliveries redirected by the host)", false, func(s *WorldStats) int64 { return s.HostForwards }, always},
+	{"host.nacks", "nmvgas_host_nacks_total", "One-sided operations repaired in host software", false, func(s *WorldStats) int64 { return s.HostNacks }, always},
+	{"nic.nacks_processed", "nmvgas_nic_nacks_total", "Fabric NACKs processed by hosts", false, func(s *WorldStats) int64 { return s.NICNacks }, always},
+	{"migration.queued_msgs", "nmvgas_queued_msgs_total", "Messages parked behind migrating blocks", false, func(s *WorldStats) int64 { return s.Queued }, always},
+	{"sw.lookups", "nmvgas_sw_lookups_total", "Software translation cache lookups", false, func(s *WorldStats) int64 { return s.SWLookups }, always},
+	{"onesided.puts", "nmvgas_put_ops_total", "One-sided put operations issued", false, func(s *WorldStats) int64 { return s.PutOps }, always},
+	{"onesided.gets", "nmvgas_get_ops_total", "One-sided get operations issued", false, func(s *WorldStats) int64 { return s.GetOps }, always},
+	{"onesided.put_bytes", "", "", false, func(s *WorldStats) int64 { return s.PutBytes }, always},
+	{"onesided.get_bytes", "", "", false, func(s *WorldStats) int64 { return s.GetBytes }, always},
+	{"migrations.completed", "nmvgas_migrations_total", "Completed block migrations", false, func(s *WorldStats) int64 { return s.Migrations }, always},
+	{"net.messages", "nmvgas_net_messages_total", "Fabric messages sent", false, func(s *WorldStats) int64 { return int64(s.NetSent) }, always},
+	{"net.bytes", "", "", false, func(s *WorldStats) int64 { return int64(s.NetBytes) }, always},
+	{"net.inflight_forwards", "nmvgas_net_forwards_total", "In-network forwards", false, func(s *WorldStats) int64 { return int64(s.NetForwards) }, always},
+	{"net.nacks", "", "", false, func(s *WorldStats) int64 { return int64(s.NetNacks) }, always},
+	{"net.table_updates", "", "", false, func(s *WorldStats) int64 { return int64(s.NICTableUpds) }, always},
+	{"net.dma_deliveries", "", "", false, func(s *WorldStats) int64 { return int64(s.DMADeliveries) }, always},
+	{"net.scatter_splits", "nmvgas_scatter_splits_total", "Coalesced batches split in-NIC", false, func(s *WorldStats) int64 { return int64(s.ScatterSplits) }, always},
+	{"net.scatter_forwards", "", "", false, func(s *WorldStats) int64 { return int64(s.ScatterForwards) }, always},
+	{"coalesce.batch_reroutes", "nmvgas_batch_reroutes_total", "Batched parcels re-routed in host software", false, func(s *WorldStats) int64 { return s.BatchReroutes }, always},
+	{"replica.reads", "nmvgas_replica_reads_total", "Reads served from replica holders", false, func(s *WorldStats) int64 { return s.ReplicaReads }, always},
+	{"replica.stale_reads", "nmvgas_replica_stale_reads_total", "Replica reads that found the holder stale", false, func(s *WorldStats) int64 { return s.ReplicaStaleReads }, always},
+	{"replica.invalidations", "nmvgas_replica_invals_total", "Replica invalidations applied at holders", false, func(s *WorldStats) int64 { return s.ReplicaInvals }, always},
+	{"replica.updates", "nmvgas_replica_updates_total", "Write-update snapshots applied at holders", false, func(s *WorldStats) int64 { return s.ReplicaUpdates }, always},
+	{"replica.fills", "nmvgas_replica_fills_total", "Replica refills installed at holders", false, func(s *WorldStats) int64 { return s.ReplicaFills }, always},
+	{"swcache.hits", "", "", false, func(s *WorldStats) int64 { return int64(s.SWCacheHits) }, always},
+	{"swcache.misses", "", "", false, func(s *WorldStats) int64 { return int64(s.SWCacheMisses) }, always},
+	{"swcache.evictions", "", "", false, func(s *WorldStats) int64 { return int64(s.SWCacheEvictions) }, always},
+	{"swcache.updates", "", "", false, func(s *WorldStats) int64 { return int64(s.SWCacheUpdates) }, always},
+	{"swcache.corrections", "", "", false, func(s *WorldStats) int64 { return int64(s.SWCacheCorrections) }, always},
+	{"rel.tracked", "", "", false, func(s *WorldStats) int64 { return int64(s.Delivery.Tracked) }, always},
+	{"rel.retransmits", "nmvgas_retransmits_total", "Reliable-delivery retransmissions", false, func(s *WorldStats) int64 { return int64(s.Delivery.Retransmits) }, always},
+	{"rel.dups_suppressed", "", "", false, func(s *WorldStats) int64 { return int64(s.Delivery.DupsSuppressed) }, always},
+	{"rel.abandoned", "", "", false, func(s *WorldStats) int64 { return int64(s.Delivery.Abandoned) }, always},
+	{"rel.loop_nacks", "", "", false, func(s *WorldStats) int64 { return int64(s.Delivery.HopCapNacks) }, always},
+	{"rel.unacked", "nmvgas_unacked_messages", "Messages held by the reliable layer awaiting acknowledgement (black-hole audit; 0 when the layer is off)", true, func(s *WorldStats) int64 { return int64(s.Unacked) }, always},
+	{"faults.dropped", "nmvgas_fault_dropped_total", "Messages lost by the fault injector", false, func(s *WorldStats) int64 { return int64(s.Delivery.Faults.Dropped) }, always},
+	{"faults.duplicated", "nmvgas_fault_duplicated_total", "Messages duplicated by the fault injector", false, func(s *WorldStats) int64 { return int64(s.Delivery.Faults.Duplicated) }, always},
+	{"faults.delayed", "nmvgas_fault_delayed_total", "Messages delayed by the fault injector", false, func(s *WorldStats) int64 { return int64(s.Delivery.Faults.Delayed) }, always},
+	{"faults.targeted_drops", "nmvgas_fault_targeted_drops_total", "Targeted control-class drops injected", false, func(s *WorldStats) int64 { return int64(s.Delivery.Faults.TargetedDrops) }, always},
+	{"faults.table_lost", "nmvgas_fault_table_entries_lost_total", "NIC translation entries soft-errored away", false, func(s *WorldStats) int64 { return int64(s.Delivery.Faults.TableEntriesLost) }, always},
+	{"member.epoch", "nmvgas_member_epoch", "Current membership epoch (0 = membership never changed)", true, func(s *WorldStats) int64 { return int64(s.Membership.Epoch) }, whenMember},
+	{"member.deaths", "nmvgas_member_deaths", "Localities declared dead", true, func(s *WorldStats) int64 { return int64(s.Membership.Deaths) }, whenMember},
+	{"member.joins", "nmvgas_member_joins", "Localities re-admitted via Join", true, func(s *WorldStats) int64 { return int64(s.Membership.Joins) }, whenMember},
+	{"member.retires", "nmvgas_member_retires", "Localities retired gracefully", true, func(s *WorldStats) int64 { return int64(s.Membership.Retires) }, whenMember},
+	{"member.suspicions", "nmvgas_member_suspicions", "Liveness probes raised (including false alarms)", true, func(s *WorldStats) int64 { return int64(s.Membership.Suspicions) }, whenMember},
+	{"member.rehomed_blocks", "nmvgas_member_rehomed_blocks", "Blocks re-homed onto survivors after a death", true, func(s *WorldStats) int64 { return int64(s.Membership.Rehomed) }, whenMember},
+	{"member.lost_blocks", "nmvgas_member_lost_blocks", "Blocks lost with their owner (no replica to promote)", true, func(s *WorldStats) int64 { return int64(s.Membership.Lost) }, whenMember},
+	{"member.down_drops", "nmvgas_fault_down_drops_total", "Messages swallowed at a down locality's link", false, func(s *WorldStats) int64 { return int64(s.Membership.DownDrops) }, whenMember},
+	{"member.dead_nacks", "nmvgas_fault_dead_nacks_total", "NACKs synthesized for traffic routed at a dead locality", false, func(s *WorldStats) int64 { return int64(s.Membership.DeadNacks) }, whenMember},
+	{"member.stale_epoch_drops", "nmvgas_fault_stale_epoch_drops_total", "NIC table updates discarded as older than the membership epoch", false, func(s *WorldStats) int64 { return int64(s.Membership.StaleEpochDrops) }, whenMember},
+	{"heat.sampled", "nmvgas_heat_sampled_total", "Accesses sampled by the heat tracker (0 when Config.Heat is off)", false, func(s *WorldStats) int64 { return int64(s.HeatSampled) }, whenHeat},
+}
+
 // StatsTable renders the aggregate counters for human consumption (used
-// by the demo binary and experiment reports).
+// by the demo binary and experiment reports): every WorldCounters row
+// whose section is on, then the pulse, health and latency sections.
 func (w *World) StatsTable() *stats.Table {
 	s := w.Stats()
 	tb := stats.NewTable("world counters ("+w.cfg.Mode.String()+"/"+w.cfg.Engine.String()+")",
 		"counter", "value")
-	add := func(name string, v any) { tb.AddRow(name, v) }
-	add("parcels.sent", s.ParcelsSent)
-	add("parcels.run", s.ParcelsRun)
-	add("parcels.local_fastpath", s.LocalRuns)
-	add("host.forwards", s.HostForwards)
-	add("host.nacks", s.HostNacks)
-	add("nic.nacks_processed", s.NICNacks)
-	add("migration.queued_msgs", s.Queued)
-	add("sw.lookups", s.SWLookups)
-	add("onesided.puts", s.PutOps)
-	add("onesided.gets", s.GetOps)
-	add("onesided.put_bytes", s.PutBytes)
-	add("onesided.get_bytes", s.GetBytes)
-	add("migrations.completed", s.Migrations)
-	add("net.messages", s.NetSent)
-	add("net.bytes", s.NetBytes)
-	add("net.inflight_forwards", s.NetForwards)
-	add("net.nacks", s.NetNacks)
-	add("net.table_updates", s.NICTableUpds)
-	add("net.dma_deliveries", s.DMADeliveries)
-	add("net.scatter_splits", s.ScatterSplits)
-	add("net.scatter_forwards", s.ScatterForwards)
-	add("coalesce.batch_reroutes", s.BatchReroutes)
-	add("replica.reads", s.ReplicaReads)
-	add("replica.stale_reads", s.ReplicaStaleReads)
-	add("replica.invalidations", s.ReplicaInvals)
-	add("replica.updates", s.ReplicaUpdates)
-	add("replica.fills", s.ReplicaFills)
-	add("swcache.hits", s.SWCacheHits)
-	add("swcache.misses", s.SWCacheMisses)
-	add("swcache.evictions", s.SWCacheEvictions)
-	add("swcache.updates", s.SWCacheUpdates)
-	add("swcache.corrections", s.SWCacheCorrections)
-	d := s.Delivery
-	add("rel.tracked", d.Tracked)
-	add("rel.retransmits", d.Retransmits)
-	add("rel.dups_suppressed", d.DupsSuppressed)
-	add("rel.abandoned", d.Abandoned)
-	add("rel.loop_nacks", d.HopCapNacks)
-	add("rel.unacked", s.Unacked)
-	add("faults.dropped", d.Faults.Dropped)
-	add("faults.duplicated", d.Faults.Duplicated)
-	add("faults.delayed", d.Faults.Delayed)
-	add("faults.targeted_drops", d.Faults.TargetedDrops)
-	add("faults.table_lost", d.Faults.TableEntriesLost)
-	if ms := s.Membership; ms.Epoch > 0 || ms.Suspicions > 0 {
-		add("member.epoch", ms.Epoch)
-		add("member.deaths", ms.Deaths)
-		add("member.joins", ms.Joins)
-		add("member.retires", ms.Retires)
-		add("member.suspicions", ms.Suspicions)
-		add("member.rehomed_blocks", ms.Rehomed)
-		add("member.lost_blocks", ms.Lost)
-		add("member.down_drops", ms.DownDrops)
-		add("member.dead_nacks", ms.DeadNacks)
-		add("member.stale_epoch_drops", ms.StaleEpochDrops)
-	}
-	if s.HeatEnabled {
-		add("heat.sampled", s.HeatSampled)
+	ms := s.Membership
+	show := [...]bool{always: true, whenMember: ms.Epoch > 0 || ms.Suspicions > 0, whenHeat: s.HeatEnabled}
+	for _, c := range WorldCounters {
+		if show[c.when] {
+			tb.AddRow(c.Name, c.Value(&s))
+		}
 	}
 	if h := w.Health(); h.Enabled {
-		add("pulse.ticks", s.Pulses)
-		add("health.level", h.Level.String())
+		tb.AddRow("pulse.ticks", s.Pulses)
+		tb.AddRow("health.level", h.Level.String())
 		for _, st := range h.Watchdogs {
 			if st.Level > WatchOK {
-				add("health."+st.Name, st.Level.String()+" ("+st.Detail+")")
+				tb.AddRow("health."+st.Name, st.Level.String()+" ("+st.Detail+")")
 			}
 		}
 	} else if s.Pulses > 0 {
-		add("pulse.ticks", s.Pulses)
+		tb.AddRow("pulse.ticks", s.Pulses)
 	}
 	if lat := s.Latencies; lat.Enabled {
 		for p, l := range lat.Path {
