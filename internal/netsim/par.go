@@ -7,8 +7,8 @@ import (
 
 // ParEngine is the conservative-lookahead parallel configuration of the
 // discrete-event engine. Ranks are partitioned into contiguous shards,
-// each owning one event heap (the same zero-alloc 4-ary heap the classic
-// engine uses) and its own clock. Execution proceeds in windows derived
+// each owning one zero-alloc radix eventQueue (as the classic engine
+// does) and its own clock. Execution proceeds in windows derived
 // from the cost model's minimum cross-rank delay L (min link latency ×
 // topology-minimum hop count): given the earliest pending event time m,
 // every shard drains its events with timestamps in [m, m+L) with no

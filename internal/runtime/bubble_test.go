@@ -25,6 +25,24 @@ import (
 // A bubble makes time virtual, not scheduling deterministic: a failed
 // trial cannot be replayed. Latency and heat tests read time.Since and
 // stay outside.
+//
+// The flake gate. A change that speeds up the goroutine engine may not
+// make the membership rows fail more often than its parent does. Both
+// trees are copied side by side and run in alternation, parent first:
+//
+//   - in bubbles, 20 runs per commit of
+//     GOEXPERIMENT=synctest go test -count=1 -run TestBubbleMembershipTrials ./internal/runtime/ -trials 1000
+//     each scored by its summed failures over the six rows;
+//   - on the wall clock, 100 runs per commit of
+//     go test -count=1 -run 'TestKillPromotesReplicaAndServes|TestJoinReadmitsAndServes' ./internal/runtime/
+//     each scored pass or fail.
+//
+// Run i of the change is paired with run i of the parent. In each half a
+// one-sided sign test drops the tied pairs and asks how likely at least
+// as many pairs worse for the change would be if worse and better were
+// equally likely; the change fails the gate if that is below 0.05 in
+// either half. The counts per commit and both p values are reported,
+// whether the gate is met or not.
 
 var trials = flag.Int("trials", 100, "trials per mode for the bubble tests")
 

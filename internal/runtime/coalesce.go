@@ -155,16 +155,16 @@ func (b *coalBuf) take(c *coalescer) []byte {
 // The flush drains this locality's own buffer and injects from its NIC:
 // rank-local work.
 func (c *coalescer) armFlush(dst int, gen uint64) {
-	c.l.exec.After(coalMaxDelay, func() { c.flushGen(dst, gen) })
+	c.l.exec.After(coalMaxDelay, func() { c.flush(dst, gen, false) })
 }
 
-// flushGen is the delayed flush: it fires only if the buffer still holds
-// the generation that armed it.
-func (c *coalescer) flushGen(dst int, gen uint64) {
+// flush sends dst's buffer: forced, whatever it holds; delayed, only if
+// it still holds the generation that armed it.
+func (c *coalescer) flush(dst int, gen uint64, force bool) {
 	b := &c.bufs[dst]
 	b.mu.Lock()
-	if b.gen != gen || b.count == 0 {
-		if b.gen == gen {
+	if b.count == 0 || (!force && b.gen != gen) {
+		if b.gen == gen && !force {
 			b.pending = false
 		}
 		b.mu.Unlock()
@@ -175,26 +175,11 @@ func (c *coalescer) flushGen(dst int, gen uint64) {
 	c.send(dst, payload)
 }
 
-// flush forces dst's buffer out regardless of generation.
-func (c *coalescer) flush(dst int) {
-	b := &c.bufs[dst]
-	b.mu.Lock()
-	if b.count == 0 {
-		b.mu.Unlock()
-		return
-	}
-	payload := b.take(c)
-	b.mu.Unlock()
-	c.send(dst, payload)
-}
-
-// send injects the finished batch. Under the network-managed space the
-// batch is addressed ByGVA and marked Scatter, so NICs split it against
-// their own tables; elsewhere it is rank-addressed and unbundled by the
-// destination host. On the goroutine engine the injection happens inline
-// on the calling goroutine — the transport is thread-safe, and it makes
-// FlushAll synchronous (when FlushAll returns, the batches are in the
-// destination mailboxes).
+// send injects the finished batch: addressed ByGVA and marked Scatter
+// under the network-managed space, so NICs split it against their own
+// tables, and to the (always resident) locality block elsewhere. On the
+// goroutine engine it leaves on the calling goroutine, never staged
+// (postsAtOnce): FlushAll is synchronous.
 func (c *coalescer) send(dst int, payload []byte) {
 	m := netsim.NewMessage()
 	m.Kind = kBatch
@@ -203,16 +188,8 @@ func (c *coalescer) send(dst int, payload []byte) {
 	m.Payload = payload
 	m.Wire = len(payload)
 	if c.scatter {
-		m.Scatter = true
-		if c.l.w.eng == nil {
-			c.l.inject(m, netsim.ByGVA)
-			return
-		}
-		c.l.exec.Exec(0, func() { c.l.inject(m, netsim.ByGVA) })
-		return
+		m.Scatter, dst = true, netsim.ByGVA
 	}
-	// A batch targets the locality block, which is always resident, so
-	// routing is plain rank addressing without NIC translation.
 	if c.l.w.eng == nil {
 		c.l.inject(m, dst)
 		return
@@ -228,7 +205,7 @@ func (l *Locality) FlushAll() {
 		return
 	}
 	for d := range l.coal.bufs {
-		l.coal.flush(d)
+		l.coal.flush(d, 0, true)
 	}
 }
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nmvgas/internal/netsim"
@@ -22,9 +23,8 @@ type Executor interface {
 	// step op of message m (see Locality.handleMsg) with no closure. On
 	// the DES engine the message itself becomes the event. The goroutine
 	// engine posts a host delivery to the mailbox and runs the other steps
-	// where they stand: an injection inline (the transport is thread-safe
-	// and there is no host-busy horizon to respect), a user parcel on the
-	// calling token holder.
+	// where they stand: an injection into the transport (thread-safe, and
+	// no host-busy horizon to respect), a user parcel on the token holder.
 	ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message)
 	// After runs fn as this locality's work d from now: an event on the
 	// rank's own timeline under DES, a wall timer (d × goTimeScale) that
@@ -121,20 +121,31 @@ type goExec struct {
 
 	// inline lets waited messages drain an idle mailbox on the delivering
 	// goroutine (set where payloads ride pooled wire buffers: no
-	// reliability layer, no fault injector); inlined counts those drains,
-	// for tests (read under mu).
+	// reliability layer, no fault injector); inlined counts those drains
+	// and handoffs postRun's locks of mu, for tests (read under mu).
 	inline  bool
 	inlined int
 
 	// onMsg and onStep are the typed delivery handlers, wired by
 	// newChanNet before the actor starts: onMsg is the NIC receive path
-	// (chanNet.arrive), onStep every host-side step (Locality.handleMsg).
+	// (chanNet.arrive), onStep every host-side step (Locality.handleMsg),
+	// flush the transport for this rank's staged sends (chanNet.send).
 	onMsg  func(*netsim.Message)
 	onStep func(msgOp, *netsim.Message)
 
-	// batch is turn's claim, touched only by the token holder and
-	// cleared entry by entry as it runs, so no drain zeroes a buffer.
+	// batch is turn's claim, touched only by the token holder and cleared
+	// entry by entry as it runs, so no drain zeroes a buffer. New fields go
+	// after it: moving it onto a fresh cache line cost a blocking get 9 %.
 	batch [execBatch]task
+
+	// The outbox, open while an actor's turn runs (chanNet.Send). outMu
+	// guards out and every flush: a sender unsure of the token may flush.
+	open     atomic.Bool
+	staged   atomic.Int32
+	outMu    sync.Mutex
+	out      []*netsim.Message
+	flush    func([]*netsim.Message)
+	handoffs int
 }
 
 func newGoExec() *goExec {
@@ -155,8 +166,8 @@ func (e *goExec) depth() int {
 	return e.n
 }
 
-// push appends t to the ring, growing it when full, and wakes the actor
-// unless a token holder will see t anyway. Caller holds e.mu.
+// push appends t to the ring, growing it when full; the caller wakes the
+// actor once for its batch. Caller holds e.mu.
 func (e *goExec) push(t task) {
 	if e.n == len(e.ring) {
 		bigger := make([]task, len(e.ring)*2)
@@ -167,14 +178,12 @@ func (e *goExec) push(t task) {
 	}
 	e.ring[(e.head+e.n)&(len(e.ring)-1)] = t
 	e.n++
-	if !e.running {
-		e.cond.Signal()
-	}
 }
 
 // turn runs one batch for the token holder, claimed into e.batch under
-// e.mu (held on entry and return) and run outside it; it frees the token.
-func (e *goExec) turn() {
+// e.mu (held on entry and return) and run outside it, and frees the
+// token; an actor's turn stages its sends and flushes them first.
+func (e *goExec) turn(stage bool) {
 	k := min(e.n, execBatch)
 	mask := len(e.ring) - 1
 	for i := 0; i < k; i++ {
@@ -185,6 +194,9 @@ func (e *goExec) turn() {
 	e.head = (e.head + k) & mask
 	e.n -= k
 	e.mu.Unlock()
+	if stage {
+		e.open.Store(true)
+	}
 	for i := range e.batch[:k] {
 		t := &e.batch[i]
 		switch {
@@ -197,8 +209,25 @@ func (e *goExec) turn() {
 		}
 		*t = task{}
 	}
+	if stage {
+		e.open.Store(false)
+		e.flushOut()
+	}
 	e.mu.Lock()
 	e.running = false
+}
+
+// flushOut sends what is staged, in order. Stagers raise staged before
+// reading open and closers read it after clearing open: none is missed.
+func (e *goExec) flushOut() {
+	if e.staged.Load() == 0 {
+		return
+	}
+	e.outMu.Lock()
+	e.flush(e.out)
+	e.out = e.out[:0]
+	e.staged.Store(0)
+	e.outMu.Unlock()
 }
 
 // loop is the actor: it takes the token whenever work is queued and no
@@ -215,7 +244,7 @@ func (e *goExec) loop() {
 			return
 		}
 		e.running = true
-		e.turn()
+		e.turn(true)
 	}
 }
 
@@ -240,14 +269,36 @@ func (e *goExec) post(t task, waited bool) {
 	case e.stopped:
 	case waited && e.inline && !e.running:
 		e.inlined++
-		e.running = true // taken before push, which then wakes no one
+		e.running = true
 		e.push(t)
-		e.turn()
+		e.turn(false)
 		if e.n > 0 || e.stopped {
 			e.cond.Signal()
 		}
 	default:
 		e.push(t)
+		if !e.running {
+			e.cond.Signal()
+		}
+	}
+	e.mu.Unlock()
+}
+
+// postRun is execMsg, in order and under one lock and wake-up, for each
+// non-waited message of ms bound for rank, clearing its slot.
+func (e *goExec) postRun(ms []*netsim.Message, rank int) {
+	e.mu.Lock()
+	e.handoffs++
+	for i, m := range ms {
+		if m != nil && m.Dst == rank {
+			if !e.stopped {
+				e.push(task{m: m})
+			}
+			ms[i] = nil
+		}
+	}
+	if !e.running {
+		e.cond.Signal()
 	}
 	e.mu.Unlock()
 }

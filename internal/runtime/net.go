@@ -32,12 +32,13 @@ type network interface {
 // chanNet is the goroutine engine's driver of the NIC protocol core:
 // messages hop between locality actors directly, and it owns only what
 // is this engine's — one lock around each NIC's translation state,
-// atomically bumped counters, wall-clock fault delays and mailbox
-// hand-off. Of the per-message counters it keeps the ones something
-// reads — Sent and BytesTx (WorldStats.NetSent/NetBytes), DMADelivered —
-// and leaves Received, BytesRx and HostDelivered to the simulator: it
-// has no receive link or host boundary to model, and each would be one
-// more atomic add on every message.
+// atomically bumped counters, wall-clock fault delays, mailbox hand-off
+// and the per-turn flush of each token holder's staged sends (Send).
+// Of the per-message counters it keeps the ones something reads — Sent
+// and BytesTx (WorldStats.NetSent/NetBytes), DMADelivered — and leaves
+// Received, BytesRx and HostDelivered to the simulator: it has no
+// receive link or host boundary to model, and each would be one more
+// atomic add on every message.
 type chanNet struct {
 	w     *World
 	nics  []*goNIC
@@ -108,6 +109,7 @@ func newChanNet(w *World) *chanNet {
 		ex := l.exec.(*goExec)
 		ex.onMsg = func(m *netsim.Message) { c.arrive(l, m) }
 		ex.onStep = l.handleMsg
+		ex.flush = func(ms []*netsim.Message) { c.send(l.rank, ms) }
 		ex.inline = l.payloadPoolable()
 		c.execs = append(c.execs, ex)
 	}
@@ -143,48 +145,98 @@ func (c *chanNet) live() netsim.Liveness {
 	return nil
 }
 
+// Send injects m at rank from, staged while an actor's turn holds from's
+// token unless it posts at once, after what is staged (pairs keep order).
 func (c *chanNet) Send(from int, m *netsim.Message) {
-	n := c.nics[from]
-	if !m.Target.IsNull() {
-		m.Block = m.Target.Block()
-	}
-	if m.Dst == netsim.ByGVA {
-		if !n.GVARouting {
-			c.w.fail("chanNet: ByGVA send under address space %q", c.w.caps.Name)
-		}
-		n.mu.Lock()
-		n.trans.Resolve(m)
-		n.mu.Unlock()
-	}
-	if m.Dst < 0 || m.Dst >= len(c.nics) {
-		c.w.fail("chanNet: send to bad rank %d", m.Dst)
-	}
-	if v := n.Fence(c.live(), m); v.Act != netsim.ActPass {
-		n.count(v.Count)
-		if v.Act == netsim.ActNack {
-			c.Send(from, n.Control(v.Ctl, m, v.To, 0))
-		}
-		return
-	}
-	atomic.AddUint64(&n.stats[netsim.CntSent], 1)
-	atomic.AddUint64(&n.stats[netsim.CntBytesTx], uint64(m.WireSize()))
-	delay := netsim.VTime(0)
-	if fi := c.w.faults; fi != nil {
-		act := fi.Decide(m)
-		if act.Drop {
+	e := c.execs[from]
+	if e.open.Load() && !postsAtOnce(m) {
+		e.outMu.Lock()
+		e.staged.Add(1)
+		if e.open.Load() {
+			e.out = append(e.out, m)
+			e.outMu.Unlock()
 			return
 		}
-		if act.Duplicate {
-			// Clone: both copies cross independent receive paths that
-			// mutate hop counts and tables. Each copy is independently
-			// owned and independently recycled.
-			cp := netsim.NewMessage()
-			*cp = *m
-			c.deliver(cp, act.DupDelay)
-		}
-		delay = act.Delay
+		e.staged.Add(-1)
+		e.outMu.Unlock()
 	}
-	c.deliver(m, delay)
+	e.flushOut()
+	c.send(from, []*netsim.Message{m})
+}
+
+// postsAtOnce: waited messages (a blocked caller's round trip) and the
+// kinds off-token goroutines send — one-sided requests, batches, a timer's
+// pings. Any other off-token send mid-turn leaves with the holder's flush.
+func postsAtOnce(m *netsim.Message) bool {
+	switch m.Kind {
+	case kPutReq, kGetReq, kPutVec, kGetVec, kBatch, kMemberPing:
+		return true
+	}
+	return m.Waited
+}
+
+// send carries ms, injected at rank from, in order: one NIC lock resolves
+// every ByGVA message, each counter takes one atomic add, and each
+// destination mailbox is locked and woken once for its share (postRun).
+func (c *chanNet) send(from int, ms []*netsim.Message) {
+	n, locked := c.nics[from], false
+	for _, m := range ms {
+		if !m.Target.IsNull() {
+			m.Block = m.Target.Block()
+		}
+		if m.Dst == netsim.ByGVA {
+			if !locked {
+				if !n.GVARouting {
+					c.w.fail("chanNet: ByGVA send under address space %q", c.w.caps.Name)
+				}
+				n.mu.Lock()
+				locked = true
+			}
+			n.trans.Resolve(m)
+		}
+	}
+	if locked {
+		n.mu.Unlock()
+	}
+	lv, sent, bytes := c.live(), uint64(0), uint64(0)
+	for i := 0; i < len(ms); i++ {
+		m := ms[i]
+		if m.Dst < 0 || m.Dst >= len(c.nics) {
+			c.w.fail("chanNet: send to bad rank %d", m.Dst)
+		}
+		if v := n.Fence(lv, m); v.Act != netsim.ActPass {
+			n.count(v.Count)
+			ms[i] = nil
+			if v.Act == netsim.ActNack { // the NACK takes m's place
+				ms[i], i = n.Control(v.Ctl, m, v.To, 0), i-1
+			}
+			continue
+		}
+		sent, bytes = sent+1, bytes+uint64(m.WireSize())
+	}
+	atomic.AddUint64(&n.stats[netsim.CntSent], sent)
+	atomic.AddUint64(&n.stats[netsim.CntBytesTx], bytes)
+	fi := c.w.faults
+	for i, m := range ms {
+		switch {
+		case m == nil:
+		case fi == nil && m.Waited: // alone: a waited m is never staged
+			c.deliver(m, 0)
+		case fi == nil:
+			c.execs[m.Dst].postRun(ms[i:], m.Dst)
+		default:
+			if act := fi.Decide(m); !act.Drop {
+				if act.Duplicate {
+					// Clone: the copies cross receive paths that mutate
+					// hop counts and tables, each owned and recycled alone.
+					cp := netsim.NewMessage()
+					*cp = *m
+					c.deliver(cp, act.DupDelay)
+				}
+				c.deliver(m, act.Delay)
+			}
+		}
+	}
 }
 
 // deliver hands m to the destination's typed mailbox — no capturing

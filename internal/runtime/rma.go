@@ -59,8 +59,8 @@ const segHdr = 8
 // PutAsync writes data at dst and runs done on this locality when the
 // write is remotely complete. Call it from this locality's execution
 // context (an action body or a Proc task); on the goroutine engine any
-// goroutine may call it, since everything the issue touches is
-// thread-safe there (Proc.PutAsync does).
+// goroutine may (Proc.PutAsync does): an off-token caller's request posts
+// at once and is never staged in the token holder's outbox (postsAtOnce).
 func (l *Locality) PutAsync(dst gas.GVA, data []byte, done func()) {
 	l.issue(l.putReq(dst, data), opState{pdone: done})
 }
