@@ -38,7 +38,7 @@ func runExperiment(b *testing.B, id string, row, col int, metric string) {
 	var last float64
 	for i := 0; i < b.N; i++ {
 		tb := e.Run(benchOpts())
-		cellStr := strings.TrimSuffix(tb.Rows()[row][col], "x")
+		cellStr := strings.TrimSuffix(tb.Rows[row][col], "x")
 		v, err := strconv.ParseFloat(cellStr, 64)
 		if err != nil {
 			b.Fatalf("%s cell (%d,%d) = %q: %v", id, row, col, cellStr, err)

@@ -123,25 +123,6 @@ func (d *Directory) TakeReplicas(block gas.BlockID) (ReplicaSet, bool) {
 	return s, true
 }
 
-// RemoveReplica drops one holder from block's set (e.g. the destination
-// of a migration stops being a replica when it becomes the master).
-func (d *Directory) RemoveReplica(block gas.BlockID, rank int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s, ok := d.repl[block]
-	if !ok {
-		return
-	}
-	kept := s.Holders[:0]
-	for _, h := range s.Holders {
-		if h != rank {
-			kept = append(kept, h)
-		}
-	}
-	s.Holders = kept
-	d.repl[block] = s
-}
-
 // DropReplicas removes block's replica set (unreplicate / free).
 func (d *Directory) DropReplicas(block gas.BlockID) {
 	d.mu.Lock()
@@ -184,11 +165,4 @@ func (d *Directory) Clear() {
 	defer d.mu.Unlock()
 	d.owners = make(map[gas.BlockID]int)
 	d.repl = make(map[gas.BlockID]ReplicaSet)
-}
-
-// ReplicatedLen returns the number of replicated blocks tracked here.
-func (d *Directory) ReplicatedLen() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.repl)
 }

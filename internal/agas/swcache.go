@@ -85,13 +85,6 @@ func (c *SWCache) Stats() (hits, misses, evictions, updates, corrections uint64)
 	return h, m, ev, up, c.corrections
 }
 
-// HitRate returns the cache hit rate.
-func (c *SWCache) HitRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.table.HitRate()
-}
-
 // Len returns the resident entry count.
 func (c *SWCache) Len() int {
 	c.mu.Lock()

@@ -1,14 +1,11 @@
 // Package collective builds tree-structured collective operations —
-// broadcast, reduce, allreduce, barrier — from parcels and LCOs. Nothing
-// here touches the network layer directly: collectives are *applications*
-// of the message-driven runtime, so their cost differences across GAS
-// modes come out of the same translation machinery the experiments
-// measure.
+// broadcast, reduce, barrier — from parcels and LCOs. Nothing here
+// touches the network layer directly: collectives are *applications* of
+// the message-driven runtime, so their cost differences across GAS modes
+// come out of the same translation machinery the experiments measure.
 package collective
 
 import (
-	"fmt"
-
 	"nmvgas/internal/gas"
 	"nmvgas/internal/lco"
 	"nmvgas/internal/parcel"
@@ -18,9 +15,8 @@ import (
 // Ops holds the registered collective actions for one world. Create it
 // with New before World.Start.
 type Ops struct {
-	w      *runtime.World
-	bcast  parcel.ActionID
-	gather parcel.ActionID
+	w     *runtime.World
+	bcast parcel.ActionID
 }
 
 // bcast payload layout:
@@ -37,7 +33,6 @@ const bcastHdr = 18
 func New(w *runtime.World) *Ops {
 	o := &Ops{w: w}
 	o.bcast = w.Register("collective.bcast", o.bcastNode)
-	o.gather = w.Register("collective.gather", o.gatherNode)
 	return o
 }
 
@@ -110,29 +105,4 @@ func (o *Ops) Reduce(from int, action parcel.ActionID, payload []byte, comb lco.
 // no-op — a driver-level barrier.
 func (o *Ops) Barrier(from int) *runtime.LCORef {
 	return o.Broadcast(from, runtime.ANop, nil)
-}
-
-// AllReduce performs Reduce then re-broadcasts the result: every rank's
-// returned future fires with the reduced value.
-func (o *Ops) AllReduce(from int, action parcel.ActionID, payload []byte, comb lco.Combiner) []*runtime.LCORef {
-	futs := make([]*runtime.LCORef, o.w.Ranks())
-	for r := range futs {
-		futs[r] = o.w.NewFuture(r)
-	}
-	red := o.Reduce(from, action, payload, comb)
-	red.OnFire(func(v []byte) {
-		for r := range futs {
-			r := r
-			o.w.Proc(from).Invoke(futs[r].G, runtime.ALCOSet, v)
-		}
-	})
-	return futs
-}
-
-// Validate sanity-checks a world for collective use.
-func Validate(w *runtime.World) error {
-	if w.Ranks() < 1 {
-		return fmt.Errorf("collective: empty world")
-	}
-	return nil
 }

@@ -110,22 +110,6 @@ func TestBarrier(t *testing.T) {
 	})
 }
 
-func TestAllReduceDeliversEverywhere(t *testing.T) {
-	matrix(t, 4, func(t *testing.T, w *runtime.World, o *Ops) {
-		give := w.Register("give", func(c *runtime.Ctx) {
-			c.Continue(lco.EncodeI64(1))
-		})
-		w.Start()
-		futs := o.AllReduce(0, give, nil, lco.SumI64)
-		for r, f := range futs {
-			v := w.MustWait(f)
-			if got := lco.DecodeI64(v); got != 4 {
-				t.Fatalf("rank %d allreduce = %d", r, got)
-			}
-		}
-	})
-}
-
 func TestSingleRankCollectives(t *testing.T) {
 	w, err := runtime.NewWorld(runtime.Config{Ranks: 1, Engine: runtime.EngineDES})
 	if err != nil {
@@ -139,9 +123,6 @@ func TestSingleRankCollectives(t *testing.T) {
 		t.Fatalf("1-rank reduce = %d", got)
 	}
 	w.MustWait(o.Barrier(0))
-	if err := Validate(w); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBroadcastScalesLogarithmically(t *testing.T) {

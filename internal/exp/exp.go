@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"nmvgas/internal/agas"
@@ -75,9 +74,6 @@ func (o Options) sweep() []runtime.SpaceSpec {
 	return spaces
 }
 
-// DefaultOptions returns full-scale settings with a fixed seed.
-func DefaultOptions() Options { return Options{Seed: 42} }
-
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string
@@ -110,18 +106,6 @@ func IDs() []string {
 		out[i] = e.ID
 	}
 	return out
-}
-
-// RunAll executes every experiment and writes the tables to w.
-func RunAll(o Options, out io.Writer) error {
-	for _, e := range Registry {
-		t := e.Run(o)
-		if err := t.Fprint(out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	return nil
 }
 
 // spaces is the sweep order used in every table (the runtime's canonical

@@ -11,9 +11,9 @@ import (
 func quick() Options { return Options{Quick: true, Seed: 42} }
 
 // cell parses a table cell as float.
-func cell(t *testing.T, tb interface{ Rows() [][]string }, row, col int) float64 {
+func cell(t *testing.T, tb *stats.Table, row, col int) float64 {
 	t.Helper()
-	s := tb.Rows()[row][col]
+	s := tb.Rows[row][col]
 	s = strings.TrimSuffix(s, "x")
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestT1LatencyShape(t *testing.T) {
 	tb := mustRun(t, "T1")
-	last := tb.NumRows() - 1
+	last := len(tb.Rows) - 1
 	// NM within 20% of PGAS at the smallest size; SW strictly slower
 	// than NM there.
 	pg, sw, nm := cell(t, tb, 0, 1), cell(t, tb, 0, 2), cell(t, tb, 0, 3)
@@ -73,7 +73,7 @@ func TestT2GetShape(t *testing.T) {
 
 func TestF1ThroughputShape(t *testing.T) {
 	tb := mustRun(t, "F1")
-	last := tb.NumRows() - 1
+	last := len(tb.Rows) - 1
 	// Throughput rises with size and converges across modes at large
 	// sizes (wire-limited).
 	if cell(t, tb, last, 1) <= cell(t, tb, 0, 1) {
@@ -97,7 +97,7 @@ func TestF3CapacityCliff(t *testing.T) {
 	tb := mustRun(t, "F3")
 	// First row: working set fits (hit rate high). Last row: working set
 	// 2x+ the table (hit rate collapses). SW unbounded cache stays hot.
-	first, last := 0, tb.NumRows()-1
+	first, last := 0, len(tb.Rows)-1
 	if hr := cell(t, tb, first, 1); hr < 0.9 {
 		t.Fatalf("NM hit rate %v with fitting working set", hr)
 	}
@@ -115,7 +115,7 @@ func TestF3CapacityCliff(t *testing.T) {
 
 func TestF4MigrationShape(t *testing.T) {
 	tb := mustRun(t, "F4")
-	last := tb.NumRows() - 1
+	last := len(tb.Rows) - 1
 	// Migration cost grows with block size.
 	if cell(t, tb, last, 1) <= cell(t, tb, 0, 1) {
 		t.Fatal("SW migration cost flat in size")
@@ -127,7 +127,7 @@ func TestF4MigrationShape(t *testing.T) {
 
 func TestF5GUPSShape(t *testing.T) {
 	tb := mustRun(t, "F5")
-	for r := 0; r < tb.NumRows(); r++ {
+	for r := 0; r < len(tb.Rows); r++ {
 		pg, sw, nm := cell(t, tb, r, 1), cell(t, tb, r, 2), cell(t, tb, r, 3)
 		if sw >= nm {
 			t.Fatalf("row %d: SW GUPS %v not slower than NM %v", r, sw, nm)
@@ -166,7 +166,7 @@ func TestF8StencilShape(t *testing.T) {
 
 func TestF9ChurnShape(t *testing.T) {
 	tb := mustRun(t, "F9")
-	last := tb.NumRows() - 1
+	last := len(tb.Rows) - 1
 	// Under churn, NM throughput must exceed both SW policies.
 	sw, swInv, nm := cell(t, tb, last, 1), cell(t, tb, last, 2), cell(t, tb, last, 3)
 	if nm <= sw || nm <= swInv {
@@ -177,7 +177,7 @@ func TestF9ChurnShape(t *testing.T) {
 func TestT3ScalingShape(t *testing.T) {
 	tb := mustRun(t, "T3")
 	// Put latency roughly flat across scales; barrier grows.
-	first, last := 0, tb.NumRows()-1
+	first, last := 0, len(tb.Rows)-1
 	if p0, pl := cell(t, tb, first, 3), cell(t, tb, last, 3); pl > 1.5*p0 {
 		t.Fatalf("NM put latency not flat: %v → %v", p0, pl)
 	}
@@ -188,7 +188,7 @@ func TestT3ScalingShape(t *testing.T) {
 
 func TestT4BreakdownSums(t *testing.T) {
 	tb := mustRun(t, "T4")
-	for r := 0; r < tb.NumRows(); r++ {
+	for r := 0; r < len(tb.Rows); r++ {
 		sum := cell(t, tb, r, 1) + cell(t, tb, r, 2) + cell(t, tb, r, 3) + cell(t, tb, r, 4)
 		measured := cell(t, tb, r, 5)
 		// The component model must explain the measured one-way time to
@@ -264,7 +264,7 @@ func TestF11SSSPShape(t *testing.T) {
 	tb := mustRun(t, "F11")
 	// Balanced placement beats serialized for every mode (SSSP is
 	// parallel); on the balanced run nm ≈ pgas < sw.
-	for r := 0; r < tb.NumRows(); r++ {
+	for r := 0; r < len(tb.Rows); r++ {
 		if cell(t, tb, r, 1) >= cell(t, tb, r, 2) {
 			t.Fatalf("row %d: cyclic not faster than serialized", r)
 		}
@@ -277,7 +277,7 @@ func TestF11SSSPShape(t *testing.T) {
 		t.Fatalf("NM SSSP %v too far over PGAS %v", nm, pg)
 	}
 	// All modes reach the same vertex count.
-	for r := 1; r < tb.NumRows(); r++ {
+	for r := 1; r < len(tb.Rows); r++ {
 		if cell(t, tb, r, 3) != cell(t, tb, 0, 3) {
 			t.Fatal("reached counts differ across modes")
 		}
@@ -299,7 +299,7 @@ func TestF12TopologyShape(t *testing.T) {
 
 func TestT5AllToAllShape(t *testing.T) {
 	tb := mustRun(t, "T5")
-	last := tb.NumRows() - 1
+	last := len(tb.Rows) - 1
 	// Aggregate bandwidth rises with chunk size; SW trails at small
 	// chunks and converges at large ones.
 	if cell(t, tb, last, 1) <= cell(t, tb, 0, 1) {
@@ -315,7 +315,7 @@ func TestT5AllToAllShape(t *testing.T) {
 
 func TestF13CoalesceShape(t *testing.T) {
 	tb := mustRun(t, "F13")
-	last := tb.NumRows() - 1
+	last := len(tb.Rows) - 1
 	// Batching cuts wire messages and raises lone-parcel latency.
 	if cell(t, tb, last, 2) >= cell(t, tb, 0, 2) {
 		t.Fatal("coalescing did not reduce wire messages")
@@ -331,7 +331,7 @@ func TestF13CoalesceShape(t *testing.T) {
 
 func TestF14ReplicationShape(t *testing.T) {
 	tb := mustRun(t, "F14")
-	for r := 0; r < tb.NumRows(); r++ {
+	for r := 0; r < len(tb.Rows); r++ {
 		if sp := cell(t, tb, r, 3); sp < 5 {
 			t.Fatalf("row %d: replication speedup %v < 5", r, sp)
 		}
@@ -347,8 +347,8 @@ func TestF16ReplicatedReadsShape(t *testing.T) {
 	tb := mustRun(t, "F16")
 	// Quick: 3 modes × replica counts {0, 3} = 6 rows; even rows are the
 	// unreplicated baselines.
-	if tb.NumRows() != 6 {
-		t.Fatalf("rows = %d, want 6", tb.NumRows())
+	if len(tb.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
 	for r := 0; r < 6; r += 2 {
 		base, repl := cell(t, tb, r, 2), cell(t, tb, r+1, 2)
@@ -375,12 +375,12 @@ func TestF16ReplicatedReadsShape(t *testing.T) {
 
 func TestF15LatencyShape(t *testing.T) {
 	tb := mustRun(t, "F15")
-	if tb.NumRows() != 3 {
-		t.Fatalf("rows = %d, want one per mode", tb.NumRows())
+	if len(tb.Rows) != 3 {
+		t.Fatalf("rows = %d, want one per mode", len(tb.Rows))
 	}
 	// Rows follow the canonical sweep order: pgas, agas-sw, agas-nm.
 	// Percentiles are monotone within each row.
-	for r := 0; r < tb.NumRows(); r++ {
+	for r := 0; r < len(tb.Rows); r++ {
 		p50, p95, p99 := cell(t, tb, r, 2), cell(t, tb, r, 3), cell(t, tb, r, 4)
 		if !(p50 <= p95 && p95 <= p99) {
 			t.Fatalf("row %d: percentiles not monotone: %v %v %v", r, p50, p95, p99)
@@ -411,18 +411,18 @@ func TestC1ChaosShape(t *testing.T) {
 	tb := mustRun(t, "C1")
 	// Quick: 3 modes × (baseline + one lossy plan) = 6 rows, every one
 	// golden — faults must never leak into application-visible results.
-	if got := tb.NumRows(); got != 6 {
+	if got := len(tb.Rows); got != 6 {
 		t.Fatalf("row count %d, want 6", got)
 	}
-	for r := 0; r < tb.NumRows(); r++ {
-		if g := tb.Rows()[r][2]; g != "yes" {
-			t.Fatalf("row %d (%s, %s) not golden", r, tb.Rows()[r][0], tb.Rows()[r][1])
+	for r := 0; r < len(tb.Rows); r++ {
+		if g := tb.Rows[r][2]; g != "yes" {
+			t.Fatalf("row %d (%s, %s) not golden", r, tb.Rows[r][0], tb.Rows[r][1])
 		}
 	}
 	// The lossy rows (odd index per mode pair) really exercised the fault
 	// path: DES replays the same schedule, so at 5% drop over this
 	// workload drops and retransmissions are guaranteed.
-	for r := 1; r < tb.NumRows(); r += 2 {
+	for r := 1; r < len(tb.Rows); r += 2 {
 		if dropped := cell(t, tb, r, 8); dropped == 0 {
 			t.Fatalf("row %d: lossy plan dropped nothing", r)
 		}
@@ -431,7 +431,7 @@ func TestC1ChaosShape(t *testing.T) {
 		}
 	}
 	// Baseline rows: perfect fabric, zero degradation.
-	for r := 0; r < tb.NumRows(); r += 2 {
+	for r := 0; r < len(tb.Rows); r += 2 {
 		if cell(t, tb, r, 4) != 0 || cell(t, tb, r, 7) != 0 {
 			t.Fatalf("row %d: baseline shows retransmits/abandons", r)
 		}
@@ -443,11 +443,11 @@ func TestC2RecoveryShape(t *testing.T) {
 	// Quick: 3 modes × DES only. Every row must be golden — a
 	// whole-node crash, recovery, and rejoin must leave the surviving
 	// membership exactly where a never-faulted run lands.
-	if got := tb.NumRows(); got != 3 {
+	if got := len(tb.Rows); got != 3 {
 		t.Fatalf("row count %d, want 3", got)
 	}
-	for r := 0; r < tb.NumRows(); r++ {
-		row := tb.Rows()[r]
+	for r := 0; r < len(tb.Rows); r++ {
+		row := tb.Rows[r]
 		if row[2] != "yes" {
 			t.Fatalf("row %d (%s/%s) not golden: %v", r, row[0], row[1], row)
 		}
@@ -474,7 +474,7 @@ func TestF17ParScalingShape(t *testing.T) {
 	// identical across every shard row (classic included) — that is the
 	// determinism gate the CI scaling smoke replays at 256 localities.
 	golden := map[float64]float64{}
-	for r := 0; r < tb.NumRows(); r++ {
+	for r := 0; r < len(tb.Rows); r++ {
 		ranks := cell(t, tb, r, 0)
 		g := cell(t, tb, r, 3)
 		if g <= 0 {
@@ -493,11 +493,11 @@ func TestF17ParScalingShape(t *testing.T) {
 
 func TestF18DistanceCrossoverShape(t *testing.T) {
 	tb := mustRun(t, "F18")
-	if tb.NumRows() != 3 {
-		t.Fatalf("want 3 distance tiers, got %d", tb.NumRows())
+	if len(tb.Rows) != 3 {
+		t.Fatalf("want 3 distance tiers, got %d", len(tb.Rows))
 	}
 	prevPGAS := 0.0
-	for r := 0; r < tb.NumRows(); r++ {
+	for r := 0; r < len(tb.Rows); r++ {
 		pgas, sw, nm := cell(t, tb, r, 2), cell(t, tb, r, 3), cell(t, tb, r, 4)
 		// Direct cost grows with hop distance.
 		if pgas <= prevPGAS {
@@ -522,8 +522,8 @@ func TestF19RebalanceShape(t *testing.T) {
 	// Rows: (agas-sw, agas-nm) × (policy off, policy on). Columns:
 	// mode, policy, pre_ops_ms, post_ops_ms, imbalance, moves, repl,
 	// detours.
-	if tb.NumRows() != 4 {
-		t.Fatalf("rows = %d, want 4", tb.NumRows())
+	if len(tb.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(tb.Rows))
 	}
 	for _, r := range []int{0, 2} {
 		if m := cell(t, tb, r, 5); m != 0 {
@@ -571,7 +571,7 @@ func mustRun(t *testing.T, id string) *stats.Table {
 		t.Fatalf("experiment %s not registered", id)
 	}
 	tb := e.Run(quick())
-	if tb.NumRows() == 0 {
+	if len(tb.Rows) == 0 {
 		t.Fatalf("%s produced no rows", id)
 	}
 	return tb
@@ -582,10 +582,10 @@ func TestF20HealthShape(t *testing.T) {
 	// Rows: retransmit-storm, migration-stall, hotspot-rebalance.
 	// Columns: scenario, watchdog, onset_pulse, trip_pulse, latency,
 	// bundle_events, in_window, recovered, detail.
-	if tb.NumRows() != 3 {
-		t.Fatalf("rows = %d, want 3", tb.NumRows())
+	if len(tb.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(tb.Rows))
 	}
-	rows := tb.Rows()
+	rows := tb.Rows
 	for r, want := range []string{"retransmit-storm", "migration-stall", "hotspot-rebalance"} {
 		if rows[r][0] != want {
 			t.Fatalf("row %d scenario %q, want %q", r, rows[r][0], want)

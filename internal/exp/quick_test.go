@@ -125,7 +125,7 @@ func TestPaperClaim(t *testing.T) {
 	for _, id := range []string{"T1", "T2"} {
 		tb := byID[id]
 		pg, sw, nm, ratio := col(id, "pgas_us"), col(id, "agas_sw_us"), col(id, "agas_nm_us"), col(id, "nm_vs_pgas")
-		for r := 0; r < tb.NumRows(); r++ {
+		for r := 0; r < len(tb.Rows); r++ {
 			if p, n, s := cell(t, tb, r, pg), cell(t, tb, r, nm), cell(t, tb, r, sw); !(p <= n && n < s) {
 				t.Errorf("%s row %d: want pgas %v <= agas-nm %v < agas-sw %v", id, r, p, n, s)
 			}
@@ -136,15 +136,15 @@ func TestPaperClaim(t *testing.T) {
 	}
 	a1 := byID["A1"]
 	first := col("A1", "first_access_us")
-	if a1.Rows()[0][0] != "forward+push" || a1.Rows()[2][0] != "nack" {
-		t.Fatalf("A1 rows %v: want forward+push first and nack third", a1.Rows())
+	if a1.Rows[0][0] != "forward+push" || a1.Rows[2][0] != "nack" {
+		t.Fatalf("A1 rows %v: want forward+push first and nack third", a1.Rows)
 	}
 	if fwd, nack := cell(t, a1, 0, first), cell(t, a1, 2, first); fwd >= nack {
 		t.Errorf("A1: forward+push first access %v must beat nack's %v", fwd, nack)
 	}
 	f3 := byID["F3"]
 	ws, nmHit, swHit := col("F3", "working_set_blocks"), col("F3", "nm_hit_rate"), col("F3", "sw_hit_rate")
-	for r := 0; r < f3.NumRows(); r++ {
+	for r := 0; r < len(f3.Rows); r++ {
 		blocks, nm, sw := cell(t, f3, r, ws), cell(t, f3, r, nmHit), cell(t, f3, r, swHit)
 		if fits := blocks <= 32; fits && nm < 0.99 || !fits && nm > 0.5 {
 			t.Errorf("F3 %v blocks: NM hit rate %v, want 1.00 within the 32-entry table and a collapse past it", blocks, nm)
@@ -155,7 +155,7 @@ func TestPaperClaim(t *testing.T) {
 	}
 	f9 := byID["F9"]
 	swUp, nmUp := col("F9", "sw_update_Kops"), col("F9", "nm_Kops")
-	for r := 0; r < f9.NumRows(); r++ {
+	for r := 0; r < len(f9.Rows); r++ {
 		if sw, nm := cell(t, f9, r, swUp), cell(t, f9, r, nmUp); nm <= sw {
 			t.Errorf("F9 row %d: agas-nm %v Kops must beat agas-sw update %v", r, nm, sw)
 		}
@@ -165,11 +165,11 @@ func TestPaperClaim(t *testing.T) {
 	}
 	f18 := byID["F18"]
 	pgPut, swSt, nmSt := col("F18", "pgas_put_us"), col("F18", "sw_stale_us"), col("F18", "nm_stale_us")
-	if f18.NumRows() != 3 {
-		t.Fatalf("F18 has %d rows, want hops 1/3/5", f18.NumRows())
+	if len(f18.Rows) != 3 {
+		t.Fatalf("F18 has %d rows, want hops 1/3/5", len(f18.Rows))
 	}
 	var saving float64
-	for r := 0; r < f18.NumRows(); r++ {
+	for r := 0; r < len(f18.Rows); r++ {
 		p, n, s := cell(t, f18, r, pgPut), cell(t, f18, r, nmSt), cell(t, f18, r, swSt)
 		if !(p < n && n < s) {
 			t.Errorf("F18 row %d: want pgas %v < agas-nm %v < agas-sw %v", r, p, n, s)
@@ -183,7 +183,7 @@ func TestPaperClaim(t *testing.T) {
 	}
 	f16 := byID["F16"]
 	detours := col("F16", "read_detours")
-	for r := 0; r < f16.NumRows(); r++ {
+	for r := 0; r < len(f16.Rows); r++ {
 		if d := cell(t, f16, r, detours); d != 0 {
 			t.Errorf("F16 row %d: %v read detours in the write-free phase, want 0", r, d)
 		}
@@ -191,13 +191,13 @@ func TestPaperClaim(t *testing.T) {
 	f19 := byID["F19"]
 	pre, post := col("F19", "pre_ops_ms"), col("F19", "post_ops_ms")
 	rows19 := map[string]int{}
-	for r, row := range f19.Rows() {
+	for r, row := range f19.Rows {
 		rows19[row[0]+"/"+row[1]] = r
 	}
 	off, okOff := rows19["agas-nm/off"]
 	on, okOn := rows19["agas-nm/on"]
 	if !okOff || !okOn {
-		t.Fatalf("F19 lacks agas-nm policy off/on rows: %v", f19.Rows())
+		t.Fatalf("F19 lacks agas-nm policy off/on rows: %v", f19.Rows)
 	}
 	for _, c := range []int{pre, post} {
 		if cell(t, f19, on, c) <= cell(t, f19, off, c) {
@@ -207,7 +207,7 @@ func TestPaperClaim(t *testing.T) {
 	}
 	for _, id := range []string{"C1", "C2"} {
 		golden := col(id, "golden")
-		for r, row := range byID[id].Rows() {
+		for r, row := range byID[id].Rows {
 			if row[golden] != "yes" {
 				t.Errorf("%s row %d %v: golden %q, want yes", id, r, row, row[golden])
 			}

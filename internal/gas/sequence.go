@@ -37,6 +37,3 @@ func (s *Sequence) Reserve(n uint32) (BlockID, error) {
 	}
 	return BlockID(start), nil
 }
-
-// Issued returns how many block numbers have been handed out.
-func (s *Sequence) Issued() uint64 { return s.next.Load() - 1 }

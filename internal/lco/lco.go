@@ -141,10 +141,3 @@ func (g *AndGate) Set(data []byte) error {
 	runAll(ts, nil)
 	return nil
 }
-
-// Remaining returns how many contributions are still outstanding.
-func (g *AndGate) Remaining() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.need
-}

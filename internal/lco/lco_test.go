@@ -67,9 +67,6 @@ func TestAndGateCounts(t *testing.T) {
 			t.Fatalf("fired after %d contributions", i+1)
 		}
 	}
-	if g.Remaining() != 1 {
-		t.Fatalf("Remaining = %d", g.Remaining())
-	}
 	if err := g.Set(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -174,89 +171,5 @@ func TestI64EncodingRoundTrip(t *testing.T) {
 	f := func(v int64) bool { return DecodeI64(EncodeI64(v)) == v }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSemaImmediateAcquire(t *testing.T) {
-	s := NewSema(2)
-	n := 0
-	s.Acquire(func([]byte) { n++ })
-	s.Acquire(func([]byte) { n++ })
-	if n != 2 || s.Units() != 0 {
-		t.Fatalf("n=%d units=%d", n, s.Units())
-	}
-	s.Acquire(func([]byte) { n++ })
-	if n != 2 {
-		t.Fatal("third acquire should queue")
-	}
-	s.Release()
-	if n != 3 {
-		t.Fatal("release did not run waiter")
-	}
-	s.Release()
-	if s.Units() != 1 {
-		t.Fatalf("units=%d after free release", s.Units())
-	}
-}
-
-func TestSemaFIFO(t *testing.T) {
-	s := NewSema(0)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		s.Acquire(func([]byte) { order = append(order, i) })
-	}
-	for i := 0; i < 3; i++ {
-		s.Release()
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("waiters ran out of order: %v", order)
-		}
-	}
-}
-
-func TestGenCount(t *testing.T) {
-	g := NewGenCount()
-	if g.Gen() != 0 {
-		t.Fatal("fresh gencount not at 0")
-	}
-	var hits []uint64
-	g.WaitFor(0, func([]byte) { hits = append(hits, 0) }) // immediate
-	g.WaitFor(2, func([]byte) { hits = append(hits, 2) })
-	g.WaitFor(1, func([]byte) { hits = append(hits, 1) })
-	if len(hits) != 1 || hits[0] != 0 {
-		t.Fatalf("hits = %v", hits)
-	}
-	if g.Advance() != 1 {
-		t.Fatal("Advance returned wrong generation")
-	}
-	if len(hits) != 2 || hits[1] != 1 {
-		t.Fatalf("hits = %v", hits)
-	}
-	g.Advance()
-	if len(hits) != 3 || hits[2] != 2 {
-		t.Fatalf("hits = %v", hits)
-	}
-}
-
-func TestGenCountConcurrentAdvance(t *testing.T) {
-	g := NewGenCount()
-	const gens = 50
-	var fired atomic.Int32
-	for i := 1; i <= gens; i++ {
-		g.WaitFor(uint64(i), func([]byte) { fired.Add(1) })
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < gens; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); g.Advance() }()
-	}
-	wg.Wait()
-	if fired.Load() != gens {
-		t.Fatalf("fired %d of %d waiters", fired.Load(), gens)
-	}
-	if g.Gen() != gens {
-		t.Fatalf("gen = %d", g.Gen())
 	}
 }

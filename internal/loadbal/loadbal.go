@@ -168,30 +168,6 @@ func Plan(w *runtime.World, lay gas.Layout, heat map[gas.BlockID]uint64) []Move 
 	return moves
 }
 
-// planLinear is the original O(blocks × ranks) least-loaded scan, kept
-// unexported as the reference implementation for Plan's equivalence test
-// and microbench.
-func planLinear(w *runtime.World, lay gas.Layout, heat map[gas.BlockID]uint64) []Move {
-	blocks := blocksByHeat(w, lay, heat)
-	ranks := w.Ranks()
-	loads := make([]uint64, ranks)
-	var moves []Move
-	for _, bl := range blocks {
-		// Least-loaded rank, ties to the current owner then lowest rank.
-		best := bl.owner
-		for r := 0; r < ranks; r++ {
-			if loads[r] < loads[best] {
-				best = r
-			}
-		}
-		loads[best] += bl.heat
-		if best != bl.owner {
-			moves = append(moves, Move{Block: bl.gva, To: best})
-		}
-	}
-	return moves
-}
-
 // Apply issues the planned migrations from rank `from` and returns the
 // futures to wait on.
 func Apply(w *runtime.World, from int, moves []Move) []*runtime.LCORef {

@@ -42,12 +42,6 @@ func L(name, value string) Label { return Label{Name: name, Value: value} }
 // Counter is a monotonically increasing series.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be >= 0 for Prometheus semantics).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Set jumps the counter to v (used when mirroring an external cumulative
 // count, e.g. a WorldStats snapshot).
 func (c *Counter) Set(v int64) { c.v.Store(v) }

@@ -16,8 +16,7 @@ import (
 func TestRegistryRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests", L("mode", "pgas"))
-	c.Inc()
-	c.Add(4)
+	c.Set(5)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d", c.Value())
 	}
@@ -278,7 +277,13 @@ func TestHTTPHandler(t *testing.T) {
 	w := worldForTest(t, runtime.EngineDES)
 	reg := NewRegistry()
 	pub := PublishWorld(reg, w)
-	ring := trace.NewRing(64)
+	// A spare world, never started, lends the handler a ring to serve.
+	spare, err := runtime.NewWorld(runtime.Config{Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(spare.Stop)
+	ring := trace.Attach(spare, 64)
 	ring.Record(runtime.TraceEvent{Kind: runtime.TraceSend, OpID: 1, Span: runtime.SpanBegin})
 	h := Handler(reg, HandlerOptions{Refresh: pub.Refresh, Ring: ring})
 

@@ -6,7 +6,6 @@ import (
 
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/runtime"
-	"nmvgas/internal/stats"
 )
 
 // Sample is one point in the interval sampler's time series.
@@ -28,8 +27,7 @@ type Sample struct {
 
 // Sampler produces periodic throughput / queue-depth / NIC-table-size
 // time series from a running world. Drive it with RunDES (simulated
-// time) or StartWall (wall clock), or call Sample directly at moments of
-// interest.
+// time), or call Sample directly at moments of interest.
 type Sampler struct {
 	w  *runtime.World
 	mu sync.Mutex
@@ -90,40 +88,11 @@ func (s *Sampler) RunDES(every netsim.VTime, n int) {
 	tick(n)
 }
 
-// StartWall samples every `every` of wall time on the goroutine engine
-// until the returned stop function is called.
-func (s *Sampler) StartWall(every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.Sample()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
 // Samples returns the recorded series.
 func (s *Sampler) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Sample(nil), s.ss...)
-}
-
-// Table renders the series for harness reports.
-func (s *Sampler) Table(title string) *stats.Table {
-	tb := stats.NewTable(title, "t_ns", "parcels_run", "throughput_per_s", "queue_depth", "nic_table")
-	for _, p := range s.Samples() {
-		tb.AddRow(p.T, p.ParcelsRun, int64(p.Throughput), p.QueueDepth, p.NICTableEntries)
-	}
-	return tb
 }
 
 // Publish mirrors the most recent sample into gauges in reg (labelled

@@ -13,8 +13,7 @@ import (
 // never touches runtime hot paths beyond the atomic counter loads the
 // runtime already pays for.
 type WorldPublisher struct {
-	reg *Registry
-	w   *runtime.World
+	w *runtime.World
 
 	world []func(*runtime.WorldStats) // one setter per published runtime.WorldCounters row
 
@@ -36,7 +35,7 @@ type WorldPublisher struct {
 func PublishWorld(reg *Registry, w *runtime.World) *WorldPublisher {
 	cfg := w.Config()
 	base := []Label{L("mode", cfg.Mode.String()), L("engine", cfg.Engine.String())}
-	p := &WorldPublisher{reg: reg, w: w}
+	p := &WorldPublisher{w: w}
 	for _, c := range runtime.WorldCounters {
 		switch {
 		case c.Series == "":
@@ -104,6 +103,3 @@ func (p *WorldPublisher) Refresh() {
 		}
 	}
 }
-
-// Registry returns the registry the publisher writes into.
-func (p *WorldPublisher) Registry() *Registry { return p.reg }

@@ -300,7 +300,7 @@ func DESEnginePut(b *testing.B) { enginePut(b, vgas.EngineDES, false) }
 func DESEnginePutMetrics(b *testing.B) { enginePut(b, vgas.EngineDES, true) }
 
 // DESEngineEvents measures raw event schedule+dispatch cost on the
-// 4-ary flat-heap engine.
+// engine's monotone radix event queue (eventQueue, DESIGN.md §9).
 func DESEngineEvents(b *testing.B) {
 	b.ReportAllocs()
 	eng := netsim.NewEngine()

@@ -514,20 +514,6 @@ func (e *Engine) fire() {
 	}
 }
 
-// Step executes the next event, returning false when the queue is empty.
-// On a sharded driver façade it advances one whole window instead.
-func (e *Engine) Step() bool {
-	if e.par != nil && e.shard < 0 {
-		return e.par.advance()
-	}
-	if e.q.n == 0 {
-		return false
-	}
-	e.fire()
-	e.curRank = -1
-	return true
-}
-
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
 	if e.par != nil && e.shard < 0 {

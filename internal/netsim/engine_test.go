@@ -163,7 +163,7 @@ func TestPendingByRank(t *testing.T) {
 		t.Fatalf("initial backlog %v, want [1 2 1]", counts)
 	}
 	for i := 0; i < 3; i++ { // t=5 (driver), then rank 0 and rank 1 at t=10
-		e.Step()
+		e.fire()
 	}
 	e.PendingByRank(counts)
 	if counts[0] != 0 || counts[1] != 1 || counts[2] != 1 {
@@ -301,8 +301,8 @@ func TestTypedLaneAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		e.AtRankMsg(0, e.Now()+1, nopSink{}, 0, m)
 		e.AtRankMsg(1, e.Now()+1, nopSink{}, 1, m)
-		e.Step()
-		e.Step()
+		e.fire()
+		e.fire()
 	}); n != 0 {
 		t.Fatalf("typed AtRankMsg+Step allocates %v per run, want 0", n)
 	}

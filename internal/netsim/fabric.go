@@ -129,12 +129,3 @@ func (f *Fabric) Stats(rank int) NICStats { return f.NICs[rank].Stats }
 // Defer runs fn as rank's own event at the current simulated instant:
 // after the running event finishes, before time advances.
 func (f *Fabric) Defer(rank int, fn func()) { f.NICs[rank].eng.AfterRank(rank, 0, fn) }
-
-// TotalStats sums per-NIC counters across the fabric.
-func (f *Fabric) TotalStats() NICStats {
-	var t NICStats
-	for _, n := range f.NICs {
-		t.Add(&n.Stats)
-	}
-	return t
-}

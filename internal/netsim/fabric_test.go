@@ -265,7 +265,10 @@ func TestFabricTotalStats(t *testing.T) {
 	h.fab.NIC(0).Send(&Message{Dst: 1, Wire: 100})
 	h.fab.NIC(1).Send(&Message{Dst: 0, Wire: 100})
 	h.eng.Run()
-	st := h.fab.TotalStats()
+	var st NICStats
+	for r := range h.fab.NICs {
+		st.Add(&h.fab.NICs[r].Stats)
+	}
 	if st[CntSent] != 2 || st[CntReceived] != 2 {
 		t.Fatalf("stats %+v", st)
 	}

@@ -113,9 +113,6 @@ func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
 	return p.driver
 }
 
-// Shards returns the shard count.
-func (p *ParEngine) Shards() int { return p.nshards }
-
 // shardOf maps a rank to its contiguous shard.
 func (p *ParEngine) shardOf(rank int) int {
 	if rank < 0 || rank >= p.ranks {

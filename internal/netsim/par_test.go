@@ -191,7 +191,7 @@ func TestShardedRunUntil(t *testing.T) {
 // to ranks, and a non-positive lookahead is a programming error.
 func TestNewParEngineClamps(t *testing.T) {
 	drv := NewParEngine(3, 16, 900)
-	if n := drv.Par().Shards(); n != 3 {
+	if n := drv.Par().nshards; n != 3 {
 		t.Fatalf("shards clamped to %d; want 3", n)
 	}
 	drv.Par().Shutdown()

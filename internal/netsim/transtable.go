@@ -188,12 +188,3 @@ func (t *TransTable) Len() int { return t.n }
 func (t *TransTable) Stats() (hits, misses, evictions, updates uint64) {
 	return t.hits, t.misses, t.evictions, t.updates
 }
-
-// HitRate returns hits/(hits+misses), or 0 if no lookups happened.
-func (t *TransTable) HitRate() float64 {
-	total := t.hits + t.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.hits) / float64(total)
-}

@@ -94,14 +94,14 @@ func TestTransTablePeekDoesNotPerturb(t *testing.T) {
 
 func TestTransTableHitRate(t *testing.T) {
 	tt := NewTransTable(0)
-	if tt.HitRate() != 0 {
-		t.Fatal("hit rate of untouched table must be 0")
+	if h, m, _, _ := tt.Stats(); h != 0 || m != 0 {
+		t.Fatalf("untouched table counted hits=%d misses=%d", h, m)
 	}
 	tt.Update(1, 0)
 	tt.Lookup(1)
 	tt.Lookup(2)
-	if got := tt.HitRate(); got != 0.5 {
-		t.Fatalf("HitRate = %v", got)
+	if h, m, _, _ := tt.Stats(); h != 1 || m != 1 {
+		t.Fatalf("one hit and one miss counted as hits=%d misses=%d", h, m)
 	}
 }
 

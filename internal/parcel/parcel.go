@@ -45,11 +45,6 @@ type Parcel struct {
 	OpID uint64
 }
 
-// HasContinuation reports whether the parcel carries a continuation.
-func (p *Parcel) HasContinuation() bool {
-	return p.CAction != NilAction || !p.CTarget.IsNull()
-}
-
 // WireSize returns the encoded size in bytes.
 func (p *Parcel) WireSize() int { return headerSize + len(p.Payload) }
 

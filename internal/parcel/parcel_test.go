@@ -161,18 +161,6 @@ func TestAppendEncodeReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestHasContinuation(t *testing.T) {
-	if (&Parcel{}).HasContinuation() {
-		t.Fatal("empty parcel claims a continuation")
-	}
-	if !(&Parcel{CAction: 1}).HasContinuation() {
-		t.Fatal("CAction ignored")
-	}
-	if !(&Parcel{CTarget: gas.New(0, 1, 0)}).HasContinuation() {
-		t.Fatal("CTarget ignored")
-	}
-}
-
 func TestParcelString(t *testing.T) {
 	s := (&Parcel{Action: 2, Target: gas.New(1, 2, 3)}).String()
 	if !strings.Contains(s, "act=2") {

@@ -12,16 +12,7 @@ import (
 // numbers still come from the shared sequence (see gas.Sequence for why
 // that shortcut is retained).
 
-// allocBlock payload: bsize u32, count u32, ids... u32 each.
-func encodeAllocBlocks(bsize uint32, ids []gas.BlockID) []byte {
-	buf := parcel.PutU32(nil, bsize)
-	buf = parcel.PutU32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = parcel.PutU32(buf, uint32(id))
-	}
-	return buf
-}
-
+// allocBlocks payload: bsize u32, count u32, ids... u32 each.
 func allocBlocks(c *Ctx) {
 	p := c.P.Payload
 	bsize := parcel.U32(p, 0)
@@ -92,10 +83,14 @@ func (p *Proc) AllocAsync(bsize, nblocks uint32, dist gas.Dist) *LCORef {
 	})
 	p.Run(func() {
 		for home, ids := range perHome {
+			payload := parcel.PutU32(parcel.PutU32(nil, bsize), uint32(len(ids)))
+			for _, id := range ids {
+				payload = parcel.PutU32(payload, uint32(id))
+			}
 			p.l.SendParcel(&parcel.Parcel{
 				Action:  aAllocBlocks,
 				Target:  w.LocalityGVA(home),
-				Payload: encodeAllocBlocks(bsize, ids),
+				Payload: payload,
 				CAction: ALCOSet,
 				CTarget: gate.G,
 			})

@@ -36,7 +36,7 @@ func TestCoalescingReducesMessagesAndTime(t *testing.T) {
 			}
 		})
 		w.MustWait(gate)
-		st := w.Fabric().TotalStats()
+		st := w.nicTotals()
 		return st[netsim.CntSent], st[netsim.CntBytesTx], w.Now() - start
 	}
 	plainMsgs, plainBytes, plainTime := run(1)

@@ -124,8 +124,8 @@ func TestWorldStatsAggregation(t *testing.T) {
 		t.Fatal("DMA counter empty after remote put/get")
 	}
 	tb := w.StatsTable()
-	if tb.NumRows() < 15 {
-		t.Fatalf("stats table has %d rows", tb.NumRows())
+	if len(tb.Rows) < 15 {
+		t.Fatalf("stats table has %d rows", len(tb.Rows))
 	}
 }
 

@@ -26,13 +26,15 @@ import (
 func TestAllocPublishesCompleteBlocks(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM})
 	var done atomic.Bool
+	var top atomic.Uint32 // the last block of the newest finished allocation
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !done.Load() {
-			top := gas.BlockID(w.seq.Issued())
-			for id := top; id > 0 && id+64 > top; id-- {
+			// The allocation in flight takes the ids just above top.
+			base := gas.BlockID(top.Load())
+			for id := base + 1; id <= base+64; id++ {
 				for r, l := range w.locs {
 					if blk, ok := l.store.Get(id); ok && blk.Home != r {
 						t.Errorf("block %d resident on its home %d reads Home %d", id, r, blk.Home)
@@ -43,9 +45,11 @@ func TestAllocPublishesCompleteBlocks(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		if _, err := w.AllocCyclic(i%4, 64, 16); err != nil {
+		lay, err := w.AllocCyclic(i%4, 64, 16)
+		if err != nil {
 			t.Fatal(err)
 		}
+		top.Store(uint32(lay.Base.Block()) + lay.NBlocks - 1)
 	}
 	done.Store(true)
 	wg.Wait()

@@ -81,7 +81,7 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 	// StatsTable surfaces the percentile rows.
 	tb := w.StatsTable()
 	var found bool
-	for _, row := range tb.Rows() {
+	for _, row := range tb.Rows {
 		if row[0] == "lat.parcel_exec.p99_ns" {
 			found = true
 		}

@@ -23,15 +23,15 @@ func TestNMStaleTrafficForwardsInNetworkThenGoesDirect(t *testing.T) {
 	g := lay.BlockAt(1) // home 1
 	w.MustWait(w.Proc(0).Migrate(g, 3))
 
-	forwardsBefore := w.Fabric().TotalStats()[netsim.CntForwards]
+	forwardsBefore := w.nicTotals()[netsim.CntForwards]
 	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	afterFirst := w.Fabric().TotalStats()[netsim.CntForwards]
+	afterFirst := w.nicTotals()[netsim.CntForwards]
 	if afterFirst <= forwardsBefore {
 		t.Fatal("first post-migration send did not forward in-network")
 	}
 	// The forwarding NIC pushed an update; the second send goes direct.
 	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	if w.Fabric().TotalStats()[netsim.CntForwards] != afterFirst {
+	if w.nicTotals()[netsim.CntForwards] != afterFirst {
 		t.Fatal("second send still bounced (pushed update was lost)")
 	}
 	// And crucially: no host at the old owner or home was involved in
@@ -54,11 +54,11 @@ func TestNMNoPushUpdatesKeepsForwarding(t *testing.T) {
 	}
 	g := lay.BlockAt(1)
 	w.MustWait(w.Proc(0).Migrate(g, 3))
-	base := w.Fabric().TotalStats()[netsim.CntForwards]
+	base := w.nicTotals()[netsim.CntForwards]
 	for i := 0; i < 3; i++ {
 		w.MustWait(w.Proc(2).Call(g, echo, nil))
 	}
-	if got := w.Fabric().TotalStats()[netsim.CntForwards] - base; got < 3 {
+	if got := w.nicTotals()[netsim.CntForwards] - base; got < 3 {
 		t.Fatalf("forwards = %d, want >= 3 without pushed updates", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestNMNackAblation(t *testing.T) {
 	g := lay.BlockAt(1)
 	w.MustWait(w.Proc(0).Migrate(g, 3))
 	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	if w.Fabric().TotalStats()[netsim.CntNacks] == 0 {
+	if w.nicTotals()[netsim.CntNacks] == 0 {
 		t.Fatal("no NACKs under the NACK policy")
 	}
 	if w.Locality(2).Stats.NICNacks.Load() == 0 {
@@ -85,9 +85,9 @@ func TestNMNackAblation(t *testing.T) {
 	}
 	// The host repaired its NIC table; the next send completes without
 	// another NACK.
-	base := w.Fabric().TotalStats()[netsim.CntNacks]
+	base := w.nicTotals()[netsim.CntNacks]
 	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	if w.Fabric().TotalStats()[netsim.CntNacks] != base {
+	if w.nicTotals()[netsim.CntNacks] != base {
 		t.Fatal("second send NACKed again despite table repair")
 	}
 }

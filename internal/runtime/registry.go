@@ -35,7 +35,6 @@ const (
 // is shared by all localities, which enforces that by construction.
 type Registry struct {
 	actions []Action
-	names   []string
 	byName  map[string]parcel.ActionID
 	sealed  bool
 }
@@ -44,7 +43,6 @@ func newRegistry() *Registry {
 	r := &Registry{byName: make(map[string]parcel.ActionID)}
 	// Slot 0 is the nil action.
 	r.actions = append(r.actions, nil)
-	r.names = append(r.names, "<nil>")
 	return r
 }
 
@@ -63,7 +61,6 @@ func (r *Registry) Register(name string, a Action) parcel.ActionID {
 	}
 	id := parcel.ActionID(len(r.actions))
 	r.actions = append(r.actions, a)
-	r.names = append(r.names, name)
 	r.byName[name] = id
 	return id
 }
@@ -74,14 +71,6 @@ func (r *Registry) Lookup(id parcel.ActionID) (Action, error) {
 		return nil, fmt.Errorf("runtime: unknown action id %d", id)
 	}
 	return r.actions[id], nil
-}
-
-// Name returns the registered name of id, for diagnostics.
-func (r *Registry) Name(id parcel.ActionID) string {
-	if int(id) < len(r.names) {
-		return r.names[id]
-	}
-	return fmt.Sprintf("action(%d)", id)
 }
 
 func (r *Registry) seal() { r.sealed = true }

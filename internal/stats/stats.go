@@ -32,17 +32,11 @@ type Histogram struct {
 	samples []int64
 	n       int64 // total observed
 	sum     int64
-	min     int64
 	max     int64
 	rng     uint64 // xorshift state for the reservoir
 }
 
 const maxExact = 1 << 16
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{min: math.MaxInt64, max: math.MinInt64, rng: 0x9E3779B97F4A7C15}
-}
 
 // Record adds one sample.
 func (h *Histogram) Record(v int64) {
@@ -50,9 +44,6 @@ func (h *Histogram) Record(v int64) {
 	defer h.mu.Unlock()
 	h.n++
 	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -84,16 +75,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.n)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest sample, or 0 with no samples.

@@ -12,7 +12,7 @@ import (
 type Table struct {
 	Title   string
 	Columns []string
-	rows    [][]string
+	Rows    [][]string // formatted cells, one slice per AddRow
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -34,14 +34,8 @@ func (t *Table) AddRow(cells ...any) {
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}
-	t.rows = append(t.rows, row)
+	t.Rows = append(t.Rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Rows returns the formatted rows (for tests).
-func (t *Table) Rows() [][]string { return t.rows }
 
 // Fprint renders the aligned table to w.
 func (t *Table) Fprint(w io.Writer) error {
@@ -49,7 +43,7 @@ func (t *Table) Fprint(w io.Writer) error {
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		for i, c := range r {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
@@ -75,7 +69,7 @@ func (t *Table) Fprint(w io.Writer) error {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		line(r)
 	}
 	_, err := io.WriteString(w, b.String())
@@ -102,7 +96,7 @@ func (t *Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	writeRow(t.Columns)
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		writeRow(r)
 	}
 	return b.String()

@@ -69,9 +69,6 @@ func (t *TopK) Offer(key uint64, inc uint64) {
 	t.slots[min] = TopKItem{Key: key, Count: old.Count + inc, Err: old.Count}
 }
 
-// N returns the total weight offered so far.
-func (t *TopK) N() uint64 { return t.n }
-
 // Len returns the number of tracked entries (≤ K).
 func (t *TopK) Len() int { return len(t.slots) }
 

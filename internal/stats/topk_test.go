@@ -14,8 +14,8 @@ func TestTopKExactUnderCapacity(t *testing.T) {
 		tk.Offer(key, 1)
 		want[key]++
 	}
-	if tk.N() != 1000 {
-		t.Fatalf("N=%d want 1000", tk.N())
+	if tk.n != 1000 {
+		t.Fatalf("N=%d want 1000", tk.n)
 	}
 	if tk.Len() != 10 {
 		t.Fatalf("Len=%d want 10", tk.Len())
@@ -55,7 +55,7 @@ func TestTopKBoundsOverCapacity(t *testing.T) {
 	for _, it := range tk.Items() {
 		tracked[it.Key] = true
 	}
-	threshold := tk.N() / uint64(k)
+	threshold := tk.n / uint64(k)
 	for key, n := range truth {
 		if n > threshold && !tracked[key] {
 			t.Fatalf("heavy hitter %d (count %d > N/K=%d) not tracked", key, n, threshold)
@@ -76,8 +76,8 @@ func TestTopKMergeExact(t *testing.T) {
 		want[kb] += 3
 	}
 	a.Merge(b)
-	if a.N() != 500*2+500*3 {
-		t.Fatalf("merged N=%d want %d", a.N(), 500*2+500*3)
+	if a.n != 500*2+500*3 {
+		t.Fatalf("merged N=%d want %d", a.n, 500*2+500*3)
 	}
 	got := map[uint64]uint64{}
 	for _, it := range a.Items() {
@@ -112,8 +112,8 @@ func TestTopKMergeBounds(t *testing.T) {
 	if a.Len() > k {
 		t.Fatalf("merge grew past capacity: %d > %d", a.Len(), k)
 	}
-	if a.N() != 10000 {
-		t.Fatalf("merged N=%d want 10000", a.N())
+	if a.n != 10000 {
+		t.Fatalf("merged N=%d want 10000", a.n)
 	}
 	for _, it := range a.Items() {
 		if truth[it.Key] > it.Count {
@@ -128,8 +128,8 @@ func TestTopKReset(t *testing.T) {
 		tk.Offer(uint64(i), 1)
 	}
 	tk.Reset()
-	if tk.N() != 0 || tk.Len() != 0 {
-		t.Fatalf("reset left N=%d Len=%d", tk.N(), tk.Len())
+	if tk.n != 0 || tk.Len() != 0 {
+		t.Fatalf("reset left N=%d Len=%d", tk.n, tk.Len())
 	}
 	tk.Offer(9, 5)
 	items := tk.Items()

@@ -1,7 +1,7 @@
 // Flight recorder: an always-on, fixed-memory trace ring that, when a
 // watchdog trips (or on demand), dumps a correlated diagnostic bundle —
 // the last window of protocol events as a Perfetto-loadable trace plus
-// the metrics, membership, heat, and watchdog state at the moment of the
+// the counters, membership, heat, and watchdog state at the moment of the
 // anomaly. The recording path is the plain Ring record (zero allocations
 // once the ring is full); bundle capture allocates, but only on trips.
 package trace
@@ -63,9 +63,6 @@ type Bundle struct {
 	Stats   runtime.WorldStats   `json:"stats"`
 	Members []string             `json:"members"`
 	HeatTop []runtime.HeatSample `json:"heat_top,omitempty"`
-	// Metrics is the registry snapshot in the registry's own JSON form;
-	// absent unless SetMetricsSource was wired.
-	Metrics json.RawMessage `json:"metrics,omitempty"`
 	// Trace is the retained event window as Chrome trace-event JSON
 	// (load it in Perfetto).
 	Trace json.RawMessage `json:"trace"`
@@ -84,9 +81,8 @@ type Flight struct {
 	mask uint64
 	n    atomic.Uint64
 
-	mu        sync.Mutex
-	metricsFn func() []byte
-	bundles   []*Bundle
+	mu      sync.Mutex
+	bundles []*Bundle
 }
 
 // NewFlight builds the recorder and installs it as w's tracer. Must run
@@ -126,15 +122,6 @@ func (f *Flight) Arm() {
 	})
 }
 
-// SetMetricsSource wires a registry snapshot (JSON bytes) into future
-// bundles. The runtime → trace → metrics import direction means the
-// metrics layer injects itself here rather than being imported.
-func (f *Flight) SetMetricsSource(fn func() []byte) {
-	f.mu.Lock()
-	f.metricsFn = fn
-	f.mu.Unlock()
-}
-
 // Snapshot captures an on-demand bundle (the /debug/flight path). It
 // does not enter the retained trip-bundle history.
 func (f *Flight) Snapshot(trigger string) *Bundle {
@@ -154,12 +141,6 @@ func (f *Flight) capture(trigger string) *Bundle {
 	}
 	for r := 0; r < f.w.Ranks(); r++ {
 		b.Members = append(b.Members, f.w.MemberState(r).String())
-	}
-	f.mu.Lock()
-	mfn := f.metricsFn
-	f.mu.Unlock()
-	if mfn != nil {
-		b.Metrics = json.RawMessage(mfn())
 	}
 	var buf bytes.Buffer
 	if err := f.ring.DumpChrome(&buf); err == nil {

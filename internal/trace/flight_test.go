@@ -142,7 +142,6 @@ func TestFlightTripCapture(t *testing.T) {
 	t.Cleanup(w.Stop)
 	f := NewFlight(w, FlightConfig{Capacity: 512})
 	f.Arm()
-	f.SetMetricsSource(func() []byte { return []byte(`{"probe":true}`) })
 	w.Start()
 	lay, err := w.AllocCyclic(0, 256, 4)
 	if err != nil {
@@ -174,9 +173,6 @@ func TestFlightTripCapture(t *testing.T) {
 	}
 	if !bytes.Contains(b.Trace, []byte("migrate-start")) {
 		t.Fatal("anomaly window lost: no migrate-start in bundle trace")
-	}
-	if !bytes.Contains(b.Metrics, []byte("probe")) {
-		t.Fatalf("metrics source not captured: %s", b.Metrics)
 	}
 	if len(b.Members) != 4 {
 		t.Fatalf("members %v", b.Members)

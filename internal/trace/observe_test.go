@@ -13,7 +13,7 @@ import (
 // --- wraparound semantics -------------------------------------------------
 
 func TestRingWrapTotalVsRetained(t *testing.T) {
-	r := NewRing(5)
+	r := newRing(5, 1)
 	for i := 0; i < 17; i++ {
 		r.Record(runtime.TraceEvent{Rank: i, Kind: runtime.TraceSend})
 	}
@@ -33,7 +33,7 @@ func TestRingWrapTotalVsRetained(t *testing.T) {
 }
 
 func TestRingWrapFilterAndCountKind(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4, 1)
 	// Record 10 events alternating kinds; only the last 4 are retained:
 	// ranks 6..9 with kinds exec,send,exec,send.
 	for i := 0; i < 10; i++ {
@@ -111,19 +111,10 @@ func TestRingConcurrentRecordAndDump(t *testing.T) {
 
 // --- Journey and Chrome export --------------------------------------------
 
-func TestJourneyFiltersByOpID(t *testing.T) {
-	r := NewRing(16)
-	r.Record(runtime.TraceEvent{Kind: runtime.TraceSend, OpID: 7, Span: runtime.SpanBegin})
-	r.Record(runtime.TraceEvent{Kind: runtime.TraceSend, OpID: 8, Span: runtime.SpanBegin})
-	r.Record(runtime.TraceEvent{Kind: runtime.TraceNICForward, OpID: 7, Span: runtime.SpanInstant})
-	r.Record(runtime.TraceEvent{Kind: runtime.TraceExec, OpID: 7, Span: runtime.SpanEnd})
-	j := r.Journey(7)
-	if len(j) != 3 {
-		t.Fatalf("journey length %d, want 3", len(j))
-	}
-	if j[0].Span != runtime.SpanBegin || j[2].Span != runtime.SpanEnd {
-		t.Fatalf("journey spans wrong: %v", j)
-	}
+// journey returns every retained event carrying opID, in arrival order:
+// the causal chain of one logical operation.
+func journey(r *Ring, opID uint64) []runtime.TraceEvent {
+	return r.Filter(func(ev runtime.TraceEvent) bool { return ev.OpID == opID })
 }
 
 // chromeDoc mirrors the export envelope for decoding in tests.
@@ -140,7 +131,7 @@ type chromeDoc struct {
 }
 
 func TestDumpChromeIsValidJSON(t *testing.T) {
-	r := NewRing(16)
+	r := newRing(16, 1)
 	r.Record(runtime.TraceEvent{Kind: runtime.TraceSend, Rank: 1, OpID: 5, Span: runtime.SpanBegin, Time: 1500})
 	r.Record(runtime.TraceEvent{Kind: runtime.TraceExec, Rank: 2, OpID: 5, Span: runtime.SpanEnd, Time: 4500})
 	r.Record(runtime.TraceEvent{Kind: runtime.TraceMigrateStart, Rank: 0})
@@ -210,7 +201,7 @@ func journeyAcceptance(t *testing.T, engine runtime.EngineKind) {
 	}
 	var chained bool
 	for _, s := range sends {
-		j := ring.Journey(s.OpID)
+		j := journey(ring, s.OpID)
 		if len(j) < 2 {
 			continue
 		}
@@ -294,7 +285,7 @@ func TestJourneyAcceptanceAllModes(t *testing.T) {
 			if len(sends) == 0 {
 				t.Fatal("no OpID on sends")
 			}
-			if j := ring.Journey(sends[0].OpID); len(j) < 2 {
+			if j := journey(ring, sends[0].OpID); len(j) < 2 {
 				t.Fatalf("journey too short: %v", j)
 			}
 		})

@@ -1,11 +1,10 @@
 // Package trace provides a bounded, concurrency-safe collector for the
-// runtime's protocol trace events, with filtering, causal-journey
-// reconstruction, and both text and Chrome trace-event dumping. It is
-// the debugging companion a production runtime ships with: attach it to
-// a world, run the workload, and read back exactly which parcels
-// executed where, what was forwarded or NACKed, and how each migration
-// progressed — or load the Chrome export into Perfetto and see every
-// operation's journey as a span.
+// runtime's protocol trace events, with filtering and Chrome trace-event
+// dumping. It is the debugging companion a production runtime ships
+// with: attach it to a world, run the workload, and read back exactly
+// which parcels executed where, what was forwarded or NACKed, and how
+// each migration progressed — or load the Chrome export into Perfetto
+// and see every operation's journey as a span.
 package trace
 
 import (
@@ -64,12 +63,6 @@ type Ring struct {
 	shards []ringShard
 	seq    atomic.Uint64 // global arrival order
 	total  atomic.Uint64
-}
-
-// NewRing returns a single-shard collector holding up to capacity
-// events, with exact oldest-first overwrite semantics.
-func NewRing(capacity int) *Ring {
-	return newRing(capacity, 1)
 }
 
 func newRing(capacity, shards int) *Ring {
@@ -149,24 +142,6 @@ func (r *Ring) Filter(pred func(runtime.TraceEvent) bool) []runtime.TraceEvent {
 // CountKind returns how many retained events have the given kind.
 func (r *Ring) CountKind(k runtime.TraceKind) int {
 	return len(r.Filter(func(ev runtime.TraceEvent) bool { return ev.Kind == k }))
-}
-
-// Journey returns every retained event carrying the given OpID, in
-// arrival order: the causal chain of one logical operation (send → NIC
-// forward/NACK → queue → retransmit → exec).
-func (r *Ring) Journey(opID uint64) []runtime.TraceEvent {
-	return r.Filter(func(ev runtime.TraceEvent) bool { return ev.OpID == opID })
-}
-
-// Dump writes the retained events as one line each.
-func (r *Ring) Dump(w io.Writer) error {
-	for _, ev := range r.Events() {
-		if _, err := fmt.Fprintf(w, "%12v rank=%d %-14s block=%d info=%d op=%#x\n",
-			ev.Time, ev.Rank, ev.Kind, ev.Block, ev.Info, ev.OpID); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // chromeEvent is one record in the Chrome trace-event JSON format

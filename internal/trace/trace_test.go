@@ -1,14 +1,13 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"nmvgas/internal/runtime"
 )
 
 func TestRingRetainsInOrder(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4, 1)
 	for i := 0; i < 3; i++ {
 		r.Record(runtime.TraceEvent{Rank: i})
 	}
@@ -24,7 +23,7 @@ func TestRingRetainsInOrder(t *testing.T) {
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	r := NewRing(3)
+	r := newRing(3, 1)
 	for i := 0; i < 7; i++ {
 		r.Record(runtime.TraceEvent{Rank: i})
 	}
@@ -43,7 +42,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 }
 
 func TestRingMinimumCapacity(t *testing.T) {
-	r := NewRing(0)
+	r := newRing(0, 1)
 	r.Record(runtime.TraceEvent{Rank: 9})
 	if len(r.Events()) != 1 {
 		t.Fatal("zero-capacity ring lost the event")
@@ -78,13 +77,6 @@ func TestAttachObservesProtocol(t *testing.T) {
 	done := ring.Filter(func(ev runtime.TraceEvent) bool { return ev.Kind == runtime.TraceMigrateDone })
 	if done[0].Info != 2 {
 		t.Fatalf("migrate-done info %d", done[0].Info)
-	}
-	var sb strings.Builder
-	if err := ring.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "migrate-done") {
-		t.Fatal("dump missing event kind")
 	}
 }
 

@@ -85,17 +85,6 @@ func (c *Chase) Run(from int, hops uint64) (gas.GVA, error) {
 	return gas.GVA(parcel.U64(v, 0)), nil
 }
 
-// Expected returns the node the chase must land on after `hops` hops —
-// computed by walking the stored pointers directly.
-func (c *Chase) Expected(hops uint64) gas.GVA {
-	g := c.lay.BlockAt(0)
-	for i := uint64(0); i < hops; i++ {
-		blk := c.mustFind(g.Block())
-		g = gas.GVA(parcel.U64(blk.Data, 0))
-	}
-	return g
-}
-
 func (c *Chase) mustFind(b gas.BlockID) *gas.Block {
 	for r := 0; r < c.w.Ranks(); r++ {
 		if blk, ok := c.w.Locality(r).Store().Get(b); ok {

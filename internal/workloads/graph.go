@@ -75,68 +75,6 @@ func (g *Graph) OutW(v uint32) ([]uint32, []uint32) {
 	return g.Targets[g.Offsets[v]:g.Offsets[v+1]], g.Weights[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// SeqSSSP computes reference weighted distances (Dijkstra with a simple
-// binary heap) for validation. Unreached vertices get ^uint32(0).
-func (g *Graph) SeqSSSP(root uint32) []uint32 {
-	const inf = ^uint32(0)
-	dist := make([]uint32, g.N)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[root] = 0
-	type item struct {
-		v uint32
-		d uint32
-	}
-	heap := []item{{root, 0}}
-	push := func(it item) {
-		heap = append(heap, it)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p].d <= heap[i].d {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := heap[0]
-		heap[0] = heap[len(heap)-1]
-		heap = heap[:len(heap)-1]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && heap[l].d < heap[small].d {
-				small = l
-			}
-			if r < len(heap) && heap[r].d < heap[small].d {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	for len(heap) > 0 {
-		it := pop()
-		if it.d > dist[it.v] {
-			continue
-		}
-		outs, ws := g.OutW(it.v)
-		for e, u := range outs {
-			if nd := it.d + ws[e]; nd < dist[u] {
-				dist[u] = nd
-				push(item{u, nd})
-			}
-		}
-	}
-	return dist
-}
-
 // SeqBFS computes reference distances on the driver for validation.
 // Unreached vertices get ^uint32(0).
 func (g *Graph) SeqBFS(root uint32) []uint32 {

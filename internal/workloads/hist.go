@@ -97,27 +97,3 @@ func (h *Histogram) Run(perRank, window int) (int, error) {
 	}
 	return perRank * h.w.Ranks(), nil
 }
-
-// Total sums all bins — must equal the number of increments issued.
-func (h *Histogram) Total() uint64 {
-	h.mu.Lock()
-	lay := h.lay
-	h.mu.Unlock()
-	var sum uint64
-	for d := uint32(0); d < lay.NBlocks; d++ {
-		blk := h.mustFind(lay.Base.Block() + gas.BlockID(d))
-		for off := 0; off+8 <= len(blk.Data); off += 8 {
-			sum += parcel.U64(blk.Data, off)
-		}
-	}
-	return sum
-}
-
-func (h *Histogram) mustFind(b gas.BlockID) *gas.Block {
-	for r := 0; r < h.w.Ranks(); r++ {
-		if blk, ok := h.w.Locality(r).Store().Get(b); ok {
-			return blk
-		}
-	}
-	panic(fmt.Sprintf("histogram: block %d unreachable", b))
-}

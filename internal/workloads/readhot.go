@@ -101,10 +101,8 @@ func (rh *ReadHot) SetWriteEvery(n int) {
 	rh.writeEvery = n
 }
 
-// Reads and Writes report how many operations of each kind the last Run
-// issued.
-func (rh *ReadHot) Reads() int64  { rh.mu.Lock(); defer rh.mu.Unlock(); return rh.reads }
-func (rh *ReadHot) Writes() int64 { rh.mu.Lock(); defer rh.mu.Unlock(); return rh.writes }
+// Reads reports how many reads the last Run issued.
+func (rh *ReadHot) Reads() int64 { rh.mu.Lock(); defer rh.mu.Unlock(); return rh.reads }
 
 // issue fires rank's seq-th operation; its completion re-arms the window.
 func (rh *ReadHot) issue(rank, seq int) {

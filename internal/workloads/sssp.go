@@ -74,9 +74,6 @@ func (s *SSSP) reset() {
 	}
 }
 
-// Layout returns the distance allocation.
-func (s *SSSP) Layout() gas.Layout { return s.lay }
-
 func (s *SSSP) vtxAddr(v uint32) gas.GVA { return s.lay.At(uint64(v) * 4) }
 
 // relax payload: vertex u32, proposed distance u32. The parcel's

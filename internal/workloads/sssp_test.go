@@ -99,7 +99,7 @@ func TestSSSPAfterConsolidationStillCorrect(t *testing.T) {
 	if err := s.Setup(g, 16, gas.DistCyclic); err != nil {
 		t.Fatal(err)
 	}
-	if err := loadbal.Consolidate(w, 0, s.Layout(), 2); err != nil {
+	if err := loadbal.Consolidate(w, 0, s.lay, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(0); err != nil {

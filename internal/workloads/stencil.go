@@ -81,9 +81,6 @@ func (s *Stencil) Setup(perBlock, nblocks uint32, slow []float64, cellCost netsi
 	return nil
 }
 
-// Layout returns the cell allocation.
-func (s *Stencil) Layout() gas.Layout { return s.lay }
-
 func (s *Stencil) cellAddr(i uint64) gas.GVA { return s.lay.At(i * 8) }
 
 func (s *Stencil) writeCell(i uint64, v float64) {

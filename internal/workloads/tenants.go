@@ -120,26 +120,6 @@ func (tn *Tenants) Shift() {
 	tn.phase++
 }
 
-// Phase reports how many shifts have been applied.
-func (tn *Tenants) Phase() int {
-	tn.mu.Lock()
-	defer tn.mu.Unlock()
-	return int(tn.phase)
-}
-
-// HotBlock returns the table index of tenant r's current hottest block
-// (the Zipf mode after phase rotation) — used by tests to check the
-// policy moved the right data.
-func (tn *Tenants) HotBlock(r int) uint32 {
-	tn.mu.Lock()
-	defer tn.mu.Unlock()
-	return uint32(r)*tn.perTenant + (tn.phase*tn.stride)%tn.perTenant
-}
-
-// Reads and Writes report the last Run's operation mix.
-func (tn *Tenants) Reads() int64  { tn.mu.Lock(); defer tn.mu.Unlock(); return tn.reads }
-func (tn *Tenants) Writes() int64 { tn.mu.Lock(); defer tn.mu.Unlock(); return tn.writes }
-
 // issue fires rank's seq-th operation; its completion re-arms the window.
 func (tn *Tenants) issue(rank, seq int) {
 	tn.mu.Lock()

@@ -23,10 +23,13 @@ func TestTenantsRunsInEveryMode(t *testing.T) {
 		if n != 400 {
 			t.Fatalf("%s: %d ops, want 400", mode, n)
 		}
-		if tn.Reads()+tn.Writes() != int64(n) {
-			t.Fatalf("%s: reads %d + writes %d != %d", mode, tn.Reads(), tn.Writes(), n)
+		tn.mu.Lock()
+		reads, writes := tn.reads, tn.writes
+		tn.mu.Unlock()
+		if reads+writes != int64(n) {
+			t.Fatalf("%s: reads %d + writes %d != %d", mode, reads, writes, n)
 		}
-		if tn.Writes() == 0 {
+		if writes == 0 {
 			t.Fatalf("%s: write mix never fired", mode)
 		}
 	}

@@ -402,11 +402,14 @@ func TestReadHotSkewAndMix(t *testing.T) {
 		if total != 400 {
 			t.Fatalf("mode %v: total ops %d, want 400", mode, total)
 		}
-		if rh.Reads()+rh.Writes() != 400 {
-			t.Fatalf("mode %v: reads %d + writes %d != 400", mode, rh.Reads(), rh.Writes())
+		rh.mu.Lock()
+		reads, writes := rh.reads, rh.writes
+		rh.mu.Unlock()
+		if reads+writes != 400 {
+			t.Fatalf("mode %v: reads %d + writes %d != 400", mode, reads, writes)
 		}
-		if rh.Writes() != 40 {
-			t.Fatalf("mode %v: writes %d, want every 10th of 400", mode, rh.Writes())
+		if writes != 40 {
+			t.Fatalf("mode %v: writes %d, want every 10th of 400", mode, writes)
 		}
 		if w.Stats().ReplicaReads == 0 {
 			t.Fatalf("mode %v: skewed reads never hit a replica", mode)
