@@ -5,12 +5,10 @@ import "nmvgas/internal/gas"
 // The NIC protocol core: the paper's mechanism — translate GVA→owner at
 // the source, forward in-network at a stale destination, push the
 // corrected entry back, NACK when the hop budget runs out, split
-// coalesced batches against the NIC's own table — written once for both
-// engines. Everything here is clock-free, lock-free and (off the scatter
-// path) allocation-free: decision functions read a message and a view of
-// translation state and return a Verdict; a driver (the simulated NIC in
-// nic.go, the goroutine transport in package runtime) supplies time,
-// exclusion and delivery, and bumps the counter the verdict names.
+// coalesced batches against the NIC's own table. Decision functions are
+// clock-free, lock-free and (off the scatter path) allocation-free: they
+// read a message and a view of translation state and return a Verdict,
+// which the driver (driver.go) acts out on a Port.
 
 // DefaultMaxHops bounds in-network forwarding chains. A message exceeding
 // the budget is NACKed back to its sender with the home as owner hint
@@ -35,18 +33,17 @@ type Policy struct {
 	BroadcastUpdates bool
 }
 
-// Counter names one per-NIC counter. A Verdict carries the one it bumps,
-// and the driver bumps it — a plain increment on the single-threaded DES
-// NIC, an atomic add on the goroutine transport — so the simulator never
-// pays for the other engine's concurrency. Injected faults are not NIC
+// Counter names one per-NIC counter. A Verdict carries the one it bumps
+// and the driver bumps it through Port.Count, so the simulator never pays
+// for the goroutine engine's atomics. Injected faults are not NIC
 // counters: the FaultInjector that decides one counts it (FaultStats).
 type Counter uint8
 
 const (
 	CntNone Counter = iota
 	// CntSent, CntReceived: messages put on and taken off the link;
-	// CntBytesTx, CntBytesRx: their wire bytes. The goroutine transport
-	// has no receive link and counts neither receive-side one.
+	// CntBytesTx, CntBytesRx: their wire bytes. Only the simulated NIC
+	// models a receive link and counts the receive-side two.
 	CntSent
 	CntReceived
 	CntBytesTx
@@ -82,8 +79,8 @@ const (
 	NumCounters
 )
 
-// NICStats are cumulative per-NIC counters, the same set on both engines,
-// indexed by Counter (the CntNone slot stays zero).
+// NICStats are cumulative per-NIC counters indexed by Counter (the
+// CntNone slot stays zero).
 type NICStats [NumCounters]uint64
 
 // Add sums o into s.
@@ -196,28 +193,10 @@ func (s *TransState) Resolve(m *Message) {
 }
 
 // Routes is the read-only view of translation state the receive-side
-// decisions consult: *TransState itself on the DES NIC, the NIC itself on
-// the goroutine transport, which takes its one per-NIC lock per call.
+// decisions consult, under the port's exclusion (see Port).
 type Routes interface {
 	ReadRoute(gas.BlockID) (int, bool)
 	Forward(gas.BlockID) (int, bool)
-}
-
-// ApplyTable installs a table push (CtlTableUpdate, or a CtlTableBatch
-// whose payload carries a whole migration burst) through update. A push
-// stamped with an older membership epoch than the table trusts is
-// reported stale and not applied: it was in flight across a membership
-// change and could resurrect a route to a dead or re-homed locality.
-func ApplyTable(m *Message, trusted uint64, update func(gas.BlockID, int)) (stale bool) {
-	if m.Epoch < trusted {
-		return true
-	}
-	if m.Ctl == CtlTableBatch {
-		ForEachTableEntry(m.Payload, update)
-	} else {
-		update(m.Block, m.Owner)
-	}
-	return false
 }
 
 // Action is what a Verdict tells the driver to do with the message.
@@ -233,8 +212,8 @@ const (
 	// ActNack: bounce to m.Src inside a Ctl control message carrying To
 	// as owner advice (see NICCore.Control).
 	ActNack
-	// ActApplyTable: a table push, consumed on the NIC via ApplyTable
-	// after the driver's table-write cost.
+	// ActApplyTable: a table push, consumed on the NIC (ApplyTable) after
+	// the port's table-write cost.
 	ActApplyTable
 	// ActDeliverHost: hand to the host runtime (two-sided delivery, NACKs,
 	// faults and mid-migration arrivals the host arbitrates).
@@ -286,6 +265,10 @@ type NICCore struct {
 	// read routes steered here without any host detour. Nil when the
 	// runtime has no replication support.
 	ResidentRead func(gas.BlockID) bool
+	// OnForward, when set, observes an in-network redirect (m about to
+	// be rewritten to owner) at no cost — a tracing hook, not a
+	// participant.
+	OnForward func(m *Message, owner int)
 }
 
 func (c *NICCore) resident(b gas.BlockID) bool { return c.Resident != nil && c.Resident(b) }

@@ -212,32 +212,31 @@ func TestNICCoreResolve(t *testing.T) {
 
 func TestNICCoreApplyTableAndControl(t *testing.T) {
 	c := coreAt(2, true, Policy{})
-	s := NewTransState(0)
-	s.Table.BumpEpoch(5)
+	p := newRecPort()
+	p.Table.BumpEpoch(5)
 	orig := msgFor(1, 50)
-	upd := c.Control(CtlTableUpdate, orig, 3, s.Table.Epoch())
+	upd := c.Control(CtlTableUpdate, orig, 3, p.Table.Epoch())
 	if upd.Dst != orig.Src || upd.Src != 2 || upd.Block != 50 || upd.Owner != 3 || upd.Epoch != 5 || upd.Nacked != nil {
 		t.Fatalf("table push built wrong: %+v", upd)
 	}
-	if ApplyTable(upd, s.Table.Epoch(), s.Table.Update) {
+	if ApplyTable(p, upd); p.stats[CntStaleEpochDrops] != 0 {
 		t.Fatal("current-epoch push reported stale")
 	}
-	if o, ok := s.Table.Peek(50); !ok || o != 3 {
+	if o, ok := p.Table.Peek(50); !ok || o != 3 {
 		t.Fatalf("push not applied: %d,%v", o, ok)
 	}
-	old := c.Control(CtlTableUpdate, orig, 9, 4)
-	if !ApplyTable(old, s.Table.Epoch(), s.Table.Update) {
+	if ApplyTable(p, c.Control(CtlTableUpdate, orig, 9, 4)); p.stats[CntStaleEpochDrops] != 1 {
 		t.Fatal("older-epoch push not reported stale")
 	}
-	if o, _ := s.Table.Peek(50); o != 3 {
+	if o, _ := p.Table.Peek(50); o != 3 {
 		t.Fatalf("stale push applied: owner %d", o)
 	}
 	batch := &Message{Ctl: CtlTableBatch, Epoch: 5}
 	batch.Payload = AppendTableEntry(AppendTableEntry(nil, 60, 1), 61, 4)
-	if ApplyTable(batch, s.Table.Epoch(), s.Table.Update) {
+	if ApplyTable(p, batch); p.stats[CntStaleEpochDrops] != 1 {
 		t.Fatal("batch reported stale")
 	}
-	if o, ok := s.Table.Peek(61); !ok || o != 4 {
+	if o, ok := p.Table.Peek(61); !ok || o != 4 {
 		t.Fatalf("batch entry missing: %d,%v", o, ok)
 	}
 	nk := c.Control(CtlNackLoop, orig, 1, 77)
@@ -467,7 +466,7 @@ func checkReceive(t testing.TB, c *NICCore, st *TransState, lv Liveness, m *Mess
 	}
 	switch v.Act {
 	case ActApplyTable:
-		ApplyTable(m, st.Table.Epoch(), st.Table.Update)
+		ApplyTable(&recPort{TransState: *st}, m)
 		return
 	case ActScatter:
 		checkScatterSplit(t, c, st, m)
@@ -581,11 +580,54 @@ func (f *fuzzReader) n(mod int) int {
 	return int(b) % mod
 }
 
-// FuzzNICCoreReceive builds a NIC (rank, policy, residency, translation
-// state, membership view) and an arriving message from the input — the
-// tail of it verbatim as the payload, so scatter batches and table
-// batches arrive malformed — and requires the core not to panic and to
-// keep its invariants.
+// fuzzNIC builds a NIC (rank, policy, residency, translation state,
+// membership view) and an arriving message from a fuzz input — the tail
+// of it verbatim as the payload, so scatter batches and table batches
+// arrive malformed.
+func fuzzNIC(data []byte) (*NICCore, *TransState, Liveness, *Message) {
+	in := fuzzReader(data)
+	c := &NICCore{Rank: in.n(8), GVARouting: in.n(2) == 1,
+		Policy: Policy{NackToHost: in.n(2) == 1, NoPushUpdates: in.n(2) == 1}}
+	here, replicas := in.n(256)|in.n(256)<<8, in.n(256)
+	c.Resident = func(b gas.BlockID) bool { return here>>(b%16)&1 == 1 }
+	c.ResidentRead = func(b gas.BlockID) bool { return replicas>>(b%8)&1 == 1 }
+	st := NewTransState(in.n(3) * 2)
+	for i := in.n(8); i > 0; i-- {
+		b, o := gas.BlockID(in.n(16)), in.n(8)
+		switch in.n(3) {
+		case 0:
+			st.InstallRoute(b, o)
+		case 1:
+			st.Table.Update(b, o)
+		default:
+			st.InstallReadRoute(b, o)
+		}
+	}
+	var lv Liveness
+	if in.n(2) == 1 {
+		fl := &fakeLive{down: map[int]bool{in.n(8): true}, dead: map[int]int{}, rehome: map[gas.BlockID]int{}}
+		if in.n(2) == 1 {
+			fl.dead[in.n(8)] = in.n(8)
+		}
+		if in.n(2) == 1 {
+			fl.rehome[gas.BlockID(in.n(16))] = in.n(8)
+		}
+		lv = fl
+	}
+	m := &Message{Src: in.n(8), Hops: in.n(2)*(DefaultMaxHops-3) + in.n(5), DMA: in.n(2) == 1, Read: in.n(2) == 1,
+		Ctl: uint8(in.n(5)), Scatter: in.n(2) == 1, RelSeq: uint64(in.n(2)), Epoch: uint64(in.n(3))}
+	if in.n(4) > 0 {
+		m.Target = gas.New(in.n(8), gas.BlockID(in.n(16)), 0)
+		m.Block = m.Target.Block()
+	}
+	m.Payload = []byte(in)
+	m.Wire = wireHeader + len(m.Payload)
+	return c, &st, lv, m
+}
+
+// FuzzNICCoreReceive requires the core not to panic and to keep its
+// invariants on a fuzzed NIC and arrival, and the driver's receive of the
+// same arrival, through a recording port, to keep what ports rely on.
 func FuzzNICCoreReceive(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 0, 0, 0xff, 0, 3, 0, 5, 3, 1, 5, 4, 2, 5, 6, 0, 7, 1, 1, 5, 0, 0, 0, 0})
@@ -593,44 +635,10 @@ func FuzzNICCoreReceive(f *testing.F) {
 		AppendScatterRecord(AppendScatterRecord(nil, scatterRecord(gas.New(1, 4, 0), 1)), scatterRecord(gas.New(3, 9, 0), 2))...))
 	f.Add([]byte{3, 1, 0, 1, 0, 0, 2, 1, 3, 1, 9, 3, 0, 0, 2, 1, 0, 0, 0, 0, 4, 1, 255, 255, 255, 255, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzReader(data)
-		c := &NICCore{Rank: in.n(8), GVARouting: in.n(2) == 1,
-			Policy: Policy{NackToHost: in.n(2) == 1, NoPushUpdates: in.n(2) == 1}}
-		here, replicas := in.n(256)|in.n(256)<<8, in.n(256)
-		c.Resident = func(b gas.BlockID) bool { return here>>(b%16)&1 == 1 }
-		c.ResidentRead = func(b gas.BlockID) bool { return replicas>>(b%8)&1 == 1 }
-		st := NewTransState(in.n(3) * 2)
-		for i := in.n(8); i > 0; i-- {
-			b, o := gas.BlockID(in.n(16)), in.n(8)
-			switch in.n(3) {
-			case 0:
-				st.InstallRoute(b, o)
-			case 1:
-				st.Table.Update(b, o)
-			default:
-				st.InstallReadRoute(b, o)
-			}
-		}
-		var lv Liveness
-		if in.n(2) == 1 {
-			fl := &fakeLive{down: map[int]bool{in.n(8): true}, dead: map[int]int{}, rehome: map[gas.BlockID]int{}}
-			if in.n(2) == 1 {
-				fl.dead[in.n(8)] = in.n(8)
-			}
-			if in.n(2) == 1 {
-				fl.rehome[gas.BlockID(in.n(16))] = in.n(8)
-			}
-			lv = fl
-		}
-		m := &Message{Src: in.n(8), Hops: in.n(2)*(DefaultMaxHops-3) + in.n(5), DMA: in.n(2) == 1, Read: in.n(2) == 1,
-			Ctl: uint8(in.n(5)), Scatter: in.n(2) == 1, RelSeq: uint64(in.n(2)), Epoch: uint64(in.n(3))}
-		if in.n(4) > 0 {
-			m.Target = gas.New(in.n(8), gas.BlockID(in.n(16)), 0)
-			m.Block = m.Target.Block()
-		}
-		m.Payload = []byte(in)
-		m.Wire = wireHeader + len(m.Payload)
-		checkReceive(t, c, &st, lv, m)
+		c, st, lv, m := fuzzNIC(data)
+		checkReceive(t, c, st, lv, m)
+		c, st, lv, m = fuzzNIC(data)
+		checkDriverReceive(t, c, &recPort{TransState: *st}, lv, m)
 	})
 }
 

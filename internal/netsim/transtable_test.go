@@ -159,7 +159,7 @@ func TestEntryLossFallsBackToHome(t *testing.T) {
 	nic.Table.Update(50, 2) // stale: points at the old owner
 
 	fi := NewFaultInjector(FaultPlan{Seed: 3, TableLoss: 1})
-	if !fi.MaybeLoseEntry(nic.Table) {
+	if !fi.MaybeLoseEntry(nic.Table, noLock{}) {
 		t.Fatal("forced entry loss did not fire")
 	}
 	if _, ok := nic.Table.Peek(50); ok {
@@ -189,7 +189,7 @@ func TestEntryLossNeverTouchesAuthoritativeRoutes(t *testing.T) {
 	nic.Table.Update(7, 1)
 	fi := NewFaultInjector(FaultPlan{Seed: 1, TableLoss: 1})
 	for i := 0; i < 4; i++ {
-		fi.MaybeLoseEntry(nic.Table)
+		fi.MaybeLoseEntry(nic.Table, noLock{})
 	}
 	if nic.Table.Len() != 0 {
 		t.Fatal("table not fully scrubbed")

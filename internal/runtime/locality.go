@@ -257,6 +257,15 @@ func (l *Locality) residentForNIC(b gas.BlockID) bool {
 	return ok && !blk.Replica
 }
 
+// wireNIC gives this rank's NIC core, on either engine, its host hooks:
+// the residency oracles and the trace of an in-network forward.
+func (l *Locality) wireNIC(c *netsim.NICCore) {
+	c.Resident, c.ResidentRead = l.residentForNIC, l.residentForRead
+	c.OnForward = func(m *netsim.Message, owner int) {
+		l.note(TraceNICForward, m.Block, uint64(int64(owner)), m.OpID)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Send side
 

@@ -29,41 +29,37 @@ type network interface {
 	Stats(rank int) netsim.NICStats
 }
 
-// chanNet is the goroutine engine's driver of the NIC protocol core:
-// messages hop between locality actors directly, and it owns only what
-// is this engine's — one lock around each NIC's translation state,
-// atomically bumped counters, wall-clock fault delays, mailbox hand-off
-// and the per-turn flush of each token holder's staged sends (Send).
-// Of the per-message counters it keeps the ones something reads — Sent
-// and BytesTx (WorldStats.NetSent/NetBytes), DMADelivered — and leaves
-// Received, BytesRx and HostDelivered to the simulator: it has no
-// receive link or host boundary to model, and each would be one more
-// atomic add on every message.
+// chanNet is the goroutine engine's transport: messages hop between
+// locality actors directly, through one goNIC per rank. It owns the
+// batched send path, the per-turn flush of each token holder's staged
+// sends (Send), wall-clock fault delays, and mailbox hand-off.
 type chanNet struct {
 	w     *World
 	nics  []*goNIC
 	execs []*goExec // per-rank actors, for typed (closure-free) delivery
 }
 
-// goNIC is one rank's NIC: the core's configuration plus one translation
-// state, as on the DES NIC, behind one mutex. A locality runs one
-// handler at a time, so the lock is contended only by the rank's token
-// holder, a driver issuing inline (Proc.PutAsync, Proc.await) and rare
-// cross-rank writers (Free's sweep, bumpEpoch, rebirth). The state is
-// a named field, not embedded, so no TransState method is reachable
-// without mu.
+// goNIC is one rank's NIC, the goroutine engine's netsim.Port: one
+// translation state behind one mutex, every step run at once on the
+// goroutine that reached it. The lock is contended only by the rank's
+// token holder, a driver issuing inline (Proc.PutAsync, Proc.await) and
+// rare cross-rank writers (Free's sweep, bumpEpoch, rebirth); the state
+// is a named field, so no TransState method is reachable without mu.
 type goNIC struct {
+	// stats is only ever touched atomically (Count, Stats): sender
+	// goroutines, the rank's actor and stats readers all meet here. It
+	// comes first, so the counters fill two cache lines of their own.
+	stats netsim.NICStats
 	netsim.NICCore
 	mu    sync.Mutex
 	trans netsim.TransState
-	// stats is only ever touched atomically (count, Send, Stats): sender
-	// goroutines, the rank's actor and stats readers all meet here.
-	stats netsim.NICStats
+	l     *Locality
+	c     *chanNet
 	// The pad rounds goNIC up to 256 B, whole cache lines, so every NIC
 	// gets lines of its own: its mutex and counters are written on every
 	// message, and sharing a line with a neighbouring object cost
 	// go_parcels about 5 % of its ops/s (EXPERIMENTS.md W6).
-	_ [64]byte
+	_ [40]byte
 }
 
 // ReadRoute and Forward make a goNIC the core's view of its translation
@@ -81,17 +77,17 @@ func (n *goNIC) Forward(b gas.BlockID) (int, bool) {
 	return n.trans.Forward(b)
 }
 
-func (n *goNIC) updateTable(b gas.BlockID, owner int) {
-	n.mu.Lock()
-	n.trans.Table.Update(b, owner)
-	n.mu.Unlock()
-}
+func (n *goNIC) Cache() (*netsim.TransTable, sync.Locker) { return n.trans.Table, &n.mu }
+func (n *goNIC) Transmit(m *netsim.Message)               { n.c.Send(n.Rank, m) }
+func (n *goNIC) Later(m *netsim.Message)                  { netsim.ApplyTable(n, m) }
+func (n *goNIC) DeliverHost(m *netsim.Message)            { n.l.onHostMsg(m) }
+func (n *goNIC) DeliverDMA(m *netsim.Message)             { n.l.onDMA(m) }
 
-// count bumps the counter a verdict names (host deliveries excepted, see
-// chanNet).
-func (n *goNIC) count(c netsim.Counter) {
-	if c != netsim.CntNone && c != netsim.CntHostDelivered {
-		atomic.AddUint64(&n.stats[c], 1)
+// Count declines HostDelivered: there is no host boundary to model, and
+// an atomic add per arrival cost go_rma 13 % of its ops/s in paired runs.
+func (n *goNIC) Count(c netsim.Counter, d uint64) {
+	if c != netsim.CntHostDelivered {
+		atomic.AddUint64(&n.stats[c], d)
 	}
 }
 
@@ -99,12 +95,12 @@ func newChanNet(w *World) *chanNet {
 	c := &chanNet{w: w}
 	for _, l := range w.locs {
 		n := &goNIC{
-			NICCore: netsim.NICCore{
-				Rank: l.rank, GVARouting: w.caps.NICTranslation, Policy: w.cfg.Policy,
-				Resident: l.residentForNIC, ResidentRead: l.residentForRead,
-			},
-			trans: netsim.NewTransState(w.cfg.NICTableCap),
+			NICCore: netsim.NICCore{Rank: l.rank, GVARouting: w.caps.NICTranslation, Policy: w.cfg.Policy},
+			trans:   netsim.NewTransState(w.cfg.NICTableCap),
+			l:       l,
+			c:       c,
 		}
+		l.wireNIC(&n.NICCore)
 		c.nics = append(c.nics, n)
 		ex := l.exec.(*goExec)
 		ex.onMsg = func(m *netsim.Message) { c.arrive(l, m) }
@@ -181,14 +177,8 @@ func postsAtOnce(m *netsim.Message) bool {
 func (c *chanNet) send(from int, ms []*netsim.Message) {
 	n, locked := c.nics[from], false
 	for _, m := range ms {
-		if !m.Target.IsNull() {
-			m.Block = m.Target.Block()
-		}
-		if m.Dst == netsim.ByGVA {
+		if n.Address(m) {
 			if !locked {
-				if !n.GVARouting {
-					c.w.fail("chanNet: ByGVA send under address space %q", c.w.caps.Name)
-				}
 				n.mu.Lock()
 				locked = true
 			}
@@ -199,23 +189,17 @@ func (c *chanNet) send(from int, ms []*netsim.Message) {
 		n.mu.Unlock()
 	}
 	lv, sent, bytes := c.live(), uint64(0), uint64(0)
-	for i := 0; i < len(ms); i++ {
-		m := ms[i]
-		if m.Dst < 0 || m.Dst >= len(c.nics) {
-			c.w.fail("chanNet: send to bad rank %d", m.Dst)
+	for i, m := range ms {
+		g, err := n.Gate(n, lv, m, len(c.nics))
+		if err != nil {
+			c.w.fail("chanNet: %v", err)
 		}
-		if v := n.Fence(lv, m); v.Act != netsim.ActPass {
-			n.count(v.Count)
-			ms[i] = nil
-			if v.Act == netsim.ActNack { // the NACK takes m's place
-				ms[i], i = n.Control(v.Ctl, m, v.To, 0), i-1
-			}
-			continue
+		if ms[i] = g; g != nil {
+			sent, bytes = sent+1, bytes+uint64(g.WireSize())
 		}
-		sent, bytes = sent+1, bytes+uint64(m.WireSize())
 	}
-	atomic.AddUint64(&n.stats[netsim.CntSent], sent)
-	atomic.AddUint64(&n.stats[netsim.CntBytesTx], bytes)
+	n.Count(netsim.CntSent, sent)
+	n.Count(netsim.CntBytesTx, bytes)
 	fi := c.w.faults
 	for i, m := range ms {
 		switch {
@@ -225,16 +209,7 @@ func (c *chanNet) send(from int, ms []*netsim.Message) {
 		case fi == nil:
 			c.execs[m.Dst].postRun(ms[i:], m.Dst)
 		default:
-			if act := fi.Decide(m); !act.Drop {
-				if act.Duplicate {
-					// Clone: the copies cross receive paths that mutate
-					// hop counts and tables, each owned and recycled alone.
-					cp := netsim.NewMessage()
-					*cp = *m
-					c.deliver(cp, act.DupDelay)
-				}
-				c.deliver(m, act.Delay)
-			}
+			fi.Inject(m, 0, c.deliver)
 		}
 	}
 }
@@ -255,59 +230,8 @@ func (c *chanNet) deliver(m *netsim.Message, delay netsim.VTime) {
 	ex.execMsg(m)
 }
 
-// arrive runs on the destination's token holder: it asks the core what
-// to do with m and does it.
+// arrive runs the NIC driver's receive on the destination's token holder.
 func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 	n := c.nics[l.rank]
-	lv := c.live()
-	v := n.Classify(lv, m)
-	if v.Act != netsim.ActDrop {
-		if m.Ctl == netsim.CtlNone && c.w.cfg.Faults.TableLoss > 0 && n.GVARouting {
-			// Soft-error model: arrivals may scribble over one evictable
-			// table entry.
-			n.mu.Lock()
-			c.w.faults.MaybeLoseEntry(n.trans.Table)
-			n.mu.Unlock()
-		}
-		if v.Act == netsim.ActMisroute {
-			v = n.Misroute(n, lv, m)
-		}
-	}
-	n.count(v.Count)
-	switch v.Act {
-	case netsim.ActApplyTable:
-		// The table trusts the membership epoch (World.bumpEpoch).
-		if netsim.ApplyTable(m, c.w.mem.Epoch(), n.updateTable) {
-			n.count(netsim.CntStaleEpochDrops)
-		}
-		m.Release() // consumed by the NIC; never reaches the host
-	case netsim.ActDeliverHost:
-		l.onHostMsg(m)
-	case netsim.ActDeliverDMA:
-		l.onDMA(m)
-	case netsim.ActNack:
-		c.Send(l.rank, n.Control(v.Ctl, m, v.To, 0))
-	case netsim.ActForward:
-		l.note(TraceNICForward, m.Block, uint64(int64(v.To)), m.OpID)
-		if v.Push {
-			c.Send(l.rank, n.Control(netsim.CtlTableUpdate, m, v.To, c.w.mem.Epoch()))
-		}
-		// Forward in place: the arrived message is the forwarded one.
-		m.Dst = v.To
-		c.Send(l.rank, m)
-	case netsim.ActScatter:
-		fwd, host, split := n.SplitScatter(n, m)
-		if split {
-			n.count(netsim.CntScatterSplits)
-		}
-		for _, f := range fwd {
-			n.count(netsim.CntScatterForwards)
-			c.Send(l.rank, f)
-		}
-		if host {
-			l.onHostMsg(m)
-		} else {
-			m.Release() // every record moved on; the envelope is spent
-		}
-	}
+	n.Receive(n, c.live(), c.w.faults, m)
 }

@@ -158,15 +158,11 @@ func NewWorld(cfg Config) (*World, error) {
 			l.exec = &desExec{eng: l.eng, rank: r, l: l}
 			nic := w.fab.NIC(r)
 			loc := l
-			nic.Resident = loc.residentForNIC
-			nic.ResidentRead = loc.residentForRead
+			loc.wireNIC(&nic.NICCore)
 			nic.HostDeliver = func(m *netsim.Message) {
 				loc.exec.ExecMsg(cfg.Model.ORecv+cfg.Model.HandlerDispatch, opHostMsg, m)
 			}
 			nic.DMADeliver = loc.onDMA
-			nic.OnForward = func(m *netsim.Message, owner int) {
-				loc.note(TraceNICForward, m.Block, uint64(int64(owner)), m.OpID)
-			}
 		}
 	case EngineGo:
 		w.faults = netsim.NewFaultInjector(cfg.Faults)

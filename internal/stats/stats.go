@@ -52,6 +52,10 @@ func (h *Histogram) Record(v int64) {
 		return
 	}
 	// Reservoir: replace a random slot with probability maxExact/n.
+	if h.rng == 0 {
+		// xorshift of 0 stays 0; a fixed seed keeps runs deterministic.
+		h.rng = 0x9E3779B97F4A7C15
+	}
 	h.rng ^= h.rng << 13
 	h.rng ^= h.rng >> 7
 	h.rng ^= h.rng << 17

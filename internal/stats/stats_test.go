@@ -76,6 +76,24 @@ func TestHistogramReservoirBounded(t *testing.T) {
 	}
 }
 
+// TestHistogramReservoirKeepsLaterSamples fills the exact buffer with one
+// value and then records four times as many of another: a reservoir that
+// samples uniformly holds about 80 % of the later value, so the median
+// reads it. A zero-value Histogram must sample too — it is the only kind
+// the runtime makes.
+func TestHistogramReservoirKeepsLaterSamples(t *testing.T) {
+	var h Histogram
+	for i := 0; i < maxExact; i++ {
+		h.Record(1)
+	}
+	for i := 0; i < 4*maxExact; i++ {
+		h.Record(1000)
+	}
+	if p := h.P50(); p != 1000 {
+		t.Fatalf("P50 = %d after %d samples of 1 then %d of 1000, want 1000", p, maxExact, 4*maxExact)
+	}
+}
+
 func TestHistogramConcurrentRecord(t *testing.T) {
 	h := new(Histogram)
 	var wg sync.WaitGroup
