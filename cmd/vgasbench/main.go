@@ -7,9 +7,8 @@
 //	vgasbench -quick T1 F5          # run selected experiments, small sweeps
 //	vgasbench -csv F1               # emit CSV instead of aligned tables
 //	vgasbench -modes agas-nm F6     # restrict row-per-mode sweeps
-//	vgasbench -loss 0.05 -dup 0.02 -reorder C1   # extra chaos fault plan
-//	vgasbench -kill 1:50000 -join 1:60000000 C2  # schedule a whole-node crash + rejoin
-//	NMVGAS_FAULTS="kill=1:50000,restart=1:60000000" vgasbench C2  # same, via env (CI hook)
+//	vgasbench -faults drop=0.05,dup=0.02,reorder=1 C1   # extra chaos fault plan
+//	vgasbench -faults kill=1:50000,restart=1:60000000 C2  # whole-node crash + rejoin
 //	vgasbench -replicas 3 -coherence write-update F16   # replication sweep override
 //	vgasbench -localities 1024 -shards 1,8 F17   # scaling sweep override
 //	vgasbench -topology dragonfly:group=32 F17   # fabric override for the sweep
@@ -49,13 +48,10 @@ func main() {
 		"(0 = default sweep; n > 0 runs {0, n})")
 	coherence := flag.String("coherence", "", "replica coherence policy for the replication "+
 		"experiment (write-invalidate, write-update, rw-lease; empty = write-invalidate)")
-	loss := flag.Float64("loss", 0, "message drop probability [0,1) for the chaos experiment's extra plan")
-	dup := flag.Float64("dup", 0, "message duplication probability [0,1) for the chaos experiment's extra plan")
-	reorder := flag.Bool("reorder", false, "randomize per-message delay (reordering) in the chaos experiment's extra plan")
-	kill := flag.String("kill", "", "schedule whole-locality crashes in the fault plan: comma-separated "+
-		"rank:vtime pairs in simulated ns (e.g. -kill 1:50000)")
-	join := flag.String("join", "", "schedule crashed localities' links back up (the runtime re-admits them "+
-		"via Join once the death is confirmed): comma-separated rank:vtime pairs (e.g. -join 1:60000000)")
+	faults := flag.String("faults", "", "fault plan, in the fault-plan syntax (key=value terms: drop, dup, "+
+		"delay, maxdelay, reorder, tableloss, dropctl, kill=rank:vtime, restart=rank:vtime, seed; "+
+		"the seed defaults to -seed): the chaos experiment's extra plan, the recovery experiment's "+
+		"victim (e.g. -faults kill=2:50000,restart=2:60000000)")
 	localities := flag.String("localities", "", "comma-separated world sizes for the scaling "+
 		"experiment's sweep (e.g. -localities 256,1024; empty = default sweep)")
 	shards := flag.String("shards", "", "comma-separated event-shard counts for the scaling "+
@@ -130,25 +126,13 @@ func main() {
 		}
 		o.Coherence = c
 	}
-	// The fault plan layers: NMVGAS_FAULTS (full spec string, the CI
-	// chaos job's override hook) is the base, then the individual flags
-	// override or extend it.
-	if env := os.Getenv("NMVGAS_FAULTS"); env != "" {
-		p, err := netsim.ParseFaultPlan(env)
+	if *faults != "" {
+		p, err := netsim.ParseFaultPlan(*faults)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vgasbench: NMVGAS_FAULTS: %v\n", err)
+			fmt.Fprintf(os.Stderr, "vgasbench: -faults: %v\n", err)
 			os.Exit(2)
 		}
 		o.Faults = p
-	}
-	if *loss != 0 || *dup != 0 || *reorder {
-		o.Faults.Drop, o.Faults.Duplicate, o.Faults.Reorder = *loss, *dup, *reorder
-	}
-	if *kill != "" {
-		o.Faults.KillAt = mergeSchedule(o.Faults.KillAt, parseSchedule("kill", *kill))
-	}
-	if *join != "" {
-		o.Faults.RestartAt = mergeSchedule(o.Faults.RestartAt, parseSchedule("restart", *join))
 	}
 	if o.Faults.Enabled() && o.Faults.Seed == 0 {
 		o.Faults.Seed = *seed
@@ -205,36 +189,6 @@ func parseIntList(name, spec string) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// parseSchedule turns a "rank:vtime,rank:vtime" flag value into a fault
-// schedule by feeding each pair through the canonical fault-plan parser
-// under the given key ("kill" or "restart").
-func parseSchedule(key, spec string) map[int]netsim.VTime {
-	terms := make([]string, 0, 4)
-	for _, t := range strings.Split(spec, ",") {
-		terms = append(terms, key+"="+strings.TrimSpace(t))
-	}
-	p, err := netsim.ParseFaultPlan(strings.Join(terms, ","))
-	if err != nil {
-		fatalf("vgasbench: bad %s schedule %q: %v", key, spec, err)
-	}
-	if key == "kill" {
-		return p.KillAt
-	}
-	return p.RestartAt
-}
-
-// mergeSchedule overlays add onto base (flag entries win over the
-// NMVGAS_FAULTS base plan).
-func mergeSchedule(base, add map[int]netsim.VTime) map[int]netsim.VTime {
-	if base == nil {
-		return add
-	}
-	for r, t := range add {
-		base[r] = t
-	}
-	return base
 }
 
 // observedRun drives a migration-under-load workload on the DES engine

@@ -28,8 +28,8 @@ type Options struct {
 	// fixed per mode always sweep every built-in space.
 	Spaces []runtime.SpaceSpec
 	// Faults, when enabled, is appended to the chaos experiment's fault
-	// sweep as an extra operator-chosen plan (vgasbench maps -loss/-dup/
-	// -reorder here).
+	// sweep as an extra operator-chosen plan, and its kill schedule picks
+	// the recovery experiment's victim (vgasbench maps -faults here).
 	Faults netsim.FaultPlan
 	// Replicas, when > 0, replaces the replication experiment's default
 	// replica-count sweep with {0, Replicas} (vgasbench maps -replicas

@@ -74,7 +74,7 @@ type c2Result struct {
 // baseline.
 //
 // The kill is phase-locked, not wall-clock-scheduled: a kill=/restart=
-// schedule in the fault plan (vgasbench -kill / NMVGAS_FAULTS) selects
+// schedule in the fault plan (vgasbench -faults) selects
 // the victim, but its times are ignored — a kill landing while the
 // victim drives its own (then unfinishable) op would hang the run, and
 // the golden comparison needs the identical op sequence in both worlds.

@@ -54,7 +54,7 @@ type Fabric struct {
 	NICs  []*NIC
 	// Faults is nil on a perfect fabric.
 	Faults *FaultInjector
-	// Live is nil unless the runtime wires in membership.
+	// Live is nil until the runtime arms membership.
 	Live Liveness
 }
 

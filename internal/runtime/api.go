@@ -113,7 +113,8 @@ func (c *Ctx) Migrate(g gas.GVA, to int, cont gas.GVA) {
 // Proc is the driver-side handle for issuing operations "from" a
 // locality, from any goroutine, with the same semantics on both engines:
 // methods schedule their work onto the locality's executor, except where
-// the goroutine engine issues thread-safe one-sided ops inline.
+// the goroutine engine's one-sided ops claim its token and issue inline
+// (so the locality's own execution context must not call those).
 type Proc struct {
 	l *Locality
 }
@@ -177,14 +178,15 @@ func (p *Proc) Get(src gas.GVA, n uint32) *LCORef {
 }
 
 // PutAsync issues a one-sided write "from" this locality without a
-// future. On the goroutine engine the issue happens inline on the
-// calling goroutine — everything the put path touches is thread-safe
-// there — so drivers can pipeline puts with no mailbox round trip per
-// op; done (optional) runs on the locality at remote completion. On the
-// DES engine the issue is scheduled like every other driver operation.
+// future; done (optional) runs on the locality at remote completion. On
+// the goroutine engine the caller claims the locality's token and issues
+// inline (goExec.claim), so drivers pipeline puts with no mailbox round
+// trip per op; against a busy locality the call waits out the holder's
+// turn. On the DES engine the issue is scheduled like every other driver
+// operation.
 func (p *Proc) PutAsync(dst gas.GVA, data []byte, done func()) {
 	if p.l.w.eng == nil {
-		p.l.PutAsync(dst, data, done)
+		p.l.exec.(*goExec).claim(func() { p.l.PutAsync(dst, data, done) })
 		return
 	}
 	buf := append([]byte(nil), data...)
@@ -234,18 +236,19 @@ var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct
 
 // await issues r and blocks until its completion has copied a read's data
 // into into; it is the one place an op is marked waited. On the goroutine
-// engine the caller issues the op and drains each idle locality it
-// reaches (goExec.post), so against idle owners the op runs from issue
-// through serve to completion with no hand-off and the caller never
-// parks. On DES the issue is scheduled like every other driver operation
-// and the caller runs the engine until the completion; like Wait it is a
-// driver entry point, so it re-arms a parked pulse first (pulseResume).
+// engine the caller claims the locality's token to issue the op
+// (goExec.claim) and drains each idle locality it reaches (goExec.post),
+// so against idle owners the op runs from issue through serve to
+// completion with no hand-off and the caller never parks. On DES the
+// issue is scheduled like every other driver operation and the caller
+// runs the engine until the completion; like Wait it is a driver entry
+// point, so it re-arms a parked pulse first (pulseResume).
 func (p *Proc) await(op string, r rmaReq, into []byte) {
 	wt := waiterPool.Get().(*waiter)
 	wt.into = into
 	wt.state.Store(waitPending)
 	if w := p.l.w; w.eng == nil {
-		p.l.issue(r, opState{wait: wt})
+		p.l.exec.(*goExec).claim(func() { p.l.issue(r, opState{wait: wt}) })
 	} else {
 		p.Run(func() { p.l.issue(r, opState{wait: wt}) })
 		w.pulseResume()

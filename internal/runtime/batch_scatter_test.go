@@ -185,10 +185,7 @@ func TestCoalesceGenerationGuard(t *testing.T) {
 	})
 	buffered := -1
 	w.Engine().After(2500, func() {
-		b := &w.Locality(0).coal.bufs[1]
-		b.mu.Lock()
-		buffered = b.count
-		b.mu.Unlock()
+		buffered = w.Locality(0).coal.bufs[1].count
 	})
 	w.MustWait(burst)
 	w.MustWait(lone)

@@ -221,7 +221,7 @@ func TestChanNetDeadRankNackCrossesTheFaultPlan(t *testing.T) {
 		c.Faults = netsim.FaultPlan{DropNthCtl: map[uint8]int{netsim.CtlNackLoop: 1}}
 	})
 	mem := w.mem
-	mem.armed.Store(true)
+	mem.arm()
 	mem.down[3].Store(true)
 	mem.state[3] = MemberDead
 	mem.surrogate[3] = 0

@@ -177,8 +177,8 @@ func TestChaosTableLoss(t *testing.T) {
 }
 
 // TestFaultPlanOutOfRangeRejected feeds out-of-range fault plans through
-// both routes into a world — a spec (NMVGAS_FAULTS, vgasbench -kill/-join)
-// and plan fields set directly (vgasbench -loss/-dup) — and requires an
+// both routes into a world — a spec (NMVGAS_FAULTS, vgasbench -faults)
+// and plan fields set directly — and requires an
 // error before anything runs. Accepted, kill=9:100 on four ranks panics
 // at simulated time indexing the membership table, and a negative time
 // panics in Engine.At; a NaN drop passes a bare [0,1) comparison.

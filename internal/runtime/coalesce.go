@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"sync"
-
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
 )
@@ -17,10 +15,10 @@ import (
 // software-managed baseline pays (and Stats.BatchReroutes counts) never
 // happens. This is the trade experiment F13 measures.
 //
-// The buffers are sharded per destination rank, each behind its own
-// mutex, and the flush delay adapts: an EWMA of the inter-add gap per
-// destination collapses the delay to zero once the observed load is too
-// sparse for companions to be worth waiting for.
+// The buffers are sharded per destination rank and touched only on the
+// locality's token, and the flush delay adapts: an EWMA of the inter-add
+// gap per destination collapses the delay to zero once the observed load
+// is too sparse for companions to be worth waiting for.
 
 // CoalesceConfig enables batching when MaxParcels > 1.
 type CoalesceConfig struct {
@@ -52,14 +50,13 @@ type coalescer struct {
 	// scatter marks batches for in-NIC splitting (network-managed
 	// space); other spaces unbundle host-side.
 	scatter bool
-	bufs    []coalBuf // one per destination rank, independently locked
+	bufs    []coalBuf // one per destination rank
 }
 
 // coalBuf is one destination's buffer. The payload is assembled
 // incrementally — add appends the scatter record straight into recs, so
 // a flush hands the finished batch payload off without a gather copy.
 type coalBuf struct {
-	mu    sync.Mutex
 	recs  []byte
 	count int
 	// gen increments on every flush; a delayed flush armed against one
@@ -95,7 +92,6 @@ func newCoalescer(l *Locality, cfg CoalesceConfig) *coalescer {
 func (c *coalescer) add(dst int, enc []byte) {
 	b := &c.bufs[dst]
 	now := c.l.simNow()
-	b.mu.Lock()
 	// The flush-now decision uses the estimate as of *previous* adds: a
 	// single long gap must not bypass the delay by itself (the lone
 	// parcel after a burst still waits, preserving the latency trade the
@@ -123,24 +119,17 @@ func (c *coalescer) add(dst int, enc []byte) {
 	}
 	full := b.count >= c.maxParcels || len(b.recs) >= coalMaxBytes
 	if full || collapse {
-		payload := b.take(c)
-		b.mu.Unlock()
-		c.send(dst, payload)
+		c.send(dst, b.take(c))
 		return
 	}
 	if !b.pending {
 		b.pending = true
-		gen := b.gen
-		b.mu.Unlock()
-		c.armFlush(dst, gen)
-		return
+		c.armFlush(dst, b.gen)
 	}
-	b.mu.Unlock()
 }
 
 // take detaches the assembled payload and advances the generation,
 // noting the flush (the oldest parcel's wait).
-// Caller holds b.mu.
 func (b *coalBuf) take(c *coalescer) []byte {
 	c.l.note(noteCoalesceFlush, 0, uint64(b.firstAdd), 0)
 	payload := b.recs
@@ -162,24 +151,19 @@ func (c *coalescer) armFlush(dst int, gen uint64) {
 // it still holds the generation that armed it.
 func (c *coalescer) flush(dst int, gen uint64, force bool) {
 	b := &c.bufs[dst]
-	b.mu.Lock()
 	if b.count == 0 || (!force && b.gen != gen) {
 		if b.gen == gen && !force {
 			b.pending = false
 		}
-		b.mu.Unlock()
 		return
 	}
-	payload := b.take(c)
-	b.mu.Unlock()
-	c.send(dst, payload)
+	c.send(dst, b.take(c))
 }
 
 // send injects the finished batch: addressed ByGVA and marked Scatter
 // under the network-managed space, so NICs split it against their own
 // tables, and to the (always resident) locality block elsewhere. On the
-// goroutine engine it leaves on the calling goroutine, never staged
-// (postsAtOnce): FlushAll is synchronous.
+// goroutine engine it is injected at once, from the token holder.
 func (c *coalescer) send(dst int, payload []byte) {
 	m := netsim.NewMessage()
 	m.Kind = kBatch
@@ -198,15 +182,18 @@ func (c *coalescer) send(dst int, payload []byte) {
 }
 
 // FlushAll forces out every pending buffer (drivers call this before
-// quiescing a measurement). On the goroutine engine it is synchronous:
-// the flush injections have reached the transport when it returns.
+// quiescing a measurement). The driver claims the locality's token, so on
+// the goroutine engine the flush injections have reached the transport
+// when it returns.
 func (l *Locality) FlushAll() {
 	if l.coal == nil {
 		return
 	}
-	for d := range l.coal.bufs {
-		l.coal.flush(d, 0, true)
-	}
+	l.exec.claim(func() {
+		for d := range l.coal.bufs {
+			l.coal.flush(d, 0, true)
+		}
+	})
 }
 
 // onBatch unbundles at the receiving host: resident targets execute

@@ -157,10 +157,7 @@ func TestCoalesceFlushAll(t *testing.T) {
 	// delay timer would take it only coalMaxDelay after the add.
 	flushed := func(r, dst int) func() bool {
 		return func() bool {
-			b := &w.Locality(r).coal.bufs[dst]
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			return b.gen > 0
+			return w.Locality(r).coal.bufs[dst].gen > 0
 		}
 	}
 	fut := w.Proc(0).Call(lay.BlockAt(0), echo, nil)

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nmvgas/internal/netsim"
@@ -31,6 +30,9 @@ type Executor interface {
 	// posts fn to the mailbox on the goroutine engine. A stopped mailbox
 	// drops it, so no fn runs after World.Stop returns.
 	After(d netsim.VTime, fn func())
+	// claim runs a driver's fn as the locality's running handler: at once
+	// on DES, where drivers run between events; else goExec.claim.
+	claim(fn func())
 }
 
 // msgOp names one step of a message's life on a locality's host.
@@ -74,6 +76,8 @@ func (e *desExec) ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message) {
 
 func (e *desExec) After(d netsim.VTime, fn func()) { e.eng.AfterRank(e.rank, d, fn) }
 
+func (e *desExec) claim(fn func()) { fn() }
+
 // HandleMsg runs a typed event step (netsim.MsgSink).
 func (e *desExec) HandleMsg(op uint8, m *netsim.Message) { e.l.handleMsg(msgOp(op), m) }
 
@@ -106,23 +110,28 @@ const execBatch = 128
 // goExec is one locality's mailbox, a growable power-of-two ring buffer
 // drained up to execBatch tasks per lock acquisition, and its execution
 // token. Exactly one goroutine at a time holds the token (running) and
-// drains: the locality's actor, or a goroutine that has just delivered a
-// waited message while the actor was idle (see post). So the locality
-// runs one action at a time, on whichever goroutine holds the token.
+// drains: the locality's actor, a goroutine that has just delivered a
+// waited message while the actor was idle (see post), or a driver acting
+// for the locality (see claim). So the locality runs one action at a
+// time, on whichever goroutine holds the token, and its message-path
+// state (op table, coalescer, outbox) is touched only by the holder.
 type goExec struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // the actor waits here for work and for the token
+	free    *sync.Cond // claimants wait here for the token
 	ring    []task     // len(ring) is a power of two
 	head    int        // index of the oldest queued task
 	n       int        // number of queued tasks
 	running bool       // the token is held
 	stopped bool
+	claims  int // goroutines waiting in claim; they go before the actor
 	wg      sync.WaitGroup
 
 	// inline lets waited messages drain an idle mailbox on the delivering
 	// goroutine (set where payloads ride pooled wire buffers: no
 	// reliability layer, no fault injector); inlined counts those drains
-	// and handoffs postRun's locks of mu, for tests (read under mu).
+	// and claims' turns, handoffs postRun's locks of mu, for tests (read
+	// under mu).
 	inline  bool
 	inlined int
 
@@ -138,11 +147,9 @@ type goExec struct {
 	// after it: moving it onto a fresh cache line cost a blocking get 9 %.
 	batch [execBatch]task
 
-	// The outbox, open while an actor's turn runs (chanNet.Send). outMu
-	// guards out and every flush: a sender unsure of the token may flush.
-	open     atomic.Bool
-	staged   atomic.Int32
-	outMu    sync.Mutex
+	// The outbox, open while an actor's turn runs (chanNet.Send); like
+	// batch, only the token holder touches it.
+	open     bool
 	out      []*netsim.Message
 	flush    func([]*netsim.Message)
 	handoffs int
@@ -151,6 +158,7 @@ type goExec struct {
 func newGoExec() *goExec {
 	e := &goExec{ring: make([]task, 64)}
 	e.cond = sync.NewCond(&e.mu)
+	e.free = sync.NewCond(&e.mu)
 	return e
 }
 
@@ -182,7 +190,8 @@ func (e *goExec) push(t task) {
 
 // turn runs one batch for the token holder, claimed into e.batch under
 // e.mu (held on entry and return) and run outside it, and frees the
-// token; an actor's turn stages its sends and flushes them first.
+// token, to a waiting claimant first; an actor's turn stages its sends
+// and flushes them first.
 func (e *goExec) turn(stage bool) {
 	k := min(e.n, execBatch)
 	mask := len(e.ring) - 1
@@ -194,9 +203,7 @@ func (e *goExec) turn(stage bool) {
 	e.head = (e.head + k) & mask
 	e.n -= k
 	e.mu.Unlock()
-	if stage {
-		e.open.Store(true)
-	}
+	e.open = stage
 	for i := range e.batch[:k] {
 		t := &e.batch[i]
 		switch {
@@ -210,24 +217,22 @@ func (e *goExec) turn(stage bool) {
 		*t = task{}
 	}
 	if stage {
-		e.open.Store(false)
+		e.open = false
 		e.flushOut()
 	}
 	e.mu.Lock()
 	e.running = false
+	if e.claims > 0 {
+		e.free.Signal()
+	}
 }
 
-// flushOut sends what is staged, in order. Stagers raise staged before
-// reading open and closers read it after clearing open: none is missed.
+// flushOut sends what is staged, in order.
 func (e *goExec) flushOut() {
-	if e.staged.Load() == 0 {
-		return
+	if len(e.out) > 0 {
+		e.flush(e.out)
+		e.out = e.out[:0]
 	}
-	e.outMu.Lock()
-	e.flush(e.out)
-	e.out = e.out[:0]
-	e.staged.Store(0)
-	e.outMu.Unlock()
 }
 
 // loop is the actor: it takes the token whenever work is queued and no
@@ -236,7 +241,7 @@ func (e *goExec) loop() {
 	defer e.wg.Done()
 	e.mu.Lock()
 	for {
-		for e.running || (e.n == 0 && !e.stopped) {
+		for e.running || e.claims > 0 || (e.n == 0 && !e.stopped) {
 			e.cond.Wait()
 		}
 		if e.n == 0 {
@@ -249,11 +254,13 @@ func (e *goExec) loop() {
 }
 
 // stop drains queued work and stops the actor, which waits on the cond
-// for an inliner to hand the token back. A stopped mailbox drops work.
+// for an inliner or claimant to hand the token back. A stopped mailbox
+// drops work, and its claims run nothing.
 func (e *goExec) stop() {
 	e.mu.Lock()
 	e.stopped = true
 	e.cond.Broadcast()
+	e.free.Broadcast()
 	e.mu.Unlock()
 	e.wg.Wait()
 }
@@ -261,20 +268,16 @@ func (e *goExec) stop() {
 // post queues t; work arriving after stop is dropped. A waited t — the
 // request of a blocking one-sided op, or its completion — finding the
 // token free takes it instead: the posting goroutine runs one turn itself
-// (t included, behind whatever was queued), then wakes the actor only if
-// work remains. It never waits for the token: a held one means t queues.
+// (t included, behind whatever was queued). It never waits for the
+// token: a held one means t queues.
 func (e *goExec) post(t task, waited bool) {
 	e.mu.Lock()
 	switch {
 	case e.stopped:
 	case waited && e.inline && !e.running:
-		e.inlined++
 		e.running = true
 		e.push(t)
-		e.turn(false)
-		if e.n > 0 || e.stopped {
-			e.cond.Signal()
-		}
+		e.drain()
 	default:
 		e.push(t)
 		if !e.running {
@@ -282,6 +285,41 @@ func (e *goExec) post(t task, waited bool) {
 		}
 	}
 	e.mu.Unlock()
+}
+
+// claim is how a driver acts for the locality (Proc's one-sided calls,
+// FlushAll): it runs fn as the token holder on the calling goroutine, then
+// one turn for whatever fn queued, as soon as the token is free (before
+// the actor). A stopped mailbox runs nothing; a holder that claims waits
+// for itself.
+func (e *goExec) claim(fn func()) {
+	e.mu.Lock()
+	e.claims++
+	for e.running && !e.stopped {
+		e.free.Wait()
+	}
+	e.claims--
+	if e.stopped {
+		e.cond.Signal() // the actor may be waiting out the claims
+		e.mu.Unlock()
+		return
+	}
+	e.running = true
+	e.mu.Unlock()
+	fn()
+	e.mu.Lock()
+	e.drain()
+	e.mu.Unlock()
+}
+
+// drain is the turn of a goroutine holding the token outside the actor
+// loop (post, claim), under e.mu; it wakes the actor if work remains.
+func (e *goExec) drain() {
+	e.inlined++
+	e.turn(false)
+	if e.n > 0 || e.stopped {
+		e.cond.Signal()
+	}
 }
 
 // postRun is execMsg, in order and under one lock and wake-up, for each

@@ -291,16 +291,19 @@ func TestWaitedOpParksWhenOwnerBusy(t *testing.T) {
 		p.GetWaitInto(blk.BlockAt(0), got)
 		close(done)
 	}()
+	// The op table belongs to rank 0's token, so a task there reads it.
 	parked := func() bool {
-		l := w.locs[0]
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		for _, s := range l.ops.slots {
-			if s.st.wait != nil && s.st.wait.state.Load() == waitParked {
-				return true
+		l, found := w.locs[0], make(chan bool, 1)
+		w.Proc(0).Run(func() {
+			for _, s := range l.ops.slots {
+				if s.st.wait != nil && s.st.wait.state.Load() == waitParked {
+					found <- true
+					return
+				}
 			}
-		}
-		return false
+			found <- false
+		})
+		return <-found
 	}
 	for deadline := time.Now().Add(10 * time.Second); !parked(); time.Sleep(time.Millisecond) {
 		select {
@@ -523,10 +526,7 @@ func stopWithTimersOut() error {
 			s.probing, s.rounds = true, pr.rounds
 		}
 		w.mem.mu.Unlock()
-		b := &l.coal.bufs[1]
-		b.mu.Lock()
-		s.flushGen = b.gen
-		b.mu.Unlock()
+		s.flushGen = l.coal.bufs[1].gen // Stop has waited out every token holder
 		return s
 	}
 	before := read()

@@ -196,9 +196,9 @@ func TestGoExecStopWhileExec(t *testing.T) {
 }
 
 // TestCoalescerConcurrentFlush races the coalescer's three writers: the
-// actor adding parcels, delayed-flush timer goroutines, and driver
-// goroutines hammering FlushAll — all contending on the per-destination
-// buffer locks while batches inject inline from whichever goroutine wins.
+// actor adding parcels, delayed-flush timers, and driver goroutines
+// hammering FlushAll — all meeting on rank 0's token, which FlushAll
+// claims, while batches inject from whichever goroutine holds it.
 func TestCoalescerConcurrentFlush(t *testing.T) {
 	cfg := coalCfg(4)
 	cfg.Engine = EngineGo
@@ -293,8 +293,8 @@ func TestBatchScatterRacesMigration(t *testing.T) {
 }
 
 // TestPipelinedPutsRaceActor pipelines puts from several driver
-// goroutines at once — the inline PutAsync issue path races itself and
-// the destination actor's DMA/ack machinery.
+// goroutines at once — their claims of rank 0's token race each other,
+// rank 0's actor running the acks, and the destination's DMA machinery.
 func TestPipelinedPutsRaceActor(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
 	w.Start()

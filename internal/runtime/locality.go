@@ -244,6 +244,23 @@ func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
 	return ok
 }
 
+// admit is the owner side's one admission of m, addressed to block b: it
+// parks m behind a migration of b, or hands a stale delivery — b is not
+// here, or only a replica is and replicaOK is false — to the address
+// space (p is m's decoded parcel, nil for other kinds). It returns the
+// block when m may be served here.
+func (l *Locality) admit(m *netsim.Message, b gas.BlockID, p *parcel.Parcel, replicaOK bool) (*gas.Block, bool) {
+	if l.queueIfMoving(b, m) {
+		return nil, false
+	}
+	blk, ok := l.store.Get(b)
+	if !ok || blk.Replica && !replicaOK {
+		l.space.OnStaleDelivery(m, p)
+		return nil, false
+	}
+	return blk, true
+}
+
 // residentForNIC is the residency oracle of the NIC and of the host's
 // fast paths: a block is "resident" for routing purposes only when
 // present as the *master* copy and not mid-migration — migrating blocks
@@ -410,46 +427,22 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 		l.execParcel(m)
 	case kPutReq, kGetReq, kPutVec, kGetVec:
 		l.hostRMA(m)
-	case kPutAck:
+	case kPutAck, kGetRep, kHostNack, kOwnerUpd, kBatch, kReplInval, kReplUpdate, kReplFillRep:
+		// Rank-addressed kinds: one exactly-once gate, and the message
+		// ends here. completeOp may retain a kGetRep's payload slice
+		// (unless it is pooled, in which case the completion copies out by
+		// contract); Release only drops the envelope's pointer, never the
+		// backing array.
 		if l.relAccept(m) {
-			l.completeOp(m.OpID, nil)
-		}
-		m.Release()
-	case kGetRep:
-		if l.relAccept(m) {
-			// completeOp may retain the payload slice (unless it is pooled,
-			// in which case the completion copies out by contract); Release
-			// only drops the envelope's pointer, never the backing array.
-			l.completeOp(m.OpID, m.Payload)
+			l.onRankMsg(m)
 		}
 		l.releasePayload(m)
-		m.Release()
-	case kHostNack:
-		if l.relAccept(m) {
-			l.onHostNack(m)
-		}
-		m.Release()
-	case kOwnerUpd:
-		if l.relAccept(m) {
-			l.space.LearnOwner(m.Block, m.Owner)
-		}
-		m.Release()
-	case kBatch:
-		if l.relAccept(m) {
-			l.onBatch(m)
-		}
 		m.Release()
 	case kRelAck:
 		l.relOnAck(m)
 		m.Release()
-	case kReplInval:
-		l.onReplInval(m)
-	case kReplUpdate:
-		l.onReplUpdate(m)
 	case kReplFill:
 		l.onReplFill(m)
-	case kReplFillRep:
-		l.onReplFillRep(m)
 	case kMemberPing:
 		pong := netsim.NewMessage()
 		pong.Kind = kMemberPong
@@ -463,6 +456,29 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 		m.Release()
 	default:
 		l.w.fail("rank %d: unknown message kind %d", l.rank, m.Kind)
+	}
+}
+
+// onRankMsg handles an accepted rank-addressed message; onHostMsg
+// releases it.
+func (l *Locality) onRankMsg(m *netsim.Message) {
+	switch m.Kind {
+	case kPutAck:
+		l.completeOp(m.OpID, nil)
+	case kGetRep:
+		l.completeOp(m.OpID, m.Payload)
+	case kHostNack:
+		l.onHostNack(m)
+	case kOwnerUpd:
+		l.space.LearnOwner(m.Block, m.Owner)
+	case kBatch:
+		l.onBatch(m)
+	case kReplInval:
+		l.onReplInval(m)
+	case kReplUpdate:
+		l.onReplUpdate(m)
+	case kReplFillRep:
+		l.onReplFillRep(m)
 	}
 }
 
@@ -482,8 +498,9 @@ func (l *Locality) execParcel(m *netsim.Message) {
 	l.runParcel(m, false)
 }
 
-// runParcel is the one parcel admission: park behind a migration, hand a
-// stale delivery to the address space, apply the exactly-once gate, run.
+// runParcel is the one parcel admission: admit (park behind a migration,
+// or hand a stale delivery to the address space), apply the exactly-once
+// gate, run.
 // The checks run at *execution* time — a parcel may sit in an executor
 // queue while a migration starts. A locality runs one action at a time
 // on both engines (one event stream per rank on DES, one token holder on
@@ -511,13 +528,8 @@ func (l *Locality) runParcel(m *netsim.Message, user bool) {
 		m.Release()
 		return
 	}
-	if l.queueIfMoving(b, m) {
-		return
-	}
-	if blk, ok := l.store.Get(b); !ok || blk.Replica {
-		// Not here — or only a read replica is: parcels execute exactly
-		// once, at the master.
-		l.space.OnStaleDelivery(m, p)
+	// Parcels execute exactly once, at the master: a replica will not do.
+	if _, ok := l.admit(m, b, p, false); !ok {
 		return
 	}
 	if !l.relAccept(m) {

@@ -147,9 +147,24 @@ func newMembership(w *World) *membership {
 	}
 }
 
-// active reports whether the membership machinery has ever been armed —
-// the one-atomic-load gate unperturbed hot paths pay.
-func (mem *membership) active() bool { return mem.armed.Load() }
+// arm turns the machinery on for good. The simulated fabric keeps its
+// liveness view in a field, so it is set here, between events.
+func (mem *membership) arm() {
+	mem.armed.Store(true)
+	if f := mem.w.fab; f != nil {
+		f.Live = mem.view()
+	}
+}
+
+// view is the liveness view both NIC ports fence against: nil until the
+// world has ever killed, retired or joined a locality, so an unperturbed
+// world never consults membership.
+func (mem *membership) view() netsim.Liveness {
+	if mem.armed.Load() {
+		return mem
+	}
+	return nil
+}
 
 // ---------------------------------------------------------------------
 // netsim.Liveness
@@ -195,7 +210,7 @@ func (mem *membership) Rehome(b gas.BlockID) (int, bool) {
 // cleanly instead of chasing a corpse. Unarmed worlds pay one atomic
 // load.
 func (mem *membership) redirect(b gas.BlockID, owner, home int) int {
-	if !mem.active() {
+	if !mem.armed.Load() {
 		return owner
 	}
 	mem.mu.Lock()
@@ -214,7 +229,7 @@ func (mem *membership) redirect(b gas.BlockID, owner, home int) int {
 
 // isLost reports whether b died with its owner.
 func (mem *membership) isLost(b gas.BlockID) bool {
-	if !mem.active() {
+	if !mem.armed.Load() {
 		return false
 	}
 	mem.mu.Lock()
@@ -243,7 +258,7 @@ const probeTimeout = 2 * relMaxRTO
 // currently-alive peer; probes are single-flight per target, so
 // repeated ceilings cost nothing while a probe is out.
 func (mem *membership) suspectSweep(l *Locality) {
-	if !mem.active() || mem.down[l.rank].Load() {
+	if !mem.armed.Load() || mem.down[l.rank].Load() {
 		// A corpse's suspicions don't count: a crashed rank's own
 		// timers see universal silence.
 		return
@@ -556,7 +571,7 @@ func (w *World) Kill(rank int) {
 	if !w.cfg.reliable() {
 		panic("runtime: Kill requires the reliability layer (set Config.Faults or Reliability.Force)")
 	}
-	w.mem.armed.Store(true)
+	w.mem.arm()
 	w.mem.down[rank].Store(true)
 }
 
@@ -613,7 +628,7 @@ func (w *World) Retire(rank int) error {
 	}
 	mem.state[rank] = MemberDraining
 	mem.mu.Unlock()
-	mem.armed.Store(true)
+	mem.arm()
 	w.noteMember(rank, TraceMemberRetire, uint64(rank))
 
 	// Holder copies on the retiring rank dissolve from their sets (the
@@ -687,7 +702,7 @@ func (w *World) Join(rank int) error {
 	}
 	mem.state[rank] = MemberJoining
 	mem.mu.Unlock()
-	mem.armed.Store(true)
+	mem.arm()
 	l := w.locs[rank]
 	mem.pending.Add(1)
 	// Rebirth wipes cross-cutting state (world receive streams, NIC
@@ -731,9 +746,9 @@ func (mem *membership) rebirth(l *Locality) {
 	l.mu.Lock()
 	l.moving = make(map[gas.BlockID]*moveState)
 	l.movingN.Store(0)
-	l.ops = opTable{}
 	l.replicas = nil
 	l.mu.Unlock()
+	l.ops = opTable{}
 
 	l.relRebirth()
 
@@ -808,7 +823,7 @@ func (w *World) scheduleFaultMembership() {
 	if len(kills) == 0 && len(restarts) == 0 {
 		return
 	}
-	w.mem.armed.Store(true)
+	w.mem.arm()
 	for _, r := range sortedKeys(kills) {
 		w.after(kills[r]-w.Now(), func() { w.Kill(r) })
 	}

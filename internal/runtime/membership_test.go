@@ -83,6 +83,31 @@ func killPromotesReplicaAndServes(w *World) error {
 	return nil
 }
 
+// TestLivenessViewOnlyOnceArmed: both NIC ports fence against no
+// liveness view until membership is armed, and against membership from
+// then on (the simulated fabric through Fabric.Live). Unarmed, Down is
+// false everywhere, so the verdicts are those of a nil view.
+func TestLivenessViewOnlyOnceArmed(t *testing.T) {
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			w := testWorld(t, Config{Ranks: 3, Mode: AGASNM, Engine: eng, Reliability: relStress})
+			w.Start()
+			lay, err := w.AllocLocal(1, 64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.MustWait(w.Proc(0).Put(lay.BlockAt(0), []byte{1}))
+			if w.mem.view() != nil || (w.fab != nil && w.fab.Live != nil) {
+				t.Fatal("an unarmed world fences against a liveness view")
+			}
+			w.Kill(2)
+			if w.mem.view() != netsim.Liveness(w.mem) || (w.fab != nil && w.fab.Live != netsim.Liveness(w.mem)) {
+				t.Fatal("an armed world does not fence against membership")
+			}
+		})
+	}
+}
+
 // TestUnreplicatedBlockIsLostCleanly kills the owner of a block with no
 // replica: the block is lost, and traffic for it terminates through the
 // acked stale-drop path (or bounded NACK abandonment) instead of

@@ -42,9 +42,9 @@ type chanNet struct {
 // goNIC is one rank's NIC, the goroutine engine's netsim.Port: one
 // translation state behind one mutex, every step run at once on the
 // goroutine that reached it. The lock is contended only by the rank's
-// token holder, a driver issuing inline (Proc.PutAsync, Proc.await) and
-// rare cross-rank writers (Free's sweep, bumpEpoch, rebirth); the state
-// is a named field, so no TransState method is reachable without mu.
+// token holder, the probe's pings and rare cross-rank writers (Free's
+// sweep, bumpEpoch, rebirth, replica re-homing); the state is a named
+// field, so no TransState method is reachable without mu.
 type goNIC struct {
 	// stats is only ever touched atomically (Count, Stats): sender
 	// goroutines, the rank's actor and stats readers all meet here. It
@@ -131,44 +131,20 @@ func (c *chanNet) Stats(rank int) (s netsim.NICStats) {
 // caller's step is as good a boundary as any.
 func (c *chanNet) Defer(_ int, fn func()) { fn() }
 
-// live is the membership view the core fences against: nil until the
-// world has ever killed, retired or joined a locality, so unperturbed
-// runs pay one atomic load.
-func (c *chanNet) live() netsim.Liveness {
-	if mem := c.w.mem; mem.active() {
-		return mem
-	}
-	return nil
-}
-
-// Send injects m at rank from, staged while an actor's turn holds from's
-// token unless it posts at once, after what is staged (pairs keep order).
+// Send injects m at rank from. Every sender holds from's token, except
+// the probe's pings: unordered control traffic, they leave at once and
+// never touch the outbox. While an actor's turn runs the rank's sends are
+// staged; a waited m flushes what is staged and leaves at once, so pairs
+// keep their order.
 func (c *chanNet) Send(from int, m *netsim.Message) {
-	e := c.execs[from]
-	if e.open.Load() && !postsAtOnce(m) {
-		e.outMu.Lock()
-		e.staged.Add(1)
-		if e.open.Load() {
+	if e := c.execs[from]; m.Kind != kMemberPing && e.open {
+		if !m.Waited {
 			e.out = append(e.out, m)
-			e.outMu.Unlock()
 			return
 		}
-		e.staged.Add(-1)
-		e.outMu.Unlock()
+		e.flushOut()
 	}
-	e.flushOut()
 	c.send(from, []*netsim.Message{m})
-}
-
-// postsAtOnce: waited messages (a blocked caller's round trip) and the
-// kinds off-token goroutines send — one-sided requests, batches, a timer's
-// pings. Any other off-token send mid-turn leaves with the holder's flush.
-func postsAtOnce(m *netsim.Message) bool {
-	switch m.Kind {
-	case kPutReq, kGetReq, kPutVec, kGetVec, kBatch, kMemberPing:
-		return true
-	}
-	return m.Waited
 }
 
 // send carries ms, injected at rank from, in order: one NIC lock resolves
@@ -188,7 +164,7 @@ func (c *chanNet) send(from int, ms []*netsim.Message) {
 	if locked {
 		n.mu.Unlock()
 	}
-	lv, sent, bytes := c.live(), uint64(0), uint64(0)
+	lv, sent, bytes := c.w.mem.view(), uint64(0), uint64(0)
 	for i, m := range ms {
 		g, err := n.Gate(n, lv, m, len(c.nics))
 		if err != nil {
@@ -233,5 +209,5 @@ func (c *chanNet) deliver(m *netsim.Message, delay netsim.VTime) {
 // arrive runs the NIC driver's receive on the destination's token holder.
 func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 	n := c.nics[l.rank]
-	n.Receive(n, c.live(), c.w.faults, m)
+	n.Receive(n, c.w.mem.view(), c.w.faults, m)
 }

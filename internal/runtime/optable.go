@@ -3,7 +3,7 @@ package runtime
 import "math/bits"
 
 // opTable is a locality's outstanding one-sided ops by OpID (Locality.ops,
-// guarded by l.mu): open addressing with a multiplicative hash, linear
+// touched only on the locality's token): open addressing with a multiplicative hash, linear
 // probing and backward-shift deletion, so a take leaves no tombstone.
 // newOpID never mints 0, which marks an empty slot. It doubles at half
 // full and holds slots for the peak number of outstanding ops, however

@@ -11,9 +11,10 @@ import (
 	"nmvgas/internal/parcel"
 )
 
-// The outbox (goroutine engine): while a turn holds a rank's token, the
-// rank's non-waited sends are staged and leave, in send order, before
-// the token is freed (goExec.turn, chanNet.Send). These tests pin its
+// The outbox (goroutine engine): while an actor's turn holds a rank's
+// token, the rank's non-waited sends are staged and leave, in send order,
+// before the token is freed (goExec.turn, chanNet.Send). Every sender
+// holds the token; a driver claims it (goExec.claim). These tests pin the
 // rules; CI runs them under -race -tags msgpoison.
 
 // eventually polls cond until it holds or ten seconds pass.
@@ -113,13 +114,15 @@ func TestTurnHandsOffOncePerDestination(t *testing.T) {
 	}
 }
 
-// TestOffTokenSendsPostAtOnce: senders that do not hold a rank's token —
-// Proc.PutAsync, Proc.GetWaitInto, Locality.FlushAll from a driver, and
-// a probe round from a World.after timer, as after a kill — send at rank
-// 0 while its actor is mid-turn. Each send leaves at once (rank 0's NIC
-// counts it before the call returns, or while the caller is parked) and
-// is served while the turn still runs; everything completes after it.
-func TestOffTokenSendsPostAtOnce(t *testing.T) {
+// TestOffTokenCallsClaimTheToken: the calls a driver makes off the token
+// — Proc.PutAsync, Proc.GetWaitInto and Locality.FlushAll — claim rank 0's
+// token (goExec.claim). On an idle locality the call runs on the caller's
+// goroutine, counts as an inline drain, and its request leaves before it
+// returns. While a task holds the token each call waits behind it and
+// sends nothing; only the probe's pings, from a World.after timer, leave
+// mid-turn and are answered. Once the turn ends every call returns, its
+// request having left, and completes.
+func TestOffTokenCallsClaimTheToken(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 3, Mode: AGASNM, Engine: EngineGo, Coalesce: CoalesceConfig{MaxParcels: 8}})
 	var counted atomic.Int64
 	count := w.Register("count", func(*Ctx) { counted.Add(1) })
@@ -128,12 +131,24 @@ func TestOffTokenSendsPostAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, p, l := lay.BlockAt(0), w.Proc(0), w.locs[0]
+	g, p, l, e := lay.BlockAt(0), w.Proc(0), w.locs[0], w.locs[0].exec.(*goExec)
 	sent := func(r int) uint64 { return w.net.Stats(r)[netsim.CntSent] }
-	dma := func() uint64 { return w.net.Stats(1)[netsim.CntDMADelivered] }
 
-	// The held turn first buffers a parcel in the coalescer, so only
-	// FlushAll can send it before the turn ends.
+	// Idle: the caller runs the call and one turn itself.
+	s, drains := sent(0), inlined(w, 0)
+	var putDone atomic.Bool
+	p.PutAsync(g, []byte("at once!"), func() { putDone.Store(true) })
+	if sent(0) != s+1 || inlined(w, 0) != drains+1 {
+		t.Fatalf("idle PutAsync: %d sent, %d drains at rank 0, want 1 and 1", sent(0)-s, inlined(w, 0)-drains)
+	}
+	got := make([]byte, 8)
+	if p.GetWaitInto(g, got); string(got) != "at once!" || sent(0) != s+2 {
+		t.Fatalf("idle GetWaitInto read %q with %d sent, want the put's bytes and 2", got, sent(0)-s)
+	}
+	eventually(t, "the idle put's completion", putDone.Load)
+
+	// Busy: the held turn first buffers a parcel in the coalescer, so
+	// only FlushAll or the turn's own timer can send it.
 	started, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
@@ -144,27 +159,36 @@ func TestOffTokenSendsPostAtOnce(t *testing.T) {
 		<-release
 	})
 	<-started
-
-	s, d := sent(0), dma()
-	var putDone atomic.Bool
-	p.PutAsync(g, []byte("at once!"), func() { putDone.Store(true) })
-	if sent(0) != s+1 {
-		t.Fatal("Proc.PutAsync's request did not leave before the call returned")
-	}
-	eventually(t, "the put to be served mid-turn", func() bool { return dma() == d+1 })
-
-	got, gotten := make([]byte, 8), make(chan struct{})
+	s = sent(0)
+	putDone.Store(false)
+	put, get, flushed := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
-		p.GetWaitInto(g, got)
-		close(gotten)
+		p.PutAsync(g, []byte("queued!!"), func() { putDone.Store(true) })
+		close(put)
 	}()
-	eventually(t, "the get to be served mid-turn", func() bool { return sent(0) == s+2 && dma() == d+2 })
-
-	l.FlushAll()
-	if sent(0) != s+3 {
-		t.Fatal("FlushAll's batch did not leave before the call returned")
+	go func() {
+		p.GetWaitInto(g, make([]byte, 8))
+		close(get)
+	}()
+	go func() {
+		l.FlushAll()
+		close(flushed)
+	}()
+	eventually(t, "three claimants to wait for the token", func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.claims == 3
+	})
+	for _, c := range []chan struct{}{put, get, flushed} {
+		select {
+		case <-c:
+			t.Fatal("a claim returned while a task held the token")
+		default:
+		}
 	}
-	eventually(t, "the flushed parcel to run mid-turn", func() bool { return counted.Load() == 1 })
+	if sent(0) != s {
+		t.Fatalf("%d sent while the token was held, want 0", sent(0)-s)
+	}
 
 	probed, pong := make(chan struct{}), sent(2)
 	w.after(0, func() {
@@ -172,16 +196,22 @@ func TestOffTokenSendsPostAtOnce(t *testing.T) {
 		close(probed)
 	})
 	<-probed
-	if sent(0) != s+3+probePings {
+	if sent(0) != s+probePings {
 		t.Fatal("the timer's probe round did not leave before it returned")
 	}
 	eventually(t, "rank 2 to answer the probe mid-turn", func() bool { return sent(2) == pong+probePings })
 
 	free()
-	<-gotten
-	if string(got) != "at once!" {
-		t.Fatalf("get read %q", got)
+	<-put
+	<-get
+	<-flushed
+	if sent(0) != s+probePings+3 {
+		t.Fatalf("%d sent after the turn, want the probe's %d, the put, the get and the batch", sent(0)-s, probePings)
 	}
-	eventually(t, "the put's completion", putDone.Load)
+	eventually(t, "the queued put's completion", putDone.Load)
+	eventually(t, "the flushed parcel to run", func() bool { return counted.Load() == 1 })
+	if p.GetWaitInto(g, got); string(got) != "queued!!" {
+		t.Fatalf("read %q after the queued put", got)
+	}
 	eventually(t, "the probe to clear", func() bool { return w.MemberState(2) == MemberAlive })
 }

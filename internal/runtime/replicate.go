@@ -239,24 +239,14 @@ func (l *Locality) replFanOut(b gas.BlockID, nic bool) {
 // eagerly (instead of waiting for the next read to fault) keeps the
 // replica serving; reads in the stale window chase the master.
 func (l *Locality) onReplInval(m *netsim.Message) {
-	if !l.relAccept(m) {
-		m.Release()
-		return
-	}
 	if l.replMarkStale(m.Block) {
 		l.Stats.ReplicaInvals.Inc()
 		l.note(noteReplInval, m.Block, 0, m.OpID)
 	}
-	m.Release()
 }
 
 // onReplUpdate installs the master's post-write snapshot in place.
 func (l *Locality) onReplUpdate(m *netsim.Message) {
-	if !l.relAccept(m) {
-		l.releasePayload(m)
-		m.Release()
-		return
-	}
 	b := m.Block
 	l.mu.Lock()
 	st := l.replicas[b]
@@ -272,8 +262,6 @@ func (l *Locality) onReplUpdate(m *netsim.Message) {
 			l.note(noteReplUpdate, b, 0, m.OpID)
 		}
 	}
-	l.releasePayload(m)
-	m.Release()
 }
 
 // onReplFill answers at the master with a snapshot. It mirrors the
@@ -282,12 +270,8 @@ func (l *Locality) onReplUpdate(m *netsim.Message) {
 // reply (not regeneration) to survive a lost first answer.
 func (l *Locality) onReplFill(m *netsim.Message) {
 	b := m.Target.Block()
-	if l.queueIfMoving(b, m) {
-		return
-	}
-	blk, ok := l.store.Get(b)
-	if !ok || blk.Replica {
-		l.space.OnStaleDelivery(m, nil)
+	blk, ok := l.admit(m, b, nil, false)
+	if !ok {
 		return
 	}
 	if !l.relAccept(m) {
@@ -313,11 +297,6 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 
 // onReplFillRep installs the refill at the holder and re-arms the lease.
 func (l *Locality) onReplFillRep(m *netsim.Message) {
-	if !l.relAccept(m) {
-		l.releasePayload(m)
-		m.Release()
-		return
-	}
 	b := m.Block
 	l.mu.Lock()
 	st := l.replicas[b]
@@ -333,8 +312,6 @@ func (l *Locality) onReplFillRep(m *netsim.Message) {
 			l.note(noteReplFill, b, 0, m.OpID)
 		}
 	}
-	l.releasePayload(m)
-	m.Release()
 }
 
 // ---------------------------------------------------------------------

@@ -58,9 +58,7 @@ const segHdr = 8
 
 // PutAsync writes data at dst and runs done on this locality when the
 // write is remotely complete. Call it from this locality's execution
-// context (an action body or a Proc task); on the goroutine engine any
-// goroutine may (Proc.PutAsync does): an off-token caller's request posts
-// at once and is never staged in the token holder's outbox (postsAtOnce).
+// context (an action body or a Proc task); a driver calls Proc.PutAsync.
 func (l *Locality) PutAsync(dst gas.GVA, data []byte, done func()) {
 	l.issue(l.putReq(dst, data), opState{pdone: done})
 }
@@ -121,13 +119,12 @@ func (l *Locality) getVecReq(src gas.GVA, segs []GetSeg, pooledOK bool) rmaReq {
 }
 
 // issue registers a one-sided op and routes its request, marked Waited
-// when a blocked caller waits on it (st.wait, see Proc.await).
+// when a blocked caller waits on it (st.wait, see Proc.await). Like
+// completeOp it runs on the locality's token, which owns the op table.
 func (l *Locality) issue(r rmaReq, st opState) {
 	id := l.newOpID()
 	l.note(noteOpStart, r.target.Block(), 0, id)
-	l.mu.Lock()
 	l.ops.put(id, st)
-	l.mu.Unlock()
 	m := netsim.NewMessage()
 	if r.kind == kGetReq || r.kind == kGetVec {
 		l.Stats.GetOps.Inc()
@@ -150,9 +147,7 @@ func (l *Locality) issue(r rmaReq, st opState) {
 }
 
 func (l *Locality) completeOp(id uint64, data []byte) {
-	l.mu.Lock()
 	st, ok := l.ops.take(id)
-	l.mu.Unlock()
 	if !ok {
 		if l.relLateCompletion() {
 			return
@@ -186,16 +181,9 @@ func (l *Locality) completeOp(id uint64, data []byte) {
 // because the block is moving or gone — parked behind the migration, or
 // repaired by the address-space strategy.
 func (l *Locality) hostRMA(m *netsim.Message) {
-	b := m.Target.Block()
-	if l.queueIfMoving(b, m) {
-		return
+	if blk, ok := l.admit(m, m.Target.Block(), nil, true); ok {
+		l.serve(m, blk, false)
 	}
-	blk, ok := l.store.Get(b)
-	if !ok {
-		l.space.OnStaleDelivery(m, nil)
-		return
-	}
-	l.serve(m, blk, false)
 }
 
 // onDMA is the NIC door: one-sided traffic applied at the NIC, with no

@@ -219,9 +219,6 @@ func (w *World) Start() {
 	}
 	w.started = true
 	w.reg.seal()
-	if w.fab != nil {
-		w.fab.Live = w.mem
-	}
 	if w.cfg.Engine == EngineGo {
 		for _, l := range w.locs {
 			l.exec.(*goExec).start()
