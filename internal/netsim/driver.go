@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Port is one engine's side of one NIC. The driver — what a NIC does with
 // a message it sends or receives, in what order, and what it counts — is
@@ -11,12 +8,15 @@ import (
 // says only what a step costs and when it runs. The simulated NIC
 // schedules typed events at the model's charges; the goroutine transport
 // runs every step at once, its only wall-clock delay an injected fault's.
+//
+// A port's translation state has one writer: the simulated NIC's rank's
+// events, the goroutine rank's token holder. Every driver step runs
+// there, so none takes a lock.
 type Port interface {
-	Routes // lookups under the engine's exclusion, one at a time
-	// Cache returns the NIC's translation table and the lock that guards
-	// it. Table pushes are checked against, and stamped with, this
-	// table's own trusted epoch on both engines.
-	Cache() (*TransTable, sync.Locker)
+	Routes
+	// Cache returns the NIC's translation table. Table pushes are checked
+	// against, and stamped with, the membership epoch it trusts.
+	Cache() *TransTable
 	// Transmit sends m, which this NIC addressed itself (a forward, a
 	// NACK, a table push, a scatter share), at the NIC's forwarding cost.
 	Transmit(m *Message)
@@ -29,16 +29,10 @@ type Port interface {
 	Count(c Counter, d uint64) // a port may decline what it does not model
 }
 
-// noLock is the simulated NIC's table lock: only its rank's events touch it.
-type noLock struct{}
-
-func (noLock) Lock()   {}
-func (noLock) Unlock() {}
-
 // Address readies m for the send gate: it fills m.Block from a GVA target
-// and reports whether m needs source translation (Resolve, under the
-// port's exclusion). A ByGVA send on a NIC that does not route by GVA
-// keeps its Dst, and the gate refuses it.
+// and reports whether m needs source translation (Resolve). A ByGVA send
+// on a NIC that does not route by GVA keeps its Dst, and the gate
+// refuses it.
 func (c *NICCore) Address(m *Message) (gva bool) {
 	if !m.Target.IsNull() {
 		m.Block = m.Target.Block()
@@ -122,11 +116,7 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 			c.OnForward(m, v.To)
 		}
 		if v.Push {
-			t, mu := p.Cache()
-			mu.Lock()
-			epoch := t.Epoch()
-			mu.Unlock()
-			p.Transmit(c.Control(CtlTableUpdate, m, v.To, epoch))
+			p.Transmit(c.Control(CtlTableUpdate, m, v.To, p.Cache().Epoch()))
 		}
 		// Forward in place: the arrived message is the forwarded one, and
 		// the transport stays its sole owner.
@@ -158,8 +148,7 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 // membership change and could resurrect a route to a dead or re-homed
 // locality.
 func ApplyTable(p Port, m *Message) {
-	t, mu := p.Cache()
-	mu.Lock()
+	t := p.Cache()
 	switch {
 	case m.Epoch < t.Epoch():
 		p.Count(CntStaleEpochDrops, 1)
@@ -168,6 +157,5 @@ func ApplyTable(p Port, m *Message) {
 	default:
 		t.Update(m.Block, m.Owner)
 	}
-	mu.Unlock()
 	m.Release() // never reaches the host
 }

@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nmvgas/internal/gas"
@@ -26,7 +26,13 @@ type recPort struct {
 
 func newRecPort() *recPort { return &recPort{TransState: NewTransState(0)} }
 
-func (p *recPort) Cache() (*TransTable, sync.Locker) { return p.Table, noLock{} }
+// epochAt returns a membership epoch counter standing at e, for a table
+// to trust.
+func epochAt(e uint64) *atomic.Uint64 {
+	var c atomic.Uint64
+	c.Store(e)
+	return &c
+}
 
 func (p *recPort) Transmit(m *Message) {
 	p.calls = append(p.calls, "transmit "+describe(m))
@@ -151,7 +157,7 @@ func TestDriverReceive(t *testing.T) {
 			var traced []int
 			c.OnForward = func(_ *Message, owner int) { traced = append(traced, owner) }
 			p := newRecPort()
-			p.Table.BumpEpoch(5)
+			p.Table.TrustEpoch(epochAt(5))
 			p.InstallRoute(50, 3)
 			if arrived := c.Receive(p, tc.lv, nil, tc.m); arrived != (tc.lv == nil) {
 				t.Fatalf("arrived = %v", arrived)
@@ -172,6 +178,27 @@ func TestDriverReceive(t *testing.T) {
 				tc.check(t, p, tc.m)
 			}
 		})
+	}
+}
+
+// TestApplyTableDropsPushBelowSharedEpoch: two NICs trust one membership
+// epoch. A push one of them stamped before the epoch advanced is dropped
+// at the other and counted; one stamped after is applied.
+func TestApplyTableDropsPushBelowSharedEpoch(t *testing.T) {
+	epoch := epochAt(3)
+	from, to := newRecPort(), newRecPort()
+	from.Table.TrustEpoch(epoch)
+	to.Table.TrustEpoch(epoch)
+	c := coreAt(2, true, Policy{})
+	stale := c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch())
+	epoch.Add(1)
+	ApplyTable(to, stale)
+	if _, ok := to.Table.Peek(50); ok || to.stats[CntStaleEpochDrops] != 1 {
+		t.Fatalf("push stamped at 3 under epoch 4: applied=%v, %d stale drops; want dropped and 1", ok, to.stats[CntStaleEpochDrops])
+	}
+	ApplyTable(to, c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch()))
+	if o, ok := to.Table.Peek(50); !ok || o != 3 || to.stats[CntStaleEpochDrops] != 1 {
+		t.Fatalf("push stamped at the current epoch: %d,%v, %d stale drops", o, ok, to.stats[CntStaleEpochDrops])
 	}
 }
 

@@ -261,15 +261,13 @@ func (fi *FaultInjector) Decide(m *Message) FaultAction {
 }
 
 // MaybeLoseEntry randomly evicts one translation-table entry (the
-// soft-error model) under mu, the lock that guards t, reporting whether it
-// did. A plan without TableLoss (never written after construction) draws
-// nothing, so it returns before either lock.
-func (fi *FaultInjector) MaybeLoseEntry(t *TransTable, mu sync.Locker) bool {
+// soft-error model), reporting whether it did. The caller is t's one
+// writer. A plan without TableLoss (never written after construction)
+// draws nothing, so it returns before the injector's lock.
+func (fi *FaultInjector) MaybeLoseEntry(t *TransTable) bool {
 	if t == nil || fi.plan.TableLoss == 0 {
 		return false
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	fi.mu.Lock()
 	hit := fi.rng.Float64() < fi.plan.TableLoss
 	var idx int

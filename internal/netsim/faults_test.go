@@ -150,7 +150,7 @@ func TestMaybeLoseEntry(t *testing.T) {
 	tt.Update(2, 1)
 	tt.Update(3, 2)
 	fi := NewFaultInjector(FaultPlan{Seed: 5, TableLoss: 1})
-	if !fi.MaybeLoseEntry(tt, noLock{}) {
+	if !fi.MaybeLoseEntry(tt) {
 		t.Fatal("certain table loss did not fire")
 	}
 	if tt.Len() != 2 {
@@ -161,12 +161,12 @@ func TestMaybeLoseEntry(t *testing.T) {
 	}
 	// Draining the table: losses stop reporting once empty.
 	for tt.Len() > 0 {
-		fi.MaybeLoseEntry(tt, noLock{})
+		fi.MaybeLoseEntry(tt)
 	}
-	if fi.MaybeLoseEntry(tt, noLock{}) {
+	if fi.MaybeLoseEntry(tt) {
 		t.Fatal("loss reported on an empty table")
 	}
-	if fi.MaybeLoseEntry(nil, noLock{}) {
+	if fi.MaybeLoseEntry(nil) {
 		t.Fatal("loss reported on a nil table")
 	}
 }
@@ -183,7 +183,7 @@ func TestMaybeLoseEntryWithoutTableLossDrawsNothing(t *testing.T) {
 	tt.Update(2, 1)
 	m := &Message{}
 	for i := 0; i < 2000; i++ {
-		if mixed.MaybeLoseEntry(tt, noLock{}) {
+		if mixed.MaybeLoseEntry(tt) {
 			t.Fatal("entry lost under a plan without TableLoss")
 		}
 		if got, want := mixed.Decide(m), bare.Decide(m); got != want {

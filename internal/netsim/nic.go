@@ -1,7 +1,5 @@
 package netsim
 
-import "sync"
-
 // NIC is one locality's simulated NIC, the simulator's Port: it owns
 // tx/rx link occupancy, serialization, wire latency and the fault stream,
 // and charges each driver step at the model's NIC costs as a typed event.
@@ -131,13 +129,12 @@ func (n *NIC) HandleMsg(op uint8, m *Message) {
 	}
 }
 
-// The NIC's side of the driver (Port); ReadRoute and Forward are its
-// TransState's.
+// The NIC's side of the driver (Port); ReadRoute, Forward and Cache are
+// its TransState's.
 
-func (n *NIC) Cache() (*TransTable, sync.Locker) { return n.Table, noLock{} }
-func (n *NIC) Transmit(m *Message)               { n.transmit(m, n.fab.Model.NICForward) }
-func (n *NIC) DeliverHost(m *Message)            { n.HostDeliver(m) }
-func (n *NIC) Count(c Counter, d uint64)         { n.Stats[c] += d }
+func (n *NIC) Transmit(m *Message)       { n.transmit(m, n.fab.Model.NICForward) }
+func (n *NIC) DeliverHost(m *Message)    { n.HostDeliver(m) }
+func (n *NIC) Count(c Counter, d uint64) { n.Stats[c] += d }
 
 func (n *NIC) Later(m *Message) {
 	n.eng.AtRankMsg(n.Rank, n.eng.Now()+n.fab.Model.NICUpdate, n, opTableApply, m)

@@ -90,9 +90,9 @@ func (s *NICStats) Add(o *NICStats) {
 	}
 }
 
-// TransState is one NIC's translation state. The caller provides the
-// exclusion: the DES NIC touches it only from its rank's event context,
-// the goroutine transport holds its NIC's mutex.
+// TransState is one NIC's translation state. It has one writer and takes
+// no lock: the DES NIC touches it only from its rank's event context, the
+// goroutine transport only from its rank's token holder.
 type TransState struct {
 	// Table is the bounded NIC-resident translation cache consulted at
 	// injection time. Entries installed by forwarding/commit control
@@ -152,6 +152,9 @@ func (s *TransState) ClearResident(block gas.BlockID) {
 	s.Table.Invalidate(block)
 }
 
+// Cache returns the evictable table (the driver's Port.Cache).
+func (s *TransState) Cache() *TransTable { return s.Table }
+
 // Route returns the authoritative knowledge for block, if any (never the
 // evictable table).
 func (s *TransState) Route(block gas.BlockID) (int, bool) {
@@ -193,7 +196,7 @@ func (s *TransState) Resolve(m *Message) {
 }
 
 // Routes is the read-only view of translation state the receive-side
-// decisions consult, under the port's exclusion (see Port).
+// decisions consult, on the state's one writer (see Port).
 type Routes interface {
 	ReadRoute(gas.BlockID) (int, bool)
 	Forward(gas.BlockID) (int, bool)

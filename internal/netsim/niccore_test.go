@@ -213,7 +213,7 @@ func TestNICCoreResolve(t *testing.T) {
 func TestNICCoreApplyTableAndControl(t *testing.T) {
 	c := coreAt(2, true, Policy{})
 	p := newRecPort()
-	p.Table.BumpEpoch(5)
+	p.Table.TrustEpoch(epochAt(5))
 	orig := msgFor(1, 50)
 	upd := c.Control(CtlTableUpdate, orig, 3, p.Table.Epoch())
 	if upd.Dst != orig.Src || upd.Src != 2 || upd.Block != 50 || upd.Owner != 3 || upd.Epoch != 5 || upd.Nacked != nil {

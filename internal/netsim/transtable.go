@@ -1,6 +1,10 @@
 package netsim
 
-import "nmvgas/internal/gas"
+import (
+	"sync/atomic"
+
+	"nmvgas/internal/gas"
+)
 
 // TransTable is a block → owner translation table with optional capacity
 // bounding and LRU replacement. It models the NIC-resident table of the
@@ -23,13 +27,14 @@ type TransTable struct {
 	free int32
 	n    int
 
-	// epoch is the membership epoch the table currently trusts. Entries
-	// installed under an older epoch are fenced: Lookup treats them as
-	// missing and evicts them lazily, so a membership change (death,
-	// retire, join) invalidates every cached translation in O(1) without
-	// walking the table — the stale entry NACKs at the authoritative side
-	// instead of routing traffic to a corpse.
-	epoch uint64
+	// epoch is the membership epoch the table trusts, a counter it only
+	// reads (TrustEpoch). Entries installed under an older epoch are
+	// fenced: Lookup treats them as missing and evicts them lazily, so a
+	// membership change (death, retire, join) invalidates every cached
+	// translation in O(1) without walking the table — the stale entry
+	// NACKs at the authoritative side instead of routing traffic to a
+	// corpse.
+	epoch *atomic.Uint64
 
 	hits, misses, evictions, updates uint64
 }
@@ -44,10 +49,19 @@ type ttEntry struct {
 // NewTransTable returns a table bounded to capacity entries; capacity 0
 // means unbounded.
 func NewTransTable(capacity int) *TransTable {
-	t := &TransTable{cap: capacity}
+	t := &TransTable{cap: capacity, epoch: &noEpoch}
 	t.Reset()
 	return t
 }
+
+// noEpoch is what a table trusts until TrustEpoch: a counter nobody
+// advances, so nothing it installs is ever fenced.
+var noEpoch atomic.Uint64
+
+// TrustEpoch makes the table trust e, which only e's owner advances:
+// tables trusting one counter are all fenced by one advance. Reset keeps
+// the trust.
+func (t *TransTable) TrustEpoch(e *atomic.Uint64) { t.epoch = e }
 
 // unlink takes slot i out of the LRU list.
 func (t *TransTable) unlink(i int32) {
@@ -81,7 +95,7 @@ func (t *TransTable) Lookup(block gas.BlockID) (owner int, ok bool) {
 		t.misses++
 		return 0, false
 	}
-	if t.ents[i].epoch < t.epoch {
+	if t.ents[i].epoch < t.epoch.Load() {
 		t.remove(i)
 		t.misses++
 		return 0, false
@@ -97,7 +111,7 @@ func (t *TransTable) Lookup(block gas.BlockID) (owner int, ok bool) {
 // but are not evicted.
 func (t *TransTable) Peek(block gas.BlockID) (owner int, ok bool) {
 	i, ok := t.idx[block]
-	if !ok || t.ents[i].epoch < t.epoch {
+	if !ok || t.ents[i].epoch < t.epoch.Load() {
 		return 0, false
 	}
 	return t.ents[i].owner, true
@@ -107,9 +121,10 @@ func (t *TransTable) Peek(block gas.BlockID) (owner int, ok bool) {
 // epoch, evicting the least recently used entry if the table is full.
 func (t *TransTable) Update(block gas.BlockID, owner int) {
 	t.updates++
+	epoch := t.epoch.Load()
 	if i, ok := t.idx[block]; ok {
 		t.ents[i].owner = owner
-		t.ents[i].epoch = t.epoch
+		t.ents[i].epoch = epoch
 		t.unlink(i)
 		t.pushFront(i)
 		return
@@ -125,24 +140,14 @@ func (t *TransTable) Update(block gas.BlockID, owner int) {
 		t.ents = append(t.ents, ttEntry{})
 		i = int32(len(t.ents) - 1)
 	}
-	t.ents[i] = ttEntry{block: block, owner: owner, epoch: t.epoch}
+	t.ents[i] = ttEntry{block: block, owner: owner, epoch: epoch}
 	t.pushFront(i)
 	t.idx[block] = i
 	t.n++
 }
 
 // Epoch returns the membership epoch the table currently trusts.
-func (t *TransTable) Epoch() uint64 { return t.epoch }
-
-// BumpEpoch raises the table's trusted epoch, fencing every entry
-// installed under an older one. Entries are invalidated lazily on Lookup
-// rather than walked eagerly. Bumping to an older or equal epoch is a
-// no-op, so out-of-order membership notifications cannot unfence.
-func (t *TransTable) BumpEpoch(epoch uint64) {
-	if epoch > t.epoch {
-		t.epoch = epoch
-	}
-}
+func (t *TransTable) Epoch() uint64 { return t.epoch.Load() }
 
 // Invalidate removes block's entry if present, reporting whether it was.
 func (t *TransTable) Invalidate(block gas.BlockID) bool {
@@ -172,8 +177,8 @@ func (t *TransTable) DropIndex(i int) (gas.BlockID, bool) {
 }
 
 // Reset drops every entry and returns the table to its post-construction
-// state (counters and the trusted epoch survive — a reborn NIC still
-// lives in the current membership epoch). Used when a dead locality
+// state (counters and the epoch trust survive — a reborn NIC still lives
+// in the current membership epoch). Used when a dead locality
 // rejoins: the new incarnation starts with an empty table.
 func (t *TransTable) Reset() {
 	t.idx = make(map[gas.BlockID]int32)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,48 @@ func TestTransTableBasic(t *testing.T) {
 	}
 	if tt.Len() != 1 {
 		t.Fatalf("Len = %d", tt.Len())
+	}
+}
+
+// TestTransTablesTrustOneEpoch: every table trusting one counter is
+// fenced by one advance of it, Reset keeps the trust, and a table that
+// trusts no counter fences nothing.
+func TestTransTablesTrustOneEpoch(t *testing.T) {
+	var epoch atomic.Uint64
+	a, b := NewTransTable(0), NewTransTable(4)
+	a.TrustEpoch(&epoch)
+	b.TrustEpoch(&epoch)
+	a.Update(1, 2)
+	b.Update(1, 3)
+	epoch.Add(1)
+	for i, tt := range []*TransTable{a, b} {
+		if tt.Epoch() != 1 {
+			t.Fatalf("table %d trusts epoch %d after the advance, want 1", i, tt.Epoch())
+		}
+		if _, ok := tt.Peek(1); ok {
+			t.Fatalf("table %d: an entry from epoch 0 survived the advance", i)
+		}
+		if _, ok := tt.Lookup(1); ok || tt.Len() != 0 {
+			t.Fatalf("table %d: a fenced entry hit or was not evicted (len %d)", i, tt.Len())
+		}
+	}
+
+	b.Update(2, 1)
+	b.Reset()
+	b.Update(3, 1)
+	if o, ok := b.Peek(3); !ok || o != 1 {
+		t.Fatalf("entry installed after Reset: %d,%v", o, ok)
+	}
+	epoch.Add(1)
+	if _, ok := b.Peek(3); ok || b.Epoch() != 2 {
+		t.Fatalf("Reset dropped the table's trust: it reads epoch %d", b.Epoch())
+	}
+
+	c := NewTransTable(0)
+	c.Update(1, 2)
+	epoch.Add(1)
+	if o, ok := c.Lookup(1); !ok || o != 2 || c.Epoch() != 0 {
+		t.Fatalf("a table trusting no counter was fenced: %d,%v at epoch %d", o, ok, c.Epoch())
 	}
 }
 
@@ -159,7 +202,7 @@ func TestEntryLossFallsBackToHome(t *testing.T) {
 	nic.Table.Update(50, 2) // stale: points at the old owner
 
 	fi := NewFaultInjector(FaultPlan{Seed: 3, TableLoss: 1})
-	if !fi.MaybeLoseEntry(nic.Table, noLock{}) {
+	if !fi.MaybeLoseEntry(nic.Table) {
 		t.Fatal("forced entry loss did not fire")
 	}
 	if _, ok := nic.Table.Peek(50); ok {
@@ -189,7 +232,7 @@ func TestEntryLossNeverTouchesAuthoritativeRoutes(t *testing.T) {
 	nic.Table.Update(7, 1)
 	fi := NewFaultInjector(FaultPlan{Seed: 1, TableLoss: 1})
 	for i := 0; i < 4; i++ {
-		fi.MaybeLoseEntry(nic.Table, noLock{})
+		fi.MaybeLoseEntry(nic.Table)
 	}
 	if nic.Table.Len() != 0 {
 		t.Fatal("table not fully scrubbed")

@@ -11,9 +11,10 @@ import (
 // tests pin the policy behaviours through it, next to the DES assertions
 // in modes_test.go.
 
-// peekNICTable reads rank's evictable NIC table without touching recency.
+// peekNICTable reads rank's evictable NIC table without touching recency,
+// on the rank's token (World.claimNIC), so it may run mid-traffic.
 func peekNICTable(w *World, rank int, b gas.BlockID) (owner int, ok bool) {
-	w.net.State(rank, func(st *netsim.TransState) { owner, ok = st.Table.Peek(b) })
+	w.claimNIC(rank, func(st *netsim.TransState) { owner, ok = st.Table.Peek(b) })
 	return owner, ok
 }
 
@@ -147,7 +148,6 @@ func TestChanNetForwardsInPlaceAndPushesARealUpdate(t *testing.T) {
 	const b = gas.BlockID(999)
 	w.net.State(1, func(st *netsim.TransState) { st.InstallRoute(b, 3) })
 	w.mem.epoch.Store(4)
-	w.bumpEpoch(4)
 
 	m := &netsim.Message{Kind: kParcel, Src: 2, Dst: 1, Target: gas.New(1, b, 0), Block: b, Wire: 64}
 	cn.arrive(w.Locality(1), m)
@@ -177,7 +177,6 @@ func TestChanNetForwardsInPlaceAndPushesARealUpdate(t *testing.T) {
 		t.Fatalf("source table after the push: %d,%v", o, ok)
 	}
 	w.mem.epoch.Store(5)
-	w.bumpEpoch(5)
 	stale := cn.nics[1].Control(netsim.CtlTableUpdate, m, 0, 4)
 	cn.arrive(w.Locality(2), stale)
 	if o, ok := peekNICTable(w, 2, b); ok && o == 0 {

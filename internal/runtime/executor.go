@@ -31,8 +31,12 @@ type Executor interface {
 	// drops it, so no fn runs after World.Stop returns.
 	After(d netsim.VTime, fn func())
 	// claim runs a driver's fn as the locality's running handler: at once
-	// on DES, where drivers run between events; else goExec.claim.
-	claim(fn func())
+	// on DES, where drivers run between events; else goExec.claim. It
+	// reports false when a stopped mailbox ran nothing.
+	claim(fn func()) bool
+	// hand runs fn as the locality's handler without waiting for its
+	// token: at once on DES, queued on the goroutine engine's mailbox.
+	hand(fn func())
 }
 
 // msgOp names one step of a message's life on a locality's host.
@@ -76,7 +80,9 @@ func (e *desExec) ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message) {
 
 func (e *desExec) After(d netsim.VTime, fn func()) { e.eng.AfterRank(e.rank, d, fn) }
 
-func (e *desExec) claim(fn func()) { fn() }
+func (e *desExec) claim(fn func()) bool { fn(); return true }
+
+func (e *desExec) hand(fn func()) { fn() }
 
 // HandleMsg runs a typed event step (netsim.MsgSink).
 func (e *desExec) HandleMsg(op uint8, m *netsim.Message) { e.l.handleMsg(msgOp(op), m) }
@@ -288,11 +294,11 @@ func (e *goExec) post(t task, waited bool) {
 }
 
 // claim is how a driver acts for the locality (Proc's one-sided calls,
-// FlushAll): it runs fn as the token holder on the calling goroutine, then
-// one turn for whatever fn queued, as soon as the token is free (before
-// the actor). A stopped mailbox runs nothing; a holder that claims waits
-// for itself.
-func (e *goExec) claim(fn func()) {
+// FlushAll, World.claimNIC): it runs fn as the token holder on the
+// calling goroutine, then one turn for whatever fn queued, as soon as the
+// token is free (before the actor). A stopped mailbox runs nothing and
+// reports false; a holder that claims waits for itself.
+func (e *goExec) claim(fn func()) bool {
 	e.mu.Lock()
 	e.claims++
 	for e.running && !e.stopped {
@@ -302,7 +308,7 @@ func (e *goExec) claim(fn func()) {
 	if e.stopped {
 		e.cond.Signal() // the actor may be waiting out the claims
 		e.mu.Unlock()
-		return
+		return false
 	}
 	e.running = true
 	e.mu.Unlock()
@@ -310,6 +316,7 @@ func (e *goExec) claim(fn func()) {
 	e.mu.Lock()
 	e.drain()
 	e.mu.Unlock()
+	return true
 }
 
 // drain is the turn of a goroutine holding the token outside the actor
@@ -342,6 +349,8 @@ func (e *goExec) postRun(ms []*netsim.Message, rank int) {
 }
 
 func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.post(task{fn: fn}, false) }
+
+func (e *goExec) hand(fn func()) { e.post(task{fn: fn}, false) }
 
 // execMsg posts a transport-delivered message for the NIC receive path
 // without allocating a closure.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"nmvgas/internal/gas"
@@ -13,8 +14,9 @@ import (
 )
 
 // Race coverage for the hot-path concurrency surface: each goNIC's
-// translation state is read by many sender goroutines while
-// migrations rewrite it, and goExec's ring buffer is stopped while producers still push.
+// translation state is read and written from many goroutines, always
+// through its rank's token, while migrations and recovery rewrite it,
+// and goExec's ring buffer is stopped while producers still push.
 // These tests exist to fail under -race (the CI test job runs the whole
 // package with -race); without it they are cheap smoke tests.
 
@@ -55,11 +57,15 @@ func TestAllocPublishesCompleteBlocks(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGoNICStateConcurrentChurn hammers translation lookups and route
-// reads from many goroutines while migration churn and user actions on
-// the locality actors rewrite routes and tables underneath them. The
-// bounded row keeps the table at capacity, so LRU eviction under the
-// NIC's one lock races the route readers too.
+// TestGoNICStateConcurrentChurn: a goroutine-engine NIC's translation
+// state has one writer, its rank's token holder, and takes no lock.
+// Readers read every rank's NIC through its owner (NICTableLen, and
+// peekNICTable and a writer's scratch writes through World.claimNIC)
+// while the actors run traffic, migrations, FreeAsync and
+// ReplicateLive/Unreplicate, and then a kill and a join whose recovery
+// posts NIC writes to every rank. The bounded row keeps the table at
+// capacity, so LRU eviction runs under the readers too. Under -race any
+// NIC access off its owner is reported.
 func TestGoNICStateConcurrentChurn(t *testing.T) {
 	for _, tableCap := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cap=%d", tableCap), func(t *testing.T) {
@@ -69,74 +75,98 @@ func TestGoNICStateConcurrentChurn(t *testing.T) {
 }
 
 func goNICStateChurn(t *testing.T, tableCap int) {
-	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, NICTableCap: tableCap})
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, NICTableCap: tableCap, Reliability: relStress})
 	bump := w.Register("bump", func(c *Ctx) { c.Continue(nil) })
 	w.Start()
-	lay, err := w.AllocLocal(1, 64, 8)
-	if err != nil {
-		t.Fatal(err)
+	alloc := func(home int, n uint32) gas.Layout {
+		t.Helper()
+		lay, err := w.AllocLocal(home, 64, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lay
 	}
-	// A separate block set absorbs the raw table/route writes: scribbling
-	// bogus owners for blocks that carry live traffic would (correctly)
-	// trip the misrouting invariants.
-	scratch, err := w.AllocLocal(2, 64, 8)
-	if err != nil {
-		t.Fatal(err)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	cn := w.net.(*chanNet)
+	// Traffic and migrations stay on ranks 0-2, so rank 3 can die under
+	// them. Scratch blocks absorb the raw writes: bogus owners for blocks
+	// that carry live traffic would (correctly) trip the misrouting
+	// invariants. repl's holders are 3 and 0; doomed lives on rank 3,
+	// its first block replicated (promoted at the death), its second not
+	// (lost).
+	lay, scratch, repl := alloc(1, 8), alloc(2, 8), alloc(2, 2)
+	doomedRepl, doomedLost := alloc(3, 1), alloc(3, 1)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	// Readers: raw translation lookups and authoritative route reads
-	// across every rank's NIC state.
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				r, st := (g+i)%4, cn.nics[(g+i)%4]
-				b := lay.BlockAt(uint32(i % 8)).Block()
-				resolve := func(b gas.BlockID) {
-					w.net.State(r, func(ts *netsim.TransState) {
-						ts.Resolve(&netsim.Message{Dst: netsim.ByGVA, Block: b, Target: gas.New(1, b, 0)})
-					})
-				}
-				resolve(b)
-				st.Forward(b)
-				st.ReadRoute(b)
-				peekNICTable(w, r, b)
-				resolve(scratch.BlockAt(uint32(i % 8)).Block())
+				r := (g + i) % 4
+				peekNICTable(w, r, lay.BlockAt(uint32(i%8)).Block())
+				peekNICTable(w, r, repl.BlockAt(uint32(i%2)).Block())
 				w.NICTableLen(r)
 			}
 		}(g)
 	}
-	// Writers: direct table/route churn, as PushUpdates and commits do.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				b := scratch.BlockAt(uint32(i % 8)).Block()
-				w.net.State((g+i)%4, func(ts *netsim.TransState) { ts.Table.Update(b, i%4) })
-				w.net.State((g+i+1)%4, func(ts *netsim.TransState) { ts.InstallRoute(b, i%4) })
-				if i%7 == 0 {
-					w.net.State(i%4, func(ts *netsim.TransState) { ts.ClearResident(b) })
-				}
-			}
-		}(g)
-	}
-	// Traffic + migration churn on the actors themselves.
-	for round := 0; round < 6; round++ {
-		for d := uint32(0); d < 8; d++ {
-			g := lay.BlockAt(d)
-			w.MustWait(w.Proc(int(d)%4).Call(g, bump, nil))
-			if d%2 == 0 {
-				w.MustWait(w.Proc(0).Migrate(g, (round+int(d))%4))
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			b := scratch.BlockAt(uint32(i % 8)).Block()
+			w.claimNIC(i%4, func(ts *netsim.TransState) { ts.Table.Update(b, i%4) })
+			w.claimNIC((i+1)%4, func(ts *netsim.TransState) { ts.InstallRoute(b, i%4) })
+			if i%7 == 0 {
+				w.claimNIC(i%4, func(ts *netsim.TransState) { ts.ClearResident(b) })
 			}
 		}
+	}()
+
+	for round := 0; round < 3; round++ {
+		must(w.ReplicateLive(repl, 2))
+		for d := uint32(0); d < 8; d++ {
+			g := lay.BlockAt(d)
+			w.MustWait(w.Proc(int(d)%3).Call(g, bump, nil))
+			if d%2 == 0 {
+				w.MustWait(w.Proc(0).Migrate(g, (round+int(d))%3))
+			}
+		}
+		w.MustWait(w.Proc(1).Get(repl.BlockAt(0), 8))
+		must(w.Unreplicate(repl))
+		tmp := alloc(round, 4)
+		w.MustWait(w.Proc(0).Migrate(tmp.BlockAt(1), (round+1)%3))
+		w.MustWait(w.Proc(2).FreeAsync(tmp))
 	}
+
+	must(w.ReplicateLive(repl, 2))
+	must(w.ReplicateLive(doomedRepl, 2))
+	w.Kill(3)
+	w.mem.declareDead(3) // what the probes conclude; no traffic has to find the silence
+	if !w.AwaitMember(3, MemberDead, 20*time.Second) {
+		t.Fatalf("rank 3's recovery never landed: %+v", w.MembershipStats())
+	}
+	for d := uint32(0); d < 8; d++ {
+		w.MustWait(w.Proc(int(d)%3).Call(lay.BlockAt(d), bump, nil))
+	}
+	must(w.Join(3))
+	if !w.AwaitMember(3, MemberAlive, 20*time.Second) {
+		t.Fatalf("rank 3 never rejoined: state=%v", w.MemberState(3))
+	}
+	w.MustWait(w.Proc(3).Call(lay.BlockAt(0), bump, nil))
 	stop.Store(true)
 	wg.Wait()
+	w.mem.mu.Lock()
+	_, lost := w.mem.lost[doomedLost.Base.Block()]
+	w.mem.mu.Unlock()
+	if ms := w.MembershipStats(); ms.Deaths != 1 || ms.Joins != 1 || ms.Rehomed != 1 || !lost {
+		t.Fatalf("membership %+v (unreplicated block lost: %v), want one death, one join, one promotion and the lost block", ms, lost)
+	}
 }
 
 // TestGoNICFillsWholeCacheLines holds goNIC's pad to its purpose: a

@@ -273,6 +273,6 @@ func (w *World) QueueDepths() []int {
 // (0 for address spaces without NIC translation).
 func (w *World) NICTableLen(r int) int {
 	n := 0
-	w.net.State(r, func(st *netsim.TransState) { n += st.Table.Len() })
+	w.claimNIC(r, func(st *netsim.TransState) { n = st.Table.Len() })
 	return n
 }

@@ -375,7 +375,7 @@ func (mem *membership) declareDead(d int) {
 	mem.mu.Unlock()
 	mem.down[d].Store(true)
 	mem.deaths.Add(1)
-	mem.w.bumpEpoch(mem.epoch.Add(1))
+	mem.epoch.Add(1)
 	mem.w.noteMember(d, TraceMemberDead, uint64(d))
 	mem.recoverDead(d)
 }
@@ -442,7 +442,7 @@ func (mem *membership) recoverDead(d int) {
 		}
 
 		// Replica sets mastered by survivors shed the dead holder.
-		mem.shedHolder(d)
+		mem.shedHolder(d, w.postNIC)
 	})
 }
 
@@ -496,7 +496,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 			// have none: residency alone makes the promotion visible).
 			hl.space.InstallMigrated(b)
 		}
-		w.rehomeReplicas(b, nm, kept)
+		w.rehomeReplicas(b, nm, kept, w.postNIC)
 		mem.rehomed.Add(1)
 		w.noteMember(nm, TraceRehome, uint64(b))
 		if home != d && !mem.down[home].Load() && w.caps.Migration {
@@ -516,19 +516,22 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 // loseBlock records a block that died with its owner and sweeps its
 // translation state, so residual traffic falls through to the home or
 // surrogate and terminates at the (acked) stale-drop path instead of
-// chasing a corpse or retrying forever.
+// chasing a corpse or retrying forever. It runs on a recovery handler,
+// so each NIC's sweep is posted to its rank.
 func (mem *membership) loseBlock(blk *gas.Block) {
 	mem.mu.Lock()
 	mem.lost[blk.ID] = struct{}{}
 	mem.mu.Unlock()
 	mem.lostCount.Add(1)
-	mem.w.dropTranslation(blk.ID, blk.Home)
+	for _, loc := range mem.w.locs {
+		loc.space.OnFree(blk.ID, blk.Home, mem.w.postNIC)
+	}
 }
 
 // shedHolder removes rank d from every replica set mastered by a
 // survivor, reinstalling the surviving read geometry (a set whose only
-// holder died dissolves).
-func (mem *membership) shedHolder(d int) {
+// holder died dissolves); nic is how the caller reaches each NIC.
+func (mem *membership) shedHolder(d int, nic nicWrite) {
 	w := mem.w
 	for r, loc := range w.locs {
 		if r == d || mem.down[r].Load() {
@@ -551,7 +554,7 @@ func (mem *membership) shedHolder(d int) {
 				kept = append(kept, h)
 			}
 			if shed {
-				w.rehomeReplicas(b, rs.Master, kept)
+				w.rehomeReplicas(b, rs.Master, kept, nic)
 			}
 		}
 	}
@@ -634,7 +637,7 @@ func (w *World) Retire(rank int) error {
 	// Holder copies on the retiring rank dissolve from their sets (the
 	// masters keep serving); sets mastered here travel with the
 	// migrations below.
-	mem.shedHolder(rank)
+	mem.shedHolder(rank, w.claimNIC)
 
 	// Drain: migrate every owned data block out, round-robin over the
 	// survivors.
@@ -680,7 +683,7 @@ func (w *World) Retire(rank int) error {
 	mem.mu.Unlock()
 	mem.down[rank].Store(true)
 	mem.retires.Add(1)
-	w.bumpEpoch(mem.epoch.Add(1))
+	mem.epoch.Add(1)
 	w.noteMember(rank, TraceMemberDead, uint64(rank))
 	return nil
 }
@@ -788,13 +791,13 @@ func (mem *membership) rebirth(l *Locality) {
 		repls := dir.ReplicaEntries()
 		for _, b := range sortedKeys(repls) {
 			rs := repls[b]
-			l.space.InstallReplicas(b, rs.Master, rs.Holders)
+			l.space.InstallReplicas(b, rs.Master, rs.Holders, w.net.State)
 		}
 	}
 
 	// Back among the living: open the link, bump the epoch, flip state.
 	mem.down[rank].Store(false)
-	w.bumpEpoch(mem.epoch.Add(1))
+	mem.epoch.Add(1)
 	mem.mu.Lock()
 	mem.state[rank] = MemberAlive
 	mem.mu.Unlock()
@@ -804,15 +807,6 @@ func (mem *membership) rebirth(l *Locality) {
 
 // ---------------------------------------------------------------------
 // World wiring helpers
-
-// bumpEpoch fences every NIC translation table at the new membership
-// epoch, on whichever transport the world runs.
-func (w *World) bumpEpoch(epoch uint64) {
-	bump := func(st *netsim.TransState) { st.Table.BumpEpoch(epoch) }
-	for r := range w.locs {
-		w.net.State(r, bump)
-	}
-}
 
 // scheduleFaultMembership arms the membership machinery and schedules
 // the fault plan's whole-node kills and restarts as world timers. Plan

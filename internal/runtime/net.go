@@ -1,11 +1,9 @@
 package runtime
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 )
 
@@ -18,9 +16,11 @@ type network interface {
 	// Send injects m at rank from's NIC (host injection overheads are
 	// already charged).
 	Send(from int, m *netsim.Message)
-	// State runs fn on rank's NIC translation state under the engine's
-	// exclusion: the rank's event context on the simulated fabric, the
-	// NIC's mutex on the goroutine transport.
+	// State runs fn on rank's NIC translation state at once. The caller
+	// is the state's one writer: the rank's event context on the
+	// simulated fabric, its token holder on the goroutine transport (a
+	// driver claims the rank, another rank's holder posts: World.claimNIC,
+	// World.postNIC).
 	State(rank int, fn func(*netsim.TransState))
 	// Defer runs fn on rank's own timeline once the caller's step is
 	// done and before time advances (at once where there is no clock).
@@ -39,49 +39,32 @@ type chanNet struct {
 	execs []*goExec // per-rank actors, for typed (closure-free) delivery
 }
 
-// goNIC is one rank's NIC, the goroutine engine's netsim.Port: one
-// translation state behind one mutex, every step run at once on the
-// goroutine that reached it. The lock is contended only by the rank's
-// token holder, the probe's pings and rare cross-rank writers (Free's
-// sweep, bumpEpoch, rebirth, replica re-homing); the state is a named
-// field, so no TransState method is reachable without mu.
+// goNIC is one rank's NIC, the goroutine engine's netsim.Port: every
+// step runs at once on the goroutine that reached it. Its translation
+// state has one writer, the rank's token holder, so it takes no lock:
+// sends are flushed, arrivals received and table pushes applied on the
+// token, and a write from elsewhere is claimed or posted to it
+// (World.claimNIC, World.postNIC).
 type goNIC struct {
 	// stats is only ever touched atomically (Count, Stats): sender
 	// goroutines, the rank's actor and stats readers all meet here. It
 	// comes first, so the counters fill two cache lines of their own.
 	stats netsim.NICStats
 	netsim.NICCore
-	mu    sync.Mutex
-	trans netsim.TransState
-	l     *Locality
-	c     *chanNet
+	netsim.TransState
+	l *Locality
+	c *chanNet
 	// The pad rounds goNIC up to 256 B, whole cache lines, so every NIC
-	// gets lines of its own: its mutex and counters are written on every
-	// message, and sharing a line with a neighbouring object cost
-	// go_parcels about 5 % of its ops/s (EXPERIMENTS.md W6).
-	_ [40]byte
+	// gets lines of its own: its counters are written on every message,
+	// and sharing a line with a neighbouring object cost go_parcels about
+	// 5 % of its ops/s (EXPERIMENTS.md W6).
+	_ [48]byte
 }
 
-// ReadRoute and Forward make a goNIC the core's view of its translation
-// state (netsim.Routes), one short lock per lookup — never held across
-// the core's calls into residency or membership.
-func (n *goNIC) ReadRoute(b gas.BlockID) (int, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.trans.ReadRoute(b)
-}
-
-func (n *goNIC) Forward(b gas.BlockID) (int, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.trans.Forward(b)
-}
-
-func (n *goNIC) Cache() (*netsim.TransTable, sync.Locker) { return n.trans.Table, &n.mu }
-func (n *goNIC) Transmit(m *netsim.Message)               { n.c.Send(n.Rank, m) }
-func (n *goNIC) Later(m *netsim.Message)                  { netsim.ApplyTable(n, m) }
-func (n *goNIC) DeliverHost(m *netsim.Message)            { n.l.onHostMsg(m) }
-func (n *goNIC) DeliverDMA(m *netsim.Message)             { n.l.onDMA(m) }
+func (n *goNIC) Transmit(m *netsim.Message)    { n.c.Send(n.Rank, m) }
+func (n *goNIC) Later(m *netsim.Message)       { netsim.ApplyTable(n, m) }
+func (n *goNIC) DeliverHost(m *netsim.Message) { n.l.onHostMsg(m) }
+func (n *goNIC) DeliverDMA(m *netsim.Message)  { n.l.onDMA(m) }
 
 // Count declines HostDelivered: there is no host boundary to model, and
 // an atomic add per arrival cost go_rma 13 % of its ops/s in paired runs.
@@ -95,10 +78,10 @@ func newChanNet(w *World) *chanNet {
 	c := &chanNet{w: w}
 	for _, l := range w.locs {
 		n := &goNIC{
-			NICCore: netsim.NICCore{Rank: l.rank, GVARouting: w.caps.NICTranslation, Policy: w.cfg.Policy},
-			trans:   netsim.NewTransState(w.cfg.NICTableCap),
-			l:       l,
-			c:       c,
+			NICCore:    netsim.NICCore{Rank: l.rank, GVARouting: w.caps.NICTranslation, Policy: w.cfg.Policy},
+			TransState: netsim.NewTransState(w.cfg.NICTableCap),
+			l:          l,
+			c:          c,
 		}
 		l.wireNIC(&n.NICCore)
 		c.nics = append(c.nics, n)
@@ -112,12 +95,7 @@ func newChanNet(w *World) *chanNet {
 	return c
 }
 
-func (c *chanNet) State(rank int, fn func(*netsim.TransState)) {
-	n := c.nics[rank]
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	fn(&n.trans)
-}
+func (c *chanNet) State(rank int, fn func(*netsim.TransState)) { fn(&c.nics[rank].TransState) }
 
 func (c *chanNet) Stats(rank int) (s netsim.NICStats) {
 	live := &c.nics[rank].stats
@@ -147,25 +125,17 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 	c.send(from, []*netsim.Message{m})
 }
 
-// send carries ms, injected at rank from, in order: one NIC lock resolves
-// every ByGVA message, each counter takes one atomic add, and each
-// destination mailbox is locked and woken once for its share (postRun).
+// send carries ms, injected at rank from, in order, on from's token:
+// each message is resolved (if ByGVA) and gated in one pass, each
+// counter takes one atomic add, and each destination mailbox is locked
+// and woken once for its share (postRun).
 func (c *chanNet) send(from int, ms []*netsim.Message) {
-	n, locked := c.nics[from], false
-	for _, m := range ms {
-		if n.Address(m) {
-			if !locked {
-				n.mu.Lock()
-				locked = true
-			}
-			n.trans.Resolve(m)
-		}
-	}
-	if locked {
-		n.mu.Unlock()
-	}
+	n := c.nics[from]
 	lv, sent, bytes := c.w.mem.view(), uint64(0), uint64(0)
 	for i, m := range ms {
+		if n.Address(m) {
+			n.Resolve(m)
+		}
 		g, err := n.Gate(n, lv, m, len(c.nics))
 		if err != nil {
 			c.w.fail("chanNet: %v", err)

@@ -422,7 +422,7 @@ func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, hol
 		dir.SetReplicas(b, master, holders)
 	}
 	for _, loc := range w.locs {
-		loc.space.InstallReplicas(b, master, holders)
+		loc.space.InstallReplicas(b, master, holders, w.claimNIC)
 	}
 	w.replCount.Add(1)
 	return nil
@@ -438,7 +438,7 @@ func (w *World) removeReplicaSet(b gas.BlockID, master int, holders []int) {
 		dir.DropReplicas(b)
 	}
 	for _, loc := range w.locs {
-		loc.space.DropReplicas(b)
+		loc.space.DropReplicas(b, w.claimNIC)
 	}
 	w.replCount.Add(-1)
 }
@@ -446,12 +446,13 @@ func (w *World) removeReplicaSet(b gas.BlockID, master int, holders []int) {
 // rehomeReplicas re-anchors b's replica set at its new master after a
 // migration: the destination's directory becomes the owner-side record,
 // every holder learns where writes now live, and all read routes are
-// reinstalled against the new geometry. A set whose holders migrated
-// away entirely (the destination was the sole holder) dissolves.
-func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int) {
+// reinstalled against the new geometry (each NIC through nic). A set
+// whose holders migrated away entirely (the destination was the sole
+// holder) dissolves.
+func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int, nic nicWrite) {
 	if len(holders) == 0 {
 		for _, loc := range w.locs {
-			loc.space.DropReplicas(b)
+			loc.space.DropReplicas(b, nic)
 		}
 		w.replCount.Add(-1)
 		return
@@ -468,8 +469,8 @@ func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int) {
 		hl.mu.Unlock()
 	}
 	for _, loc := range w.locs {
-		loc.space.DropReplicas(b)
-		loc.space.InstallReplicas(b, master, holders)
+		loc.space.DropReplicas(b, nic)
+		loc.space.InstallReplicas(b, master, holders, nic)
 	}
 }
 

@@ -2,12 +2,14 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"nmvgas/internal/agas"
 	"nmvgas/internal/gas"
+	"nmvgas/internal/netsim"
 )
 
 // settleCoherence waits for in-flight coherence traffic (invalidations,
@@ -466,5 +468,80 @@ func TestConcurrentReadsRaceInvalidations(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestNICWritesLandBeforeCompletion pins when writes to other ranks' NIC
+// read routes have landed. On the goroutine engine a NIC's state is
+// written only on its rank's token: a driver call (ReplicateLive,
+// Unreplicate, Retire) claims each rank in turn, so its writes are in
+// place when it returns; a recovery handler posts them to each rank,
+// counted in the recovery steps AwaitMember waits out. Each row leaves
+// b's replica set at (master, holders) and lists the live ranks, each of
+// whose routes must read readTarget's pick (none on the master and the
+// holders, none anywhere once the set is gone). FreeAsync's contract —
+// the stores and the home directory are clean when its gate fires, the
+// NIC sweeps posted behind it — is TestFreeAsyncRemovesMigratedBlocks.
+func TestNICWritesLandBeforeCompletion(t *testing.T) {
+	cases := []struct {
+		name    string
+		act     func(w *World, lay gas.Layout) error
+		master  int // -1: no replica set remains
+		holders []int
+		live    []int
+	}{
+		{name: "ReplicateLive", act: func(w *World, lay gas.Layout) error { return nil },
+			master: 1, holders: []int{2, 3}, live: []int{0, 1, 2, 3}},
+		{name: "Unreplicate", act: func(w *World, lay gas.Layout) error { return w.Unreplicate(lay) },
+			master: -1, live: []int{0, 1, 2, 3}},
+		{name: "Retire", act: func(w *World, lay gas.Layout) error { return w.Retire(3) },
+			master: 1, holders: []int{2}, live: []int{0, 1, 2}},
+		{name: "AwaitMember(dead)", act: func(w *World, lay gas.Layout) error {
+			if w.cfg.Engine == EngineGo {
+				// Rank 0 is busy through the recovery, so the route write
+				// posted to it is still queued when the promotion's own
+				// step is done.
+				hold := make(chan struct{})
+				w.locs[0].exec.Exec(0, func() { <-hold })
+				time.AfterFunc(20*time.Millisecond, func() { close(hold) })
+			}
+			w.Kill(1)
+			w.mem.declareDead(1) // what the probes conclude, with no traffic to time
+			if !w.AwaitMember(1, MemberDead, 20*time.Second) {
+				return fmt.Errorf("recovery never landed: %+v", w.MembershipStats())
+			}
+			return nil
+		}, master: 2, holders: []int{3}, live: []int{0, 2, 3}},
+	}
+	for _, tc := range cases {
+		for _, eng := range allEngines {
+			t.Run(tc.name+"/"+eng.String(), func(t *testing.T) {
+				w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: eng, Reliability: relStress})
+				w.Start()
+				lay, err := w.AllocLocal(1, 64, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.ReplicateLive(lay, 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.act(w, lay); err != nil {
+					t.Fatal(err)
+				}
+				b := lay.BlockAt(0).Block()
+				for _, r := range tc.live {
+					want, wantOK := 0, false
+					if tc.master >= 0 {
+						want, wantOK = w.readTarget(r, tc.master, tc.holders)
+					}
+					var got int
+					var ok bool
+					w.claimNIC(r, func(st *netsim.TransState) { got, ok = st.ReadRoute(b) })
+					if ok != wantOK || got != want {
+						t.Errorf("rank %d's NIC read route = %d,%v, want %d,%v", r, got, ok, want, wantOK)
+					}
+				}
+			})
+		}
 	}
 }

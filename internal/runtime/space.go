@@ -94,20 +94,22 @@ type AddressSpace interface {
 	// Must be called on the home locality's space (setup-phase paths:
 	// Free, Replicate).
 	HomeOwner(b gas.BlockID) int
-	// OnFree forgets all translation state for b held at this locality,
-	// its NIC's included (home is b's home rank).
-	OnFree(b gas.BlockID, home int)
+	// OnFree forgets all translation state for b held at this locality
+	// (home is b's home rank): its host state at once, its NIC's
+	// through nic.
+	OnFree(b gas.BlockID, home int, nic nicWrite)
 
 	// InstallReplicas tells this locality that block b now has a
 	// replica set (master plus holder ranks). Each space decides what
 	// its rank needs: the network-managed space installs a NIC read
-	// route on non-holder ranks, the host-translated spaces install a
-	// host-side replica route, holders and the master need nothing.
-	// Called on every locality at ReplicateLive time (setup-phase).
-	InstallReplicas(b gas.BlockID, master int, holders []int)
+	// route on non-holder ranks (through nic), the host-translated
+	// spaces install a host-side replica route, holders and the master
+	// need nothing. Called on every locality at ReplicateLive time
+	// (setup-phase) and whenever the set is re-homed.
+	InstallReplicas(b gas.BlockID, master int, holders []int, nic nicWrite)
 	// DropReplicas removes whatever InstallReplicas set up for b at
 	// this locality (Unreplicate, Free).
-	DropReplicas(b gas.BlockID)
+	DropReplicas(b gas.BlockID, nic nicWrite)
 	// ReadRoute resolves a read of b in host software: the rank whose
 	// replica should serve it, charged per the mode's translation
 	// story. ok is false when reads should follow ordinary ownership

@@ -21,8 +21,9 @@ func eachEngine(t *testing.T, pol netsim.Policy, fn func(t *testing.T, w *World)
 	}
 }
 
+// nicRoute reads rank's authoritative NIC route on the rank's token.
 func nicRoute(w *World, rank int, b gas.BlockID) (owner int, ok bool) {
-	w.net.State(rank, func(st *netsim.TransState) { owner, ok = st.Route(b) })
+	w.claimNIC(rank, func(st *netsim.TransState) { owner, ok = st.Route(b) })
 	return owner, ok
 }
 
@@ -45,7 +46,7 @@ func eachMigration(t *testing.T, check func(t *testing.T, w *World, b gas.BlockI
 			{3, 2}, // back to a NIC holding a route
 		} {
 			if step.to == 2 {
-				w.net.State(2, func(st *netsim.TransState) { st.Table.Update(b, 3) })
+				w.claimNIC(2, func(st *netsim.TransState) { st.Table.Update(b, 3) })
 			}
 			if st := MigrateStatus(w.MustWait(w.Proc(0).Migrate(g, step.to))); st != MigrateOK {
 				t.Fatalf("migrate to %d: status %d", step.to, st)
@@ -147,7 +148,7 @@ func TestNMFreeSweepsEveryNIC(t *testing.T) {
 		b := lay.BlockAt(0).Block()
 		w.MustWait(w.Proc(0).Migrate(lay.BlockAt(0), 2))
 		for r := 0; r < 4; r++ {
-			w.net.State(r, func(st *netsim.TransState) {
+			w.claimNIC(r, func(st *netsim.TransState) {
 				st.InstallRoute(b, (r+1)%4)
 				st.Table.Update(b, (r+1)%4)
 			})

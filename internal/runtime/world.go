@@ -173,6 +173,11 @@ func NewWorld(cfg Config) (*World, error) {
 	default:
 		return nil, fmt.Errorf("runtime: unknown engine %d", cfg.Engine)
 	}
+	// Every NIC table trusts the one membership epoch: a membership
+	// change fences them all with one advance.
+	for r := range w.locs {
+		w.net.State(r, func(st *netsim.TransState) { st.Table.TrustEpoch(&w.mem.epoch) })
+	}
 	// Per-locality infrastructure blocks: parcels that address "the
 	// locality" (collectives wiring, migration control) target these.
 	base, err := w.seq.Reserve(uint32(cfg.Ranks))
@@ -195,12 +200,32 @@ func (w *World) Config() Config { return w.cfg }
 // Caps returns the capability descriptor of the world's address space.
 func (w *World) Caps() Caps { return w.caps }
 
-// dropTranslation forgets every locality's translation state, host and
-// NIC, for a freed block.
-func (w *World) dropTranslation(b gas.BlockID, home int) {
-	for _, loc := range w.locs {
-		loc.space.OnFree(b, home)
+// nicWrite applies fn to rank's NIC state the way its caller may reach
+// the state's one writer (network.State): a handler of that rank passes
+// w.net.State, a driver w.claimNIC, another rank's handler w.postNIC.
+type nicWrite func(rank int, fn func(*netsim.TransState))
+
+// claimNIC runs fn on rank's NIC state for a driver: it claims the rank
+// (at once on DES), or runs fn directly on a world not started or
+// stopped, whose mailboxes run no claim.
+func (w *World) claimNIC(rank int, fn func(*netsim.TransState)) {
+	st := func() { w.net.State(rank, fn) }
+	if !w.started || !w.locs[rank].exec.claim(st) {
+		st()
 	}
+}
+
+// postNIC applies fn to rank's NIC state for a handler holding another
+// rank's token, which must never wait for a second: queued on rank's
+// mailbox (at once on DES) and counted in mem.pending, so AwaitMember
+// covers it. The caller's host-side half stays synchronous.
+func (w *World) postNIC(rank int, fn func(*netsim.TransState)) {
+	mem := w.mem
+	mem.pending.Add(1)
+	w.locs[rank].exec.hand(func() {
+		defer mem.donePending()
+		w.net.State(rank, fn)
+	})
 }
 
 // Ranks returns the number of localities.
