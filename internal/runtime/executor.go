@@ -36,7 +36,8 @@ type Executor interface {
 	claim(fn func()) bool
 	// hand runs fn as the locality's handler without waiting for its
 	// token: at once on DES, queued on the goroutine engine's mailbox.
-	hand(fn func())
+	// It reports false when a stopped mailbox dropped fn.
+	hand(fn func()) bool
 }
 
 // msgOp names one step of a message's life on a locality's host.
@@ -82,7 +83,7 @@ func (e *desExec) After(d netsim.VTime, fn func()) { e.eng.AfterRank(e.rank, d, 
 
 func (e *desExec) claim(fn func()) bool { fn(); return true }
 
-func (e *desExec) hand(fn func()) { fn() }
+func (e *desExec) hand(fn func()) bool { fn(); return true }
 
 // HandleMsg runs a typed event step (netsim.MsgSink).
 func (e *desExec) HandleMsg(op uint8, m *netsim.Message) { e.l.handleMsg(msgOp(op), m) }
@@ -271,15 +272,16 @@ func (e *goExec) stop() {
 	e.wg.Wait()
 }
 
-// post queues t; work arriving after stop is dropped. A waited t — the
-// request of a blocking one-sided op, or its completion — finding the
-// token free takes it instead: the posting goroutine runs one turn itself
-// (t included, behind whatever was queued). It never waits for the
-// token: a held one means t queues.
-func (e *goExec) post(t task, waited bool) {
+// post queues t and reports whether it did: work arriving after stop is
+// dropped. A waited t — the request of a blocking one-sided op, or its
+// completion — finding the token free takes it instead: the posting
+// goroutine runs one turn itself (t included, behind whatever was
+// queued). It never waits for the token: a held one means t queues.
+func (e *goExec) post(t task, waited bool) bool {
 	e.mu.Lock()
+	queued := !e.stopped
 	switch {
-	case e.stopped:
+	case !queued:
 	case waited && e.inline && !e.running:
 		e.running = true
 		e.push(t)
@@ -291,6 +293,7 @@ func (e *goExec) post(t task, waited bool) {
 		}
 	}
 	e.mu.Unlock()
+	return queued
 }
 
 // claim is how a driver acts for the locality (Proc's one-sided calls,
@@ -350,7 +353,7 @@ func (e *goExec) postRun(ms []*netsim.Message, rank int) {
 
 func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.post(task{fn: fn}, false) }
 
-func (e *goExec) hand(fn func()) { e.post(task{fn: fn}, false) }
+func (e *goExec) hand(fn func()) bool { return e.post(task{fn: fn}, false) }
 
 // execMsg posts a transport-delivered message for the NIC receive path
 // without allocating a closure.

@@ -157,11 +157,11 @@ type Locality struct {
 	ctx Ctx
 	dec parcel.Parcel
 
-	parcelSeq atomic.Uint64
-	// opIDSeq feeds newOpID; the rank lives in the id's high bits, so the
-	// per-locality counter yields world-unique ids without coordination.
-	opIDSeq atomic.Uint64
-	Stats   LocStats
+	// parcelSeq and opIDSeq have one writer, the token holder (or DES
+	// event). opIDSeq feeds newOpID; the rank lives in the id's high
+	// bits, so the per-locality counter yields world-unique ids.
+	parcelSeq, opIDSeq uint64
+	Stats              LocStats
 }
 
 // newOpID mints a world-unique causal span id: rank+1 in the top 16 bits
@@ -170,7 +170,8 @@ type Locality struct {
 // namespace — an id names one logical operation across every hop,
 // forward, NACK repair, and retransmit.
 func (l *Locality) newOpID() uint64 {
-	return uint64(l.rank+1)<<48 | l.opIDSeq.Add(1)
+	l.opIDSeq++
+	return uint64(l.rank+1)<<48 | l.opIDSeq
 }
 
 func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
@@ -291,7 +292,8 @@ func (l *Locality) wireNIC(c *netsim.NICCore) {
 // parcels ride pooled wire buffers (see wirebuf.go).
 func (l *Locality) SendParcel(p *parcel.Parcel) {
 	p.Src = l.rank
-	p.Seq = l.parcelSeq.Add(1)
+	l.parcelSeq++
+	p.Seq = l.parcelSeq
 	p.OpID = l.newOpID()
 	l.Stats.ParcelsSent.Inc()
 	l.note(TraceSend, p.Target.Block(), uint64(p.Action), p.OpID)

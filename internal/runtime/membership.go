@@ -370,6 +370,10 @@ func (mem *membership) declareDead(d int) {
 		mem.mu.Unlock()
 		return
 	}
+	// Recovery is owed once the state reads dead: AwaitMember must not
+	// see it quiescent before it is scheduled.
+	mem.pending.Add(1)
+	defer mem.donePending()
 	mem.state[d] = MemberDead
 	mem.surrogate[d] = mem.nextLiveLocked(d)
 	mem.mu.Unlock()
@@ -389,6 +393,24 @@ func (mem *membership) addRehome(b gas.BlockID, owner, home int) {
 
 func (mem *membership) donePending() { mem.pending.Add(-1) }
 
+// step schedules fn, one recovery step counted in mem.pending, as rank-l
+// host work: an executor task, or under sharding a barrier task, since
+// recovery reaches across ranks. A stopped mailbox releases it at once.
+func (mem *membership) step(l *Locality, fn func()) {
+	mem.pending.Add(1)
+	run := func() { defer mem.donePending(); fn() }
+	switch eng := mem.w.eng; {
+	case eng == nil:
+		if !l.exec.hand(run) {
+			mem.donePending()
+		}
+	case eng.Sharded():
+		eng.After(0, run)
+	default:
+		l.exec.Exec(0, run)
+	}
+}
+
 // recoverDead re-homes everything the dead locality was responsible
 // for. The harvest runs on the dead rank's own actor: its links are cut
 // but the actor still drains, so the snapshot serializes against any
@@ -399,14 +421,11 @@ func (mem *membership) donePending() { mem.pending.Add(-1) }
 func (mem *membership) recoverDead(d int) {
 	w := mem.w
 	dl := w.locs[d]
-	mem.pending.Add(1)
 	// Under the sharded engine the whole harvest runs at a barrier
-	// (w.onActor), because it reads the corpse's store and directory and
+	// (mem.step), because it reads the corpse's store and directory and
 	// fans mutations out across surviving ranks — all of which is global
 	// work no single shard may do mid-window.
-	w.onActor(dl, func() {
-		defer mem.donePending()
-
+	mem.step(dl, func() {
 		// Harvest the corpse: resident master blocks, and the directory
 		// knowledge homed here (the directory is logically replicated
 		// metadata — it survives the data loss).
@@ -483,9 +502,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 	b, home, bsize := blk.ID, blk.Home, blk.BSize
 	data := append([]byte(nil), blk.Data...)
 	hl := w.locs[nm]
-	mem.pending.Add(1)
-	w.onActor(hl, func() {
-		defer mem.donePending()
+	mem.step(hl, func() {
 		hl.dropReplica(b)
 		nb := &gas.Block{ID: b, Kind: gas.KindData, BSize: bsize, Data: data, Home: home}
 		if err := hl.store.Insert(nb); err != nil {
@@ -502,11 +519,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 		if home != d && !mem.down[home].Load() && w.caps.Migration {
 			// The home is alive: flip its directory authoritatively,
 			// exactly as a migration commit would.
-			mem.pending.Add(1)
-			w.onActor(w.locs[home], func() {
-				defer mem.donePending()
-				w.locs[home].space.CommitMigrate(b, nm)
-			})
+			mem.step(w.locs[home], func() { w.locs[home].space.CommitMigrate(b, nm) })
 		} else {
 			mem.addRehome(b, nm, home)
 		}
@@ -707,14 +720,10 @@ func (w *World) Join(rank int) error {
 	mem.mu.Unlock()
 	mem.arm()
 	l := w.locs[rank]
-	mem.pending.Add(1)
 	// Rebirth wipes cross-cutting state (world receive streams, NIC
 	// tables, the recovery overlay), so under sharding it runs at a
 	// barrier like the rest of the membership transitions.
-	w.onActor(l, func() {
-		defer mem.donePending()
-		mem.rebirth(l)
-	})
+	mem.step(l, func() { mem.rebirth(l) })
 	return nil
 }
 

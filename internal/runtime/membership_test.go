@@ -527,3 +527,62 @@ func TestStopAbortsInFlightMigrations(t *testing.T) {
 		})
 	}
 }
+
+// holdDeclaredDeath makes w's tracer hold declareDead between its two
+// steps, the state flip and scheduling recovery, where it observes
+// TraceMemberDead: held closes when a death gets there, and the death
+// goes on once release closes.
+func holdDeclaredDeath(w *World) (held, release chan struct{}) {
+	held, release = make(chan struct{}), make(chan struct{})
+	w.SetTracer(func(ev TraceEvent) {
+		if ev.Kind == TraceMemberDead {
+			close(held)
+			<-release
+		}
+	})
+	return held, release
+}
+
+// TestAwaitMemberWaitsForScheduledRecovery: a death whose recovery is
+// not yet scheduled is not settled, so AwaitMember(d, MemberDead) must
+// not return until that recovery has been scheduled and has run.
+func TestAwaitMemberWaitsForScheduledRecovery(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, Reliability: relStress})
+	held, release := holdDeclaredDeath(w)
+	w.Start()
+	w.Kill(3)
+	go w.mem.declareDead(3)
+	<-held
+	if w.AwaitMember(3, MemberDead, 50*time.Millisecond) {
+		t.Error("AwaitMember reported rank 3's death settled before its recovery was scheduled")
+	}
+	close(release)
+	if !w.AwaitMember(3, MemberDead, 20*time.Second) {
+		t.Fatalf("rank 3's recovery never landed: %+v", w.MembershipStats())
+	}
+}
+
+// TestAwaitMemberAfterStopMidRecovery stops a world while a death's
+// recovery is being scheduled. The recovery step and a NIC write posted
+// after the stop reach stopped mailboxes and run nothing, so neither
+// may stay counted: AwaitMember returns at once instead of waiting out
+// its timeout.
+func TestAwaitMemberAfterStopMidRecovery(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo, Reliability: relStress})
+	held, release := holdDeclaredDeath(w)
+	w.Start()
+	w.Kill(3)
+	declared := make(chan struct{})
+	go func() {
+		w.mem.declareDead(3)
+		close(declared)
+	}()
+	<-held
+	w.Stop()
+	close(release)
+	<-declared
+	w.postNIC(0, func(*netsim.TransState) { t.Error("a NIC write ran on a stopped mailbox") })
+	if !w.AwaitMember(3, MemberDead, 5*time.Second) {
+		t.Fatalf("AwaitMember after Stop timed out with %d recovery steps counted", w.mem.pending.Load())
+	}
+}

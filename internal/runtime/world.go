@@ -222,10 +222,9 @@ func (w *World) claimNIC(rank int, fn func(*netsim.TransState)) {
 func (w *World) postNIC(rank int, fn func(*netsim.TransState)) {
 	mem := w.mem
 	mem.pending.Add(1)
-	w.locs[rank].exec.hand(func() {
-		defer mem.donePending()
-		w.net.State(rank, fn)
-	})
+	if !w.locs[rank].exec.hand(func() { defer mem.donePending(); w.net.State(rank, fn) }) {
+		mem.donePending() // a stopped mailbox runs nothing
+	}
 }
 
 // Ranks returns the number of localities.
@@ -401,20 +400,6 @@ func (w *World) mustDES(op string) {
 	if w.eng == nil {
 		panic(fmt.Sprintf("runtime: %s requires the DES engine", op))
 	}
-}
-
-// onActor schedules fn as rank-l host work from global (driver or
-// barrier) context. On the classic DES engine it is an ordinary executor
-// task; under sharding it runs as a barrier task instead, because the
-// recovery and membership work routed through here freely reaches across
-// ranks — inside a parallel window that would race. Under EngineGo it is
-// a plain actor task.
-func (w *World) onActor(l *Locality, fn func()) {
-	if w.eng != nil && w.eng.Sharded() {
-		w.eng.After(0, fn)
-		return
-	}
-	l.exec.Exec(0, fn)
 }
 
 // deferGlobal runs fn in a context allowed to touch any rank's state:
