@@ -46,7 +46,7 @@ func TestDESPortReceiveAllocatesNothing(t *testing.T) {
 		at(0, CntTableUpdatesRx) == 0 || at(3, CntHostDelivered) == 0 {
 		t.Fatal("the pass did not exercise the paths")
 	}
-	if o, ok := h.fab.NIC(0).Table.Peek(gas.BlockID(50)); !ok || o != 3 {
+	if o, ok := peek(h.fab.NIC(0).Table, gas.BlockID(50)); !ok || o != 3 {
 		t.Fatalf("source table after the push: %d,%v", o, ok)
 	}
 }

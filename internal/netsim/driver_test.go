@@ -110,7 +110,7 @@ func TestDriverReceive(t *testing.T) {
 			calls: []string{"later table-write"},
 			stats: counts(CntTableUpdatesRx, 1),
 			check: func(t *testing.T, p *recPort, _ *Message) {
-				if o, ok := p.Table.Peek(60); !ok || o != 3 {
+				if o, ok := peek(p.Table, 60); !ok || o != 3 {
 					t.Fatalf("push not applied: %d,%v", o, ok)
 				}
 			}},
@@ -118,7 +118,7 @@ func TestDriverReceive(t *testing.T) {
 			calls: []string{"later table-write"},
 			stats: counts(CntTableUpdatesRx, 1, CntStaleEpochDrops, 1),
 			check: func(t *testing.T, p *recPort, _ *Message) {
-				if _, ok := p.Table.Peek(60); ok {
+				if _, ok := peek(p.Table, 60); ok {
 					t.Fatal("stale push applied")
 				}
 			}},
@@ -193,11 +193,11 @@ func TestApplyTableDropsPushBelowSharedEpoch(t *testing.T) {
 	stale := c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch())
 	epoch.Add(1)
 	ApplyTable(to, stale)
-	if _, ok := to.Table.Peek(50); ok || to.stats[CntStaleEpochDrops] != 1 {
+	if _, ok := peek(to.Table, 50); ok || to.stats[CntStaleEpochDrops] != 1 {
 		t.Fatalf("push stamped at 3 under epoch 4: applied=%v, %d stale drops; want dropped and 1", ok, to.stats[CntStaleEpochDrops])
 	}
 	ApplyTable(to, c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch()))
-	if o, ok := to.Table.Peek(50); !ok || o != 3 || to.stats[CntStaleEpochDrops] != 1 {
+	if o, ok := peek(to.Table, 50); !ok || o != 3 || to.stats[CntStaleEpochDrops] != 1 {
 		t.Fatalf("push stamped at the current epoch: %d,%v, %d stale drops", o, ok, to.stats[CntStaleEpochDrops])
 	}
 }

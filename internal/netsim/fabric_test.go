@@ -127,7 +127,7 @@ func TestFabricInNetworkForwardAfterMigration(t *testing.T) {
 		t.Fatal("home host must not be involved in an in-network forward")
 	}
 	// PushUpdates: source NIC learned the new owner.
-	if o, ok := h.fab.NIC(0).Table.Peek(50); !ok || o != 3 {
+	if o, ok := peek(h.fab.NIC(0).Table, 50); !ok || o != 3 {
 		t.Fatalf("source NIC table entry = %d,%v, want 3", o, ok)
 	}
 	// A second send now goes direct (no forward).
@@ -155,7 +155,7 @@ func TestFabricNoPushUpdatesKeepsBouncing(t *testing.T) {
 	if h.fab.NIC(2).Stats[CntForwards] != 3 {
 		t.Fatalf("forwards = %d, want 3 (no pushed updates)", h.fab.NIC(2).Stats[CntForwards])
 	}
-	if _, ok := h.fab.NIC(0).Table.Peek(50); ok {
+	if _, ok := peek(h.fab.NIC(0).Table, 50); ok {
 		t.Fatal("source table updated despite PushUpdates=false")
 	}
 }

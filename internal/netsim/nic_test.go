@@ -88,7 +88,7 @@ func TestCtlUpdatesRespectTableCapacity(t *testing.T) {
 	if nic.Table.Len() != 2 {
 		t.Fatalf("table len %d, want capacity 2", nic.Table.Len())
 	}
-	if _, ok := nic.Table.Peek(5); !ok {
+	if _, ok := peek(nic.Table, 5); !ok {
 		t.Fatal("newest pushed entry missing")
 	}
 	if nic.Stats[CntTableUpdatesRx] != 5 {

@@ -222,13 +222,13 @@ func TestNICCoreApplyTableAndControl(t *testing.T) {
 	if ApplyTable(p, upd); p.stats[CntStaleEpochDrops] != 0 {
 		t.Fatal("current-epoch push reported stale")
 	}
-	if o, ok := p.Table.Peek(50); !ok || o != 3 {
+	if o, ok := peek(p.Table, 50); !ok || o != 3 {
 		t.Fatalf("push not applied: %d,%v", o, ok)
 	}
 	if ApplyTable(p, c.Control(CtlTableUpdate, orig, 9, 4)); p.stats[CntStaleEpochDrops] != 1 {
 		t.Fatal("older-epoch push not reported stale")
 	}
-	if o, _ := p.Table.Peek(50); o != 3 {
+	if o, _ := peek(p.Table, 50); o != 3 {
 		t.Fatalf("stale push applied: owner %d", o)
 	}
 	batch := &Message{Ctl: CtlTableBatch, Epoch: 5}
@@ -236,7 +236,7 @@ func TestNICCoreApplyTableAndControl(t *testing.T) {
 	if ApplyTable(p, batch); p.stats[CntStaleEpochDrops] != 1 {
 		t.Fatal("batch reported stale")
 	}
-	if o, ok := p.Table.Peek(61); !ok || o != 4 {
+	if o, ok := peek(p.Table, 61); !ok || o != 4 {
 		t.Fatalf("batch entry missing: %d,%v", o, ok)
 	}
 	nk := c.Control(CtlNackLoop, orig, 1, 77)

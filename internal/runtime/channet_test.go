@@ -11,10 +11,11 @@ import (
 // tests pin the policy behaviours through it, next to the DES assertions
 // in modes_test.go.
 
-// peekNICTable reads rank's evictable NIC table without touching recency,
-// on the rank's token (World.claimNIC), so it may run mid-traffic.
+// peekNICTable reads what rank's NIC would forward b to — its route, else
+// its table entry, read without touching recency or counters — on the
+// rank's token (World.claimNIC), so it may run mid-traffic.
 func peekNICTable(w *World, rank int, b gas.BlockID) (owner int, ok bool) {
-	w.claimNIC(rank, func(st *netsim.TransState) { owner, ok = st.Table.Peek(b) })
+	w.claimNIC(rank, func(st *netsim.TransState) { owner, ok = st.Forward(b) })
 	return owner, ok
 }
 

@@ -169,13 +169,13 @@ func goNICStateChurn(t *testing.T, tableCap int) {
 	}
 }
 
-// TestGoNICFillsWholeCacheLines holds goNIC's pad to its purpose: a
-// field added or removed must resize the pad, or neighbouring NICs share
-// a cache line again.
+// TestGoNICFillsWholeCacheLines holds goNIC to whole cache lines (192 B,
+// unpadded): a field added or removed must keep it so, padding it if need
+// be, or neighbouring NICs share a cache line again.
 func TestGoNICFillsWholeCacheLines(t *testing.T) {
 	var n goNIC
 	if s := unsafe.Sizeof(n); unsafe.Sizeof(uintptr(0)) == 8 && s%64 != 0 {
-		t.Fatalf("goNIC is %d B, not a whole number of 64 B lines: resize its pad", s)
+		t.Fatalf("goNIC is %d B, not a whole number of 64 B lines: pad it", s)
 	}
 }
 
