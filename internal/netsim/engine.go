@@ -328,11 +328,18 @@ type Engine struct {
 // zero.
 func NewEngine() *Engine { return &Engine{shard: -1, curRank: -1} }
 
-// Sharded reports whether this engine is a face of a sharded ParEngine.
-func (e *Engine) Sharded() bool { return e.par != nil }
-
-// Par returns the underlying ParEngine (nil on a classic engine).
-func (e *Engine) Par() *ParEngine { return e.par }
+// Shutdown stops a sharded engine's worker goroutines; a classic engine
+// has none. The engine must be quiescent (no window in flight); further
+// parallel windows after Shutdown panic.
+func (e *Engine) Shutdown() {
+	if e.par == nil {
+		return
+	}
+	for _, w := range e.par.workers {
+		close(w.start)
+	}
+	e.par.workers = nil
+}
 
 // RankEngine returns the engine face that schedules rank's events: the
 // rank's shard engine under sharding, the engine itself otherwise.

@@ -226,7 +226,7 @@ func laneTrace(ranks, shards int) [][]uint64 {
 	drv := NewEngine()
 	if shards > 0 {
 		drv = NewParEngine(ranks, shards, la)
-		defer drv.Par().Shutdown()
+		defer drv.Shutdown()
 	}
 	traces := make([][]uint64, ranks)
 	sinks := make([]laneSink, ranks)

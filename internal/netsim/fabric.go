@@ -76,7 +76,7 @@ func NewFabric(eng *Engine, cfg FabricConfig) *Fabric {
 	}
 	for r := range f.NICs {
 		fi := f.Faults
-		if eng.Sharded() {
+		if eng.par != nil {
 			// Each NIC draws from its own seeded stream so its fault
 			// schedule depends only on its own (shard-count-invariant)
 			// transmit order, not the global interleaving of all NICs.
@@ -99,13 +99,12 @@ func (f *Fabric) FaultSnapshot() FaultStats {
 	if f.Faults == nil {
 		return FaultStats{}
 	}
-	if !f.Eng.Sharded() {
+	if f.Eng.par == nil {
 		return f.Faults.Snapshot()
 	}
 	var t FaultStats
 	for _, n := range f.NICs {
-		s := n.fi.Snapshot()
-		t.add(s)
+		t.add(n.fi.Snapshot())
 	}
 	return t
 }
@@ -113,19 +112,13 @@ func (f *Fabric) FaultSnapshot() FaultStats {
 // NIC returns the interface of the given rank.
 func (f *Fabric) NIC(rank int) *NIC { return f.NICs[rank] }
 
-// The methods below are the transport face the runtime drives both
-// engines through (the goroutine transport implements the same set).
-
-// Send injects m at rank from's NIC.
-func (f *Fabric) Send(from int, m *Message) { f.NICs[from].Send(m) }
-
-// State runs fn on rank's translation state. A simulated NIC has one
-// state, and its rank's event context is the exclusion.
+// The transport face of the runtime's engine port (the goroutine
+// transport implements the same set). Send injects m at rank from's NIC.
+// State runs fn on rank's translation state: a simulated NIC has one, and
+// its rank's event context is the exclusion. Stats returns rank's NIC
+// counters. Defer runs fn as rank's own event at the current simulated
+// instant: after the running event finishes, before time advances.
+func (f *Fabric) Send(from int, m *Message)            { f.NICs[from].Send(m) }
 func (f *Fabric) State(rank int, fn func(*TransState)) { fn(&f.NICs[rank].TransState) }
-
-// Stats returns rank's NIC counters.
-func (f *Fabric) Stats(rank int) NICStats { return f.NICs[rank].Stats }
-
-// Defer runs fn as rank's own event at the current simulated instant:
-// after the running event finishes, before time advances.
-func (f *Fabric) Defer(rank int, fn func()) { f.NICs[rank].eng.AfterRank(rank, 0, fn) }
+func (f *Fabric) Stats(rank int) NICStats              { return f.NICs[rank].Stats }
+func (f *Fabric) Defer(rank int, fn func())            { f.NICs[rank].eng.AfterRank(rank, 0, fn) }

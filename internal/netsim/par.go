@@ -365,15 +365,6 @@ func (p *ParEngine) pendingAll() int {
 	return n
 }
 
-// Shutdown stops the worker goroutines. The engine must be quiescent
-// (no window in flight); further parallel windows after Shutdown panic.
-func (p *ParEngine) Shutdown() {
-	for _, w := range p.workers {
-		close(w.start)
-	}
-	p.workers = nil
-}
-
 // pendingByRank attributes scheduled-but-unexecuted events in the shard
 // queues and inboxes to their ranks (see Engine.PendingByRank; barrier
 // tasks, queued or staged, belong to no rank). Only legal between windows

@@ -38,7 +38,7 @@ func TestRunUntilStride(t *testing.T) {
 // per-rank slice comparison.
 func parTrace(ranks, shards int, lookahead VTime) [][]string {
 	drv := NewParEngine(ranks, shards, lookahead)
-	defer drv.Par().Shutdown()
+	defer drv.Shutdown()
 	traces := make([][]string, ranks)
 	var barrierLog []string // driver/barrier context only: serial by construction
 
@@ -112,7 +112,7 @@ func TestShardedEquivalence(t *testing.T) {
 // façade sum across shard heaps.
 func TestShardedProcessedAggregates(t *testing.T) {
 	drv := NewParEngine(4, 2, 900)
-	defer drv.Par().Shutdown()
+	defer drv.Shutdown()
 	for r := 0; r < 4; r++ {
 		drv.AtRank(r, 10, func() {})
 	}
@@ -134,7 +134,7 @@ func TestShardedProcessedAggregates(t *testing.T) {
 // than the wire allows) and must panic rather than silently reorder.
 func TestLookaheadViolationPanics(t *testing.T) {
 	drv := NewParEngine(2, 2, 900*Nanosecond)
-	defer drv.Par().Shutdown()
+	defer drv.Shutdown()
 	drv.AtRank(0, 10, func() {
 		defer func() {
 			if recover() == nil {
@@ -152,7 +152,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 // window must execute before the barrier task.
 func TestShardedBarrierDefersGlobalWork(t *testing.T) {
 	drv := NewParEngine(2, 2, 900*Nanosecond)
-	defer drv.Par().Shutdown()
+	defer drv.Shutdown()
 	var order []string
 	drv.AtRank(0, 10, func() {
 		drv.RankEngine(0).AtBarrier(func() { order = append(order, "barrier") })
@@ -169,7 +169,7 @@ func TestShardedBarrierDefersGlobalWork(t *testing.T) {
 // window boundaries but still stops once the predicate holds.
 func TestShardedRunUntil(t *testing.T) {
 	drv := NewParEngine(4, 2, 900*Nanosecond)
-	defer drv.Par().Shutdown()
+	defer drv.Shutdown()
 	fired := 0
 	for i := 0; i < 32; i++ {
 		r := i % 4
@@ -191,10 +191,10 @@ func TestShardedRunUntil(t *testing.T) {
 // to ranks, and a non-positive lookahead is a programming error.
 func TestNewParEngineClamps(t *testing.T) {
 	drv := NewParEngine(3, 16, 900)
-	if n := drv.Par().nshards; n != 3 {
+	if n := drv.par.nshards; n != 3 {
 		t.Fatalf("shards clamped to %d; want 3", n)
 	}
-	drv.Par().Shutdown()
+	drv.Shutdown()
 	defer func() {
 		if recover() == nil {
 			t.Error("NewParEngine accepted lookahead 0")

@@ -34,12 +34,7 @@ func (c *Ctx) World() *World { return c.l.w }
 
 // Now returns the simulated time of the running event on this rank's
 // engine (0 on the goroutine engine).
-func (c *Ctx) Now() netsim.VTime {
-	if c.l.eng == nil {
-		return 0
-	}
-	return c.l.eng.Now()
-}
+func (c *Ctx) Now() netsim.VTime { return c.l.exec.now() }
 
 // Charge accounts d of simulated compute time to this locality's host
 // CPU. No-op on the goroutine engine, where compute costs are real.
@@ -179,19 +174,10 @@ func (p *Proc) Get(src gas.GVA, n uint32) *LCORef {
 
 // PutAsync issues a one-sided write "from" this locality without a
 // future; done (optional) runs on the locality at remote completion. On
-// the goroutine engine the caller claims the locality's token and issues
-// inline (goExec.claim), so drivers pipeline puts with no mailbox round
-// trip per op; against a busy locality the call waits out the holder's
-// turn. On the DES engine the issue is scheduled like every other driver
-// operation.
-func (p *Proc) PutAsync(dst gas.GVA, data []byte, done func()) {
-	if p.l.w.eng == nil {
-		p.l.exec.(*goExec).claim(func() { p.l.PutAsync(dst, data, done) })
-		return
-	}
-	buf := append([]byte(nil), data...)
-	p.Run(func() { p.l.PutAsync(dst, buf, done) })
-}
+// the goroutine engine the caller issues inline under the locality's
+// token, waiting out a busy holder's turn (goExec.putAsync), so drivers
+// pipeline puts with no mailbox round trip per op.
+func (p *Proc) PutAsync(dst gas.GVA, data []byte, done func()) { p.l.exec.putAsync(dst, data, done) }
 
 // PutWait writes data at dst and blocks the driver until the remote
 // completion (advancing simulated time under the DES engine).
@@ -234,28 +220,16 @@ const waitPending, waitCompleted, waitParked = 0, 1, 2
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
-// await issues r and blocks until its completion has copied a read's data
-// into into; it is the one place an op is marked waited. On the goroutine
-// engine the caller claims the locality's token to issue the op
-// (goExec.claim) and drains each idle locality it reaches (goExec.post),
-// so against idle owners the op runs from issue through serve to
-// completion with no hand-off and the caller never parks. On DES the
-// issue is scheduled like every other driver operation and the caller
-// runs the engine until the completion; like Wait it is a driver entry
-// point, so it re-arms a parked pulse first (pulseResume).
+// await issues r (Executor.awaitOp) and blocks until its completion has
+// copied a read's data into into; it is the one place an op is marked
+// waited. Against idle owners on the goroutine engine the op runs from
+// issue through serve to completion with no hand-off, and the caller
+// never parks.
 func (p *Proc) await(op string, r rmaReq, into []byte) {
 	wt := waiterPool.Get().(*waiter)
 	wt.into = into
 	wt.state.Store(waitPending)
-	if w := p.l.w; w.eng == nil {
-		p.l.exec.(*goExec).claim(func() { p.l.issue(r, opState{wait: wt}) })
-	} else {
-		p.Run(func() { p.l.issue(r, opState{wait: wt}) })
-		w.pulseResume()
-		if !w.eng.RunUntil(func() bool { return wt.state.Load() == waitCompleted }) {
-			w.fail("%s: event queue drained before completion", op)
-		}
-	}
+	p.l.exec.awaitOp(op, r, wt)
 	if wt.state.CompareAndSwap(waitPending, waitParked) {
 		<-wt.ch
 	}

@@ -46,20 +46,27 @@ import (
 
 var trials = flag.Int("trials", 100, "trials per mode for the bubble tests")
 
-// inBubble runs f in a synctest bubble. A bubble returns only once all
-// of its goroutines and timers have, so a timer chain that outlives
-// World.Stop keeps it alive forever; a minute of wall time fails t.
-func inBubble(t *testing.T, f func()) {
+// inBubble runs f in a synctest bubble and returns its error. A bubble
+// returns only once all of its goroutines and timers have, so a timer
+// chain that outlives World.Stop keeps it alive forever; a minute of wall
+// time fails t. The error travels on a channel: the race detector does
+// not see synctest.Run's return as ordering a write made in the bubble
+// before a read made after it.
+func inBubble(t *testing.T, f func() error) error {
 	t.Helper()
-	done := make(chan struct{})
+	res, done := make(chan error, 1), make(chan struct{})
 	go func() {
 		defer close(done)
-		synctest.Run(f)
+		synctest.Run(func() { res <- f() })
 	}()
+	limit := time.NewTimer(time.Minute)
+	defer limit.Stop()
 	select {
 	case <-done:
-	case <-time.After(time.Minute):
+		return <-res
+	case <-limit.C:
 		t.Fatal("bubble never returned: a timer outlived Stop")
+		return nil
 	}
 }
 
@@ -67,9 +74,7 @@ func inBubble(t *testing.T, f func()) {
 // time: the bubble must return, and no timer may run after Stop.
 func TestBubbleNoTimerRunsAfterStop(t *testing.T) {
 	for i := 0; i < *trials; i++ {
-		var err error
-		inBubble(t, func() { err = stopWithTimersOut() })
-		if err != nil {
+		if err := inBubble(t, stopWithTimersOut); err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 	}
@@ -93,15 +98,13 @@ func TestBubbleMembershipTrials(t *testing.T) {
 			t.Run(tc.name+"/"+mode.String()+"/go", func(t *testing.T) {
 				fails := 0
 				for i := 0; i < *trials; i++ {
-					var err error
-					inBubble(t, func() {
-						w, e := NewWorld(Config{Ranks: 4, Mode: mode, Engine: EngineGo, Reliability: relStress})
-						if e != nil {
-							err = e
-							return
+					err := inBubble(t, func() error {
+						w, err := NewWorld(Config{Ranks: 4, Mode: mode, Engine: EngineGo, Reliability: relStress})
+						if err != nil {
+							return err
 						}
 						defer w.Stop()
-						err = tc.body(w)
+						return tc.body(w)
 					})
 					if err != nil {
 						if fails++; fails == 1 {
@@ -126,9 +129,7 @@ func TestBubbleMembershipTrials(t *testing.T) {
 func TestBubbleForceWithoutFaultsZeroRetransmits(t *testing.T) {
 	fails := 0
 	for i := 0; i < *trials; i++ {
-		var err error
-		inBubble(t, func() { err = forceWithoutFaults() })
-		if err != nil {
+		if err := inBubble(t, forceWithoutFaults); err != nil {
 			if fails++; fails == 1 {
 				t.Logf("trial %d: %v", i, err)
 			}

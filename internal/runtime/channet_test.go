@@ -228,7 +228,7 @@ func TestChanNetDeadRankNackCrossesTheFaultPlan(t *testing.T) {
 
 	m := &netsim.Message{Kind: kParcel, Src: 2, Dst: 3, Target: gas.New(1, 999, 0), Wire: 64}
 	w.net.Send(2, m)
-	if n := w.faults.Snapshot().TargetedDrops; n != 1 {
+	if n := cn.faults.Snapshot().TargetedDrops; n != 1 {
 		t.Fatalf("injector made %d targeted drops, want 1: the dead-rank NACK went around it", n)
 	}
 	if len(cn.mailbox(2)) != 0 {

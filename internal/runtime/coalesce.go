@@ -91,7 +91,7 @@ func newCoalescer(l *Locality, cfg CoalesceConfig) *coalescer {
 // collapsed adaptive delay, or via the armed delay timer.
 func (c *coalescer) add(dst int, enc []byte) {
 	b := &c.bufs[dst]
-	now := c.l.simNow()
+	now := c.l.exec.simNow()
 	// The flush-now decision uses the estimate as of *previous* adds: a
 	// single long gap must not bypass the delay by itself (the lone
 	// parcel after a burst still waits, preserving the latency trade the
@@ -115,7 +115,7 @@ func (c *coalescer) add(dst int, enc []byte) {
 	b.recs = netsim.AppendScatterRecord(b.recs, enc)
 	b.count++
 	if b.count == 1 {
-		b.firstAdd = c.l.latNow()
+		b.firstAdd = c.l.exec.latNow()
 	}
 	full := b.count >= c.maxParcels || len(b.recs) >= coalMaxBytes
 	if full || collapse {
@@ -162,8 +162,9 @@ func (c *coalescer) flush(dst int, gen uint64, force bool) {
 
 // send injects the finished batch: addressed ByGVA and marked Scatter
 // under the network-managed space, so NICs split it against their own
-// tables, and to the (always resident) locality block elsewhere. On the
-// goroutine engine it is injected at once, from the token holder.
+// tables, and to the (always resident) locality block elsewhere. It is
+// the host's next step (opFlush): a task on DES, at once on the
+// goroutine engine's token holder.
 func (c *coalescer) send(dst int, payload []byte) {
 	m := netsim.NewMessage()
 	m.Kind = kBatch
@@ -171,14 +172,11 @@ func (c *coalescer) send(dst int, payload []byte) {
 	m.Target = c.l.w.LocalityGVA(dst)
 	m.Payload = payload
 	m.Wire = len(payload)
+	m.Dst = dst
 	if c.scatter {
-		m.Scatter, dst = true, netsim.ByGVA
+		m.Scatter, m.Dst = true, netsim.ByGVA
 	}
-	if c.l.w.eng == nil {
-		c.l.inject(m, dst)
-		return
-	}
-	c.l.exec.Exec(0, func() { c.l.inject(m, dst) })
+	c.l.exec.ExecMsg(0, opFlush, m)
 }
 
 // FlushAll forces out every pending buffer (drivers call this before

@@ -39,10 +39,7 @@ func (w *World) DumpState(out io.Writer) error {
 			fmt.Fprintf(&sb, "  tombstones: %d\n", tombs.Len())
 		}
 	}
-	if w.eng != nil {
-		fmt.Fprintf(&sb, "engine: now=%v pending_events=%d processed=%d\n",
-			w.eng.Now(), w.eng.Pending(), w.eng.Processed())
-	}
+	w.net.dump(&sb)
 	_, err := io.WriteString(out, sb.String())
 	return err
 }

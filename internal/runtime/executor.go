@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 )
 
@@ -21,23 +22,45 @@ type Executor interface {
 	// ExecMsg is Exec's typed lane for the per-message path: it schedules
 	// step op of message m (see Locality.handleMsg) with no closure. On
 	// the DES engine the message itself becomes the event. The goroutine
-	// engine posts a host delivery to the mailbox and runs the other steps
-	// where they stand: an injection into the transport (thread-safe, and
-	// no host-busy horizon to respect), a user parcel on the token holder.
+	// engine posts a host delivery to the mailbox and runs the other
+	// steps where they stand, on the token holder.
 	ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message)
 	// After runs fn as this locality's work d from now: an event on the
 	// rank's own timeline under DES, a wall timer (d × goTimeScale) that
 	// posts fn to the mailbox on the goroutine engine. A stopped mailbox
 	// drops it, so no fn runs after World.Stop returns.
 	After(d netsim.VTime, fn func())
-	// claim runs a driver's fn as the locality's running handler: at once
-	// on DES, where drivers run between events; else goExec.claim. It
-	// reports false when a stopped mailbox ran nothing.
+	// claim runs a driver's fn as the locality's running handler (see
+	// goExec.claim); hand runs fn as its handler without waiting for the
+	// token, queued on the mailbox. Both run fn at once on DES, where
+	// drivers run between events, and report false when a stopped
+	// mailbox ran nothing.
 	claim(fn func()) bool
-	// hand runs fn as the locality's handler without waiting for its
-	// token: at once on DES, queued on the goroutine engine's mailbox.
-	// It reports false when a stopped mailbox dropped fn.
 	hand(fn func()) bool
+
+	// The rank's clocks, which code inside the rank reads (driver and
+	// barrier code reads the port's: under sharding the façade's last
+	// barrier, not the running event). now is Ctx.Now (0 on the goroutine
+	// engine); simNow runs intervals given in simulated time
+	// (retransmission deadlines, coalescer gaps), on the goroutine engine
+	// wall time scaled back through goTimeScale so scheduling jitter does
+	// not masquerade as loss; latNow is the latency clock in nanoseconds.
+	now() netsim.VTime
+	simNow() netsim.VTime
+	latNow() int64
+	// global runs fn where it may touch any rank's state: at the next
+	// merge barrier under sharding, at once otherwise. memberStep runs a
+	// membership step that reaches across ranks as this rank's work (a
+	// barrier task under sharding); false means a stopped mailbox
+	// dropped it.
+	global(fn func())
+	memberStep(fn func()) bool
+	// putAsync and awaitOp issue Proc.PutAsync and Proc.await's op: a
+	// scheduled driver operation on DES (awaitOp then runs the engine
+	// until the completion), inline under a claim of the token on the
+	// goroutine engine.
+	putAsync(dst gas.GVA, data []byte, done func())
+	awaitOp(op string, r rmaReq, wt *waiter)
 }
 
 // msgOp names one step of a message's life on a locality's host.
@@ -48,56 +71,8 @@ const (
 	opHostMsg                // host receive: onHostMsg
 	opInject                 // hand to the network from host context
 	opRunParcel              // decode and run a user-action parcel
+	opFlush                  // inject a coalescer batch: Locality.inject to m.Dst
 )
-
-// desExec models one host core on the discrete-event engine. eng is the
-// rank's engine face (its shard engine under the parallel engine), so
-// host tasks land on the rank's own timeline and the busy horizon is
-// only ever touched from that rank's event context.
-type desExec struct {
-	eng  *netsim.Engine
-	rank int
-	busy netsim.VTime
-	l    *Locality // typed steps run here
-}
-
-// reserve claims the host core for cost and returns the completion time.
-func (e *desExec) reserve(cost netsim.VTime) netsim.VTime {
-	start := e.eng.Now()
-	if e.busy > start {
-		start = e.busy
-	}
-	e.busy = start + cost
-	return e.busy
-}
-
-func (e *desExec) Exec(cost netsim.VTime, fn func()) {
-	e.eng.AtRank(e.rank, e.reserve(cost), fn)
-}
-
-func (e *desExec) ExecMsg(cost netsim.VTime, op msgOp, m *netsim.Message) {
-	e.eng.AtRankMsg(e.rank, e.reserve(cost), e, uint8(op), m)
-}
-
-func (e *desExec) After(d netsim.VTime, fn func()) { e.eng.AfterRank(e.rank, d, fn) }
-
-func (e *desExec) claim(fn func()) bool { fn(); return true }
-
-func (e *desExec) hand(fn func()) bool { fn(); return true }
-
-// HandleMsg runs a typed event step (netsim.MsgSink).
-func (e *desExec) HandleMsg(op uint8, m *netsim.Message) { e.l.handleMsg(msgOp(op), m) }
-
-func (e *desExec) Charge(extra netsim.VTime) {
-	if extra < 0 {
-		return
-	}
-	now := e.eng.Now()
-	if e.busy < now {
-		e.busy = now
-	}
-	e.busy += extra
-}
 
 // task is one mailbox entry on the goroutine engine. The common case is a
 // typed message (m != nil) delivered by the transport or a local send —
@@ -142,10 +117,10 @@ type goExec struct {
 	inline  bool
 	inlined int
 
-	// onMsg and onStep are the typed delivery handlers, wired by
-	// newChanNet before the actor starts: onMsg is the NIC receive path
-	// (chanNet.arrive), onStep every host-side step (Locality.handleMsg),
-	// flush the transport for this rank's staged sends (chanNet.send).
+	// The typed delivery handlers, wired by newChanNet before the actor
+	// starts: onMsg is the NIC receive path (chanNet.arrive), onStep every
+	// host-side step (Locality.handleMsg), flush the transport for this
+	// rank's staged sends (chanNet.send).
 	onMsg  func(*netsim.Message)
 	onStep func(msgOp, *netsim.Message)
 
@@ -160,6 +135,8 @@ type goExec struct {
 	out      []*netsim.Message
 	flush    func([]*netsim.Message)
 	handoffs int
+
+	l *Locality // the locality whose work this mailbox runs
 }
 
 func newGoExec() *goExec {
@@ -352,8 +329,8 @@ func (e *goExec) postRun(ms []*netsim.Message, rank int) {
 }
 
 func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.post(task{fn: fn}, false) }
-
-func (e *goExec) hand(fn func()) bool { return e.post(task{fn: fn}, false) }
+func (e *goExec) hand(fn func()) bool            { return e.post(task{fn: fn}, false) }
+func (e *goExec) memberStep(fn func()) bool      { return e.hand(fn) }
 
 // execMsg posts a transport-delivered message for the NIC receive path
 // without allocating a closure.
@@ -368,7 +345,27 @@ func (e *goExec) ExecMsg(_ netsim.VTime, op msgOp, m *netsim.Message) {
 }
 
 func (e *goExec) After(d netsim.VTime, fn func()) {
-	time.AfterFunc(goWall(d), func() { e.Exec(0, fn) })
+	wallAfter(d, func() { e.Exec(0, fn) })
 }
 
-func (e *goExec) Charge(netsim.VTime) {}
+// The clocks read wall time since World creation, with no simulated
+// clock to read (Ctx.Now is 0); global runs fn at once, where the token
+// holder's own locking applies.
+func (e *goExec) Charge(netsim.VTime)  {}
+func (e *goExec) now() netsim.VTime    { return 0 }
+func (e *goExec) simNow() netsim.VTime { return netsim.VTime(e.latNow() / goTimeScale) }
+func (e *goExec) latNow() int64        { return int64(time.Since(e.l.w.epoch)) }
+func (e *goExec) global(fn func())     { fn() }
+
+// putAsync and awaitOp claim the token and issue inline, so drivers
+// pipeline puts with no mailbox round trip per op (against a busy
+// locality they wait out the holder's turn), and a waited op then drains
+// each idle locality it reaches (post): against idle owners it runs from
+// issue through serve to completion with no hand-off.
+func (e *goExec) putAsync(dst gas.GVA, data []byte, done func()) {
+	e.claim(func() { e.l.PutAsync(dst, data, done) })
+}
+
+func (e *goExec) awaitOp(_ string, r rmaReq, wt *waiter) {
+	e.claim(func() { e.l.issue(r, opState{wait: wt}) })
+}

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"time"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
@@ -167,40 +166,6 @@ func (s *latencyState) migMark(kind TraceKind, b gas.BlockID, now int64) {
 	}
 }
 
-// The runtime's clocks, one definition per unit. Code running inside a
-// rank reads its rank's engine face, l.eng: under Shards >= 1 that is the
-// shard engine, whose Now is the running event's time, while w.eng is the
-// driver façade, whose Now is the last barrier's. Driver and barrier code
-// (the pulse tick, installReplicaSet, membership steps) reads the façade.
-// EngineGo has no simulated clock: both read wall time since World
-// creation.
-
-// clockOn reads the latency clock — latency samples, trace stamps, lease
-// stamps — on engine face e (nil under EngineGo), in nanoseconds.
-func (w *World) clockOn(e *netsim.Engine) int64 {
-	if e != nil {
-		return int64(e.Now())
-	}
-	return int64(time.Since(w.epoch))
-}
-
-// latNow is the latency clock from driver or barrier context.
-func (w *World) latNow() int64 { return w.clockOn(w.eng) }
-
-// latNow is the latency clock from inside this rank.
-func (l *Locality) latNow() int64 { return l.w.clockOn(l.eng) }
-
-// simNow is the clock that intervals given in simulated time run on
-// (retransmission deadlines, coalescer gaps): simulated time under
-// EngineDES, wall time scaled back through goTimeScale under EngineGo,
-// so real scheduling jitter does not masquerade as loss.
-func (l *Locality) simNow() netsim.VTime {
-	if l.eng != nil {
-		return l.eng.Now()
-	}
-	return netsim.VTime(l.w.clockOn(nil) / goTimeScale)
-}
-
 // ---------------------------------------------------------------------
 // Reporting
 
@@ -247,25 +212,12 @@ func (w *World) Latencies() WorldLatencies {
 	return out
 }
 
-// queueDepthsInto fills counts (one slot per rank) with each rank's
-// pending backlog: mailbox depth on the goroutine engine, rank-
-// attributed pending events on DES. The queue-depth watchdog calls it
-// every pulse; it is an on-demand tap with no hot-path bookkeeping.
-func (w *World) queueDepthsInto(counts []int) {
-	if w.eng != nil {
-		w.eng.PendingByRank(counts)
-		return
-	}
-	for r, l := range w.locs {
-		counts[r] = l.exec.(*goExec).depth()
-	}
-}
-
-// QueueDepths returns every rank's pending backlog (see queueDepthsInto)
-// as a fresh slice; the metrics publisher and sampler poll it.
+// QueueDepths returns every rank's pending backlog as a fresh slice (see
+// network.queueDepthsInto, the on-demand tap the queue-depth watchdog
+// reads every pulse); the metrics publisher and sampler poll it.
 func (w *World) QueueDepths() []int {
 	counts := make([]int, w.Ranks())
-	w.queueDepthsInto(counts)
+	w.net.queueDepthsInto(counts)
 	return counts
 }
 

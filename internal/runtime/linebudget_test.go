@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,6 +61,97 @@ func TestLineBudget(t *testing.T) {
 		t.Fatalf("internal/netsim + internal/runtime hold %d non-test lines, budget %d", total, budget)
 	}
 	t.Logf("%d non-test lines, budget %d", total, budget)
+}
+
+// enginePorts are the two files that may know which engine runs the
+// world: the goroutine engine's port (chanNet) and the DES engine's
+// (desNet). Every other file reaches the engine through the port World
+// holds (network) or a rank's Executor.
+var enginePorts = map[string]bool{"net.go": true, "desnet.go": true}
+
+// TestEngineChosenOnce holds the engine to one choice, made in NewWorld's
+// switch. In non-test files of this package it fails on a nil test of an
+// engine (eng == nil, eng != nil), on asking a DES engine whether it is
+// sharded (.Sharded(), .Par()), on a *goExec or *desExec type assertion
+// outside the two engine ports, and on a read of Config.Engine anywhere
+// but NewWorld's switch and the StatsTable title.
+func TestEngineChosenOnce(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := regexp.MustCompile(`eng [!=]= nil|\.Sharded\(\)|\.Par\(\)`)
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, loc := range forks.FindAllIndex(src, -1) {
+			t.Errorf("%s:%d: engine fork %q", name, 1+bytes.Count(src[:loc[0]], []byte("\n")), src[loc[0]:loc[1]])
+		}
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			var allowed ast.Node // the one place this function may read cfg.Engine
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SwitchStmt:
+					if fn.Name.Name == "NewWorld" && n.Tag != nil && isEngineRead(n.Tag) {
+						allowed = n
+					}
+				case *ast.TypeAssertExpr:
+					if execType(n.Type) && !enginePorts[name] {
+						t.Errorf("%s: %s asserts an executor's type outside the engine ports", fset.Position(n.Pos()), fn.Name.Name)
+					}
+				case *ast.SelectorExpr:
+					inSwitch := allowed != nil && n.Pos() >= allowed.Pos() && n.End() <= allowed.End()
+					if isEngineRead(n) && !inSwitch && fn.Name.Name != "StatsTable" {
+						t.Errorf("%s: %s reads Config.Engine", fset.Position(n.Pos()), fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// isEngineRead reports whether e is cfg.Engine, w.cfg.Engine or
+// w.Config().Engine.
+func isEngineRead(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Engine" {
+		return false
+	}
+	switch x := sel.X.(type) {
+	case *ast.Ident:
+		return x.Name == "cfg"
+	case *ast.SelectorExpr:
+		return x.Sel.Name == "cfg"
+	case *ast.CallExpr:
+		f, ok := x.Fun.(*ast.SelectorExpr)
+		return ok && f.Sel.Name == "Config"
+	}
+	return false
+}
+
+// execType reports whether e is *goExec or *desExec.
+func execType(e ast.Expr) bool {
+	star, ok := e.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	id, ok := star.X.(*ast.Ident)
+	return ok && (id.Name == "goExec" || id.Name == "desExec")
 }
 
 // TestOptionBudget is TestLineBudget for options: it holds the settable

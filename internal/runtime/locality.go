@@ -117,11 +117,6 @@ type Locality struct {
 
 	store *gas.Store
 	exec  Executor
-	// eng is this rank's DES engine face (the shard engine under the
-	// parallel engine, the world engine otherwise; nil under EngineGo).
-	// Rank-local timers (reliability retransmits, coalescer flushes) are
-	// scheduled here so they live on the rank's own timeline.
-	eng *netsim.Engine
 
 	// space is the mode's address-translation strategy (see space.go);
 	// all per-mode protocol behaviour lives behind it.
@@ -407,6 +402,8 @@ func (l *Locality) handleMsg(op msgOp, m *netsim.Message) {
 		l.w.net.Send(l.rank, m)
 	case opRunParcel:
 		l.runParcel(m, true)
+	case opFlush:
+		l.inject(m, m.Dst)
 	}
 }
 
@@ -447,10 +444,7 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 		l.onReplFill(m)
 	case kMemberPing:
 		pong := netsim.NewMessage()
-		pong.Kind = kMemberPong
-		pong.Src = l.rank
-		pong.Dst = m.Src
-		pong.Wire = 32
+		*pong = netsim.Message{Kind: kMemberPong, Src: l.rank, Dst: m.Src, Wire: 32}
 		l.w.net.Send(l.rank, pong)
 		m.Release()
 	case kMemberPong:

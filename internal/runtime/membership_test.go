@@ -97,11 +97,12 @@ func TestLivenessViewOnlyOnceArmed(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.MustWait(w.Proc(0).Put(lay.BlockAt(0), []byte{1}))
-			if w.mem.view() != nil || (w.fab != nil && w.fab.Live != nil) {
+			f := w.Fabric()
+			if w.mem.view() != nil || (f != nil && f.Live != nil) {
 				t.Fatal("an unarmed world fences against a liveness view")
 			}
 			w.Kill(2)
-			if w.mem.view() != netsim.Liveness(w.mem) || (w.fab != nil && w.fab.Live != netsim.Liveness(w.mem)) {
+			if w.mem.view() != netsim.Liveness(w.mem) || (f != nil && f.Live != netsim.Liveness(w.mem)) {
 				t.Fatal("an armed world does not fence against membership")
 			}
 		})

@@ -349,7 +349,7 @@ func TestMigrateBackBeforeDone(t *testing.T) {
 
 				out := w.Proc(0).Migrate(g, 1)
 				back := w.NewFuture(1)
-				w.eng.AtRank(1, w.eng.Now()+off, func() {
+				w.Engine().AtRank(1, w.Now()+off, func() {
 					if _, here := w.Locality(1).Store().Get(b); here && w.Locality(0).Moving(b) {
 						hits++
 					}
@@ -360,7 +360,7 @@ func TestMigrateBackBeforeDone(t *testing.T) {
 						t.Fatalf("offset %v: migrate status %d", off, MigrateStatus(st))
 					}
 				}
-				w.eng.Run()
+				w.Engine().Run()
 				for r := 0; r < 3; r++ {
 					if _, here := w.Locality(r).Store().Get(b); here != (r == 0) {
 						t.Fatalf("offset %v: block resident at rank %d: %v", off, r, here)

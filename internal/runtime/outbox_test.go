@@ -191,7 +191,7 @@ func TestOffTokenCallsClaimTheToken(t *testing.T) {
 	}
 
 	probed, pong := make(chan struct{}), sent(2)
-	w.after(0, func() {
+	w.net.after(0, func() {
 		w.mem.beginProbe(l, 2)
 		close(probed)
 	})

@@ -318,7 +318,7 @@ func (l *Locality) relTrack(m *netsim.Message) {
 		rl.tx[ch] = tc
 	}
 	m.RelChan = ch
-	tc.track(m, l.simNow()+tc.rto)
+	tc.track(m, l.exec.simNow()+tc.rto)
 	rl.stats.Tracked++
 	arm := !tc.armed
 	tc.armed = true
@@ -355,7 +355,7 @@ func (l *Locality) relTimer(ch int32) {
 		rl.mu.Unlock()
 		return
 	}
-	now := l.simNow()
+	now := l.exec.simNow()
 	var resend []*netsim.Message
 	var nextDue netsim.VTime
 	for s, end := tc.base, tc.nextSeq; s <= end; s++ {
@@ -414,7 +414,7 @@ func (l *Locality) relTimer(ch int32) {
 	if ceiling {
 		// The sweep inspects and arms world-level membership state, which
 		// a shard worker must not touch mid-window.
-		l.w.deferGlobal(l, func() { l.w.mem.suspectSweep(l) })
+		l.exec.global(func() { l.w.mem.suspectSweep(l) })
 	}
 	for _, m := range resend {
 		l.note(TraceRetransmit, m.Block, m.RelSeq, 0)
@@ -639,10 +639,6 @@ func (w *World) DeliveryStats() DeliveryStats {
 			rl.mu.Unlock()
 		}
 	}
-	if w.fab != nil {
-		d.Faults = w.fab.FaultSnapshot()
-	} else {
-		d.Faults = w.faults.Snapshot()
-	}
+	d.Faults = w.net.faultStats()
 	return d
 }

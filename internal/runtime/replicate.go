@@ -64,27 +64,15 @@ func (w *World) readTarget(r, master int, holders []int) (target int, ok bool) {
 	cands := make([]int, 0, len(holders)+1)
 	cands = append(cands, holders...)
 	cands = append(cands, master)
-	dist := func(a, b int) int {
-		if a == b {
-			return 0
-		}
-		if w.fab != nil {
-			return w.fab.Topo.Hops(a, b)
-		}
-		// The goroutine transport is a crossbar: direct channels, every
-		// peer equidistant. Matching the DES crossbar keeps target choice
-		// (and so the golden counters) engine-independent.
-		return 1
-	}
-	best := dist(r, cands[0])
+	// r is none of the candidates, so every distance is between two
+	// distinct ranks.
+	best := w.net.hops(r, cands[0])
 	for _, c := range cands[1:] {
-		if d := dist(r, c); d < best {
-			best = d
-		}
+		best = min(best, w.net.hops(r, c))
 	}
 	ties := cands[:0]
 	for _, c := range cands {
-		if dist(r, c) == best {
+		if w.net.hops(r, c) == best {
 			ties = append(ties, c)
 		}
 	}
@@ -102,7 +90,7 @@ func (l *Locality) replicaFresh(b gas.BlockID) (bool, bool) {
 		l.mu.Unlock()
 		return false, false
 	}
-	if !st.stale && l.w.cfg.Coherence == agas.RWLease && l.latNow() > st.expiry {
+	if !st.stale && l.w.cfg.Coherence == agas.RWLease && l.exec.latNow() > st.expiry {
 		st.stale = true
 	}
 	stale := st.stale
@@ -168,11 +156,7 @@ func (l *Locality) replMarkStale(b gas.BlockID) bool {
 // — the holder does not need to know where the master currently lives.
 func (l *Locality) sendReplFill(b gas.BlockID, home int) {
 	m := netsim.NewMessage()
-	m.Kind = kReplFill
-	m.Src = l.rank
-	m.Target = gas.New(home, b, 0)
-	m.Wire = 32
-	m.OpID = l.newOpID()
+	*m = netsim.Message{Kind: kReplFill, Src: l.rank, Target: gas.New(home, b, 0), Wire: 32, OpID: l.newOpID()}
 	l.note(noteOpStart, b, 0, m.OpID)
 	l.routeMsg(m)
 }
@@ -284,13 +268,8 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 	}
 	l.exec.Charge(l.w.cfg.Model.CopyTime(len(snap)))
 	rep := netsim.NewMessage()
-	rep.Kind = kReplFillRep
-	rep.Src = l.rank
-	rep.Dst = m.Src
-	rep.Block = b
-	rep.Payload = snap
-	rep.Wire = 32 + len(snap)
-	rep.OpID = m.OpID
+	*rep = netsim.Message{Kind: kReplFillRep, Src: l.rank, Dst: m.Src, Block: b,
+		Payload: snap, Wire: 32 + len(snap), OpID: m.OpID}
 	m.Release()
 	l.inject(rep, rep.Dst)
 }
@@ -306,7 +285,7 @@ func (l *Locality) onReplFillRep(m *netsim.Message) {
 			l.mu.Lock()
 			st.stale = false
 			st.filling = false
-			st.expiry = l.latNow() + leaseNs
+			st.expiry = l.exec.latNow() + leaseNs
 			l.mu.Unlock()
 			l.Stats.ReplicaFills.Inc()
 			l.note(noteReplFill, b, 0, m.OpID)
@@ -389,7 +368,7 @@ func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, hol
 		return fmt.Errorf("runtime: replicate of non-resident block %d", b)
 	}
 	snap := append([]byte(nil), blk.Data...)
-	now := w.latNow()
+	now := w.net.latNow()
 	for i, h := range holders {
 		hl := w.locs[h]
 		replica := &gas.Block{

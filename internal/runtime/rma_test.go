@@ -121,8 +121,8 @@ func (r *rmaRun) block(rank, k int) *gas.Block {
 // engine is polled.
 func until(t *testing.T, w *World, what string, cond func() bool) {
 	t.Helper()
-	if w.eng != nil {
-		if !w.eng.RunUntil(cond) {
+	if f := w.Fabric(); f != nil {
+		if !f.Eng.RunUntil(cond) {
 			t.Fatalf("event queue drained before %s", what)
 		}
 		return
@@ -179,7 +179,7 @@ var rmaReads = []int{1, 3}
 // their image in the master copy on rank `master`.
 func (r *rmaRun) verify(master int) {
 	r.t.Helper()
-	if r.w.eng != nil {
+	if r.w.Fabric() != nil {
 		r.w.Drain()
 	}
 	for _, op := range r.ops {

@@ -264,7 +264,7 @@ func TestShardsConfigValidation(t *testing.T) {
 	if w.Config().Shards != 2 {
 		t.Errorf("Shards not clamped to ranks: %d", w.Config().Shards)
 	}
-	if w.Engine().Par() == nil {
+	if eng := w.Engine(); eng.RankEngine(0) == eng {
 		t.Error("sharded world did not get a sharded engine")
 	}
 	w.Stop()

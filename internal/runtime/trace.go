@@ -200,7 +200,7 @@ const (
 // With no observer on it costs one branch.
 func (l *Locality) note(kind TraceKind, block gas.BlockID, info, opID uint64) {
 	if l.w.observed {
-		l.w.observe(l.rank, l.eng, kind, block, info, opID)
+		l.w.observe(l.rank, l.exec, kind, block, info, opID)
 	}
 }
 
@@ -208,16 +208,20 @@ func (l *Locality) note(kind TraceKind, block gas.BlockID, info, opID uint64) {
 // in driver or barrier context, so the step reads the façade clock.
 func (w *World) noteMember(rank int, kind TraceKind, info uint64) {
 	if w.observed {
-		w.observe(rank, w.eng, kind, 0, info, 0)
+		w.observe(rank, w.net, kind, 0, info, 0)
 	}
 }
 
-// observe hands one step, stamped with the latency clock of engine face
-// e, to every observer that is on.
-func (w *World) observe(rank int, e *netsim.Engine, kind TraceKind, block gas.BlockID, info, opID uint64) {
+// clock is a latency clock: a rank's (its Executor) or the world's (the
+// engine port).
+type clock interface{ latNow() int64 }
+
+// observe hands one step, stamped with clock c, to every observer that
+// is on.
+func (w *World) observe(rank int, c clock, kind TraceKind, block gas.BlockID, info, opID uint64) {
 	var now int64
 	if w.tracer != nil || w.lat != nil {
-		now = w.clockOn(e)
+		now = c.latNow()
 	}
 	if w.tracer != nil {
 		tk := kind

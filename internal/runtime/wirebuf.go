@@ -51,11 +51,9 @@ func wireBuf(pool bool, n int) ([]byte, bool) {
 }
 
 // payloadPoolable reports whether this world may carry pooled payloads:
-// no reliability layer and no fault injector (see the comment above; a
-// DES world with faults configured always runs the reliability layer).
-func (l *Locality) payloadPoolable() bool {
-	return l.w.relw == nil && l.w.faults == nil
-}
+// no reliability layer and so no fault injector (see the comment above;
+// a world with faults configured always runs the reliability layer).
+func (l *Locality) payloadPoolable() bool { return l.w.relw == nil }
 
 // releasePayload reclaims m's payload after its terminal use (the
 // consumer keeps no alias past this call). A kGetReq carries the flag

@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,15 +21,9 @@ type World struct {
 	seq  *gas.Sequence
 
 	locs []*Locality
-	net  network
-
-	// DES engine state (nil under EngineGo).
-	eng *netsim.Engine
-	fab *netsim.Fabric
-
-	// faults is the goroutine transport's injector (the DES fabric owns
-	// its own); nil without faults and under EngineDES.
-	faults *netsim.FaultInjector
+	// net is the engine port, chosen once by NewWorld: the clock, timers,
+	// waits and transport of whichever engine runs the world.
+	net network
 
 	// Reliable-delivery state (nil unless cfg.reliable()).
 	relw *relWorld
@@ -51,8 +44,7 @@ type World struct {
 	// every protocol step's note branches on it and nothing else.
 	observed bool
 
-	// epoch anchors every clock of EngineGo, which has no simulated one
-	// (see clockOn).
+	// epoch anchors every clock of EngineGo, which has no simulated one.
 	epoch time.Time
 
 	// lat holds the latency histograms; nil unless cfg.Metrics.
@@ -78,10 +70,7 @@ type World struct {
 	migStall atomic.Bool
 
 	started bool
-	// stopped is set by Stop under timerMu, which each World.after
-	// callback holds for reading while it runs.
-	timerMu sync.RWMutex
-	stopped bool
+	stopped atomic.Bool
 }
 
 // NewWorld builds a world from cfg. Call Register for user actions, then
@@ -121,54 +110,8 @@ func NewWorld(cfg Config) (*World, error) {
 
 	switch cfg.Engine {
 	case EngineDES:
-		if cfg.Shards > 0 {
-			// Conservative lookahead: no cross-rank event can land sooner
-			// than the cheapest wire path, one minimum-hop traversal at the
-			// model's link latency. See netsim.ParEngine.
-			la := cfg.Model.Latency * netsim.VTime(netsim.MinHops(cfg.Topology))
-			shards := cfg.Shards
-			if cfg.reliable() {
-				// The reliable layer's exactly-once store is keyed per
-				// (source, channel) stream, and one stream is legitimately
-				// touched by different receiving ranks inside one window
-				// (host forwards, post-migration re-resolution, cumulative
-				// acks) — state the rank partition cannot isolate. Such a
-				// world runs the windowed engine on one shard, bit-identical
-				// to every shard count by construction; fault-free runs,
-				// where the layer is off and nothing crosses the partition,
-				// keep their parallel windows.
-				shards = 1
-			}
-			w.eng = netsim.NewParEngine(cfg.Ranks, shards, la)
-		} else {
-			w.eng = netsim.NewEngine()
-		}
-		w.fab = netsim.NewFabric(w.eng, netsim.FabricConfig{
-			Ranks:       cfg.Ranks,
-			Model:       cfg.Model,
-			GVARouting:  bld.caps.NICTranslation,
-			Policy:      cfg.Policy,
-			NICTableCap: cfg.NICTableCap,
-			Topology:    cfg.Topology,
-			Faults:      cfg.Faults,
-		})
-		w.net = w.fab
-		for r, l := range w.locs {
-			l.eng = w.eng.RankEngine(r)
-			l.exec = &desExec{eng: l.eng, rank: r, l: l}
-			nic := w.fab.NIC(r)
-			loc := l
-			loc.wireNIC(&nic.NICCore)
-			nic.HostDeliver = func(m *netsim.Message) {
-				loc.exec.ExecMsg(cfg.Model.ORecv+cfg.Model.HandlerDispatch, opHostMsg, m)
-			}
-			nic.DMADeliver = loc.onDMA
-		}
+		w.net = newDESNet(w)
 	case EngineGo:
-		w.faults = netsim.NewFaultInjector(cfg.Faults)
-		for _, l := range w.locs {
-			l.exec = newGoExec()
-		}
 		w.net = newChanNet(w)
 	default:
 		return nil, fmt.Errorf("runtime: unknown engine %d", cfg.Engine)
@@ -185,13 +128,17 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w.locBase = base
-	for r, l := range w.locs {
-		b := &gas.Block{ID: base + gas.BlockID(r), Kind: gas.KindData, BSize: 64, Data: make([]byte, 64), Home: r, Pinned: true}
-		if err := l.store.Insert(b); err != nil {
+	for _, l := range w.locs {
+		if err := l.store.Insert(w.infraBlock(l.rank)); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// infraBlock is a fresh (zeroed) copy of rank's infrastructure block.
+func (w *World) infraBlock(rank int) *gas.Block {
+	return &gas.Block{ID: w.locBase + gas.BlockID(rank), Kind: gas.KindData, BSize: 64, Data: make([]byte, 64), Home: rank, Pinned: true}
 }
 
 // Config returns the world's (normalized) configuration.
@@ -235,157 +182,49 @@ func (w *World) Register(name string, a Action) parcel.ActionID {
 	return w.reg.Register(name, a)
 }
 
-// Start seals the action registry and, under EngineGo, launches the
-// locality actors.
+// Start seals the action registry and starts the engine (under
+// EngineGo, the locality actors).
 func (w *World) Start() {
 	if w.started {
 		panic("runtime: double Start")
 	}
 	w.started = true
 	w.reg.seal()
-	if w.cfg.Engine == EngineGo {
-		for _, l := range w.locs {
-			l.exec.(*goExec).start()
-		}
-	}
+	w.net.start()
 	w.scheduleFaultMembership()
 	if w.pulse != nil {
 		w.pulse.arm()
 	}
 }
 
-// stopDrainTimeout bounds how long Stop waits for in-flight migrations
-// to finish on the goroutine engine before abandoning them.
-const stopDrainTimeout = 2 * time.Second
-
-// Stop shuts the world down. Under EngineGo it first retires the world
-// timers (no World.after callback starts once Stop begins; a running one
-// finishes first), then waits (briefly, bounded by stopDrainTimeout) for
-// in-flight migrations to complete — tearing the actors down around a
-// half-moved block would strand its queued traffic — then drains and
-// stops the actors, and deterministically aborts anything still
-// mid-move so the final state is consistent for post-mortem inspection.
-// Under EngineDES it is a no-op beyond marking the world stopped.
+// Stop shuts the world down, once: under EngineGo it retires the world
+// timers, drains in-flight migrations and stops the actors
+// (chanNet.stop); under EngineDES it stops a sharded engine's workers.
 func (w *World) Stop() {
-	w.timerMu.Lock()
-	stopped := w.stopped
-	w.stopped = true
-	w.timerMu.Unlock()
-	if stopped {
-		return
-	}
-	if w.eng != nil {
-		if par := w.eng.Par(); par != nil {
-			par.Shutdown()
-		}
-	}
-	if w.cfg.Engine == EngineGo {
-		w.awaitMigrationDrain(stopDrainTimeout)
-		for _, l := range w.locs {
-			l.exec.(*goExec).stop()
-		}
-		w.abortStrandedMigrations()
-	}
-}
-
-// awaitMigrationDrain polls until no locality has a block mid-move, or
-// the deadline passes. Only migrations that have already pinned count;
-// a migrate.req still queued behind the stop simply never pins.
-func (w *World) awaitMigrationDrain(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for {
-		moving := 0
-		for _, l := range w.locs {
-			l.mu.Lock()
-			moving += len(l.moving)
-			l.mu.Unlock()
-		}
-		if moving == 0 || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// abortStrandedMigrations runs after the actors have stopped: any block
-// still pinned mid-move is unpinned in place (the move is abandoned;
-// the block stays at its old owner) and its queued arrivals are
-// discarded, so the stopped world's image is consistent.
-func (w *World) abortStrandedMigrations() {
-	for _, l := range w.locs {
-		l.mu.Lock()
-		var stranded []gas.BlockID
-		var dsts []int
-		for b, st := range l.moving {
-			stranded, dsts = append(stranded, b), append(dsts, st.dst)
-		}
-		for _, b := range stranded {
-			delete(l.moving, b)
-		}
-		l.movingN.Store(0)
-		l.mu.Unlock()
-		for i, b := range stranded {
-			l.space.AbortMigrate(b)
-			l.note(TraceMigrateAbort, b, 0, 0)
-			// The data may have landed at a destination whose commit died
-			// with the actors; the abandoned move leaves no second master.
-			if dl := w.locs[dsts[i]]; dl != l && dl.residentForNIC(b) {
-				dl.store.Remove(b)
-			}
-		}
+	if !w.stopped.Swap(true) {
+		w.net.stop()
 	}
 }
 
 // Drain runs the DES engine until no events remain. It panics under
 // EngineGo, where there is no global event queue to drain.
 func (w *World) Drain() {
-	w.mustDES("Drain")
+	f := w.mustDES("Drain")
 	w.pulseResume()
-	w.eng.Run()
+	f.Eng.Run()
 }
 
-// Now returns the simulated time under EngineDES and 0 under EngineGo.
-func (w *World) Now() netsim.VTime {
-	if w.eng != nil {
-		return w.eng.Now()
-	}
-	return 0
-}
-
-// goWall converts a simulated duration to a wall-clock duration under
-// EngineGo, through goTimeScale.
-func goWall(d netsim.VTime) time.Duration {
-	return time.Duration(int64(d) * goTimeScale)
-}
-
-// after runs fn d from now in world context (driver or barrier: it may
-// touch any rank). Under EngineDES it is an engine event; under EngineGo
-// a wall timer that never starts fn once Stop has begun, and Stop waits
-// for one already running. fn must not call Stop.
-func (w *World) after(d netsim.VTime, fn func()) {
-	if w.eng != nil {
-		w.eng.After(d, fn)
-		return
-	}
-	time.AfterFunc(goWall(d), func() {
-		w.timerMu.RLock()
-		defer w.timerMu.RUnlock()
-		if !w.stopped {
-			fn()
-		}
-	})
-}
+// Now returns the simulated time under EngineDES (the driver façade's
+// under sharding) and 0 under EngineGo.
+func (w *World) Now() netsim.VTime { return w.net.now() }
 
 // Engine exposes the DES engine for harness-level scheduling (workload
 // drivers inject load at simulated times). It panics under EngineGo.
-func (w *World) Engine() *netsim.Engine {
-	w.mustDES("Engine")
-	return w.eng
-}
+func (w *World) Engine() *netsim.Engine { return w.mustDES("Engine").Eng }
 
 // Fabric exposes the simulated fabric for stats collection. It is nil
 // under EngineGo.
-func (w *World) Fabric() *netsim.Fabric { return w.fab }
+func (w *World) Fabric() *netsim.Fabric { return w.net.fabric() }
 
 // Locality returns rank r's locality.
 func (w *World) Locality(r int) *Locality { return w.locs[r] }
@@ -396,22 +235,15 @@ func (w *World) LocalityGVA(r int) gas.GVA {
 	return gas.New(r, w.locBase+gas.BlockID(r), 0)
 }
 
-func (w *World) mustDES(op string) {
-	if w.eng == nil {
+// mustDES is the capability check of the two calls only the DES engine
+// serves: it returns the simulated fabric, or panics on an engine
+// without one.
+func (w *World) mustDES(op string) *netsim.Fabric {
+	f := w.net.fabric()
+	if f == nil {
 		panic(fmt.Sprintf("runtime: %s requires the DES engine", op))
 	}
-}
-
-// deferGlobal runs fn in a context allowed to touch any rank's state:
-// immediately when called from a serial engine (classic DES, EngineGo's
-// own locking applies), at the next merge barrier under sharding. l is
-// the calling locality.
-func (w *World) deferGlobal(l *Locality, fn func()) {
-	if l.eng != nil {
-		l.eng.AtBarrier(fn)
-		return
-	}
-	fn()
+	return f
 }
 
 // fail reports a broken protocol invariant. The runtime treats these as
@@ -425,53 +257,10 @@ func (w *World) fail(format string, args ...any) {
 // timeout expires (goroutine engine) before the LCO fires.
 var ErrDeadlock = errors.New("runtime: wait would never complete")
 
-// waitTimeout bounds Wait on the goroutine engine.
-const waitTimeout = 30 * time.Second
-
 // Wait blocks the driver until ref fires and returns its value. Under
 // EngineDES it advances simulated time; under EngineGo it blocks the
-// calling goroutine.
-func (w *World) Wait(ref *LCORef) ([]byte, error) {
-	if w.eng != nil {
-		w.pulseResume()
-		if ok := w.eng.RunUntil(ref.obj.Ready); !ok {
-			return nil, fmt.Errorf("%w: event queue drained with LCO %v unset", ErrDeadlock, ref.G)
-		}
-		return ref.obj.Value(), nil
-	}
-	done := make(chan struct{})
-	ref.obj.OnFire(func([]byte) { close(done) })
-	select {
-	case <-done:
-		return ref.obj.Value(), nil
-	case <-time.After(waitTimeout):
-		return nil, fmt.Errorf("%w: timeout after %v waiting on %v", ErrDeadlock, waitTimeout, ref.G)
-	}
-}
-
-// await advances the world until cond holds and reports whether it does.
-// Under EngineDES it drives the engine (keeping the pulse armed) until
-// cond holds or the queue drains; under EngineGo it polls until timeout.
-// The DES drain checks cond every 64 events: conditions that take a lock
-// and flip thousands of events apart make a per-event probe pure
-// overhead, and nothing here measures the stopping time.
-func (w *World) await(cond func() bool, timeout time.Duration) bool {
-	if w.eng != nil {
-		if cond() {
-			return true
-		}
-		w.pulseResume()
-		w.eng.RunUntilStride(cond, 64)
-		return cond()
-	}
-	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); {
-		if cond() {
-			return true
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return cond()
-}
+// calling goroutine, for at most 30 s.
+func (w *World) Wait(ref *LCORef) ([]byte, error) { return w.net.wait(ref.obj, ref.G) }
 
 // MustWait is Wait for drivers that treat failure as fatal.
 func (w *World) MustWait(ref *LCORef) []byte {

@@ -3,8 +3,10 @@ package runtime
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"nmvgas/internal/gas"
+	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
 )
 
@@ -182,5 +184,87 @@ func TestDESDeterminism(t *testing.T) {
 	}
 	if a == 0 {
 		t.Fatal("no simulated time elapsed")
+	}
+}
+
+// TestEachClockOnEachEngine pins what every clock reads on each engine,
+// the interface the engine port keeps (benchmark/xorupdate.go reads
+// Ctx.Now). Inside a rank on DES, Ctx.Now and the rank's simulated and
+// latency clocks read the running event's time, and World.Now the
+// driver façade's (the last barrier under sharding); in driver context
+// World.Now is the façade's. The goroutine engine has no simulated
+// clock: Ctx.Now and World.Now read 0, simNow reads wall time since
+// World creation scaled back through goTimeScale, and the DES-only
+// calls panic.
+func TestEachClockOnEachEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine EngineKind
+		shards int
+	}{
+		{"go", EngineGo, 0},
+		{"des", EngineDES, 0},
+		{"shards=1", EngineDES, 1},
+		{"shards=4", EngineDES, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: tc.engine, Shards: tc.shards})
+			type reading struct {
+				ctx, world, sim, event netsim.VTime
+				lat                    int64
+			}
+			var got [4]reading
+			clock := w.Register("clock", func(c *Ctx) {
+				l := c.l
+				r := reading{ctx: c.Now(), world: c.World().Now(), sim: l.exec.simNow(), lat: l.exec.latNow()}
+				if tc.engine == EngineDES {
+					r.event = c.World().Engine().RankEngine(c.Rank()).Now()
+				}
+				got[c.Rank()] = r
+				c.Continue(nil)
+			})
+			w.Start()
+			for rank := 1; rank < 4; rank++ {
+				w.MustWait(w.Proc(0).Call(w.LocalityGVA(rank), clock, nil))
+				r := got[rank]
+				if tc.engine == EngineGo {
+					if r.ctx != 0 || r.world != 0 || w.Now() != 0 {
+						t.Errorf("rank %d: Ctx.Now %v, World.Now %v in the rank and %v outside it, want 0", rank, r.ctx, r.world, w.Now())
+					}
+					continue
+				}
+				if r.ctx <= 0 || r.ctx != r.event || r.sim != r.ctx || r.lat != int64(r.ctx) {
+					t.Errorf("rank %d: Ctx.Now %v, simNow %v, latNow %v, want the running event's time %v", rank, r.ctx, r.sim, r.lat, r.event)
+				}
+				if (tc.shards == 0 && r.world != r.ctx) || r.world > r.ctx {
+					t.Errorf("rank %d: World.Now %v inside the rank, Ctx.Now %v", rank, r.world, r.ctx)
+				}
+				if now := w.Now(); now != w.Engine().Now() || now < r.ctx {
+					t.Errorf("rank %d: World.Now %v in driver context, façade %v, action at %v", rank, now, w.Engine().Now(), r.ctx)
+				}
+			}
+			if tc.engine == EngineDES {
+				return
+			}
+			lo := time.Since(w.epoch)
+			sim, lat := w.locs[0].exec.simNow(), w.locs[0].exec.latNow()
+			hi := time.Since(w.epoch)
+			if sim < netsim.VTime(lo/goTimeScale) || sim > netsim.VTime(hi/goTimeScale) {
+				t.Errorf("simNow %v outside the scaled wall clock [%v, %v]", sim, lo/goTimeScale, hi/goTimeScale)
+			}
+			if lat < int64(lo) || lat > int64(hi) {
+				t.Errorf("latNow %v outside the wall clock [%v, %v]", lat, int64(lo), int64(hi))
+			}
+			for name, call := range map[string]func(){"Drain": w.Drain, "Engine": func() { w.Engine() }} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "requires the DES engine") {
+							t.Errorf("%s on the goroutine engine: panic %q, want requires the DES engine", name, msg)
+						}
+					}()
+					call()
+				}()
+			}
+		})
 	}
 }
