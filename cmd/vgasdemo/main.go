@@ -329,11 +329,11 @@ func main() {
 		fmt.Printf("   in-network forwards: first send %d, second send %d (learned!)\n",
 			mid-before, after-mid)
 	} else {
-		before := w.Locality(g.Home()).Stats.HostForwards.Load()
+		before := w.RankStats(g.Home()).Loc.HostForwards
 		w.MustWait(w.Proc(0).Call(g, echo, []byte("after-move")))
-		mid := w.Locality(g.Home()).Stats.HostForwards.Load()
+		mid := w.RankStats(g.Home()).Loc.HostForwards
 		w.MustWait(w.Proc(0).Call(g, echo, []byte("again")))
-		after := w.Locality(g.Home()).Stats.HostForwards.Load()
+		after := w.RankStats(g.Home()).Loc.HostForwards
 		fmt.Printf("   host forwards at the old owner: first send %d, second send %d\n",
 			mid-before, after-mid)
 	}

@@ -69,7 +69,7 @@ func run(mode vgas.Mode) {
 func hostForwards(w *vgas.World, ranks int) int64 {
 	var n int64
 	for r := 0; r < ranks; r++ {
-		n += w.Locality(r).Stats.HostForwards.Load()
+		n += w.RankStats(r).Loc.HostForwards
 	}
 	return n
 }
@@ -77,7 +77,7 @@ func hostForwards(w *vgas.World, ranks int) int64 {
 func hostNacks(w *vgas.World, ranks int) int64 {
 	var n int64
 	for r := 0; r < ranks; r++ {
-		n += w.Locality(r).Stats.HostNacks.Load()
+		n += w.RankStats(r).Loc.HostNacks
 	}
 	return n
 }

@@ -219,7 +219,7 @@ func a1Forwarding(o Options) *stats.Table {
 		w.MustWait(w.Proc(1).Migrate(g, 2))
 		first := timeOp(w, func() *runtime.LCORef { return w.Proc(0).Call(g, echo, nil) })
 		steady := timeOp(w, func() *runtime.LCORef { return w.Proc(0).Call(g, echo, nil) })
-		tb.AddRow(pol.name, first.Micros(), steady.Micros(), w.Locality(0).Stats.NICNacks.Load())
+		tb.AddRow(pol.name, first.Micros(), steady.Micros(), w.RankStats(0).Loc.NICNacks)
 		w.Stop()
 	}
 	return tb

@@ -52,9 +52,10 @@ func (s *Sampler) now() int64 {
 func (s *Sampler) Sample() Sample {
 	var run, depth, table int64
 	for r, d := range s.w.QueueDepths() {
-		run += s.w.Locality(r).Stats.ParcelsRun.Load()
+		rs := s.w.RankStats(r)
+		run += rs.Loc.ParcelsRun
 		depth += int64(d)
-		table += int64(s.w.NICTableLen(r))
+		table += int64(rs.NICTable)
 	}
 	p := Sample{T: s.now(), ParcelsRun: run, QueueDepth: depth, NICTableEntries: table}
 	s.mu.Lock()

@@ -9,9 +9,9 @@ import (
 
 // WorldPublisher mirrors a World's counters, per-rank state, and latency
 // summaries into a Registry. Series handles are resolved once at
-// construction; Refresh copies a consistent snapshot in, so scraping
-// never touches runtime hot paths beyond the atomic counter loads the
-// runtime already pays for.
+// construction; Refresh copies a snapshot in, reading each rank's
+// counters on its one writer (World.Stats, World.RankStats), so scraping
+// adds nothing to the runtime's hot paths.
 type WorldPublisher struct {
 	w *runtime.World
 
@@ -78,14 +78,13 @@ func (p *WorldPublisher) Refresh() {
 	}
 
 	for r, depth := range p.w.QueueDepths() {
-		ls := &p.w.Locality(r).Stats
-		p.rankSent[r].Set(float64(ls.ParcelsSent.Load()))
-		p.rankRun[r].Set(float64(ls.ParcelsRun.Load()))
+		rs := p.w.RankStats(r)
+		p.rankSent[r].Set(float64(rs.Loc.ParcelsSent))
+		p.rankRun[r].Set(float64(rs.Loc.ParcelsRun))
 		p.rankQueue[r].Set(float64(depth))
-		p.rankTable[r].Set(float64(p.w.NICTableLen(r)))
-		n := p.w.NICStats(r)
-		p.rankDownDrops[r].Set(float64(n[netsim.CntDownDrops]))
-		p.rankDeadNacks[r].Set(float64(n[netsim.CntDeadNacks]))
+		p.rankTable[r].Set(float64(rs.NICTable))
+		p.rankDownDrops[r].Set(float64(rs.NIC[netsim.CntDownDrops]))
+		p.rankDeadNacks[r].Set(float64(rs.NIC[netsim.CntDeadNacks]))
 	}
 	if loads := p.w.HeatLoads(); loads != nil {
 		for r, l := range loads {

@@ -5,13 +5,14 @@ import "fmt"
 // Port is one engine's side of one NIC. The driver — what a NIC does with
 // a message it sends or receives, in what order, and what it counts — is
 // written once over it (Address, Gate, Inject, Receive, ApplyTable): a port
-// says only what a step costs and when it runs. The simulated NIC
-// schedules typed events at the model's charges; the goroutine transport
-// runs every step at once, its only wall-clock delay an injected fault's.
+// says only what a step costs and when it runs, and the driver counts on
+// the core's Stats. The simulated NIC schedules typed events at the
+// model's charges; the goroutine transport runs every step at once, its
+// only wall-clock delay an injected fault's.
 //
-// A port's translation state has one writer: the simulated NIC's rank's
-// events, the goroutine rank's token holder. Every driver step runs
-// there, so none takes a lock.
+// A port's translation state and counters have one writer: the simulated
+// NIC's rank's events, the goroutine rank's token holder. Every driver
+// step runs there, so none takes a lock or an atomic.
 type Port interface {
 	Routes
 	// Cache returns the NIC's translation table. Table pushes are checked
@@ -20,13 +21,13 @@ type Port interface {
 	// Transmit sends m, which this NIC addressed itself (a forward, a
 	// NACK, a table push, a scatter share), at the NIC's forwarding cost.
 	Transmit(m *Message)
-	// Later runs ApplyTable(p, m) once the table write's cost has elapsed.
+	// Later runs the core's ApplyTable(p, m) once the table write's cost
+	// has elapsed.
 	Later(m *Message)
 	// DeliverHost hands m to the host; DeliverDMA copies it against
 	// resident host memory, at the copy's cost.
 	DeliverHost(m *Message)
 	DeliverDMA(m *Message)
-	Count(c Counter, d uint64) // a port may decline what it does not model
 }
 
 // Address readies m for the send gate: it fills m.Block from a GVA target
@@ -42,8 +43,9 @@ func (c *NICCore) Address(m *Message) (gva bool) {
 
 // Gate is the send gate m passes on its way to one of ranks NICs: the
 // liveness fence, the counter its verdict names, and the NACK that takes
-// m's place, fenced in turn. It returns m, that NACK, or nil, or an error
-// for a destination that is no rank; the port decides how to fail on it.
+// m's place, fenced in turn; what passes is counted sent. It returns m,
+// that NACK, or nil, or an error for a destination that is no rank; the
+// port decides how to fail on it.
 func (c *NICCore) Gate(p Port, lv Liveness, m *Message, ranks int) (*Message, error) {
 	for {
 		if m.Dst == ByGVA {
@@ -54,9 +56,11 @@ func (c *NICCore) Gate(p Port, lv Liveness, m *Message, ranks int) (*Message, er
 		}
 		v := c.Fence(lv, m)
 		if v.Act == ActPass {
+			c.Stats[CntSent]++
+			c.Stats[CntBytesTx] += uint64(m.WireSize())
 			return m, nil
 		}
-		p.Count(v.Count, 1)
+		c.Stats[v.Count]++
 		if v.Act != ActNack {
 			return nil, nil
 		}
@@ -84,12 +88,14 @@ func (fi *FaultInjector) Inject(m *Message, at VTime, land func(*Message, VTime)
 }
 
 // Receive handles a wire arrival: Classify, the soft-error draw on the
-// table, Misroute, the verdict's counter, then the verdict acted out on
-// the port. arrived reports whether m came off the link rather than
-// vanishing at a down one; a port that models the link counts it.
+// table, Misroute, the arrival's and the verdict's counters, then the
+// verdict acted out on the port. arrived reports whether m came off the
+// link rather than vanishing at a down one.
 func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (arrived bool) {
 	v := c.Classify(lv, m)
 	if arrived = v.Act != ActDrop; arrived {
+		c.Stats[CntReceived]++
+		c.Stats[CntBytesRx] += uint64(m.WireSize())
 		if m.Ctl == CtlNone && c.GVARouting && fi != nil {
 			// Soft-error model: traffic may scribble over one cached entry;
 			// authoritative routes are assumed protected (ECC directory).
@@ -100,7 +106,7 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 		}
 	}
 	if v.Count != CntNone {
-		p.Count(v.Count, 1)
+		c.Stats[v.Count]++
 	}
 	switch v.Act {
 	case ActApplyTable:
@@ -125,14 +131,14 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 	case ActScatter:
 		fwd, host, split := c.SplitScatter(p, m)
 		if split {
-			p.Count(CntScatterSplits, 1)
+			c.Stats[CntScatterSplits]++
 		}
 		for _, f := range fwd {
-			p.Count(CntScatterForwards, 1)
+			c.Stats[CntScatterForwards]++
 			p.Transmit(f)
 		}
 		if host {
-			p.Count(CntHostDelivered, 1)
+			c.Stats[CntHostDelivered]++
 			p.DeliverHost(m)
 		} else {
 			m.Release() // every record moved on; the envelope is spent
@@ -147,11 +153,11 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 // the table trusts is counted and ignored: it was in flight across a
 // membership change and could resurrect a route to a dead or re-homed
 // locality.
-func ApplyTable(p Port, m *Message) {
+func (c *NICCore) ApplyTable(p Port, m *Message) {
 	t := p.Cache()
 	switch {
 	case m.Epoch < t.Epoch():
-		p.Count(CntStaleEpochDrops, 1)
+		c.Stats[CntStaleEpochDrops]++
 	case m.Ctl == CtlTableBatch:
 		ForEachTableEntry(m.Payload, t.Update)
 	default:

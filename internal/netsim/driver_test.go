@@ -13,18 +13,19 @@ import (
 // fabric, no engine, no world. What the driver asks of a port — which
 // calls, at which cost, with which counters — is all there is to see.
 
-// recPort is a Port that holds one NIC's translation state and counters,
-// records every call the driver makes and keeps what was handed on.
-// Later applies a table push at once, as the goroutine transport does.
+// recPort is a Port that holds one NIC's translation state, records
+// every call the driver makes and keeps what was handed on. Later applies
+// a table push at once through c, the core whose driver it serves, as
+// the goroutine transport does; the counters are c's.
 type recPort struct {
 	TransState
-	stats NICStats
+	c     *NICCore
 	calls []string
 	out   []*Message // transmitted, in order
 	up    []*Message // delivered to the host or by DMA, in order
 }
 
-func newRecPort() *recPort { return &recPort{TransState: NewTransState(0)} }
+func newRecPort(c *NICCore) *recPort { return &recPort{TransState: NewTransState(0), c: c} }
 
 // epochAt returns a membership epoch counter standing at e, for a table
 // to trust.
@@ -41,7 +42,7 @@ func (p *recPort) Transmit(m *Message) {
 
 func (p *recPort) Later(m *Message) {
 	p.calls = append(p.calls, "later table-write")
-	ApplyTable(p, m)
+	p.c.ApplyTable(p, m)
 }
 
 func (p *recPort) DeliverHost(m *Message) {
@@ -53,8 +54,6 @@ func (p *recPort) DeliverDMA(m *Message) {
 	p.calls = append(p.calls, "dma")
 	p.up = append(p.up, m)
 }
-
-func (p *recPort) Count(c Counter, d uint64) { p.stats[c] += d }
 
 // describe names a transmitted message by what the driver made of it.
 func describe(m *Message) string {
@@ -156,17 +155,21 @@ func TestDriverReceive(t *testing.T) {
 			c := coreAt(2, true, tc.pol, 10, 11)
 			var traced []int
 			c.OnForward = func(_ *Message, owner int) { traced = append(traced, owner) }
-			p := newRecPort()
+			p := newRecPort(c)
 			p.Table.TrustEpoch(epochAt(5))
 			p.InstallRoute(50, 3)
+			want := tc.stats
+			if tc.lv == nil { // what came off the link is counted too
+				want[CntReceived], want[CntBytesRx] = 1, uint64(tc.m.WireSize())
+			}
 			if arrived := c.Receive(p, tc.lv, nil, tc.m); arrived != (tc.lv == nil) {
 				t.Fatalf("arrived = %v", arrived)
 			}
 			if !reflect.DeepEqual(p.calls, tc.calls) {
 				t.Fatalf("port calls %q, want %q", p.calls, tc.calls)
 			}
-			if p.stats != tc.stats {
-				t.Fatalf("counters %v, want %v", p.stats, tc.stats)
+			if c.Stats != want {
+				t.Fatalf("counters %v, want %v", c.Stats, want)
 			}
 			if !reflect.DeepEqual(traced, tc.traced) {
 				t.Fatalf("OnForward saw %v, want %v", traced, tc.traced)
@@ -186,25 +189,25 @@ func TestDriverReceive(t *testing.T) {
 // at the other and counted; one stamped after is applied.
 func TestApplyTableDropsPushBelowSharedEpoch(t *testing.T) {
 	epoch := epochAt(3)
-	from, to := newRecPort(), newRecPort()
+	c, at := coreAt(2, true, Policy{}), coreAt(3, true, Policy{})
+	from, to := newRecPort(c), newRecPort(at)
 	from.Table.TrustEpoch(epoch)
 	to.Table.TrustEpoch(epoch)
-	c := coreAt(2, true, Policy{})
 	stale := c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch())
 	epoch.Add(1)
-	ApplyTable(to, stale)
-	if _, ok := peek(to.Table, 50); ok || to.stats[CntStaleEpochDrops] != 1 {
-		t.Fatalf("push stamped at 3 under epoch 4: applied=%v, %d stale drops; want dropped and 1", ok, to.stats[CntStaleEpochDrops])
+	at.ApplyTable(to, stale)
+	if _, ok := peek(to.Table, 50); ok || at.Stats[CntStaleEpochDrops] != 1 {
+		t.Fatalf("push stamped at 3 under epoch 4: applied=%v, %d stale drops; want dropped and 1", ok, at.Stats[CntStaleEpochDrops])
 	}
-	ApplyTable(to, c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch()))
-	if o, ok := peek(to.Table, 50); !ok || o != 3 || to.stats[CntStaleEpochDrops] != 1 {
-		t.Fatalf("push stamped at the current epoch: %d,%v, %d stale drops", o, ok, to.stats[CntStaleEpochDrops])
+	at.ApplyTable(to, c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch()))
+	if o, ok := peek(to.Table, 50); !ok || o != 3 || at.Stats[CntStaleEpochDrops] != 1 {
+		t.Fatalf("push stamped at the current epoch: %d,%v, %d stale drops", o, ok, at.Stats[CntStaleEpochDrops])
 	}
 }
 
 func TestDriverReceiveDrawsSoftErrors(t *testing.T) {
 	c := coreAt(2, true, Policy{}, 10)
-	p := newRecPort()
+	p := newRecPort(c)
 	p.Table.Update(60, 3)
 	fi := NewFaultInjector(FaultPlan{TableLoss: 1, Seed: 1})
 	c.Receive(p, nil, fi, msgFor(2, 10))
@@ -238,12 +241,16 @@ func TestDriverSendGate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := coreAt(2, true, Policy{})
-			p := newRecPort()
+			p := newRecPort(c)
 			m := msgFor(1, 50)
 			m.Dst = tc.dst
 			g, err := c.Gate(p, tc.lv, m, 8)
 			if err != nil {
 				t.Fatal(err)
+			}
+			want := tc.stats
+			if g != nil { // what passes is counted sent
+				want[CntSent], want[CntBytesTx] = 1, uint64(g.WireSize())
 			}
 			got := "nil"
 			switch {
@@ -255,15 +262,15 @@ func TestDriverSendGate(t *testing.T) {
 					t.Fatal("the NACK does not own the message it replaced")
 				}
 			}
-			if got != tc.want || p.stats != tc.stats {
-				t.Fatalf("gate gave %s with counters %v, want %s with %v", got, p.stats, tc.want, tc.stats)
+			if got != tc.want || c.Stats != want {
+				t.Fatalf("gate gave %s with counters %v, want %s with %v", got, c.Stats, tc.want, want)
 			}
 			if len(p.calls) != 0 {
 				t.Fatalf("the gate made port calls %q", p.calls)
 			}
 		})
 	}
-	if _, err := coreAt(2, true, Policy{}).Gate(newRecPort(), nil, &Message{Dst: 8}, 8); err == nil {
+	if _, err := coreAt(2, true, Policy{}).Gate(newRecPort(nil), nil, &Message{Dst: 8}, 8); err == nil {
 		t.Fatal("a send to rank 8 of 8 passed the gate")
 	}
 }
@@ -280,7 +287,7 @@ func TestDriverAddress(t *testing.T) {
 	if dumb.Address(m) {
 		t.Fatal("ByGVA on a dumb NIC sent to translation")
 	}
-	if _, err := dumb.Gate(newRecPort(), nil, m, 8); err == nil {
+	if _, err := dumb.Gate(newRecPort(dumb), nil, m, 8); err == nil {
 		t.Fatal("ByGVA on a dumb NIC passed the gate")
 	}
 }
@@ -329,8 +336,8 @@ func checkDriverReceive(t testing.TB, c *NICCore, p *recPort, lv Liveness, m *Me
 		t.Fatalf("arrived = %v at a NIC whose link is down: %v", arrived, down)
 	}
 	if down {
-		if len(p.calls) != 0 || p.stats != counts(CntDownDrops, 1) {
-			t.Fatalf("arrival at a down NIC: calls %q counters %v", p.calls, p.stats)
+		if len(p.calls) != 0 || c.Stats != counts(CntDownDrops, 1) {
+			t.Fatalf("arrival at a down NIC: calls %q counters %v", p.calls, c.Stats)
 		}
 		return
 	}
@@ -371,11 +378,11 @@ func checkDriverReceive(t testing.TB, c *NICCore, p *recPort, lv Liveness, m *Me
 	if handed != 1 {
 		t.Fatalf("arrival handed on or released %d times: calls %q", handed, p.calls)
 	}
-	if p.stats[CntHostDelivered] != tally["host"] || p.stats[CntDMADelivered] != tally["dma"] ||
-		p.stats[CntTableUpdatesRx] != tally["later table-write"] ||
-		p.stats[CntForwards] != uint64(forwards) || p.stats[CntForwards] != forwarded ||
-		p.stats[CntScatterForwards] != scatters || p.stats[CntNacks]+p.stats[CntLoopNacks] != nacks ||
-		p.stats[CntStaleEpochDrops] > p.stats[CntTableUpdatesRx] {
-		t.Fatalf("counters %v disagree with calls %q", p.stats, p.calls)
+	if s := &c.Stats; s[CntReceived] != 1 || s[CntHostDelivered] != tally["host"] || s[CntDMADelivered] != tally["dma"] ||
+		s[CntTableUpdatesRx] != tally["later table-write"] ||
+		s[CntForwards] != uint64(forwards) || s[CntForwards] != forwarded ||
+		s[CntScatterForwards] != scatters || s[CntNacks]+s[CntLoopNacks] != nacks ||
+		s[CntStaleEpochDrops] > s[CntTableUpdatesRx] {
+		t.Fatalf("counters %v disagree with calls %q", c.Stats, p.calls)
 	}
 }

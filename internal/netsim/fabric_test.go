@@ -266,8 +266,10 @@ func TestFabricTotalStats(t *testing.T) {
 	h.fab.NIC(1).Send(&Message{Dst: 0, Wire: 100})
 	h.eng.Run()
 	var st NICStats
-	for r := range h.fab.NICs {
-		st.Add(&h.fab.NICs[r].Stats)
+	for _, n := range h.fab.NICs {
+		for c, v := range n.Stats {
+			st[c] += v
+		}
 	}
 	if st[CntSent] != 2 || st[CntReceived] != 2 {
 		t.Fatalf("stats %+v", st)

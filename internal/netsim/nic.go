@@ -19,14 +19,13 @@ type NIC struct {
 	// eng schedules this rank's events: the fabric engine in classic mode,
 	// the rank's shard engine under sharding. All NIC state is touched only
 	// from this rank's event context, which makes window-parallel execution
-	// race-free and lets the counters be plain integers.
+	// race-free and lets the core's counters be plain integers.
 	eng *Engine
 	// fi is this NIC's fault stream: the fabric-shared injector in
 	// classic mode, a per-rank fork under sharding.
 	fi     *FaultInjector
 	txFree VTime
 	rxFree VTime
-	Stats  NICStats
 }
 
 // Send injects a message. The caller has already paid host injection
@@ -73,8 +72,6 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 		start = n.txFree
 	}
 	n.txFree = start + ser
-	n.Stats[CntSent]++
-	n.Stats[CntBytesTx] += uint64(wire)
 	n.fi.Inject(m, n.txFree+model.Latency*VTime(hops), n.scheduleArrival)
 }
 
@@ -116,14 +113,9 @@ func (n *NIC) HandleMsg(op uint8, m *Message) {
 		}
 		fallthrough
 	case opRxReady:
-		// The rx link is the simulator's, and so are its counters.
-		wire := uint64(m.WireSize())
-		if n.Receive(n, n.fab.Live, n.fi, m) {
-			n.Stats[CntReceived]++
-			n.Stats[CntBytesRx] += wire
-		}
+		n.Receive(n, n.fab.Live, n.fi, m)
 	case opTableApply:
-		ApplyTable(n, m)
+		n.ApplyTable(n, m)
 	case opDMADone:
 		n.DMADeliver(m)
 	}
@@ -132,9 +124,8 @@ func (n *NIC) HandleMsg(op uint8, m *Message) {
 // The NIC's side of the driver (Port); ReadRoute, Forward and Cache are
 // its TransState's.
 
-func (n *NIC) Transmit(m *Message)       { n.transmit(m, n.fab.Model.NICForward) }
-func (n *NIC) DeliverHost(m *Message)    { n.HostDeliver(m) }
-func (n *NIC) Count(c Counter, d uint64) { n.Stats[c] += d }
+func (n *NIC) Transmit(m *Message)    { n.transmit(m, n.fab.Model.NICForward) }
+func (n *NIC) DeliverHost(m *Message) { n.HostDeliver(m) }
 
 func (n *NIC) Later(m *Message) {
 	n.eng.AtRankMsg(n.Rank, n.eng.Now()+n.fab.Model.NICUpdate, n, opTableApply, m)

@@ -34,16 +34,15 @@ type Policy struct {
 }
 
 // Counter names one per-NIC counter. A Verdict carries the one it bumps
-// and the driver bumps it through Port.Count, so the simulator never pays
-// for the goroutine engine's atomics. Injected faults are not NIC
-// counters: the FaultInjector that decides one counts it (FaultStats).
+// and the driver bumps it on NICCore.Stats, a plain array its one writer
+// owns. Injected faults are not NIC counters: the FaultInjector that
+// decides one counts it (FaultStats).
 type Counter uint8
 
 const (
 	CntNone Counter = iota
-	// CntSent, CntReceived: messages put on and taken off the link;
-	// CntBytesTx, CntBytesRx: their wire bytes. Only the simulated NIC
-	// models a receive link and counts the receive-side two.
+	// CntSent, CntReceived: messages that passed the send gate and that
+	// came off the link; CntBytesTx, CntBytesRx: their wire bytes.
 	CntSent
 	CntReceived
 	CntBytesTx
@@ -56,7 +55,7 @@ const (
 	// CntTableUpdatesRx: table pushes (single or batch) absorbed.
 	CntTableUpdatesRx
 	// CntDMADelivered, CntHostDelivered: arrivals served by one-sided
-	// DMA and arrivals handed to the host (the latter DES only).
+	// DMA and arrivals handed to the host.
 	CntDMADelivered
 	CntHostDelivered
 	// CntScatterSplits: batches split on arrival because at least one
@@ -82,13 +81,6 @@ const (
 // NICStats are cumulative per-NIC counters indexed by Counter (the
 // CntNone slot stays zero).
 type NICStats [NumCounters]uint64
-
-// Add sums o into s.
-func (s *NICStats) Add(o *NICStats) {
-	for c := range s {
-		s[c] += o[c]
-	}
-}
 
 // TransState is one NIC's translation state. It has one writer and takes
 // no lock: the DES NIC touches it only from its rank's event context, the
@@ -263,12 +255,12 @@ var (
 	verdictHost = Verdict{Act: ActDeliverHost, Count: CntHostDelivered}
 )
 
-// NICCore is the per-rank configuration the decision functions read.
-// With GVARouting on (the network-managed mode) the NIC resolves
-// GVA-addressed traffic from its translation state, forwards in-network
-// when a block has moved, and absorbs table pushes — all without host
-// involvement. With it off it is a plain dumb NIC: hosts must resolve
-// destinations in software.
+// NICCore is the per-rank configuration the decision functions read, and
+// the NIC's counters the driver writes. With GVARouting on (the
+// network-managed mode) the NIC resolves GVA-addressed traffic from its
+// translation state, forwards in-network when a block has moved, and
+// absorbs table pushes — all without host involvement. With it off it is
+// a plain dumb NIC: hosts must resolve destinations in software.
 type NICCore struct {
 	Rank       int
 	GVARouting bool
@@ -286,6 +278,10 @@ type NICCore struct {
 	// be rewritten to owner) at no cost — a tracing hook, not a
 	// participant.
 	OnForward func(m *Message, owner int)
+
+	// Stats is written only by the driver, on the NIC's one writer; a
+	// reader outside it claims the rank first.
+	Stats NICStats
 }
 
 func (c *NICCore) resident(b gas.BlockID) bool { return c.Resident != nil && c.Resident(b) }

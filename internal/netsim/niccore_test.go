@@ -212,20 +212,20 @@ func TestNICCoreResolve(t *testing.T) {
 
 func TestNICCoreApplyTableAndControl(t *testing.T) {
 	c := coreAt(2, true, Policy{})
-	p := newRecPort()
+	p := newRecPort(c)
 	p.Table.TrustEpoch(epochAt(5))
 	orig := msgFor(1, 50)
 	upd := c.Control(CtlTableUpdate, orig, 3, p.Table.Epoch())
 	if upd.Dst != orig.Src || upd.Src != 2 || upd.Block != 50 || upd.Owner != 3 || upd.Epoch != 5 || upd.Nacked != nil {
 		t.Fatalf("table push built wrong: %+v", upd)
 	}
-	if ApplyTable(p, upd); p.stats[CntStaleEpochDrops] != 0 {
+	if c.ApplyTable(p, upd); c.Stats[CntStaleEpochDrops] != 0 {
 		t.Fatal("current-epoch push reported stale")
 	}
 	if o, ok := peek(p.Table, 50); !ok || o != 3 {
 		t.Fatalf("push not applied: %d,%v", o, ok)
 	}
-	if ApplyTable(p, c.Control(CtlTableUpdate, orig, 9, 4)); p.stats[CntStaleEpochDrops] != 1 {
+	if c.ApplyTable(p, c.Control(CtlTableUpdate, orig, 9, 4)); c.Stats[CntStaleEpochDrops] != 1 {
 		t.Fatal("older-epoch push not reported stale")
 	}
 	if o, _ := peek(p.Table, 50); o != 3 {
@@ -233,7 +233,7 @@ func TestNICCoreApplyTableAndControl(t *testing.T) {
 	}
 	batch := &Message{Ctl: CtlTableBatch, Epoch: 5}
 	batch.Payload = AppendTableEntry(AppendTableEntry(nil, 60, 1), 61, 4)
-	if ApplyTable(p, batch); p.stats[CntStaleEpochDrops] != 1 {
+	if c.ApplyTable(p, batch); c.Stats[CntStaleEpochDrops] != 1 {
 		t.Fatal("batch reported stale")
 	}
 	if o, ok := peek(p.Table, 61); !ok || o != 4 {
@@ -466,7 +466,7 @@ func checkReceive(t testing.TB, c *NICCore, st *TransState, lv Liveness, m *Mess
 	}
 	switch v.Act {
 	case ActApplyTable:
-		ApplyTable(&recPort{TransState: *st}, m)
+		c.ApplyTable(&recPort{TransState: *st, c: c}, m)
 		return
 	case ActScatter:
 		checkScatterSplit(t, c, st, m)
@@ -638,7 +638,7 @@ func FuzzNICCoreReceive(f *testing.F) {
 		c, st, lv, m := fuzzNIC(data)
 		checkReceive(t, c, st, lv, m)
 		c, st, lv, m = fuzzNIC(data)
-		checkDriverReceive(t, c, &recPort{TransState: *st}, lv, m)
+		checkDriverReceive(t, c, &recPort{TransState: *st, c: c}, lv, m)
 	})
 }
 

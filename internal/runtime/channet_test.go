@@ -19,6 +19,17 @@ func peekNICTable(w *World, rank int, b gas.BlockID) (owner int, ok bool) {
 	return owner, ok
 }
 
+// nicTotals sums every rank's NIC counters, each read on its rank's token
+// (World.RankStats).
+func (w *World) nicTotals() (t netsim.NICStats) {
+	for r := range w.locs {
+		for c, v := range w.RankStats(r).NIC {
+			t[c] += v
+		}
+	}
+	return t
+}
+
 func goNMWorld(t *testing.T, pol netsim.Policy) *World {
 	t.Helper()
 	return testWorld(t, Config{
@@ -57,13 +68,13 @@ func TestChanNetNackPolicy(t *testing.T) {
 	g := lay.BlockAt(0)
 	w.MustWait(w.Proc(0).Migrate(g, 3))
 	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	if w.Locality(2).Stats.NICNacks.Load() == 0 {
+	if w.RankStats(2).Loc.NICNacks == 0 {
 		t.Fatal("no NACK processed under the NACK policy (go engine)")
 	}
 	// Table repaired by the NACK: next call completes without another.
-	base := w.Locality(2).Stats.NICNacks.Load()
+	base := w.RankStats(2).Loc.NICNacks
 	w.MustWait(w.Proc(2).Call(g, echo, nil))
-	if w.Locality(2).Stats.NICNacks.Load() != base {
+	if w.RankStats(2).Loc.NICNacks != base {
 		t.Fatal("second call NACKed again after repair")
 	}
 }
@@ -100,7 +111,7 @@ func TestChanNetBoundedTableCapacity(t *testing.T) {
 	for d := uint32(0); d < 8; d++ {
 		w.MustWait(w.Proc(0).Call(lay.BlockAt(d), echo, nil))
 	}
-	if n := w.NICTableLen(0); n > 2 {
+	if n := w.RankStats(0).NICTable; n > 2 {
 		t.Fatalf("go-engine NIC table grew to %d (cap 2)", n)
 	}
 }
@@ -237,13 +248,34 @@ func TestChanNetDeadRankNackCrossesTheFaultPlan(t *testing.T) {
 	if st := w.net.Stats(2); st[netsim.CntDeadNacks] != 1 || st[netsim.CntSent] != 1 {
 		t.Fatalf("rank 2 counted %d dead NACKs, %d sent; want 1 and 1", st[netsim.CntDeadNacks], st[netsim.CntSent])
 	}
-	if st := w.NICStats(2); st[netsim.CntDownDrops] != 0 || st[netsim.CntDeadNacks] != 1 {
-		t.Fatalf("NICStats(2) = %d down drops, %d dead NACKs under EngineGo; want 0 and 1",
+	if st := w.RankStats(2).NIC; st[netsim.CntDownDrops] != 0 || st[netsim.CntDeadNacks] != 1 {
+		t.Fatalf("RankStats(2).NIC = %d down drops, %d dead NACKs under EngineGo; want 0 and 1",
 			st[netsim.CntDownDrops], st[netsim.CntDeadNacks])
 	}
 	// The second one gets through, to the sender, owning the original.
 	w.net.Send(2, m)
 	if got := cn.mailbox(2); len(got) != 1 || got[0].Ctl != netsim.CtlNackLoop || got[0].Nacked != m || got[0].Owner != 1 {
 		t.Fatalf("sender's mailbox holds %v, want a loop NACK with the live home as hint", got)
+	}
+}
+
+// TestGoEngineCountsWhatDESCounts: both ports run the one NIC driver,
+// which counts every arrival, its wire bytes and every host delivery, so
+// on the fault-free equivalence workload the goroutine engine's
+// Received, BytesRx and HostDelivered equal the simulator's.
+func TestGoEngineCountsWhatDESCounts(t *testing.T) {
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			var got [2]netsim.NICStats
+			for i, eng := range allEngines {
+				_, w := runEquivWorkload(t, mode, eng)
+				got[i] = w.nicTotals()
+			}
+			for _, c := range []netsim.Counter{netsim.CntReceived, netsim.CntBytesRx, netsim.CntHostDelivered} {
+				if des, goEng := got[0][c], got[1][c]; des == 0 || goEng != des {
+					t.Errorf("counter %d: goroutine engine %d, DES %d", c, goEng, des)
+				}
+			}
+		})
 	}
 }

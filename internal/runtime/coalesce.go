@@ -230,7 +230,7 @@ func (l *Locality) onBatch(m *netsim.Message) {
 		if l.queueIfMoving(sub.Block, sub) {
 			continue
 		}
-		l.Stats.BatchReroutes.Inc()
+		l.stats.BatchReroutes++
 		l.routeMsg(sub)
 	}
 }

@@ -166,7 +166,7 @@ func TestCoalesceFlushAll(t *testing.T) {
 	if !w.Engine().RunUntil(flushed(0, 1)) || w.Now() >= coalMaxDelay {
 		t.Fatalf("FlushAll did not release the request (now %v)", w.Now())
 	}
-	if !w.Engine().RunUntil(func() bool { return w.Locality(1).Stats.ParcelsRun.Load() > 0 }) {
+	if !w.Engine().RunUntil(func() bool { return w.RankStats(1).Loc.ParcelsRun > 0 }) {
 		t.Fatal("request never ran")
 	}
 	// ...then the buffered reply out of rank 1.

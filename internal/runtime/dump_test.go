@@ -17,7 +17,7 @@ func TestDumpStateShowsMigrationInFlight(t *testing.T) {
 	w.Engine().RunUntil(func() bool { return w.Locality(1).Moving(g.Block()) })
 	// Park a put behind the move so the queue depth is visible.
 	put := w.Proc(2).Put(g, []byte{1})
-	w.Engine().RunUntil(func() bool { return w.Locality(1).Stats.Queued.Load() > 0 })
+	w.Engine().RunUntil(func() bool { return w.RankStats(1).Loc.Queued > 0 })
 
 	var sb strings.Builder
 	if err := w.DumpState(&sb); err != nil {

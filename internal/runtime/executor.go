@@ -239,12 +239,11 @@ func (e *goExec) loop() {
 
 // stop drains queued work and stops the actor, which waits on the cond
 // for an inliner or claimant to hand the token back. A stopped mailbox
-// drops work, and its claims run nothing.
+// drops new work, and once drained its claims run nothing.
 func (e *goExec) stop() {
 	e.mu.Lock()
 	e.stopped = true
 	e.cond.Broadcast()
-	e.free.Broadcast()
 	e.mu.Unlock()
 	e.wg.Wait()
 }
@@ -274,19 +273,24 @@ func (e *goExec) post(t task, waited bool) bool {
 }
 
 // claim is how a driver acts for the locality (Proc's one-sided calls,
-// FlushAll, World.claimNIC): it runs fn as the token holder on the
-// calling goroutine, then one turn for whatever fn queued, as soon as the
-// token is free (before the actor). A stopped mailbox runs nothing and
-// reports false; a holder that claims waits for itself.
+// FlushAll, World.claim): it runs fn as the token holder on the calling
+// goroutine, then one turn for whatever fn queued, as soon as the token
+// is free (before the actor). A stopped mailbox still draining its queue
+// is claimed like a running one; a drained one runs nothing and reports
+// false, and no turn can start there again. A holder that claims waits
+// for itself.
 func (e *goExec) claim(fn func()) bool {
 	e.mu.Lock()
 	e.claims++
-	for e.running && !e.stopped {
+	for e.running {
 		e.free.Wait()
 	}
 	e.claims--
-	if e.stopped {
+	if e.stopped && e.n == 0 {
 		e.cond.Signal() // the actor may be waiting out the claims
+		if e.claims > 0 {
+			e.free.Signal() // and so may the next claimant
+		}
 		e.mu.Unlock()
 		return false
 	}

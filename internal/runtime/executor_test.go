@@ -509,7 +509,7 @@ func stopWithTimersOut() error {
 	}
 	w.Proc(0).Invoke(w.LocalityGVA(1), noop, nil)
 	l := w.locs[0]
-	w.mem.beginProbe(l, 1)
+	w.claim(0, func() { w.mem.beginProbe(l, 1) }) // a probe leaves from the prober's token
 	w.Stop()
 
 	type state struct {

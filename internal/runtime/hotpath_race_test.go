@@ -58,14 +58,16 @@ func TestAllocPublishesCompleteBlocks(t *testing.T) {
 }
 
 // TestGoNICStateConcurrentChurn: a goroutine-engine NIC's translation
-// state has one writer, its rank's token holder, and takes no lock.
-// Readers read every rank's NIC through its owner (NICTableLen, and
-// peekNICTable and a writer's scratch writes through World.claimNIC)
-// while the actors run traffic, migrations, FreeAsync and
-// ReplicateLive/Unreplicate, and then a kill and a join whose recovery
-// posts NIC writes to every rank. The bounded row keeps the table at
-// capacity, so LRU eviction runs under the readers too. Under -race any
-// NIC access off its owner is reported.
+// state and counters, and a locality's counters and reliability windows,
+// have one writer, the rank's token holder, and take no lock. Readers
+// read every rank's NIC through its owner (RankStats, and peekNICTable
+// and a writer's scratch writes through World.claimNIC), and a scraper
+// reads the world's reports (Stats, DeliveryStats, UnackedMessages,
+// MembershipStats), while the actors run traffic, migrations, FreeAsync
+// and ReplicateLive/Unreplicate, and then a kill and a join whose
+// recovery posts NIC writes to every rank. The bounded row keeps the
+// table at capacity, so LRU eviction runs under the readers too. Under
+// -race any access off the owner is reported.
 func TestGoNICStateConcurrentChurn(t *testing.T) {
 	for _, tableCap := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cap=%d", tableCap), func(t *testing.T) {
@@ -111,10 +113,20 @@ func goNICStateChurn(t *testing.T, tableCap int) {
 				r := (g + i) % 4
 				peekNICTable(w, r, lay.BlockAt(uint32(i%8)).Block())
 				peekNICTable(w, r, repl.BlockAt(uint32(i%2)).Block())
-				w.NICTableLen(r)
+				w.RankStats(r)
 			}
 		}(g)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			w.Stats()
+			w.DeliveryStats()
+			w.UnackedMessages()
+			w.MembershipStats()
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -166,6 +178,56 @@ func goNICStateChurn(t *testing.T, tableCap int) {
 	w.mem.mu.Unlock()
 	if ms := w.MembershipStats(); ms.Deaths != 1 || ms.Joins != 1 || ms.Rehomed != 1 || !lost {
 		t.Fatalf("membership %+v (unreplicated block lost: %v), want one death, one join, one promotion and the lost block", ms, lost)
+	}
+}
+
+// TestScrapeDuringStopDrain: Stop stops rank 0's mailbox with a backlog
+// of sends still queued, which its actor drains after the stop. A claim
+// against that stopped, draining mailbox waits out each turn and takes
+// the token for its read (goExec.claim), so a scraper reading rank 0's
+// counters and NIC table in a loop never reads beside the drain's
+// writes. Under -race a read beside a turn is reported.
+func TestScrapeDuringStopDrain(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
+	noop := w.Register("noop", func(*Ctx) {})
+	w.Start()
+	l, e := w.locs[0], w.locs[0].exec.(*goExec)
+	started, release := make(chan struct{}), make(chan struct{})
+	w.Proc(0).Run(func() { close(started); <-release })
+	<-started
+	for i := 0; i < 2000; i++ {
+		b := gas.BlockID(1<<20 + i) // a route learned beside each send: the drain writes the table too
+		w.Proc(0).Run(func() {
+			l.SendParcel(&parcel.Parcel{Action: noop, Target: w.LocalityGVA(1)})
+			w.net.State(0, func(st *netsim.TransState) { st.Table.Update(b, 1) })
+		})
+	}
+
+	var stopped atomic.Bool
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for ; !stopped.Load(); n++ {
+			w.RankStats(0)
+			w.Stats()
+		}
+		scraped <- n
+	}()
+	stopDone := make(chan struct{})
+	go func() { w.Stop(); close(stopDone) }()
+	eventually(t, "rank 0's mailbox to stop with its backlog queued", func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.stopped && e.n > 0
+	})
+	close(release)
+	<-stopDone
+	stopped.Store(true)
+	if n := <-scraped; n == 0 {
+		t.Fatal("the scraper never read")
+	}
+	if rs := w.RankStats(0); rs.Loc.ParcelsSent != 2000 || rs.NICTable < 2000 {
+		t.Fatalf("rank 0 sent %d parcels and holds %d table entries, want the whole backlog's 2000 of each", rs.Loc.ParcelsSent, rs.NICTable)
 	}
 }
 

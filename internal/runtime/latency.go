@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"nmvgas/internal/gas"
-	"nmvgas/internal/netsim"
 	"nmvgas/internal/stats"
 )
 
@@ -219,12 +218,4 @@ func (w *World) QueueDepths() []int {
 	counts := make([]int, w.Ranks())
 	w.net.queueDepthsInto(counts)
 	return counts
-}
-
-// NICTableLen returns the NIC-resident translation table size at rank r
-// (0 for address spaces without NIC translation).
-func (w *World) NICTableLen(r int) int {
-	n := 0
-	w.claimNIC(r, func(st *netsim.TransState) { n = st.Table.Len() })
-	return n
 }

@@ -8,7 +8,6 @@ import (
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
-	"nmvgas/internal/stats"
 )
 
 // Runtime-level message kinds carried in netsim.Message.Kind.
@@ -55,40 +54,42 @@ const (
 )
 
 // LocStats are per-locality runtime counters (distinct from the fabric's
-// NIC counters).
+// NIC counters), plain integers written by the rank's one writer, its
+// token holder or DES event; World.RankStats and World.Stats read them
+// by claiming the rank.
 type LocStats struct {
-	ParcelsSent  stats.Counter
-	ParcelsRun   stats.Counter
-	LocalRuns    stats.Counter // parcels short-circuited without the network
-	HostForwards stats.Counter // software-managed host forwarding
-	HostNacks    stats.Counter // one-sided faults repaired in software
-	NICNacks     stats.Counter // NACKs received from the fabric (ablation)
-	Queued       stats.Counter // messages parked behind a moving block
-	SWLookups    stats.Counter
-	PutOps       stats.Counter
-	GetOps       stats.Counter
-	PutBytes     stats.Counter
-	GetBytes     stats.Counter
-	Migrations   stats.Counter // completed with this locality as old owner
-	LoopNacks    stats.Counter // hop-budget NACKs processed as original sender
+	ParcelsSent  int64
+	ParcelsRun   int64
+	LocalRuns    int64 // parcels short-circuited without the network
+	HostForwards int64 // software-managed host forwarding
+	HostNacks    int64 // one-sided faults repaired in software
+	NICNacks     int64 // NACKs received from the fabric (ablation)
+	Queued       int64 // messages parked behind a moving block
+	SWLookups    int64
+	PutOps       int64
+	GetOps       int64
+	PutBytes     int64
+	GetBytes     int64
+	Migrations   int64 // completed with this locality as old owner
+	LoopNacks    int64 // hop-budget NACKs processed as original sender
 
 	// BatchReroutes counts batched parcels that arrived at a host which no
 	// longer owned their block and had to be re-routed in software. Under
 	// in-NIC batch scatter this is the exceptional path (hop-cap
 	// exhaustion, a residency race); the software-managed baseline pays it
 	// for every record behind a migration.
-	BatchReroutes stats.Counter
+	BatchReroutes int64
 
 	// Coherent-replication counters (see replicate.go). ReplicaReads are
 	// reads served from a local replica copy; ReplicaStaleReads found the
 	// copy stale and chased the master instead; ReplicaInvals /
 	// ReplicaUpdates / ReplicaFills count coherence messages applied at
 	// this locality as a holder.
-	ReplicaReads      stats.Counter
-	ReplicaStaleReads stats.Counter
-	ReplicaInvals     stats.Counter
-	ReplicaUpdates    stats.Counter
-	ReplicaFills      stats.Counter
+	ReplicaReads      int64
+	ReplicaStaleReads int64
+	ReplicaInvals     int64
+	ReplicaUpdates    int64
+	ReplicaFills      int64
 }
 
 type moveState struct {
@@ -156,7 +157,7 @@ type Locality struct {
 	// event). opIDSeq feeds newOpID; the rank lives in the id's high
 	// bits, so the per-locality counter yields world-unique ids.
 	parcelSeq, opIDSeq uint64
-	Stats              LocStats
+	stats              LocStats
 }
 
 // newOpID mints a world-unique causal span id: rank+1 in the top 16 bits
@@ -234,7 +235,7 @@ func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
 	st, ok := l.moving[b]
 	if ok {
 		st.queued = append(st.queued, m)
-		l.Stats.Queued.Inc()
+		l.stats.Queued++
 		l.note(TraceQueued, b, uint64(m.Kind), m.OpID)
 	}
 	return ok
@@ -290,7 +291,7 @@ func (l *Locality) SendParcel(p *parcel.Parcel) {
 	l.parcelSeq++
 	p.Seq = l.parcelSeq
 	p.OpID = l.newOpID()
-	l.Stats.ParcelsSent.Inc()
+	l.stats.ParcelsSent++
 	l.note(TraceSend, p.Target.Block(), uint64(p.Action), p.OpID)
 	buf, pooled := wireBuf(p.Action >= firstUserAction && l.payloadPoolable(), p.WireSize())
 	enc := parcel.AppendEncode(buf, p)
@@ -335,7 +336,7 @@ func (l *Locality) routeMsg(m *netsim.Message) {
 			}
 			// Stale local copy: the read chases the master while the
 			// refill is in flight.
-			l.Stats.ReplicaStaleReads.Inc()
+			l.stats.ReplicaStaleReads++
 		} else if t, ok := l.space.ReadRoute(b); ok && t != l.rank {
 			// Host-routed replica read (sw/pgas): the cached route picks
 			// the nearby holder. The NM space routes reads in the NIC and
@@ -389,7 +390,7 @@ func (l *Locality) nicInject(m *netsim.Message) {
 // deliverLocal executes m on this locality without touching the network:
 // straight to the host handler, charged as a handler dispatch.
 func (l *Locality) deliverLocal(m *netsim.Message) {
-	l.Stats.LocalRuns.Inc()
+	l.stats.LocalRuns++
 	l.exec.ExecMsg(l.w.cfg.Model.HandlerDispatch, opHostMsg, m)
 }
 
@@ -534,7 +535,7 @@ func (l *Locality) runParcel(m *netsim.Message, user bool) {
 		m.Release()
 		return
 	}
-	l.Stats.ParcelsRun.Inc()
+	l.stats.ParcelsRun++
 	l.note(TraceExec, b, uint64(p.Action), p.OpID)
 	c.P = p
 	act(c)
@@ -561,7 +562,7 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 	}
 	owner := uint64(int64(m.Owner))
 	if m.Ctl == netsim.CtlNackLoop {
-		l.Stats.LoopNacks.Inc()
+		l.stats.LoopNacks++
 		orig.Bounces++
 		if orig.Bounces > relBounceCap {
 			l.note(noteAbandon, m.Block, owner, orig.OpID)
@@ -570,7 +571,7 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 		}
 		l.note(TraceLoopNack, m.Block, owner, orig.OpID)
 	} else {
-		l.Stats.NICNacks.Inc()
+		l.stats.NICNacks++
 		l.note(TraceNICNack, m.Block, owner, orig.OpID)
 	}
 	if m.Owner >= 0 {
@@ -589,7 +590,7 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 // onHostNack handles the software-managed repair of a bounced one-sided
 // operation.
 func (l *Locality) onHostNack(m *netsim.Message) {
-	l.Stats.HostNacks.Inc()
+	l.stats.HostNacks++
 	if m.Nacked == nil {
 		l.w.fail("rank %d: host NACK without original message", l.rank)
 	}

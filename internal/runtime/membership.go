@@ -282,9 +282,10 @@ func (mem *membership) beginProbe(l *Locality, target int) {
 	mem.probeRound(l, target)
 }
 
-// probeRound fires one probe round: rank-addressed control pings outside
-// the reliability layer (their silence is the signal; retransmitting
-// them would blur it), checked at the pong deadline.
+// probeRound fires one probe round from l's token: rank-addressed
+// control pings outside the reliability layer (their silence is the
+// signal; retransmitting them would blur it), checked at the pong
+// deadline.
 func (mem *membership) probeRound(l *Locality, target int) {
 	for i := 0; i < probePings; i++ {
 		m := netsim.NewMessage()
@@ -294,10 +295,15 @@ func (mem *membership) probeRound(l *Locality, target int) {
 	mem.w.net.after(probeTimeout, func() { mem.probeCheck(l, target) })
 }
 
-// probeCheck runs at the pong deadline: a pong clears the suspicion, an
-// unanswered final round declares death. A target whose link came back
-// up mid-probe (a restart racing the probe) gets a fresh round instead
-// of a wrongful declaration.
+// probeCheck runs at the pong deadline, in world context: a pong clears
+// the suspicion, an unanswered final round declares death. A target
+// whose link came back up mid-probe (a restart racing the probe) gets a
+// fresh round instead of a wrongful declaration. A further round is
+// handed to the prober's mailbox (at once on DES), so its pings leave
+// from the prober's token like every other send. The verdict stays in
+// world context: declaring the death on the prober's token made the
+// dead-owner flake five to eight times likelier in virtual-time trials
+// (EXPERIMENTS.md W14).
 func (mem *membership) probeCheck(l *Locality, target int) {
 	mem.mu.Lock()
 	pr := mem.probing[target]
@@ -318,7 +324,7 @@ func (mem *membership) probeCheck(l *Locality, target int) {
 	if pr.rounds < probeRounds || !mem.down[target].Load() {
 		pr.pong = false
 		mem.mu.Unlock()
-		mem.probeRound(l, target)
+		l.exec.hand(func() { mem.probeRound(l, target) })
 		return
 	}
 	delete(mem.probing, target)
@@ -830,21 +836,4 @@ type MembershipStats struct {
 }
 
 // MembershipStats returns the membership layer's counters.
-func (w *World) MembershipStats() MembershipStats {
-	m, t := w.mem, w.nicTotals()
-	return MembershipStats{
-		Epoch:           m.epoch.Load(),
-		Deaths:          m.deaths.Load(),
-		Joins:           m.joins.Load(),
-		Retires:         m.retires.Load(),
-		Suspicions:      m.suspicions.Load(),
-		Rehomed:         m.rehomed.Load(),
-		Lost:            m.lostCount.Load(),
-		DownDrops:       t[netsim.CntDownDrops],
-		DeadNacks:       t[netsim.CntDeadNacks],
-		StaleEpochDrops: t[netsim.CntStaleEpochDrops],
-	}
-}
-
-// NICStats returns one rank's NIC counters, indexed by netsim.Counter.
-func (w *World) NICStats(rank int) netsim.NICStats { return w.net.Stats(rank) }
+func (w *World) MembershipStats() MembershipStats { return w.counters().Membership }

@@ -359,8 +359,7 @@ func TestBackoffCeilingBoundary(t *testing.T) {
 	l := w.Locality(0)
 	var maxSeen netsim.VTime
 	var rtoAtFirstSuspicion netsim.VTime = -1
-	sample := func() bool {
-		l.rel.mu.Lock()
+	sample := func() bool { // DES: between events, where the rank's state rests
 		for _, tc := range l.rel.tx {
 			if tc == nil {
 				continue // no message on this channel yet
@@ -372,7 +371,6 @@ func TestBackoffCeilingBoundary(t *testing.T) {
 				rtoAtFirstSuspicion = tc.rto
 			}
 		}
-		l.rel.mu.Unlock()
 		return w.MemberState(1) == MemberDead
 	}
 	w.Engine().RunUntil(sample)

@@ -307,7 +307,7 @@ func migrateDone(c *Ctx) {
 	if st == nil {
 		l.w.fail("rank %d: migrate.done for block %d that was not moving", l.rank, b)
 	}
-	l.Stats.Migrations.Inc()
+	l.stats.Migrations++
 	l.note(TraceMigrateDone, b, uint64(mp.to), 0)
 	for _, qm := range st.queued {
 		// A duplicate that was queued while its original executed here

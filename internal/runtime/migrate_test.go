@@ -413,7 +413,7 @@ func TestQueuedTraceCoversUserParcels(t *testing.T) {
 		until(t, w, "the block to be pinned", func() bool { return owner.Moving(g.Block()) })
 		call := w.Proc(0).Call(g, touch, nil)
 		put := w.Proc(0).Put(g, []byte{1})
-		until(t, w, "both messages to park", func() bool { return owner.Stats.Queued.Load() == 2 })
+		until(t, w, "both messages to park", func() bool { return w.RankStats(owner.rank).Loc.Queued == 2 })
 		release()
 		if st := MigrateStatus(w.MustWait(move)); st != MigrateOK {
 			t.Fatalf("migrate status %d", st)

@@ -36,7 +36,7 @@ func TestNMStaleTrafficForwardsInNetworkThenGoesDirect(t *testing.T) {
 	}
 	// And crucially: no host at the old owner or home was involved in
 	// forwarding.
-	if w.Locality(1).Stats.HostForwards.Load() != 0 {
+	if w.RankStats(1).Loc.HostForwards != 0 {
 		t.Fatal("home host forwarded in NM mode")
 	}
 }
@@ -80,7 +80,7 @@ func TestNMNackAblation(t *testing.T) {
 	if w.nicTotals()[netsim.CntNacks] == 0 {
 		t.Fatal("no NACKs under the NACK policy")
 	}
-	if w.Locality(2).Stats.NICNacks.Load() == 0 {
+	if w.RankStats(2).Loc.NICNacks == 0 {
 		t.Fatal("source host never processed a NACK")
 	}
 	// The host repaired its NIC table; the next send completes without
@@ -110,7 +110,7 @@ func TestSWStaleParcelHostForwardsAndTeachesSource(t *testing.T) {
 			// Rank 2 has no cache entry: the parcel goes to home 1, whose HOST
 			// forwards and pushes an owner update back.
 			w.MustWait(w.Proc(2).Call(g, echo, nil))
-			if w.Locality(1).Stats.HostForwards.Load() == 0 {
+			if w.RankStats(1).Loc.HostForwards == 0 {
 				t.Fatal("home host did not forward")
 			}
 			// The update is fire-and-forget: on the goroutine engine it may
@@ -125,9 +125,9 @@ func TestSWStaleParcelHostForwardsAndTeachesSource(t *testing.T) {
 				}
 				time.Sleep(100 * time.Microsecond)
 			}
-			base := w.Locality(1).Stats.HostForwards.Load()
+			base := w.RankStats(1).Loc.HostForwards
 			w.MustWait(w.Proc(2).Call(g, echo, nil))
-			if w.Locality(1).Stats.HostForwards.Load() != base {
+			if w.RankStats(1).Loc.HostForwards != base {
 				t.Fatal("second send still host-forwarded")
 			}
 		})
@@ -144,7 +144,7 @@ func TestSWStaleOneSidedOpHostNacks(t *testing.T) {
 	g := lay.BlockAt(1)
 	w.MustWait(w.Proc(0).Migrate(g, 3))
 	w.MustWait(w.Proc(2).Put(g, []byte{7}))
-	if w.Locality(1).Stats.HostNacks.Load() == 0 {
+	if w.RankStats(1).Loc.HostNacks == 0 {
 		t.Fatal("stale one-sided op did not take the host NACK path")
 	}
 	got := w.MustWait(w.Proc(2).Get(g, 1))
@@ -152,9 +152,9 @@ func TestSWStaleOneSidedOpHostNacks(t *testing.T) {
 		t.Fatal("data wrong after repaired put")
 	}
 	// Repaired cache: the next op goes direct.
-	base := w.Locality(1).Stats.HostNacks.Load()
+	base := w.RankStats(1).Loc.HostNacks
 	w.MustWait(w.Proc(2).Put(g, []byte{8}))
-	if w.Locality(1).Stats.HostNacks.Load() != base {
+	if w.RankStats(1).Loc.HostNacks != base {
 		t.Fatal("second op NACKed again")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nmvgas/internal/gas"
@@ -28,6 +27,8 @@ type network interface {
 	// Defer runs fn on rank's own timeline once the caller's step is
 	// done and before time advances (at once where there is no clock).
 	Defer(rank int, fn func())
+	// Stats copies rank's NIC counters; like State, the caller is their
+	// one writer (World.claim).
 	Stats(rank int) netsim.NICStats
 
 	// The engine half. stop runs once the world timers are off; now is
@@ -74,16 +75,13 @@ type chanNet struct {
 
 // goNIC is one rank's NIC, the goroutine engine's netsim.Port: every
 // step runs at once on the goroutine that reached it. Its translation
-// state has one writer, the rank's token holder, so it takes no lock:
-// sends are flushed, arrivals received and table pushes applied on the
-// token, and a write from elsewhere is claimed or posted to it
-// (World.claimNIC, World.postNIC). It fills three whole cache lines, so
-// no two NICs share one (TestGoNICFillsWholeCacheLines; EXPERIMENTS.md W6).
+// state and counters have one writer, the rank's token holder, so it
+// takes no lock and no atomic: sends are flushed, arrivals received and
+// table pushes applied on the token, and a read or write from elsewhere
+// is claimed or posted to it (World.claim, World.postNIC). It fills
+// three whole cache lines, so no two NICs share one
+// (TestGoNICFillsWholeCacheLines; EXPERIMENTS.md W6).
 type goNIC struct {
-	// stats is only ever touched atomically (Count, Stats): sender
-	// goroutines, the rank's actor and stats readers all meet here. It
-	// comes first, so the counters fill two cache lines of their own.
-	stats netsim.NICStats
 	netsim.NICCore
 	netsim.TransState
 	l *Locality
@@ -91,17 +89,9 @@ type goNIC struct {
 }
 
 func (n *goNIC) Transmit(m *netsim.Message)    { n.c.Send(n.Rank, m) }
-func (n *goNIC) Later(m *netsim.Message)       { netsim.ApplyTable(n, m) }
+func (n *goNIC) Later(m *netsim.Message)       { n.ApplyTable(n, m) }
 func (n *goNIC) DeliverHost(m *netsim.Message) { n.l.onHostMsg(m) }
 func (n *goNIC) DeliverDMA(m *netsim.Message)  { n.l.onDMA(m) }
-
-// Count declines HostDelivered: there is no host boundary to model, and
-// an atomic add per arrival cost go_rma 13 % of its ops/s in paired runs.
-func (n *goNIC) Count(c netsim.Counter, d uint64) {
-	if c != netsim.CntHostDelivered {
-		atomic.AddUint64(&n.stats[c], d)
-	}
-}
 
 func newChanNet(w *World) *chanNet {
 	c := &chanNet{w: w, faults: netsim.NewFaultInjector(w.cfg.Faults)}
@@ -126,26 +116,17 @@ func newChanNet(w *World) *chanNet {
 }
 
 func (c *chanNet) State(rank int, fn func(*netsim.TransState)) { fn(&c.nics[rank].TransState) }
-
-func (c *chanNet) Stats(rank int) (s netsim.NICStats) {
-	live := &c.nics[rank].stats
-	for k := range s {
-		s[k] = atomic.LoadUint64(&live[k])
-	}
-	return s
-}
+func (c *chanNet) Stats(rank int) netsim.NICStats              { return c.nics[rank].Stats }
 
 // Defer runs fn at once: with no simulated instant to batch within, the
 // caller's step is as good a boundary as any.
 func (c *chanNet) Defer(_ int, fn func()) { fn() }
 
-// Send injects m at rank from. Every sender holds from's token, except
-// the probe's pings: unordered control traffic, they leave at once and
-// never touch the outbox. While an actor's turn runs the rank's sends are
-// staged; a waited m flushes what is staged and leaves at once, so pairs
-// keep their order.
+// Send injects m at rank from. Every sender holds from's token. While an
+// actor's turn runs the rank's sends are staged; a waited m flushes what
+// is staged and leaves at once, so pairs keep their order.
 func (c *chanNet) Send(from int, m *netsim.Message) {
-	if e := c.execs[from]; m.Kind != kMemberPing && e.open {
+	if e := c.execs[from]; e.open {
 		if !m.Waited {
 			e.out = append(e.out, m)
 			return
@@ -156,12 +137,11 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 }
 
 // send carries ms, injected at rank from, in order, on from's token:
-// each message is resolved (if ByGVA) and gated in one pass, each
-// counter takes one atomic add, and each destination mailbox is locked
-// and woken once for its share (postRun).
+// each message is resolved (if ByGVA) and gated in one pass, and each
+// destination mailbox is locked and woken once for its share (postRun).
 func (c *chanNet) send(from int, ms []*netsim.Message) {
 	n := c.nics[from]
-	lv, sent, bytes := c.w.mem.view(), uint64(0), uint64(0)
+	lv := c.w.mem.view()
 	for i, m := range ms {
 		if n.Address(m) {
 			n.Resolve(m)
@@ -170,12 +150,8 @@ func (c *chanNet) send(from int, ms []*netsim.Message) {
 		if err != nil {
 			c.w.fail("chanNet: %v", err)
 		}
-		if ms[i] = g; g != nil {
-			sent, bytes = sent+1, bytes+uint64(g.WireSize())
-		}
+		ms[i] = g
 	}
-	n.Count(netsim.CntSent, sent)
-	n.Count(netsim.CntBytesTx, bytes)
 	fi := c.faults
 	for i, m := range ms {
 		switch {

@@ -43,7 +43,7 @@ func TestPutGetLocalFastPath(t *testing.T) {
 		if !bytes.Equal(got, []byte{9, 8, 7}) {
 			t.Fatalf("local round trip got %v", got)
 		}
-		if w.Locality(0).Stats.LocalRuns.Load() == 0 {
+		if w.RankStats(0).Loc.LocalRuns == 0 {
 			t.Fatal("local ops did not take the local fast path")
 		}
 	})

@@ -119,9 +119,10 @@ func TestTurnHandsOffOncePerDestination(t *testing.T) {
 // token (goExec.claim). On an idle locality the call runs on the caller's
 // goroutine, counts as an inline drain, and its request leaves before it
 // returns. While a task holds the token each call waits behind it and
-// sends nothing; only the probe's pings, from a World.after timer, leave
-// mid-turn and are answered. Once the turn ends every call returns, its
-// request having left, and completes.
+// sends nothing, and so does a probe handed to the locality: the probe's
+// pings leave from the prober's token like every other send. Once the
+// turn ends every call returns, its request having left, the probe's
+// pings leave and are answered, and everything completes.
 func TestOffTokenCallsClaimTheToken(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 3, Mode: AGASNM, Engine: EngineGo, Coalesce: CoalesceConfig{MaxParcels: 8}})
 	var counted atomic.Int64
@@ -132,7 +133,11 @@ func TestOffTokenCallsClaimTheToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, p, l, e := lay.BlockAt(0), w.Proc(0), w.locs[0], w.locs[0].exec.(*goExec)
+	// Rank 0 sends only when the test makes it, so its Sent counter is
+	// read past the token (a claim would wait out the held turn below);
+	// claimed reads the counter through the token.
 	sent := func(r int) uint64 { return w.net.Stats(r)[netsim.CntSent] }
+	claimed := func(r int) uint64 { return w.RankStats(r).NIC[netsim.CntSent] }
 
 	// Idle: the caller runs the call and one turn itself.
 	s, drains := sent(0), inlined(w, 0)
@@ -190,24 +195,27 @@ func TestOffTokenCallsClaimTheToken(t *testing.T) {
 		t.Fatalf("%d sent while the token was held, want 0", sent(0)-s)
 	}
 
-	probed, pong := make(chan struct{}), sent(2)
-	w.net.after(0, func() {
+	probed, pong := make(chan struct{}), claimed(2)
+	l.exec.hand(func() {
 		w.mem.beginProbe(l, 2)
 		close(probed)
 	})
-	<-probed
-	if sent(0) != s+probePings {
-		t.Fatal("the timer's probe round did not leave before it returned")
+	select {
+	case <-probed:
+		t.Fatal("a probe ran while a task held the prober's token")
+	case <-time.After(20 * time.Millisecond):
 	}
-	eventually(t, "rank 2 to answer the probe mid-turn", func() bool { return sent(2) == pong+probePings })
+	if sent(0) != s {
+		t.Fatalf("%d sent while the token was held, want 0", sent(0)-s)
+	}
 
 	free()
 	<-put
 	<-get
 	<-flushed
-	if sent(0) != s+probePings+3 {
-		t.Fatalf("%d sent after the turn, want the probe's %d, the put, the get and the batch", sent(0)-s, probePings)
-	}
+	<-probed
+	eventually(t, "the probe's pings, the put, the get and the batch to leave", func() bool { return claimed(0) == s+probePings+3 })
+	eventually(t, "rank 2 to answer the probe", func() bool { return claimed(2) == pong+probePings })
 	eventually(t, "the queued put's completion", putDone.Load)
 	eventually(t, "the flushed parcel to run", func() bool { return counted.Load() == 1 })
 	if p.GetWaitInto(g, got); string(got) != "queued!!" {

@@ -3,7 +3,6 @@ package runtime
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"nmvgas/internal/netsim"
 )
@@ -39,9 +38,9 @@ import (
 // the block; modeling the dedup store as logically shared gives the same
 // exactly-once guarantee without simulating that transfer, and keeps a
 // late duplicate that trails a completed migration from re-executing at
-// the new owner (see DESIGN.md §8). Counters are kept where the lock a
-// path already holds covers them — a sender's in its relLoc, a receiver's
-// beside the store — and DeliveryStats sums.
+// the new owner (see DESIGN.md §8). Every counter is the counting rank's,
+// in its relLoc with its send state — the sender's and the receiver's
+// alike — and DeliveryStats sums them.
 
 // relAckWire approximates an ack descriptor on the wire.
 const relAckWire = 24
@@ -163,16 +162,12 @@ func (rx *relRxState) record(seq uint64) {
 }
 
 // relWorld is the world-scoped half of the layer: the receive-side dedup
-// store, rx[src][ch], and the receiver-side counters (stats, under mu;
-// the two counted where no lock is held are atomics). A source's row is
-// made when its first tracked message is applied and dropped at its
-// rebirth.
+// store, rx[src][ch], under mu — the one piece of the layer that ranks
+// share. A source's row is made when its first tracked message is
+// applied and dropped at its rebirth.
 type relWorld struct {
-	mu    sync.Mutex
-	rx    [][]relRxState
-	stats DeliveryStats
-
-	staleDrops, lateCompletions atomic.Uint64
+	mu sync.Mutex
+	rx [][]relRxState
 }
 
 // stream returns the receive record of m's stream. Callers hold rw.mu.
@@ -271,13 +266,24 @@ func (tc *relTxChan) ack(seq, cum uint64) {
 	}
 }
 
-// relLoc is the per-locality send state: tx[ch] is channel ch's window
+// relLoc is the per-locality half: tx[ch] is channel ch's send window
 // (the slice is made with the locality's first tracked message, an entry
-// with the channel's), stats the sender-side counters. All under mu.
+// with the channel's), stats the counters this rank counts as sender and
+// as receiver. Its one writer is the rank's token holder or DES event, so
+// it takes no lock; readers claim the rank (World.claim).
 type relLoc struct {
-	mu    sync.Mutex
 	tx    []*relTxChan
 	stats DeliveryStats
+}
+
+// unacked counts the messages held for retransmission.
+func (rl *relLoc) unacked() (n int) {
+	for _, tc := range rl.tx {
+		if tc != nil {
+			n += tc.n
+		}
+	}
+	return n
 }
 
 // chanOf returns ch's send state, nil when this incarnation has sent
@@ -308,7 +314,6 @@ func (l *Locality) relTrack(m *netsim.Message) {
 		return
 	}
 	ch := relChanOf(m)
-	rl.mu.Lock()
 	if rl.tx == nil {
 		rl.tx = make([]*relTxChan, l.w.cfg.Ranks)
 	}
@@ -320,12 +325,9 @@ func (l *Locality) relTrack(m *netsim.Message) {
 	m.RelChan = ch
 	tc.track(m, l.exec.simNow()+tc.rto)
 	rl.stats.Tracked++
-	arm := !tc.armed
-	tc.armed = true
-	rto := tc.rto
-	rl.mu.Unlock()
-	if arm {
-		l.relArm(ch, rto)
+	if !tc.armed {
+		tc.armed = true
+		l.relArm(ch, tc.rto)
 	}
 }
 
@@ -344,15 +346,12 @@ func (l *Locality) relTimer(ch int32) {
 	if rl == nil {
 		return
 	}
-	rl.mu.Lock()
 	tc := rl.chanOf(ch)
 	if tc == nil {
-		rl.mu.Unlock()
 		return
 	}
 	if tc.n == 0 {
 		tc.armed, tc.rto = false, relRTO
-		rl.mu.Unlock()
 		return
 	}
 	now := l.exec.simNow()
@@ -396,9 +395,9 @@ func (l *Locality) relTimer(ch int32) {
 	rl.stats.Retransmits += uint64(len(resend))
 	// A channel pinned at its backoff ceiling with work still unacked
 	// means something is silently eating traffic — the whole-node
-	// failure signature. Raise membership suspicion (outside the lock,
-	// below); the sweep is armed-gated and single-flight, so healthy
-	// worlds and already-probing ones pay nothing.
+	// failure signature. Raise membership suspicion (below); the sweep is
+	// armed-gated and single-flight, so healthy worlds and already-probing
+	// ones pay nothing.
 	ceiling := len(resend) > 0 && tc.rto >= relMaxRTO
 	next := tc.rto
 	if len(resend) == 0 && nextDue > now {
@@ -409,7 +408,6 @@ func (l *Locality) relTimer(ch int32) {
 	if !again {
 		tc.rto = relRTO
 	}
-	rl.mu.Unlock()
 
 	if ceiling {
 		// The sweep inspects and arms world-level membership state, which
@@ -449,23 +447,24 @@ func (l *Locality) relDupPeek(m *netsim.Message) bool {
 // applied; a first arrival is recorded when apply is set. Whatever is now
 // on record — the duplicate, the newly applied — is acknowledged.
 func (l *Locality) relGate(m *netsim.Message, apply bool) (dup bool) {
-	rw := l.w.relw
+	rw, st := l.w.relw, &l.rel.stats
 	rw.mu.Lock()
 	rx := rw.stream(m)
 	dup = rx.seen(m.RelSeq)
-	switch {
-	case dup:
-		rw.stats.DupsSuppressed++
-	case apply:
+	if !dup && apply {
 		rx.record(m.RelSeq)
-		rw.stats.MaxHops = max(rw.stats.MaxHops, m.Hops)
-	default:
-		rw.mu.Unlock()
-		return false
 	}
 	cum := rx.cum
-	rw.stats.AcksSent++
 	rw.mu.Unlock()
+	switch {
+	case dup:
+		st.DupsSuppressed++
+	case apply:
+		st.MaxHops = max(st.MaxHops, m.Hops)
+	default:
+		return false
+	}
+	st.AcksSent++
 	l.relSendAck(m, cum)
 	if dup {
 		l.note(TraceDupSuppressed, m.Block, m.RelSeq, 0)
@@ -484,10 +483,10 @@ func (l *Locality) relFlushOK(m *netsim.Message) bool {
 	rw := l.w.relw
 	rw.mu.Lock()
 	seen := rw.stream(m).seen(m.RelSeq)
-	if seen {
-		rw.stats.FlushSuppressed++
-	}
 	rw.mu.Unlock()
+	if seen {
+		l.rel.stats.FlushSuppressed++
+	}
 	return !seen
 }
 
@@ -512,7 +511,6 @@ func (l *Locality) relOnAck(m *netsim.Message) {
 	if rl == nil {
 		return
 	}
-	rl.mu.Lock()
 	if tc := rl.chanOf(m.RelChan); tc != nil {
 		tc.ack(m.RelSeq, m.RelCum)
 		if tc.n == 0 {
@@ -520,7 +518,6 @@ func (l *Locality) relOnAck(m *netsim.Message) {
 		}
 	}
 	rl.stats.AcksReceived++
-	rl.mu.Unlock()
 }
 
 // relAbandon gives up on a message after repeated hop-budget NACKs. One
@@ -531,11 +528,9 @@ func (l *Locality) relAbandon(m *netsim.Message) {
 	if rl == nil || m.RelSeq == 0 {
 		return
 	}
-	rl.mu.Lock()
 	if tc := rl.chanOf(m.RelChan); tc != nil && tc.clear(m.RelSeq) {
 		rl.stats.Abandoned++
 	}
-	rl.mu.Unlock()
 }
 
 // relRebirth wipes the layer's record of this rank's previous
@@ -548,14 +543,12 @@ func (l *Locality) relRebirth() {
 	if rl == nil {
 		return
 	}
-	rl.mu.Lock()
 	for _, tc := range rl.tx {
 		if tc != nil {
 			tc.ack(0, tc.nextSeq) // the pristine copies go back to the pool
 		}
 	}
 	rl.tx = nil
-	rl.mu.Unlock()
 	rw := l.w.relw
 	rw.mu.Lock()
 	rw.rx[l.rank] = nil
@@ -574,7 +567,7 @@ func (l *Locality) relStaleDrop(m *netsim.Message) bool {
 		return false
 	}
 	l.relAccept(m)
-	l.w.relw.staleDrops.Add(1)
+	l.rel.stats.StaleDrops++
 	return true
 }
 
@@ -585,28 +578,22 @@ func (l *Locality) relLateCompletion() bool {
 	if l.rel == nil {
 		return false
 	}
-	l.w.relw.lateCompletions.Add(1)
+	l.rel.stats.LateCompletions++
 	return true
 }
 
 // UnackedMessages counts messages still held for retransmission across
-// every locality's send channels. Once a workload has drained, a
-// nonzero count means traffic was black-holed — neither delivered and
-// acknowledged, nor NACKed back, nor explicitly abandoned — which the
-// recovery experiments assert never happens, even across a crash.
+// every locality's send channels, claiming each rank. Once a workload
+// has drained, a nonzero count means traffic was black-holed — neither
+// delivered and acknowledged, nor NACKed back, nor explicitly abandoned —
+// which the recovery experiments assert never happens, even across a
+// crash.
 func (w *World) UnackedMessages() int {
 	n := 0
-	for _, l := range w.locs {
-		if l.rel == nil {
-			continue
+	for r, l := range w.locs {
+		if rl := l.rel; rl != nil {
+			w.claim(r, func() { n += rl.unacked() })
 		}
-		l.rel.mu.Lock()
-		for _, tc := range l.rel.tx {
-			if tc != nil {
-				n += tc.n
-			}
-		}
-		l.rel.mu.Unlock()
 	}
 	return n
 }
@@ -619,26 +606,19 @@ func (c Config) reliable() bool {
 // DeliveryStats returns the reliability layer's report: zero when the
 // layer is off (apart from hop-budget NACK counts, which are maintained
 // unconditionally).
-func (w *World) DeliveryStats() DeliveryStats {
-	var d DeliveryStats
-	if rw := w.relw; rw != nil {
-		rw.mu.Lock()
-		d = rw.stats
-		rw.mu.Unlock()
-		d.StaleDrops, d.LateCompletions = rw.staleDrops.Load(), rw.lateCompletions.Load()
-	}
-	for _, l := range w.locs {
-		d.HopCapNacks += uint64(l.Stats.LoopNacks.Load())
-		if rl := l.rel; rl != nil {
-			rl.mu.Lock()
-			d.Tracked += rl.stats.Tracked
-			d.Retransmits += rl.stats.Retransmits
-			d.MigRetransmits += rl.stats.MigRetransmits
-			d.Abandoned += rl.stats.Abandoned
-			d.AcksReceived += rl.stats.AcksReceived
-			rl.mu.Unlock()
-		}
-	}
-	d.Faults = w.net.faultStats()
-	return d
+func (w *World) DeliveryStats() DeliveryStats { return w.counters().Delivery }
+
+// add sums o's counters into d (MaxHops is the larger).
+func (d *DeliveryStats) add(o *DeliveryStats) {
+	d.Tracked += o.Tracked
+	d.Retransmits += o.Retransmits
+	d.MigRetransmits += o.MigRetransmits
+	d.Abandoned += o.Abandoned
+	d.AcksSent += o.AcksSent
+	d.AcksReceived += o.AcksReceived
+	d.DupsSuppressed += o.DupsSuppressed
+	d.FlushSuppressed += o.FlushSuppressed
+	d.StaleDrops += o.StaleDrops
+	d.LateCompletions += o.LateCompletions
+	d.MaxHops = max(d.MaxHops, o.MaxHops)
 }

@@ -224,7 +224,7 @@ func (l *Locality) replFanOut(b gas.BlockID, nic bool) {
 // replica serving; reads in the stale window chase the master.
 func (l *Locality) onReplInval(m *netsim.Message) {
 	if l.replMarkStale(m.Block) {
-		l.Stats.ReplicaInvals.Inc()
+		l.stats.ReplicaInvals++
 		l.note(noteReplInval, m.Block, 0, m.OpID)
 	}
 }
@@ -242,7 +242,7 @@ func (l *Locality) onReplUpdate(m *netsim.Message) {
 			l.mu.Lock()
 			st.stale = false
 			l.mu.Unlock()
-			l.Stats.ReplicaUpdates.Inc()
+			l.stats.ReplicaUpdates++
 			l.note(noteReplUpdate, b, 0, m.OpID)
 		}
 	}
@@ -287,7 +287,7 @@ func (l *Locality) onReplFillRep(m *netsim.Message) {
 			st.filling = false
 			st.expiry = l.exec.latNow() + leaseNs
 			l.mu.Unlock()
-			l.Stats.ReplicaFills.Inc()
+			l.stats.ReplicaFills++
 			l.note(noteReplFill, b, 0, m.OpID)
 		}
 	}

@@ -127,12 +127,12 @@ func (l *Locality) issue(r rmaReq, st opState) {
 	l.ops.put(id, st)
 	m := netsim.NewMessage()
 	if r.kind == kGetReq || r.kind == kGetVec {
-		l.Stats.GetOps.Inc()
-		l.Stats.GetBytes.Add(int64(r.n))
+		l.stats.GetOps++
+		l.stats.GetBytes += int64(r.n)
 		m.N = r.n
 	} else {
-		l.Stats.PutOps.Inc()
-		l.Stats.PutBytes.Add(int64(r.n))
+		l.stats.PutOps++
+		l.stats.PutBytes += int64(r.n)
 	}
 	m.Kind = r.kind
 	m.Src = l.rank
@@ -219,11 +219,11 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 		// between the routing decision and the read), and only for reads:
 		// the check expires leases and starts refills.
 		if fresh, _ := l.replicaFresh(b); !fresh {
-			l.Stats.ReplicaStaleReads.Inc()
+			l.stats.ReplicaStaleReads++
 			l.toMaster(m, b, nic)
 			return
 		}
-		l.Stats.ReplicaReads.Inc()
+		l.stats.ReplicaReads++
 	}
 	if !l.relAccept(m) {
 		// Duplicate request: the first copy applied the effect and its
@@ -335,7 +335,7 @@ func (l *Locality) toMaster(m *netsim.Message, b gas.BlockID, nic bool) {
 		return
 	}
 	if m.Read {
-		l.Stats.HostForwards.Inc()
+		l.stats.HostForwards++
 		l.note(TraceHostForward, b, uint64(master), m.OpID)
 	}
 	l.routeToExplicit(m, master)

@@ -221,7 +221,7 @@ func (r *rmaRun) count(name string, got, want int64) {
 	}
 }
 
-func (r *rmaRun) stats(rank int) *LocStats { return &r.w.Locality(rank).Stats }
+func (r *rmaRun) stats(rank int) LocStats { return r.w.RankStats(rank).Loc }
 
 func (r *rmaRun) dma(rank int) int64 { return int64(r.w.net.Stats(rank)[netsim.CntDMADelivered]) }
 
@@ -291,7 +291,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 			run: func(r *rmaRun, _ Mode, _ EngineKind) {
 				r.each(1)
 				r.verify(1)
-				r.count("LocalRuns at the owner", r.stats(1).LocalRuns.Load(), 4)
+				r.count("LocalRuns at the owner", r.stats(1).LocalRuns, 4)
 				s := r.w.Stats()
 				r.count("DMA deliveries", int64(s.DMADeliveries), 0)
 				r.count("messages on the network", int64(s.NetSent), 0)
@@ -316,7 +316,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				for k := range rmaKinds {
 					ops = append(ops, r.issue(0, k))
 				}
-				r.until("the ops to park", func() bool { return r.stats(1).Queued.Load() == 4 })
+				r.until("the ops to park", func() bool { return r.stats(1).Queued == 4 })
 				for _, op := range ops {
 					if op.fired.Load() != 0 {
 						r.t.Errorf("%s completed against a pinned block", rmaKinds[op.kind].name)
@@ -330,7 +330,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				}
 				r.await(ops...)
 				r.verify(2)
-				r.count("Queued at the old owner", r.stats(1).Queued.Load(), 4)
+				r.count("Queued at the old owner", r.stats(1).Queued, 4)
 				// Flushed to the new owner, served once, there.
 				r.heat(0, 0, 4, 0)
 			}},
@@ -347,7 +347,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				} else {
 					// Repaired in software: the old owner's host bounces the op
 					// back with owner advice and the requester re-sends.
-					r.count("HostNacks at the old owner", r.stats(1).HostNacks.Load(), 4)
+					r.count("HostNacks at the old owner", r.stats(1).HostNacks, 4)
 					r.count("in-network forwards", int64(s.NetForwards), 0)
 				}
 				r.count("DMA deliveries at the new owner", r.dma(2), 4)
@@ -366,7 +366,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				r.settle(func(s WorldStats) bool { return s.ReplicaInvals >= 2 })
 				r.verify(1)
 				r.count("DMA deliveries at the master", r.dma(1), 2)
-				r.count("ReplicaInvals at the holder", r.stats(2).ReplicaInvals.Load(), 2)
+				r.count("ReplicaInvals at the holder", r.stats(2).ReplicaInvals, 2)
 				r.heat(0, 2, 4, 0)
 			}},
 		{name: "fresh replica",
@@ -375,7 +375,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				// Remote reads are steered to the holder and served at its
 				// NIC; writes go to the master and invalidate the holder.
 				r.each(0)
-				r.count("ReplicaReads at the holder", r.stats(2).ReplicaReads.Load(), 2)
+				r.count("ReplicaReads at the holder", r.stats(2).ReplicaReads, 2)
 				r.count("DMA deliveries at the holder", r.dma(2), 2)
 				r.count("DMA deliveries at the master", r.dma(1), 2)
 				r.settle(func(s WorldStats) bool { return s.ReplicaInvals >= 2 && s.ReplicaFills >= 2 })
@@ -383,11 +383,11 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				r.each(2, rmaReads...)
 				r.verify(1)
 				hs := r.stats(2)
-				r.count("ReplicaReads at the holder", hs.ReplicaReads.Load(), 4)
-				r.count("LocalRuns at the holder", hs.LocalRuns.Load(), 2)
+				r.count("ReplicaReads at the holder", hs.ReplicaReads, 4)
+				r.count("LocalRuns at the holder", hs.LocalRuns, 2)
 				r.count("ReplicaStaleReads", r.w.Stats().ReplicaStaleReads, 0)
-				r.count("ReplicaInvals at the holder", hs.ReplicaInvals.Load(), 2)
-				r.count("ReplicaFills at the holder", hs.ReplicaFills.Load(), 2)
+				r.count("ReplicaInvals at the holder", hs.ReplicaInvals, 2)
+				r.count("ReplicaFills at the holder", hs.ReplicaFills, 2)
 				for k := range rmaKinds {
 					if got := r.block(2, k).Data; !bytes.Equal(got, r.block(1, k).Data) {
 						r.t.Errorf("%s: holder copy diverged from the master: %q", rmaKinds[k].name, got)
@@ -405,18 +405,18 @@ func TestOneSidedServeMatrix(t *testing.T) {
 					// The holder's NIC sees the copy stale and routes the read
 					// on by ownership: it never reaches serve there.
 					r.count("in-network forwards at the holder", int64(r.w.net.Stats(2)[netsim.CntForwards]), 2)
-					r.count("ReplicaStaleReads at the holder", hs.ReplicaStaleReads.Load(), 0)
+					r.count("ReplicaStaleReads at the holder", hs.ReplicaStaleReads, 0)
 					r.count("HostForwards", r.w.Stats().HostForwards, 0)
 				} else {
 					// A dumb NIC hands the read up and the host re-routes it.
-					r.count("ReplicaStaleReads at the holder", hs.ReplicaStaleReads.Load(), 2)
-					r.count("HostForwards at the holder", hs.HostForwards.Load(), 2)
+					r.count("ReplicaStaleReads at the holder", hs.ReplicaStaleReads, 2)
+					r.count("HostForwards at the holder", hs.HostForwards, 2)
 				}
 				// The holder's own reads chase the master from the send side.
-				before := hs.ReplicaStaleReads.Load()
+				before := hs.ReplicaStaleReads
 				r.each(2, rmaReads...)
 				r.verify(1)
-				r.count("ReplicaStaleReads by the holder's own reads", hs.ReplicaStaleReads.Load()-before, 2)
+				r.count("ReplicaStaleReads by the holder's own reads", r.stats(2).ReplicaStaleReads-before, 2)
 				r.count("ReplicaReads", r.w.Stats().ReplicaReads, 0)
 				r.count("DMA deliveries at the master", r.dma(1), 6)
 				r.heat(0, 6, 0, 0)
@@ -430,7 +430,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				r.each(0, rmaReads...)
 				r.verify(1)
 				r.count("DMA deliveries at the holder", r.dma(2), 2)
-				r.count("ReplicaStaleReads at the holder", r.stats(2).ReplicaStaleReads.Load(), 2)
+				r.count("ReplicaStaleReads at the holder", r.stats(2).ReplicaStaleReads, 2)
 				r.count("HostForwards", r.w.Stats().HostForwards, 0)
 				r.count("DMA deliveries at the master", r.dma(1), 2)
 				r.heat(0, 2, 0, 0)

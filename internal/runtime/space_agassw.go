@@ -49,7 +49,7 @@ func (s *swSpace) Translate(g gas.GVA) int {
 	// Software translation on the host's dime.
 	l := s.l
 	l.exec.Charge(l.w.cfg.Model.SWLookup)
-	l.Stats.SWLookups.Inc()
+	l.stats.SWLookups++
 	b := g.Block()
 	dst := g.Home()
 	if l.rank == dst {
@@ -97,7 +97,7 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 			}
 			l.w.fail("rank %d: parcel %v for unallocated block %d", l.rank, p, b)
 		}
-		l.Stats.HostForwards.Inc()
+		l.stats.HostForwards++
 		l.note(TraceHostForward, b, uint64(owner), p.OpID)
 		l.exec.Charge(l.w.cfg.Model.OSend)
 		// Forward in place: the arrived message moves on, this host keeps
@@ -135,7 +135,7 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 		l.routeMsg(m)
 		return
 	}
-	l.Stats.HostNacks.Inc()
+	l.stats.HostNacks++
 	nk := netsim.NewMessage()
 	nk.Kind = kHostNack
 	nk.Src = l.rank
@@ -212,7 +212,7 @@ func (s *swSpace) ReadRoute(b gas.BlockID) (int, bool) {
 	// Host-software replica routing: the probe costs a software lookup,
 	// the same dime every sw translation pays.
 	s.l.exec.Charge(s.l.w.cfg.Model.SWLookup)
-	s.l.Stats.SWLookups.Inc()
+	s.l.stats.SWLookups++
 	return t, true
 }
 

@@ -152,14 +152,21 @@ func (w *World) Caps() Caps { return w.caps }
 // w.net.State, a driver w.claimNIC, another rank's handler w.postNIC.
 type nicWrite func(rank int, fn func(*netsim.TransState))
 
-// claimNIC runs fn on rank's NIC state for a driver: it claims the rank
-// (at once on DES), or runs fn directly on a world not started or
-// stopped, whose mailboxes run no claim.
-func (w *World) claimNIC(rank int, fn func(*netsim.TransState)) {
-	st := func() { w.net.State(rank, fn) }
-	if !w.started || !w.locs[rank].exec.claim(st) {
-		st()
+// claim runs fn as rank's one writer for a driver, the one door by which
+// code outside the rank reads or writes its message-path state (NIC
+// state, counters, reliability windows): it claims the rank (at once on
+// DES), or runs fn directly on a world not started or stopped, whose
+// mailboxes run no claim. A handler never claims: it would wait for
+// itself.
+func (w *World) claim(rank int, fn func()) {
+	if !w.started || !w.locs[rank].exec.claim(fn) {
+		fn()
 	}
+}
+
+// claimNIC runs fn on rank's NIC state for a driver (claim).
+func (w *World) claimNIC(rank int, fn func(*netsim.TransState)) {
+	w.claim(rank, func() { w.net.State(rank, fn) })
 }
 
 // postNIC applies fn to rank's NIC state for a handler holding another

@@ -86,66 +86,95 @@ type WorldStats struct {
 	Pulses uint64
 }
 
-// nicTotals sums every rank's NIC counters.
-func (w *World) nicTotals() netsim.NICStats {
-	var t netsim.NICStats
-	for r := range w.locs {
-		s := w.net.Stats(r)
-		t.Add(&s)
-	}
-	return t
+// RankStats is one rank's counters, read in one claim of the rank.
+type RankStats struct {
+	Loc      LocStats
+	NIC      netsim.NICStats
+	NICTable int // NIC-resident translation table entries (0 without NIC translation)
 }
 
-// Stats sums the per-locality and per-NIC counters.
+// RankStats reads rank's counters through its one writer (World.claim).
+func (w *World) RankStats(rank int) (s RankStats) {
+	w.claim(rank, func() {
+		s.Loc, s.NIC = w.locs[rank].stats, w.net.Stats(rank)
+		w.net.State(rank, func(st *netsim.TransState) { s.NICTable = st.Table.Len() })
+	})
+	return s
+}
+
+// Stats sums the per-locality and per-NIC counters (World.counters) and
+// adds the latency, heat and pulse reports.
 func (w *World) Stats() WorldStats {
-	var s WorldStats
-	for _, l := range w.locs {
-		s.ParcelsSent += l.Stats.ParcelsSent.Load()
-		s.ParcelsRun += l.Stats.ParcelsRun.Load()
-		s.LocalRuns += l.Stats.LocalRuns.Load()
-		s.HostForwards += l.Stats.HostForwards.Load()
-		s.HostNacks += l.Stats.HostNacks.Load()
-		s.NICNacks += l.Stats.NICNacks.Load()
-		s.Queued += l.Stats.Queued.Load()
-		s.SWLookups += l.Stats.SWLookups.Load()
-		s.PutOps += l.Stats.PutOps.Load()
-		s.GetOps += l.Stats.GetOps.Load()
-		s.PutBytes += l.Stats.PutBytes.Load()
-		s.GetBytes += l.Stats.GetBytes.Load()
-		s.Migrations += l.Stats.Migrations.Load()
-		s.LoopNacks += l.Stats.LoopNacks.Load()
-		s.BatchReroutes += l.Stats.BatchReroutes.Load()
-		s.ReplicaReads += l.Stats.ReplicaReads.Load()
-		s.ReplicaStaleReads += l.Stats.ReplicaStaleReads.Load()
-		s.ReplicaInvals += l.Stats.ReplicaInvals.Load()
-		s.ReplicaUpdates += l.Stats.ReplicaUpdates.Load()
-		s.ReplicaFills += l.Stats.ReplicaFills.Load()
-		if c := l.space.Cache(); c != nil {
-			h, m, ev, up, corr := c.Stats()
-			s.SWCacheHits += h
-			s.SWCacheMisses += m
-			s.SWCacheEvictions += ev
-			s.SWCacheUpdates += up
-			s.SWCacheCorrections += corr
-		}
-	}
-	s.Delivery = w.DeliveryStats()
-	s.Membership = w.MembershipStats()
+	s := w.counters()
 	s.Latencies = w.Latencies()
 	s.HeatEnabled = w.HeatEnabled()
 	s.HeatSampled = w.HeatSampled()
-	s.Unacked = w.UnackedMessages()
 	s.Pulses = w.PulseCount()
-	n := w.nicTotals()
-	s.NetSent = n[netsim.CntSent]
-	s.NetBytes = n[netsim.CntBytesTx]
-	s.NetForwards = n[netsim.CntForwards]
-	s.NetNacks = n[netsim.CntNacks]
-	s.NICTableUpds = n[netsim.CntTableUpdatesRx]
-	s.DMADeliveries = n[netsim.CntDMADelivered]
-	s.ScatterSplits = n[netsim.CntScatterSplits]
-	s.ScatterForwards = n[netsim.CntScatterForwards]
 	return s
+}
+
+// counters reads every rank's counters in one claim of the rank each,
+// then the fault injector's and the membership layer's.
+func (w *World) counters() (s WorldStats) {
+	for r, l := range w.locs {
+		w.claim(r, func() { s.addRank(l, w.net.Stats(r)) })
+	}
+	s.Delivery.Faults = w.net.faultStats()
+	m, ms := w.mem, &s.Membership
+	ms.Epoch = m.epoch.Load()
+	ms.Deaths, ms.Joins, ms.Retires = m.deaths.Load(), m.joins.Load(), m.retires.Load()
+	ms.Suspicions, ms.Rehomed, ms.Lost = m.suspicions.Load(), m.rehomed.Load(), m.lostCount.Load()
+	return s
+}
+
+// addRank adds l's counters and its NIC's, n, to s. The caller holds
+// l's rank.
+func (s *WorldStats) addRank(l *Locality, n netsim.NICStats) {
+	ls := &l.stats
+	s.ParcelsSent += ls.ParcelsSent
+	s.ParcelsRun += ls.ParcelsRun
+	s.LocalRuns += ls.LocalRuns
+	s.HostForwards += ls.HostForwards
+	s.HostNacks += ls.HostNacks
+	s.NICNacks += ls.NICNacks
+	s.Queued += ls.Queued
+	s.SWLookups += ls.SWLookups
+	s.PutOps += ls.PutOps
+	s.GetOps += ls.GetOps
+	s.PutBytes += ls.PutBytes
+	s.GetBytes += ls.GetBytes
+	s.Migrations += ls.Migrations
+	s.LoopNacks += ls.LoopNacks
+	s.BatchReroutes += ls.BatchReroutes
+	s.ReplicaReads += ls.ReplicaReads
+	s.ReplicaStaleReads += ls.ReplicaStaleReads
+	s.ReplicaInvals += ls.ReplicaInvals
+	s.ReplicaUpdates += ls.ReplicaUpdates
+	s.ReplicaFills += ls.ReplicaFills
+	if c := l.space.Cache(); c != nil {
+		h, m, ev, up, corr := c.Stats()
+		s.SWCacheHits += h
+		s.SWCacheMisses += m
+		s.SWCacheEvictions += ev
+		s.SWCacheUpdates += up
+		s.SWCacheCorrections += corr
+	}
+	s.Delivery.HopCapNacks += uint64(ls.LoopNacks)
+	if rl := l.rel; rl != nil {
+		s.Delivery.add(&rl.stats)
+		s.Unacked += rl.unacked()
+	}
+	s.NetSent += n[netsim.CntSent]
+	s.NetBytes += n[netsim.CntBytesTx]
+	s.NetForwards += n[netsim.CntForwards]
+	s.NetNacks += n[netsim.CntNacks]
+	s.NICTableUpds += n[netsim.CntTableUpdatesRx]
+	s.DMADeliveries += n[netsim.CntDMADelivered]
+	s.ScatterSplits += n[netsim.CntScatterSplits]
+	s.ScatterForwards += n[netsim.CntScatterForwards]
+	s.Membership.DownDrops += n[netsim.CntDownDrops]
+	s.Membership.DeadNacks += n[netsim.CntDeadNacks]
+	s.Membership.StaleEpochDrops += n[netsim.CntStaleEpochDrops]
 }
 
 // WorldCounter is one scalar world counter: a StatsTable row and, when

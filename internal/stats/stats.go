@@ -1,27 +1,14 @@
 // Package stats provides the measurement utilities shared by the
-// experiment harness: atomic counters, latency histograms with percentile
-// queries, and fixed-width table / CSV rendering for regenerating the
-// paper's tables and figure series.
+// experiment harness: latency histograms with percentile queries, and
+// fixed-width table / CSV rendering for regenerating the paper's tables
+// and figure series.
 package stats
 
 import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is an atomic event counter.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Histogram records int64 samples (typically simulated nanoseconds) and
 // answers percentile queries. Up to maxExact samples are kept exactly;

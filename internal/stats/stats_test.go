@@ -7,24 +7,6 @@ import (
 	"testing"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Fatalf("Load = %d", c.Load())
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); c.Inc() }()
-	}
-	wg.Wait()
-	if c.Load() != 15 {
-		t.Fatalf("concurrent Load = %d", c.Load())
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := new(Histogram)
 	if h.Mean() != 0 || h.Max() != 0 || h.P50() != 0 {
