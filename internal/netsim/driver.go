@@ -70,15 +70,15 @@ func (c *NICCore) Gate(p Port, lv Liveness, m *Message, ranks int) (*Message, er
 
 // Inject passes m, due at m.Dst's NIC at `at`, through the fault stream
 // (nil passes everything) and lands what survives: a duplicate lands an
-// independently owned clone too, a delay lands m later.
-func (fi *FaultInjector) Inject(m *Message, at VTime, land func(*Message, VTime)) {
+// independently owned clone too, taken from rc, a delay lands m later.
+func (fi *FaultInjector) Inject(rc *Recycler, m *Message, at VTime, land func(*Message, VTime)) {
 	if fi != nil {
 		act := fi.Decide(m)
 		if act.Drop {
 			return
 		}
 		if act.Duplicate {
-			cp := NewMessage()
+			cp := rc.Message()
 			*cp = *m
 			land(cp, at+act.DupDelay)
 		}
@@ -141,7 +141,7 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 			c.Stats[CntHostDelivered]++
 			p.DeliverHost(m)
 		} else {
-			m.Release() // every record moved on; the envelope is spent
+			c.Free.Release(m) // every record moved on; the envelope is spent
 		}
 	}
 	return arrived
@@ -163,5 +163,5 @@ func (c *NICCore) ApplyTable(p Port, m *Message) {
 	default:
 		t.Update(m.Block, m.Owner)
 	}
-	m.Release() // never reaches the host
+	c.Free.Release(m) // never reaches the host
 }

@@ -300,16 +300,16 @@ func TestInjectLandsWhatSurvives(t *testing.T) {
 	var got []landing
 	land := func(m *Message, at VTime) { got = append(got, landing{m, at}) }
 	m := &Message{Dst: 1, Wire: 64}
-	(*FaultInjector)(nil).Inject(m, 100, land)
+	(*FaultInjector)(nil).Inject(nil, m, 100, land)
 	if len(got) != 1 || got[0] != (landing{m, 100}) {
 		t.Fatalf("no faults: %+v", got)
 	}
 	got = nil
-	NewFaultInjector(FaultPlan{Drop: 1, Seed: 1}).Inject(m, 100, land)
+	NewFaultInjector(FaultPlan{Drop: 1, Seed: 1}).Inject(nil, m, 100, land)
 	if len(got) != 0 {
 		t.Fatalf("a certain drop landed %+v", got)
 	}
-	NewFaultInjector(FaultPlan{Duplicate: 1, Seed: 1}).Inject(m, 100, land)
+	NewFaultInjector(FaultPlan{Duplicate: 1, Seed: 1}).Inject(nil, m, 100, land)
 	if len(got) != 2 || got[0].m == m || got[0].m.Dst != 1 || got[0].m.Wire != 64 || got[1] != (landing{m, 100}) || got[0].at <= 100 {
 		t.Fatalf("a certain duplicate landed %+v, want a later clone, then m", got)
 	}

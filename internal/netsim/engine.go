@@ -322,6 +322,11 @@ type Engine struct {
 	par     *ParEngine
 	shard   int32
 	curRank int32
+
+	// Free holds the spare messages and wire buffers of the ranks this
+	// engine face runs (every rank on a classic engine, its shard's under
+	// sharding); the driver façade's stays unused.
+	Free Recycler
 }
 
 // NewEngine returns a classic single-threaded engine at simulated time

@@ -82,11 +82,12 @@ func NewFabric(eng *Engine, cfg FabricConfig) *Fabric {
 			// transmit order, not the global interleaving of all NICs.
 			fi = f.Faults.Fork(r)
 		}
+		re := eng.RankEngine(r)
 		f.NICs[r] = &NIC{
-			NICCore:    NICCore{Rank: r, GVARouting: cfg.GVARouting, Policy: cfg.Policy},
+			NICCore:    NICCore{Rank: r, GVARouting: cfg.GVARouting, Policy: cfg.Policy, Free: &re.Free},
 			TransState: NewTransState(cfg.NICTableCap),
 			fab:        f,
-			eng:        eng.RankEngine(r),
+			eng:        re,
 			fi:         fi,
 		}
 	}

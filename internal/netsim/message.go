@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"sync"
-
-	"nmvgas/internal/gas"
-)
+import "nmvgas/internal/gas"
 
 // ByGVA as a destination asks the source NIC to resolve the destination
 // from the message's Target address (the network-managed path). Explicit
@@ -39,6 +35,18 @@ const (
 
 // Message is one unit of fabric traffic. Payload is opaque to the fabric;
 // Wire is the accounted on-the-wire size in bytes (header + payload).
+//
+// Ownership (DESIGN.md §9 "Message ownership"): a Message has exactly
+// one owner at a time. The sender owns it until it hands it to the
+// transport; the transport owns it until it hands it to a host handler;
+// the handler that consumes a message terminally — runs its action,
+// completes its op, or answers it — is the one that releases it, to the
+// Recycler of the context running that handler. Paths that retain the
+// message (queueIfMoving parks, CtlNack's Nacked back-pointer,
+// stale-delivery re-routes) transfer ownership with the pointer and must
+// NOT release it. The rule is the same on both engines: on the DES engine
+// the message is itself the scheduled event (Engine.AtRankMsg), so no
+// deferred closure outlives the owner's release.
 type Message struct {
 	Kind uint8 // runtime-defined discriminator, opaque here
 	Ctl  uint8 // CtlNone for runtime traffic
@@ -71,8 +79,8 @@ type Message struct {
 	// hosts and break the receive dedup.
 	Scatter bool
 
-	// PayloadPooled marks Payload as borrowed from the runtime's wire-
-	// buffer pool; the terminal consumer returns it. On requests it also
+	// PayloadPooled marks Payload as a Recycler wire buffer; the terminal
+	// consumer returns it to its own context's Recycler. On requests it also
 	// grants the responder permission to answer from a pooled buffer
 	// (the requester promises to copy out and release).
 	PayloadPooled bool
@@ -152,31 +160,3 @@ func (m *Message) WireSize() int {
 	}
 	return m.Wire
 }
-
-// msgPool recycles Message structs.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// NewMessage returns a zeroed Message, reusing a pooled one when
-// available.
-//
-// Ownership rules (see DESIGN.md "Fast path & cost of the substrate"):
-// a Message has exactly one owner at a time. The sender owns it until it
-// hands it to the transport; the transport owns it until it hands it to a
-// host handler; the handler that consumes a message terminally — runs its
-// action, completes its op, or answers it — is the one that may Release
-// it. Paths that retain the message (queueIfMoving parks, CtlNack's
-// Nacked back-pointer, stale-delivery re-routes) transfer ownership with
-// the pointer and must NOT Release.
-//
-// The rule is the same on both engines: on the DES engine the message is
-// itself the scheduled event (Engine.AtRankMsg), so no deferred closure
-// outlives the owner's Release.
-func NewMessage() *Message { return msgPool.Get().(*Message) }
-
-// Release zeroes m and returns it to the pool. After Release the caller
-// must not touch m. Zeroing drops the Payload/Nacked pointers but does
-// not disturb their referents, so slices aliased out of a released
-// message's payload stay valid. A message that never came from
-// NewMessage may be released too; dropping one without Release is always
-// safe (the collector takes it).
-func (m *Message) Release() { m.release() }

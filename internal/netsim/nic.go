@@ -72,7 +72,7 @@ func (n *NIC) transmit(m *Message, extra VTime) {
 		start = n.txFree
 	}
 	n.txFree = start + ser
-	n.fi.Inject(m, n.txFree+model.Latency*VTime(hops), n.scheduleArrival)
+	n.fi.Inject(n.Free, m, n.txFree+model.Latency*VTime(hops), n.scheduleArrival)
 }
 
 // The NIC's typed event steps (Engine.AtRankMsg): the message in flight

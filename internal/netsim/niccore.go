@@ -282,6 +282,12 @@ type NICCore struct {
 	// Stats is written only by the driver, on the NIC's one writer; a
 	// reader outside it claims the rank first.
 	Stats NICStats
+
+	// Free is the Recycler of the context that runs this NIC (its rank's
+	// engine face, its rank's token holder): the driver's NACKs, table
+	// pushes, scatter shares and fault clones come from it, and what the
+	// NIC consumes goes back to it.
+	Free *Recycler
 }
 
 func (c *NICCore) resident(b gas.BlockID) bool { return c.Resident != nil && c.Resident(b) }
@@ -429,7 +435,7 @@ func (c *NICCore) Misroute(rt Routes, lv Liveness, m *Message) Verdict {
 // CtlTableUpdate pushing (m.Block → owner) stamped with the membership
 // epoch the sending table trusts, which leaves m alone.
 func (c *NICCore) Control(ctl uint8, m *Message, owner int, epoch uint64) *Message {
-	k := NewMessage()
+	k := c.Free.Message()
 	k.Ctl = ctl
 	k.Src = c.Rank
 	k.Dst = m.Src
@@ -492,7 +498,7 @@ func (c *NICCore) SplitScatter(rt Routes, m *Message) (fwd []*Message, host, spl
 			}
 		}
 		if f == nil {
-			f = NewMessage()
+			f = c.Free.Message()
 			f.Kind = m.Kind
 			f.Src = m.Src
 			f.Dst = owner

@@ -32,6 +32,7 @@ import (
 type ParEngine struct {
 	ranks, nshards int
 	lookahead      VTime
+	shardTab       []int32 // rank → its contiguous shard
 
 	driver *Engine   // the façade the harness holds; its heap is the barrier-task queue
 	shards []*Engine // one heap + clock per shard
@@ -105,6 +106,10 @@ func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
 		inbox:      make([][]staged, nshards*nshards),
 		taskStage:  make([][]event, nshards),
 	}
+	p.shardTab = make([]int32, ranks)
+	for r := range p.shardTab {
+		p.shardTab[r] = int32(r * nshards / ranks)
+	}
 	p.driver = &Engine{par: p, shard: -1, curRank: -1}
 	p.shards = make([]*Engine, nshards)
 	for s := range p.shards {
@@ -115,10 +120,10 @@ func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
 
 // shardOf maps a rank to its contiguous shard.
 func (p *ParEngine) shardOf(rank int) int {
-	if rank < 0 || rank >= p.ranks {
+	if uint(rank) >= uint(len(p.shardTab)) {
 		panic(fmt.Sprintf("netsim: rank %d outside world of %d", rank, p.ranks))
 	}
-	return rank * p.nshards / p.ranks
+	return int(p.shardTab[rank])
 }
 
 // nextTie stamps the invariant ordering key for an event scheduled from
@@ -192,7 +197,10 @@ func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func(), s step) {
 }
 
 // mergeStaged moves worker-deferred barrier tasks and cross-shard inbox
-// events into their destination heaps. Driver phase only.
+// events into their destination heaps, and each destination shard gives
+// the shards that sent it messages what it holds above half its spares'
+// cap, so a one-way flow between shards does not drain one list into the
+// heap. Driver phase only.
 func (p *ParEngine) mergeStaged() {
 	for s := range p.taskStage {
 		for _, ev := range p.taskStage[s] {
@@ -205,6 +213,7 @@ func (p *ParEngine) mergeStaged() {
 			continue
 		}
 		dst := p.shards[i%p.nshards]
+		dst.Free.Give(&p.shards[i/p.nshards].Free, RecycleCap/2, RecycleCap/2)
 		for j := range p.inbox[i] {
 			st := &p.inbox[i][j]
 			dst.push(st.at, st.tie, st.rank, st.fn, st.s)

@@ -182,26 +182,26 @@ func (p *Proc) PutAsync(dst gas.GVA, data []byte, done func()) { p.l.exec.putAsy
 // PutWait writes data at dst and blocks the driver until the remote
 // completion (advancing simulated time under the DES engine).
 func (p *Proc) PutWait(dst gas.GVA, data []byte) {
-	p.await("PutWait", p.l.putReq(dst, data), nil)
+	p.await("PutWait", rmaReq{kind: kPutReq, target: dst, data: data}, nil)
 }
 
 // GetWaitInto reads len(buf) bytes at src into buf, blocking until the
 // reply.
 func (p *Proc) GetWaitInto(src gas.GVA, buf []byte) {
-	p.await("GetWaitInto", p.l.getReq(src, uint32(len(buf)), true), buf)
+	p.await("GetWaitInto", rmaReq{kind: kGetReq, pooled: true, n: uint32(len(buf)), target: src}, buf)
 }
 
 // PutVecWait writes all segs into the block at dst as one request with
 // one ack and blocks until the completion.
 func (p *Proc) PutVecWait(dst gas.GVA, segs []PutSeg) {
-	p.await("PutVecWait", p.l.putVecReq(dst, segs), nil)
+	p.await("PutVecWait", rmaReq{kind: kPutVec, target: dst, psegs: segs}, nil)
 }
 
 // GetVecWaitInto gathers all segs from the block at src into buf (the
 // fragments concatenated in order; len(buf) must equal the sum of seg
 // lengths) and blocks until the reply.
 func (p *Proc) GetVecWaitInto(src gas.GVA, segs []GetSeg, buf []byte) {
-	p.await("GetVecWaitInto", p.l.getVecReq(src, segs, true), buf)
+	p.await("GetVecWaitInto", rmaReq{kind: kGetVec, pooled: true, target: src, gsegs: segs}, buf)
 }
 
 // waiter is a blocked caller's completion slot (Proc.await), pooled. Its

@@ -166,7 +166,7 @@ func (c *coalescer) flush(dst int, gen uint64, force bool) {
 // the host's next step (opFlush): a task on DES, at once on the
 // goroutine engine's token holder.
 func (c *coalescer) send(dst int, payload []byte) {
-	m := netsim.NewMessage()
+	m := c.l.free.Message()
 	m.Kind = kBatch
 	m.Src = c.l.rank
 	m.Target = c.l.w.LocalityGVA(dst)
@@ -212,7 +212,7 @@ func (l *Locality) onBatch(m *netsim.Message) {
 		// Sub-messages alias the batch payload's backing array; recycling
 		// the batch envelope only drops its pointer, so the aliases stay
 		// valid.
-		sub := netsim.NewMessage()
+		sub := l.free.Message()
 		sub.Kind = kParcel
 		sub.Src = src
 		sub.Target = target

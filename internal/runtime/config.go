@@ -60,7 +60,8 @@ func (e EngineKind) String() string {
 }
 
 // ParseMode parses a mode name as produced by Mode.String, including the
-// numeric "mode(N)" fallback form, so the two round-trip.
+// numeric "mode(N)" fallback form, so the two round-trip. Only the exact
+// text String prints parses: Sscanf alone would accept a trailing suffix.
 func ParseMode(s string) (Mode, error) {
 	for _, m := range []Mode{PGAS, AGASSW, AGASNM} {
 		if s == m.String() {
@@ -68,7 +69,7 @@ func ParseMode(s string) (Mode, error) {
 		}
 	}
 	var d uint8
-	if n, err := fmt.Sscanf(s, "mode(%d)", &d); n == 1 && err == nil {
+	if n, err := fmt.Sscanf(s, "mode(%d)", &d); n == 1 && err == nil && Mode(d).String() == s {
 		return Mode(d), nil
 	}
 	return 0, fmt.Errorf("runtime: unknown mode %q (want pgas, agas-sw, or agas-nm)", s)

@@ -54,7 +54,7 @@ func newDESNet(w *World) *desNet {
 	})}
 	for r, l := range w.locs {
 		ex := &desExec{eng: eng.RankEngine(r), world: eng, rank: r, l: l}
-		l.exec = ex
+		l.exec, l.free = ex, &ex.eng.Free
 		nic := d.NIC(r)
 		l.wireNIC(&nic.NICCore)
 		nic.HostDeliver = func(m *netsim.Message) {
@@ -177,7 +177,7 @@ func (e *desExec) putAsync(dst gas.GVA, data []byte, done func()) {
 // like Wait it is a driver entry point, so it re-arms a parked pulse
 // first (pulseResume).
 func (e *desExec) awaitOp(op string, r rmaReq, wt *waiter) {
-	e.Exec(0, func() { e.l.issue(r, opState{wait: wt}) })
+	e.Exec(0, func() { r := r; e.l.issue(&r, opState{wait: wt}) }) // one closure, r by value
 	w := e.l.w
 	w.pulseResume()
 	if !e.world.RunUntil(func() bool { return wt.state.Load() == waitCompleted }) {

@@ -136,6 +136,12 @@ type goExec struct {
 	flush    func([]*netsim.Message)
 	handoffs int
 
+	// rec is the rank's Recycler (the token holder's). A turn parks what
+	// it holds above RecycleKeep in spare, under mu, where a sender handing
+	// work here tops its own lists up (post, postRun).
+	rec   netsim.Recycler
+	spare netsim.Recycler
+
 	l *Locality // the locality whose work this mailbox runs
 }
 
@@ -205,6 +211,7 @@ func (e *goExec) turn(stage bool) {
 		e.flushOut()
 	}
 	e.mu.Lock()
+	e.rec.Give(&e.spare, netsim.RecycleKeep, netsim.RecycleCap)
 	e.running = false
 	if e.claims > 0 {
 		e.free.Signal()
@@ -252,9 +259,13 @@ func (e *goExec) stop() {
 // dropped. A waited t — the request of a blocking one-sided op, or its
 // completion — finding the token free takes it instead: the posting
 // goroutine runs one turn itself (t included, behind whatever was
-// queued). It never waits for the token: a held one means t queues.
-func (e *goExec) post(t task, waited bool) bool {
+// queued). It never waits for the token: a held one means t queues. A
+// poster holding a rank's token tops that rank's Recycler rc up.
+func (e *goExec) post(t task, waited bool, rc *netsim.Recycler) bool {
 	e.mu.Lock()
+	if rc != nil {
+		e.spare.Give(rc, 0, netsim.RecycleKeep)
+	}
 	queued := !e.stopped
 	switch {
 	case !queued:
@@ -314,9 +325,11 @@ func (e *goExec) drain() {
 }
 
 // postRun is execMsg, in order and under one lock and wake-up, for each
-// non-waited message of ms bound for rank, clearing its slot.
-func (e *goExec) postRun(ms []*netsim.Message, rank int) {
+// non-waited message of ms bound for rank, clearing its slot (rc as in
+// post).
+func (e *goExec) postRun(ms []*netsim.Message, rank int, rc *netsim.Recycler) {
 	e.mu.Lock()
+	e.spare.Give(rc, 0, netsim.RecycleKeep)
 	e.handoffs++
 	for i, m := range ms {
 		if m != nil && m.Dst == rank {
@@ -332,17 +345,17 @@ func (e *goExec) postRun(ms []*netsim.Message, rank int) {
 	e.mu.Unlock()
 }
 
-func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.post(task{fn: fn}, false) }
-func (e *goExec) hand(fn func()) bool            { return e.post(task{fn: fn}, false) }
+func (e *goExec) Exec(_ netsim.VTime, fn func()) { e.post(task{fn: fn}, false, nil) }
+func (e *goExec) hand(fn func()) bool            { return e.post(task{fn: fn}, false, nil) }
 func (e *goExec) memberStep(fn func()) bool      { return e.hand(fn) }
 
 // execMsg posts a transport-delivered message for the NIC receive path
 // without allocating a closure.
-func (e *goExec) execMsg(m *netsim.Message) { e.post(task{m: m}, m.Waited) }
+func (e *goExec) execMsg(m *netsim.Message) { e.post(task{m: m}, m.Waited, nil) }
 
 func (e *goExec) ExecMsg(_ netsim.VTime, op msgOp, m *netsim.Message) {
 	if op == opHostMsg {
-		e.post(task{m: m, op: op}, m.Waited)
+		e.post(task{m: m, op: op}, m.Waited, nil)
 		return
 	}
 	e.onStep(op, m)
@@ -371,5 +384,5 @@ func (e *goExec) putAsync(dst gas.GVA, data []byte, done func()) {
 }
 
 func (e *goExec) awaitOp(_ string, r rmaReq, wt *waiter) {
-	e.claim(func() { e.l.issue(r, opState{wait: wt}) })
+	e.claim(func() { e.l.issue(&r, opState{wait: wt}) })
 }

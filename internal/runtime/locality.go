@@ -118,6 +118,10 @@ type Locality struct {
 
 	store *gas.Store
 	exec  Executor
+	// free is the Recycler of the context that runs this locality (its
+	// engine face on DES, its mailbox on the goroutine engine): every
+	// message and wire buffer its code takes or releases.
+	free *netsim.Recycler
 
 	// space is the mode's address-translation strategy (see space.go);
 	// all per-mode protocol behaviour lives behind it.
@@ -293,9 +297,9 @@ func (l *Locality) SendParcel(p *parcel.Parcel) {
 	p.OpID = l.newOpID()
 	l.stats.ParcelsSent++
 	l.note(TraceSend, p.Target.Block(), uint64(p.Action), p.OpID)
-	buf, pooled := wireBuf(p.Action >= firstUserAction && l.payloadPoolable(), p.WireSize())
+	buf, pooled := l.wireBuf(p.Action >= firstUserAction && l.payloadPoolable(), p.WireSize())
 	enc := parcel.AppendEncode(buf, p)
-	m := netsim.NewMessage()
+	m := l.free.Message()
 	m.Kind = kParcel
 	m.Src = l.rank
 	m.Target = p.Target
@@ -360,7 +364,7 @@ func (l *Locality) routeMsg(m *netsim.Message) {
 			// envelope and a pooled buffer end here.
 			l.coal.add(dst, m.Payload)
 			l.releasePayload(m)
-			m.Release()
+			l.free.Release(m)
 			return
 		}
 	}
@@ -417,9 +421,9 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 	if m.Ctl == netsim.CtlNack || m.Ctl == netsim.CtlNackLoop {
 		// The NACK envelope is consumed here; the nacked original's
 		// ownership moves to the resend path (or the GC — a duplicated
-		// NACK's clones share one original, so it is never pooled).
+		// NACK's clones share one original, so it is never released).
 		l.onNICNack(m)
-		m.Release()
+		l.free.Release(m)
 		return
 	}
 	switch m.Kind {
@@ -437,20 +441,20 @@ func (l *Locality) onHostMsg(m *netsim.Message) {
 			l.onRankMsg(m)
 		}
 		l.releasePayload(m)
-		m.Release()
+		l.free.Release(m)
 	case kRelAck:
 		l.relOnAck(m)
-		m.Release()
+		l.free.Release(m)
 	case kReplFill:
 		l.onReplFill(m)
 	case kMemberPing:
-		pong := netsim.NewMessage()
+		pong := l.free.Message()
 		*pong = netsim.Message{Kind: kMemberPong, Src: l.rank, Dst: m.Src, Wire: 32}
 		l.w.net.Send(l.rank, pong)
-		m.Release()
+		l.free.Release(m)
 	case kMemberPong:
 		l.w.mem.pongFrom(m.Src)
-		m.Release()
+		l.free.Release(m)
 	default:
 		l.w.fail("rank %d: unknown message kind %d", l.rank, m.Kind)
 	}
@@ -522,7 +526,7 @@ func (l *Locality) runParcel(m *netsim.Message, user bool) {
 	}
 	b := p.Target.Block()
 	if user && l.relDupPeek(m) {
-		m.Release()
+		l.free.Release(m)
 		return
 	}
 	// Parcels execute exactly once, at the master: a replica will not do.
@@ -532,7 +536,7 @@ func (l *Locality) runParcel(m *netsim.Message, user bool) {
 	if !l.relAccept(m) {
 		// A duplicated parcel must not run twice: LCO gates would
 		// double-count and the migration protocol would replay.
-		m.Release()
+		l.free.Release(m)
 		return
 	}
 	l.stats.ParcelsRun++
@@ -541,7 +545,7 @@ func (l *Locality) runParcel(m *netsim.Message, user bool) {
 	act(c)
 	c.P = nil // the parcel and its payload end with the action (see Ctx)
 	l.releasePayload(m)
-	m.Release()
+	l.free.Release(m)
 }
 
 // routeToExplicit re-sends m to a known destination, charging injection.
@@ -580,9 +584,9 @@ func (l *Locality) onNICNack(m *netsim.Message) {
 	}
 	// Resend a copy: a duplicated NACK can deliver twice, and both
 	// resends must not alias one Message crossing the fabric twice. The
-	// copy is pooled; orig stays off the pool because duplicated NACK
+	// copy is recycled; orig is never released, because duplicated NACK
 	// clones share it.
-	cp := netsim.NewMessage()
+	cp := l.free.Message()
 	*cp = *orig
 	l.routeMsg(cp)
 }

@@ -288,7 +288,7 @@ func (mem *membership) beginProbe(l *Locality, target int) {
 // deadline.
 func (mem *membership) probeRound(l *Locality, target int) {
 	for i := 0; i < probePings; i++ {
-		m := netsim.NewMessage()
+		m := l.free.Message()
 		*m = netsim.Message{Kind: kMemberPing, Src: l.rank, Dst: target, Wire: 32}
 		l.w.net.Send(l.rank, m)
 	}

@@ -85,10 +85,9 @@ type goNIC struct {
 	netsim.NICCore
 	netsim.TransState
 	l *Locality
-	c *chanNet
 }
 
-func (n *goNIC) Transmit(m *netsim.Message)    { n.c.Send(n.Rank, m) }
+func (n *goNIC) Transmit(m *netsim.Message)    { n.l.w.net.Send(n.Rank, m) }
 func (n *goNIC) Later(m *netsim.Message)       { n.ApplyTable(n, m) }
 func (n *goNIC) DeliverHost(m *netsim.Message) { n.l.onHostMsg(m) }
 func (n *goNIC) DeliverDMA(m *netsim.Message)  { n.l.onDMA(m) }
@@ -100,12 +99,12 @@ func newChanNet(w *World) *chanNet {
 			NICCore:    netsim.NICCore{Rank: l.rank, GVARouting: w.caps.NICTranslation, Policy: w.cfg.Policy},
 			TransState: netsim.NewTransState(w.cfg.NICTableCap),
 			l:          l,
-			c:          c,
 		}
 		l.wireNIC(&n.NICCore)
 		c.nics = append(c.nics, n)
 		ex := newGoExec()
 		ex.l, l.exec = l, ex
+		l.free, n.Free = &ex.rec, &ex.rec
 		ex.onMsg = func(m *netsim.Message) { c.arrive(l, m) }
 		ex.onStep = l.handleMsg
 		ex.flush = func(ms []*netsim.Message) { c.send(l.rank, ms) }
@@ -152,25 +151,25 @@ func (c *chanNet) send(from int, ms []*netsim.Message) {
 		}
 		ms[i] = g
 	}
-	fi := c.faults
+	fi, rc := c.faults, &c.execs[from].rec
 	for i, m := range ms {
 		switch {
 		case m == nil:
 		case fi == nil && m.Waited: // alone: a waited m is never staged
-			c.deliver(m, 0)
+			c.execs[m.Dst].post(task{m: m}, true, rc)
 		case fi == nil:
-			c.execs[m.Dst].postRun(ms[i:], m.Dst)
+			c.execs[m.Dst].postRun(ms[i:], m.Dst, rc)
 		default:
-			fi.Inject(m, 0, c.deliver)
+			fi.Inject(rc, m, 0, c.deliver)
 		}
 	}
 }
 
-// deliver hands m to the destination's typed mailbox — no capturing
-// closure on the zero-delay fast path, where a waited m may drain an
-// idle destination on this goroutine (goExec.post). A fault-injected
-// delay is held on the wall clock: enough to reorder the message past
-// later traffic.
+// deliver hands m, which passed the fault stream, to the destination's
+// typed mailbox — no capturing closure on the zero-delay path, where a
+// waited m may drain an idle destination on this goroutine (goExec.post).
+// A fault-injected delay is held on the wall clock: enough to reorder the
+// message past later traffic.
 func (c *chanNet) deliver(m *netsim.Message, delay netsim.VTime) {
 	ex := c.execs[m.Dst]
 	if delay > 0 {

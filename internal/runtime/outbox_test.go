@@ -54,7 +54,7 @@ func TestTurnSendsKeepPairOrder(t *testing.T) {
 	w.Proc(0).Run(func() {
 		for i := 0; i < 2*n; i++ {
 			if i == n {
-				l.issue(l.putReq(g, []byte{1}), opState{wait: wt})
+				l.issue(&rmaReq{kind: kPutReq, target: g, data: []byte{1}}, opState{wait: wt})
 			}
 			l.SendParcel(&parcel.Parcel{Action: record, Target: g, Payload: []byte{byte(i)}})
 		}

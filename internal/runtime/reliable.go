@@ -204,6 +204,9 @@ type relTxChan struct {
 	ring          []relSlot
 	rto           netsim.VTime
 	armed         bool
+	// free is the sending locality's Recycler: the pristine copies come
+	// from it and go back to it (nil, the heap, in the window oracle).
+	free *netsim.Recycler
 }
 
 func (tc *relTxChan) slot(seq uint64) *relSlot {
@@ -236,7 +239,7 @@ func (tc *relTxChan) track(m *netsim.Message, deadline netsim.VTime) {
 	}
 	tc.n++
 	m.RelSeq = seq
-	cp := netsim.NewMessage()
+	cp := tc.free.Message()
 	*cp = *m
 	*tc.slot(seq) = relSlot{m: cp, attempts: 1, deadline: deadline}
 }
@@ -249,7 +252,7 @@ func (tc *relTxChan) clear(seq uint64) bool {
 		return false
 	}
 	s := tc.slot(seq)
-	s.m.Release()
+	tc.free.Release(s.m)
 	*s = relSlot{}
 	tc.n--
 	for tc.n > 0 && tc.slot(tc.base).m == nil {
@@ -319,7 +322,7 @@ func (l *Locality) relTrack(m *netsim.Message) {
 	}
 	tc := rl.tx[ch]
 	if tc == nil {
-		tc = &relTxChan{rto: relRTO}
+		tc = &relTxChan{rto: relRTO, free: l.free}
 		rl.tx[ch] = tc
 	}
 	m.RelChan = ch
@@ -384,7 +387,7 @@ func (l *Locality) relTimer(ch int32) {
 		p.deadline = now + tc.rto
 		// The clone travels and is recycled by whoever consumes it; the
 		// pristine copy p.m stays here for the next retransmission.
-		cp := netsim.NewMessage()
+		cp := l.free.Message()
 		*cp = *p.m
 		cp.Hops = 0
 		resend = append(resend, cp)
@@ -493,12 +496,12 @@ func (l *Locality) relFlushOK(m *netsim.Message) bool {
 // relSendAck acknowledges m's stream up to cum. Self-deliveries
 // short-circuit.
 func (l *Locality) relSendAck(m *netsim.Message, cum uint64) {
-	ack := netsim.NewMessage()
+	ack := l.free.Message()
 	*ack = netsim.Message{Kind: kRelAck, Src: l.rank, Dst: m.Src, Wire: relAckWire,
 		RelChan: m.RelChan, RelSeq: m.RelSeq, RelCum: cum}
 	if m.Src == l.rank {
 		l.relOnAck(ack)
-		ack.Release()
+		l.free.Release(ack)
 		return
 	}
 	l.w.net.Send(l.rank, ack)
@@ -545,7 +548,7 @@ func (l *Locality) relRebirth() {
 	}
 	for _, tc := range rl.tx {
 		if tc != nil {
-			tc.ack(0, tc.nextSeq) // the pristine copies go back to the pool
+			tc.ack(0, tc.nextSeq) // the pristine copies go back to the Recycler
 		}
 	}
 	rl.tx = nil

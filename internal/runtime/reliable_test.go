@@ -174,7 +174,7 @@ func TestDuplicatedLoopNackAbandonsOnce(t *testing.T) {
 	w.Start()
 	l := w.Locality(0)
 	loopNack := func(orig *netsim.Message) *netsim.Message {
-		m := netsim.NewMessage()
+		m := l.free.Message()
 		m.Ctl, m.Nacked, m.Owner, m.Block = netsim.CtlNackLoop, orig, -1, orig.Block
 		return m
 	}

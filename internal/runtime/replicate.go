@@ -155,7 +155,7 @@ func (l *Locality) replMarkStale(b gas.BlockID) bool {
 // queues behind migrations and chases tombstones like any other message
 // — the holder does not need to know where the master currently lives.
 func (l *Locality) sendReplFill(b gas.BlockID, home int) {
-	m := netsim.NewMessage()
+	m := l.free.Message()
 	*m = netsim.Message{Kind: kReplFill, Src: l.rank, Target: gas.New(home, b, 0), Wire: 32, OpID: l.newOpID()}
 	l.note(noteOpStart, b, 0, m.OpID)
 	l.routeMsg(m)
@@ -195,7 +195,7 @@ func (l *Locality) replFanOut(b gas.BlockID, nic bool) {
 		}
 	}
 	for _, h := range rs.Holders {
-		m := netsim.NewMessage()
+		m := l.free.Message()
 		m.Src = l.rank
 		m.Dst = h
 		m.Block = b
@@ -259,7 +259,7 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 		return
 	}
 	if !l.relAccept(m) {
-		m.Release()
+		l.free.Release(m)
 		return
 	}
 	snap := make([]byte, blk.BSize)
@@ -267,10 +267,10 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 		l.w.fail("rank %d: replica fill snapshot: %v", l.rank, err)
 	}
 	l.exec.Charge(l.w.cfg.Model.CopyTime(len(snap)))
-	rep := netsim.NewMessage()
+	rep := l.free.Message()
 	*rep = netsim.Message{Kind: kReplFillRep, Src: l.rank, Dst: m.Src, Block: b,
 		Payload: snap, Wire: 32 + len(snap), OpID: m.OpID}
-	m.Release()
+	l.free.Release(m)
 	l.inject(rep, rep.Dst)
 }
 

@@ -60,88 +60,91 @@ const segHdr = 8
 // write is remotely complete. Call it from this locality's execution
 // context (an action body or a Proc task); a driver calls Proc.PutAsync.
 func (l *Locality) PutAsync(dst gas.GVA, data []byte, done func()) {
-	l.issue(l.putReq(dst, data), opState{pdone: done})
+	l.issue(&rmaReq{kind: kPutReq, target: dst, data: data}, opState{pdone: done})
 }
 
 // GetAsync reads n bytes at src and runs done with the data; PutAsync's
 // calling rule applies. done may retain the data.
 func (l *Locality) GetAsync(src gas.GVA, n uint32, done func(data []byte)) {
-	l.issue(l.getReq(src, n, false), opState{done: done})
+	l.issue(&rmaReq{kind: kGetReq, n: n, target: src}, opState{done: done})
 }
 
-// rmaReq is a laid-out one-sided request; n is the bytes written, or for
-// reads the length the reply will carry.
+// rmaReq is a one-sided request as its caller names it: the bytes (data)
+// or fragments (psegs, gsegs) it writes or reads at target, and for a
+// kGetReq the n bytes it reads. pooled asks a read's reply for a recycled
+// buffer, for a completion that copies the data out before returning.
+// issue lays it out on the token, from the locality's Recycler; the
+// caller's slices must hold until then.
 type rmaReq struct {
-	kind    uint8
-	pooled  bool
-	n       uint32
-	target  gas.GVA
-	payload []byte
+	kind   uint8
+	pooled bool
+	n      uint32
+	target gas.GVA
+	data   []byte
+	psegs  []PutSeg
+	gsegs  []GetSeg
 }
 
-func (l *Locality) putReq(dst gas.GVA, data []byte) rmaReq {
-	buf, pooled := wireBuf(l.payloadPoolable(), len(data))
-	return rmaReq{kPutReq, pooled, uint32(len(data)), dst, append(buf, data...)}
-}
-
-// getReq lays out a read; pooledOK grants the reply a pooled buffer, for
-// a completion that copies the data out before returning.
-func (l *Locality) getReq(src gas.GVA, n uint32, pooledOK bool) rmaReq {
-	return rmaReq{kGetReq, pooledOK && l.payloadPoolable(), n, src, nil}
-}
-
-func (l *Locality) putVecReq(dst gas.GVA, segs []PutSeg) rmaReq {
-	total := 0
-	for i := range segs {
-		total += len(segs[i].Data)
+// layout encodes r's payload: whether it is recycled (a kGetReq carries
+// none, and its flag is the reply's permission; a gather's segment list
+// rides the reply's choice), and n, the bytes written or the reply's
+// length.
+func (l *Locality) layout(r *rmaReq) (buf []byte, pooled bool, n uint32) {
+	pool := l.payloadPoolable()
+	switch r.kind {
+	case kPutReq:
+		buf, pooled = l.wireBuf(pool, len(r.data))
+		return append(buf, r.data...), pooled, uint32(len(r.data))
+	case kPutVec:
+		for i := range r.psegs {
+			n += uint32(len(r.psegs[i].Data))
+		}
+		buf, pooled = l.wireBuf(pool, len(r.psegs)*segHdr+int(n))
+		for i := range r.psegs {
+			s := &r.psegs[i]
+			buf = binary.LittleEndian.AppendUint32(buf, s.Off)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Data)))
+			buf = append(buf, s.Data...)
+		}
+		return buf, pooled, n
+	case kGetVec:
+		buf, pooled = l.wireBuf(pool && r.pooled, len(r.gsegs)*segHdr)
+		for _, s := range r.gsegs {
+			n += s.N
+			buf = binary.LittleEndian.AppendUint32(buf, s.Off)
+			buf = binary.LittleEndian.AppendUint32(buf, s.N)
+		}
+		return buf, pooled, n
 	}
-	buf, pooled := wireBuf(l.payloadPoolable(), len(segs)*segHdr+total)
-	for i := range segs {
-		s := &segs[i]
-		buf = binary.LittleEndian.AppendUint32(buf, s.Off)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Data)))
-		buf = append(buf, s.Data...)
-	}
-	return rmaReq{kPutVec, pooled, uint32(total), dst, buf}
-}
-
-// getVecReq lays out a gather; pooledOK as for getReq, and the request's
-// own segment list rides the same choice.
-func (l *Locality) getVecReq(src gas.GVA, segs []GetSeg, pooledOK bool) rmaReq {
-	total := uint32(0)
-	buf, pooled := wireBuf(pooledOK && l.payloadPoolable(), len(segs)*segHdr)
-	for i := range segs {
-		total += segs[i].N
-		buf = binary.LittleEndian.AppendUint32(buf, segs[i].Off)
-		buf = binary.LittleEndian.AppendUint32(buf, segs[i].N)
-	}
-	return rmaReq{kGetVec, pooled, total, src, buf}
+	return nil, pool && r.pooled, r.n
 }
 
 // issue registers a one-sided op and routes its request, marked Waited
 // when a blocked caller waits on it (st.wait, see Proc.await). Like
-// completeOp it runs on the locality's token, which owns the op table.
-func (l *Locality) issue(r rmaReq, st opState) {
+// completeOp it runs on the locality's token, which owns the op table
+// and the Recycler its payload comes from.
+func (l *Locality) issue(r *rmaReq, st opState) {
+	payload, pooled, n := l.layout(r)
 	id := l.newOpID()
 	l.note(noteOpStart, r.target.Block(), 0, id)
 	l.ops.put(id, st)
-	m := netsim.NewMessage()
+	m := l.free.Message()
 	if r.kind == kGetReq || r.kind == kGetVec {
 		l.stats.GetOps++
-		l.stats.GetBytes += int64(r.n)
-		m.N = r.n
+		l.stats.GetBytes += int64(n)
+		m.N = n
 	} else {
 		l.stats.PutOps++
-		l.stats.PutBytes += int64(r.n)
+		l.stats.PutBytes += int64(n)
 	}
 	m.Kind = r.kind
 	m.Src = l.rank
 	m.Target = r.target
 	m.DMA = true
-	m.Payload = r.payload
-	m.PayloadPooled = r.pooled
+	m.Payload = payload
+	m.PayloadPooled = pooled
 	m.Waited = st.wait != nil
-	m.Wire = 32 + len(r.payload)
+	m.Wire = 32 + len(payload)
 	m.OpID = id
 	l.routeMsg(m)
 }
@@ -229,7 +232,7 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 		// Duplicate request: the first copy applied the effect and its
 		// (retransmitted-until-acked) answer completes the op. It is not
 		// an access, so it adds no heat.
-		m.Release()
+		l.free.Release(m)
 		return
 	}
 	issuer := uint64(m.Src) << 1
@@ -247,7 +250,7 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 	data, pooled := l.apply(m, blk)
 	src, opID, waited := m.Src, m.OpID, m.Waited
 	l.releasePayload(m)
-	m.Release()
+	l.free.Release(m)
 	if !read {
 		l.replFanOut(b, nic)
 	}
@@ -257,12 +260,12 @@ func (l *Locality) serve(m *netsim.Message, blk *gas.Block, nic bool) {
 		// back: the completion copies out synchronously, by contract.
 		l.completeOp(opID, data)
 		if pooled {
-			putWireBuf(data)
+			l.free.PutBuf(data)
 		}
 	case !read:
 		l.send(l.newPutAck(src, opID, waited), nic)
 	default:
-		rep := netsim.NewMessage()
+		rep := l.free.Message()
 		rep.Kind = kGetRep
 		rep.Src = l.rank
 		rep.Dst = src
@@ -297,11 +300,11 @@ func (l *Locality) apply(m *netsim.Message, blk *gas.Block) (data []byte, pooled
 			off += n
 		}
 	case kGetReq:
-		data, pooled = wireBuf(m.PayloadPooled, int(m.N))
+		data, pooled = l.wireBuf(m.PayloadPooled, int(m.N))
 		data = data[:m.N]
 		err = blk.ReadAt(base, data)
 	case kGetVec:
-		data, pooled = wireBuf(m.PayloadPooled, int(m.N))
+		data, pooled = l.wireBuf(m.PayloadPooled, int(m.N))
 		for off := 0; off+segHdr <= len(p) && err == nil; off += segHdr {
 			o := binary.LittleEndian.Uint32(p[off:])
 			cur := len(data)
@@ -355,7 +358,7 @@ func (l *Locality) send(m *netsim.Message, nic bool) {
 
 // newPutAck builds the kPutAck completing opID at src.
 func (l *Locality) newPutAck(src int, opID uint64, waited bool) *netsim.Message {
-	ack := netsim.NewMessage()
+	ack := l.free.Message()
 	ack.Kind = kPutAck
 	ack.Src = l.rank
 	ack.Dst = src

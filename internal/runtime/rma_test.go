@@ -63,12 +63,12 @@ var rmaKinds = []rmaKind{
 		}},
 	{name: "putvec", want: rmaWritten(map[int]string{4: "head", 204: "tail"}),
 		issue: func(l *Locality, g gas.GVA, done func([]byte)) {
-			l.issue(l.putVecReq(g.WithOffset(4), []PutSeg{{Off: 0, Data: []byte("head")}, {Off: 200, Data: []byte("tail")}}),
+			l.issue(&rmaReq{kind: kPutVec, target: g.WithOffset(4), psegs: []PutSeg{{Off: 0, Data: []byte("head")}, {Off: 200, Data: []byte("tail")}}},
 				opState{pdone: func() { done(nil) }})
 		}},
 	{name: "getvec", read: true, want: append(append([]byte(nil), rmaSeed[4:10]...), rmaSeed[104:114]...),
 		issue: func(l *Locality, g gas.GVA, done func([]byte)) {
-			l.issue(l.getVecReq(g.WithOffset(4), []GetSeg{{Off: 0, N: 6}, {Off: 100, N: 10}}, false), opState{done: done})
+			l.issue(&rmaReq{kind: kGetVec, target: g.WithOffset(4), gsegs: []GetSeg{{Off: 0, N: 6}, {Off: 100, N: 10}}}, opState{done: done})
 		}},
 }
 
@@ -457,7 +457,7 @@ func TestOneSidedServeMatrix(t *testing.T) {
 				// delivery goes up to the host instead, twice.
 				owner := r.w.Locality(1)
 				r.w.Fabric().NIC(1).DMADeliver = func(m *netsim.Message) {
-					dup := netsim.NewMessage()
+					dup := owner.free.Message()
 					*dup = *m
 					owner.exec.ExecMsg(0, opHostMsg, m)
 					owner.exec.ExecMsg(0, opHostMsg, dup)

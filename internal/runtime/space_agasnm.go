@@ -134,7 +134,7 @@ func (s *nmSpace) flushBroadcast() {
 	s.bcast, s.bcastArmed = nil, false
 	for r := 0; r < l.w.cfg.Ranks; r++ {
 		if r != l.rank {
-			m := netsim.NewMessage()
+			m := l.free.Message()
 			m.Ctl, m.Src, m.Dst, m.Payload, m.Wire = netsim.CtlTableBatch, l.rank, r, entries, 32+len(entries)
 			l.w.net.Send(l.rank, m)
 		}

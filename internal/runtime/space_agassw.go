@@ -106,7 +106,7 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 		m.Hops++
 		l.w.net.Send(l.rank, m)
 		if p.Src != l.rank {
-			upd := netsim.NewMessage()
+			upd := l.free.Message()
 			upd.Kind = kOwnerUpd
 			upd.Src = l.rank
 			upd.Target = p.Target
@@ -136,7 +136,7 @@ func (s *swSpace) OnStaleDelivery(m *netsim.Message, p *parcel.Parcel) {
 		return
 	}
 	l.stats.HostNacks++
-	nk := netsim.NewMessage()
+	nk := l.free.Message()
 	nk.Kind = kHostNack
 	nk.Src = l.rank
 	nk.Target = m.Target

@@ -55,6 +55,9 @@ func TestParseModeRoundTrip(t *testing.T) {
 		{in: "agas", wantErr: true},
 		{in: "", wantErr: true},
 		{in: "mode(x)", wantErr: true},
+		{in: "mode(5)xyz", wantErr: true},
+		{in: "mode( 7)", wantErr: true},
+		{in: "mode(1) ", wantErr: true},
 	}
 	for _, tc := range tests {
 		got, err := ParseMode(tc.in)
