@@ -148,16 +148,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "vgasbench: %v\n", err)
 				os.Exit(2)
 			}
-			n := len(o.Spaces)
-			for _, sp := range runtime.Spaces() {
-				if sp.Mode == m {
-					o.Spaces = append(o.Spaces, sp)
-				}
-			}
-			if len(o.Spaces) == n {
-				fmt.Fprintf(os.Stderr, "vgasbench: -modes: no address space for mode %v\n", m)
-				os.Exit(2)
-			}
+			o.Spaces = append(o.Spaces, runtime.SpaceFor(m))
 		}
 	}
 	ids := flag.Args()

@@ -335,7 +335,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // lines, and `name{labels} value [timestamp]` samples.
 func ValidatePrometheus(r io.Reader) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows to fit
 	n := 0
 	samples := 0
 	for sc.Scan() {

@@ -14,10 +14,11 @@ import "fmt"
 // NIC's rank's events, the goroutine rank's token holder. Every driver
 // step runs there, so none takes a lock or an atomic.
 type Port interface {
-	Routes
-	// Cache returns the NIC's translation table. Table pushes are checked
-	// against, and stamped with, the membership epoch it trusts.
-	Cache() *TransTable
+	// Trans returns the NIC's translation state: the receive-side
+	// decisions read its routes (a concrete type, so no interface
+	// conversion runs per message), and table pushes are checked against,
+	// and stamped with, the membership epoch its table trusts.
+	Trans() *TransState
 	// Transmit sends m, which this NIC addressed itself (a forward, a
 	// NACK, a table push, a scatter share), at the NIC's forwarding cost.
 	Transmit(m *Message)
@@ -99,10 +100,10 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 		if m.Ctl == CtlNone && c.GVARouting && fi != nil {
 			// Soft-error model: traffic may scribble over one cached entry;
 			// authoritative routes are assumed protected (ECC directory).
-			fi.MaybeLoseEntry(p.Cache())
+			fi.MaybeLoseEntry(p.Trans().Table)
 		}
 		if v.Act == ActMisroute {
-			v = c.Misroute(p, lv, m)
+			v = c.Misroute(p.Trans(), lv, m)
 		}
 	}
 	if v.Count != CntNone {
@@ -122,14 +123,14 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 			c.OnForward(m, v.To)
 		}
 		if v.Push {
-			p.Transmit(c.Control(CtlTableUpdate, m, v.To, p.Cache().Epoch()))
+			p.Transmit(c.Control(CtlTableUpdate, m, v.To, p.Trans().Table.Epoch()))
 		}
 		// Forward in place: the arrived message is the forwarded one, and
 		// the transport stays its sole owner.
 		m.Dst = v.To
 		p.Transmit(m)
 	case ActScatter:
-		fwd, host, split := c.SplitScatter(p, m)
+		fwd, host, split := c.SplitScatter(p.Trans(), m)
 		if split {
 			c.Stats[CntScatterSplits]++
 		}
@@ -154,7 +155,7 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 // membership change and could resurrect a route to a dead or re-homed
 // locality.
 func (c *NICCore) ApplyTable(p Port, m *Message) {
-	t := p.Cache()
+	t := p.Trans().Table
 	switch {
 	case m.Epoch < t.Epoch():
 		c.Stats[CntStaleEpochDrops]++

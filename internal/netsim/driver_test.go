@@ -193,13 +193,13 @@ func TestApplyTableDropsPushBelowSharedEpoch(t *testing.T) {
 	from, to := newRecPort(c), newRecPort(at)
 	from.Table.TrustEpoch(epoch)
 	to.Table.TrustEpoch(epoch)
-	stale := c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch())
+	stale := c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Table.Epoch())
 	epoch.Add(1)
 	at.ApplyTable(to, stale)
 	if _, ok := peek(to.Table, 50); ok || at.Stats[CntStaleEpochDrops] != 1 {
 		t.Fatalf("push stamped at 3 under epoch 4: applied=%v, %d stale drops; want dropped and 1", ok, at.Stats[CntStaleEpochDrops])
 	}
-	at.ApplyTable(to, c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Cache().Epoch()))
+	at.ApplyTable(to, c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Table.Epoch()))
 	if o, ok := peek(to.Table, 50); !ok || o != 3 || at.Stats[CntStaleEpochDrops] != 1 {
 		t.Fatalf("push stamped at the current epoch: %d,%v, %d stale drops", o, ok, at.Stats[CntStaleEpochDrops])
 	}

@@ -145,8 +145,9 @@ func (s *TransState) ClearResident(block gas.BlockID) {
 	}
 }
 
-// Cache returns the evictable table (the driver's Port.Cache).
-func (s *TransState) Cache() *TransTable { return s.Table }
+// Trans returns s itself, so a port that embeds its TransState serves
+// Port.Trans with it.
+func (s *TransState) Trans() *TransState { return s }
 
 // Route returns the authoritative knowledge for block, if any (never the
 // evictable table).
@@ -199,13 +200,6 @@ func (s *TransState) Resolve(m *Message) {
 	} else {
 		m.Dst = m.Target.Home()
 	}
-}
-
-// Routes is the read-only view of translation state the receive-side
-// decisions consult, on the state's one writer (see Port).
-type Routes interface {
-	ReadRoute(gas.BlockID) (int, bool)
-	Forward(gas.BlockID) (int, bool)
 }
 
 // Action is what a Verdict tells the driver to do with the message.
@@ -375,7 +369,7 @@ func (c *NICCore) Classify(lv Liveness, m *Message) Verdict {
 
 // Misroute decides a GVA-routed arrival for a block that is not here. It
 // charges the hop it takes to m.Hops.
-func (c *NICCore) Misroute(rt Routes, lv Liveness, m *Message) Verdict {
+func (c *NICCore) Misroute(rt *TransState, lv Liveness, m *Message) Verdict {
 	if m.Read && m.Hops < DefaultMaxHops {
 		if target, ok := rt.ReadRoute(m.Block); ok && target != c.Rank {
 			// We cannot serve this read but know a replica holder:
@@ -462,7 +456,7 @@ func (c *NICCore) Control(ctl uint8, m *Message, owner int, epoch uint64) *Messa
 // up whole, zero copies. Otherwise host reports whether m — now carrying
 // only the host group — still has anything to deliver; if not it is
 // spent and the caller releases it.
-func (c *NICCore) SplitScatter(rt Routes, m *Message) (fwd []*Message, host, split bool) {
+func (c *NICCore) SplitScatter(rt *TransState, m *Message) (fwd []*Message, host, split bool) {
 	for r := NewScatterReader(m.Payload); ; {
 		g, _, ok := r.Next()
 		if !ok {

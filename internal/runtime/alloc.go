@@ -74,7 +74,7 @@ func (w *World) Free(l gas.Layout) error {
 		b := l.Base.Block() + gas.BlockID(d)
 		home := l.HomeOf(d)
 		owner := w.locs[home].space.HomeOwner(b)
-		if !w.freeStep(owner, b, home, w.claimNIC) {
+		if !w.freeStep(owner, b, home, w.claim) {
 			return fmt.Errorf("runtime: free of non-resident block %d (owner %d)", b, owner)
 		}
 	}
@@ -83,9 +83,10 @@ func (w *World) Free(l gas.Layout) error {
 
 // freeStep frees block b at its owner, World.Free's and FreeAsync's one
 // per-block step: it takes the replica set, removes the owner's copy, and
-// drops every holder copy and every translation of b, each NIC's through
-// nic. It reports false when the owner does not hold b.
-func (w *World) freeStep(owner int, b gas.BlockID, home int, nic nicWrite) bool {
+// drops every holder copy and every translation of b, each holder record
+// and each NIC through write. It reports false when the owner does not
+// hold b.
+func (w *World) freeStep(owner int, b gas.BlockID, home int, write rankWrite) bool {
 	if dir := w.locs[owner].space.Directory(); dir != nil {
 		if _, ok := dir.TakeReplicas(b); ok {
 			w.replCount.Add(-1)
@@ -95,8 +96,8 @@ func (w *World) freeStep(owner int, b gas.BlockID, home int, nic nicWrite) bool 
 		return false
 	}
 	for _, loc := range w.locs {
-		loc.dropReplica(b)
-		loc.space.OnFree(b, home, nic)
+		loc.dropReplica(b, write)
+		loc.space.OnFree(b, home, write)
 	}
 	return true
 }

@@ -120,8 +120,8 @@ func (p *Proc) FreeAsync(lay gas.Layout) *LCORef {
 
 // freeBlock executes at a block's current owner and runs the free step
 // there (see World.freeStep). Holding the owner's token, it posts each
-// NIC's sweep to that NIC's rank; the stores and directories are clean
-// when the continuation fires.
+// holder record's and NIC's sweep to its rank; the stores and
+// directories are clean when the continuation fires.
 func freeBlock(c *Ctx) {
 	l := c.l
 	b := c.P.Target.Block()
@@ -132,6 +132,6 @@ func freeBlock(c *Ctx) {
 	if blk.Pinned || blk.Kind != gas.KindData {
 		l.w.fail("rank %d: free of pinned/non-data block %d", l.rank, b)
 	}
-	l.w.freeStep(l.rank, b, c.P.Target.Home(), l.w.postNIC)
+	l.w.freeStep(l.rank, b, c.P.Target.Home(), l.w.post)
 	c.Continue(nil)
 }

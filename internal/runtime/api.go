@@ -46,7 +46,7 @@ func (c *Ctx) Charge(d netsim.VTime) { c.l.exec.Charge(d) }
 // actions mutate it to update the block.
 func (c *Ctx) Local(g gas.GVA) []byte {
 	b := g.Block()
-	if c.l.Moving(b) {
+	if c.l.moveOf(b) != nil {
 		return nil
 	}
 	blk, ok := c.l.store.Get(b)

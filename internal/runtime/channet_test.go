@@ -19,6 +19,11 @@ func peekNICTable(w *World, rank int, b gas.BlockID) (owner int, ok bool) {
 	return owner, ok
 }
 
+// claimNIC runs fn on rank's NIC state as a driver (World.claim).
+func (w *World) claimNIC(rank int, fn func(*netsim.TransState)) {
+	w.claim(rank, func() { w.net.State(rank, fn) })
+}
+
 // nicTotals sums every rank's NIC counters, each read on its rank's token
 // (World.RankStats).
 func (w *World) nicTotals() (t netsim.NICStats) {

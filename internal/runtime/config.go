@@ -59,18 +59,14 @@ func (e EngineKind) String() string {
 	return "des"
 }
 
-// ParseMode parses a mode name as produced by Mode.String, including the
-// numeric "mode(N)" fallback form, so the two round-trip. Only the exact
-// text String prints parses: Sscanf alone would accept a trailing suffix.
+// ParseMode parses the name Mode.String prints for a mode that has an
+// address space (pgas, agas-sw, agas-nm). String's numeric "mode(N)"
+// form, for diagnostics, names no address space and does not parse.
 func ParseMode(s string) (Mode, error) {
 	for _, m := range []Mode{PGAS, AGASSW, AGASNM} {
 		if s == m.String() {
 			return m, nil
 		}
-	}
-	var d uint8
-	if n, err := fmt.Sscanf(s, "mode(%d)", &d); n == 1 && err == nil && Mode(d).String() == s {
-		return Mode(d), nil
 	}
 	return 0, fmt.Errorf("runtime: unknown mode %q (want pgas, agas-sw, or agas-nm)", s)
 }

@@ -10,8 +10,8 @@ import (
 // DumpState writes a human-readable snapshot of the world's protocol
 // state: per-locality block residency, in-flight migrations with their
 // queue depths, and outstanding one-sided operations. It is the first
-// thing to reach for when a Wait deadlocks; call it at quiescence, since
-// the op table belongs to each locality's running handler.
+// thing to reach for when a Wait deadlocks. Each locality is read in one
+// claim of its rank (World.claim).
 func (w *World) DumpState(out io.Writer) error {
 	var sb strings.Builder // formatted whole, so out sees one write
 	for _, l := range w.locs {
@@ -20,15 +20,17 @@ func (w *World) DumpState(out io.Writer) error {
 			dst, queued int
 		}
 		var moves []mv
-		l.mu.Lock()
-		for b, st := range l.moving {
-			moves = append(moves, mv{uint32(b), st.dst, len(st.queued)})
-		}
-		l.mu.Unlock()
+		var ops int
+		w.claim(l.rank, func() {
+			for b, st := range l.moving {
+				moves = append(moves, mv{uint32(b), st.dst, len(st.queued)})
+			}
+			ops = l.ops.n
+		})
 		sort.Slice(moves, func(i, j int) bool { return moves[i].b < moves[j].b })
 
 		fmt.Fprintf(&sb, "locality %d: blocks=%d moving=%d ops_outstanding=%d\n",
-			l.rank, l.store.Len(), len(moves), l.ops.n)
+			l.rank, l.store.Len(), len(moves), ops)
 		for _, m := range moves {
 			fmt.Fprintf(&sb, "  moving block %d -> rank %d (%d queued)\n", m.b, m.dst, m.queued)
 		}

@@ -305,13 +305,34 @@ func (e *goExec) claim(fn func()) bool {
 		e.mu.Unlock()
 		return false
 	}
+	e.hold(fn)
+	return true
+}
+
+// tryClaim is claim for a caller that polls rather than waits (the stop
+// drain's chanNet.noneMoving): it takes the token only when no one holds
+// it, waits for it or has stopped the mailbox, and reports whether fn
+// ran.
+func (e *goExec) tryClaim(fn func()) bool {
+	e.mu.Lock()
+	if e.running || e.claims > 0 || e.stopped {
+		e.mu.Unlock()
+		return false
+	}
+	e.hold(fn)
+	return true
+}
+
+// hold runs fn as the token holder, then one turn for whatever fn
+// queued. The caller found the token free under e.mu, which hold
+// releases.
+func (e *goExec) hold(fn func()) {
 	e.running = true
 	e.mu.Unlock()
 	fn()
 	e.mu.Lock()
 	e.drain()
 	e.mu.Unlock()
-	return true
 }
 
 // drain is the turn of a goroutine holding the token outside the actor

@@ -5,7 +5,7 @@ package runtime
 // data-path access) with the same shape as Config.Metrics: an observer
 // behind the one observation point (trace.go) — off, the hot path pays
 // one branch and zero allocations — and, when on, power-of-two sampling
-// into per-rank state so the common case is one atomic increment.
+// into per-rank state so the common case is one plain increment.
 // Sampled accesses land in a fixed-size space-saving sketch per rank
 // (stats.TopK), never an unbounded map: block population can be
 // millions, but the policy engine only ever needs the heavy hitters, and
@@ -17,8 +17,6 @@ package runtime
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/stats"
@@ -83,86 +81,79 @@ func decodeHeatItem(it stats.TopKItem) HeatSample {
 	}
 }
 
-// heatRank is one serving rank's tracker. Under EngineGo different ranks
-// record concurrently, so the counters are padded apart; the sketch is
-// only touched on the sampled slow path, behind its own lock.
+// heatRank is one serving rank's tracker, on the Locality it describes
+// (nil when heat tracking is off). It has one writer, the rank's token
+// holder or DES event (World.observe runs on the rank it observes), and
+// readers outside the rank claim it (World.claim), so it has no lock,
+// no pad and no atomic field.
 type heatRank struct {
-	n    atomic.Uint64 // accesses observed (drives the sampling decision)
-	load atomic.Uint64 // sampled accesses served this epoch
-	_    [48]byte      // keep neighbouring ranks off this cache line
-	mu   sync.Mutex
-	topk *stats.TopK
+	mask  uint64 // 2^SampleShift - 1; 0 samples everything
+	n     uint64 // accesses observed (drives the sampling decision)
+	load  uint64 // sampled accesses served this epoch
+	total uint64 // cumulative sampled accesses across epochs
+	topk  *stats.TopK
 }
 
-// heatState is the world's heat tracker; nil unless Config.Heat.Enabled.
-type heatState struct {
-	mask  uint64        // 2^SampleShift - 1; 0 samples everything
-	total atomic.Uint64 // cumulative sampled accesses across epochs
-	ranks []heatRank
+func newHeatRank(cfg HeatConfig) *heatRank {
+	return &heatRank{mask: uint64(1)<<cfg.SampleShift - 1, topk: stats.NewTopK(heatTopK)}
 }
 
-func newHeatState(cfg HeatConfig, ranks int) *heatState {
-	h := &heatState{
-		mask:  uint64(1)<<cfg.SampleShift - 1,
-		ranks: make([]heatRank, ranks),
-	}
-	for i := range h.ranks {
-		h.ranks[i].topk = stats.NewTopK(heatTopK)
-	}
-	return h
-}
-
-// note records one data-path access served by `rank` on behalf of `src`.
-func (h *heatState) note(rank, src int, b gas.BlockID, read bool) {
-	r := &h.ranks[rank]
-	if r.n.Add(1)&h.mask != 0 {
+// note records one data-path access served by this rank on behalf of
+// `src`.
+func (r *heatRank) note(src int, b gas.BlockID, read bool) {
+	r.n++
+	if r.n&r.mask != 0 {
 		return
 	}
-	r.load.Add(1)
-	h.total.Add(1)
-	key := heatKey(src, b, read)
-	r.mu.Lock()
-	r.topk.Offer(key, 1)
-	r.mu.Unlock()
+	r.load++
+	r.total++
+	r.topk.Offer(heatKey(src, b, read), 1)
 }
 
 // observe is the sampler's view of one protocol step: the exec of a user
 // action (put-shaped; the issuing rank is the one in the parcel's OpID,
 // see newOpID) and a one-sided serve (Info = issuing rank << 1 | read),
 // both counted at the serving rank.
-func (h *heatState) observe(rank int, kind TraceKind, b gas.BlockID, info, opID uint64) {
+func (r *heatRank) observe(kind TraceKind, b gas.BlockID, info, opID uint64) {
 	switch kind {
 	case TraceExec:
 		if info >= uint64(firstUserAction) {
-			h.note(rank, int(opID>>48)-1, b, false)
+			r.note(int(opID>>48)-1, b, false)
 		}
 	case noteServe:
-		h.note(rank, int(info>>1), b, info&1 != 0)
+		r.note(int(info>>1), b, info&1 != 0)
+	}
+}
+
+// eachHeat runs fn on every rank's tracker, each in one claim of its
+// rank; with heat tracking off there is none.
+func (w *World) eachHeat(fn func(rank int, r *heatRank)) {
+	if !w.HeatEnabled() {
+		return
+	}
+	for rank, l := range w.locs {
+		w.claim(rank, func() { fn(rank, l.heat) })
 	}
 }
 
 // HeatEnabled reports whether the world tracks access heat.
-func (w *World) HeatEnabled() bool { return w.heat != nil }
+func (w *World) HeatEnabled() bool { return w.cfg.Heat.Enabled }
 
 // HeatSampled returns the cumulative number of sampled accesses since
 // Start (across epoch resets). Zero when heat tracking is off.
-func (w *World) HeatSampled() uint64 {
-	if w.heat == nil {
-		return 0
-	}
-	return w.heat.total.Load()
+func (w *World) HeatSampled() (n uint64) {
+	w.eachHeat(func(_ int, r *heatRank) { n += r.total })
+	return n
 }
 
 // HeatLoads returns the sampled accesses served per rank in the current
 // epoch (nil when heat tracking is off). loadbal.Imbalance summarizes it.
 func (w *World) HeatLoads() []uint64 {
-	if w.heat == nil {
+	if !w.HeatEnabled() {
 		return nil
 	}
-	out := make([]uint64, len(w.heat.ranks))
-	for i := range w.heat.ranks {
-		out[i] = w.heat.ranks[i].load.Load()
-	}
+	out := make([]uint64, len(w.locs))
+	w.eachHeat(func(rank int, r *heatRank) { out[rank] = r.load })
 	return out
 }
 
@@ -170,20 +161,12 @@ func (w *World) HeatLoads() []uint64 {
 // resetting. Entries for the same (block, src, read) can appear once per
 // serving rank (a block that migrated mid-epoch was served by two);
 // consumers aggregate by summing.
-func (w *World) HeatSamples() []HeatSample {
-	if w.heat == nil {
-		return nil
-	}
-	var out []HeatSample
-	for i := range w.heat.ranks {
-		r := &w.heat.ranks[i]
-		r.mu.Lock()
-		items := r.topk.Items()
-		r.mu.Unlock()
-		for _, it := range items {
+func (w *World) HeatSamples() (out []HeatSample) {
+	w.eachHeat(func(_ int, r *heatRank) {
+		for _, it := range r.topk.Items() {
 			out = append(out, decodeHeatItem(it))
 		}
-	}
+	})
 	return out
 }
 
@@ -191,21 +174,17 @@ func (w *World) HeatSamples() []HeatSample {
 // sketch entries — and resets both for the next one. This is the policy
 // engine's per-epoch read.
 func (w *World) HeatEpoch() (loads []uint64, samples []HeatSample) {
-	if w.heat == nil {
+	if !w.HeatEnabled() {
 		return nil, nil
 	}
-	loads = make([]uint64, len(w.heat.ranks))
-	for i := range w.heat.ranks {
-		r := &w.heat.ranks[i]
-		loads[i] = r.load.Swap(0)
-		r.mu.Lock()
-		items := r.topk.Items()
-		r.topk.Reset()
-		r.mu.Unlock()
-		for _, it := range items {
+	loads = make([]uint64, len(w.locs))
+	w.eachHeat(func(rank int, r *heatRank) {
+		loads[rank], r.load = r.load, 0
+		for _, it := range r.topk.Items() {
 			samples = append(samples, decodeHeatItem(it))
 		}
-	}
+		r.topk.Reset()
+	})
 	return loads, samples
 }
 
@@ -213,19 +192,14 @@ func (w *World) HeatEpoch() (loads []uint64, samples []HeatSample) {
 // highest sampled count first, at most k of them (k <= 0 returns all
 // merged entries). Read-only; the per-rank sketches keep accumulating.
 func (w *World) HeatTop(k int) []HeatSample {
-	if w.heat == nil {
+	if !w.HeatEnabled() {
 		return nil
 	}
 	// Merging into a sketch wide enough for every rank's entries keeps
 	// the merge lossless (no evictions), so per-entry error bounds carry
 	// through intact.
-	merged := stats.NewTopK(len(w.heat.ranks) * heatTopK)
-	for i := range w.heat.ranks {
-		r := &w.heat.ranks[i]
-		r.mu.Lock()
-		merged.Merge(r.topk)
-		r.mu.Unlock()
-	}
+	merged := stats.NewTopK(len(w.locs) * heatTopK)
+	w.eachHeat(func(_ int, r *heatRank) { merged.Merge(r.topk) })
 	out := make([]HeatSample, 0, merged.Len())
 	for _, it := range merged.Items() {
 		out = append(out, decodeHeatItem(it))

@@ -17,7 +17,7 @@ func TestDisabledHeatHooksAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
-	if w.observed || w.heat != nil {
+	if w.observed || w.locs[0].heat != nil {
 		t.Fatal("heat state set without Config.Heat.Enabled")
 	}
 	l0, l1 := w.Locality(0), w.Locality(1)
@@ -37,7 +37,7 @@ func TestDisabledHeatHooksAllocateNothing(t *testing.T) {
 
 // TestEnabledHeatHookAllocatesNothingSteadyState: once the per-rank
 // sketch map has reached capacity population, the enabled hook itself is
-// alloc-free (atomic adds plus a bounded-map sketch update).
+// alloc-free (plain adds plus a bounded-map sketch update).
 func TestEnabledHeatHookAllocatesNothingSteadyState(t *testing.T) {
 	w, err := NewWorld(Config{Ranks: 2, Mode: AGASNM, Engine: EngineDES,
 		Heat: HeatConfig{Enabled: true}})
@@ -83,7 +83,7 @@ func TestHeatSamplingAccuracy(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b := gas.BlockID(zipf.Uint64())
 		truth[b]++
-		w.heat.note(0, 1, b, true)
+		w.locs[0].heat.note(1, b, true)
 	}
 
 	loads := w.HeatLoads()

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,6 +179,126 @@ func goNICStateChurn(t *testing.T, tableCap int) {
 	w.mem.mu.Unlock()
 	if ms := w.MembershipStats(); ms.Deaths != 1 || ms.Joins != 1 || ms.Rehomed != 1 || !lost {
 		t.Fatalf("membership %+v (unreplicated block lost: %v), want one death, one join, one promotion and the lost block", ms, lost)
+	}
+}
+
+// TestLocalityStateClaimedUnderChurn: a locality's migration pins,
+// replica holder records and heat tracker have one writer, the rank's
+// token holder, and take no lock. Pollers read them through each rank's
+// owner (Moving, DumpState, HeatTop, HeatEpoch, HeatSampled claim every
+// rank) while the actors run user actions and reads that feed the heat
+// sampler, migrations of plain and replicated blocks (a replicated
+// block's re-home posts each holder's record to its rank),
+// ReplicateLive/Unreplicate, Free and FreeAsync, and a migration held
+// pinned by InjectMigrationStall; the pulse evaluates its watchdogs the
+// whole time (the stall watchdog claims every rank to read its pins).
+// Under -race any access off the owner is reported.
+func TestLocalityStateClaimedUnderChurn(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo,
+		Heat:  HeatConfig{Enabled: true},
+		Pulse: PulseConfig{Enabled: true, Period: 10 * netsim.Microsecond}})
+	bump := w.Register("bump", func(c *Ctx) {
+		if d := c.Local(c.P.Target); d != nil {
+			d[0]++
+		}
+		c.Continue(nil)
+	})
+	w.Start()
+	alloc := func(home int, n uint32) gas.Layout {
+		t.Helper()
+		lay, err := w.AllocLocal(home, 64, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lay
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// repl lives on rank 2, so its holders are 3 and 0 and a move to rank
+	// 1 re-homes the set at a third party.
+	lay, repl := alloc(1, 8), alloc(2, 2)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				w.Locality((g + i) % 4).Moving(lay.BlockAt(uint32(i % 8)).Block())
+				w.Locality((g + i) % 4).Moving(repl.BlockAt(uint32(i % 2)).Block())
+				if err := w.DumpState(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			w.HeatTop(4)
+			w.HeatEpoch()
+			w.HeatSampled()
+			w.HeatLoads()
+		}
+	}()
+
+	for round := 0; round < 3; round++ {
+		must(w.ReplicateLive(repl, 2))
+		for d := uint32(0); d < 8; d++ {
+			g := lay.BlockAt(d)
+			w.MustWait(w.Proc(int(d)%4).Call(g, bump, nil))
+			w.MustWait(w.Proc(int(d+1)%4).Get(g, 8))
+			if d%2 == 0 {
+				w.MustWait(w.Proc(0).Migrate(g, (round+int(d))%4))
+			}
+		}
+		w.MustWait(w.Proc(1).Get(repl.BlockAt(0), 8))
+		if st := MigrateStatus(w.MustWait(w.Proc(0).Migrate(repl.BlockAt(uint32(round%2)), 1))); st != MigrateOK {
+			t.Fatalf("round %d: replicated block's migrate status %d", round, st)
+		}
+		w.MustWait(w.Proc(3).Get(repl.BlockAt(uint32(round%2)), 8))
+		must(w.Unreplicate(repl))
+		if st := MigrateStatus(w.MustWait(w.Proc(0).Migrate(repl.BlockAt(uint32(round%2)), 2))); st != MigrateOK {
+			t.Fatalf("round %d: migrate-back status %d", round, st)
+		}
+
+		tmp := alloc(round, 4)
+		must(w.ReplicateLive(tmp, 1))
+		w.MustWait(w.Proc(0).Migrate(tmp.BlockAt(1), (round+2)%4))
+		w.MustWait(w.Proc(2).FreeAsync(tmp))
+		tmp = alloc(3-round, 2)
+		must(w.ReplicateLive(tmp, 2))
+		must(w.Free(tmp))
+	}
+
+	// A pinned migration: the pollers and the stall watchdog read the pin
+	// until it is released.
+	release := w.InjectMigrationStall()
+	g := lay.BlockAt(1)
+	owner := w.Locality(1)
+	moved := w.Proc(0).Migrate(g, 2)
+	eventually(t, "the block to be pinned", func() bool { return owner.Moving(g.Block()) })
+	if !w.AwaitHealth(WatchWarn, 10*time.Second) {
+		t.Fatalf("the stall watchdog never saw the pin: %+v", w.Health())
+	}
+	release()
+	if st := MigrateStatus(w.MustWait(moved)); st != MigrateOK {
+		t.Fatalf("stalled migrate status %d", st)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if w.HeatSampled() == 0 {
+		t.Fatal("the heat sampler saw none of the traffic")
+	}
+	if owner.Moving(g.Block()) {
+		t.Fatal("the released block is still pinned")
 	}
 }
 

@@ -1,9 +1,6 @@
 package runtime
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"nmvgas/internal/agas"
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
@@ -127,19 +124,17 @@ type Locality struct {
 	// all per-mode protocol behaviour lives behind it.
 	space AddressSpace
 
-	mu     sync.Mutex
-	moving map[gas.BlockID]*moveState
-	// movingN mirrors len(moving), stored under mu at every mutation. A
-	// migration is in flight at a given locality a tiny fraction of the
-	// time, so the per-message residency checks read it first and skip the
-	// lock when it is zero — the answer a locked probe taken at that
-	// instant would give.
-	movingN atomic.Int32
-	ops     opTable
-	// replicas is this locality's holder-side coherence state, one entry
-	// per replica block resident here (nil until the first install; see
-	// replicate.go).
+	// moving (the blocks pinned here by an in-flight migration), the op
+	// table, replicas (the holder-side coherence state, one entry per
+	// replica block resident here, nil until the first install; see
+	// replicate.go) and heat (this rank's access-heat tracker, nil unless
+	// Config.Heat.Enabled; see heat.go) have one writer, the rank's token
+	// holder or DES event, and take no lock: code outside the rank claims
+	// or posts to it (World.claim, World.post).
+	moving   map[gas.BlockID]*moveState
+	ops      opTable
 	replicas map[gas.BlockID]*replHolder
+	heat     *heatRank
 
 	// coal batches outgoing parcels when coalescing is configured.
 	coal *coalescer
@@ -190,6 +185,9 @@ func newLocality(w *World, rank int, bld spaceBuilder) *Locality {
 	if w.relw != nil {
 		l.rel = &relLoc{}
 	}
+	if w.cfg.Heat.Enabled {
+		l.heat = newHeatRank(w.cfg.Heat)
+	}
 	return l
 }
 
@@ -216,33 +214,36 @@ func (l *Locality) Directory() *agas.Directory { return l.space.Directory() }
 func (l *Locality) Tombstones() *agas.Tombstones { return l.space.Tombstones() }
 
 // Moving reports whether block b is pinned by an in-flight migration at
-// this locality (drivers use it to time mid-migration experiments).
-func (l *Locality) Moving(b gas.BlockID) bool {
-	if l.movingN.Load() == 0 {
-		return false
+// this locality (drivers use it to time mid-migration experiments). It
+// claims the rank (World.claim), so code inside the rank asks moveOf.
+func (l *Locality) Moving(b gas.BlockID) (moving bool) {
+	l.w.claim(l.rank, func() { moving = l.moveOf(b) != nil })
+	return moving
+}
+
+// moveOf is the in-rank check of b's migration pin: its state, or nil
+// when b is not moving here. A migration is in flight at a given
+// locality a tiny fraction of the time, so the per-message residency
+// checks mostly stop at the length test.
+func (l *Locality) moveOf(b gas.BlockID) *moveState {
+	if len(l.moving) == 0 {
+		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.moving[b]
-	return ok
+	return l.moving[b]
 }
 
 // queueIfMoving is the one park step: m waits behind an in-flight
 // migration of b until the flush re-routes it to the new owner. Reports
 // whether it parked.
 func (l *Locality) queueIfMoving(b gas.BlockID, m *netsim.Message) bool {
-	if l.movingN.Load() == 0 {
+	st := l.moveOf(b)
+	if st == nil {
 		return false
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, ok := l.moving[b]
-	if ok {
-		st.queued = append(st.queued, m)
-		l.stats.Queued++
-		l.note(TraceQueued, b, uint64(m.Kind), m.OpID)
-	}
-	return ok
+	st.queued = append(st.queued, m)
+	l.stats.Queued++
+	l.note(TraceQueued, b, uint64(m.Kind), m.OpID)
+	return true
 }
 
 // admit is the owner side's one admission of m, addressed to block b: it
@@ -268,7 +269,7 @@ func (l *Locality) admit(m *netsim.Message, b gas.BlockID, p *parcel.Parcel, rep
 // drain through the host's queueing path, and read-only replicas are
 // invisible to ownership routing.
 func (l *Locality) residentForNIC(b gas.BlockID) bool {
-	if l.Moving(b) {
+	if l.moveOf(b) != nil {
 		return false
 	}
 	blk, ok := l.store.Get(b)
@@ -506,9 +507,9 @@ func (l *Locality) execParcel(m *netsim.Message) {
 // queue while a migration starts. A locality runs one action at a time
 // on both engines (one event stream per rank on DES, one token holder on
 // the goroutine engine), so a migration snapshot never races a running
-// handler and admission takes no lock unless a block is moving. The same
-// invariant lets every action run on the locality's one Ctx and decoded
-// parcel (l.ctx, l.dec); entering here while an action runs is a bug.
+// handler and admission takes no lock. The same invariant lets every
+// action run on the locality's one Ctx and decoded parcel (l.ctx,
+// l.dec); entering here while an action runs is a bug.
 // user marks a user action: a duplicate is dropped before it can park or
 // be re-routed, and the run feeds the heat sample. Control actions never
 // touch user block data; they re-check state themselves where needed.

@@ -449,7 +449,7 @@ func (mem *membership) recoverDead(d int) {
 		}
 
 		// Replica sets mastered by survivors shed the dead holder.
-		mem.shedHolder(d, w.postNIC)
+		mem.shedHolder(d, w.post)
 	})
 }
 
@@ -491,7 +491,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 	data := append([]byte(nil), blk.Data...)
 	hl := w.locs[nm]
 	mem.step(hl, func() {
-		hl.dropReplica(b)
+		hl.dropReplica(b, inRank)
 		nb := &gas.Block{ID: b, Kind: gas.KindData, BSize: bsize, Data: data, Home: home}
 		if err := hl.store.Insert(nb); err != nil {
 			w.fail("rank %d: promote replica of block %d: %v", hl.rank, b, err)
@@ -501,7 +501,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 			// have none: residency alone makes the promotion visible).
 			hl.space.InstallMigrated(b)
 		}
-		w.rehomeReplicas(b, nm, kept, w.postNIC)
+		w.rehomeReplicas(b, nm, kept, w.post)
 		mem.rehomed.Add(1)
 		w.noteMember(nm, TraceRehome, uint64(b))
 		if home != d && !mem.down[home].Load() && w.caps.Migration {
@@ -525,14 +525,14 @@ func (mem *membership) loseBlock(blk *gas.Block) {
 	mem.mu.Unlock()
 	mem.lostCount.Add(1)
 	for _, loc := range mem.w.locs {
-		loc.space.OnFree(blk.ID, blk.Home, mem.w.postNIC)
+		loc.space.OnFree(blk.ID, blk.Home, mem.w.post)
 	}
 }
 
 // shedHolder removes rank d from every replica set mastered by a
 // survivor, reinstalling the surviving read geometry (a set whose only
-// holder died dissolves); nic is how the caller reaches each NIC.
-func (mem *membership) shedHolder(d int, nic nicWrite) {
+// holder died dissolves); write is how the caller reaches each rank.
+func (mem *membership) shedHolder(d int, write rankWrite) {
 	w := mem.w
 	for r, loc := range w.locs {
 		if r == d || mem.down[r].Load() {
@@ -555,7 +555,7 @@ func (mem *membership) shedHolder(d int, nic nicWrite) {
 				kept = append(kept, h)
 			}
 			if shed {
-				w.rehomeReplicas(b, rs.Master, kept, nic)
+				w.rehomeReplicas(b, rs.Master, kept, write)
 			}
 		}
 	}
@@ -638,7 +638,7 @@ func (w *World) Retire(rank int) error {
 	// Holder copies on the retiring rank dissolve from their sets (the
 	// masters keep serving); sets mastered here travel with the
 	// migrations below.
-	mem.shedHolder(rank, w.claimNIC)
+	mem.shedHolder(rank, w.claim)
 
 	// Drain: migrate every owned data block out, round-robin over the
 	// survivors.
@@ -739,11 +739,8 @@ func (mem *membership) rebirth(l *Locality) {
 	if t := l.space.Tombstones(); t != nil {
 		t.Clear()
 	}
-	l.mu.Lock()
 	l.moving = make(map[gas.BlockID]*moveState)
-	l.movingN.Store(0)
 	l.replicas = nil
-	l.mu.Unlock()
 	l.ops = opTable{}
 
 	l.relRebirth()
@@ -784,7 +781,7 @@ func (mem *membership) rebirth(l *Locality) {
 		repls := dir.ReplicaEntries()
 		for _, b := range sortedKeys(repls) {
 			rs := repls[b]
-			l.space.InstallReplicas(b, rs.Master, rs.Holders, w.net.State)
+			l.space.InstallReplicas(b, rs.Master, rs.Holders, inRank)
 		}
 	}
 

@@ -503,11 +503,8 @@ func TestStopAbortsInFlightMigrations(t *testing.T) {
 			// Stop immediately: some migrations are mid-flight.
 			w.Stop()
 			for r := 0; r < 4; r++ {
-				l := w.Locality(r)
-				l.mu.Lock()
-				n := len(l.moving)
-				l.mu.Unlock()
-				if n != 0 {
+				// The actors have stopped: read the rank directly.
+				if n := len(w.Locality(r).moving); n != 0 {
 					t.Fatalf("rank %d still has %d blocks mid-move after Stop", r, n)
 				}
 			}
@@ -580,7 +577,7 @@ func TestAwaitMemberAfterStopMidRecovery(t *testing.T) {
 	w.Stop()
 	close(release)
 	<-declared
-	w.postNIC(0, func(*netsim.TransState) { t.Error("a NIC write ran on a stopped mailbox") })
+	w.post(0, func() { t.Error("a write posted to a stopped mailbox ran") })
 	if !w.AwaitMember(3, MemberDead, 5*time.Second) {
 		t.Fatalf("AwaitMember after Stop timed out with %d recovery steps counted", w.mem.pending.Load())
 	}

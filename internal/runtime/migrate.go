@@ -170,10 +170,7 @@ func migrateReq(c *Ctx) {
 	// route-to-self entry steers misrouted traffic to this host). The
 	// block is quiescent: this locality runs one action at a time, and
 	// this one is it.
-	l.mu.Lock()
 	l.moving[b] = &moveState{dst: mp.to}
-	l.movingN.Store(int32(len(l.moving)))
-	l.mu.Unlock()
 	l.note(TraceMigrateStart, b, uint64(mp.to), 0)
 	l.space.BeginMigrate(b)
 
@@ -229,14 +226,9 @@ func migrateData(c *Ctx) {
 	// install and this rank's migrate.done, which travels two hops via home
 	// against this parcel's one. The old copy is then still pinned here, and
 	// migrateDone installs the new one once it has dropped it.
-	l.mu.Lock()
-	st := l.moving[b]
-	if st != nil {
+	if st := l.moveOf(b); st != nil {
 		retry := *c.P
 		st.install = &retry
-	}
-	l.mu.Unlock()
-	if st != nil {
 		return
 	}
 
@@ -247,7 +239,7 @@ func migrateData(c *Ctx) {
 		kept := mp.holders[:0]
 		for _, h := range mp.holders {
 			if h == l.rank {
-				l.dropReplica(b)
+				l.dropReplica(b, inRank)
 				continue
 			}
 			kept = append(kept, h)
@@ -264,7 +256,7 @@ func migrateData(c *Ctx) {
 	l.note(noteMigInstall, b, 0, 0)
 	mp.data = nil
 	if mp.replicated {
-		l.w.rehomeReplicas(b, l.rank, mp.holders, l.w.postNIC)
+		l.w.rehomeReplicas(b, l.rank, mp.holders, l.w.post)
 	}
 	l.SendParcel(&parcel.Parcel{
 		Action:  aMigrateCommit,
@@ -299,11 +291,8 @@ func migrateDone(c *Ctx) {
 	}
 	l.space.FinishMigrate(b, mp.to)
 
-	l.mu.Lock()
-	st := l.moving[b]
+	st := l.moveOf(b)
 	delete(l.moving, b)
-	l.movingN.Store(int32(len(l.moving)))
-	l.mu.Unlock()
 	if st == nil {
 		l.w.fail("rank %d: migrate.done for block %d that was not moving", l.rank, b)
 	}

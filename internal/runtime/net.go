@@ -22,7 +22,7 @@ type network interface {
 	Send(from int, m *netsim.Message)
 	// State runs fn on rank's NIC translation state at once. The caller
 	// is the state's one writer: the rank's event context on DES, its
-	// token holder on the goroutine engine (World.claimNIC, postNIC).
+	// token holder on the goroutine engine (World.claim, World.post).
 	State(rank int, fn func(*netsim.TransState))
 	// Defer runs fn on rank's own timeline once the caller's step is
 	// done and before time advances (at once where there is no clock).
@@ -78,7 +78,7 @@ type chanNet struct {
 // state and counters have one writer, the rank's token holder, so it
 // takes no lock and no atomic: sends are flushed, arrivals received and
 // table pushes applied on the token, and a read or write from elsewhere
-// is claimed or posted to it (World.claim, World.postNIC). It fills
+// is claimed or posted to it (World.claim, World.post). It fills
 // three whole cache lines, so no two NICs share one
 // (TestGoNICFillsWholeCacheLines; EXPERIMENTS.md W6).
 type goNIC struct {
@@ -218,36 +218,40 @@ func (c *chanNet) stop() {
 	c.timerMu.Lock()
 	c.stopped = true
 	c.timerMu.Unlock()
-	c.await(c.noneMoving, stopDrainTimeout)
+	if c.w.started {
+		c.await(c.noneMoving, stopDrainTimeout)
+	}
 	for _, e := range c.execs {
 		e.stop()
 	}
 	c.abortStrandedMigrations()
 }
 
-// noneMoving reports that no locality has a block mid-move. Only
+// noneMoving reports that no locality has a block mid-move. It polls
+// (chanNet.await): each rank is read in a claim taken only while its
+// token is free (goExec.tryClaim), and a busy rank counts as moving, so a
+// turn that never ends holds Stop for stopDrainTimeout at most. Only
 // migrations that have already pinned count; a migrate.req still queued
 // behind a stop simply never pins.
 func (c *chanNet) noneMoving() bool {
-	for _, l := range c.w.locs {
-		if l.movingN.Load() != 0 {
+	for r, l := range c.w.locs {
+		none := false
+		if !c.execs[r].tryClaim(func() { none = len(l.moving) == 0 }) || !none {
 			return false
 		}
 	}
 	return true
 }
 
-// abortStrandedMigrations runs after the actors have stopped: any block
-// still pinned mid-move is unpinned in place (the move is abandoned;
-// the block stays at its old owner) and its queued arrivals are
-// discarded, so the stopped world's image is consistent.
+// abortStrandedMigrations runs after the actors have stopped, so it
+// reads and writes every rank directly: any block still pinned mid-move
+// is unpinned in place (the move is abandoned; the block stays at its
+// old owner) and its queued arrivals are discarded, so the stopped
+// world's image is consistent.
 func (c *chanNet) abortStrandedMigrations() {
 	for _, l := range c.w.locs {
-		l.mu.Lock()
 		stranded := l.moving
 		l.moving = make(map[gas.BlockID]*moveState)
-		l.movingN.Store(0)
-		l.mu.Unlock()
 		for b, st := range stranded {
 			l.space.AbortMigrate(b)
 			l.note(TraceMigrateAbort, b, 0, 0)

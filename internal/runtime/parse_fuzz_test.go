@@ -4,8 +4,9 @@ import "testing"
 
 // FuzzParseMode: any text either errors or parses to a mode whose String
 // parses back to the same mode, and nothing panics. The seeds are the
-// three names, the numeric fallback, and the near misses that once parsed
-// (text after the fallback, a space inside it).
+// three names, the numeric form String prints for other values (which
+// does not parse), and the near misses that once parsed (text after that
+// form, a space inside it).
 func FuzzParseMode(f *testing.F) {
 	for _, s := range []string{"pgas", "agas-sw", "agas-nm", "mode(7)", "mode(255)",
 		"mode(5)xyz", "mode( 7)", "mode(1) ", "mode(1)", "mode(007)", "mode(256)", "", "PGAS"} {

@@ -35,7 +35,7 @@ import (
 // Only traffic marked Read (kGetReq/kGetVec) is ever steered to them.
 
 // replHolder is the holder-side coherence state for one replica resident
-// on a locality, guarded by the locality's mu.
+// on a locality, written only as that locality (see Locality.replicas).
 type replHolder struct {
 	// master is the block's current owner (updated when the master
 	// migrates); home is the block's home rank, the routing anchor a
@@ -82,26 +82,19 @@ func (w *World) readTarget(r, master int, holders []int) (target int, ok bool) {
 // replicaFresh reports whether this locality holds a fresh replica of b
 // (fresh, holder) and lazily maintains the holder state: an expired lease
 // flips the copy stale, and a stale copy kicks a single-flight refill.
-// Safe from any context (NIC oracle, actor, DES engine).
+// It runs inside the rank: its NIC oracle, its handlers, its DES events.
 func (l *Locality) replicaFresh(b gas.BlockID) (bool, bool) {
-	l.mu.Lock()
 	st := l.replicas[b]
 	if st == nil {
-		l.mu.Unlock()
 		return false, false
 	}
 	if !st.stale && l.w.cfg.Coherence == agas.RWLease && l.exec.latNow() > st.expiry {
 		st.stale = true
 	}
 	stale := st.stale
-	fill := stale && !st.filling
-	if fill {
+	if stale && !st.filling {
 		st.filling = true
-	}
-	home := st.home
-	l.mu.Unlock()
-	if fill {
-		l.sendReplFill(b, home)
+		l.sendReplFill(b, st.home)
 	}
 	return !stale, true
 }
@@ -120,8 +113,6 @@ func (l *Locality) residentForRead(b gas.BlockID) bool {
 // replicaMaster returns the holder state's master rank, or fallback when
 // this locality holds no state for b (a read racing an unreplicate).
 func (l *Locality) replicaMaster(b gas.BlockID, fallback int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if st := l.replicas[b]; st != nil {
 		return st.master
 	}
@@ -131,21 +122,14 @@ func (l *Locality) replicaMaster(b gas.BlockID, fallback int) int {
 // replMarkStale flips b's local replica stale and kicks the single-flight
 // refill (invalidation arrival).
 func (l *Locality) replMarkStale(b gas.BlockID) bool {
-	l.mu.Lock()
 	st := l.replicas[b]
 	if st == nil {
-		l.mu.Unlock()
 		return false
 	}
 	st.stale = true
-	fill := !st.filling
-	if fill {
+	if !st.filling {
 		st.filling = true
-	}
-	home := st.home
-	l.mu.Unlock()
-	if fill {
-		l.sendReplFill(b, home)
+		l.sendReplFill(b, st.home)
 	}
 	return true
 }
@@ -232,16 +216,11 @@ func (l *Locality) onReplInval(m *netsim.Message) {
 // onReplUpdate installs the master's post-write snapshot in place.
 func (l *Locality) onReplUpdate(m *netsim.Message) {
 	b := m.Block
-	l.mu.Lock()
-	st := l.replicas[b]
-	l.mu.Unlock()
-	if st != nil {
+	if st := l.replicas[b]; st != nil {
 		// A racing unreplicate may have removed the copy; the write is
 		// best-effort on purpose.
 		if err := l.store.WriteAt(b, 0, m.Payload); err == nil {
-			l.mu.Lock()
 			st.stale = false
-			l.mu.Unlock()
 			l.stats.ReplicaUpdates++
 			l.note(noteReplUpdate, b, 0, m.OpID)
 		}
@@ -277,16 +256,10 @@ func (l *Locality) onReplFill(m *netsim.Message) {
 // onReplFillRep installs the refill at the holder and re-arms the lease.
 func (l *Locality) onReplFillRep(m *netsim.Message) {
 	b := m.Block
-	l.mu.Lock()
-	st := l.replicas[b]
-	l.mu.Unlock()
-	if st != nil {
+	if st := l.replicas[b]; st != nil {
 		if err := l.store.WriteAt(b, 0, m.Payload); err == nil {
-			l.mu.Lock()
-			st.stale = false
-			st.filling = false
+			st.stale, st.filling = false, false
 			st.expiry = l.exec.latNow() + leaseNs
-			l.mu.Unlock()
 			l.stats.ReplicaFills++
 			l.note(noteReplFill, b, 0, m.OpID)
 		}
@@ -360,7 +333,8 @@ func (w *World) ReplicateLive(lay gas.Layout, replicas int) error {
 
 // installReplicaSet copies the master snapshot to every holder, records
 // the set in the master's owner-side directory, and installs the read
-// routes world-wide. On error it unwinds its own partial work.
+// routes world-wide, claiming each rank it writes. On error it unwinds
+// its own partial work.
 func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, holders []int) error {
 	ml := w.locs[master]
 	blk, ok := ml.store.Get(b)
@@ -382,42 +356,38 @@ func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, hol
 		}
 		if err := hl.store.Insert(replica); err != nil {
 			for _, u := range holders[:i] {
-				w.locs[u].dropReplica(b)
+				w.locs[u].dropReplica(b, w.claim)
 			}
 			return fmt.Errorf("runtime: replicate: %w", err)
 		}
-		hl.mu.Lock()
-		if hl.replicas == nil {
-			hl.replicas = make(map[gas.BlockID]*replHolder)
-		}
-		hl.replicas[b] = &replHolder{
-			master: master,
-			home:   lay.HomeOf(uint32(b - lay.Base.Block())),
-			expiry: now + leaseNs,
-		}
-		hl.mu.Unlock()
+		w.claim(h, func() {
+			if hl.replicas == nil {
+				hl.replicas = make(map[gas.BlockID]*replHolder)
+			}
+			hl.replicas[b] = &replHolder{master: master, home: replica.Home, expiry: now + leaseNs}
+		})
 	}
 	if dir := ml.space.Directory(); dir != nil {
 		dir.SetReplicas(b, master, holders)
 	}
 	for _, loc := range w.locs {
-		loc.space.InstallReplicas(b, master, holders, w.claimNIC)
+		loc.space.InstallReplicas(b, master, holders, w.claim)
 	}
 	w.replCount.Add(1)
 	return nil
 }
 
 // removeReplicaSet is installReplicaSet's inverse (rollback and
-// unreplicate share it).
+// unreplicate share it), claiming each rank it writes.
 func (w *World) removeReplicaSet(b gas.BlockID, master int, holders []int) {
 	for _, h := range holders {
-		w.locs[h].dropReplica(b)
+		w.locs[h].dropReplica(b, w.claim)
 	}
 	if dir := w.locs[master].space.Directory(); dir != nil {
 		dir.DropReplicas(b)
 	}
 	for _, loc := range w.locs {
-		loc.space.DropReplicas(b, w.claimNIC)
+		loc.space.DropReplicas(b, w.claim)
 	}
 	w.replCount.Add(-1)
 }
@@ -425,13 +395,13 @@ func (w *World) removeReplicaSet(b gas.BlockID, master int, holders []int) {
 // rehomeReplicas re-anchors b's replica set at its new master after a
 // migration: the destination's directory becomes the owner-side record,
 // every holder learns where writes now live, and all read routes are
-// reinstalled against the new geometry (each NIC through nic). A set
-// whose holders migrated away entirely (the destination was the sole
-// holder) dissolves.
-func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int, nic nicWrite) {
+// reinstalled against the new geometry: each holder record and each NIC
+// written through write. A set whose holders migrated away entirely (the
+// destination was the sole holder) dissolves.
+func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int, write rankWrite) {
 	if len(holders) == 0 {
 		for _, loc := range w.locs {
-			loc.space.DropReplicas(b, nic)
+			loc.space.DropReplicas(b, write)
 		}
 		w.replCount.Add(-1)
 		return
@@ -441,27 +411,26 @@ func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int, nic nic
 	}
 	for _, h := range holders {
 		hl := w.locs[h]
-		hl.mu.Lock()
-		if st := hl.replicas[b]; st != nil {
-			st.master = master
-		}
-		hl.mu.Unlock()
+		write(h, func() {
+			if st := hl.replicas[b]; st != nil {
+				st.master = master
+			}
+		})
 	}
 	for _, loc := range w.locs {
-		loc.space.DropReplicas(b, nic)
-		loc.space.InstallReplicas(b, master, holders, nic)
+		loc.space.DropReplicas(b, write)
+		loc.space.InstallReplicas(b, master, holders, write)
 	}
 }
 
-// dropReplica removes l's read copy of b, if it holds one, and forgets
-// the holder-side coherence record for b.
-func (l *Locality) dropReplica(b gas.BlockID) {
+// dropReplica removes l's read copy of b, if it holds one, at once (the
+// store takes its own lock), and forgets the holder-side coherence
+// record for b through write.
+func (l *Locality) dropReplica(b gas.BlockID, write rankWrite) {
 	if blk, ok := l.store.Get(b); ok && blk.Replica {
 		l.store.Remove(b)
 	}
-	l.mu.Lock()
-	delete(l.replicas, b)
-	l.mu.Unlock()
+	write(l.rank, func() { delete(l.replicas, b) })
 }
 
 // Unreplicate removes lay's replica sets: holders drop their copies and

@@ -250,10 +250,10 @@ func (r *rmaRun) replicate(stale bool) {
 	}
 	h := r.w.Locality(2)
 	for k := range rmaKinds {
-		h.mu.Lock()
-		st := h.replicas[r.id(k)]
-		st.stale, st.filling = true, true
-		h.mu.Unlock()
+		r.w.claim(h.rank, func() {
+			st := h.replicas[r.id(k)]
+			st.stale, st.filling = true, true
+		})
 		for i, data := 0, r.block(2, k).Data; i < len(data); i++ {
 			data[i] = 0xEE
 		}

@@ -96,20 +96,20 @@ type AddressSpace interface {
 	HomeOwner(b gas.BlockID) int
 	// OnFree forgets all translation state for b held at this locality
 	// (home is b's home rank): its host state at once, its NIC's
-	// through nic.
-	OnFree(b gas.BlockID, home int, nic nicWrite)
+	// through write.
+	OnFree(b gas.BlockID, home int, write rankWrite)
 
 	// InstallReplicas tells this locality that block b now has a
 	// replica set (master plus holder ranks). Each space decides what
 	// its rank needs: the network-managed space installs a NIC read
-	// route on non-holder ranks (through nic), the host-translated
+	// route on non-holder ranks (through write), the host-translated
 	// spaces install a host-side replica route, holders and the master
 	// need nothing. Called on every locality at ReplicateLive time
 	// (setup-phase) and whenever the set is re-homed.
-	InstallReplicas(b gas.BlockID, master int, holders []int, nic nicWrite)
+	InstallReplicas(b gas.BlockID, master int, holders []int, write rankWrite)
 	// DropReplicas removes whatever InstallReplicas set up for b at
 	// this locality (Unreplicate, Free).
-	DropReplicas(b gas.BlockID, nic nicWrite)
+	DropReplicas(b gas.BlockID, write rankWrite)
 	// ReadRoute resolves a read of b in host software: the rank whose
 	// replica should serve it, charged per the mode's translation
 	// story. ok is false when reads should follow ordinary ownership

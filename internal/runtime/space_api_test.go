@@ -50,7 +50,7 @@ func TestParseModeRoundTrip(t *testing.T) {
 		{in: "pgas", want: PGAS},
 		{in: "agas-sw", want: AGASSW},
 		{in: "agas-nm", want: AGASNM},
-		{in: "mode(7)", want: Mode(7)},
+		{in: "mode(7)", wantErr: true},
 		{in: "PGAS", wantErr: true},
 		{in: "agas", wantErr: true},
 		{in: "", wantErr: true},
@@ -75,9 +75,8 @@ func TestParseModeRoundTrip(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
-	// Every valid mode's String round-trips, including the numeric
-	// fallback form for out-of-range values.
-	for m := PGAS; m <= Mode(5); m++ {
+	// Every mode with an address space round-trips through its String.
+	for m := PGAS; m <= AGASNM; m++ {
 		got, err := ParseMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("round-trip %v: got %v, %v", m, got, err)

@@ -163,7 +163,7 @@ func (w *World) SetTracer(fn func(TraceEvent)) {
 		panic("runtime: SetTracer after Start")
 	}
 	w.tracer = fn
-	w.observed = fn != nil || w.lat != nil || w.heat != nil
+	w.observed = fn != nil || w.lat != nil || w.cfg.Heat.Enabled
 }
 
 // Note kinds are protocol steps that only the latency histograms or the
@@ -238,7 +238,7 @@ func (w *World) observe(rank int, c clock, kind TraceKind, block gas.BlockID, in
 	if w.lat != nil {
 		w.lat.observe(kind, block, info, opID, now)
 	}
-	if w.heat != nil {
-		w.heat.observe(rank, kind, block, info, opID)
+	if h := w.locs[rank].heat; h != nil {
+		h.observe(kind, block, info, opID)
 	}
 }

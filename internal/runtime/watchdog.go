@@ -419,8 +419,13 @@ func (wd *watchdogState) evalMigrationStall(w *World, pulse uint64) WatchdogStat
 	var seen map[stallKey]uint64
 	oldest, oldestKey := uint64(0), stallKey{rank: -1}
 	for _, l := range w.locs {
-		l.mu.Lock()
-		for b := range l.moving {
+		var pinned []gas.BlockID
+		w.claim(l.rank, func() {
+			for b := range l.moving {
+				pinned = append(pinned, b)
+			}
+		})
+		for _, b := range pinned {
 			k := stallKey{rank: l.rank, block: b}
 			since, ok := wd.stallSince[k]
 			if !ok {
@@ -439,7 +444,6 @@ func (wd *watchdogState) evalMigrationStall(w *World, pulse uint64) WatchdogStat
 				oldest, oldestKey = age, k
 			}
 		}
-		l.mu.Unlock()
 	}
 	if seen == nil {
 		wd.stallSince = map[stallKey]uint64{}

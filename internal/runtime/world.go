@@ -50,10 +50,6 @@ type World struct {
 	// lat holds the latency histograms; nil unless cfg.Metrics.
 	lat *latencyState
 
-	// heat holds the sampled access-heat tracker feeding the load
-	// balancer; nil unless cfg.Heat.Enabled (see heat.go).
-	heat *heatState
-
 	// replCount is the number of blocks with live replica sets. Every
 	// read-side coherence hook gates on it, so unreplicated worlds pay
 	// one atomic load and nothing else.
@@ -92,10 +88,7 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Metrics {
 		w.lat = newLatencyState()
 	}
-	if cfg.Heat.Enabled {
-		w.heat = newHeatState(cfg.Heat, cfg.Ranks)
-	}
-	w.observed = w.lat != nil || w.heat != nil
+	w.observed = w.lat != nil || cfg.Heat.Enabled
 	if cfg.Pulse.Enabled {
 		w.pulse = newPulseState(w, cfg.Pulse)
 	}
@@ -147,36 +140,34 @@ func (w *World) Config() Config { return w.cfg }
 // Caps returns the capability descriptor of the world's address space.
 func (w *World) Caps() Caps { return w.caps }
 
-// nicWrite applies fn to rank's NIC state the way its caller may reach
-// the state's one writer (network.State): a handler of that rank passes
-// w.net.State, a driver w.claimNIC, another rank's handler w.postNIC.
-type nicWrite func(rank int, fn func(*netsim.TransState))
+// rankWrite runs fn as rank's one writer the way its caller may reach
+// it: code of that rank passes inRank, a driver w.claim, another rank's
+// handler w.post.
+type rankWrite func(rank int, fn func())
+
+// inRank is the rankWrite of code already running as rank's writer.
+func inRank(_ int, fn func()) { fn() }
 
 // claim runs fn as rank's one writer for a driver, the one door by which
-// code outside the rank reads or writes its message-path state (NIC
-// state, counters, reliability windows): it claims the rank (at once on
-// DES), or runs fn directly on a world not started or stopped, whose
-// mailboxes run no claim. A handler never claims: it would wait for
-// itself.
+// code outside the rank reads or writes its state (NIC state, counters,
+// reliability windows, migration pins, replica records, heat): it claims
+// the rank (at once on DES), or runs fn directly on a world not started
+// or stopped, whose mailboxes run no claim. A handler never claims: it
+// would wait for itself.
 func (w *World) claim(rank int, fn func()) {
 	if !w.started || !w.locs[rank].exec.claim(fn) {
 		fn()
 	}
 }
 
-// claimNIC runs fn on rank's NIC state for a driver (claim).
-func (w *World) claimNIC(rank int, fn func(*netsim.TransState)) {
-	w.claim(rank, func() { w.net.State(rank, fn) })
-}
-
-// postNIC applies fn to rank's NIC state for a handler holding another
+// post runs fn as rank's one writer for a handler holding another
 // rank's token, which must never wait for a second: queued on rank's
 // mailbox (at once on DES) and counted in mem.pending, so AwaitMember
-// covers it. The caller's host-side half stays synchronous.
-func (w *World) postNIC(rank int, fn func(*netsim.TransState)) {
+// covers it. The caller's own half stays synchronous.
+func (w *World) post(rank int, fn func()) {
 	mem := w.mem
 	mem.pending.Add(1)
-	if !w.locs[rank].exec.hand(func() { defer mem.donePending(); w.net.State(rank, fn) }) {
+	if !w.locs[rank].exec.hand(func() { defer mem.donePending(); fn() }) {
 		mem.donePending() // a stopped mailbox runs nothing
 	}
 }

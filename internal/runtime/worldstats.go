@@ -108,7 +108,6 @@ func (w *World) Stats() WorldStats {
 	s := w.counters()
 	s.Latencies = w.Latencies()
 	s.HeatEnabled = w.HeatEnabled()
-	s.HeatSampled = w.HeatSampled()
 	s.Pulses = w.PulseCount()
 	return s
 }
@@ -151,6 +150,9 @@ func (s *WorldStats) addRank(l *Locality, n netsim.NICStats) {
 	s.ReplicaInvals += ls.ReplicaInvals
 	s.ReplicaUpdates += ls.ReplicaUpdates
 	s.ReplicaFills += ls.ReplicaFills
+	if l.heat != nil {
+		s.HeatSampled += l.heat.total
+	}
 	if c := l.space.Cache(); c != nil {
 		h, m, ev, up, corr := c.Stats()
 		s.SWCacheHits += h
