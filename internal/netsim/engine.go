@@ -116,8 +116,8 @@ func (q *evHeap) pop() event {
 }
 
 // slot is one slab entry of an eventQueue: a pending event and the link
-// that chains it into its bucket's list or, once popped, the free list
-// (index 0 ends a list; slot 0 is never used).
+// that chains it into its wheel slot's or bucket's list or, once popped,
+// the free list (index 0 ends a list; slot 0 is never used).
 type slot struct {
 	ev   event
 	next int32
@@ -128,31 +128,46 @@ type slot struct {
 // not worth a reallocation to reclaim.
 const minQueueCap = 256
 
-// eventQueue is a monotone radix queue (DESIGN.md §9). The engine never
+// pageBits sets the wheel's page: 4 096 ns, which holds the wire, NIC and
+// host delays that make up most of what the DES schedules (on des_scale
+// 81 % of pushes, on des_churn 89 %, land within 4.1 µs of the clock).
+const (
+	pageBits = 12
+	pageLen  = 1 << pageBits
+)
+
+// eventQueue is a monotone queue (DESIGN.md §9): the engine never
 // schedules before the time it last popped, so an event only needs
 // ordering against the others once the clock reaches its neighbourhood.
 // Events of the current instant (at == last) sit in front, ordered by
-// tie. Every later event waits, unordered, in a slab slot chained into
-// bucket k = bits.Len64(at ^ last): k-1 is the highest bit where its time
-// departs from last. When front runs dry, pop takes the lowest non-empty
-// bucket (it holds the earliest events), moves last to that bucket's
-// least time and relinks its events: each now agrees with last on bit
-// k-1 too, so it lands in a strictly lower bucket or, at the new instant
-// itself, in front. Push is O(1), pop amortised O(1) with no sift and no
-// copy, and there is no bucket width or horizon to tune: ns hops and ms
-// timers share one structure. Pops ascend in (at, tie) exactly.
+// tie. A later event in last's page waits, unordered, in the wheel slot
+// for its exact time; pop finds the lowest occupied slot with two
+// TrailingZeros. An event in a later page waits in radix bucket
+// k = bits.Len64((at ^ last) >> pageBits): k-1 is the highest page bit
+// where its time departs from last. When the wheel runs dry, pop takes
+// the lowest non-empty bucket (it holds the earliest events), moves last
+// to that bucket's least time and relinks its events: those in the new
+// page go into wheel slots, the rest agree with last on page bit k-1 too
+// and land in a strictly lower bucket. Push is O(1), pop amortised O(1)
+// with no sift and no copy, and ns hops and ms timers share one
+// structure. Pops ascend in (at, tie) exactly.
 type eventQueue struct {
 	front evHeap
 	slab  []slot // recycled through free, so a steady queue allocates nothing
-	head  [64]int32
 	free  int32
-	mask  uint64 // bit k set ⇔ bucket k non-empty
-	last  VTime  // the instant front holds; nothing pending is earlier
-	n     int    // pending events, front included
-	// binv[k] is the complement of the least time in bucket k — what
-	// settling it sets last to, and what lets peekAt answer without a scan
-	// — kept as a maximum so that zero means empty and link needs no branch.
-	binv [64]uint64
+	last  VTime // the instant front holds; nothing pending is earlier
+	n     int   // pending events, front included
+	// The wheel over last's page: wheel[s] heads the events at page|s,
+	// occ has bit s set when that list is non-empty, sum bit w when occ[w]
+	// is. The buckets of later pages: mask has bit k set when bucket k is
+	// non-empty, and binv[k] is the complement of its least time (what
+	// settling it sets last to, and what peekAt reads), a maximum so that
+	// zero means empty and place needs no branch.
+	sum, mask uint64
+	head      [64]int32
+	binv      [64]uint64
+	occ       [pageLen / 64]uint64
+	wheel     [pageLen]int32
 }
 
 func (q *eventQueue) push(ev event) {
@@ -161,8 +176,8 @@ func (q *eventQueue) push(ev event) {
 		panic(fmt.Sprintf("netsim: event at %v pushed behind the queue's clock %v", ev.at, q.last))
 	}
 	q.n++
-	k := bits.Len64(uint64(ev.at^q.last)) & 63
-	if k == 0 {
+	d := uint64(ev.at ^ q.last)
+	if d == 0 {
 		q.front.push(ev)
 		return
 	}
@@ -177,23 +192,25 @@ func (q *eventQueue) push(ev event) {
 		i = int32(len(q.slab))
 		q.slab = append(q.slab, slot{ev: ev})
 	}
-	q.link(i, k, ev.at)
+	q.place(i, d, ev.at)
 }
 
-// link chains slab slot i, holding an event at time at, into bucket k.
-func (q *eventQueue) link(i int32, k int, at VTime) {
-	q.binv[k] = max(q.binv[k], ^uint64(at))
-	q.slab[i].next = q.head[k]
-	q.head[k] = i
-	q.mask |= 1 << k
-}
-
-// unlink empties bucket k and returns the head of its list.
-func (q *eventQueue) unlink(k int) int32 {
-	i := q.head[k]
-	q.head[k], q.binv[k] = 0, 0
-	q.mask &^= 1 << k
-	return i
+// place chains slab slot i, holding an event at time at, d = at ^ last,
+// into its wheel slot or bucket.
+func (q *eventQueue) place(i int32, d uint64, at VTime) {
+	if d >= pageLen {
+		k := bits.Len64(d>>pageBits) & 63
+		q.binv[k] = max(q.binv[k], ^uint64(at))
+		q.slab[i].next = q.head[k]
+		q.head[k] = i
+		q.mask |= 1 << k
+		return
+	}
+	s := int(at) & (pageLen - 1)
+	q.slab[i].next = q.wheel[s]
+	q.wheel[s] = i
+	q.occ[s>>6] |= 1 << (s & 63)
+	q.sum |= 1 << (s >> 6)
 }
 
 // take empties slab slot i onto the free list and returns its event.
@@ -208,6 +225,12 @@ func (q *eventQueue) take(i int32) event {
 // never is the time of the next event of an empty queue.
 const never VTime = math.MaxInt64
 
+// firstSlot returns the lowest occupied wheel slot. q.sum != 0.
+func (q *eventQueue) firstSlot() int {
+	w := bits.TrailingZeros64(q.sum) & 63
+	return (w<<6 | bits.TrailingZeros64(q.occ[w])) & (pageLen - 1)
+}
+
 // peekAt returns the time of the event pop would return, without moving
 // last: a shard that has drained its window peeks an event beyond the
 // window's end, and the merge barrier may then push earlier cross-shard
@@ -216,6 +239,8 @@ func (q *eventQueue) peekAt() VTime {
 	switch {
 	case len(q.front) > 0:
 		return q.last
+	case q.sum != 0:
+		return q.last&^(pageLen-1) | VTime(q.firstSlot())
 	case q.mask == 0:
 		return never
 	}
@@ -233,29 +258,39 @@ func (q *eventQueue) pop() event {
 	return q.front.pop()
 }
 
-// settle advances last to the earliest pending time and relinks the
-// lowest bucket against it; bucket 0 collects the new instant's events
-// for the length of the call. One such event is the common case and the
-// answer itself: settle returns its slot and front is never touched (the
-// other shallow-queue fast path). Several go to front and settle
-// returns 0.
+// settle advances last to the earliest pending time and empties its
+// wheel slot, first relinking the lowest bucket into the wheel when the
+// page is done. One event at the new instant is the common case and the
+// answer itself: settle returns its slab slot and front is never
+// touched. Several go to front and settle returns 0.
 func (q *eventQueue) settle() int32 {
 	if c := cap(q.slab) + cap(q.front); c >= minQueueCap && q.n < c/8 {
 		q.shrink(c / 4)
 	}
-	k := bits.TrailingZeros64(q.mask) & 63
-	last := VTime(^q.binv[k])
-	q.last = last
-	i := q.unlink(k)
+	if q.sum == 0 {
+		k := bits.TrailingZeros64(q.mask) & 63
+		last := VTime(^q.binv[k])
+		q.last = last
+		i := q.head[k]
+		q.head[k], q.binv[k] = 0, 0
+		q.mask &^= 1 << k
+		if q.slab[i].next == 0 {
+			return i // a lone bucket: the other shallow-queue fast path
+		}
+		for i != 0 {
+			nx, at := q.slab[i].next, q.slab[i].ev.at
+			q.place(i, uint64(at^last), at)
+			i = nx
+		}
+	}
+	s := q.firstSlot()
+	q.last = q.last&^(pageLen-1) | VTime(s)
+	i := q.wheel[s]
+	q.wheel[s] = 0
+	if q.occ[s>>6] &^= 1 << (s & 63); q.occ[s>>6] == 0 {
+		q.sum &^= 1 << (s >> 6)
+	}
 	if q.slab[i].next == 0 {
-		return i
-	}
-	for i != 0 {
-		nx, at := q.slab[i].next, q.slab[i].ev.at
-		q.link(i, bits.Len64(uint64(at^last))&63, at)
-		i = nx
-	}
-	if i = q.unlink(0); q.slab[i].next == 0 {
 		return i
 	}
 	for i != 0 {
@@ -283,9 +318,11 @@ func (q *eventQueue) each(fn func(event)) {
 	for _, ev := range q.front {
 		fn(ev)
 	}
-	for m := q.mask; m != 0; m &= m - 1 {
-		for i := q.head[bits.TrailingZeros64(m)&63]; i != 0; i = q.slab[i].next {
-			fn(q.slab[i].ev)
+	for _, heads := range [][]int32{q.wheel[:], q.head[:]} {
+		for _, i := range heads {
+			for ; i != 0; i = q.slab[i].next {
+				fn(q.slab[i].ev)
+			}
 		}
 	}
 }
@@ -302,7 +339,6 @@ func (q *eventQueue) each(fn func(event)) {
 // identical in both configurations, so the NIC and runtime layers are
 // written once.
 type Engine struct {
-	q   eventQueue
 	now VTime
 	seq uint64
 	// slab parks the typed steps of the events in q; free heads its
@@ -327,6 +363,8 @@ type Engine struct {
 	// engine face runs (every rank on a classic engine, its shard's under
 	// sharding); the driver façade's stays unused.
 	Free Recycler
+
+	q eventQueue // last: its wheel is most of the engine's size
 }
 
 // NewEngine returns a classic single-threaded engine at simulated time

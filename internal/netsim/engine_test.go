@@ -184,7 +184,7 @@ func TestPendingByRank(t *testing.T) {
 func TestPendingByRankSharded(t *testing.T) {
 	const ranks = 4
 	la := 900 * Nanosecond
-	drv := NewParEngine(ranks, 2, la)
+	drv := NewParEngine(ranks, 2, Crossbar{}, la)
 	counts := make([]int, ranks)
 	for r := 0; r < ranks; r++ {
 		for i := 0; i <= r; i++ {
@@ -225,7 +225,7 @@ func laneTrace(ranks, shards int) [][]uint64 {
 	const la = 900 * Nanosecond
 	drv := NewEngine()
 	if shards > 0 {
-		drv = NewParEngine(ranks, shards, la)
+		drv = NewParEngine(ranks, shards, Crossbar{}, la)
 		defer drv.Shutdown()
 	}
 	traces := make([][]uint64, ranks)

@@ -29,6 +29,20 @@ func holdDelays() *[1024]VTime {
 	return &d
 }
 
+// chaosDelays is a delay table shaped like des_chaos: hops and host
+// delays up to 16 µs, and one event in 20 a retransmit timer 200 µs out.
+func chaosDelays() *[1024]VTime {
+	var d [1024]VTime
+	rng := rand.New(rand.NewSource(2))
+	for i := range d {
+		d[i] = 1 + VTime(rng.Intn(16384))
+		if i%20 == 19 {
+			d[i] = 200 * Microsecond
+		}
+	}
+	return &d
+}
+
 // hold runs the classic hold model: pop the earliest event and push a
 // new one a table delay later, so the queue stays at its pending count.
 func hold(q *eventQueue, d *[1024]VTime, tie *uint64, steps int) {
@@ -52,9 +66,8 @@ func holdQueue(pending int, d *[1024]VTime, tie *uint64) *eventQueue {
 // BenchmarkEventQueueHold is the queue's cost per event (one pop and one
 // push) at a fixed number of pending events.
 func BenchmarkEventQueueHold(b *testing.B) {
-	d := holdDelays()
-	for _, pending := range []int{2, 8, 64, 500, 4096} {
-		b.Run(strconv.Itoa(pending), func(b *testing.B) {
+	run := func(name string, pending int, d *[1024]VTime) {
+		b.Run(name, func(b *testing.B) {
 			var tie uint64
 			q := holdQueue(pending, d, &tie)
 			hold(q, d, &tie, 4*pending) // reach the steady spread
@@ -62,6 +75,10 @@ func BenchmarkEventQueueHold(b *testing.B) {
 			hold(q, d, &tie, b.N)
 		})
 	}
+	for _, pending := range []int{2, 8, 64, 500, 4096} {
+		run(strconv.Itoa(pending), pending, holdDelays())
+	}
+	run("chaos-4096", 4096, chaosDelays())
 }
 
 // TestEventQueueHoldAllocatesNothing pins the steady state: once the slab
@@ -210,6 +227,26 @@ func (o *queueOracle) pop() {
 	o.now = got.at
 }
 
+// edge brings the clock to the last ns of its page, pushing an event
+// there and popping everything up to it, then pushes delays of 4 095,
+// 4 096 and 4 097 ns: the last two slots of the next page and the first
+// of the page after it.
+func (o *queueOracle) edge(rank int) {
+	end := o.now | (pageLen - 1)
+	o.push(end-o.now, rank)
+	o.place()
+	o.check()
+	for len(o.ref) > 0 && o.ref[len(o.ref)-1].at <= end {
+		o.pop()
+		o.check()
+	}
+	for _, d := range []VTime{pageLen - 1, pageLen, pageLen + 1} {
+		o.push(d, rank)
+		o.place()
+		o.check()
+	}
+}
+
 // run interprets prog, two bytes per step: an op with a rank for the tie,
 // and an argument. Whatever is pending at the end is drained in order.
 func (o *queueOracle) run(prog []byte) {
@@ -222,7 +259,11 @@ func (o *queueOracle) run(prog []byte) {
 			o.push(arg, rank)
 		case 2: // µs-scale hops
 			o.push(arg*arg, rank)
-		case 3: // a timer 2^40 ns out
+		case 3: // a timer 2^40 ns out, or one step in four a page edge
+			if arg%4 == 3 {
+				o.edge(rank)
+				continue
+			}
 			o.push(1<<40+arg, rank)
 		case 4: // an equal-time burst, ranks cycling so ties arrive out of order
 			n := min(int(arg)*16+1, o.burst)
@@ -255,8 +296,9 @@ func (o *queueOracle) run(prog []byte) {
 
 // TestEventQueueOrderOracle is the queue's order property: over random
 // monotone interleavings of push, pop and peekAt — same-instant events,
-// bursts of thousands, out-of-order ties, timers 2^40 ns out — the queue
-// pops exactly the reference's ascending (at, tie) sequence.
+// bursts of thousands, out-of-order ties, timers 2^40 ns out, delays
+// across a page edge — the queue pops exactly the reference's ascending
+// (at, tie) sequence.
 func TestEventQueueOrderOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 20_000; i++ {
@@ -277,6 +319,7 @@ func FuzzEventQueueOrder(f *testing.F) {
 	f.Add([]byte{1, 9, 1, 9, 0, 0, 5, 0, 6, 0, 7, 0})
 	f.Add([]byte{3, 0, 12, 255, 1, 1, 5, 0, 2, 200, 6, 0, 3, 7, 7, 0})
 	f.Add([]byte{4, 200, 5, 0, 44, 3, 0, 0, 6, 0, 15, 0, 10, 255, 7, 0})
+	f.Add([]byte{1, 200, 3, 3, 2, 60, 11, 7, 5, 0, 3, 255, 7, 0, 6, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512]

@@ -6,19 +6,22 @@ import (
 )
 
 // ParEngine is the conservative-lookahead parallel configuration of the
-// discrete-event engine. Ranks are partitioned into contiguous shards,
-// each owning one zero-alloc radix eventQueue (as the classic engine
-// does) and its own clock. Execution proceeds in windows derived
-// from the cost model's minimum cross-rank delay L (min link latency ×
-// topology-minimum hop count): given the earliest pending event time m,
-// every shard drains its events with timestamps in [m, m+L) with no
-// synchronization, because any event one rank schedules on another
-// cannot land before now+L ≥ m+L — the lookahead guarantee the LogGP
-// wire latency provides for free. Cross-shard events travel through
-// per-(src,dst) inboxes written only by the source shard's worker and
-// merged at the window barrier; work that must see or mutate global
-// state (membership transitions, epoch bumps, kills) runs as barrier
-// tasks between windows on the single driver goroutine.
+// discrete-event engine. Ranks are partitioned into the topology's
+// domains (Topology.Domains), and whole domains into contiguous shards,
+// each owning one zero-alloc eventQueue (as the classic engine does) and
+// its own clock. Execution proceeds in windows derived from the cheapest
+// path between domains, L = link latency × the domains' hop bound: given
+// the earliest pending event time m, every shard drains its events with
+// timestamps in [m, m+L) with no synchronization, because any event one
+// rank schedules on another domain's cannot land before now+L ≥ m+L —
+// the lookahead guarantee the LogGP wire latency provides for free. A
+// send within a domain may land inside the window: its destination runs
+// on the sender's shard. Cross-shard events travel through per-(src,dst)
+// inboxes written only by the source shard's worker and merged at the
+// window barrier; work that must see or mutate global state (membership
+// transitions, epoch bumps, kills) runs as barrier tasks between windows
+// on the single driver goroutine. Domains and L depend on the topology
+// and the rank count alone, so every shard count runs the same windows.
 //
 // Determinism does not come from the barrier alone: equal-time events
 // must also pop in an order no worker race can perturb. Every scheduled
@@ -30,9 +33,10 @@ import (
 // identical for every shard count, including shards=1. Driver/barrier
 // work uses srcTag 1, sorting deterministically before rank traffic.
 type ParEngine struct {
-	ranks, nshards int
-	lookahead      VTime
-	shardTab       []int32 // rank → its contiguous shard
+	nshards   int
+	lookahead VTime
+	shardTab  []int32 // rank → its contiguous shard
+	domTab    []int32 // rank → its domain
 
 	driver *Engine   // the façade the harness holds; its heap is the barrier-task queue
 	shards []*Engine // one heap + clock per shard
@@ -78,37 +82,42 @@ type parWorker struct {
 	done  chan struct{}
 }
 
-// NewParEngine builds a sharded engine over ranks localities split into
-// nshards contiguous shards, with the given lookahead window (derive it
-// with Model.Latency × MinHops(topology); it must not exceed the true
-// minimum cross-rank delay or the lookahead guarantee is void — AtRank
-// panics loudly if a send ever violates it). Returns the driver façade;
-// shards=1 is the sequential degenerate case, run on the driver
-// goroutine with no worker handoff.
-func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
+// NewParEngine builds a sharded engine over ranks localities on topology
+// top (nil is the crossbar) whose links cost latency per hop: whole
+// domains go to each of nshards contiguous shards (clamped to the domain
+// count), and the lookahead is latency × the domains' hop bound. AtRank
+// panics loudly if a send across domains ever lands inside a window.
+// Returns the driver façade; shards=1 is the sequential degenerate case,
+// run on the driver goroutine with no worker handoff.
+func NewParEngine(ranks, nshards int, top Topology, latency VTime) *Engine {
 	if ranks < 1 {
 		panic(fmt.Sprintf("netsim: par engine with %d ranks", ranks))
 	}
 	if nshards < 1 {
 		panic(fmt.Sprintf("netsim: par engine with %d shards", nshards))
 	}
-	if nshards > ranks {
-		nshards = ranks
+	if top == nil {
+		top = Crossbar{}
 	}
+	size, hops := top.Domains(ranks)
+	ndom := (ranks + size - 1) / size
+	nshards = min(nshards, ndom)
+	lookahead := latency * VTime(hops)
 	if lookahead < 1 {
 		panic(fmt.Sprintf("netsim: par engine lookahead %v < 1ns", lookahead))
 	}
 	p := &ParEngine{
-		ranks:      ranks,
 		nshards:    nshards,
 		lookahead:  lookahead,
+		shardTab:   make([]int32, ranks),
+		domTab:     make([]int32, ranks),
 		perRankSeq: make([]uint64, ranks),
 		inbox:      make([][]staged, nshards*nshards),
 		taskStage:  make([][]event, nshards),
 	}
-	p.shardTab = make([]int32, ranks)
 	for r := range p.shardTab {
-		p.shardTab[r] = int32(r * nshards / ranks)
+		d := r / size
+		p.domTab[r], p.shardTab[r] = int32(d), int32(d*nshards/ndom)
 	}
 	p.driver = &Engine{par: p, shard: -1, curRank: -1}
 	p.shards = make([]*Engine, nshards)
@@ -119,12 +128,7 @@ func NewParEngine(ranks, nshards int, lookahead VTime) *Engine {
 }
 
 // shardOf maps a rank to its contiguous shard.
-func (p *ParEngine) shardOf(rank int) int {
-	if uint(rank) >= uint(len(p.shardTab)) {
-		panic(fmt.Sprintf("netsim: rank %d outside world of %d", rank, p.ranks))
-	}
-	return int(p.shardTab[rank])
-}
+func (p *ParEngine) shardOf(rank int) int { return int(p.shardTab[rank]) }
 
 // nextTie stamps the invariant ordering key for an event scheduled from
 // engine e's current context.
@@ -171,15 +175,16 @@ func (p *ParEngine) atRank(e *Engine, rank int, t VTime, fn func(), s step) {
 		tq.push(t, tie, int32(rank), fn, s)
 		return
 	}
-	if int32(rank) == e.curRank {
-		// Self-scheduling stays inside the current window legally.
+	if p.domTab[rank] == p.domTab[e.curRank] {
+		// Scheduling within the domain, self included, may land inside
+		// the current window: the domain's ranks all run on this shard.
 		if t < e.now {
 			panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, e.now))
 		}
-		p.shards[dst].push(t, tie, int32(rank), fn, s)
+		e.push(t, tie, int32(rank), fn, s)
 		return
 	}
-	// Cross-rank during a window: the conservative-lookahead contract
+	// Across domains during a window: the conservative-lookahead contract
 	// says it cannot land inside the current window. A violation means
 	// the lookahead was derived wrong (some path is cheaper than L) and
 	// determinism would silently break — fail loudly instead.

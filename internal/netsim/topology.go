@@ -19,6 +19,11 @@ type Topology interface {
 	// link speed; > 1 models oversubscription).
 	BWFactor(src, dst int) float64
 	Name() string
+	// Domains splits a world of ranks into contiguous domains of size
+	// ranks each (the last may be short) such that two ranks in different
+	// domains are at least hops apart: the sharded engine's unit of
+	// placement and, at Model.Latency × hops, its lookahead.
+	Domains(ranks int) (size, hops int)
 }
 
 // Crossbar is the default full-bisection topology: one hop everywhere,
@@ -33,6 +38,9 @@ func (Crossbar) BWFactor(src, dst int) float64 { return 1 }
 
 // Name returns "crossbar".
 func (Crossbar) Name() string { return "crossbar" }
+
+// Domains returns one-rank domains one hop apart.
+func (Crossbar) Domains(int) (size, hops int) { return 1, 1 }
 
 // TwoTier groups ranks into pods of PodSize behind an oversubscribed
 // spine: intra-pod traffic is one hop at full bandwidth; inter-pod
@@ -70,6 +78,9 @@ func (t TwoTier) BWFactor(src, dst int) float64 {
 	}
 	return t.Oversub
 }
+
+// Domains returns the pods, 3 hops apart.
+func (t TwoTier) Domains(int) (size, hops int) { return t.PodSize, 3 }
 
 // Name returns a descriptive label.
 func (t TwoTier) Name() string {
@@ -131,6 +142,15 @@ func (t FatTree) BWFactor(src, dst int) float64 {
 	return t.EdgeOversub * t.CoreOversub
 }
 
+// Domains returns the pods, 5 hops apart, or in a world of one pod its
+// leaves, 3 hops apart.
+func (t FatTree) Domains(ranks int) (size, hops int) {
+	if ranks <= t.LeafSize*t.PodLeaves {
+		return t.LeafSize, 3
+	}
+	return t.LeafSize * t.PodLeaves, 5
+}
+
 // Name returns a descriptive label.
 func (t FatTree) Name() string {
 	return fmt.Sprintf("fat-tree(leaf=%d,pod=%d,edge=%.1fx,core=%.1fx)",
@@ -178,26 +198,12 @@ func (t Dragonfly) BWFactor(src, dst int) float64 {
 	return t.GlobalOversub
 }
 
+// Domains returns the groups, 3 hops apart.
+func (t Dragonfly) Domains(int) (size, hops int) { return t.GroupSize, 3 }
+
 // Name returns a descriptive label.
 func (t Dragonfly) Name() string {
 	return fmt.Sprintf("dragonfly(group=%d,global=%.1fx)", t.GroupSize, t.GlobalOversub)
-}
-
-// MinHops returns the topology's minimum cross-rank hop count, used to
-// derive the conservative-lookahead window (Model.Latency × MinHops is a
-// lower bound on any cross-rank delivery delay). All built-in topologies
-// bottom out at one hop; a custom topology can raise the bound by
-// implementing interface{ MinHops() int }.
-func MinHops(t Topology) int {
-	if t == nil {
-		return 1
-	}
-	if mh, ok := t.(interface{ MinHops() int }); ok {
-		if h := mh.MinHops(); h >= 1 {
-			return h
-		}
-	}
-	return 1
 }
 
 // ParseTopology parses a compact topology spec for benchmarks and CLIs:

@@ -123,25 +123,48 @@ func TestDragonflyLevels(t *testing.T) {
 	}
 }
 
-func TestMinHopsDefaults(t *testing.T) {
-	if MinHops(nil) != 1 {
-		t.Fatal("MinHops(nil) != 1")
+// checkDomains asserts top's domain bound on a world of ranks: domains
+// are non-empty and at least one hop apart, and any two ranks in
+// different domains (contiguous blocks of size ranks, so together they
+// cover every rank) are at least the stated hops apart.
+func checkDomains(t *testing.T, name string, top Topology, ranks int) {
+	t.Helper()
+	size, hops := top.Domains(ranks)
+	if size < 1 || hops < 1 {
+		t.Fatalf("%s: Domains(%d) = (%d, %d); want both >= 1", name, ranks, size, hops)
 	}
-	for name, top := range topologiesUnderTest() {
-		if MinHops(top) != 1 {
-			t.Fatalf("%s: MinHops != 1", name)
+	for a := 0; a < ranks; a++ {
+		for b := a + 1; b < ranks; b++ {
+			if a/size != b/size && top.Hops(a, b) < hops {
+				t.Fatalf("%s: ranks %d and %d lie in different domains of %d but are %d < %d hops apart",
+					name, a, b, size, top.Hops(a, b), hops)
+			}
 		}
 	}
 }
 
-// customMinHops exercises the optional interface escape hatch.
-type customMinHops struct{ Crossbar }
-
-func (customMinHops) MinHops() int { return 3 }
-
-func TestMinHopsCustomInterface(t *testing.T) {
-	if h := MinHops(customMinHops{}); h != 3 {
-		t.Fatalf("custom MinHops = %d; want 3", h)
+// TestTopologyDomains pins each topology's domains — the sharded
+// engine's placement unit and lookahead — and their bound: a fat tree's
+// pods, or the leaves of a world held in one pod.
+func TestTopologyDomains(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		top        Topology
+		ranks      int
+		size, hops int
+	}{
+		{"crossbar", Crossbar{}, 64, 1, 1},
+		{"two-tier", NewTwoTier(8, 4), 64, 8, 3},
+		{"dragonfly", NewDragonfly(16, 4), 64, 16, 3},
+		{"fat-tree", NewFatTree(4, 4, 2, 2.5), 64, 16, 5},
+		{"fat-tree, one pod", NewFatTree(4, 4, 2, 2.5), 16, 4, 3},
+		{"fat-tree, one leaf", NewFatTree(4, 4, 2, 2.5), 4, 4, 3},
+		{"fat-tree, a short last pod", NewFatTree(2, 2, 2, 2), 10, 4, 5},
+	} {
+		if size, hops := c.top.Domains(c.ranks); size != c.size || hops != c.hops {
+			t.Fatalf("%s: Domains(%d) = (%d, %d); want (%d, %d)", c.name, c.ranks, size, hops, c.size, c.hops)
+		}
+		checkDomains(t, c.name, c.top, c.ranks)
 	}
 }
 
@@ -203,7 +226,8 @@ func TestParseTopology(t *testing.T) {
 
 // FuzzParseTopology: any spec either errors or yields a topology on which
 // every distinct pair of a small world is at least one hop apart with a
-// finite taper of at least 1, and nothing panics. The committed seeds
+// finite taper of at least 1, whose domains keep their hop bound at
+// several world sizes (checkDomains), and nothing panics. The committed seeds
 // under testdata/fuzz/FuzzParseTopology are the non-finite and
 // out-of-range factors the parser once accepted.
 func FuzzParseTopology(f *testing.F) {
@@ -229,6 +253,9 @@ func FuzzParseTopology(f *testing.F) {
 					t.Fatalf("%q: BWFactor(%d,%d) = %v; want finite and >= 1", spec, a, b, bw)
 				}
 			}
+		}
+		for _, n := range []int{1, 2, 7, ranks} {
+			checkDomains(t, spec, top, n)
 		}
 	})
 }

@@ -132,6 +132,6 @@ func freeBlock(c *Ctx) {
 	if blk.Pinned || blk.Kind != gas.KindData {
 		l.w.fail("rank %d: free of pinned/non-data block %d", l.rank, b)
 	}
-	l.w.freeStep(l.rank, b, c.P.Target.Home(), l.w.post)
+	l.w.freeStep(l.rank, b, c.P.Target.Home(), l.post)
 	c.Continue(nil)
 }

@@ -24,10 +24,6 @@ func newDESNet(w *World) *desNet {
 	var eng *netsim.Engine
 	switch {
 	case cfg.Shards > 0:
-		// Conservative lookahead: no cross-rank event can land sooner
-		// than the cheapest wire path, one minimum-hop traversal at the
-		// model's link latency. See netsim.ParEngine.
-		la := cfg.Model.Latency * netsim.VTime(netsim.MinHops(cfg.Topology))
 		shards := cfg.Shards
 		if cfg.reliable() {
 			// The reliable layer's exactly-once store is keyed per
@@ -39,7 +35,10 @@ func newDESNet(w *World) *desNet {
 			// fault-free runs keep their parallel windows.
 			shards = 1
 		}
-		eng = netsim.NewParEngine(cfg.Ranks, shards, la)
+		// Conservative lookahead: no event crosses between the
+		// topology's domains sooner than the cheapest path between them
+		// at the model's link latency. See netsim.ParEngine.
+		eng = netsim.NewParEngine(cfg.Ranks, shards, cfg.Topology, cfg.Model.Latency)
 	default:
 		eng = netsim.NewEngine()
 	}

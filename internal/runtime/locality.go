@@ -130,7 +130,7 @@ type Locality struct {
 	// replicate.go) and heat (this rank's access-heat tracker, nil unless
 	// Config.Heat.Enabled; see heat.go) have one writer, the rank's token
 	// holder or DES event, and take no lock: code outside the rank claims
-	// or posts to it (World.claim, World.post).
+	// or posts to it (World.claim, Locality.post, World.post).
 	moving   map[gas.BlockID]*moveState
 	ops      opTable
 	replicas map[gas.BlockID]*replHolder

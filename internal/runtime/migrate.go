@@ -256,7 +256,7 @@ func migrateData(c *Ctx) {
 	l.note(noteMigInstall, b, 0, 0)
 	mp.data = nil
 	if mp.replicated {
-		l.w.rehomeReplicas(b, l.rank, mp.holders, l.w.post)
+		l.w.rehomeReplicas(b, l.rank, mp.holders, l.post)
 	}
 	l.SendParcel(&parcel.Parcel{
 		Action:  aMigrateCommit,

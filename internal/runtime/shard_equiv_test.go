@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
 )
@@ -24,7 +25,21 @@ func withShards(n int) func(*Config) {
 	return func(c *Config) { c.Shards = n }
 }
 
-var shardCounts = []int{2, 4}
+var shardCounts = []int{2, 4, 8}
+
+// topoWorlds are the hierarchical fabrics the equivalence suites add to
+// the crossbar: three domains of two ranks each on the suites' six-rank
+// world, so 2 shards do not divide the domains and 4 and 8 exceed them.
+// The fat tree's domains are its pods (leaves of one rank, pods of two,
+// 5 hops apart), the others' pods and groups (3 hops apart).
+var topoWorlds = []struct {
+	name string
+	top  netsim.Topology
+}{
+	{"fat-tree", netsim.NewFatTree(1, 2, 2, 2)},
+	{"two-tier", netsim.NewTwoTier(2, 4)},
+	{"dragonfly", netsim.NewDragonfly(2, 4)},
+}
 
 // TestShardedGoldenEquivalence runs the protocol-workout workload on the
 // windowed engine at several shard counts and requires byte-identical
@@ -48,6 +63,76 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 			}
 		})
 	}
+	// On the hierarchical fabrics windows span the domains' cheapest path
+	// and sends within a domain land inside them; the fat tree also runs
+	// migration churn (shardChurn).
+	for _, tw := range topoWorlds {
+		for _, mode := range allModes {
+			tw, mode := tw, mode
+			t.Run(tw.name+"/"+mode.String(), func(t *testing.T) {
+				topo := func(c *Config) { c.Ranks, c.Topology = 6, tw.top }
+				ref, _ := runEquivWorkload(t, mode, EngineDES, topo, withShards(1))
+				churn := ""
+				if tw.name == "fat-tree" {
+					churn = shardChurn(t, mode, tw.top, 1)
+				}
+				for _, n := range shardCounts {
+					if got, _ := runEquivWorkload(t, mode, EngineDES, topo, withShards(n)); got != ref {
+						t.Errorf("shards=%d diverged from shards=1\n got: %v\nwant: %v", n, got, ref)
+					}
+					if churn == "" {
+						continue
+					}
+					if got := shardChurn(t, mode, tw.top, n); got != churn {
+						t.Errorf("shards=%d churn diverged from shards=1\n got:\n%s\nwant:\n%s", n, got, churn)
+					}
+				}
+			})
+		}
+	}
+}
+
+// shardChurn runs migration churn on a 6-rank world over top: every
+// rank's calls to every block race migrations issued without waiting,
+// round after round, and it returns the values, stats and state dump.
+func shardChurn(t *testing.T, mode Mode, top netsim.Topology, shards int) string {
+	t.Helper()
+	const ranks, nblocks = 6, 12
+	w := testWorld(t, Config{Ranks: ranks, Mode: mode, Engine: EngineDES, Shards: shards, Topology: top})
+	bump := w.Register("bump", func(c *Ctx) {
+		data := c.Local(c.P.Target)
+		copy(data, parcel.PutU64(nil, parcel.U64(data, 0)+1))
+		c.Continue(data[:8])
+	})
+	w.Start()
+	lay, err := w.AllocCyclic(0, 64, nblocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for round := 0; round < 4; round++ {
+		var refs []*LCORef
+		for r := 0; r < ranks; r++ {
+			for d := uint32(0); d < nblocks; d++ {
+				refs = append(refs, w.Proc(r).Call(lay.BlockAt(d), bump, nil))
+			}
+		}
+		if mode != PGAS {
+			for d := uint32(round % 2); d < nblocks; d += 2 {
+				refs = append(refs, w.Proc(int(d)%ranks).Migrate(lay.BlockAt(d), (int(d)+round+1)%ranks))
+			}
+		}
+		for _, f := range refs {
+			fmt.Fprintf(&out, "%x ", w.MustWait(f))
+		}
+		fmt.Fprintf(&out, "\nround %d at %v\n", round, w.Now())
+	}
+	if err := w.DumpState(&out); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "stats: %v\n", equivOf(w.Stats()))
+	w.Stop()
+	return out.String()
 }
 
 // TestShardedChaosEquivalence repeats the comparison on a faulty fabric:
@@ -81,10 +166,10 @@ func TestShardedChaosEquivalence(t *testing.T) {
 // shardImage runs a migration-heavy workload and captures a full image:
 // the protocol-state dump plus every block's bytes read back. Everything
 // in it must be shard-count invariant.
-func shardImage(t *testing.T, mode Mode, shards int) string {
+func shardImage(t *testing.T, mode Mode, top netsim.Topology, shards int) string {
 	t.Helper()
 	const ranks, nblocks = 6, 12
-	w := testWorld(t, Config{Ranks: ranks, Mode: mode, Engine: EngineDES, Shards: shards})
+	w := testWorld(t, Config{Ranks: ranks, Mode: mode, Engine: EngineDES, Shards: shards, Topology: top})
 	bump := w.Register("bump", func(c *Ctx) {
 		data := c.Local(c.P.Target)
 		v := parcel.U64(data, 0)
@@ -128,18 +213,110 @@ func shardImage(t *testing.T, mode Mode, shards int) string {
 
 // TestShardedMemoryImageEquivalence: block contents, residency layout,
 // engine clock, and counters — the whole observable image — must be
-// byte-identical across shard counts.
+// byte-identical across shard counts, on the crossbar and on each
+// hierarchical fabric.
 func TestShardedMemoryImageEquivalence(t *testing.T) {
-	for _, mode := range allModes {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			ref := shardImage(t, mode, 1)
-			for _, n := range shardCounts {
-				if got := shardImage(t, mode, n); got != ref {
-					t.Errorf("shards=%d image diverged from shards=1\n got:\n%s\nwant:\n%s", n, got, ref)
-				}
+	worlds := append([]struct {
+		name string
+		top  netsim.Topology
+	}{{"", nil}}, topoWorlds...)
+	for _, tw := range worlds {
+		for _, mode := range allModes {
+			tw, mode := tw, mode
+			name := mode.String()
+			if tw.name != "" {
+				name = tw.name + "/" + name
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				ref := shardImage(t, mode, tw.top, 1)
+				for _, n := range shardCounts {
+					if got := shardImage(t, mode, tw.top, n); got != ref {
+						t.Errorf("shards=%d image diverged from shards=1\n got:\n%s\nwant:\n%s", n, got, ref)
+					}
+				}
+			})
+		}
+	}
+}
+
+// replMigrateRun is the replicated-migration world: 8 ranks, every block
+// replicated on two holders, reads from every rank racing migrations of
+// the replicated blocks, and a second replicated layout freed with
+// FreeAsync while the reads run. A migration re-homes the replica set
+// and rewrites every rank's NIC read routes, and a free sweeps every
+// rank's holder record and NIC: writes into other ranks that a sharded
+// engine defers to the merge barrier (Locality.post). It returns the
+// values read, the statuses, the stats and the state dump.
+func replMigrateRun(t *testing.T, shards int) string {
+	t.Helper()
+	const ranks, nblocks = 8, 16
+	w := testWorld(t, Config{Ranks: ranks, Mode: AGASNM, Engine: EngineDES, Shards: shards})
+	w.Start()
+	lay, err := w.AllocCyclic(0, 64, nblocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := w.AllocCyclic(3, 64, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := uint32(0); d < nblocks; d++ {
+		w.MustWait(w.Proc(int(d)%ranks).Put(lay.BlockAt(d), []byte{byte(d), 1, 2, 3}))
+	}
+	for _, l := range []gas.Layout{lay, tmp} {
+		if err := w.ReplicateLive(l, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	for round := 0; round < 4; round++ {
+		var refs []*LCORef
+		for r := 0; r < ranks; r++ {
+			for d := uint32(0); d < nblocks; d++ {
+				refs = append(refs, w.Proc(r).Get(lay.BlockAt(d), 4))
+			}
+			if round < 2 {
+				refs = append(refs, w.Proc(r).Get(tmp.BlockAt(uint32(r)), 4))
+			}
+		}
+		for d := uint32(round % 2); d < nblocks; d += 2 {
+			refs = append(refs, w.Proc(int(d+3)%ranks).Migrate(lay.BlockAt(d), (int(d)+round+1)%ranks))
+		}
+		if round == 2 {
+			refs = append(refs, w.Proc(5).FreeAsync(tmp))
+		}
+		for _, f := range refs {
+			fmt.Fprintf(&out, "%x ", w.MustWait(f))
+		}
+		fmt.Fprintf(&out, "\nround %d at %v\n", round, w.Now())
+	}
+	if err := w.DumpState(&out); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "stats: %v\n", equivOf(w.Stats()))
+	w.Stop()
+	return out.String()
+}
+
+// TestShardedReplicaMigrationRace runs the replicated-migration world on
+// 4 shards; under -race a write into another rank's NIC or holder record
+// from a handler's window, beside that rank's shard, is a reported race.
+func TestShardedReplicaMigrationRace(t *testing.T) {
+	if got := replMigrateRun(t, 4); !strings.Contains(got, "round 3") {
+		t.Fatalf("the run did not finish its rounds:\n%s", got)
+	}
+}
+
+// TestShardedReplicaMigrationEquivalence: the replicated-migration world
+// replays bit-identically at every shard count. The classic engine
+// (shards=0) runs those writes at once, inside the handler, so its run is
+// a different (equally valid) execution and is not compared.
+func TestShardedReplicaMigrationEquivalence(t *testing.T) {
+	ref := replMigrateRun(t, 1)
+	for _, n := range shardCounts {
+		if got := replMigrateRun(t, n); got != ref {
+			t.Errorf("shards=%d replicated-migration run diverged from shards=1\n got:\n%s\nwant:\n%s", n, got, ref)
+		}
 	}
 }
 

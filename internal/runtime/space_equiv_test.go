@@ -111,7 +111,7 @@ func equivProgram(t *testing.T, w *World) equivCounters {
 // equivRun is equivProgram returning its first failure instead of
 // failing a test, for the virtual-time trials (bubble_test.go).
 func equivRun(w *World) (equivCounters, error) {
-	const ranks = 4
+	ranks := w.Ranks()
 	const nblocks = 8
 	mode := w.Config().Mode
 	incr := w.Register("incr", func(c *Ctx) {

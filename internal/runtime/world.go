@@ -142,7 +142,7 @@ func (w *World) Caps() Caps { return w.caps }
 
 // rankWrite runs fn as rank's one writer the way its caller may reach
 // it: code of that rank passes inRank, a driver w.claim, another rank's
-// handler w.post.
+// handler l.post, a recovery step w.post.
 type rankWrite func(rank int, fn func())
 
 // inRank is the rankWrite of code already running as rank's writer.
@@ -160,16 +160,27 @@ func (w *World) claim(rank int, fn func()) {
 	}
 }
 
-// post runs fn as rank's one writer for a handler holding another
-// rank's token, which must never wait for a second: queued on rank's
-// mailbox (at once on DES) and counted in mem.pending, so AwaitMember
-// covers it. The caller's own half stays synchronous.
+// post runs fn as rank's one writer for code holding another rank's
+// token, which must never wait for a second: queued on rank's mailbox
+// (at once on DES, where a recovery step runs at a merge barrier under
+// sharding) and counted in mem.pending, so AwaitMember covers it. The
+// caller's own half stays synchronous.
 func (w *World) post(rank int, fn func()) {
 	mem := w.mem
 	mem.pending.Add(1)
 	if !w.locs[rank].exec.hand(func() { defer mem.donePending(); fn() }) {
 		mem.donePending() // a stopped mailbox runs nothing
 	}
+}
+
+// post is World.post from a handler of l. Under a sharded DES engine the
+// handler runs inside a window beside rank's shard, so the post waits for
+// the next merge barrier (l.exec.global, which stamps it with l's own
+// shard-invariant tie); elsewhere global runs it at once.
+func (l *Locality) post(rank int, fn func()) {
+	mem := l.w.mem
+	mem.pending.Add(1)
+	l.exec.global(func() { defer mem.donePending(); l.w.post(rank, fn) })
 }
 
 // Ranks returns the number of localities.
