@@ -112,11 +112,13 @@ func main() {
 	}
 
 	o := exp.Options{Quick: *quick, Seed: *seed, Replicas: *replicas,
-		Localities:   parseIntList("localities", *localities),
-		ShardSweep:   parseIntList("shards", *shards),
 		Topology:     *topology,
 		TenantBlocks: *tenants, Shifts: *shift, MoveBudget: *rebalance,
 		FlightOut: *flightOut}
+	if err := sweeps(&o, *localities, *shards); err != nil {
+		fmt.Fprintf(os.Stderr, "vgasbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *coherence != "" {
 		c, err := agas.ParseCoherence(*coherence)
@@ -174,21 +176,34 @@ func main() {
 	}
 }
 
-// parseIntList parses a comma-separated list of non-negative ints from
-// a flag value ("" = nil).
-func parseIntList(name, spec string) []int {
+// sweeps parses the scaling sweep's -localities (each at least 1) and
+// -shards (each at least 0) into o and validates o, before any world is
+// built.
+func sweeps(o *exp.Options, localities, shards string) (err error) {
+	if o.Localities, err = parseIntList("localities", localities, 1); err != nil {
+		return err
+	}
+	if o.ShardSweep, err = parseIntList("shards", shards, 0); err != nil {
+		return err
+	}
+	return o.Validate()
+}
+
+// parseIntList parses a comma-separated list of ints of at least min
+// from a flag value ("" = nil).
+func parseIntList(name, spec string, min int) ([]int, error) {
 	if spec == "" {
-		return nil
+		return nil, nil
 	}
 	var out []int
 	for _, t := range strings.Split(spec, ",") {
 		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(t), "%d", &n); err != nil || n < 0 {
-			fatalf("vgasbench: bad -%s entry %q: want a non-negative integer", name, t)
+		if _, err := fmt.Sscanf(strings.TrimSpace(t), "%d", &n); err != nil || n < min {
+			return nil, fmt.Errorf("bad -%s entry %q: want an integer of at least %d", name, t, min)
 		}
 		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
 // observedRun drives a migration-under-load workload on the DES engine

@@ -17,6 +17,25 @@ import (
 	"nmvgas/vgas"
 )
 
+// demoRanks is the tour's world size; the topology step builds a
+// topoRanks fabric of its own.
+const demoRanks, topoRanks = 4, 64
+
+// checkFlags refuses, before any world is built, a flag value a tour
+// step could not run with: a replica count the world cannot hold, or a
+// topology spec that does not parse.
+func checkFlags(replicas int, topology string) error {
+	if replicas < 0 || replicas > demoRanks-1 {
+		return fmt.Errorf("-replicas %d out of range [0,%d]", replicas, demoRanks-1)
+	}
+	if topology != "" {
+		if _, err := vgas.ParseTopology(topology, topoRanks); err != nil {
+			return fmt.Errorf("-topology: %v", err)
+		}
+	}
+	return nil
+}
+
 func main() {
 	modeFlag := flag.String("mode", "agas-nm", "address space: pgas, agas-sw, or agas-nm")
 	engineFlag := flag.String("engine", "des", "execution engine: des or go")
@@ -49,11 +68,15 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if err := checkFlags(*replicasFlag, *topologyFlag); err != nil {
+		fmt.Fprintf(os.Stderr, "vgasdemo: %v\n", err)
+		os.Exit(2)
+	}
 	sp := vgas.SpaceFor(mode)
 
 	fmt.Printf("== virtual global address space demo: %s on %s ==\n", sp, engine)
 	cfg := vgas.Config{
-		Ranks: 4, Engine: engine, Coherence: coherence, Metrics: *httpAddr != "",
+		Ranks: demoRanks, Engine: engine, Coherence: coherence, Metrics: *httpAddr != "",
 		// Sampled heat tracking feeds the rebalancing step (and the
 		// nmvgas_heat_* series when -http is on); off the hot paths it
 		// costs a single nil check.
@@ -114,7 +137,7 @@ func main() {
 		if err := w.ReplicateLive(lay, *replicasFlag); err != nil {
 			panic(err)
 		}
-		for r := 0; r < 4; r++ {
+		for r := 0; r < demoRanks; r++ {
 			w.MustWait(w.Proc(r).Get(g, 5))
 		}
 		fmt.Printf("   every rank read the same address; %d reads were served by replicas\n",
@@ -267,11 +290,7 @@ func main() {
 		if *topologyFlag == "" {
 			return
 		}
-		topo, err := vgas.ParseTopology(*topologyFlag, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vgasdemo: -topology: %v\n", err)
-			os.Exit(2)
-		}
+		topo, _ := vgas.ParseTopology(*topologyFlag, topoRanks) // checkFlags parsed it
 		fmt.Printf("\n%d. Topology tour: 64 localities on a %s fabric.\n", step, topo.Name())
 		fmt.Println("   Each row migrates a block one tier further from the sender, then")
 		fmt.Println("   times the first put against the now-stale translation. The software")

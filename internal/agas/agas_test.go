@@ -39,16 +39,23 @@ func TestDirectorySetResolveDrop(t *testing.T) {
 	}
 }
 
+// The tables take no lock: a rank's table is written by whichever
+// goroutine holds the rank's token, one at a time. The concurrent tests
+// hand one token between goroutines the same way (token below), so under
+// -race they report any state a table shares beyond its owner.
 func TestDirectoryConcurrent(t *testing.T) {
 	d := NewDirectory()
 	var wg sync.WaitGroup
+	var token sync.Mutex
 	for w := 1; w <= 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				token.Lock()
 				d.Set(gas.BlockID(i), w, 0)
 				d.Resolve(gas.BlockID(i), 0)
+				token.Unlock()
 			}
 		}(w)
 	}
@@ -124,16 +131,19 @@ func TestSWCacheBoundedCapacity(t *testing.T) {
 func TestSWCacheConcurrent(t *testing.T) {
 	c := NewSWCache(64, CorrectionUpdate)
 	var wg sync.WaitGroup
+	var token sync.Mutex
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
+				token.Lock()
 				c.Learn(gas.BlockID(i%128), w)
 				c.Lookup(gas.BlockID(i % 128))
 				if i%17 == 0 {
 					c.Correct(gas.BlockID(i%128), w)
 				}
+				token.Unlock()
 			}
 		}(w)
 	}
@@ -165,13 +175,16 @@ func TestTombstones(t *testing.T) {
 func TestTombstonesConcurrent(t *testing.T) {
 	ts := NewTombstones()
 	var wg sync.WaitGroup
+	var token sync.Mutex
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
+				token.Lock()
 				ts.Put(gas.BlockID(i), w)
 				ts.Get(gas.BlockID(i))
+				token.Unlock()
 			}
 		}(w)
 	}

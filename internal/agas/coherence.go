@@ -2,7 +2,6 @@ package agas
 
 import (
 	"fmt"
-	"sync"
 
 	"nmvgas/internal/gas"
 )
@@ -58,10 +57,10 @@ func ParseCoherence(s string) (Coherence, error) {
 // space probes it from the host on every read of a replicated block; the
 // static PGAS space fills it once at install time. (The network-managed
 // space keeps the equivalent state in the NIC instead — see
-// netsim.NIC.InstallReadRoute.)
+// netsim.NIC.InstallReadRoute.) Like every table here it is written
+// only as its locality, so it takes no lock.
 type ReplicaRoutes struct {
-	mu sync.RWMutex
-	m  map[gas.BlockID]int
+	m map[gas.BlockID]int
 }
 
 // NewReplicaRoutes returns an empty table.
@@ -71,29 +70,21 @@ func NewReplicaRoutes() *ReplicaRoutes {
 
 // Set installs the read target for block.
 func (r *ReplicaRoutes) Set(block gas.BlockID, target int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.m[block] = target
 }
 
 // Get returns the read target for block, if one is installed.
 func (r *ReplicaRoutes) Get(block gas.BlockID) (int, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	t, ok := r.m[block]
 	return t, ok
 }
 
 // Drop removes block's read target.
 func (r *ReplicaRoutes) Drop(block gas.BlockID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	delete(r.m, block)
 }
 
 // Len returns the number of installed read targets.
 func (r *ReplicaRoutes) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return len(r.m)
 }

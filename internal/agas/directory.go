@@ -7,11 +7,7 @@
 // state so the data path never touches these structures.
 package agas
 
-import (
-	"sync"
-
-	"nmvgas/internal/gas"
-)
+import "nmvgas/internal/gas"
 
 // Directory is the authoritative block→owner map kept at each block's
 // home locality. It only stores entries for blocks whose owner differs
@@ -24,7 +20,6 @@ import (
 // travels with the master on migration (see runtime migrate), so the
 // set is always found where writes land.
 type Directory struct {
-	mu     sync.RWMutex
 	owners map[gas.BlockID]int
 	repl   map[gas.BlockID]ReplicaSet
 }
@@ -52,8 +47,6 @@ func (s ReplicaSet) clone() ReplicaSet {
 // Owner returns the recorded owner of block and whether an entry exists.
 // No entry means the block is at its home.
 func (d *Directory) Owner(block gas.BlockID) (int, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	o, ok := d.owners[block]
 	return o, ok
 }
@@ -69,8 +62,6 @@ func (d *Directory) Resolve(block gas.BlockID, home int) int {
 // Set records block's current owner. Recording the home owner removes the
 // entry (the block returned home).
 func (d *Directory) Set(block gas.BlockID, owner, home int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if owner == home {
 		delete(d.owners, block)
 		return
@@ -80,29 +71,21 @@ func (d *Directory) Set(block gas.BlockID, owner, home int) {
 
 // Drop removes any entry for block (used by free).
 func (d *Directory) Drop(block gas.BlockID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	delete(d.owners, block)
 }
 
 // Len returns the number of away-from-home entries.
 func (d *Directory) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	return len(d.owners)
 }
 
 // SetReplicas records block's replica set at this (owner-side) directory.
 func (d *Directory) SetReplicas(block gas.BlockID, master int, holders []int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.repl[block] = ReplicaSet{Master: master, Holders: append([]int(nil), holders...)}
 }
 
 // Replicas returns a copy of block's replica set, if it is replicated.
 func (d *Directory) Replicas(block gas.BlockID) (ReplicaSet, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	s, ok := d.repl[block]
 	if !ok {
 		return ReplicaSet{}, false
@@ -113,8 +96,6 @@ func (d *Directory) Replicas(block gas.BlockID) (ReplicaSet, bool) {
 // TakeReplicas removes and returns block's replica set — the migration
 // path uses it to carry the set to the new master's directory.
 func (d *Directory) TakeReplicas(block gas.BlockID) (ReplicaSet, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s, ok := d.repl[block]
 	if !ok {
 		return ReplicaSet{}, false
@@ -125,8 +106,6 @@ func (d *Directory) TakeReplicas(block gas.BlockID) (ReplicaSet, bool) {
 
 // DropReplicas removes block's replica set (unreplicate / free).
 func (d *Directory) DropReplicas(block gas.BlockID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	delete(d.repl, block)
 }
 
@@ -136,8 +115,6 @@ func (d *Directory) DropReplicas(block gas.BlockID) {
 // survives the home's data loss) and to find entries naming a dead
 // owner.
 func (d *Directory) Entries() map[gas.BlockID]int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	out := make(map[gas.BlockID]int, len(d.owners))
 	for b, o := range d.owners {
 		out[b] = o
@@ -148,8 +125,6 @@ func (d *Directory) Entries() map[gas.BlockID]int {
 // ReplicaEntries returns a snapshot of every replica set tracked here,
 // deep-copied so callers cannot alias directory state.
 func (d *Directory) ReplicaEntries() map[gas.BlockID]ReplicaSet {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	out := make(map[gas.BlockID]ReplicaSet, len(d.repl))
 	for b, s := range d.repl {
 		out[b] = s.clone()
@@ -159,10 +134,8 @@ func (d *Directory) ReplicaEntries() map[gas.BlockID]ReplicaSet {
 
 // Clear wipes every ownership entry and replica set. A locality reborn
 // through the membership layer's Join starts with an empty directory and
-// reclaims authority through the catch-up sync.
+// reclaims authority through the catch-up sync at Join.
 func (d *Directory) Clear() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.owners = make(map[gas.BlockID]int)
 	d.repl = make(map[gas.BlockID]ReplicaSet)
 }

@@ -1,8 +1,6 @@
 package agas
 
 import (
-	"sync"
-
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
 )
@@ -27,7 +25,6 @@ const (
 // probe happens (host CPU at SWLookup cost vs NIC at NICLookup cost) and
 // who repairs staleness, not the replacement policy.
 type SWCache struct {
-	mu     sync.Mutex
 	table  *netsim.TransTable
 	policy CorrectionPolicy
 
@@ -41,23 +38,17 @@ func NewSWCache(capacity int, policy CorrectionPolicy) *SWCache {
 
 // Lookup probes the cache.
 func (c *SWCache) Lookup(block gas.BlockID) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.table.Lookup(block)
 }
 
 // Learn installs a translation observed from lookup replies or owner
 // updates.
 func (c *SWCache) Learn(block gas.BlockID, owner int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.table.Update(block, owner)
 }
 
 // Correct applies the configured policy to a staleness correction.
 func (c *SWCache) Correct(block gas.BlockID, owner int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.corrections++
 	if c.policy == CorrectionInvalidate {
 		c.table.Invalidate(block)
@@ -69,8 +60,6 @@ func (c *SWCache) Correct(block gas.BlockID, owner int) {
 // Clear drops every cached translation (a reborn locality's previous
 // incarnation's cache is meaningless to the new one).
 func (c *SWCache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.table.Reset()
 }
 
@@ -79,15 +68,11 @@ func (c *SWCache) Clear() {
 // corrections. (Earlier versions silently discarded the eviction and
 // update counts.)
 func (c *SWCache) Stats() (hits, misses, evictions, updates, corrections uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	h, m, ev, up := c.table.Stats()
 	return h, m, ev, up, c.corrections
 }
 
 // Len returns the resident entry count.
 func (c *SWCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.table.Len()
 }

@@ -1,18 +1,13 @@
 package agas
 
-import (
-	"sync"
-
-	"nmvgas/internal/gas"
-)
+import "nmvgas/internal/gas"
 
 // Tombstones records, at a block's *previous* owner, where the block went.
 // In software-managed AGAS the old owner's host uses this to forward
 // stale traffic and to answer one-sided faults. (In network-managed AGAS
 // the equivalent state lives in the old owner's NIC instead.)
 type Tombstones struct {
-	mu sync.RWMutex
-	m  map[gas.BlockID]int
+	m map[gas.BlockID]int
 }
 
 // NewTombstones returns an empty table.
@@ -22,23 +17,17 @@ func NewTombstones() *Tombstones {
 
 // Put records that block now lives at owner.
 func (t *Tombstones) Put(block gas.BlockID, owner int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.m[block] = owner
 }
 
 // Get returns the forwarding target for block, if known.
 func (t *Tombstones) Get(block gas.BlockID) (int, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	o, ok := t.m[block]
 	return o, ok
 }
 
 // Drop removes a tombstone (the block came back, or was freed).
 func (t *Tombstones) Drop(block gas.BlockID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	delete(t.m, block)
 }
 
@@ -46,14 +35,10 @@ func (t *Tombstones) Drop(block gas.BlockID) {
 // previous incarnation's forwarding chains must not mislead the new
 // one).
 func (t *Tombstones) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.m = make(map[gas.BlockID]int)
 }
 
 // Len returns the tombstone count.
 func (t *Tombstones) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return len(t.m)
 }

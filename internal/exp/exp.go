@@ -33,7 +33,7 @@ type Options struct {
 	Faults netsim.FaultPlan
 	// Replicas, when > 0, replaces the replication experiment's default
 	// replica-count sweep with {0, Replicas} (vgasbench maps -replicas
-	// here).
+	// here); Validate holds it to what that world can hold.
 	Replicas int
 	// Coherence selects the replica coherence policy the replication
 	// experiment runs under (vgasbench maps -coherence here).
@@ -64,6 +64,21 @@ type Options struct {
 	// its flight-recorder trip bundle to (vgasbench maps -flight-out
 	// here; CI uploads it as the health-smoke artifact).
 	FlightOut string
+}
+
+// Validate refuses, before any world is built, an override an
+// experiment's world cannot hold: a replica count outside [0, ranks-1]
+// of the replication experiment's world, or a world size below 1.
+func (o Options) Validate() error {
+	if o.Replicas < 0 || o.Replicas > f16Ranks-1 {
+		return fmt.Errorf("-replicas %d out of range [0,%d] for F16's %d-rank world", o.Replicas, f16Ranks-1, f16Ranks)
+	}
+	for _, n := range o.Localities {
+		if n < 1 {
+			return fmt.Errorf("-localities entry %d: a world holds at least 1 locality", n)
+		}
+	}
+	return nil
 }
 
 // sweep returns the address spaces a row-per-mode experiment iterates.

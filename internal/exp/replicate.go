@@ -70,10 +70,14 @@ func f14Replication(o Options) *stats.Table {
 // re-route detours — and its read throughput scales with the replica
 // count, while software AGAS shows the invalidation-storm corrections in
 // the warm-phase detour column.
+// f16Ranks is the replication experiment's world size, which bounds
+// Options.Replicas (Options.Validate).
+const f16Ranks = 8
+
 func f16ReplicatedReads(o Options) *stats.Table {
 	tb := stats.NewTable("Fig. 16: Zipfian 2KiB reads over replicated blocks (measured phase is write-free)",
 		"mode", "replicas", "reads_per_ms", "read_detours", "warm_detours", "stale_reads", "invals", "fills")
-	const ranks = 8
+	const ranks = f16Ranks
 	perRank, warmPerRank, window := 400, 120, 8
 	sweepN := []int{0, 1, 3, 7}
 	if o.Quick {

@@ -1,10 +1,6 @@
 package gas
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // BlockKind distinguishes plain data blocks from LCO control blocks. LCOs
 // live in the global address space too (a parcel can target an LCO's GVA),
@@ -72,43 +68,36 @@ func (b *Block) WriteAt(off uint32, src []byte) error {
 	return nil
 }
 
-// Store is a locality's table of resident blocks.
+// Store is a locality's table of resident blocks. Get is the residency
+// check behind every NIC arrival, route and parcel admission. The store
+// has one writer, the owning locality's execution context, and takes no
+// lock: code outside the rank reaches it through the runtime's doors (a
+// driver's claim, a handler's post), or reads it where the rank stands
+// still. A block's bytes belong to that context too.
 //
-// Get is the residency check behind every NIC arrival, route and parcel
-// admission, and it may run on any goroutine: it reads a lock-free index
-// with atomic loads only — no lock, no read-modify-write, no write to
-// shared memory, no allocation. Insert and Remove are serialized on the
-// store's mutex and keep the map, which stays the authority for them and
-// for Range, Len, ReadAt and WriteAt. A block must be complete before it
-// is inserted: a Get elsewhere may return it the moment Insert publishes
-// it. A block's bytes are not the store's to guard; they belong to the
-// owning locality's one execution context.
+// The store is one open-addressed index over BlockID with linear probing,
+// where key 0 marks an empty slot (block number 0 is never issued).
+// Within one index a slot's key is written once and never given to
+// another id, since block numbers are never reused: Remove clears the
+// block and leaves the key, and a re-insert of the same id (a
+// migrate-back, a replica swapped for its master) refills its own slot.
+// When live and cleared keys would fill half the slots, Insert builds a
+// new index from the live blocks and never writes to the old one again.
 type Store struct {
-	mu     sync.RWMutex
-	blocks map[BlockID]*Block
-	idx    atomic.Pointer[index]
+	idx  *index
+	live int // resident blocks
 }
 
-// index is a Store's read side: open addressing over BlockID with linear
-// probing, where key 0 marks an empty slot (block number 0 is never
-// issued). Within one index a slot's key is written once and never given
-// to another id, since block numbers are never reused: Remove clears the
-// value and leaves the key, and a re-insert of the same id (a migrate-back,
-// a replica swapped for its master) refills its own slot. When live and
-// cleared keys would fill half the slots, the writer builds a new index
-// from the map, publishes it, and never writes to the old one again, so
-// a reader still holding the old one sees a state that existed during
-// its call.
 type index struct {
 	shift uint8  // 32 - log2(len(slots)): Fibonacci hashing keeps the top bits
 	mask  uint32 // len(slots) - 1
-	keys  int    // slots holding a key, live or cleared; writers only
+	keys  int    // slots holding a key, live or cleared
 	slots []slot
 }
 
 type slot struct {
-	key atomic.Uint32
-	blk atomic.Pointer[Block]
+	key uint32
+	blk *Block // nil once removed
 }
 
 // noBlocks is the index of an empty store. It has no room for a key, so
@@ -118,7 +107,7 @@ var noBlocks = &index{shift: 32, slots: make([]slot, 1)}
 // find returns id's slot in ix, or the empty slot that ends its probe.
 func (ix *index) find(id BlockID) (i uint32, found bool) {
 	for i = uint32(id) * 0x9E3779B9 >> ix.shift; ; i = (i + 1) & ix.mask {
-		switch ix.slots[i].key.Load() {
+		switch ix.slots[i].key {
 		case uint32(id):
 			return i, true
 		case 0:
@@ -127,29 +116,33 @@ func (ix *index) find(id BlockID) (i uint32, found bool) {
 	}
 }
 
-// buildIndex returns an index holding every block of m, with at least
-// four slots per block so the next rebuild is as many inserts away as
-// there are blocks.
-func buildIndex(m map[BlockID]*Block) *index {
+// put fills id's empty slot with b.
+func (ix *index) put(b *Block) {
+	i, _ := ix.find(b.ID)
+	ix.slots[i] = slot{key: uint32(b.ID), blk: b}
+	ix.keys++
+}
+
+// rebuilt returns a new index holding ix's n live blocks and b, with at
+// least four slots per block so the next rebuild is as many inserts away
+// as there are blocks.
+func (ix *index) rebuilt(n int, b *Block) *index {
 	bits := uint8(4)
-	for 1<<bits < 4*len(m) {
+	for 1<<bits < 4*(n+1) {
 		bits++
 	}
-	ix := &index{shift: 32 - bits, mask: 1<<bits - 1, keys: len(m), slots: make([]slot, 1<<bits)}
-	for id, b := range m {
-		i, _ := ix.find(id)
-		ix.slots[i].blk.Store(b)
-		ix.slots[i].key.Store(uint32(id))
+	nx := &index{shift: 32 - bits, mask: 1<<bits - 1, slots: make([]slot, 1<<bits)}
+	for _, sl := range ix.slots {
+		if sl.blk != nil {
+			nx.put(sl.blk)
+		}
 	}
-	return ix
+	nx.put(b)
+	return nx
 }
 
 // NewStore returns an empty block store.
-func NewStore() *Store {
-	s := &Store{blocks: make(map[BlockID]*Block)}
-	s.idx.Store(noBlocks)
-	return s
-}
+func NewStore() *Store { return &Store{idx: noBlocks} }
 
 // Insert makes a block resident. It returns an error if the block is
 // already resident: double-insertion indicates a broken migration or
@@ -158,24 +151,19 @@ func (s *Store) Insert(b *Block) error {
 	if b.ID == 0 {
 		return fmt.Errorf("gas: block number 0 is never issued: %w", ErrBadAddress)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blocks[b.ID]; ok {
-		return fmt.Errorf("gas: block %d already resident", b.ID)
-	}
-	s.blocks[b.ID] = b
-	ix := s.idx.Load()
+	ix := s.idx
 	i, found := ix.find(b.ID)
 	switch {
+	case found && ix.slots[i].blk != nil:
+		return fmt.Errorf("gas: block %d already resident", b.ID)
 	case found:
-		ix.slots[i].blk.Store(b)
+		ix.slots[i].blk = b
 	case 2*(ix.keys+1) > len(ix.slots):
-		s.idx.Store(buildIndex(s.blocks))
+		s.idx = ix.rebuilt(s.live, b)
 	default:
-		ix.keys++
-		ix.slots[i].blk.Store(b)
-		ix.slots[i].key.Store(uint32(b.ID))
+		ix.put(b)
 	}
+	s.live++
 	return nil
 }
 
@@ -194,44 +182,35 @@ func (s *Store) Create(id BlockID, bsize uint32) (*Block, error) {
 // Get returns the resident block with the given id, or false if the block
 // is not resident here (it may live on another locality).
 func (s *Store) Get(id BlockID) (*Block, bool) {
-	ix := s.idx.Load()
+	ix := s.idx
 	i, found := ix.find(id)
 	if !found {
 		return nil, false
 	}
-	b := ix.slots[i].blk.Load()
+	b := ix.slots[i].blk
 	return b, b != nil
 }
 
 // Remove evicts a block, returning it so a migration can ship its bytes.
 func (s *Store) Remove(id BlockID) (*Block, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blocks[id]
-	if ok {
-		delete(s.blocks, id)
-		ix := s.idx.Load()
-		i, _ := ix.find(id)
-		ix.slots[i].blk.Store(nil)
+	i, found := s.idx.find(id)
+	b := s.idx.slots[i].blk
+	if !found || b == nil {
+		return nil, false
 	}
-	return b, ok
+	s.idx.slots[i].blk = nil
+	s.live--
+	return b, true
 }
 
 // Len returns the number of resident blocks.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blocks)
-}
+func (s *Store) Len() int { return s.live }
 
-// Range calls fn for every resident block until fn returns false. The
-// store lock is held during the walk; fn must not call back into the
-// store.
+// Range calls fn for every resident block until fn returns false; fn
+// must not call back into the store.
 func (s *Store) Range(fn func(*Block) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, b := range s.blocks {
-		if !fn(b) {
+	for _, sl := range s.idx.slots {
+		if sl.blk != nil && !fn(sl.blk) {
 			return
 		}
 	}
@@ -241,9 +220,7 @@ func (s *Store) Range(fn func(*Block) bool) {
 // returns an error if the block is not resident or the range is out of
 // bounds.
 func (s *Store) ReadAt(id BlockID, off uint32, dst []byte) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.blocks[id]
+	b, ok := s.Get(id)
 	if !ok {
 		return fmt.Errorf("gas: read of non-resident block %d", id)
 	}
@@ -253,9 +230,7 @@ func (s *Store) ReadAt(id BlockID, off uint32, dst []byte) error {
 // WriteAt copies src into the block at the given offset, with the same
 // error contract as ReadAt.
 func (s *Store) WriteAt(id BlockID, off uint32, src []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blocks[id]
+	b, ok := s.Get(id)
 	if !ok {
 		return fmt.Errorf("gas: write to non-resident block %d", id)
 	}

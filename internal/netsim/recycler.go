@@ -6,9 +6,10 @@ import "nmvgas/internal/gas"
 // LIFO lists touched only by the goroutine running that context (a DES
 // engine face, a goroutine-engine rank's token holder), so they take no
 // atomic and no lock. What another context handed out joins the lists of
-// the context that releases it. Each list holds at most RecycleCap, and
-// an empty one falls back to the heap; Give trades spares between
-// contexts. A nil *Recycler is the heap.
+// the context that releases it. Each list holds at most RecycleCap; a
+// pop from an empty one counts in Dried and runs Dry, if set, before it
+// falls back to the heap. Give trades spares between contexts. A nil
+// *Recycler is the heap.
 //
 // Under -tags msgpoison (poison_on.go) Release scribbles the message and
 // PutBuf fills the buffer with 0xEE, and neither keeps it: a touch after
@@ -19,6 +20,11 @@ type Recycler struct {
 	msgs  []*Message
 	small []*[BufSmall]byte
 	large []*[BufLarge]byte
+	// Dry refills the lists from the owner's reserve (a goroutine-engine
+	// rank takes back what its mailbox parked); Dried counts the pops
+	// that found a list empty since the owner last reset it.
+	Dry   func()
+	Dried int
 }
 
 // The wire-buffer classes: a payload of up to BufSmall bytes takes a
@@ -36,6 +42,9 @@ func (r *Recycler) Message() *Message {
 	if r == nil {
 		return new(Message)
 	}
+	if len(r.msgs) == 0 {
+		r.dry()
+	}
 	return pop(&r.msgs)
 }
 
@@ -47,9 +56,23 @@ func (r *Recycler) Buf(n int) ([]byte, bool) {
 	case r == nil || n > BufLarge:
 		return make([]byte, 0, n), false
 	case n <= BufSmall:
+		if len(r.small) == 0 {
+			r.dry()
+		}
 		return pop(&r.small)[:0], true
 	}
+	if len(r.large) == 0 {
+		r.dry()
+	}
 	return pop(&r.large)[:0], true
+}
+
+// dry runs before a pop from an empty list: Dry may refill it.
+func (r *Recycler) dry() {
+	r.Dried++
+	if r.Dry != nil {
+		r.Dry()
+	}
 }
 
 // Release zeroes m and keeps it for this context's next Message; the

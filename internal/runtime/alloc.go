@@ -7,13 +7,13 @@ import (
 )
 
 // Global allocation. Block-number reservation goes through the shared
-// sequence and block creation writes directly into the owning stores:
-// this is a documented setup-phase shortcut (see gas.Sequence) — the
-// paper's evaluation concerns the data path (translation, forwarding,
-// migration), not allocation throughput. Allocation is safe to call
-// before Start and concurrently with running traffic (each block is built
-// complete, then inserted), but the returned layout must be communicated
-// to actions by the caller.
+// sequence and a driver inserts each block into its home's store by
+// claiming the home (World.claim): this is a documented setup-phase
+// shortcut (see gas.Sequence) — the paper's evaluation concerns the data
+// path (translation, forwarding, migration), not allocation throughput.
+// Allocation and Free are driver calls, safe before Start and beside
+// running traffic; the returned layout must be communicated to actions by
+// the caller (actions allocate with Proc.AllocAsync).
 
 // AllocCyclic distributes nblocks blocks of bsize bytes round-robin over
 // all localities, starting at origin.
@@ -56,7 +56,7 @@ func (w *World) alloc(origin int, bsize, nblocks uint32, dist gas.Dist) (gas.Lay
 		home := l.HomeOf(d)
 		blk, err := gas.NewDataBlock(base+gas.BlockID(d), bsize, home)
 		if err == nil {
-			err = w.locs[home].store.Insert(blk)
+			w.claim(home, func() { err = w.locs[home].store.Insert(blk) })
 		}
 		if err != nil {
 			return gas.Layout{}, err
@@ -73,31 +73,41 @@ func (w *World) Free(l gas.Layout) error {
 	for d := uint32(0); d < l.NBlocks; d++ {
 		b := l.Base.Block() + gas.BlockID(d)
 		home := l.HomeOf(d)
-		owner := w.locs[home].space.HomeOwner(b)
-		if !w.freeStep(owner, b, home, w.claim) {
+		owner, held := w.homeOwner(b, home), false
+		w.claim(owner, func() { held = w.locs[owner].freeOwned(b) })
+		if !held {
 			return fmt.Errorf("runtime: free of non-resident block %d (owner %d)", b, owner)
 		}
+		w.sweepFree(b, home, w.claim)
 	}
 	return nil
 }
 
-// freeStep frees block b at its owner, World.Free's and FreeAsync's one
-// per-block step: it takes the replica set, removes the owner's copy, and
-// drops every holder copy and every translation of b, each holder record
-// and each NIC through write. It reports false when the owner does not
-// hold b.
-func (w *World) freeStep(owner int, b gas.BlockID, home int, write rankWrite) bool {
-	if dir := w.locs[owner].space.Directory(); dir != nil {
-		if _, ok := dir.TakeReplicas(b); ok {
-			w.replCount.Add(-1)
-		}
+// homeOwner is a driver's read of b's owner at its home (claimed).
+func (w *World) homeOwner(b gas.BlockID, home int) (owner int) {
+	w.claim(home, func() { owner = w.locs[home].space.HomeOwner(b) })
+	return owner
+}
+
+// freeOwned is the owner's half of freeing b, World.Free's and
+// FreeAsync's both, run as the owner: b's replica set and its copy go.
+// It reports false when b is not resident here.
+func (l *Locality) freeOwned(b gas.BlockID) bool {
+	if _, ok := l.space.Directory().TakeReplicas(b); ok {
+		l.w.replCount.Add(-1)
 	}
-	if _, ok := w.locs[owner].store.Remove(b); !ok {
-		return false
-	}
+	_, ok := l.store.Remove(b)
+	return ok
+}
+
+// sweepFree is the other half: every rank drops its holder copy and
+// record of b and forgets every translation of b, host and NIC, each as
+// that rank through write.
+func (w *World) sweepFree(b gas.BlockID, home int, write rankWrite) {
 	for _, loc := range w.locs {
-		loc.dropReplica(b, write)
-		loc.space.OnFree(b, home, write)
+		write(loc.rank, func() {
+			loc.dropReplica(b)
+			loc.space.OnFree(b, home)
+		})
 	}
-	return true
 }

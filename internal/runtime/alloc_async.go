@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"sync/atomic"
+
 	"nmvgas/internal/gas"
 	"nmvgas/internal/parcel"
 )
@@ -53,8 +55,9 @@ func DecodeLayout(b []byte) gas.Layout {
 // AllocAsync allocates nblocks blocks of bsize bytes with the given
 // distribution, creating the backing storage via parcels to each home.
 // The returned future fires with an EncodeLayout record once every home
-// has installed its blocks. Callable from driver code and (via
-// Ctx.World().Proc(...)) from actions.
+// has installed its blocks. Its LCOs are made by claiming the rank
+// (World.NewFuture), so it is a driver call; on the DES engine, where a
+// claim runs at once, an action may call it too.
 func (p *Proc) AllocAsync(bsize, nblocks uint32, dist gas.Dist) *LCORef {
 	w := p.l.w
 	fut := w.NewFuture(p.l.rank)
@@ -118,10 +121,12 @@ func (p *Proc) FreeAsync(lay gas.Layout) *LCORef {
 	return gate
 }
 
-// freeBlock executes at a block's current owner and runs the free step
-// there (see World.freeStep). Holding the owner's token, it posts each
-// holder record's and NIC's sweep to its rank; the stores and
-// directories are clean when the continuation fires.
+// freeBlock executes at a block's current owner and frees it there (see
+// World.Free). Holding the owner's token, it posts each rank's sweep to
+// that rank, and the last sweep to land posts the continuation back here,
+// so the stores and directories are clean when it fires. On the classic
+// DES engine a post runs at once and the continuation leaves as it did
+// from the action.
 func freeBlock(c *Ctx) {
 	l := c.l
 	b := c.P.Target.Block()
@@ -132,6 +137,16 @@ func freeBlock(c *Ctx) {
 	if blk.Pinned || blk.Kind != gas.KindData {
 		l.w.fail("rank %d: free of pinned/non-data block %d", l.rank, b)
 	}
-	l.w.freeStep(l.rank, b, c.P.Target.Home(), l.post)
-	c.Continue(nil)
+	l.freeOwned(b)
+	act, cont := c.P.CAction, c.P.CTarget
+	var left atomic.Int32 // sweeps still to land, counted on their own ranks
+	left.Store(int32(l.w.cfg.Ranks))
+	l.w.sweepFree(b, c.P.Target.Home(), func(rank int, fn func()) {
+		l.post(rank, func() {
+			fn()
+			if left.Add(-1) == 0 {
+				l.w.post(l.rank, func() { l.continueTo(act, cont, nil) })
+			}
+		})
+	})
 }

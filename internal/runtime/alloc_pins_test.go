@@ -256,3 +256,45 @@ func TestGoEngineParcelAllocationPins(t *testing.T) {
 		t.Errorf("parcel round trip with continuation: %v allocs, want 0", n)
 	}
 }
+
+// TestGoEngineBurstAllocationPins: a goroutine-engine turn that sends a
+// burst of many more than netsim.RecycleKeep parcels takes them from the
+// spares its rank's earlier turns parked (goExec.unpark), which the
+// receiving rank's parked spares refill at each hand-off, not from the
+// heap. It counts with mallocsOver, whose total does not round a few
+// fallbacks per burst down to 0.
+func TestGoEngineBurstAllocationPins(t *testing.T) {
+	const burst, bursts = 128, 20
+	w := testWorld(t, Config{Ranks: 2, Mode: AGASNM, Engine: EngineGo})
+	done := make(chan struct{}, 1)
+	got := 0
+	sink := w.Register("sink", func(c *Ctx) {
+		if got++; got == burst {
+			got = 0
+			done <- struct{}{}
+		}
+	})
+	w.Start()
+	lay, err := w.AllocLocal(1, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, l0, payload := lay.BlockAt(0), w.Locality(0), make([]byte, 16)
+	send := func() {
+		for i := 0; i < burst; i++ {
+			l0.SendParcel(&parcel.Parcel{Action: sink, Target: g, Payload: payload})
+		}
+	}
+	run := func() {
+		w.Proc(0).Run(send)
+		<-done
+	}
+	for i := 0; i < 4; i++ { // let the spares settle
+		run()
+	}
+	n := mallocsOver(bursts, run)
+	t.Logf("%d mallocs over %d bursts of %d parcels", n, bursts, burst)
+	if n > bursts*4 {
+		t.Errorf("%d mallocs over %d bursts of %d parcels, want at most %d", n, bursts, burst, bursts*4)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"nmvgas/internal/gas"
+	"nmvgas/internal/lco"
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/parcel"
 )
@@ -56,6 +57,12 @@ func (c *Ctx) Local(g gas.GVA) []byte {
 	return blk.Data[g.Offset():]
 }
 
+// NewAndGate creates an n-input gate LCO on this locality, installed in
+// the running action's own turn, so the action may hand its address out
+// at once (World.NewAndGate claims the rank, which an action must not).
+// World.FreeLCO frees it, from here or from its OnFire.
+func (c *Ctx) NewAndGate(n int) *LCORef { return c.l.w.newLCO(c.l.rank, lco.NewAndGate(n), inRank) }
+
 // Send routes a fully formed parcel.
 func (c *Ctx) Send(p *parcel.Parcel) { c.l.SendParcel(p) }
 
@@ -77,15 +84,18 @@ func (c *Ctx) CallCC(target gas.GVA, action parcel.ActionID, payload []byte, con
 // A parcel without a continuation *address* has nowhere to deliver to —
 // the result is dropped — even if a continuation action is set. Only the
 // action itself may continue: afterwards P is nil (see Ctx).
-func (c *Ctx) Continue(data []byte) {
-	if c.P.CTarget.IsNull() {
+func (c *Ctx) Continue(data []byte) { c.l.continueTo(c.P.CAction, c.P.CTarget, data) }
+
+// continueTo delivers data to a continuation: act (lco.set when nil) at
+// cont, or nowhere when cont is null.
+func (l *Locality) continueTo(act parcel.ActionID, cont gas.GVA, data []byte) {
+	if cont.IsNull() {
 		return
 	}
-	act := c.P.CAction
 	if act == parcel.NilAction {
 		act = ALCOSet
 	}
-	c.l.SendParcel(&parcel.Parcel{Action: act, Target: c.P.CTarget, Payload: data})
+	l.SendParcel(&parcel.Parcel{Action: act, Target: cont, Payload: data})
 }
 
 // ContinueTo delivers data to an explicit LCO address with lco.set.

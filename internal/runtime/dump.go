@@ -20,25 +20,28 @@ func (w *World) DumpState(out io.Writer) error {
 			dst, queued int
 		}
 		var moves []mv
-		var ops int
+		var blocks, ops, dirs, tombs int
 		w.claim(l.rank, func() {
 			for b, st := range l.moving {
 				moves = append(moves, mv{uint32(b), st.dst, len(st.queued)})
 			}
-			ops = l.ops.n
+			blocks, ops, dirs = l.store.Len(), l.ops.n, l.space.Directory().Len()
+			if t := l.space.Tombstones(); t != nil {
+				tombs = t.Len()
+			}
 		})
 		sort.Slice(moves, func(i, j int) bool { return moves[i].b < moves[j].b })
 
 		fmt.Fprintf(&sb, "locality %d: blocks=%d moving=%d ops_outstanding=%d\n",
-			l.rank, l.store.Len(), len(moves), ops)
+			l.rank, blocks, len(moves), ops)
 		for _, m := range moves {
 			fmt.Fprintf(&sb, "  moving block %d -> rank %d (%d queued)\n", m.b, m.dst, m.queued)
 		}
-		if dir := l.space.Directory(); dir != nil && dir.Len() > 0 {
-			fmt.Fprintf(&sb, "  directory: %d away-from-home entries\n", dir.Len())
+		if dirs > 0 {
+			fmt.Fprintf(&sb, "  directory: %d away-from-home entries\n", dirs)
 		}
-		if tombs := l.space.Tombstones(); tombs != nil && tombs.Len() > 0 {
-			fmt.Fprintf(&sb, "  tombstones: %d\n", tombs.Len())
+		if tombs > 0 {
+			fmt.Fprintf(&sb, "  tombstones: %d\n", tombs)
 		}
 	}
 	w.net.dump(&sb)

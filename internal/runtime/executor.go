@@ -138,7 +138,8 @@ type goExec struct {
 
 	// rec is the rank's Recycler (the token holder's). A turn parks what
 	// it holds above RecycleKeep in spare, under mu, where a sender handing
-	// work here tops its own lists up (post, postRun).
+	// work here tops its own lists up (topUp), and where rec refills when
+	// it runs dry mid-turn (unpark).
 	rec   netsim.Recycler
 	spare netsim.Recycler
 
@@ -149,7 +150,17 @@ func newGoExec() *goExec {
 	e := &goExec{ring: make([]task, 64)}
 	e.cond = sync.NewCond(&e.mu)
 	e.free = sync.NewCond(&e.mu)
+	e.rec.Dry = e.unpark
 	return e
+}
+
+// unpark refills the token holder's dry Recycler from the spares its
+// turns parked, so a turn that sends more than RecycleKeep messages takes
+// them from there rather than the heap.
+func (e *goExec) unpark() {
+	e.mu.Lock()
+	e.spare.Give(&e.rec, 0, netsim.RecycleCap)
+	e.mu.Unlock()
 }
 
 func (e *goExec) start() {
@@ -260,11 +271,11 @@ func (e *goExec) stop() {
 // completion — finding the token free takes it instead: the posting
 // goroutine runs one turn itself (t included, behind whatever was
 // queued). It never waits for the token: a held one means t queues. A
-// poster holding a rank's token tops that rank's Recycler rc up.
+// poster holding a rank's token tops that rank's Recycler rc up (topUp).
 func (e *goExec) post(t task, waited bool, rc *netsim.Recycler) bool {
 	e.mu.Lock()
 	if rc != nil {
-		e.spare.Give(rc, 0, netsim.RecycleKeep)
+		e.topUp(rc, 1)
 	}
 	queued := !e.stopped
 	switch {
@@ -345,21 +356,33 @@ func (e *goExec) drain() {
 	}
 }
 
+// topUp gives a poster's Recycler rc, which handed k messages here, up to
+// RecycleKeep spares per list from what this mailbox parked, and k more
+// if its lists ran dry since the last top-up (a burst). Caller holds e.mu.
+func (e *goExec) topUp(rc *netsim.Recycler, k int) {
+	upTo := netsim.RecycleKeep
+	if rc.Dried > 0 {
+		upTo, rc.Dried = min(netsim.RecycleCap, upTo+k), 0
+	}
+	e.spare.Give(rc, 0, upTo)
+}
+
 // postRun is execMsg, in order and under one lock and wake-up, for each
 // non-waited message of ms bound for rank, clearing its slot (rc as in
 // post).
 func (e *goExec) postRun(ms []*netsim.Message, rank int, rc *netsim.Recycler) {
 	e.mu.Lock()
-	e.spare.Give(rc, 0, netsim.RecycleKeep)
 	e.handoffs++
+	k := 0
 	for i, m := range ms {
 		if m != nil && m.Dst == rank {
 			if !e.stopped {
 				e.push(task{m: m})
 			}
-			ms[i] = nil
+			ms[i], k = nil, k+1
 		}
 	}
+	e.topUp(rc, k)
 	if !e.running {
 		e.cond.Signal()
 	}

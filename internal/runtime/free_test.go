@@ -50,13 +50,13 @@ func TestFreeAfterMigrationSweepsTombstones(t *testing.T) {
 	}
 	b := lay.BlockAt(0).Block()
 	w.MustWait(w.Proc(0).Migrate(lay.BlockAt(0), 2))
-	if _, ok := w.Locality(0).Tombstones().Get(b); !ok {
+	if _, ok := w.Locality(0).space.Tombstones().Get(b); !ok {
 		t.Fatal("no tombstone after migration")
 	}
 	if err := w.Free(lay); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := w.Locality(0).Tombstones().Get(b); ok {
+	if _, ok := w.Locality(0).space.Tombstones().Get(b); ok {
 		t.Fatal("tombstone survived free")
 	}
 }

@@ -21,13 +21,15 @@ import (
 // These tests exist to fail under -race (the CI test job runs the whole
 // package with -race); without it they are cheap smoke tests.
 
-// TestAllocPublishesCompleteBlocks: allocation may run while traffic does,
-// and a store's Get answers on any goroutine without a lock, so a block
-// must be complete before its store makes it visible. One goroutine
-// allocates while another Gets the newest ids on every rank and reads
-// their Home; under -race a Home set after the insert is reported.
+// TestAllocPublishesCompleteBlocks: allocation may run while traffic does.
+// A store has one writer, its rank, so allocation inserts each block by
+// claiming its home, and a reader claims the rank too. One goroutine
+// allocates while another claims every rank and Gets the newest ids,
+// reading their Home; under -race an insert beside the reader's claim,
+// or a Home set after the insert, is reported.
 func TestAllocPublishesCompleteBlocks(t *testing.T) {
-	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM})
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Engine: EngineGo})
+	w.Start()
 	var done atomic.Bool
 	var top atomic.Uint32 // the last block of the newest finished allocation
 	var wg sync.WaitGroup
@@ -37,12 +39,18 @@ func TestAllocPublishesCompleteBlocks(t *testing.T) {
 		for !done.Load() {
 			// The allocation in flight takes the ids just above top.
 			base := gas.BlockID(top.Load())
-			for id := base + 1; id <= base+64; id++ {
-				for r, l := range w.locs {
-					if blk, ok := l.store.Get(id); ok && blk.Home != r {
-						t.Errorf("block %d resident on its home %d reads Home %d", id, r, blk.Home)
-						return
+			for r, l := range w.locs {
+				bad := gas.BlockID(0)
+				w.claim(r, func() {
+					for id := base + 1; id <= base+64; id++ {
+						if blk, ok := l.store.Get(id); ok && blk.Home != r {
+							bad = id
+						}
 					}
+				})
+				if bad != 0 {
+					t.Errorf("block %d resident on its home %d reads another Home", bad, r)
+					return
 				}
 			}
 		}
@@ -299,6 +307,109 @@ func TestLocalityStateClaimedUnderChurn(t *testing.T) {
 	}
 	if owner.Moving(g.Block()) {
 		t.Fatal("the released block is still pinned")
+	}
+}
+
+// TestAGASTablesClaimedUnderChurn: the software AGAS tables (home
+// directory, translation cache, tombstones, replica routes) and the block
+// store have one writer, the rank, and take no lock. On agas-sw and pgas
+// worlds, pollers read every rank's tables through its owner (World.claim,
+// and DumpState's claims) while drivers replicate and unreplicate, read
+// through the replica routes, migrate (agas-sw), Free and FreeAsync
+// replicated blocks, and make and free LCOs both from the driver (claimed)
+// and from an action on the LCO's own rank (Ctx.NewAndGate, freed from the
+// gate's OnFire). Under -race any access off the owner is reported.
+func TestAGASTablesClaimedUnderChurn(t *testing.T) {
+	for _, mode := range []Mode{AGASSW, PGAS} {
+		t.Run(mode.String(), func(t *testing.T) {
+			w := testWorld(t, Config{Ranks: 4, Mode: mode, Engine: EngineGo})
+			var lay gas.Layout
+			ack := w.Register("ack", func(c *Ctx) { c.Continue(nil) })
+			fan := w.Register("fan", func(c *Ctx) {
+				gate, cont, l := c.NewAndGate(3), c.P.CTarget, c.World().Locality(c.Rank())
+				gate.OnFire(func([]byte) {
+					c.World().FreeLCO(gate)
+					l.SendParcel(&parcel.Parcel{Action: ALCOSet, Target: cont})
+				})
+				for i := uint32(0); i < 3; i++ {
+					c.CallCC(lay.BlockAt(i), ack, nil, ALCOSet, gate.G)
+				}
+			})
+			w.Start()
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			lay, err = w.AllocCyclic(0, 64, 8)
+			must(err)
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					must(w.DumpState(io.Discard))
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; !stop.Load(); i++ {
+					l := w.locs[i%4]
+					w.claim(l.rank, func() {
+						l.store.Range(func(*gas.Block) bool { return true })
+						l.space.Directory().Entries()
+						l.space.Directory().ReplicaEntries()
+						if c := l.space.Cache(); c != nil {
+							c.Stats()
+						}
+						if ts := l.space.Tombstones(); ts != nil {
+							ts.Len()
+						}
+						switch sp := l.space.(type) {
+						case *swSpace:
+							sp.routes.Len()
+						case *pgasSpace:
+							sp.routes.Len()
+						}
+					})
+				}
+			}()
+
+			for round := 0; round < 3; round++ {
+				repl, err := w.AllocLocal(round%4, 64, 2)
+				must(err)
+				must(w.ReplicateLive(repl, 2))
+				for r := 0; r < 4; r++ {
+					w.MustWait(w.Proc(r).Get(repl.BlockAt(uint32(r%2)), 8))
+					fut := w.Proc(r).Call(w.LocalityGVA((r+round)%4), fan, nil)
+					w.MustWait(fut)
+					w.FreeLCO(fut)
+				}
+				if w.caps.Migration {
+					w.MustWait(w.Proc(0).Migrate(lay.BlockAt(uint32(round)), (round+2)%4))
+					w.MustWait(w.Proc(1).Migrate(repl.BlockAt(0), (round+1)%4))
+				}
+				w.MustWait(w.Proc(2).Put(repl.BlockAt(1), []byte{byte(round)}))
+				must(w.Unreplicate(repl))
+				must(w.ReplicateLive(repl, 1))
+				w.MustWait(w.Proc(3).FreeAsync(repl))
+
+				tmp, err := w.AllocBlocked(3-round, 64, 4)
+				must(err)
+				must(w.ReplicateLive(tmp, 3))
+				w.MustWait(w.Proc(round).Get(tmp.BlockAt(2), 8))
+				must(w.Free(tmp))
+			}
+			stop.Store(true)
+			wg.Wait()
+			if n := w.ReplicatedBlocks(); n != 0 {
+				t.Fatalf("%d replica sets left after every replicated layout was freed", n)
+			}
+		})
 	}
 }
 

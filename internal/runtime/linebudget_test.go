@@ -125,6 +125,32 @@ func TestEngineChosenOnce(t *testing.T) {
 	}
 }
 
+// TestOneWriterPackages holds the software AGAS tables and the block
+// store to one writer each: every one belongs to a rank, which code
+// outside it reaches through the runtime's doors (a claim, a post), so
+// none takes a lock or an atomic. It fails on "sync." or "atomic." in
+// the non-test files of internal/agas and in internal/gas/store.go.
+func TestOneWriterPackages(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "agas", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, filepath.Join("..", "gas", "store.go"))
+	shared := regexp.MustCompile(`sync\.|atomic\.`)
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, loc := range shared.FindAllIndex(src, -1) {
+			t.Errorf("%s:%d: %q in a one-writer table", name, 1+bytes.Count(src[:loc[0]], []byte("\n")), src[loc[0]:loc[1]])
+		}
+	}
+}
+
 // isEngineRead reports whether e is cfg.Engine, w.cfg.Engine or
 // w.Config().Engine.
 func isEngineRead(e ast.Expr) bool {

@@ -197,21 +197,19 @@ func (l *Locality) Rank() int { return l.rank }
 // World returns the owning world.
 func (l *Locality) World() *World { return l.w }
 
-// Store exposes the block store (driver-side verification and workload
-// setup).
+// Store exposes the block store for driver-side verification. Like the
+// Cache and the Directory it has one writer, the rank, and no lock: a
+// driver reads them where the rank stands still (a DES world between
+// events, a stopped world, a goroutine-engine world whose last writes a
+// Wait has ordered before the read), never beside running traffic.
 func (l *Locality) Store() *gas.Store { return l.store }
 
 // Cache exposes the software translation cache (nil where the strategy
-// has none).
+// has none); see Store.
 func (l *Locality) Cache() *agas.SWCache { return l.space.Cache() }
 
-// Directory exposes the home directory (nil where the strategy has
-// none).
+// Directory exposes the home directory; see Store.
 func (l *Locality) Directory() *agas.Directory { return l.space.Directory() }
-
-// Tombstones exposes the host forwarding tombstones (nil where the
-// strategy has none).
-func (l *Locality) Tombstones() *agas.Tombstones { return l.space.Tombstones() }
 
 // Moving reports whether block b is pinned by an in-flight migration at
 // this locality (drivers use it to time mid-migration experiments). It

@@ -425,12 +425,7 @@ func (mem *membership) recoverDead(d int) {
 			return true
 		})
 		sort.Slice(masters, func(i, j int) bool { return masters[i].ID < masters[j].ID })
-		var owners map[gas.BlockID]int
-		var repls map[gas.BlockID]agas.ReplicaSet
-		if dir := dl.space.Directory(); dir != nil {
-			owners = dir.Entries()
-			repls = dir.ReplicaEntries()
-		}
+		owners, repls := dl.space.Directory().Entries(), dl.space.Directory().ReplicaEntries()
 
 		// Blocks homed here but owned by survivors: their data is safe;
 		// record the overlay route so home-directed traffic redirects.
@@ -449,7 +444,7 @@ func (mem *membership) recoverDead(d int) {
 		}
 
 		// Replica sets mastered by survivors shed the dead holder.
-		mem.shedHolder(d, w.post)
+		mem.shedHolder(d)
 	})
 }
 
@@ -491,7 +486,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 	data := append([]byte(nil), blk.Data...)
 	hl := w.locs[nm]
 	mem.step(hl, func() {
-		hl.dropReplica(b, inRank)
+		hl.dropReplica(b)
 		nb := &gas.Block{ID: b, Kind: gas.KindData, BSize: bsize, Data: data, Home: home}
 		if err := hl.store.Insert(nb); err != nil {
 			w.fail("rank %d: promote replica of block %d: %v", hl.rank, b, err)
@@ -525,39 +520,38 @@ func (mem *membership) loseBlock(blk *gas.Block) {
 	mem.mu.Unlock()
 	mem.lostCount.Add(1)
 	for _, loc := range mem.w.locs {
-		loc.space.OnFree(blk.ID, blk.Home, mem.w.post)
+		mem.w.post(loc.rank, func() { loc.space.OnFree(blk.ID, blk.Home) })
 	}
 }
 
 // shedHolder removes rank d from every replica set mastered by a
-// survivor, reinstalling the surviving read geometry (a set whose only
-// holder died dissolves); write is how the caller reaches each rank.
-func (mem *membership) shedHolder(d int, write rankWrite) {
+// survivor, each survivor reading its own directory and re-homing its
+// sets in a posted recovery step (a set whose only holder died
+// dissolves).
+func (mem *membership) shedHolder(d int) {
 	w := mem.w
 	for r, loc := range w.locs {
 		if r == d || mem.down[r].Load() {
 			continue
 		}
-		dir := loc.space.Directory()
-		if dir == nil {
-			continue
-		}
-		repls := dir.ReplicaEntries()
-		for _, b := range sortedKeys(repls) {
-			rs := repls[b]
-			kept := rs.Holders[:0]
-			shed := false
-			for _, h := range rs.Holders {
-				if h == d {
-					shed = true
-					continue
+		w.post(r, func() {
+			repls := loc.space.Directory().ReplicaEntries()
+			for _, b := range sortedKeys(repls) {
+				rs := repls[b]
+				kept := rs.Holders[:0]
+				shed := false
+				for _, h := range rs.Holders {
+					if h == d {
+						shed = true
+						continue
+					}
+					kept = append(kept, h)
 				}
-				kept = append(kept, h)
+				if shed {
+					w.rehomeReplicas(b, rs.Master, kept, w.post)
+				}
 			}
-			if shed {
-				w.rehomeReplicas(b, rs.Master, kept, write)
-			}
-		}
+		})
 	}
 }
 
@@ -638,7 +632,10 @@ func (w *World) Retire(rank int) error {
 	// Holder copies on the retiring rank dissolve from their sets (the
 	// masters keep serving); sets mastered here travel with the
 	// migrations below.
-	mem.shedHolder(rank, w.claim)
+	mem.shedHolder(rank)
+	if !w.net.await(func() bool { return mem.pending.Load() == 0 }, waitTimeout) {
+		return fmt.Errorf("runtime: Retire(%d): the replica sets never shed it", rank)
+	}
 
 	// Drain: migrate every owned data block out, round-robin over the
 	// survivors.
@@ -647,11 +644,14 @@ func (w *World) Retire(rank int) error {
 		home int
 	}
 	var drain []drainBlk
-	w.locs[rank].store.Range(func(b *gas.Block) bool {
-		if b.Kind == gas.KindData && !b.Pinned && !b.Replica {
-			drain = append(drain, drainBlk{id: b.ID, home: b.Home})
-		}
-		return true
+	rl := w.locs[rank]
+	w.claim(rank, func() {
+		rl.store.Range(func(b *gas.Block) bool {
+			if b.Kind == gas.KindData && !b.Pinned && !b.Replica {
+				drain = append(drain, drainBlk{id: b.ID, home: b.Home})
+			}
+			return true
+		})
 	})
 	sort.Slice(drain, func(i, j int) bool { return drain[i].id < drain[j].id })
 	p := w.Proc(rank)
@@ -672,11 +672,10 @@ func (w *World) Retire(rank int) error {
 	// The rank leaves: its directory knowledge (blocks homed here, now
 	// owned by survivors) becomes the recovery overlay, the link drops,
 	// and the epoch fences every cached route through it.
-	if dir := w.locs[rank].space.Directory(); dir != nil {
-		owners := dir.Entries()
-		for _, b := range sortedKeys(owners) {
-			mem.addRehome(b, owners[b], rank)
-		}
+	var owners map[gas.BlockID]int
+	w.claim(rank, func() { owners = rl.space.Directory().Entries() })
+	for _, b := range sortedKeys(owners) {
+		mem.addRehome(b, owners[b], rank)
 	}
 	mem.mu.Lock()
 	mem.state[rank] = MemberDead
@@ -730,9 +729,7 @@ func (mem *membership) rebirth(l *Locality) {
 	if err := l.store.Insert(w.infraBlock(rank)); err != nil {
 		w.fail("rank %d: rebirth infra block: %v", rank, err)
 	}
-	if dir := l.space.Directory(); dir != nil {
-		dir.Clear()
-	}
+	l.space.Directory().Clear()
 	if c := l.space.Cache(); c != nil {
 		c.Clear()
 	}
@@ -769,20 +766,21 @@ func (mem *membership) rebirth(l *Locality) {
 	}
 
 	// Catch-up sync, part 2: relearn the replica read geometry from the
-	// surviving masters.
+	// surviving masters, each reading its own directory and posting the
+	// routes back here (AwaitMember covers both hops).
 	for r, loc := range w.locs {
 		if r == rank || mem.down[r].Load() {
 			continue
 		}
-		dir := loc.space.Directory()
-		if dir == nil {
-			continue
-		}
-		repls := dir.ReplicaEntries()
-		for _, b := range sortedKeys(repls) {
-			rs := repls[b]
-			l.space.InstallReplicas(b, rs.Master, rs.Holders, inRank)
-		}
+		w.post(r, func() {
+			repls := loc.space.Directory().ReplicaEntries()
+			w.post(rank, func() {
+				for _, b := range sortedKeys(repls) {
+					rs := repls[b]
+					l.space.InstallReplicas(b, rs.Master, rs.Holders)
+				}
+			})
+		})
 	}
 
 	// Back among the living: open the link, bump the epoch, flip state.

@@ -180,10 +180,8 @@ func migrateReq(c *Ctx) {
 	// write can fan out against the half-moved set.
 	var replicated bool
 	var holders []int
-	if dir := l.space.Directory(); dir != nil {
-		if rs, ok := dir.TakeReplicas(b); ok {
-			replicated, holders = true, rs.Holders
-		}
+	if rs, ok := l.space.Directory().TakeReplicas(b); ok {
+		replicated, holders = true, rs.Holders
 	}
 
 	snapshot := append([]byte(nil), blk.Data...)
@@ -239,7 +237,7 @@ func migrateData(c *Ctx) {
 		kept := mp.holders[:0]
 		for _, h := range mp.holders {
 			if h == l.rank {
-				l.dropReplica(b, inRank)
+				l.dropReplica(b)
 				continue
 			}
 			kept = append(kept, h)
@@ -307,15 +305,7 @@ func migrateDone(c *Ctx) {
 		l.routeMsg(qm)
 	}
 	if !mp.cTarget.IsNull() {
-		act := mp.cAction
-		if act == parcel.NilAction {
-			act = ALCOSet
-		}
-		l.SendParcel(&parcel.Parcel{
-			Action:  act,
-			Target:  mp.cTarget,
-			Payload: parcel.PutI64(nil, MigrateOK),
-		})
+		l.continueTo(mp.cAction, mp.cTarget, parcel.PutI64(nil, MigrateOK))
 	}
 	if st.install != nil {
 		// The parked install runs as the rest of this action.

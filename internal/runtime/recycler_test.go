@@ -24,16 +24,27 @@ func retained(r *netsim.Recycler) [3]int {
 // Afterwards each context — rank 0's above all — holds at most
 // netsim.RecycleCap spares per list, read through World.claim (and, for
 // a goroutine-engine mailbox's parked spares, under its lock), on the
-// classic engine, the sharded one and the goroutine engine. Under -race
-// the goroutine engine's run is also the check that each Recycler is
-// touched only by its rank's token holder.
+// classic engine, the sharded one and the goroutine engine. Outside the
+// msgpoison build, which keeps nothing, the DES engines' counts are
+// pinned (held): every list full, but for the small
+// and large buffers of the sharded engine's second and third shards. On
+// the goroutine engine rank 0, which received everything, parks a full
+// reserve of each list. Under -race the goroutine engine's run is also
+// the check that each Recycler is touched only by its rank's token
+// holder.
 func TestRecyclerRetentionAfterBurst(t *testing.T) {
 	const ranks, perRank = 6, 300
+	full, half := [3]int{256, 256, 256}, [3]int{256, 128, 128}
 	for _, tc := range []struct {
 		name   string
 		eng    EngineKind
 		shards int
-	}{{"des", EngineDES, 0}, {"des-sharded", EngineDES, 3}, {"go", EngineGo, 0}} {
+		held   [][3]int // by rank; nil: not pinned
+	}{
+		{"des", EngineDES, 0, [][3]int{full, full, full, full, full, full}},
+		{"des-sharded", EngineDES, 3, [][3]int{full, full, half, half, half, half}},
+		{"go", EngineGo, 0, nil},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := testWorld(t, Config{Ranks: ranks, Mode: AGASNM, Engine: tc.eng, Shards: tc.shards})
 			var ran, acked atomic.Int64
@@ -69,6 +80,9 @@ func TestRecyclerRetentionAfterBurst(t *testing.T) {
 					parked := retained(&e.spare)
 					e.mu.Unlock()
 					lists = append(lists, fmt.Sprint("parked ", parked))
+					if r == 0 && !msgPoison && parked != full {
+						t.Errorf("rank 0 parks %v spares, want %v", parked, full)
+					}
 					for i, n := range parked {
 						if n > netsim.RecycleCap {
 							t.Errorf("rank %d parks %d spares in list %d, cap %d", r, n, i, netsim.RecycleCap)
@@ -79,6 +93,9 @@ func TestRecyclerRetentionAfterBurst(t *testing.T) {
 					if n > netsim.RecycleCap {
 						t.Errorf("rank %d holds %d spares in list %d, cap %d", r, n, i, netsim.RecycleCap)
 					}
+				}
+				if tc.held != nil && !msgPoison && held != tc.held[r] {
+					t.Errorf("rank %d holds %v spares, want %v", r, held, tc.held[r])
 				}
 				t.Logf("rank %d: held %v %v", r, held, lists[1:])
 			}

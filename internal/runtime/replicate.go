@@ -155,11 +155,7 @@ func (l *Locality) replFanOut(b gas.BlockID, nic bool) {
 	if l.w.replCount.Load() == 0 {
 		return
 	}
-	dir := l.space.Directory()
-	if dir == nil {
-		return
-	}
-	rs, ok := dir.Replicas(b)
+	rs, ok := l.space.Directory().Replicas(b)
 	if !ok || len(rs.Holders) == 0 {
 		return
 	}
@@ -294,25 +290,11 @@ func (w *World) ReplicateLive(lay gas.Layout, replicas int) error {
 	plan := make([]set, 0, lay.NBlocks)
 	for d := uint32(0); d < lay.NBlocks; d++ {
 		b := lay.Base.Block() + gas.BlockID(d)
-		home := lay.HomeOf(d)
-		owner := w.locs[home].space.HomeOwner(b)
-		blk, ok := w.locs[owner].store.Get(b)
-		if !ok {
-			return fmt.Errorf("runtime: replicate of non-resident block %d", b)
-		}
-		if blk.Kind != gas.KindData {
-			return fmt.Errorf("runtime: replicate of non-data block %d", b)
-		}
-		if blk.Replica {
-			return fmt.Errorf("runtime: block %d's owner %d holds only a replica", b, owner)
-		}
-		if w.locs[owner].Moving(b) {
-			return fmt.Errorf("runtime: replicate of block %d mid-migration", b)
-		}
-		if dir := w.locs[owner].space.Directory(); dir != nil {
-			if _, already := dir.Replicas(b); already {
-				return fmt.Errorf("runtime: block %d is already replicated", b)
-			}
+		owner := w.homeOwner(b, lay.HomeOf(d))
+		var err error
+		w.claim(owner, func() { err = w.locs[owner].replicable(b) })
+		if err != nil {
+			return err
 		}
 		holders := make([]int, replicas)
 		for i := range holders {
@@ -331,47 +313,68 @@ func (w *World) ReplicateLive(lay gas.Layout, replicas int) error {
 	return nil
 }
 
+// replicable is ReplicateLive's check of b at its owner, run as the
+// owner: a resident, settled master data block with no replica set yet.
+func (l *Locality) replicable(b gas.BlockID) error {
+	blk, ok := l.store.Get(b)
+	switch {
+	case !ok:
+		return fmt.Errorf("runtime: replicate of non-resident block %d", b)
+	case blk.Kind != gas.KindData:
+		return fmt.Errorf("runtime: replicate of non-data block %d", b)
+	case blk.Replica:
+		return fmt.Errorf("runtime: block %d's owner %d holds only a replica", b, l.rank)
+	case l.moveOf(b) != nil:
+		return fmt.Errorf("runtime: replicate of block %d mid-migration", b)
+	}
+	if _, already := l.space.Directory().Replicas(b); already {
+		return fmt.Errorf("runtime: block %d is already replicated", b)
+	}
+	return nil
+}
+
 // installReplicaSet copies the master snapshot to every holder, records
 // the set in the master's owner-side directory, and installs the read
-// routes world-wide, claiming each rank it writes. On error it unwinds
-// its own partial work.
+// routes world-wide, claiming each rank it reads or writes. On error it
+// unwinds its own partial work.
 func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, holders []int) error {
 	ml := w.locs[master]
-	blk, ok := ml.store.Get(b)
-	if !ok {
+	var blk *gas.Block
+	var snap []byte
+	w.claim(master, func() {
+		if got, ok := ml.store.Get(b); ok {
+			blk, snap = got, append([]byte(nil), got.Data...)
+		}
+	})
+	if blk == nil {
 		return fmt.Errorf("runtime: replicate of non-resident block %d", b)
 	}
-	snap := append([]byte(nil), blk.Data...)
+	home := lay.HomeOf(uint32(b - lay.Base.Block()))
 	now := w.net.latNow()
 	for i, h := range holders {
 		hl := w.locs[h]
-		replica := &gas.Block{
-			ID:      b,
-			Kind:    gas.KindData,
-			BSize:   blk.BSize,
-			Data:    append([]byte(nil), snap...),
-			Home:    lay.HomeOf(uint32(b - lay.Base.Block())),
-			Pinned:  true,
-			Replica: true,
-		}
-		if err := hl.store.Insert(replica); err != nil {
-			for _, u := range holders[:i] {
-				w.locs[u].dropReplica(b, w.claim)
-			}
-			return fmt.Errorf("runtime: replicate: %w", err)
-		}
+		replica := &gas.Block{ID: b, Kind: gas.KindData, BSize: blk.BSize,
+			Data: append([]byte(nil), snap...), Home: home, Pinned: true, Replica: true}
+		var err error
 		w.claim(h, func() {
+			if err = hl.store.Insert(replica); err != nil {
+				return
+			}
 			if hl.replicas == nil {
 				hl.replicas = make(map[gas.BlockID]*replHolder)
 			}
-			hl.replicas[b] = &replHolder{master: master, home: replica.Home, expiry: now + leaseNs}
+			hl.replicas[b] = &replHolder{master: master, home: home, expiry: now + leaseNs}
 		})
+		if err != nil {
+			for _, u := range holders[:i] {
+				w.claim(u, func() { w.locs[u].dropReplica(b) })
+			}
+			return fmt.Errorf("runtime: replicate: %w", err)
+		}
 	}
-	if dir := ml.space.Directory(); dir != nil {
-		dir.SetReplicas(b, master, holders)
-	}
+	w.claim(master, func() { ml.space.Directory().SetReplicas(b, master, holders) })
 	for _, loc := range w.locs {
-		loc.space.InstallReplicas(b, master, holders, w.claim)
+		w.claim(loc.rank, func() { loc.space.InstallReplicas(b, master, holders) })
 	}
 	w.replCount.Add(1)
 	return nil
@@ -381,34 +384,31 @@ func (w *World) installReplicaSet(lay gas.Layout, b gas.BlockID, master int, hol
 // unreplicate share it), claiming each rank it writes.
 func (w *World) removeReplicaSet(b gas.BlockID, master int, holders []int) {
 	for _, h := range holders {
-		w.locs[h].dropReplica(b, w.claim)
+		w.claim(h, func() { w.locs[h].dropReplica(b) })
 	}
-	if dir := w.locs[master].space.Directory(); dir != nil {
-		dir.DropReplicas(b)
-	}
+	w.claim(master, func() { w.locs[master].space.Directory().DropReplicas(b) })
 	for _, loc := range w.locs {
-		loc.space.DropReplicas(b, w.claim)
+		w.claim(loc.rank, func() { loc.space.DropReplicas(b) })
 	}
 	w.replCount.Add(-1)
 }
 
 // rehomeReplicas re-anchors b's replica set at its new master after a
-// migration: the destination's directory becomes the owner-side record,
-// every holder learns where writes now live, and all read routes are
-// reinstalled against the new geometry: each holder record and each NIC
-// written through write. A set whose holders migrated away entirely (the
-// destination was the sole holder) dissolves.
+// migration; it runs as the master. The master's directory becomes the
+// owner-side record, every holder learns where writes now live, and all
+// read routes are reinstalled against the new geometry: each holder
+// record and each rank's routes, host or NIC, written through write. A
+// set whose holders migrated away entirely (the destination was the sole
+// holder) dissolves.
 func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int, write rankWrite) {
 	if len(holders) == 0 {
 		for _, loc := range w.locs {
-			loc.space.DropReplicas(b, write)
+			write(loc.rank, func() { loc.space.DropReplicas(b) })
 		}
 		w.replCount.Add(-1)
 		return
 	}
-	if dir := w.locs[master].space.Directory(); dir != nil {
-		dir.SetReplicas(b, master, holders)
-	}
+	w.locs[master].space.Directory().SetReplicas(b, master, holders)
 	for _, h := range holders {
 		hl := w.locs[h]
 		write(h, func() {
@@ -418,19 +418,20 @@ func (w *World) rehomeReplicas(b gas.BlockID, master int, holders []int, write r
 		})
 	}
 	for _, loc := range w.locs {
-		loc.space.DropReplicas(b, write)
-		loc.space.InstallReplicas(b, master, holders, write)
+		write(loc.rank, func() {
+			loc.space.DropReplicas(b)
+			loc.space.InstallReplicas(b, master, holders)
+		})
 	}
 }
 
-// dropReplica removes l's read copy of b, if it holds one, at once (the
-// store takes its own lock), and forgets the holder-side coherence
-// record for b through write.
-func (l *Locality) dropReplica(b gas.BlockID, write rankWrite) {
+// dropReplica removes l's read copy of b, if it holds one, and forgets
+// the holder-side coherence record for b; it runs as l.
+func (l *Locality) dropReplica(b gas.BlockID) {
 	if blk, ok := l.store.Get(b); ok && blk.Replica {
 		l.store.Remove(b)
 	}
-	write(l.rank, func() { delete(l.replicas, b) })
+	delete(l.replicas, b)
 }
 
 // Unreplicate removes lay's replica sets: holders drop their copies and
@@ -439,13 +440,11 @@ func (l *Locality) dropReplica(b gas.BlockID, write rankWrite) {
 func (w *World) Unreplicate(lay gas.Layout) error {
 	for d := uint32(0); d < lay.NBlocks; d++ {
 		b := lay.Base.Block() + gas.BlockID(d)
-		home := lay.HomeOf(d)
-		owner := w.locs[home].space.HomeOwner(b)
-		dir := w.locs[owner].space.Directory()
-		if dir == nil {
-			continue
-		}
-		if rs, ok := dir.Replicas(b); ok {
+		owner := w.homeOwner(b, lay.HomeOf(d))
+		var rs agas.ReplicaSet
+		var ok bool
+		w.claim(owner, func() { rs, ok = w.locs[owner].space.Directory().Replicas(b) })
+		if ok {
 			w.removeReplicaSet(b, owner, rs.Holders)
 		}
 	}

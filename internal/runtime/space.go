@@ -42,8 +42,9 @@ type Caps struct {
 }
 
 // AddressSpace is the per-locality translation strategy. One instance
-// exists per Locality; methods run on that locality's execution context
-// unless noted otherwise. Implementations charge their own simulated
+// exists per Locality; every method runs as that locality's one writer
+// (its own context, or a caller that claimed or posted to it), so its
+// tables take no lock. Implementations charge their own simulated
 // costs (SWLookup, NICUpdate, OSend for host forwards) so the shared
 // protocol code stays cost-model-agnostic.
 type AddressSpace interface {
@@ -94,22 +95,21 @@ type AddressSpace interface {
 	// Must be called on the home locality's space (setup-phase paths:
 	// Free, Replicate).
 	HomeOwner(b gas.BlockID) int
-	// OnFree forgets all translation state for b held at this locality
-	// (home is b's home rank): its host state at once, its NIC's
-	// through write.
-	OnFree(b gas.BlockID, home int, write rankWrite)
+	// OnFree forgets all translation state for b held at this locality,
+	// host and NIC (home is b's home rank).
+	OnFree(b gas.BlockID, home int)
 
 	// InstallReplicas tells this locality that block b now has a
 	// replica set (master plus holder ranks). Each space decides what
 	// its rank needs: the network-managed space installs a NIC read
-	// route on non-holder ranks (through write), the host-translated
-	// spaces install a host-side replica route, holders and the master
-	// need nothing. Called on every locality at ReplicateLive time
-	// (setup-phase) and whenever the set is re-homed.
-	InstallReplicas(b gas.BlockID, master int, holders []int, write rankWrite)
+	// route on non-holder ranks, the host-translated spaces install a
+	// host-side replica route, holders and the master need nothing.
+	// Called on every locality at ReplicateLive time (setup-phase) and
+	// whenever the set is re-homed.
+	InstallReplicas(b gas.BlockID, master int, holders []int)
 	// DropReplicas removes whatever InstallReplicas set up for b at
 	// this locality (Unreplicate, Free).
-	DropReplicas(b gas.BlockID, write rankWrite)
+	DropReplicas(b gas.BlockID)
 	// ReadRoute resolves a read of b in host software: the rank whose
 	// replica should serve it, charged per the mode's translation
 	// story. ok is false when reads should follow ordinary ownership
@@ -117,10 +117,9 @@ type AddressSpace interface {
 	ReadRoute(b gas.BlockID) (target int, ok bool)
 
 	// Directory, Cache, and Tombstones expose the underlying agas
-	// structures where the strategy has them, and nil where it does
-	// not. Drivers and the load balancer use these read-mostly. Every
-	// space with Replication keeps a Directory: it is the owner-side
-	// replica directory even when ownership itself is static.
+	// structures. Every space keeps a Directory: the home directory, and
+	// the owner-side replica directory even when ownership itself is
+	// static. Cache and Tombstones are nil where the strategy has none.
 	Directory() *agas.Directory
 	Cache() *agas.SWCache
 	Tombstones() *agas.Tombstones

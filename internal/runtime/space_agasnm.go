@@ -158,32 +158,29 @@ func (s *nmSpace) HomeOwner(b gas.BlockID) int {
 
 // OnFree also sweeps this rank's NIC, uncharged: free is a setup-phase
 // operation here, not a simulated broadcast.
-func (s *nmSpace) OnFree(b gas.BlockID, home int, write rankWrite) {
+func (s *nmSpace) OnFree(b gas.BlockID, home int) {
 	s.dir.DropReplicas(b)
 	if s.l.rank == home {
 		s.dir.Drop(b)
 	}
-	s.nicVia(write, func(st *netsim.TransState) { st.ClearResident(b) })
+	s.nic(func(st *netsim.TransState) { st.ClearResident(b) })
 }
 
 // InstallReplicas gives a non-holder rank a NIC read route to a nearby
 // replica, so reads of hot blocks resolve in the fabric with zero host
 // detours.
-func (s *nmSpace) InstallReplicas(b gas.BlockID, master int, holders []int, write rankWrite) {
+func (s *nmSpace) InstallReplicas(b gas.BlockID, master int, holders []int) {
 	if t, ok := s.l.w.readTarget(s.l.rank, master, holders); ok {
-		s.nicVia(write, func(st *netsim.TransState) { st.InstallReadRoute(b, t) })
+		s.nic(func(st *netsim.TransState) { st.InstallReadRoute(b, t) })
 	}
 }
 
-func (s *nmSpace) DropReplicas(b gas.BlockID, write rankWrite) {
-	s.nicVia(write, func(st *netsim.TransState) { st.DropReadRoute(b) })
+func (s *nmSpace) DropReplicas(b gas.BlockID) {
+	s.nic(func(st *netsim.TransState) { st.DropReadRoute(b) })
 }
 
-// nicVia writes this rank's NIC state, uncharged, as its caller reaches
-// the rank (see rankWrite).
-func (s *nmSpace) nicVia(write rankWrite, fn func(*netsim.TransState)) {
-	write(s.l.rank, func() { s.l.w.net.State(s.l.rank, fn) })
-}
+// nic writes this rank's NIC state, uncharged.
+func (s *nmSpace) nic(fn func(*netsim.TransState)) { s.l.w.net.State(s.l.rank, fn) }
 
 // ReadRoute is a no-op: read steering happens in the NIC, not in host
 // software.

@@ -185,7 +185,7 @@ func (s *swSpace) HomeOwner(b gas.BlockID) int {
 	return s.dir.Resolve(b, s.l.rank)
 }
 
-func (s *swSpace) OnFree(b gas.BlockID, home int, _ rankWrite) {
+func (s *swSpace) OnFree(b gas.BlockID, home int) {
 	// Tombstones would only mislead future traffic for a reused
 	// address; the home also forgets its directory entry.
 	s.tombs.Drop(b)
@@ -196,13 +196,13 @@ func (s *swSpace) OnFree(b gas.BlockID, home int, _ rankWrite) {
 	}
 }
 
-func (s *swSpace) InstallReplicas(b gas.BlockID, master int, holders []int, _ rankWrite) {
+func (s *swSpace) InstallReplicas(b gas.BlockID, master int, holders []int) {
 	if t, ok := s.l.w.readTarget(s.l.rank, master, holders); ok {
 		s.routes.Set(b, t)
 	}
 }
 
-func (s *swSpace) DropReplicas(b gas.BlockID, _ rankWrite) { s.routes.Drop(b) }
+func (s *swSpace) DropReplicas(b gas.BlockID) { s.routes.Drop(b) }
 
 func (s *swSpace) ReadRoute(b gas.BlockID) (int, bool) {
 	t, ok := s.routes.Get(b)

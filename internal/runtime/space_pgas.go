@@ -88,18 +88,18 @@ func (s *pgasSpace) noMigration(b gas.BlockID) {
 
 func (s *pgasSpace) HomeOwner(gas.BlockID) int { return s.l.rank }
 
-func (s *pgasSpace) OnFree(b gas.BlockID, _ int, _ rankWrite) {
+func (s *pgasSpace) OnFree(b gas.BlockID, _ int) {
 	s.dir.DropReplicas(b)
 	s.routes.Drop(b)
 }
 
-func (s *pgasSpace) InstallReplicas(b gas.BlockID, master int, holders []int, _ rankWrite) {
+func (s *pgasSpace) InstallReplicas(b gas.BlockID, master int, holders []int) {
 	if t, ok := s.l.w.readTarget(s.l.rank, master, holders); ok {
 		s.routes.Set(b, t)
 	}
 }
 
-func (s *pgasSpace) DropReplicas(b gas.BlockID, _ rankWrite) { s.routes.Drop(b) }
+func (s *pgasSpace) DropReplicas(b gas.BlockID) { s.routes.Drop(b) }
 
 func (s *pgasSpace) ReadRoute(b gas.BlockID) (int, bool) {
 	// Static table fill: no per-read charge, mirroring pgas's zero-cost

@@ -149,11 +149,11 @@ type rankWrite func(rank int, fn func())
 func inRank(_ int, fn func()) { fn() }
 
 // claim runs fn as rank's one writer for a driver, the one door by which
-// code outside the rank reads or writes its state (NIC state, counters,
-// reliability windows, migration pins, replica records, heat): it claims
-// the rank (at once on DES), or runs fn directly on a world not started
-// or stopped, whose mailboxes run no claim. A handler never claims: it
-// would wait for itself.
+// code outside the rank reads or writes its state (block store, AGAS
+// tables, NIC state, counters, reliability windows, migration pins,
+// replica records, heat): it claims the rank (at once on DES), or runs
+// fn directly on a world not started or stopped, whose mailboxes run no
+// claim. A handler never claims: it would wait for itself.
 func (w *World) claim(rank int, fn func()) {
 	if !w.started || !w.locs[rank].exec.claim(fn) {
 		fn()
@@ -296,31 +296,41 @@ func (r *LCORef) Value() []byte { return r.obj.Value() }
 // OnFire registers a continuation on the underlying object.
 func (r *LCORef) OnFire(t lco.Trigger) { r.obj.OnFire(t) }
 
-// newLCO installs obj as an addressable LCO block at rank.
-func (w *World) newLCO(rank int, obj lco.LCO) *LCORef {
+// newLCO installs obj as an addressable LCO block at rank through
+// write: a driver's claim (the World constructors) or the rank's own
+// turn (Ctx.NewAndGate). Either way the insert has landed before the
+// address exists anywhere but here, so no message can reach the LCO
+// first (DESIGN §7).
+func (w *World) newLCO(rank int, obj lco.LCO, write rankWrite) *LCORef {
 	id, err := w.seq.Reserve(1)
 	if err != nil {
 		w.fail("LCO allocation: %v", err)
 	}
 	b := &gas.Block{ID: id, Kind: gas.KindLCO, Home: rank, Pinned: true, Ctl: obj}
-	if err := w.locs[rank].store.Insert(b); err != nil {
+	write(rank, func() { err = w.locs[rank].store.Insert(b) })
+	if err != nil {
 		w.fail("LCO install: %v", err)
 	}
 	return &LCORef{G: gas.New(rank, id, 0), obj: obj}
 }
 
-// NewFuture creates a single-assignment LCO at rank.
-func (w *World) NewFuture(rank int) *LCORef { return w.newLCO(rank, lco.NewFuture()) }
+// NewFuture creates a single-assignment LCO at rank. The World
+// constructors are for drivers: each claims the rank (World.claim), so
+// an action makes its LCOs with Ctx.NewAndGate instead.
+func (w *World) NewFuture(rank int) *LCORef { return w.newLCO(rank, lco.NewFuture(), w.claim) }
 
 // NewAndGate creates an n-input gate LCO at rank.
-func (w *World) NewAndGate(rank, n int) *LCORef { return w.newLCO(rank, lco.NewAndGate(n)) }
+func (w *World) NewAndGate(rank, n int) *LCORef { return w.newLCO(rank, lco.NewAndGate(n), w.claim) }
 
 // NewReduce creates an n-input reduction LCO at rank.
 func (w *World) NewReduce(rank, n int, c lco.Combiner) *LCORef {
-	return w.newLCO(rank, lco.NewReduce(n, c))
+	return w.newLCO(rank, lco.NewReduce(n, c), w.claim)
 }
 
-// FreeLCO removes an LCO block.
+// FreeLCO removes an LCO block. It never waits: the removal is handed to
+// the rank's mailbox (at once on DES), behind whatever the rank still has
+// queued, so a driver and an action on the LCO's rank may both call it.
 func (w *World) FreeLCO(ref *LCORef) {
-	w.locs[ref.G.Home()].store.Remove(ref.G.Block())
+	l := w.locs[ref.G.Home()]
+	l.exec.hand(func() { l.store.Remove(ref.G.Block()) })
 }

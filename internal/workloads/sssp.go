@@ -103,7 +103,7 @@ func (s *SSSP) onRelax(c *runtime.Ctx) {
 	// Dijkstra–Scholten: ack our sender only when every child subtree
 	// has acked into this local gate.
 	w := c.World()
-	gate := w.NewAndGate(c.Rank(), len(outs))
+	gate := c.NewAndGate(len(outs))
 	ackA, ackT := c.P.CAction, c.P.CTarget
 	l := c.World().Locality(c.Rank())
 	gate.OnFire(func([]byte) {
