@@ -60,12 +60,7 @@ func blocksByHeat(w *runtime.World, lay gas.Layout, heat map[gas.BlockID]uint64)
 	for d := uint32(0); d < lay.NBlocks; d++ {
 		g := lay.BlockAt(d)
 		b := g.Block()
-		home := lay.HomeOf(d)
-		owner := home
-		if dir := w.Locality(home).Directory(); dir != nil {
-			owner = dir.Resolve(b, home)
-		}
-		blocks = append(blocks, blockLoad{d: d, gva: g, heat: heat[b], owner: owner})
+		blocks = append(blocks, blockLoad{d: d, gva: g, heat: heat[b], owner: w.Owner(b, lay.HomeOf(d))})
 	}
 	sort.Slice(blocks, func(i, j int) bool {
 		if blocks[i].heat != blocks[j].heat {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/runtime"
@@ -108,6 +109,12 @@ type Policy struct {
 	repl map[gas.BlockID]bool
 	st   PolicyStats
 	last Report
+
+	// moved and failed count StepAsync's completions outside mu: on the
+	// goroutine engine a completion can run inside a claim that plan
+	// makes while holding mu (a claim runs the rank's queued work), where
+	// taking mu would wait for itself.
+	moved, failed atomic.Int64
 }
 
 // NewPolicy validates the world against the config: heat tracking must
@@ -138,7 +145,10 @@ func NewPolicy(w *runtime.World, cfg PolicyConfig) (*Policy, error) {
 func (p *Policy) Stats() PolicyStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.st
+	st := p.st
+	st.Moves += p.moved.Load()
+	st.MoveFailures += p.failed.Load()
+	return st
 }
 
 // LastReport returns the most recent epoch's report (zero before the
@@ -196,13 +206,11 @@ func (p *Policy) StepAsync() (Report, error) {
 	rep, moves, errs := p.plan()
 	for _, fut := range Apply(p.w, p.cfg.From, moves) {
 		fut.OnFire(func(v []byte) {
-			p.mu.Lock()
 			if runtime.MigrateStatus(v) == runtime.MigrateOK {
-				p.st.Moves++
+				p.moved.Add(1)
 			} else {
-				p.st.MoveFailures++
+				p.failed.Add(1)
 			}
-			p.mu.Unlock()
 		})
 	}
 	rep.Moves = len(moves)
@@ -384,11 +392,7 @@ func (p *Policy) tickCooldowns() {
 // owner resolves block d's current master through the home's directory.
 func (p *Policy) owner(d uint32) int {
 	lay := p.cfg.Layout
-	home := lay.HomeOf(d)
-	if dir := p.w.Locality(home).Directory(); dir != nil {
-		return dir.Resolve(lay.BlockAt(d).Block(), home)
-	}
-	return home
+	return p.w.Owner(lay.BlockAt(d).Block(), lay.HomeOf(d))
 }
 
 func (p *Policy) teardown(lay gas.Layout, d uint32, rep *Report, errs *[]error) {

@@ -1,7 +1,9 @@
 package loadbal
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"nmvgas/internal/netsim"
 	"nmvgas/internal/runtime"
@@ -290,5 +292,69 @@ func TestPolicyPulseDriven(t *testing.T) {
 	}
 	if st := p.Stats(); st.Epochs == 0 {
 		t.Fatalf("no pulse epoch recorded: %+v", st)
+	}
+}
+
+// TestPolicyPulseOnGoEngineUnderMigrations attaches the policy to the
+// pulse of a goroutine-engine world, where each tick runs in world
+// context, beside drivers that heat the managed blocks and migrate them
+// between ranks. Every owner lookup the policy makes reads another
+// rank's directory, which its home's migrations write, so it must go
+// through the home's token (World.Owner): under -race a direct read is a
+// reported race.
+func TestPolicyPulseOnGoEngineUnderMigrations(t *testing.T) {
+	for _, mode := range []runtime.Mode{runtime.AGASNM, runtime.AGASSW} {
+		t.Run(mode.String(), func(t *testing.T) {
+			w, err := runtime.NewWorld(runtime.Config{
+				Ranks: 4, Mode: mode, Engine: runtime.EngineGo,
+				Heat: runtime.HeatConfig{Enabled: true},
+				// 10 µs simulated × the goroutine engine's time scale: a
+				// tick every 100 µs of wall time.
+				Pulse: runtime.PulseConfig{Enabled: true, Period: 10 * netsim.Microsecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Stop)
+			w.Start()
+			lay, err := w.AllocLocal(0, 64, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPolicy(w, PolicyConfig{Layout: lay, MinSamples: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.AttachPulse(1)
+			deadline := time.Now().Add(200 * time.Millisecond)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { // blocks hop between ranks
+				defer wg.Done()
+				for i := 0; time.Now().Before(deadline); i++ {
+					if _, err := w.Wait(w.Proc(1).Migrate(lay.BlockAt(uint32(i)%lay.NBlocks), i%4)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			go func() { // rank 2's traffic heats them
+				defer wg.Done()
+				for i := 0; time.Now().Before(deadline); i++ {
+					if _, err := w.Wait(w.Proc(2).Put(lay.BlockAt(uint32(i)%lay.NBlocks), []byte{1})); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			acted := func() bool { st := p.Stats(); return st.Epochs > st.IdleEpochs }
+			for start := time.Now(); !acted() && time.Since(start) < 5*time.Second; {
+				time.Sleep(time.Millisecond)
+			}
+			if !acted() {
+				t.Fatalf("the pulse never ran an epoch that looked up owners: %+v", p.Stats())
+			}
+		})
 	}
 }

@@ -43,11 +43,11 @@ func (c *NICCore) Address(m *Message) (gva bool) {
 }
 
 // Gate is the send gate m passes on its way to one of ranks NICs: the
-// liveness fence, the counter its verdict names, and the NACK that takes
-// m's place, fenced in turn; what passes is counted sent. It returns m,
-// that NACK, or nil, or an error for a destination that is no rank; the
-// port decides how to fail on it.
-func (c *NICCore) Gate(p Port, lv Liveness, m *Message, ranks int) (*Message, error) {
+// liveness fence against c.Live, the counter its verdict names, and the
+// NACK that takes m's place, fenced in turn; what passes is counted sent.
+// It returns m, that NACK, or nil, or an error for a destination that is
+// no rank; the port decides how to fail on it.
+func (c *NICCore) Gate(p Port, m *Message, ranks int) (*Message, error) {
 	for {
 		if m.Dst == ByGVA {
 			return nil, fmt.Errorf("netsim: ByGVA send from rank %d, whose NIC does not route by GVA", c.Rank)
@@ -55,7 +55,7 @@ func (c *NICCore) Gate(p Port, lv Liveness, m *Message, ranks int) (*Message, er
 		if m.Dst < 0 || m.Dst >= ranks {
 			return nil, fmt.Errorf("netsim: send to bad rank %d", m.Dst)
 		}
-		v := c.Fence(lv, m)
+		v := c.Fence(c.Live, m)
 		if v.Act == ActPass {
 			c.Stats[CntSent]++
 			c.Stats[CntBytesTx] += uint64(m.WireSize())
@@ -88,12 +88,12 @@ func (fi *FaultInjector) Inject(rc *Recycler, m *Message, at VTime, land func(*M
 	land(m, at)
 }
 
-// Receive handles a wire arrival: Classify, the soft-error draw on the
-// table, Misroute, the arrival's and the verdict's counters, then the
-// verdict acted out on the port. arrived reports whether m came off the
-// link rather than vanishing at a down one.
-func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (arrived bool) {
-	v := c.Classify(lv, m)
+// Receive handles a wire arrival: Classify (against c.Live), the
+// soft-error draw on the table, Misroute, the arrival's and the verdict's
+// counters, then the verdict acted out on the port. arrived reports
+// whether m came off the link rather than vanishing at a down one.
+func (c *NICCore) Receive(p Port, fi *FaultInjector, m *Message) (arrived bool) {
+	v := c.Classify(c.Live, m)
 	if arrived = v.Act != ActDrop; arrived {
 		c.Stats[CntReceived]++
 		c.Stats[CntBytesRx] += uint64(m.WireSize())
@@ -103,7 +103,7 @@ func (c *NICCore) Receive(p Port, lv Liveness, fi *FaultInjector, m *Message) (a
 			fi.MaybeLoseEntry(p.Trans().Table)
 		}
 		if v.Act == ActMisroute {
-			v = c.Misroute(p.Trans(), lv, m)
+			v = c.Misroute(p.Trans(), c.Live, m)
 		}
 	}
 	if v.Count != CntNone {

@@ -29,7 +29,7 @@ func TestDESPortReceiveAllocatesNothing(t *testing.T) {
 	moved.Src = 0
 	arrive := func(rank int, m *Message) {
 		n := h.fab.NIC(rank)
-		n.Receive(n, nil, nil, m)
+		n.Receive(n, nil, m)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		arrive(1, host)

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"nmvgas/internal/gas"
@@ -29,11 +28,7 @@ func newRecPort(c *NICCore) *recPort { return &recPort{TransState: NewTransState
 
 // epochAt returns a membership epoch counter standing at e, for a table
 // to trust.
-func epochAt(e uint64) *atomic.Uint64 {
-	var c atomic.Uint64
-	c.Store(e)
-	return &c
-}
+func epochAt(e uint64) *uint64 { return &e }
 
 func (p *recPort) Transmit(m *Message) {
 	p.calls = append(p.calls, "transmit "+describe(m))
@@ -162,7 +157,8 @@ func TestDriverReceive(t *testing.T) {
 			if tc.lv == nil { // what came off the link is counted too
 				want[CntReceived], want[CntBytesRx] = 1, uint64(tc.m.WireSize())
 			}
-			if arrived := c.Receive(p, tc.lv, nil, tc.m); arrived != (tc.lv == nil) {
+			c.Live = tc.lv
+			if arrived := c.Receive(p, nil, tc.m); arrived != (tc.lv == nil) {
 				t.Fatalf("arrived = %v", arrived)
 			}
 			if !reflect.DeepEqual(p.calls, tc.calls) {
@@ -185,7 +181,7 @@ func TestDriverReceive(t *testing.T) {
 }
 
 // TestApplyTableDropsPushBelowSharedEpoch: two NICs trust one membership
-// epoch. A push one of them stamped before the epoch advanced is dropped
+// epoch counter. A push one of them stamped before the epoch advanced is dropped
 // at the other and counted; one stamped after is applied.
 func TestApplyTableDropsPushBelowSharedEpoch(t *testing.T) {
 	epoch := epochAt(3)
@@ -194,7 +190,7 @@ func TestApplyTableDropsPushBelowSharedEpoch(t *testing.T) {
 	from.Table.TrustEpoch(epoch)
 	to.Table.TrustEpoch(epoch)
 	stale := c.Control(CtlTableUpdate, msgFor(1, 50), 3, from.Table.Epoch())
-	epoch.Add(1)
+	*epoch++
 	at.ApplyTable(to, stale)
 	if _, ok := peek(to.Table, 50); ok || at.Stats[CntStaleEpochDrops] != 1 {
 		t.Fatalf("push stamped at 3 under epoch 4: applied=%v, %d stale drops; want dropped and 1", ok, at.Stats[CntStaleEpochDrops])
@@ -210,12 +206,12 @@ func TestDriverReceiveDrawsSoftErrors(t *testing.T) {
 	p := newRecPort(c)
 	p.Table.Update(60, 3)
 	fi := NewFaultInjector(FaultPlan{TableLoss: 1, Seed: 1})
-	c.Receive(p, nil, fi, msgFor(2, 10))
+	c.Receive(p, fi, msgFor(2, 10))
 	if p.Table.Len() != 0 || fi.Snapshot().TableEntriesLost != 1 {
 		t.Fatalf("table holds %d entries after a certain soft error, lost %d", p.Table.Len(), fi.Snapshot().TableEntriesLost)
 	}
 	p.Table.Update(60, 3)
-	c.Receive(p, nil, fi, &Message{Ctl: CtlTableUpdate, Src: 7, Block: 61, Owner: 4, Wire: 16})
+	c.Receive(p, fi, &Message{Ctl: CtlTableUpdate, Src: 7, Block: 61, Owner: 4, Wire: 16})
 	if p.Table.Len() != 2 {
 		t.Fatal("a control arrival drew a soft error")
 	}
@@ -244,7 +240,8 @@ func TestDriverSendGate(t *testing.T) {
 			p := newRecPort(c)
 			m := msgFor(1, 50)
 			m.Dst = tc.dst
-			g, err := c.Gate(p, tc.lv, m, 8)
+			c.Live = tc.lv
+			g, err := c.Gate(p, m, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +267,7 @@ func TestDriverSendGate(t *testing.T) {
 			}
 		})
 	}
-	if _, err := coreAt(2, true, Policy{}).Gate(newRecPort(nil), nil, &Message{Dst: 8}, 8); err == nil {
+	if _, err := coreAt(2, true, Policy{}).Gate(newRecPort(nil), &Message{Dst: 8}, 8); err == nil {
 		t.Fatal("a send to rank 8 of 8 passed the gate")
 	}
 }
@@ -287,7 +284,7 @@ func TestDriverAddress(t *testing.T) {
 	if dumb.Address(m) {
 		t.Fatal("ByGVA on a dumb NIC sent to translation")
 	}
-	if _, err := dumb.Gate(newRecPort(dumb), nil, m, 8); err == nil {
+	if _, err := dumb.Gate(newRecPort(dumb), m, 8); err == nil {
 		t.Fatal("ByGVA on a dumb NIC passed the gate")
 	}
 }
@@ -332,7 +329,8 @@ func checkDriverReceive(t testing.TB, c *NICCore, p *recPort, lv Liveness, m *Me
 		forwards++
 	}
 	down := lv != nil && lv.Down(c.Rank)
-	if arrived := c.Receive(p, lv, nil, m); arrived == down {
+	c.Live = lv
+	if arrived := c.Receive(p, nil, m); arrived == down {
 		t.Fatalf("arrived = %v at a NIC whose link is down: %v", arrived, down)
 	}
 	if down {

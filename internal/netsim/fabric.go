@@ -26,11 +26,12 @@ type FabricConfig struct {
 	Faults FaultPlan
 }
 
-// Liveness lets the runtime's membership layer tell the fabric which
-// localities are reachable. Down is the ground truth at the fabric
-// boundary (the link is dead, whether or not anyone has noticed);
-// DeadHint is the runtime's declared belief, which upgrades silent loss
-// into a clean NACK-with-hint. Nil means every locality is up forever.
+// Liveness lets the runtime's membership layer tell a NIC which
+// localities are reachable (NICCore.Live, each NIC its own rank's view).
+// Down is the ground truth at the fabric boundary (the link is dead,
+// whether or not anyone has noticed); DeadHint is the runtime's declared
+// belief, which upgrades silent loss into a clean NACK-with-hint. Nil
+// means every locality is up forever.
 type Liveness interface {
 	// Down reports whether rank's link is down (crashed, possibly not
 	// yet declared dead). Traffic to or from a down rank is swallowed.
@@ -54,8 +55,6 @@ type Fabric struct {
 	NICs  []*NIC
 	// Faults is nil on a perfect fabric.
 	Faults *FaultInjector
-	// Live is nil until the runtime arms membership.
-	Live Liveness
 }
 
 // NewFabric builds a fabric with cfg.Ranks NICs on the given engine.

@@ -47,7 +47,7 @@ func (n *NIC) Send(m *Message) {
 // destination NIC through the fault stream; the receiving rx link then
 // serializes the bytes, which is what makes incast visible.
 func (n *NIC) transmit(m *Message, extra VTime) {
-	g, err := n.Gate(n, n.fab.Live, m, len(n.fab.NICs))
+	g, err := n.Gate(n, m, len(n.fab.NICs))
 	if err != nil {
 		panic(err)
 	}
@@ -113,7 +113,7 @@ func (n *NIC) HandleMsg(op uint8, m *Message) {
 		}
 		fallthrough
 	case opRxReady:
-		n.Receive(n, n.fab.Live, n.fi, m)
+		n.Receive(n, n.fi, m)
 	case opTableApply:
 		n.ApplyTable(n, m)
 	case opDMADone:

@@ -272,6 +272,9 @@ type NICCore struct {
 	// be rewritten to owner) at no cost — a tracing hook, not a
 	// participant.
 	OnForward func(m *Message, owner int)
+	// Live is the membership view this NIC fences against, its own rank's
+	// (nil while every locality is up), with the NIC's one writer.
+	Live Liveness
 
 	// Stats is written only by the driver, on the NIC's one writer; a
 	// reader outside it claims the rank first.

@@ -3,7 +3,6 @@ package netsim
 import (
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"nmvgas/internal/gas"
@@ -41,7 +40,7 @@ var transBlocks = []gas.BlockID{0, 1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 23
 type transModel struct {
 	t     *testing.T
 	st    TransState
-	epoch atomic.Uint64
+	epoch uint64
 
 	cap           int
 	routes, reads map[gas.BlockID]int
@@ -72,7 +71,7 @@ func (m *transModel) uncache(b gas.BlockID) {
 
 func (m *transModel) lookup(b gas.BlockID) (int, bool) {
 	o, ok := m.owner[b]
-	if ok && m.at[b] < m.epoch.Load() {
+	if ok && m.at[b] < m.epoch {
 		m.uncache(b)
 		ok = false
 	}
@@ -82,13 +81,13 @@ func (m *transModel) lookup(b gas.BlockID) (int, bool) {
 	}
 	m.hits++
 	m.uncache(b)
-	m.owner[b], m.at[b], m.lru = o, m.epoch.Load(), append([]gas.BlockID{b}, m.lru...)
+	m.owner[b], m.at[b], m.lru = o, m.epoch, append([]gas.BlockID{b}, m.lru...)
 	return o, true
 }
 
 func (m *transModel) peek(b gas.BlockID) (int, bool) {
 	o, ok := m.owner[b]
-	if !ok || m.at[b] < m.epoch.Load() {
+	if !ok || m.at[b] < m.epoch {
 		return 0, false
 	}
 	return o, true
@@ -102,7 +101,7 @@ func (m *transModel) update(b gas.BlockID, o int) {
 		m.uncache(m.lru[len(m.lru)-1])
 		m.evictions++
 	}
-	m.owner[b], m.at[b], m.lru = o, m.epoch.Load(), append([]gas.BlockID{b}, m.lru...)
+	m.owner[b], m.at[b], m.lru = o, m.epoch, append([]gas.BlockID{b}, m.lru...)
 }
 
 func (m *transModel) run(prog []byte) {
@@ -149,7 +148,7 @@ func (m *transModel) run(prog []byte) {
 				m.uncache(got)
 			}
 		case 9:
-			m.epoch.Add(1)
+			m.epoch++
 		case 10:
 			st.Reset()
 			m.reset()

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"sync/atomic"
-
-	"nmvgas/internal/gas"
-)
+import "nmvgas/internal/gas"
 
 // TransTable is a block → owner translation table with optional capacity
 // bounding and LRU replacement. It models the NIC-resident table of the
@@ -31,13 +27,13 @@ type TransTable struct {
 	n    int // cached entries: slots on the LRU list
 
 	// epoch is the membership epoch the table trusts, a counter it only
-	// reads (TrustEpoch). Entries installed under an older epoch are
-	// fenced: Lookup treats them as missing and evicts them lazily, so a
-	// membership change (death, retire, join) invalidates every cached
-	// translation in O(1) without walking the table — the stale entry
-	// NACKs at the authoritative side instead of routing traffic to a
-	// corpse.
-	epoch *atomic.Uint64
+	// reads (TrustEpoch) and the table's own writer advances. Entries
+	// installed under an older epoch are fenced: Lookup treats them as
+	// missing and evicts them lazily, so a membership change (death,
+	// retire, join) invalidates every cached translation in O(1) without
+	// walking the table — the stale entry NACKs at the authoritative side
+	// instead of routing traffic to a corpse.
+	epoch *uint64
 
 	hits, misses, evictions, updates uint64
 }
@@ -64,12 +60,12 @@ func NewTransTable(capacity int) *TransTable {
 
 // noEpoch is what a table trusts until TrustEpoch: a counter nobody
 // advances, so nothing it installs is ever fenced.
-var noEpoch atomic.Uint64
+var noEpoch uint64
 
-// TrustEpoch makes the table trust e, which only e's owner advances:
-// tables trusting one counter are all fenced by one advance. Reset keeps
-// the trust.
-func (t *TransTable) TrustEpoch(e *atomic.Uint64) { t.epoch = e }
+// TrustEpoch makes the table trust e, a plain counter the table's own
+// writer advances (a runtime rank's membership view): one advance fences
+// every entry installed before it. Reset keeps the trust.
+func (t *TransTable) TrustEpoch(e *uint64) { t.epoch = e }
 
 // cached reports whether slot i holds a table entry.
 func (t *TransTable) cached(i int32) bool { return i != 0 && t.ents[i].prev >= 0 }
@@ -138,7 +134,7 @@ func (t *TransTable) Lookup(block gas.BlockID) (owner int, ok bool) {
 
 // lookupAt is Lookup of the block at cell c and slot i.
 func (t *TransTable) lookupAt(c uint32, i int32) (int, bool) {
-	if t.cached(i) && t.ents[i].epoch < t.epoch.Load() {
+	if t.cached(i) && t.ents[i].epoch < *t.epoch {
 		t.uncache(c, i) // fenced: evicted, and a miss
 	}
 	if !t.cached(i) {
@@ -154,7 +150,7 @@ func (t *TransTable) lookupAt(c uint32, i int32) (int, bool) {
 // peekAt is Lookup of slot i without touching the LRU order or the
 // hit/miss counters. A fenced entry reads as missing but is not evicted.
 func (t *TransTable) peekAt(i int32) (int, bool) {
-	if !t.cached(i) || t.ents[i].epoch < t.epoch.Load() {
+	if !t.cached(i) || t.ents[i].epoch < *t.epoch {
 		return 0, false
 	}
 	return int(t.ents[i].owner), true
@@ -164,7 +160,7 @@ func (t *TransTable) peekAt(i int32) (int, bool) {
 // epoch, evicting the least recently used entry if the table is full.
 func (t *TransTable) Update(block gas.BlockID, owner int) {
 	t.updates++
-	epoch := t.epoch.Load()
+	epoch := *t.epoch
 	c, i := t.ix.find(block)
 	if t.cached(i) {
 		t.unlink(i)
@@ -186,7 +182,7 @@ func (t *TransTable) Update(block gas.BlockID, owner int) {
 }
 
 // Epoch returns the membership epoch the table currently trusts.
-func (t *TransTable) Epoch() uint64 { return t.epoch.Load() }
+func (t *TransTable) Epoch() uint64 { return *t.epoch }
 
 // Invalidate removes block's entry if present, reporting whether it was.
 func (t *TransTable) Invalidate(block gas.BlockID) bool {

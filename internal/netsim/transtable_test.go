@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -30,13 +29,13 @@ func TestTransTableBasic(t *testing.T) {
 // fenced by one advance of it, Reset keeps the trust, and a table that
 // trusts no counter fences nothing.
 func TestTransTablesTrustOneEpoch(t *testing.T) {
-	var epoch atomic.Uint64
+	var epoch uint64
 	a, b := NewTransTable(0), NewTransTable(4)
 	a.TrustEpoch(&epoch)
 	b.TrustEpoch(&epoch)
 	a.Update(1, 2)
 	b.Update(1, 3)
-	epoch.Add(1)
+	epoch++
 	for i, tt := range []*TransTable{a, b} {
 		if tt.Epoch() != 1 {
 			t.Fatalf("table %d trusts epoch %d after the advance, want 1", i, tt.Epoch())
@@ -55,14 +54,14 @@ func TestTransTablesTrustOneEpoch(t *testing.T) {
 	if o, ok := peek(b, 3); !ok || o != 1 {
 		t.Fatalf("entry installed after Reset: %d,%v", o, ok)
 	}
-	epoch.Add(1)
+	epoch++
 	if _, ok := peek(b, 3); ok || b.Epoch() != 2 {
 		t.Fatalf("Reset dropped the table's trust: it reads epoch %d", b.Epoch())
 	}
 
 	c := NewTransTable(0)
 	c.Update(1, 2)
-	epoch.Add(1)
+	epoch++
 	if o, ok := c.Lookup(1); !ok || o != 2 || c.Epoch() != 0 {
 		t.Fatalf("a table trusting no counter was fenced: %d,%v at epoch %d", o, ok, c.Epoch())
 	}

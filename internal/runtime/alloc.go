@@ -73,7 +73,7 @@ func (w *World) Free(l gas.Layout) error {
 	for d := uint32(0); d < l.NBlocks; d++ {
 		b := l.Base.Block() + gas.BlockID(d)
 		home := l.HomeOf(d)
-		owner, held := w.homeOwner(b, home), false
+		owner, held := w.Owner(b, home), false
 		w.claim(owner, func() { held = w.locs[owner].freeOwned(b) })
 		if !held {
 			return fmt.Errorf("runtime: free of non-resident block %d (owner %d)", b, owner)
@@ -83,8 +83,10 @@ func (w *World) Free(l gas.Layout) error {
 	return nil
 }
 
-// homeOwner is a driver's read of b's owner at its home (claimed).
-func (w *World) homeOwner(b gas.BlockID, home int) (owner int) {
+// Owner returns b's current owner as its home's directory knows it,
+// read through a claim of the home: a driver's door to another rank's
+// directory (allocation, replication, internal/loadbal's policy).
+func (w *World) Owner(b gas.BlockID, home int) (owner int) {
 	w.claim(home, func() { owner = w.locs[home].space.HomeOwner(b) })
 	return owner
 }

@@ -5,8 +5,10 @@
 package runtime
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -82,10 +84,12 @@ func TestBubbleNoTimerRunsAfterStop(t *testing.T) {
 
 // TestBubbleMembershipTrials runs the */go rows of
 // TestKillPromotesReplicaAndServes and TestJoinReadmitsAndServes
-// -trials times each and reports the failures per row. The known
-// dead-owner flake (a dead rank's NACKs use up an op's bounces before
-// the replica promotion lands) fails about one trial in a hundred; more
-// than one in ten fails the row.
+// -trials times each and reports the failures per row, by kind: a wait
+// that timed out (the known dead-owner flake: a dead rank's NACKs use up
+// an op's bounces before the replica promotion lands), a read that
+// returned the pre-kill value from the promoted master, and any other.
+// The flake fails about one trial in a hundred; more than one in ten
+// fails the row.
 func TestBubbleMembershipTrials(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -96,7 +100,7 @@ func TestBubbleMembershipTrials(t *testing.T) {
 	} {
 		for _, mode := range allModes {
 			t.Run(tc.name+"/"+mode.String()+"/go", func(t *testing.T) {
-				fails := 0
+				fails, kinds := 0, map[string]int{}
 				for i := 0; i < *trials; i++ {
 					err := inBubble(t, func() error {
 						w, err := NewWorld(Config{Ranks: 4, Mode: mode, Engine: EngineGo, Reliability: relStress})
@@ -107,18 +111,32 @@ func TestBubbleMembershipTrials(t *testing.T) {
 						return tc.body(w)
 					})
 					if err != nil {
+						kinds[failureKind(err)]++
 						if fails++; fails == 1 {
 							t.Logf("trial %d: %v", i, err)
 						}
 					}
 				}
-				t.Logf("%d failures in %d trials", fails, *trials)
+				t.Logf("%d failures in %d trials %v", fails, *trials, kinds)
 				if 10*fails > *trials {
 					t.Errorf("%d failures in %d trials", fails, *trials)
 				}
 			})
 		}
 	}
+}
+
+// failureKind sorts a membership trial's error: "timeout" (a wait gave
+// up), "stale-read" (a read from the promoted master returned old bytes)
+// or "other".
+func failureKind(err error) string {
+	switch {
+	case errors.Is(err, ErrDeadlock):
+		return "timeout"
+	case strings.Contains(err.Error(), "from promoted master"):
+		return "stale-read"
+	}
+	return "other"
 }
 
 // TestBubbleForceWithoutFaultsZeroRetransmits runs the goroutine-engine

@@ -164,7 +164,7 @@ func TestChanNetForwardsInPlaceAndPushesARealUpdate(t *testing.T) {
 	w.SetTracer(func(e TraceEvent) { traced = append(traced, e) })
 	const b = gas.BlockID(999)
 	w.net.State(1, func(st *netsim.TransState) { st.InstallRoute(b, 3) })
-	w.mem.epoch.Store(4)
+	w.Locality(1).epoch = 4 // the forwarding rank's view, which its table trusts
 
 	m := &netsim.Message{Kind: kParcel, Src: 2, Dst: 1, Target: gas.New(1, b, 0), Block: b, Wire: 64}
 	cn.arrive(w.Locality(1), m)
@@ -193,7 +193,7 @@ func TestChanNetForwardsInPlaceAndPushesARealUpdate(t *testing.T) {
 	if o, ok := peekNICTable(w, 2, b); !ok || o != 3 {
 		t.Fatalf("source table after the push: %d,%v", o, ok)
 	}
-	w.mem.epoch.Store(5)
+	w.Locality(2).epoch = 5
 	stale := cn.nics[1].Control(netsim.CtlTableUpdate, m, 0, 4)
 	cn.arrive(w.Locality(2), stale)
 	if o, ok := peekNICTable(w, 2, b); ok && o == 0 {
@@ -236,11 +236,11 @@ func TestChanNetDeadRankNackCrossesTheFaultPlan(t *testing.T) {
 	w, cn := quietNMWorld(t, func(c *Config) {
 		c.Faults = netsim.FaultPlan{DropNthCtl: map[uint8]int{netsim.CtlNackLoop: 1}}
 	})
+	// Rank 3 dead, as the sender sees it: the world is not started, so
+	// only the sender's view, claimed, lands (the other ranks' posts wait
+	// in their mailboxes).
 	mem := w.mem
-	mem.arm()
-	mem.down[3].Store(true)
-	mem.state[3] = MemberDead
-	mem.surrogate[3] = 0
+	mem.publish(2, func() { mem.down[3], mem.state[3], mem.surrogate[3] = true, MemberDead, 0 })
 
 	m := &netsim.Message{Kind: kParcel, Src: 2, Dst: 3, Target: gas.New(1, 999, 0), Wire: 64}
 	w.net.Send(2, m)

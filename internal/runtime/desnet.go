@@ -55,7 +55,7 @@ func newDESNet(w *World) *desNet {
 		ex := &desExec{eng: eng.RankEngine(r), world: eng, rank: r, l: l}
 		l.exec, l.free = ex, &ex.eng.Free
 		nic := d.NIC(r)
-		l.wireNIC(&nic.NICCore)
+		l.wireNIC(&nic.NICCore, &nic.TransState)
 		nic.HostDeliver = func(m *netsim.Message) {
 			ex.ExecMsg(cfg.Model.ORecv+cfg.Model.HandlerDispatch, opHostMsg, m)
 		}
@@ -75,7 +75,6 @@ func (d *desNet) quiet() bool                      { return d.Eng.Pending() == 0
 func (d *desNet) queueDepthsInto(counts []int)     { d.Eng.PendingByRank(counts) }
 func (d *desNet) hops(a, b int) int                { return d.Topo.Hops(a, b) }
 func (d *desNet) faultStats() netsim.FaultStats    { return d.FaultSnapshot() }
-func (d *desNet) live(lv netsim.Liveness)          { d.Live = lv } // between events
 func (d *desNet) fabric() *netsim.Fabric           { return d.Fabric }
 
 func (d *desNet) dump(out io.Writer) {

@@ -463,8 +463,118 @@ func TestScrapeDuringStopDrain(t *testing.T) {
 	}
 }
 
-// TestGoNICFillsWholeCacheLines holds goNIC to whole cache lines (192 B,
-// unpadded): a field added or removed must keep it so, padding it if need
+// TestMembershipViewsUnderChurn: each rank's membership view has one
+// writer, the rank's token holder, which installs the views the verdict
+// table publishes and reads them with no lock (NIC fences, host
+// translation's redirect and lost check, the suspicion sweep's corpse
+// gate, the trusted epoch). Ranks 0-2 put and get through their views
+// while drivers kill rank 3 and fire probes at it (and at a live rank,
+// which answers) until its death is declared, join it back, and retire
+// and rejoin rank 4, twice; pollers read MemberState, Stats,
+// MembershipStats and DumpState throughout, and the pulse's watchdogs
+// read the verdict table. Under -race any access off the owner is
+// reported.
+func TestMembershipViewsUnderChurn(t *testing.T) {
+	for _, mode := range []Mode{AGASSW, AGASNM} {
+		t.Run(mode.String(), func(t *testing.T) { membershipViewsChurn(t, mode) })
+	}
+}
+
+func membershipViewsChurn(t *testing.T, mode Mode) {
+	w := testWorld(t, Config{Ranks: 5, Mode: mode, Engine: EngineGo, Reliability: relStress,
+		Pulse: PulseConfig{Enabled: true, Period: 10 * netsim.Microsecond}})
+	w.Start()
+	alloc := func(home int, n uint32) gas.Layout {
+		t.Helper()
+		lay, err := w.AllocLocal(home, 64, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lay
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// lay stays on ranks 0-2; doomed lives on rank 3, replicated, so its
+	// reads redirect to the promoted master once rank 3 dies; retiring
+	// lives on rank 4 and drains to the survivors when it retires.
+	lay, doomed, retiring := alloc(0, 3), alloc(3, 1), alloc(4, 2)
+	must(w.ReplicateLive(doomed, 2))
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				g := lay.BlockAt(uint32(i % 3))
+				if _, err := w.Wait(w.Proc(r).Put(g, []byte{byte(i)})); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := w.Wait(w.Proc(r).Get(g, 1)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			for r := 0; r < 5; r++ {
+				w.MemberState(r)
+			}
+			w.Stats()
+			w.MembershipStats()
+			if err := w.DumpState(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	const rounds = 2
+	for round := 0; round < rounds; round++ {
+		w.Kill(3)
+		l0 := w.Locality(0)
+		w.claim(0, func() {
+			w.mem.beginProbe(l0, 3)
+			w.mem.beginProbe(l0, 1)
+		})
+		if !w.AwaitMember(3, MemberDead, 20*time.Second) {
+			t.Fatalf("round %d: rank 3 never declared dead: %+v", round, w.MembershipStats())
+		}
+		for r := 0; r < 3; r++ {
+			w.MustWait(w.Proc(r).Get(doomed.BlockAt(0), 8))
+		}
+		must(w.Join(3))
+		if !w.AwaitMember(3, MemberAlive, 20*time.Second) {
+			t.Fatalf("round %d: rank 3 never rejoined: %v", round, w.MemberState(3))
+		}
+		must(w.Retire(4))
+		for d := uint32(0); d < 2; d++ {
+			w.MustWait(w.Proc(int(d)).Get(retiring.BlockAt(d), 8))
+		}
+		must(w.Join(4))
+		if !w.AwaitMember(4, MemberAlive, 20*time.Second) {
+			t.Fatalf("round %d: rank 4 never rejoined: %v", round, w.MemberState(4))
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if ms := w.MembershipStats(); ms.Deaths != rounds || ms.Retires != rounds || ms.Joins != 2*rounds || ms.Suspicions < rounds {
+		t.Fatalf("membership %+v, want %d deaths and retires, %d joins and a suspicion per death", ms, rounds, 2*rounds)
+	}
+}
+
+// TestGoNICFillsWholeCacheLines holds goNIC to whole cache lines (256 B,
+// 48 of them pad): a field added or removed must keep it so, padding it if need
 // be, or neighbouring NICs share a cache line again.
 func TestGoNICFillsWholeCacheLines(t *testing.T) {
 	var n goNIC

@@ -125,18 +125,23 @@ func TestEngineChosenOnce(t *testing.T) {
 	}
 }
 
-// TestOneWriterPackages holds the software AGAS tables and the block
-// store to one writer each: every one belongs to a rank, which code
-// outside it reaches through the runtime's doors (a claim, a post), so
-// none takes a lock or an atomic. It fails on "sync." or "atomic." in
-// the non-test files of internal/agas and in internal/gas/store.go.
+// TestOneWriterPackages holds the software AGAS tables, the block store,
+// the NIC translation table and membership to one writer each: every
+// one belongs to a rank, which code outside it reaches through the
+// runtime's doors (a claim, a post), so none takes a lock or an atomic.
+// It fails on "sync." or "atomic." in the non-test files of
+// internal/agas, in internal/gas/store.go and internal/netsim/transtable.go
+// (whose table trusts its rank's plain epoch), and in membership.go
+// anywhere but the world-side verdict table's lock and the pending count
+// AwaitMember polls.
 func TestOneWriterPackages(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "agas", "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, filepath.Join("..", "gas", "store.go"))
+	files = append(files, filepath.Join("..", "gas", "store.go"), filepath.Join("..", "netsim", "transtable.go"), "membership.go")
 	shared := regexp.MustCompile(`sync\.|atomic\.`)
+	verdictTable := regexp.MustCompile(`^\s*(mu\s+sync\.Mutex|pending\s+atomic\.Int64)\s*$`)
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -145,8 +150,13 @@ func TestOneWriterPackages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		lines := strings.Split(string(src), "\n")
 		for _, loc := range shared.FindAllIndex(src, -1) {
-			t.Errorf("%s:%d: %q in a one-writer table", name, 1+bytes.Count(src[:loc[0]], []byte("\n")), src[loc[0]:loc[1]])
+			n := bytes.Count(src[:loc[0]], []byte("\n"))
+			if name == "membership.go" && verdictTable.MatchString(lines[n]) {
+				continue
+			}
+			t.Errorf("%s:%d: %q in a one-writer table", name, n+1, src[loc[0]:loc[1]])
 		}
 	}
 }

@@ -136,6 +136,12 @@ type Locality struct {
 	replicas map[gas.BlockID]*replHolder
 	heat     *heatRank
 
+	// This rank's membership view (nil until one is published), the epoch
+	// its NIC table trusts and the NIC core that fences: see Locality.see.
+	view  *memberView
+	epoch uint64
+	nic   *netsim.NICCore
+
 	// coal batches outgoing parcels when coalescing is configured.
 	coal *coalescer
 
@@ -274,10 +280,11 @@ func (l *Locality) residentForNIC(b gas.BlockID) bool {
 	return ok && !blk.Replica
 }
 
-// wireNIC gives this rank's NIC core, on either engine, its host hooks:
-// the residency oracles and the trace of an in-network forward.
-func (l *Locality) wireNIC(c *netsim.NICCore) {
-	c.Resident, c.ResidentRead = l.residentForNIC, l.residentForRead
+// wireNIC gives this rank's NIC, on either engine, its host hooks (the
+// residency oracles, an in-network forward's trace) and epoch to trust.
+func (l *Locality) wireNIC(c *netsim.NICCore, st *netsim.TransState) {
+	l.nic, c.Resident, c.ResidentRead = c, l.residentForNIC, l.residentForRead
+	st.Table.TrustEpoch(&l.epoch)
 	c.OnForward = func(m *netsim.Message, owner int) {
 		l.note(TraceNICForward, m.Block, uint64(int64(owner)), m.OpID)
 	}

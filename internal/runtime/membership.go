@@ -3,6 +3,7 @@ package runtime
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -37,10 +38,12 @@ import (
 // path. World.Join re-admits a dead rank at runtime with a catch-up
 // sync that rebuilds its authoritative directory from the overlay.
 //
-// The machinery is armed only when the world actually uses it (a fault
-// plan with kill/restart entries, or an explicit Kill/Retire/Join):
-// unperturbed worlds pay a single atomic load on the paths that consult
-// membership, and their golden counters are unchanged.
+// Verdicts are decided on one world-side table under one lock, in world
+// context or a recovery step. Ranks learn them by post: each transition
+// hands every rank an immutable snapshot, its memberView, which its NIC
+// fences, host translation and trusted epoch read. A world that never
+// kills, retires or joins a locality publishes none: its ranks pay one
+// nil check where membership is consulted, and its counters are unchanged.
 
 // MemberState is one locality's lifecycle state in the membership table.
 type MemberState uint8
@@ -97,23 +100,20 @@ type probeState struct {
 	pong   bool
 }
 
-// membership is the world's membership table. It implements
-// netsim.Liveness: both transports hand it to the NIC core's fences.
+// membership is the world side: the verdict table and its publisher.
+// Everything but pending is guarded by mu.
 type membership struct {
 	w *World
 
+	mu sync.Mutex
 	// epoch is the membership version; every change bumps it and fences
-	// NIC translation state installed under older epochs.
-	epoch atomic.Uint64
-	// armed gates the whole machinery: false until the world kills,
-	// retires, or joins a locality (or schedules it via the fault plan).
-	armed atomic.Bool
+	// NIC translation state installed under older epochs. seq numbers
+	// the published views.
+	epoch, seq uint64
 	// down is per-rank link state, the ground truth at the transport
 	// boundary: traffic to or from a down rank is swallowed whether or
-	// not anyone has noticed yet. Read on every transmit when armed.
-	down []atomic.Bool
-
-	mu        sync.Mutex
+	// not anyone has noticed yet.
+	down      []bool
 	state     []MemberState
 	surrogate []int // per dead rank: live rank that terminates stale traffic
 	probing   map[int]*probeState
@@ -125,20 +125,18 @@ type membership struct {
 	// promote); traffic for them terminates at the stale-drop path.
 	lost map[gas.BlockID]struct{}
 
-	// pending counts outstanding recovery steps scheduled on locality
-	// actors; AwaitMember waits for it to drain.
-	pending atomic.Int64
+	deaths, joins, retires, suspicions, rehomed, lostCount uint64
 
-	deaths, joins, retires atomic.Uint64
-	suspicions             atomic.Uint64
-	rehomed, lostCount     atomic.Uint64
+	// pending counts outstanding recovery steps and posts; AwaitMember
+	// waits for it to drain.
+	pending atomic.Int64
 }
 
 func newMembership(w *World) *membership {
 	n := w.cfg.Ranks
 	return &membership{
 		w:         w,
-		down:      make([]atomic.Bool, n),
+		down:      make([]bool, n),
 		state:     make([]MemberState, n),
 		surrogate: make([]int, n),
 		probing:   make(map[int]*probeState),
@@ -147,55 +145,58 @@ func newMembership(w *World) *membership {
 	}
 }
 
-// arm turns the machinery on for good and hands the port the liveness
-// view.
-func (mem *membership) arm() {
-	mem.armed.Store(true)
-	mem.w.net.live(mem.view())
+// memberView is one rank's view of membership: an immutable snapshot of
+// the verdict table, read without a lock by the rank's one writer. It is
+// the netsim.Liveness its NIC fences against. A rank holds none until the
+// first transition is published, and a nil view steers nothing.
+type memberView struct {
+	seq, epoch uint64
+	down       []bool
+	state      []MemberState
+	surrogate  []int
+	rehome     map[gas.BlockID]rehomeEntry
+	lost       map[gas.BlockID]struct{}
 }
 
-// view is the liveness view both NIC ports fence against: nil until the
-// world has ever killed, retired or joined a locality, so an unperturbed
-// world never consults membership.
-func (mem *membership) view() netsim.Liveness {
-	if mem.armed.Load() {
-		return mem
+func (v *memberView) Down(r int) bool                  { return v.down[r] }
+func (v *memberView) DeadHint(r int) (int, bool)       { return v.surrogate[r], v.state[r] == MemberDead }
+func (v *memberView) Rehome(b gas.BlockID) (int, bool) { e, ok := v.rehome[b]; return e.owner, ok }
+
+// publish applies fn, one transition, to the table under mu and hands
+// every rank a snapshot of the result: a post (at once on DES), or for
+// rank first, when it is one, a claim, so the view has landed there when
+// publish returns.
+func (mem *membership) publish(first int, fn func()) {
+	v := func() *memberView {
+		mem.mu.Lock()
+		defer mem.mu.Unlock()
+		fn()
+		mem.seq++
+		return &memberView{seq: mem.seq, epoch: mem.epoch, down: slices.Clone(mem.down), state: slices.Clone(mem.state),
+			surrogate: slices.Clone(mem.surrogate), rehome: maps.Clone(mem.rehome), lost: maps.Clone(mem.lost)}
+	}()
+	for _, l := range mem.w.locs {
+		if l.rank == first {
+			mem.w.claim(first, func() { l.see(v) })
+		} else {
+			mem.w.post(l.rank, func() { l.see(v) })
+		}
 	}
-	return nil
 }
 
-// ---------------------------------------------------------------------
-// netsim.Liveness
+// see installs v as l's view (its NIC's Live, its table's epoch) unless
+// l holds a newer one: publishers race.
+func (l *Locality) see(v *memberView) {
+	if l.view == nil || v.seq > l.view.seq {
+		l.view, l.nic.Live, l.epoch = v, v, v.epoch
+	}
+}
 
-// Down reports whether rank's link is down (crashed, possibly not yet
-// declared dead).
-func (mem *membership) Down(rank int) bool { return mem.down[rank].Load() }
-
-// DeadHint reports whether rank has been declared dead, and the
-// surrogate rank stale traffic should be bounced toward.
-func (mem *membership) DeadHint(rank int) (int, bool) {
+// isDown reads the table's link state for rank.
+func (mem *membership) isDown(rank int) bool {
 	mem.mu.Lock()
 	defer mem.mu.Unlock()
-	if mem.state[rank] != MemberDead {
-		return 0, false
-	}
-	return mem.surrogate[rank], true
-}
-
-// Epoch returns the current membership epoch.
-func (mem *membership) Epoch() uint64 { return mem.epoch.Load() }
-
-// Rehome returns the post-recovery owner of a block whose route died
-// with its owner: a promoted replica master, or the surviving owner of
-// a block whose home died.
-func (mem *membership) Rehome(b gas.BlockID) (int, bool) {
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	e, ok := mem.rehome[b]
-	if !ok {
-		return 0, false
-	}
-	return e.owner, true
+	return mem.down[rank]
 }
 
 // ---------------------------------------------------------------------
@@ -205,42 +206,30 @@ func (mem *membership) Rehome(b gas.BlockID) (int, bool) {
 // overlay wins, then the block's home (whose directory re-resolves
 // authoritatively), then the dead rank's surrogate — whose
 // stale-delivery path terminates traffic for genuinely lost blocks
-// cleanly instead of chasing a corpse. Unarmed worlds pay one atomic
-// load.
-func (mem *membership) redirect(b gas.BlockID, owner, home int) int {
-	if !mem.armed.Load() {
+// cleanly instead of chasing a corpse. A nil view returns owner.
+func (v *memberView) redirect(b gas.BlockID, owner, home int) int {
+	if v == nil {
 		return owner
 	}
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	if e, ok := mem.rehome[b]; ok && !mem.down[e.owner].Load() {
+	if e, ok := v.rehome[b]; ok && !v.down[e.owner] {
 		return e.owner
 	}
-	if mem.state[owner] != MemberDead {
+	if v.state[owner] != MemberDead {
 		return owner
 	}
-	if home != owner && !mem.down[home].Load() {
+	if home != owner && !v.down[home] {
 		return home
 	}
-	return mem.surrogate[owner]
+	return v.surrogate[owner]
 }
 
 // isLost reports whether b died with its owner.
-func (mem *membership) isLost(b gas.BlockID) bool {
-	if !mem.armed.Load() {
+func (v *memberView) isLost(b gas.BlockID) bool {
+	if v == nil {
 		return false
 	}
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	_, ok := mem.lost[b]
+	_, ok := v.lost[b]
 	return ok
-}
-
-// declaredDead reports the table's belief about rank.
-func (mem *membership) declaredDead(rank int) bool {
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	return mem.state[rank] == MemberDead
 }
 
 // ---------------------------------------------------------------------
@@ -254,9 +243,10 @@ const probeTimeout = 2 * relMaxRTO
 // and the channel key alone cannot name the culprit (under NIC routing
 // the channel is the block's home, not the crashed owner). Probe every
 // currently-alive peer; probes are single-flight per target, so
-// repeated ceilings cost nothing while a probe is out.
+// repeated ceilings cost nothing while a probe is out. It reads l's view,
+// so it runs as l (or at a barrier).
 func (mem *membership) suspectSweep(l *Locality) {
-	if !mem.armed.Load() || mem.down[l.rank].Load() {
+	if l.view == nil || l.view.down[l.rank] {
 		// A corpse's suspicions don't count: a crashed rank's own
 		// timers see universal silence.
 		return
@@ -276,8 +266,8 @@ func (mem *membership) beginProbe(l *Locality, target int) {
 	}
 	mem.probing[target] = &probeState{}
 	mem.state[target] = MemberSuspect
+	mem.suspicions++
 	mem.mu.Unlock()
-	mem.suspicions.Add(1)
 	mem.w.noteMember(l.rank, TraceMemberSuspect, uint64(target))
 	mem.probeRound(l, target)
 }
@@ -321,7 +311,7 @@ func (mem *membership) probeCheck(l *Locality, target int) {
 		return
 	}
 	pr.rounds++
-	if pr.rounds < probeRounds || !mem.down[target].Load() {
+	if pr.rounds < probeRounds || !mem.down[target] {
 		pr.pong = false
 		mem.mu.Unlock()
 		l.exec.hand(func() { mem.probeRound(l, target) })
@@ -350,7 +340,7 @@ func (mem *membership) nextLiveLocked(d int) int {
 	n := mem.w.cfg.Ranks
 	for i := 1; i < n; i++ {
 		r := (d + i) % n
-		if mem.state[r] != MemberDead && !mem.down[r].Load() {
+		if mem.state[r] != MemberDead && !mem.down[r] {
 			return r
 		}
 	}
@@ -359,32 +349,32 @@ func (mem *membership) nextLiveLocked(d int) int {
 
 // declareDead confirms a locality's death: fence its link, bump the
 // epoch (fencing every NIC-cached route installed under older epochs),
-// and re-home its blocks onto the survivors.
+// publish, and re-home its blocks onto the survivors.
 func (mem *membership) declareDead(d int) {
-	mem.mu.Lock()
-	if mem.state[d] == MemberDead {
-		mem.mu.Unlock()
-		return
+	fresh := false
+	mem.publish(-1, func() {
+		if fresh = mem.state[d] != MemberDead; fresh {
+			// Recovery is owed once the state reads dead: AwaitMember
+			// must not see it quiescent before it is scheduled.
+			mem.pending.Add(1)
+			mem.killLocked(d)
+			mem.deaths++
+		}
+	})
+	if fresh {
+		defer mem.donePending()
+		mem.w.noteMember(d, TraceMemberDead, uint64(d))
+		mem.recoverDead(d)
 	}
-	// Recovery is owed once the state reads dead: AwaitMember must not
-	// see it quiescent before it is scheduled.
-	mem.pending.Add(1)
-	defer mem.donePending()
-	mem.state[d] = MemberDead
-	mem.surrogate[d] = mem.nextLiveLocked(d)
-	mem.mu.Unlock()
-	mem.down[d].Store(true)
-	mem.deaths.Add(1)
-	mem.epoch.Add(1)
-	mem.w.noteMember(d, TraceMemberDead, uint64(d))
-	mem.recoverDead(d)
 }
 
-// addRehome records one recovery-overlay route.
-func (mem *membership) addRehome(b gas.BlockID, owner, home int) {
-	mem.mu.Lock()
-	mem.rehome[b] = rehomeEntry{owner: owner, home: home}
-	mem.mu.Unlock()
+// killLocked records d's death: dead, fenced, a surrogate named and the
+// epoch bumped (fencing every NIC-cached route installed under older
+// epochs). Callers hold mem.mu.
+func (mem *membership) killLocked(d int) {
+	mem.state[d], mem.down[d] = MemberDead, true
+	mem.surrogate[d] = mem.nextLiveLocked(d)
+	mem.epoch++
 }
 
 func (mem *membership) donePending() { mem.pending.Add(-1) }
@@ -427,12 +417,6 @@ func (mem *membership) recoverDead(d int) {
 		sort.Slice(masters, func(i, j int) bool { return masters[i].ID < masters[j].ID })
 		owners, repls := dl.space.Directory().Entries(), dl.space.Directory().ReplicaEntries()
 
-		// Blocks homed here but owned by survivors: their data is safe;
-		// record the overlay route so home-directed traffic redirects.
-		for _, b := range sortedKeys(owners) {
-			mem.addRehome(b, owners[b], d)
-		}
-
 		// Master copies resident here: promote through the replica set
 		// when one exists, declare lost otherwise.
 		for _, blk := range masters {
@@ -443,6 +427,14 @@ func (mem *membership) recoverDead(d int) {
 			}
 		}
 
+		// Blocks homed here but owned by survivors: their data is safe;
+		// record the overlay route so home-directed traffic redirects.
+		// One view carries these routes and the blocks lost above.
+		mem.publish(-1, func() {
+			for b, owner := range owners {
+				mem.rehome[b] = rehomeEntry{owner: owner, home: d}
+			}
+		})
 		// Replica sets mastered by survivors shed the dead holder.
 		mem.shedHolder(d)
 	})
@@ -468,7 +460,7 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 	nm := -1
 	var kept []int
 	for _, h := range rs.Holders {
-		if h == d || mem.down[h].Load() {
+		if h == d || mem.isDown(h) {
 			continue
 		}
 		if nm < 0 {
@@ -497,14 +489,18 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 			hl.space.InstallMigrated(b)
 		}
 		w.rehomeReplicas(b, nm, kept, w.post)
-		mem.rehomed.Add(1)
+		// A live home flips its directory authoritatively, exactly as a
+		// migration commit would; otherwise the overlay routes to nm.
+		viaHome := false
+		mem.publish(-1, func() {
+			mem.rehomed++
+			if viaHome = home != d && !mem.down[home] && w.caps.Migration; !viaHome {
+				mem.rehome[b] = rehomeEntry{owner: nm, home: home}
+			}
+		})
 		w.noteMember(nm, TraceRehome, uint64(b))
-		if home != d && !mem.down[home].Load() && w.caps.Migration {
-			// The home is alive: flip its directory authoritatively,
-			// exactly as a migration commit would.
+		if viaHome {
 			mem.step(w.locs[home], func() { w.locs[home].space.CommitMigrate(b, nm) })
-		} else {
-			mem.addRehome(b, nm, home)
 		}
 	})
 }
@@ -512,13 +508,13 @@ func (mem *membership) promote(d int, blk *gas.Block, rs agas.ReplicaSet) {
 // loseBlock records a block that died with its owner and sweeps its
 // translation state, so residual traffic falls through to the home or
 // surrogate and terminates at the (acked) stale-drop path instead of
-// chasing a corpse or retrying forever. It runs on a recovery handler,
-// so each NIC's sweep is posted to its rank.
+// chasing a corpse or retrying forever. It runs in the harvest, which
+// publishes the lost set, so each NIC's sweep is posted to its rank.
 func (mem *membership) loseBlock(blk *gas.Block) {
 	mem.mu.Lock()
 	mem.lost[blk.ID] = struct{}{}
+	mem.lostCount++
 	mem.mu.Unlock()
-	mem.lostCount.Add(1)
 	for _, loc := range mem.w.locs {
 		mem.w.post(loc.rank, func() { loc.space.OnFree(blk.ID, blk.Home) })
 	}
@@ -531,7 +527,7 @@ func (mem *membership) loseBlock(blk *gas.Block) {
 func (mem *membership) shedHolder(d int) {
 	w := mem.w
 	for r, loc := range w.locs {
-		if r == d || mem.down[r].Load() {
+		if r == d || mem.isDown(r) {
 			continue
 		}
 		w.post(r, func() {
@@ -564,13 +560,13 @@ func (mem *membership) shedHolder(d int) {
 // unanswered probes. Kill requires the reliability layer (a kill
 // without retransmission machinery silently black-holes traffic);
 // configure Faults (a fault plan with kill entries enables it
-// automatically) or Reliability.Force.
+// automatically) or Reliability.Force. The victim's own view is claimed
+// (its links are cut when Kill returns); the survivors' are posted.
 func (w *World) Kill(rank int) {
 	if !w.cfg.reliable() {
 		panic("runtime: Kill requires the reliability layer (set Config.Faults or Reliability.Force)")
 	}
-	w.mem.arm()
-	w.mem.down[rank].Store(true)
+	w.mem.publish(rank, func() { w.mem.down[rank] = true })
 }
 
 // Restart brings rank's link back up. A rank restarted before the
@@ -578,11 +574,11 @@ func (w *World) Kill(rank int) {
 // partition: its state is intact and retransmissions drain the
 // backlog); one declared dead rejoins through the full Join path.
 func (w *World) Restart(rank int) {
-	if w.mem.declaredDead(rank) {
+	if w.MemberState(rank) == MemberDead {
 		w.Join(rank)
 		return
 	}
-	w.mem.down[rank].Store(false)
+	w.mem.publish(-1, func() { w.mem.down[rank] = false })
 }
 
 // MemberState returns rank's membership state.
@@ -607,6 +603,9 @@ func (w *World) Retire(rank int) error {
 	if !w.caps.Migration {
 		return fmt.Errorf("runtime: Retire needs a migrating address space; %q is static", w.caps.Name)
 	}
+	if rank < 0 || rank >= w.cfg.Ranks {
+		return fmt.Errorf("runtime: Retire(%d): rank out of range [0,%d)", rank, w.cfg.Ranks)
+	}
 	mem := w.mem
 	mem.mu.Lock()
 	if mem.state[rank] != MemberAlive {
@@ -616,7 +615,7 @@ func (w *World) Retire(rank int) error {
 	}
 	var live []int
 	for r := 0; r < w.cfg.Ranks; r++ {
-		if r != rank && mem.state[r] == MemberAlive && !mem.down[r].Load() {
+		if r != rank && mem.state[r] == MemberAlive && !mem.down[r] {
 			live = append(live, r)
 		}
 	}
@@ -626,7 +625,7 @@ func (w *World) Retire(rank int) error {
 	}
 	mem.state[rank] = MemberDraining
 	mem.mu.Unlock()
-	mem.arm()
+	mem.publish(-1, func() {})
 	w.noteMember(rank, TraceMemberRetire, uint64(rank))
 
 	// Holder copies on the retiring rank dissolve from their sets (the
@@ -674,16 +673,13 @@ func (w *World) Retire(rank int) error {
 	// and the epoch fences every cached route through it.
 	var owners map[gas.BlockID]int
 	w.claim(rank, func() { owners = rl.space.Directory().Entries() })
-	for _, b := range sortedKeys(owners) {
-		mem.addRehome(b, owners[b], rank)
-	}
-	mem.mu.Lock()
-	mem.state[rank] = MemberDead
-	mem.surrogate[rank] = mem.nextLiveLocked(rank)
-	mem.mu.Unlock()
-	mem.down[rank].Store(true)
-	mem.retires.Add(1)
-	mem.epoch.Add(1)
+	mem.publish(-1, func() {
+		for b, owner := range owners {
+			mem.rehome[b] = rehomeEntry{owner: owner, home: rank}
+		}
+		mem.killLocked(rank)
+		mem.retires++
+	})
 	w.noteMember(rank, TraceMemberDead, uint64(rank))
 	return nil
 }
@@ -696,6 +692,9 @@ func (w *World) Retire(rank int) error {
 // epoch bumps once the rank is serving again. Use AwaitMember (or
 // Drain under DES) to observe completion.
 func (w *World) Join(rank int) error {
+	if rank < 0 || rank >= w.cfg.Ranks {
+		return fmt.Errorf("runtime: Join(%d): rank out of range [0,%d)", rank, w.cfg.Ranks)
+	}
 	mem := w.mem
 	mem.mu.Lock()
 	if mem.state[rank] != MemberDead {
@@ -705,7 +704,7 @@ func (w *World) Join(rank int) error {
 	}
 	mem.state[rank] = MemberJoining
 	mem.mu.Unlock()
-	mem.arm()
+	mem.publish(-1, func() {}) // no longer dead: stale traffic stops bouncing
 	l := w.locs[rank]
 	// Rebirth wipes cross-cutting state (world receive streams, NIC
 	// tables, the recovery overlay), so under sharding it runs at a
@@ -759,7 +758,7 @@ func (mem *membership) rebirth(l *Locality) {
 				delete(mem.rehome, b)
 			}
 		}
-		mem.mu.Unlock()
+		mem.mu.Unlock() // published with the rank's return below
 		for _, b := range sortedKeys(reclaimed) {
 			l.space.CommitMigrate(b, reclaimed[b])
 		}
@@ -769,7 +768,7 @@ func (mem *membership) rebirth(l *Locality) {
 	// surviving masters, each reading its own directory and posting the
 	// routes back here (AwaitMember covers both hops).
 	for r, loc := range w.locs {
-		if r == rank || mem.down[r].Load() {
+		if r == rank || mem.isDown(r) {
 			continue
 		}
 		w.post(r, func() {
@@ -784,19 +783,18 @@ func (mem *membership) rebirth(l *Locality) {
 	}
 
 	// Back among the living: open the link, bump the epoch, flip state.
-	mem.down[rank].Store(false)
-	mem.epoch.Add(1)
-	mem.mu.Lock()
-	mem.state[rank] = MemberAlive
-	mem.mu.Unlock()
-	mem.joins.Add(1)
+	mem.publish(-1, func() {
+		mem.state[rank], mem.down[rank] = MemberAlive, false
+		mem.epoch++
+		mem.joins++
+	})
 	w.noteMember(rank, TraceMemberJoin, uint64(rank))
 }
 
 // ---------------------------------------------------------------------
 // World wiring helpers
 
-// scheduleFaultMembership arms the membership machinery and schedules
+// scheduleFaultMembership publishes the first views and schedules
 // the fault plan's whole-node kills and restarts as world timers. Plan
 // times are absolute (simulated under DES, scaled wall time from Start
 // under EngineGo, where Now is 0).
@@ -805,7 +803,7 @@ func (w *World) scheduleFaultMembership() {
 	if len(kills) == 0 && len(restarts) == 0 {
 		return
 	}
-	w.mem.arm()
+	w.mem.publish(-1, func() {}) // views from the start: a retransmission ceiling probes
 	for _, r := range sortedKeys(kills) {
 		w.net.after(kills[r]-w.Now(), func() { w.Kill(r) })
 	}

@@ -83,10 +83,11 @@ func killPromotesReplicaAndServes(w *World) error {
 	return nil
 }
 
-// TestLivenessViewOnlyOnceArmed: both NIC ports fence against no
-// liveness view until membership is armed, and against membership from
-// then on (the simulated fabric through Fabric.Live). Unarmed, Down is
-// false everywhere, so the verdicts are those of a nil view.
+// TestLivenessViewOnlyOnceArmed: every NIC, on both ports, fences
+// against no liveness view until membership is armed (its Live is a nil
+// interface, not a typed nil, so the verdicts are those of a nil view),
+// and against its own rank's view from then on: the victim's as Kill
+// returns, the survivors' once the posts have landed.
 func TestLivenessViewOnlyOnceArmed(t *testing.T) {
 	for _, eng := range allEngines {
 		t.Run(eng.String(), func(t *testing.T) {
@@ -97,13 +98,34 @@ func TestLivenessViewOnlyOnceArmed(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.MustWait(w.Proc(0).Put(lay.BlockAt(0), []byte{1}))
-			f := w.Fabric()
-			if w.mem.view() != nil || (f != nil && f.Live != nil) {
-				t.Fatal("an unarmed world fences against a liveness view")
+			views := func(ranks ...int) (vs []*memberView) {
+				for _, r := range ranks {
+					l := w.locs[r]
+					w.claim(r, func() {
+						if l.nic.Live != nil && l.nic.Live != netsim.Liveness(l.view) || l.nic.Live == nil && l.view != nil {
+							t.Errorf("rank %d: the NIC fences against %v, not the rank's view", r, l.nic.Live)
+						}
+						vs = append(vs, l.view)
+					})
+				}
+				return vs
+			}
+			for r, v := range views(0, 1, 2) {
+				if v != nil {
+					t.Fatalf("rank %d: an unarmed world fences against a liveness view", r)
+				}
 			}
 			w.Kill(2)
-			if w.mem.view() != netsim.Liveness(w.mem) || (f != nil && f.Live != netsim.Liveness(w.mem)) {
-				t.Fatal("an armed world does not fence against membership")
+			if v := views(2)[0]; v == nil || !v.Down(2) {
+				t.Fatal("Kill returned before the victim's own view cut its links")
+			}
+			if !w.net.await(func() bool { return w.mem.pending.Load() == 0 }, waitTimeout) {
+				t.Fatal("the survivors' views never landed")
+			}
+			for r, v := range views(0, 1, 2) {
+				if v == nil || !v.Down(2) || v.Down(0) || v.Down(1) {
+					t.Fatalf("rank %d: an armed world does not fence against the rank's view %+v", r, v)
+				}
 			}
 		})
 	}
@@ -203,6 +225,31 @@ func TestRetireDrainsAndServes(t *testing.T) {
 			t.Fatal("double Retire accepted")
 		}
 	})
+}
+
+// TestMembershipCallsRejectBadRanks: Join and Retire return an error for
+// a rank outside [0, Ranks), as for every other bad call, instead of
+// indexing the table with it; a valid call on the same world succeeds.
+func TestMembershipCallsRejectBadRanks(t *testing.T) {
+	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Reliability: relStress})
+	w.Start()
+	for _, tc := range []struct {
+		name string
+		call func() error
+		ok   bool
+	}{
+		{"Join(-1)", func() error { return w.Join(-1) }, false},
+		{"Join(4)", func() error { return w.Join(4) }, false},
+		{"Retire(-1)", func() error { return w.Retire(-1) }, false},
+		{"Retire(4)", func() error { return w.Retire(4) }, false},
+		{"Retire(2)", func() error { return w.Retire(2) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(); (err == nil) != tc.ok {
+				t.Fatalf("error %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
 }
 
 // TestJoinReadmitsAndServes kills a rank, recovers, then re-admits it:

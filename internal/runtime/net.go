@@ -39,8 +39,7 @@ type network interface {
 	// the caller is scheduled, so the pulse parks. queueDepthsInto is the
 	// on-demand backlog tap: mailbox depth on the goroutine engine,
 	// rank-attributed pending events on DES. hops is the fabric
-	// distance between two distinct ranks; live hands the fabric the
-	// liveness view when membership arms; fabric is nil on an engine
+	// distance between two distinct ranks; fabric is nil on an engine
 	// without a simulated one.
 	start()
 	stop()
@@ -54,7 +53,6 @@ type network interface {
 	dump(out io.Writer)
 	hops(a, b int) int
 	faultStats() netsim.FaultStats
-	live(netsim.Liveness)
 	fabric() *netsim.Fabric
 }
 
@@ -78,13 +76,14 @@ type chanNet struct {
 // state and counters have one writer, the rank's token holder, so it
 // takes no lock and no atomic: sends are flushed, arrivals received and
 // table pushes applied on the token, and a read or write from elsewhere
-// is claimed or posted to it (World.claim, World.post). It fills
-// three whole cache lines, so no two NICs share one
-// (TestGoNICFillsWholeCacheLines; EXPERIMENTS.md W6).
+// is claimed or posted to it (World.claim, World.post). It is padded to
+// four whole cache lines, so no two NICs share one
+// (TestGoNICFillsWholeCacheLines; EXPERIMENTS.md W6, W12).
 type goNIC struct {
 	netsim.NICCore
 	netsim.TransState
 	l *Locality
+	_ [48]byte
 }
 
 func (n *goNIC) Transmit(m *netsim.Message)    { n.l.w.net.Send(n.Rank, m) }
@@ -100,7 +99,7 @@ func newChanNet(w *World) *chanNet {
 			TransState: netsim.NewTransState(w.cfg.NICTableCap),
 			l:          l,
 		}
-		l.wireNIC(&n.NICCore)
+		l.wireNIC(&n.NICCore, &n.TransState)
 		c.nics = append(c.nics, n)
 		ex := newGoExec()
 		ex.l, l.exec = l, ex
@@ -140,12 +139,11 @@ func (c *chanNet) Send(from int, m *netsim.Message) {
 // destination mailbox is locked and woken once for its share (postRun).
 func (c *chanNet) send(from int, ms []*netsim.Message) {
 	n := c.nics[from]
-	lv := c.w.mem.view()
 	for i, m := range ms {
 		if n.Address(m) {
 			n.Resolve(m)
 		}
-		g, err := n.Gate(n, lv, m, len(c.nics))
+		g, err := n.Gate(n, m, len(c.nics))
 		if err != nil {
 			c.w.fail("chanNet: %v", err)
 		}
@@ -182,7 +180,7 @@ func (c *chanNet) deliver(m *netsim.Message, delay netsim.VTime) {
 // arrive runs the NIC driver's receive on the destination's token holder.
 func (c *chanNet) arrive(l *Locality, m *netsim.Message) {
 	n := c.nics[l.rank]
-	n.Receive(n, c.w.mem.view(), c.faults, m)
+	n.Receive(n, c.faults, m)
 }
 
 // goWall converts a simulated duration to wall clock through goTimeScale.
@@ -268,15 +266,13 @@ func (c *chanNet) abortStrandedMigrations() {
 // clock. quiet is never true: the timers are wall clock, and nothing
 // runs the world to exhaustion. hops is 1: the transport is a crossbar,
 // every peer equidistant, and matching the DES crossbar keeps replica
-// read targets (and so the golden counters) engine-independent. live
-// has nothing to set: every send and arrival reads membership's view.
+// read targets (and so the golden counters) engine-independent.
 func (c *chanNet) now() netsim.VTime             { return 0 }
 func (c *chanNet) latNow() int64                 { return int64(time.Since(c.w.epoch)) }
 func (c *chanNet) quiet() bool                   { return false }
 func (c *chanNet) dump(io.Writer)                {}
 func (c *chanNet) hops(_, _ int) int             { return 1 }
 func (c *chanNet) faultStats() netsim.FaultStats { return c.faults.Snapshot() }
-func (c *chanNet) live(netsim.Liveness)          {}
 func (c *chanNet) fabric() *netsim.Fabric        { return nil }
 
 // after is a wall timer that never starts fn once Stop has begun; Stop

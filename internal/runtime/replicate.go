@@ -290,7 +290,7 @@ func (w *World) ReplicateLive(lay gas.Layout, replicas int) error {
 	plan := make([]set, 0, lay.NBlocks)
 	for d := uint32(0); d < lay.NBlocks; d++ {
 		b := lay.Base.Block() + gas.BlockID(d)
-		owner := w.homeOwner(b, lay.HomeOf(d))
+		owner := w.Owner(b, lay.HomeOf(d))
 		var err error
 		w.claim(owner, func() { err = w.locs[owner].replicable(b) })
 		if err != nil {
@@ -440,7 +440,7 @@ func (l *Locality) dropReplica(b gas.BlockID) {
 func (w *World) Unreplicate(lay gas.Layout) error {
 	for d := uint32(0); d < lay.NBlocks; d++ {
 		b := lay.Base.Block() + gas.BlockID(d)
-		owner := w.homeOwner(b, lay.HomeOf(d))
+		owner := w.Owner(b, lay.HomeOf(d))
 		var rs agas.ReplicaSet
 		var ok bool
 		w.claim(owner, func() { rs, ok = w.locs[owner].space.Directory().Replicas(b) })

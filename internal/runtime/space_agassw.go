@@ -56,7 +56,7 @@ func (s *swSpace) Translate(g gas.GVA) int {
 		// We are home: the directory is local and authoritative.
 		dst = s.dir.Resolve(b, l.rank)
 		if dst == l.rank {
-			if l.w.mem.isLost(b) {
+			if l.view.isLost(b) {
 				// The block died with its owner: deliver to self, where
 				// the stale-delivery path terminates the message with an
 				// acked drop instead of a protocol failure.
@@ -69,9 +69,9 @@ func (s *swSpace) Translate(g gas.GVA) int {
 	} else if o, ok := s.cache.Lookup(b); ok && o != l.rank {
 		dst = o
 	}
-	// Steer around dead ranks (armed worlds only): overlay route, then
-	// the live home's authoritative directory, then the surrogate.
-	return l.w.mem.redirect(b, dst, g.Home())
+	// Steer around dead ranks (once a view is published): overlay route,
+	// then the live home's authoritative directory, then the surrogate.
+	return l.view.redirect(b, dst, g.Home())
 }
 
 func (s *swSpace) OwnerHint(b gas.BlockID, home int) int {

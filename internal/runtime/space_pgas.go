@@ -50,9 +50,9 @@ func (s *pgasSpace) Translate(g gas.GVA) int {
 	}
 	// Static translation has no directory to re-resolve through, so the
 	// membership overlay is the only escape from a dead owner: promoted
-	// replicas of blocks whose home died are reached through it (armed
-	// worlds only; one atomic load otherwise).
-	return s.l.w.mem.redirect(g.Block(), h, h)
+	// replicas of blocks whose home died are reached through it (one nil
+	// check until a membership view is published).
+	return s.l.view.redirect(g.Block(), h, h)
 }
 
 func (s *pgasSpace) OwnerHint(b gas.BlockID, home int) int { return home }

@@ -346,8 +346,10 @@ func (wd *watchdogState) evalUnacked(w *World) WatchdogStatus {
 func (wd *watchdogState) evalMemberDwell(w *World, pulse uint64) WatchdogStatus {
 	s := WatchdogStatus{Warn: wdSuspectPulses, Critical: wdSuspectPulses, Rank: -1}
 	deadRank, dwell, dwellRank := -1, uint64(0), -1
-	for r := 0; r < w.Ranks(); r++ {
-		switch w.MemberState(r) {
+	w.mem.mu.Lock() // the verdict table, read in one piece
+	defer w.mem.mu.Unlock()
+	for r, st := range w.mem.state {
+		switch st {
 		case MemberSuspect:
 			since, ok := wd.suspectSince[r]
 			if !ok {
@@ -371,7 +373,7 @@ func (wd *watchdogState) evalMemberDwell(w *World, pulse uint64) WatchdogStatus 
 		s.Level = WatchCritical
 		s.Rank = deadRank
 		s.Value = float64(deadRank)
-		s.Detail = fmt.Sprintf("rank %d dead (epoch %d)", deadRank, w.mem.Epoch())
+		s.Detail = fmt.Sprintf("rank %d dead (epoch %d)", deadRank, w.mem.epoch)
 	case dwellRank >= 0:
 		s.Value = float64(dwell)
 		s.Rank = dwellRank

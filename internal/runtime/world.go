@@ -28,8 +28,8 @@ type World struct {
 	// Reliable-delivery state (nil unless cfg.reliable()).
 	relw *relWorld
 
-	// mem is the elastic-membership table (always present; unarmed until
-	// the world kills, retires, or joins a locality).
+	// mem is the membership verdict table; it publishes no view until the
+	// world kills, retires, or joins a locality.
 	mem *membership
 
 	// locBase is the first of the per-locality infrastructure blocks;
@@ -108,11 +108,6 @@ func NewWorld(cfg Config) (*World, error) {
 		w.net = newChanNet(w)
 	default:
 		return nil, fmt.Errorf("runtime: unknown engine %d", cfg.Engine)
-	}
-	// Every NIC table trusts the one membership epoch: a membership
-	// change fences them all with one advance.
-	for r := range w.locs {
-		w.net.State(r, func(st *netsim.TransState) { st.Table.TrustEpoch(&w.mem.epoch) })
 	}
 	// Per-locality infrastructure blocks: parcels that address "the
 	// locality" (collectives wiring, migration control) target these.

@@ -120,9 +120,10 @@ func (w *World) counters() (s WorldStats) {
 	}
 	s.Delivery.Faults = w.net.faultStats()
 	m, ms := w.mem, &s.Membership
-	ms.Epoch = m.epoch.Load()
-	ms.Deaths, ms.Joins, ms.Retires = m.deaths.Load(), m.joins.Load(), m.retires.Load()
-	ms.Suspicions, ms.Rehomed, ms.Lost = m.suspicions.Load(), m.rehomed.Load(), m.lostCount.Load()
+	m.mu.Lock()
+	ms.Epoch, ms.Deaths, ms.Joins, ms.Retires = m.epoch, m.deaths, m.joins, m.retires
+	ms.Suspicions, ms.Rehomed, ms.Lost = m.suspicions, m.rehomed, m.lostCount
+	m.mu.Unlock()
 	return s
 }
 
