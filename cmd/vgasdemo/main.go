@@ -172,7 +172,9 @@ func main() {
 			step++
 		}
 		fmt.Printf("\n%d. Crash rank 1: its link goes down, fail-stop, no goodbye.\n", step)
-		w.Kill(1)
+		if err := w.Kill(1); err != nil {
+			panic(err)
+		}
 		fmt.Println("   rank 2 writes to a block homed at the corpse; the put stalls in")
 		fmt.Println("   retransmission, backoff hits its ceiling, probes confirm the death,")
 		fmt.Println("   a surviving replica holder is promoted, and the put lands there.")

@@ -129,7 +129,9 @@ func c2Run(sp runtime.SpaceSpec, eng runtime.EngineKind, o Options, kill bool) c
 	}
 	// ...then the victim crashes mid-workload...
 	if kill {
-		w.Kill(victim)
+		if err := w.Kill(victim); err != nil {
+			panic(err)
+		}
 	}
 	// ...and the remaining survivor writes push through recovery: puts
 	// aimed at the victim's blocks stall in retransmission until death

@@ -91,6 +91,24 @@ func (w *World) Owner(b gas.BlockID, home int) (owner int) {
 	return owner
 }
 
+// Block runs fn on g's data from g's offset on, in the master copy at the
+// owner Owner resolves, claimed (at once on DES: no simulated time moves):
+// the driver's setup and verification door, which notifies no replica.
+func (w *World) Block(g gas.GVA, fn func(data []byte)) error {
+	b := g.Block()
+	owner, held := w.Owner(b, g.Home()), false
+	w.claim(owner, func() {
+		if blk, ok := w.locs[owner].store.Get(b); ok {
+			held = true
+			fn(blk.Data[g.Offset():])
+		}
+	})
+	if !held {
+		return fmt.Errorf("runtime: block %d not resident at its owner %d", b, owner)
+	}
+	return nil
+}
+
 // freeOwned is the owner's half of freeing b, World.Free's and
 // FreeAsync's both, run as the owner: b's replica set and its copy go.
 // It reports false when b is not resident here.

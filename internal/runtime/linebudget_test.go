@@ -126,18 +126,23 @@ func TestEngineChosenOnce(t *testing.T) {
 }
 
 // TestOneWriterPackages holds the software AGAS tables, the block store,
-// the NIC translation table and membership to one writer each: every
-// one belongs to a rank, which code outside it reaches through the
-// runtime's doors (a claim, a post), so none takes a lock or an atomic.
-// It fails on "sync." or "atomic." in the non-test files of
-// internal/agas, in internal/gas/store.go and internal/netsim/transtable.go
-// (whose table trusts its rank's plain epoch), and in membership.go
-// anywhere but the world-side verdict table's lock and the pending count
-// AwaitMember polls.
+// the NIC translation table, membership and the workloads' per-rank
+// state to one writer each: every one belongs to a rank, which code
+// outside it reaches through the runtime's doors (a claim, a post,
+// World.Block), so none takes a lock or an atomic. It fails on "sync."
+// or "atomic." in the non-test files of internal/agas and
+// internal/workloads, in internal/gas/store.go and
+// internal/netsim/transtable.go (whose table trusts its rank's plain
+// epoch), and in membership.go anywhere but the world-side verdict
+// table's lock and the pending count AwaitMember polls.
 func TestOneWriterPackages(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "agas", "*.go"))
-	if err != nil {
-		t.Fatal(err)
+	var files []string
+	for _, dir := range []string{"agas", "workloads"} {
+		matches, err := filepath.Glob(filepath.Join("..", dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
 	}
 	files = append(files, filepath.Join("..", "gas", "store.go"), filepath.Join("..", "netsim", "transtable.go"), "membership.go")
 	shared := regexp.MustCompile(`sync\.|atomic\.`)

@@ -203,11 +203,10 @@ func (l *Locality) Rank() int { return l.rank }
 // World returns the owning world.
 func (l *Locality) World() *World { return l.w }
 
-// Store exposes the block store for driver-side verification. Like the
-// Cache and the Directory it has one writer, the rank, and no lock: a
-// driver reads them where the rank stands still (a DES world between
-// events, a stopped world, a goroutine-engine world whose last writes a
-// Wait has ordered before the read), never beside running traffic.
+// Store exposes the block store to tests. Like the Cache and the
+// Directory it has one writer, the rank, and no lock: read them only where
+// the rank stands still (DES between events, after a Wait, stopped).
+// Drivers reach block data through World.Block.
 func (l *Locality) Store() *gas.Store { return l.store }
 
 // Cache exposes the software translation cache (nil where the strategy

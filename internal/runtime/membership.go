@@ -557,28 +557,35 @@ func (mem *membership) shedHolder(d int) {
 // Kill cuts rank's links immediately, as a crash would: in-flight and
 // future traffic to or from it is swallowed, suspicion builds on the
 // survivors through retransmission silence, and death is confirmed by
-// unanswered probes. Kill requires the reliability layer (a kill
-// without retransmission machinery silently black-holes traffic);
-// configure Faults (a fault plan with kill entries enables it
-// automatically) or Reliability.Force. The victim's own view is claimed
-// (its links are cut when Kill returns); the survivors' are posted.
-func (w *World) Kill(rank int) {
+// unanswered probes. It needs the reliability layer (without
+// retransmission a kill black-holes traffic; set Reliability.Force or
+// Faults, whose kill entries enable it), and errs without it or for a
+// rank outside [0, Ranks). The victim's own view is claimed (its links
+// are cut when Kill returns); the survivors' are posted.
+func (w *World) Kill(rank int) error {
+	if rank < 0 || rank >= w.cfg.Ranks {
+		return fmt.Errorf("runtime: Kill(%d): rank out of range [0,%d)", rank, w.cfg.Ranks)
+	}
 	if !w.cfg.reliable() {
-		panic("runtime: Kill requires the reliability layer (set Config.Faults or Reliability.Force)")
+		return fmt.Errorf("runtime: Kill requires the reliability layer (set Config.Faults or Reliability.Force)")
 	}
 	w.mem.publish(rank, func() { w.mem.down[rank] = true })
+	return nil
 }
 
 // Restart brings rank's link back up. A rank restarted before the
 // survivors declared it dead resumes transparently (a transient
 // partition: its state is intact and retransmissions drain the
 // backlog); one declared dead rejoins through the full Join path.
-func (w *World) Restart(rank int) {
+func (w *World) Restart(rank int) error {
+	if rank < 0 || rank >= w.cfg.Ranks {
+		return fmt.Errorf("runtime: Restart(%d): rank out of range [0,%d)", rank, w.cfg.Ranks)
+	}
 	if w.MemberState(rank) == MemberDead {
-		w.Join(rank)
-		return
+		return w.Join(rank)
 	}
 	w.mem.publish(-1, func() { w.mem.down[rank] = false })
+	return nil
 }
 
 // MemberState returns rank's membership state.
@@ -797,7 +804,8 @@ func (mem *membership) rebirth(l *Locality) {
 // scheduleFaultMembership publishes the first views and schedules
 // the fault plan's whole-node kills and restarts as world timers. Plan
 // times are absolute (simulated under DES, scaled wall time from Start
-// under EngineGo, where Now is 0).
+// under EngineGo, where Now is 0). The plan passed Validate and its kills
+// enable the reliability layer, so neither call returns an error.
 func (w *World) scheduleFaultMembership() {
 	kills, restarts := w.cfg.Faults.KillAt, w.cfg.Faults.RestartAt
 	if len(kills) == 0 && len(restarts) == 0 {
@@ -805,10 +813,10 @@ func (w *World) scheduleFaultMembership() {
 	}
 	w.mem.publish(-1, func() {}) // views from the start: a retransmission ceiling probes
 	for _, r := range sortedKeys(kills) {
-		w.net.after(kills[r]-w.Now(), func() { w.Kill(r) })
+		w.net.after(kills[r]-w.Now(), func() { _ = w.Kill(r) })
 	}
 	for _, r := range sortedKeys(restarts) {
-		w.net.after(restarts[r]-w.Now(), func() { w.Restart(r) })
+		w.net.after(restarts[r]-w.Now(), func() { _ = w.Restart(r) })
 	}
 }
 

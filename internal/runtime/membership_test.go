@@ -227,12 +227,15 @@ func TestRetireDrainsAndServes(t *testing.T) {
 	})
 }
 
-// TestMembershipCallsRejectBadRanks: Join and Retire return an error for
-// a rank outside [0, Ranks), as for every other bad call, instead of
-// indexing the table with it; a valid call on the same world succeeds.
+// TestMembershipCallsRejectBadRanks: Kill, Restart, Join and Retire
+// return an error for a rank outside [0, Ranks), as for every other bad
+// call, instead of indexing the table with it, and Kill for a world
+// without the reliability layer; a valid call on the same world succeeds.
 func TestMembershipCallsRejectBadRanks(t *testing.T) {
 	w := testWorld(t, Config{Ranks: 4, Mode: AGASNM, Reliability: relStress})
 	w.Start()
+	plain := testWorld(t, Config{Ranks: 4, Mode: AGASNM})
+	plain.Start()
 	for _, tc := range []struct {
 		name string
 		call func() error
@@ -243,6 +246,12 @@ func TestMembershipCallsRejectBadRanks(t *testing.T) {
 		{"Retire(-1)", func() error { return w.Retire(-1) }, false},
 		{"Retire(4)", func() error { return w.Retire(4) }, false},
 		{"Retire(2)", func() error { return w.Retire(2) }, true},
+		{"Kill(-1)", func() error { return w.Kill(-1) }, false},
+		{"Kill(4)", func() error { return w.Kill(4) }, false},
+		{"Restart(-1)", func() error { return w.Restart(-1) }, false},
+		{"Restart(4)", func() error { return w.Restart(4) }, false},
+		{"Kill(3)", func() error { return w.Kill(3) }, true},
+		{"Kill without reliability", func() error { return plain.Kill(1) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.call(); (err == nil) != tc.ok {

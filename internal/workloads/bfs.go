@@ -26,11 +26,8 @@ import (
 // transparently reshapes who expands what — the property the evaluation
 // exercises.
 type BFS struct {
-	w    *runtime.World
-	ops  *collective.Ops
-	g    *Graph
-	lay  gas.Layout
-	perB uint32 // vertices per block
+	distArray
+	ops *collective.Ops
 
 	count  parcel.ActionID
 	expand parcel.ActionID
@@ -42,8 +39,6 @@ type BFS struct {
 	RelaxCost netsim.VTime
 	ScanCost  netsim.VTime
 
-	// gateG is the current level's relax gate, published to expanders
-	// through the broadcast payload.
 	edgesRelaxed uint64
 	levels       int
 }
@@ -52,59 +47,76 @@ const infDist = ^uint32(0)
 
 // NewBFS registers BFS actions. Call before World.Start.
 func NewBFS(w *runtime.World, ops *collective.Ops, name string) *BFS {
-	b := &BFS{w: w, ops: ops, RelaxCost: 400 * netsim.Nanosecond, ScanCost: 60 * netsim.Nanosecond}
+	b := &BFS{distArray: distArray{w: w}, ops: ops, RelaxCost: 400 * netsim.Nanosecond, ScanCost: 60 * netsim.Nanosecond}
 	b.count = w.Register(name+".count", b.onCount)
 	b.expand = w.Register(name+".expand", b.onExpand)
 	b.relax = w.Register(name+".relax", b.onRelax)
 	return b
 }
 
+// distArray is a vertex-distance array in the global address space, 4
+// bytes per vertex over blocks of perB vertices: BFS's and SSSP's. The
+// driver sets it in Setup, between runs.
+type distArray struct {
+	w    *runtime.World
+	g    *Graph
+	lay  gas.Layout
+	perB uint32 // vertices per block
+}
+
 // Setup distributes g's distance array over blocks of perBlock vertices
 // with the given initial distribution. DistCyclic is the balanced
 // default; DistLocal deliberately starts with everything on rank 0 — the
 // pathological placement the rebalancing experiment begins from.
-func (b *BFS) Setup(g *Graph, perBlock uint32, dist gas.Dist) error {
+func (a *distArray) Setup(g *Graph, perBlock uint32, dist gas.Dist) error {
 	if perBlock == 0 || perBlock*4 > gas.MaxBlockSize {
-		return fmt.Errorf("workloads: bfs perBlock %d out of range", perBlock)
+		return fmt.Errorf("workloads: perBlock %d out of range", perBlock)
 	}
 	nblocks := (g.N + perBlock - 1) / perBlock
 	var lay gas.Layout
 	var err error
 	switch dist {
 	case gas.DistLocal:
-		lay, err = b.w.AllocLocal(0, perBlock*4, nblocks)
+		lay, err = a.w.AllocLocal(0, perBlock*4, nblocks)
 	case gas.DistBlocked:
-		lay, err = b.w.AllocBlocked(0, perBlock*4, nblocks)
+		lay, err = a.w.AllocBlocked(0, perBlock*4, nblocks)
 	default:
-		lay, err = b.w.AllocCyclic(0, perBlock*4, nblocks)
+		lay, err = a.w.AllocCyclic(0, perBlock*4, nblocks)
 	}
 	if err != nil {
 		return err
 	}
-	b.g = g
-	b.lay = lay
-	b.perB = perBlock
-	b.reset()
+	a.g, a.lay, a.perB = g, lay, perBlock
+	return a.reset()
+}
+
+// reset writes infinite distance into every word, at each block's owner
+// (driver-side setup).
+func (a *distArray) reset() error {
+	for d := uint32(0); d < a.lay.NBlocks; d++ {
+		if err := a.w.Block(a.lay.BlockAt(d), func(data []byte) {
+			for i := range data {
+				data[i] = 0xFF
+			}
+		}); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// reset writes infinite distance into every word (driver-side setup).
-func (b *BFS) reset() {
-	for d := uint32(0); d < b.lay.NBlocks; d++ {
-		blk := b.mustFind(b.lay.Base.Block() + gas.BlockID(d))
-		for i := range blk.Data {
-			blk.Data[i] = 0xFF
-		}
-	}
-	b.edgesRelaxed = 0
-	b.levels = 0
-}
-
 // Layout returns the distance-array allocation.
-func (b *BFS) Layout() gas.Layout { return b.lay }
+func (a *distArray) Layout() gas.Layout { return a.lay }
 
 // vtxAddr returns the GAS address of v's distance word.
-func (b *BFS) vtxAddr(v uint32) gas.GVA { return b.lay.At(uint64(v) * 4) }
+func (a *distArray) vtxAddr(v uint32) gas.GVA { return a.lay.At(uint64(v) * 4) }
+
+// Dist reads v's computed distance at its block's owner (driver-side
+// verification).
+func (a *distArray) Dist(v uint32) (d uint32) {
+	at(a.w, a.vtxAddr(v), func(data []byte) { d = parcel.U32(data, 0) })
+	return d
+}
 
 // scanLocal walks the vertices of blocks resident on ctx's locality whose
 // distance equals level.
@@ -161,14 +173,17 @@ func (b *BFS) onRelax(c *runtime.Ctx) {
 	c.Charge(b.RelaxCost)
 	nd := parcel.U32(c.P.Payload, 0)
 	if parcel.U32(data, 0) == infDist {
-		copy(data, parcel.PutU32(nil, nd))
+		parcel.PutU32(data[:0], nd)
 	}
 	c.Continue(nil)
 }
 
 // Run performs a BFS from root and returns (edges relaxed, levels).
 func (b *BFS) Run(root uint32) (uint64, int, error) {
-	b.reset()
+	if err := b.reset(); err != nil {
+		return 0, 0, err
+	}
+	b.edgesRelaxed, b.levels = 0, 0
 	// Seed the root.
 	if _, err := b.w.Wait(b.w.Proc(0).Put(b.vtxAddr(root), parcel.PutU32(nil, 0))); err != nil {
 		return 0, 0, err
@@ -196,19 +211,4 @@ func (b *BFS) Run(root uint32) (uint64, int, error) {
 		b.edgesRelaxed += uint64(total)
 		b.levels++
 	}
-}
-
-// Dist reads v's computed distance (driver-side verification).
-func (b *BFS) Dist(v uint32) uint32 {
-	blk := b.mustFind(b.vtxAddr(v).Block())
-	return parcel.U32(blk.Data, int(b.vtxAddr(v).Offset()))
-}
-
-func (b *BFS) mustFind(blockID gas.BlockID) *gas.Block {
-	for r := 0; r < b.w.Ranks(); r++ {
-		if blk, ok := b.w.Locality(r).Store().Get(blockID); ok {
-			return blk
-		}
-	}
-	panic(fmt.Sprintf("bfs: block %d unreachable", blockID))
 }

@@ -48,9 +48,11 @@ func (c *Chase) Setup(n uint32, seed int64) error {
 	for i := 0; i < int(n); i++ {
 		cur := uint32(perm[i])
 		next := uint32(perm[(i+1)%int(n)])
-		g := lay.BlockAt(cur)
-		blk := c.mustFind(g.Block())
-		copy(blk.Data, parcel.PutU64(nil, uint64(lay.BlockAt(next))))
+		if err := c.w.Block(lay.BlockAt(cur), func(data []byte) {
+			parcel.PutU64(data[:0], uint64(lay.BlockAt(next)))
+		}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -83,13 +85,4 @@ func (c *Chase) Run(from int, hops uint64) (gas.GVA, error) {
 		return gas.Null, err
 	}
 	return gas.GVA(parcel.U64(v, 0)), nil
-}
-
-func (c *Chase) mustFind(b gas.BlockID) *gas.Block {
-	for r := 0; r < c.w.Ranks(); r++ {
-		if blk, ok := c.w.Locality(r).Store().Get(b); ok {
-			return blk
-		}
-	}
-	panic(fmt.Sprintf("chase: block %d unreachable", b))
 }

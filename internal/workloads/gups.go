@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/parcel"
@@ -29,11 +28,19 @@ type GUPS struct {
 	update parcel.ActionID
 	pump   *Pump
 
-	mu   sync.Mutex
-	lay  gas.Layout
-	rngs []*rand.Rand
-	zips []*rand.Zipf
-	dist KeyDist
+	lay   gas.Layout // set by Setup, between runs
+	dist  KeyDist
+	ranks []gupsRank // ranks[r] is rank r's
+}
+
+// gupsRank is one rank's key stream and the scratch its updates are
+// built in: SendParcel encodes the parcel before it returns, so one per
+// rank serves every update.
+type gupsRank struct {
+	rng *rand.Rand
+	zip *rand.Zipf
+	p   parcel.Parcel
+	val [8]byte
 }
 
 // NewGUPS registers the GUPS actions. Call before World.Start. The name
@@ -56,101 +63,64 @@ func (g *GUPS) Setup(bsize, nblocks uint32, dist KeyDist, seed int64) error {
 	if err != nil {
 		return err
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.lay = lay
 	g.dist = dist
-	g.rngs = g.rngs[:0]
-	g.zips = g.zips[:0]
-	words := lay.Bytes() / 8
-	for r := 0; r < g.w.Ranks(); r++ {
-		rng := rand.New(rand.NewSource(seed + int64(r)*1_000_003))
-		g.rngs = append(g.rngs, rng)
-		g.zips = append(g.zips, rand.NewZipf(rng, 1.2, 1, words-1))
+	g.ranks = make([]gupsRank, g.w.Ranks())
+	for r := range g.ranks {
+		st := &g.ranks[r]
+		st.rng = rand.New(rand.NewSource(seed + int64(r)*1_000_003))
+		st.zip = rand.NewZipf(st.rng, 1.2, 1, lay.Bytes()/8-1)
 	}
 	return nil
 }
 
 // Layout returns the table layout (for load-balancing integration).
-func (g *GUPS) Layout() gas.Layout {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.lay
-}
+func (g *GUPS) Layout() gas.Layout { return g.lay }
 
 // issue sends one update from rank.
 func (g *GUPS) issue(rank, seq int) {
-	g.mu.Lock()
+	st := &g.ranks[rank]
 	var word uint64
 	if g.dist == KeysZipf {
-		word = g.zips[rank].Uint64()
+		word = st.zip.Uint64()
 	} else {
-		word = g.rngs[rank].Uint64() % (g.lay.Bytes() / 8)
+		word = st.rng.Uint64() % (g.lay.Bytes() / 8)
 	}
-	target := g.lay.At(word * 8)
-	g.mu.Unlock()
-
 	act, cont := g.pump.Wire(rank)
-	g.w.Locality(rank).SendParcel(&parcel.Parcel{
+	st.p = parcel.Parcel{
 		Action:  g.update,
-		Target:  target,
-		Payload: parcel.PutU64(nil, uint64(seq)*0x9E3779B97F4A7C15+uint64(rank)),
+		Target:  g.lay.At(word * 8),
+		Payload: parcel.PutU64(st.val[:0], uint64(seq)*0x9E3779B97F4A7C15+uint64(rank)),
 		CAction: act,
 		CTarget: cont,
-	})
+	}
+	g.w.Locality(rank).SendParcel(&st.p)
 }
 
-// onUpdate performs the read-xor-write at the owner.
+// onUpdate performs the read-xor-write at the owner, in place.
 func (g *GUPS) onUpdate(c *runtime.Ctx) {
 	data := c.Local(c.P.Target)
 	if data == nil {
 		panic("gups: update ran against non-resident target")
 	}
-	v := parcel.U64(data, 0) ^ parcel.U64(c.P.Payload, 0)
-	copy(data, parcel.PutU64(nil, v))
+	parcel.PutU64(data[:0], parcel.U64(data, 0)^parcel.U64(c.P.Payload, 0))
 	c.Continue(nil)
 }
 
 // Run performs perRank updates from every rank with the given window and
 // waits for completion. It returns the total number of updates.
-func (g *GUPS) Run(perRank, window int) (int, error) {
-	gate, err := g.pump.Run(perRank, window)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := g.w.Wait(gate); err != nil {
-		return 0, err
-	}
-	return perRank * g.w.Ranks(), nil
-}
+func (g *GUPS) Run(perRank, window int) (int, error) { return g.pump.drive(perRank, window) }
 
 // Checksum XORs the whole table — runs must be reproducible for a fixed
 // seed and mode-independent (translation must never change semantics).
 func (g *GUPS) Checksum() uint64 {
-	g.mu.Lock()
-	lay := g.lay
-	g.mu.Unlock()
 	var sum uint64
-	for d := uint32(0); d < lay.NBlocks; d++ {
-		b := lay.Base.Block() + gas.BlockID(d)
-		blk := g.findBlock(b)
-		if blk == nil {
-			panic(fmt.Sprintf("gups: block %d unreachable for checksum", b))
-		}
-		for off := 0; off+8 <= len(blk.Data); off += 8 {
-			sum ^= parcel.U64(blk.Data, off)
-		}
+	for d := uint32(0); d < g.lay.NBlocks; d++ {
+		at(g.w, g.lay.BlockAt(d), func(data []byte) {
+			for off := 0; off+8 <= len(data); off += 8 {
+				sum ^= parcel.U64(data, off)
+			}
+		})
 	}
 	return sum
-}
-
-// findBlock locates a block wherever it currently lives (driver-side
-// verification helper).
-func (g *GUPS) findBlock(b gas.BlockID) *gas.Block {
-	for r := 0; r < g.w.Ranks(); r++ {
-		if blk, ok := g.w.Locality(r).Store().Get(b); ok {
-			return blk
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/parcel"
@@ -19,10 +18,16 @@ type Histogram struct {
 	add  parcel.ActionID
 	pump *Pump
 
-	mu   sync.Mutex
-	lay  gas.Layout
-	bins uint64
-	zips []*rand.Zipf
+	lay   gas.Layout // set by Setup, between runs
+	bins  uint64
+	ranks []histRank // ranks[r] is rank r's
+}
+
+// histRank is one rank's key stream and the scratch parcel its adds are
+// built in (SendParcel encodes it before it returns).
+type histRank struct {
+	zip *rand.Zipf
+	p   parcel.Parcel
 }
 
 // NewHistogram registers the histogram actions. Call before World.Start.
@@ -44,37 +49,24 @@ func (h *Histogram) Setup(binsPerBlock, nblocks uint32, skew float64, seed int64
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.lay = lay
 	h.bins = uint64(binsPerBlock) * uint64(nblocks)
-	h.zips = h.zips[:0]
-	for r := 0; r < h.w.Ranks(); r++ {
+	h.ranks = make([]histRank, h.w.Ranks())
+	for r := range h.ranks {
 		rng := rand.New(rand.NewSource(seed + int64(r)*7_919))
-		h.zips = append(h.zips, rand.NewZipf(rng, skew, 1, h.bins-1))
+		h.ranks[r].zip = rand.NewZipf(rng, skew, 1, h.bins-1)
 	}
 	return nil
 }
 
 // Layout returns the bin allocation.
-func (h *Histogram) Layout() gas.Layout {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lay
-}
+func (h *Histogram) Layout() gas.Layout { return h.lay }
 
 func (h *Histogram) issue(rank, seq int) {
-	h.mu.Lock()
-	bin := h.zips[rank].Uint64()
-	target := h.lay.At(bin * 8)
-	h.mu.Unlock()
+	st := &h.ranks[rank]
 	act, cont := h.pump.Wire(rank)
-	h.w.Locality(rank).SendParcel(&parcel.Parcel{
-		Action:  h.add,
-		Target:  target,
-		CAction: act,
-		CTarget: cont,
-	})
+	st.p = parcel.Parcel{Action: h.add, Target: h.lay.At(st.zip.Uint64() * 8), CAction: act, CTarget: cont}
+	h.w.Locality(rank).SendParcel(&st.p)
 }
 
 func (h *Histogram) onAdd(c *runtime.Ctx) {
@@ -82,18 +74,9 @@ func (h *Histogram) onAdd(c *runtime.Ctx) {
 	if data == nil {
 		panic("histogram: add ran against non-resident bin")
 	}
-	copy(data, parcel.PutU64(nil, parcel.U64(data, 0)+1))
+	parcel.PutU64(data[:0], parcel.U64(data, 0)+1)
 	c.Continue(nil)
 }
 
 // Run performs perRank increments from every rank.
-func (h *Histogram) Run(perRank, window int) (int, error) {
-	gate, err := h.pump.Run(perRank, window)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := h.w.Wait(gate); err != nil {
-		return 0, err
-	}
-	return perRank * h.w.Ranks(), nil
-}
+func (h *Histogram) Run(perRank, window int) (int, error) { return h.pump.drive(perRank, window) }

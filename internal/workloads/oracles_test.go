@@ -1,15 +1,15 @@
 package workloads
 
 import (
-	"fmt"
+	"math"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/parcel"
 )
 
 // Reference oracles the tests compare the distributed workloads against.
-// They read block stores directly from the driver, so no program links
-// them.
+// They read block data from the driver (World.Block), and no program
+// links them.
 
 // SeqSSSP computes reference weighted distances (Dijkstra with a simple
 // binary heap) for validation. Unreached vertices get ^uint32(0).
@@ -78,41 +78,45 @@ func (g *Graph) SeqSSSP(root uint32) []uint32 {
 func (c *Chase) Expected(hops uint64) gas.GVA {
 	g := c.lay.BlockAt(0)
 	for i := uint64(0); i < hops; i++ {
-		blk := c.mustFind(g.Block())
-		g = gas.GVA(parcel.U64(blk.Data, 0))
+		at(c.w, g, func(data []byte) { g = gas.GVA(parcel.U64(data, 0)) })
 	}
 	return g
 }
 
 // Total sums all bins — must equal the number of increments issued.
 func (h *Histogram) Total() uint64 {
-	h.mu.Lock()
-	lay := h.lay
-	h.mu.Unlock()
 	var sum uint64
-	for d := uint32(0); d < lay.NBlocks; d++ {
-		blk := h.mustFind(lay.Base.Block() + gas.BlockID(d))
-		for off := 0; off+8 <= len(blk.Data); off += 8 {
-			sum += parcel.U64(blk.Data, off)
-		}
+	for d := uint32(0); d < h.lay.NBlocks; d++ {
+		at(h.w, h.lay.BlockAt(d), func(data []byte) {
+			for off := 0; off+8 <= len(data); off += 8 {
+				sum += parcel.U64(data, off)
+			}
+		})
 	}
 	return sum
 }
 
-func (h *Histogram) mustFind(b gas.BlockID) *gas.Block {
-	for r := 0; r < h.w.Ranks(); r++ {
-		if blk, ok := h.w.Locality(r).Store().Get(b); ok {
-			return blk
-		}
+// counts sums what the last Run issued over the ranks.
+func (o *oneSided) counts() (reads, writes int64) {
+	for _, st := range o.st {
+		reads += st.reads
+		writes += st.writes
 	}
-	panic(fmt.Sprintf("histogram: block %d unreachable", b))
+	return reads, writes
 }
 
 // HotBlock returns the table index of tenant r's current hottest block
 // (the Zipf mode after phase rotation) — used by tests to check the
 // policy moved the right data.
 func (tn *Tenants) HotBlock(r int) uint32 {
-	tn.mu.Lock()
-	defer tn.mu.Unlock()
 	return uint32(r)*tn.perTenant + (tn.phase*tn.stride)%tn.perTenant
 }
+
+// Cell reads cell i at its block's owner.
+func (s *Stencil) Cell(i uint64) (v float64) {
+	at(s.w, s.cellAddr(i), func(data []byte) { v = math.Float64frombits(parcel.U64(data, 0)) })
+	return v
+}
+
+// Cells returns the total cell count.
+func (s *Stencil) Cells() uint64 { return uint64(s.lay.NBlocks) * uint64(s.perB) }

@@ -5,11 +5,16 @@
 // public operations (parcels, LCOs, one-sided ops, migration), so its
 // performance differences across address-space modes come from the system
 // under test, not from the workload code.
+//
+// Workload state follows the runtime's ownership rule: a rank's key
+// streams, window counters and scratch parcels are touched only by that
+// rank's token holder or DES events, the driver sets a workload's shared
+// fields only between runs, and it reads or writes block data only
+// through World.Block. No workload takes a lock.
 package workloads
 
 import (
 	"fmt"
-	"sync"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/parcel"
@@ -19,18 +24,18 @@ import (
 // Pump drives a fixed number of asynchronous operations per rank while
 // keeping a bounded number outstanding — the standard way throughput
 // benchmarks saturate a network without unbounded queueing. Each
-// operation's continuation re-arms the pump, so the window refills itself
+// operation's completion re-arms the pump, so the window refills itself
 // until the per-rank quota is met; a final gate fires when every rank
 // finishes.
 type Pump struct {
 	w    *runtime.World
 	act  parcel.ActionID
-	mu   sync.Mutex
-	st   []pumpRank
+	st   []pumpRank // st[r] is rank r's: written by the driver only between runs
 	gate *runtime.LCORef
 
-	// Issue sends the seq-th operation from rank. The operation's
-	// continuation must be (ContAction, ContTarget(rank)) — use Wire.
+	// Issue sends the seq-th operation from rank, on rank. The
+	// operation's completion must step the pump: a parcel's continuation
+	// is (ContAction, ContTarget(rank)) — use Wire.
 	Issue func(rank, seq int)
 }
 
@@ -42,7 +47,7 @@ type pumpRank struct {
 // world). Call before World.Start, set Issue before Run.
 func NewPump(w *runtime.World, name string) *Pump {
 	p := &Pump{w: w, st: make([]pumpRank, w.Ranks())}
-	p.act = w.Register(name, p.onDone)
+	p.act = w.Register(name, func(c *runtime.Ctx) { p.onDone(c.Rank()) })
 	return p
 }
 
@@ -52,24 +57,19 @@ func (p *Pump) Wire(rank int) (parcel.ActionID, gas.GVA) {
 	return p.act, p.w.LocalityGVA(rank)
 }
 
-// onDone runs at the issuing rank when one operation completes.
-func (p *Pump) onDone(c *runtime.Ctx) {
-	r := c.Rank()
-	p.mu.Lock()
-	st := &p.st[r]
+// onDone runs on rank when one of its operations completes: as the
+// registered continuation of a parcel, or called by a one-sided op's
+// completion callback.
+func (p *Pump) onDone(rank int) {
+	st := &p.st[rank]
 	st.completed++
 	if st.issued < st.target {
-		seq := st.issued
 		st.issued++
-		p.mu.Unlock()
-		p.Issue(r, seq)
+		p.Issue(rank, st.issued-1)
 		return
 	}
-	done := st.completed == st.target
-	gate := p.gate
-	p.mu.Unlock()
-	if done {
-		c.ContinueTo(gate.G, nil)
+	if st.completed == st.target {
+		p.w.Locality(rank).SendParcel(&parcel.Parcel{Action: runtime.ALCOSet, Target: p.gate.G})
 	}
 }
 
@@ -82,26 +82,37 @@ func (p *Pump) Run(perRank, window int) (*runtime.LCORef, error) {
 	if perRank < 1 || window < 1 {
 		return nil, fmt.Errorf("workloads: pump needs perRank>=1 and window>=1, got %d/%d", perRank, window)
 	}
-	if window > perRank {
-		window = perRank
-	}
+	window = min(window, perRank)
 	p.gate = p.w.NewAndGate(0, p.w.Ranks())
-	p.mu.Lock()
 	for r := range p.st {
-		p.st[r] = pumpRank{target: perRank}
-	}
-	p.mu.Unlock()
-	for r := 0; r < p.w.Ranks(); r++ {
-		r := r
-		prime := window
+		p.st[r] = pumpRank{issued: window, target: perRank}
 		p.w.Proc(r).Run(func() {
-			p.mu.Lock()
-			p.st[r].issued = prime
-			p.mu.Unlock()
-			for i := 0; i < prime; i++ {
+			for i := 0; i < window; i++ {
 				p.Issue(r, i)
 			}
 		})
 	}
 	return p.gate, nil
+}
+
+// drive runs perRank operations from every rank and waits for them all:
+// the Run of every pumped workload. It returns the operation count.
+func (p *Pump) drive(perRank, window int) (int, error) {
+	gate, err := p.Run(perRank, window)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := p.w.Wait(gate); err != nil {
+		return 0, err
+	}
+	return perRank * p.w.Ranks(), nil
+}
+
+// at runs fn on the data at g through World.Block, the driver's one door
+// to block data, and panics if g's block is gone: the driver-side reads
+// whose signatures carry no error.
+func at(w *runtime.World, g gas.GVA, fn func(data []byte)) {
+	if err := w.Block(g, fn); err != nil {
+		panic(err)
+	}
 }

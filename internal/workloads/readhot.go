@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/parcel"
@@ -21,30 +20,70 @@ import (
 // The caller owns the replication decision: allocate via Setup, then
 // World.ReplicateLive(Layout(), n) (or nothing, for the baseline), then
 // Run. The workload itself only issues reads and writes.
-type ReadHot struct {
-	w *runtime.World
+type ReadHot struct{ oneSided }
 
-	mu         sync.Mutex
+// oneSided is what ReadHot and Tenants share: a cyclic table read and
+// written with one-sided ops from per-rank key streams, on a pump that
+// registers no action (each op's completion callback steps it).
+type oneSided struct {
+	w    *runtime.World
+	pump *Pump
+
+	// The driver sets these (Setup, SetWriteEvery) only between runs.
 	lay        gas.Layout
-	zips       []*rand.Zipf
-	rngs       []*rand.Rand
 	readBytes  int
 	writeEvery int
-	st         []readHotRank
-	gate       *runtime.LCORef
-	reads      int64
-	writes     int64
+	st         []sideRank // st[r] is rank r's
 }
 
-type readHotRank struct {
-	issued, completed, target int
+// sideRank is one rank's key streams and the ops its last Run issued.
+type sideRank struct {
+	rng           *rand.Rand
+	zip, szip     *rand.Zipf // szip: Tenants' shared region
+	reads, writes int64
+}
+
+func newOneSided(w *runtime.World, issue func(rank, seq int)) oneSided {
+	return oneSided{w: w, pump: &Pump{w: w, st: make([]pumpRank, w.Ranks()), Issue: issue}}
 }
 
 // NewReadHot builds the workload. It registers no actions (reads and
 // writes are one-sided), so it may be created before or after
 // World.Start.
 func NewReadHot(w *runtime.World) *ReadHot {
-	return &ReadHot{w: w, st: make([]readHotRank, w.Ranks())}
+	rh := &ReadHot{}
+	rh.oneSided = newOneSided(w, rh.issue)
+	return rh
+}
+
+// setup checks what both workloads share, allocates nblocks blocks of
+// bsize bytes, cyclic, and seeds each rank's streams from one generator:
+// Zipf(skew) over [0, n) and, if shared > 0, over [0, shared).
+func (o *oneSided) setup(name string, bsize, nblocks uint32, readBytes int, skew float64, writeEvery int, seed int64, n, shared uint32) error {
+	if skew <= 1 {
+		return fmt.Errorf("workloads: zipf skew must be > 1, got %v", skew)
+	}
+	if bsize%8 != 0 {
+		return fmt.Errorf("workloads: %s bsize %d not 8-byte aligned", name, bsize)
+	}
+	if readBytes < 8 || readBytes%8 != 0 || uint32(readBytes) > bsize {
+		return fmt.Errorf("workloads: %s read size %d (need 8-aligned, 8..bsize)", name, readBytes)
+	}
+	lay, err := o.w.AllocCyclic(0, bsize, nblocks)
+	if err != nil {
+		return err
+	}
+	o.lay, o.readBytes, o.writeEvery = lay, readBytes, writeEvery
+	o.st = make([]sideRank, o.w.Ranks())
+	for r := range o.st {
+		st := &o.st[r]
+		st.rng = rand.New(rand.NewSource(seed + int64(r)*7_919))
+		st.zip = rand.NewZipf(st.rng, skew, 1, uint64(n)-1)
+		if shared > 0 {
+			st.szip = rand.NewZipf(st.rng, skew, 1, uint64(shared)-1)
+		}
+	}
+	return nil
 }
 
 // Setup allocates the table (nblocks blocks of bsize bytes, cyclic) and
@@ -54,138 +93,67 @@ func NewReadHot(w *runtime.World) *ReadHot {
 // relieves. Every writeEvery-th operation is an 8-byte write (0 disables
 // writes entirely); writeEvery=20 gives the canonical 5% write mix.
 func (rh *ReadHot) Setup(bsize, nblocks uint32, readBytes int, skew float64, writeEvery int, seed int64) error {
-	if skew <= 1 {
-		return fmt.Errorf("workloads: zipf skew must be > 1, got %v", skew)
-	}
 	if nblocks < 2 {
 		return fmt.Errorf("workloads: readhot needs at least 2 blocks, got %d", nblocks)
 	}
-	if bsize%8 != 0 {
-		return fmt.Errorf("workloads: readhot bsize %d not 8-byte aligned", bsize)
-	}
-	if readBytes < 8 || readBytes%8 != 0 || uint32(readBytes) > bsize {
-		return fmt.Errorf("workloads: readhot read size %d (need 8-aligned, 8..bsize)", readBytes)
-	}
-	lay, err := rh.w.AllocCyclic(0, bsize, nblocks)
-	if err != nil {
-		return err
-	}
-	rh.mu.Lock()
-	defer rh.mu.Unlock()
-	rh.lay = lay
-	rh.readBytes = readBytes
-	rh.writeEvery = writeEvery
-	rh.zips = rh.zips[:0]
-	rh.rngs = rh.rngs[:0]
-	for r := 0; r < rh.w.Ranks(); r++ {
-		rng := rand.New(rand.NewSource(seed + int64(r)*7_919))
-		rh.rngs = append(rh.rngs, rng)
-		rh.zips = append(rh.zips, rand.NewZipf(rng, skew, 1, uint64(nblocks)-1))
-	}
-	return nil
+	return rh.setup("readhot", bsize, nblocks, readBytes, skew, writeEvery, seed, nblocks, 0)
 }
 
-// Layout returns the table allocation (for ReplicateLive).
-func (rh *ReadHot) Layout() gas.Layout {
-	rh.mu.Lock()
-	defer rh.mu.Unlock()
-	return rh.lay
-}
+// Layout returns the table allocation.
+func (o *oneSided) Layout() gas.Layout { return o.lay }
 
 // SetWriteEvery changes the write mix between runs (0 = pure reads),
 // letting one table serve both a coherence-churning warm phase and a
 // write-free measured phase.
-func (rh *ReadHot) SetWriteEvery(n int) {
-	rh.mu.Lock()
-	defer rh.mu.Unlock()
-	rh.writeEvery = n
-}
+func (rh *ReadHot) SetWriteEvery(n int) { rh.writeEvery = n }
 
 // Reads reports how many reads the last Run issued.
-func (rh *ReadHot) Reads() int64 { rh.mu.Lock(); defer rh.mu.Unlock(); return rh.reads }
-
-// issue fires rank's seq-th operation; its completion re-arms the window.
-func (rh *ReadHot) issue(rank, seq int) {
-	rh.mu.Lock()
-	blk := uint32(rh.zips[rank].Uint64())
-	write := rh.writeEvery > 0 && (seq+1)%rh.writeEvery == 0
-	span := 8
-	if !write {
-		span = rh.readBytes
+func (o *oneSided) Reads() int64 {
+	var n int64
+	for _, st := range o.st {
+		n += st.reads
 	}
-	off := uint64(rh.rngs[rank].Intn((int(rh.lay.BSize)-span)/8+1)) * 8
-	if write {
-		rh.writes++
-	} else {
-		rh.reads++
-	}
-	target := rh.lay.BlockAt(blk).WithOffset(uint32(off))
-	size := rh.readBytes
-	rh.mu.Unlock()
-	l := rh.w.Locality(rank)
-	if write {
-		l.PutAsync(target, parcel.PutU64(nil, uint64(seq)<<16|uint64(rank)), func() { rh.onDone(rank) })
-		return
-	}
-	l.GetAsync(target, uint32(size), func([]byte) { rh.onDone(rank) })
+	return n
 }
 
-// onDone runs on the issuing locality at each completion.
-func (rh *ReadHot) onDone(rank int) {
-	rh.mu.Lock()
-	st := &rh.st[rank]
-	st.completed++
-	if st.issued < st.target {
-		seq := st.issued
-		st.issued++
-		rh.mu.Unlock()
-		rh.issue(rank, seq)
+// issue fires rank's seq-th operation at a Zipf-drawn block.
+func (rh *ReadHot) issue(rank, seq int) {
+	blk := uint32(rh.st[rank].zip.Uint64())
+	rh.fire(rank, seq, blk, rh.writeEvery > 0 && (seq+1)%rh.writeEvery == 0)
+}
+
+// fire sends rank's seq-th operation to block blk at a random aligned
+// offset: an 8-byte write or a readBytes read, counted in the rank's
+// reads or writes. Its completion steps the pump.
+func (o *oneSided) fire(rank, seq int, blk uint32, write bool) {
+	st := &o.st[rank]
+	span := 8
+	if !write {
+		span = o.readBytes
+	}
+	target := o.lay.BlockAt(blk).WithOffset(uint32(st.rng.Intn((int(o.lay.BSize)-span)/8+1)) * 8)
+	l := o.w.Locality(rank)
+	if write {
+		st.writes++
+		l.PutAsync(target, parcel.PutU64(nil, uint64(seq)<<16|uint64(rank)), func() { o.pump.onDone(rank) })
 		return
 	}
-	done := st.completed == st.target
-	gate := rh.gate
-	rh.mu.Unlock()
-	if done {
-		rh.w.Locality(rank).SendParcel(&parcel.Parcel{Action: runtime.ALCOSet, Target: gate.G})
+	st.reads++
+	l.GetAsync(target, uint32(o.readBytes), func([]byte) { o.pump.onDone(rank) })
+}
+
+// run is both workloads' Run: it clears the counts and drives the pump.
+func (o *oneSided) run(name string, perRank, window int) (int, error) {
+	if o.lay.NBlocks == 0 {
+		return 0, fmt.Errorf("workloads: %s Run before Setup", name)
 	}
+	for r := range o.st {
+		o.st[r].reads, o.st[r].writes = 0, 0
+	}
+	return o.pump.drive(perRank, window)
 }
 
 // Run performs perRank operations from every rank, keeping up to window
 // outstanding per rank, and waits for completion. It returns the total
 // operation count.
-func (rh *ReadHot) Run(perRank, window int) (int, error) {
-	if perRank < 1 || window < 1 {
-		return 0, fmt.Errorf("workloads: readhot needs perRank>=1 and window>=1, got %d/%d", perRank, window)
-	}
-	if window > perRank {
-		window = perRank
-	}
-	rh.mu.Lock()
-	if rh.lay.NBlocks == 0 {
-		rh.mu.Unlock()
-		return 0, fmt.Errorf("workloads: readhot Run before Setup")
-	}
-	rh.gate = rh.w.NewAndGate(0, rh.w.Ranks())
-	rh.reads, rh.writes = 0, 0
-	for r := range rh.st {
-		rh.st[r] = readHotRank{target: perRank}
-	}
-	gate := rh.gate
-	rh.mu.Unlock()
-	for r := 0; r < rh.w.Ranks(); r++ {
-		r := r
-		prime := window
-		rh.w.Proc(r).Run(func() {
-			rh.mu.Lock()
-			rh.st[r].issued = prime
-			rh.mu.Unlock()
-			for i := 0; i < prime; i++ {
-				rh.issue(r, i)
-			}
-		})
-	}
-	if _, err := rh.w.Wait(gate); err != nil {
-		return 0, err
-	}
-	return perRank * rh.w.Ranks(), nil
-}
+func (rh *ReadHot) Run(perRank, window int) (int, error) { return rh.run("readhot", perRank, window) }

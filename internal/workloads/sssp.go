@@ -18,11 +18,7 @@ import (
 // exactly when the computation has quiesced. This works identically on
 // the discrete-event and goroutine engines.
 type SSSP struct {
-	w    *runtime.World
-	g    *Graph
-	lay  gas.Layout
-	perB uint32
-
+	distArray
 	relax parcel.ActionID
 
 	// RelaxCost models per-edge work, as in BFS.
@@ -31,50 +27,19 @@ type SSSP struct {
 
 // NewSSSP registers the relax action. Call before World.Start.
 func NewSSSP(w *runtime.World, name string) *SSSP {
-	s := &SSSP{w: w, RelaxCost: 300 * netsim.Nanosecond}
+	s := &SSSP{distArray: distArray{w: w}, RelaxCost: 300 * netsim.Nanosecond}
 	s.relax = w.Register(name+".relax", s.onRelax)
 	return s
 }
 
-// Setup distributes the distance array (4 bytes per vertex).
+// Setup distributes the distance array (4 bytes per vertex); see
+// BFS.Setup. The graph must be weighted.
 func (s *SSSP) Setup(g *Graph, perBlock uint32, dist gas.Dist) error {
-	if perBlock == 0 || perBlock*4 > gas.MaxBlockSize {
-		return fmt.Errorf("workloads: sssp perBlock %d out of range", perBlock)
-	}
 	if len(g.Weights) != len(g.Targets) {
 		return fmt.Errorf("workloads: sssp needs a weighted graph")
 	}
-	nblocks := (g.N + perBlock - 1) / perBlock
-	var lay gas.Layout
-	var err error
-	switch dist {
-	case gas.DistLocal:
-		lay, err = s.w.AllocLocal(0, perBlock*4, nblocks)
-	case gas.DistBlocked:
-		lay, err = s.w.AllocBlocked(0, perBlock*4, nblocks)
-	default:
-		lay, err = s.w.AllocCyclic(0, perBlock*4, nblocks)
-	}
-	if err != nil {
-		return err
-	}
-	s.g = g
-	s.lay = lay
-	s.perB = perBlock
-	s.reset()
-	return nil
+	return s.distArray.Setup(g, perBlock, dist)
 }
-
-func (s *SSSP) reset() {
-	for d := uint32(0); d < s.lay.NBlocks; d++ {
-		blk := s.mustFind(s.lay.Base.Block() + gas.BlockID(d))
-		for i := range blk.Data {
-			blk.Data[i] = 0xFF
-		}
-	}
-}
-
-func (s *SSSP) vtxAddr(v uint32) gas.GVA { return s.lay.At(uint64(v) * 4) }
 
 // relax payload: vertex u32, proposed distance u32. The parcel's
 // continuation is its ack target.
@@ -93,7 +58,7 @@ func (s *SSSP) onRelax(c *runtime.Ctx) {
 		c.Continue(nil)
 		return
 	}
-	copy(data, parcel.PutU32(nil, nd))
+	parcel.PutU32(data[:0], nd)
 
 	outs, ws := s.g.OutW(v)
 	if len(outs) == 0 {
@@ -127,7 +92,9 @@ func (s *SSSP) onRelax(c *runtime.Ctx) {
 // Run computes shortest paths from root; the returned count is the number
 // of reachable vertices.
 func (s *SSSP) Run(root uint32) (int, error) {
-	s.reset()
+	if err := s.reset(); err != nil {
+		return 0, err
+	}
 	done := s.w.NewFuture(0)
 	payload := parcel.PutU32(nil, root)
 	payload = parcel.PutU32(payload, 0)
@@ -147,20 +114,4 @@ func (s *SSSP) Run(root uint32) (int, error) {
 		}
 	}
 	return reached, nil
-}
-
-// Dist reads v's computed distance (driver-side verification).
-func (s *SSSP) Dist(v uint32) uint32 {
-	g := s.vtxAddr(v)
-	blk := s.mustFind(g.Block())
-	return parcel.U32(blk.Data, int(g.Offset()))
-}
-
-func (s *SSSP) mustFind(b gas.BlockID) *gas.Block {
-	for r := 0; r < s.w.Ranks(); r++ {
-		if blk, ok := s.w.Locality(r).Store().Get(b); ok {
-			return blk
-		}
-	}
-	panic(fmt.Sprintf("sssp: block %d unreachable", b))
 }

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"nmvgas/internal/gas"
 	"nmvgas/internal/netsim"
@@ -29,13 +28,16 @@ type Stencil struct {
 	w       *runtime.World
 	halo    parcel.ActionID
 	compute parcel.ActionID
-	lay     gas.Layout
-	perB    uint32 // cells per block
 
-	mu    sync.Mutex
-	slow  []float64    // per-rank compute multiplier (1.0 = nominal)
-	cost  netsim.VTime // simulated cost per cell at multiplier 1
-	halos map[uint32][2]float64
+	// The driver sets these in Setup, between runs.
+	lay  gas.Layout
+	perB uint32       // cells per block
+	slow []float64    // per-rank compute multiplier (1.0 = nominal)
+	cost netsim.VTime // simulated cost per cell at multiplier 1
+
+	// halos[d] is block d's neighbour edge cells: written by its owner's
+	// halo step, read by its compute step.
+	halos [][2]float64
 }
 
 const (
@@ -45,7 +47,7 @@ const (
 
 // NewStencil registers the stencil actions. Call before World.Start.
 func NewStencil(w *runtime.World, name string) *Stencil {
-	s := &Stencil{w: w, halos: make(map[uint32][2]float64)}
+	s := &Stencil{w: w}
 	s.halo = w.Register(name+".halo", s.onHalo)
 	s.compute = w.Register(name+".compute", s.onCompute)
 	return s
@@ -75,35 +77,24 @@ func (s *Stencil) Setup(perBlock, nblocks uint32, slow []float64, cellCost netsi
 		return fmt.Errorf("workloads: %d slow factors for %d ranks", len(slow), s.w.Ranks())
 	}
 	s.slow = slow
+	s.halos = make([][2]float64, nblocks)
 	// Initial condition: unit spike in the middle cell.
 	mid := uint64(nblocks) * uint64(perBlock) / 2
-	s.writeCell(mid, 1.0)
-	return nil
+	return s.w.Block(s.cellAddr(mid), func(data []byte) { parcel.PutU64(data[:0], math.Float64bits(1)) })
 }
 
 func (s *Stencil) cellAddr(i uint64) gas.GVA { return s.lay.At(i * 8) }
 
-func (s *Stencil) writeCell(i uint64, v float64) {
-	g := s.cellAddr(i)
-	blk := s.mustFind(g.Block())
-	copy(blk.Data[g.Offset():], parcel.PutU64(nil, math.Float64bits(v)))
-}
-
-// Cell reads cell i wherever its block lives (driver-side verification).
-func (s *Stencil) Cell(i uint64) float64 {
-	g := s.cellAddr(i)
-	blk := s.mustFind(g.Block())
-	return math.Float64frombits(parcel.U64(blk.Data, int(g.Offset())))
-}
-
-// Cells returns the total cell count.
-func (s *Stencil) Cells() uint64 { return uint64(s.lay.NBlocks) * uint64(s.perB) }
-
-// Sum returns the total heat (conserved away from the boundary).
+// Sum returns the total heat (conserved away from the boundary), added
+// in cell order.
 func (s *Stencil) Sum() float64 {
 	var sum float64
-	for i := uint64(0); i < s.Cells(); i++ {
-		sum += s.Cell(i)
+	for d := uint32(0); d < s.lay.NBlocks; d++ {
+		at(s.w, s.lay.BlockAt(d), func(data []byte) {
+			for i := 0; i < int(s.perB); i++ {
+				sum += math.Float64frombits(parcel.U64(data, i*8))
+			}
+		})
 	}
 	return sum
 }
@@ -125,9 +116,7 @@ func (s *Stencil) onHalo(c *runtime.Ctx) {
 		need++
 	}
 	finish := func() {
-		s.mu.Lock()
 		s.halos[d] = [2]float64{left, right}
-		s.mu.Unlock()
 		c.ContinueTo(gate, nil)
 	}
 	if need == 0 {
@@ -161,11 +150,7 @@ func (s *Stencil) onCompute(c *runtime.Ctx) {
 	if data == nil {
 		panic("stencil: compute ran against non-resident block")
 	}
-	s.mu.Lock()
 	h := s.halos[d]
-	mult := s.slow[c.Rank()]
-	s.mu.Unlock()
-
 	n := int(s.perB)
 	cells := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -180,9 +165,9 @@ func (s *Stencil) onCompute(c *runtime.Ctx) {
 			r = cells[i+1]
 		}
 		nv := cells[i] + stencilAlpha*(l-2*cells[i]+r)
-		copy(data[i*8:], parcel.PutU64(nil, math.Float64bits(nv)))
+		parcel.PutU64(data[i*8:i*8], math.Float64bits(nv))
 	}
-	c.Charge(netsim.VTime(float64(s.cost) * float64(n) * mult))
+	c.Charge(netsim.VTime(float64(s.cost) * float64(n) * s.slow[c.Rank()]))
 	c.ContinueTo(gate, nil)
 }
 
@@ -220,14 +205,12 @@ func (s *Stencil) Run(steps int) error {
 // proportional to the slowdown factors (a slow rank keeps fewer blocks).
 // Only meaningful under the AGAS modes.
 func (s *Stencil) AdaptPartition(from int) error {
-	s.mu.Lock()
 	inv := make([]float64, len(s.slow))
 	var sum float64
 	for r, f := range s.slow {
 		inv[r] = 1 / f
 		sum += inv[r]
 	}
-	s.mu.Unlock()
 
 	n := s.lay.NBlocks
 	counts := make([]uint32, len(inv))
@@ -247,7 +230,7 @@ func (s *Stencil) AdaptPartition(from int) error {
 	for r, cnt := range counts {
 		for i := uint32(0); i < cnt; i++ {
 			g := s.lay.BlockAt(d)
-			if !s.residentAt(g.Block(), r) {
+			if s.w.Owner(g.Block(), g.Home()) != r {
 				futs = append(futs, s.w.Proc(from).Migrate(g, r))
 			}
 			d++
@@ -259,18 +242,4 @@ func (s *Stencil) AdaptPartition(from int) error {
 		}
 	}
 	return nil
-}
-
-func (s *Stencil) residentAt(b gas.BlockID, r int) bool {
-	_, ok := s.w.Locality(r).Store().Get(b)
-	return ok
-}
-
-func (s *Stencil) mustFind(b gas.BlockID) *gas.Block {
-	for r := 0; r < s.w.Ranks(); r++ {
-		if blk, ok := s.w.Locality(r).Store().Get(b); ok {
-			return blk
-		}
-	}
-	panic(fmt.Sprintf("stencil: block %d unreachable", b))
 }

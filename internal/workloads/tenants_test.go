@@ -23,9 +23,7 @@ func TestTenantsRunsInEveryMode(t *testing.T) {
 		if n != 400 {
 			t.Fatalf("%s: %d ops, want 400", mode, n)
 		}
-		tn.mu.Lock()
-		reads, writes := tn.reads, tn.writes
-		tn.mu.Unlock()
+		reads, writes := tn.counts()
 		if reads+writes != int64(n) {
 			t.Fatalf("%s: reads %d + writes %d != %d", mode, reads, writes, n)
 		}

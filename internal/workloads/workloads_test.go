@@ -402,9 +402,7 @@ func TestReadHotSkewAndMix(t *testing.T) {
 		if total != 400 {
 			t.Fatalf("mode %v: total ops %d, want 400", mode, total)
 		}
-		rh.mu.Lock()
-		reads, writes := rh.reads, rh.writes
-		rh.mu.Unlock()
+		reads, writes := rh.counts()
 		if reads+writes != 400 {
 			t.Fatalf("mode %v: reads %d + writes %d != 400", mode, reads, writes)
 		}
